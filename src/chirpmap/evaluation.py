@@ -194,9 +194,13 @@ def cross_validate(
     evaluated under the same seed see identical folds. Per-fold training
     seeds are derived from the fold seed.
     """
-    coords = np.asarray(coords, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    folds = stratified_kfold(labels, k, seed)
+    return _cross_validate_folds(coords, labels, kind, stratified_kfold(labels, k, seed), seed, config)
+
+
+def _cross_validate_folds(coords, labels, kind: str, folds, seed: int, config) -> dict:
+    """``cross_validate`` over folds already drawn from (labels, k, seed)."""
+    coords = np.asarray(coords, dtype=np.float64)
     all_idx = np.arange(labels.size)
     accuracies: list[float] = []
     confusions: list[dict] = []
@@ -258,6 +262,8 @@ def run_all_scenarios(
         cv_seed = derive_seed(master_seed, f"cv:{key}")
         holdout_seed = derive_seed(master_seed, f"holdout:{key}")
         train_idx, test_idx = holdout_split(labels, holdout_fraction, holdout_seed)
+        # folds depend only on (labels, k, seed): identical for every classifier
+        folds = stratified_kfold(labels, k_folds, cv_seed)
 
         entry: dict = {
             "description": scenario.description,
@@ -269,7 +275,7 @@ def run_all_scenarios(
         }
         for kind in classifier_kinds:
             config = classifier_configs.get(kind)
-            cv = cross_validate(coords, labels, kind, k=k_folds, seed=cv_seed, config=config)
+            cv = _cross_validate_folds(coords, labels, kind, folds, cv_seed, config)
             fit_seed = derive_seed(master_seed, f"holdout-fit:{key}:{kind}")
             model = fit_classifier(
                 kind, coords[train_idx], labels[train_idx], seed=fit_seed, config=config
@@ -287,10 +293,7 @@ def run_all_scenarios(
                 "holdout": holdout_metrics,
             }
             models[(key, kind)] = model
-        # folds depend only on (labels, k, seed): identical for every classifier
-        entry["fold_assignments"] = [
-            f.tolist() for f in stratified_kfold(labels, k_folds, cv_seed)
-        ]
+        entry["fold_assignments"] = [f.tolist() for f in folds]
         entry["cv_seed"] = cv_seed
         report["scenarios"][key] = entry
 

@@ -45,9 +45,7 @@ class KnnModel:
                 + sq_train[None, :]
                 - 2.0 * (chunk @ self.x.T)
             )
-            # stable sort keeps equal distances in row-index order
-            order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-            neigh = self.y[order]
+            neigh = self.y[_nearest(d2, k)]
             m = neigh.shape[0]
             counts = np.zeros((m, n_classes), dtype=np.int64)
             np.add.at(counts, (np.repeat(np.arange(m), k), neigh.ravel()), 1)
@@ -57,6 +55,22 @@ class KnnModel:
             pred[tied] = neigh[tied, 0]
             out[start : start + 2048] = pred
         return out
+
+
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+    """Per row, the indices of the k smallest entries in (value, index)
+    order: the first k of a stable argsort, found by partitioning."""
+    cand = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
+    cand_d2 = np.take_along_axis(d2, cand, axis=1)
+    # a stable sort of index-ordered candidates breaks distance ties by index
+    order = np.take_along_axis(cand, np.argsort(cand_d2, axis=1, kind="stable"), axis=1)
+    # where the k-th distance is tied beyond the candidates, the partition
+    # chose among the tied indices arbitrarily: sort those rows in full
+    kth = cand_d2.max(axis=1)
+    tied = np.count_nonzero(d2 <= kth[:, None], axis=1) > k
+    if tied.any():
+        order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    return order
 
 
 def fit_knn(x, y, config: KnnConfig = KnnConfig()) -> KnnModel:

@@ -87,12 +87,26 @@ def _as_values(matrix) -> np.ndarray:
     return np.asarray(matrix, dtype=np.float64)
 
 
-def _squared_distances(x: np.ndarray) -> np.ndarray:
+def _squared_distances(
+    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
+) -> np.ndarray:
+    """(|x_i|^2 + |x_j|^2) - 2 x_i.x_j, clamped at 0, with a zero diagonal.
+
+    Written into ``out``, using ``scratch`` for the Gram matrix; both are
+    N x N buffers allocated here when not given. The operation order is
+    fixed, so buffered and allocating calls give identical bits.
+    """
+    n = x.shape[0]
+    out = np.empty((n, n)) if out is None else out
+    scratch = np.empty((n, n)) if scratch is None else scratch
     sq = np.sum(x * x, axis=1)
-    d2 = sq[:, None] + sq[None, :] - 2.0 * (x @ x.T)
-    np.maximum(d2, 0.0, out=d2)
-    np.fill_diagonal(d2, 0.0)
-    return d2
+    np.add(sq[:, None], sq[None, :], out=out)
+    np.matmul(x, x.T, out=scratch)
+    scratch *= 2.0
+    out -= scratch
+    np.maximum(out, 0.0, out=out)
+    np.fill_diagonal(out, 0.0)
+    return out
 
 
 def _row_distribution(d2_row: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
@@ -181,10 +195,22 @@ def low_dim_similarities(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     diagonal and q is w normalized over all ordered pairs.
     """
     y = np.asarray(coords, dtype=np.float64)
-    w = 1.0 / (1.0 + _squared_distances(y))
-    np.fill_diagonal(w, 0.0)
-    q = w / w.sum()
+    w = np.empty((y.shape[0], y.shape[0]))
+    q = np.empty_like(w)
+    _student_t(y, w, q)
     return q, w
+
+
+def _student_t(y: np.ndarray, w: np.ndarray, q: np.ndarray) -> float:
+    """Fill the N x N buffers w and q as ``low_dim_similarities`` returns
+    them, and return sum(w)."""
+    _squared_distances(y, out=w, scratch=q)
+    w += 1.0
+    np.divide(1.0, w, out=w)
+    np.fill_diagonal(w, 0.0)
+    total = w.sum()
+    np.divide(w, total, out=q)
+    return float(total)
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -258,6 +284,13 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
     phase. The KL trace is recorded against the unexaggerated affinities,
     one entry per iteration (the value after that iteration's update).
     Identical (input, config) pairs produce bit-identical output.
+
+    Each iteration computes the Student-t kernel w into N x N buffers
+    allocated once per run. The KL entry for the previous update comes
+    from that same kernel as sum p ln p - sum p ln w + (sum p) ln(sum w),
+    with sum p ln p computed once; it agrees with ``kl_divergence`` to
+    rounding. The last entry, reported as ``final_kl``, is
+    ``kl_divergence`` itself.
     """
     x = _as_values(matrix)
     ids = matrix.ids if isinstance(matrix, FeatureMatrix) else None
@@ -268,20 +301,37 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
     x_run, n_jittered = _jitter_duplicates(x, rng)
 
     cond = conditional_affinities(x_run, config.perplexity)
+    fallback_rows = list(cond.fallback_rows)
     p = symmetrize(cond.p)
+    del cond  # its N x N conditionals are not needed past this point
     coords, pca_fallback = pca_init(x_run, config.seed)
 
     y = coords.copy()
     y_prev = y.copy()
     trace = np.empty(config.n_iterations, dtype=np.float64)
     lr = config.learning_rate
+    positive = p[p > 0]
+    p_log_p = float(np.sum(positive * np.log(positive)))  # KL's constant term
+    p_total = float(p.sum())
+    del positive
+    w = np.empty_like(p)
+    q = np.empty_like(p)
+    m = np.empty_like(p)
 
     for t in range(config.n_iterations):
-        q, w = low_dim_similarities(y)
+        w_total = _student_t(y, w, q)
         if t > 0:
-            trace[t - 1] = kl_divergence(p, q)
-        p_eff = p * config.exaggeration_factor if t < config.exaggeration_until_iter else p
-        m = (p_eff - q) * w
+            # ln 1 = 0 on the diagonal, where p is 0; m below is unchanged
+            # because its diagonal factor p_eff - q is 0 either way
+            np.fill_diagonal(w, 1.0)
+            np.log(w, out=m)
+            trace[t - 1] = p_log_p - float(np.vdot(p, m)) + p_total * math.log(w_total)
+        if t < config.exaggeration_until_iter:
+            np.multiply(p, config.exaggeration_factor, out=m)
+            m -= q
+        else:
+            np.subtract(p, q, out=m)
+        m *= w
         grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
         momentum = (
             config.momentum_early if t < config.momentum_switch_iter else config.momentum_late
@@ -291,6 +341,7 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
             raise NumericError(f"non-finite coordinates at iteration {t}")
         y_prev, y = y, y_next
 
+    del w, q, m  # free the loop buffers before kl_divergence allocates its own
     q, _ = low_dim_similarities(y)
     trace[config.n_iterations - 1] = kl_divergence(p, q)
 
@@ -298,7 +349,7 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
         "seed": config.seed,
         "duplicates_jittered": n_jittered,
         "pca_init_fallback": pca_fallback,
-        "perplexity_fallback_rows": list(cond.fallback_rows),
+        "perplexity_fallback_rows": fallback_rows,
     }
     return Embedding(
         coords=y,

@@ -3,6 +3,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from chirpmap import evaluation
 from chirpmap.errors import DataError
 from chirpmap.evaluation import (
     SCENARIO_ORDER,
@@ -161,6 +162,33 @@ def test_run_all_scenarios_report_shape(two_blobs):
     preds = models[("s1", "knn")].predict(coords[test_idx])
     labels_s1, _ = encode_scenario(records, SCENARIOS["s1"])
     assert (preds == labels_s1[test_idx]).mean() >= 0.9
+
+
+def test_run_all_scenarios_draws_folds_once_per_scenario(two_blobs, monkeypatch):
+    coords, labels = two_blobs
+    records = [record("S" if l == 1 else "F", 3 if l == 1 else 1) for l in labels]
+    calls = []
+
+    def counted(labels, k, seed):
+        calls.append(seed)
+        return stratified_kfold(labels, k, seed)
+
+    monkeypatch.setattr(evaluation, "stratified_kfold", counted)
+    kinds = ("knn", "logistic_regression")
+    report, _ = run_all_scenarios(
+        coords, records, master_seed=5, k_folds=4, scenario_keys=("s1", "s2"), classifier_kinds=kinds
+    )
+    assert len(calls) == 2
+    monkeypatch.undo()
+    # the shared folds give each classifier what cross_validate alone gives it
+    for key in ("s1", "s2"):
+        entry = report["scenarios"][key]
+        scenario_labels, _ = encode_scenario(records, SCENARIOS[key])
+        for kind in kinds:
+            alone = cross_validate(coords, scenario_labels, kind, k=4, seed=entry["cv_seed"])
+            assert alone["fold_assignments"] == entry["fold_assignments"]
+            for field in ("fold_accuracies", "fold_confusions", "cv_accuracy_mean", "cv_accuracy_sd"):
+                assert entry["classifiers"][kind][field] == alone[field]
 
 
 def test_report_round_trip(tmp_path, two_blobs):

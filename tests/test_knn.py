@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from chirpmap.errors import DataError
-from chirpmap.models.knn import KnnConfig, fit_knn
+from chirpmap.models.knn import KnnConfig, _nearest, fit_knn
 from tests.conftest import make_blobs
 
 
@@ -52,6 +52,27 @@ def test_distance_tie_prefers_lower_index():
     # swapping rows flips the winner: the tie-break is positional
     swapped = fit_knn(x[::-1], y[::-1], KnnConfig(k=1))
     assert swapped.predict(np.array([[0.0, 0.0]]))[0] == 1
+
+
+def test_neighbour_selection_equals_stable_argsort_under_ties():
+    # small integers make nearly every row tie at and around the k-th value
+    rng = np.random.default_rng(3)
+    d2 = rng.integers(0, 6, size=(300, 40)).astype(float)
+    for k in (1, 2, 5, 17, 40):
+        assert np.array_equal(_nearest(d2, k), np.argsort(d2, axis=1, kind="stable")[:, :k])
+
+
+def test_lattice_ties_match_reference_rule():
+    # training points on an integer lattice, some repeated; queries on the
+    # lattice and halfway between its points, so distances tie everywhere
+    grid = np.array([(i, j) for i in range(-3, 4) for j in range(-3, 4)], dtype=float)
+    rng = np.random.default_rng(6)
+    x = np.vstack([grid, grid[rng.permutation(len(grid))[:20]]])
+    y = rng.integers(0, 2, size=len(x))
+    queries = np.array([(i / 2, j / 2) for i in range(-8, 9) for j in range(-8, 9)])
+    for k in (1, 2, 3, 4, 5, 8):
+        model = fit_knn(x, y, KnnConfig(k=k))
+        assert np.array_equal(model.predict(queries), reference_predict(x, y, queries, k))
 
 
 def test_vote_tie_prefers_nearest_neighbor_class():
