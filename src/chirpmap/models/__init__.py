@@ -11,7 +11,7 @@ from .forest import ForestConfig, RandomForestModel, fit_random_forest
 from .knn import KnnConfig, KnnModel, fit_knn
 from .logistic import LogisticConfig, LogisticModel, fit_logistic
 from .svm import SvmConfig, SvmModel, fit_svm, kkt_violation
-from .tree import DecisionTree, TreeConfig, TreeNode, fit_tree, gini_impurity
+from .tree import DecisionTree, NodeTable, TreeConfig, fit_tree, gini_impurity
 from .io import load_model, model_from_dict, model_to_dict, save_model
 
 CLASSIFIER_KINDS = ("random_forest", "svm", "logistic_regression", "knn")
@@ -91,7 +91,7 @@ __all__ = [
     "LabeledPoints",
     "DecisionTree",
     "TreeConfig",
-    "TreeNode",
+    "NodeTable",
     "ForestConfig",
     "RandomForestModel",
     "SvmConfig",

@@ -42,17 +42,19 @@ class RandomForestModel:
     kind = "random_forest"
 
     def predict(self, points) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        # column-major, so every tree reads each feature contiguously
+        x = np.asfortranarray(np.atleast_2d(np.asarray(points, dtype=np.float64)))
         if self.config.task == "regression":
             acc = np.zeros(x.shape[0], dtype=np.float64)
             for tree in self.trees:
                 acc += tree.predict(x)
             return acc / len(self.trees)
-        votes = np.zeros((x.shape[0], self.n_classes), dtype=np.int64)
-        rows = np.arange(x.shape[0])
+        votes = np.zeros((self.n_classes, x.shape[0]), dtype=np.int64)
         for tree in self.trees:
-            votes[rows, tree.predict(x)] += 1
-        return np.argmax(votes, axis=1)  # first max: ties go to class 0
+            pred = tree.predict(x)
+            for c in range(self.n_classes):
+                votes[c] += pred == c
+        return np.argmax(votes, axis=0)  # first max: ties go to class 0
 
 
 def fit_random_forest(x, y, config: ForestConfig = ForestConfig()) -> RandomForestModel:

@@ -2,7 +2,11 @@
 
 Documents carry {kind, config, parameters} and reconstruct models whose
 predictions are bit-identical to the originals (floats survive via
-shortest round-trip repr, which json uses natively).
+shortest round-trip repr, which json uses natively). A random forest
+stores each tree as node arrays, minus those the table derives (see
+`NodeTable.build`). Loading raises DataError for a missing key, node
+arrays of unequal length, a child index out of range, or a tree in the
+nested-node format of earlier versions, which is no longer read.
 """
 
 from __future__ import annotations
@@ -17,127 +21,94 @@ from .forest import ForestConfig, RandomForestModel
 from .knn import KnnConfig, KnnModel
 from .logistic import LogisticConfig, LogisticModel
 from .svm import SvmConfig, SvmModel
-from .tree import DecisionTree, TreeConfig, TreeNode
+from .tree import DecisionTree, NodeTable, TreeConfig
 
-
-def _node_to_dict(node: TreeNode) -> dict:
-    doc: dict = {"n": node.n_samples, "value": node.value, "counts": node.counts}
-    if node.feature is not None:
-        doc["feature"] = node.feature
-        doc["threshold"] = node.threshold
-        doc["left"] = _node_to_dict(node.left)
-        doc["right"] = _node_to_dict(node.right)
-    return doc
-
-
-def _node_from_dict(doc: dict) -> TreeNode:
-    node = TreeNode(n_samples=doc["n"], value=doc["value"], counts=doc.get("counts"))
-    if "feature" in doc:
-        node.feature = doc["feature"]
-        node.threshold = doc["threshold"]
-        node.left = _node_from_dict(doc["left"])
-        node.right = _node_from_dict(doc["right"])
-    return node
+# kind -> (model class, config class, {parameter: dtype of an array, None for a scalar})
+_FLAT_KINDS = {
+    "svm": (SvmModel, SvmConfig, {
+        "x": np.float64, "y_signed": np.float64, "alpha": np.float64, "b": None,
+        "gamma_value": None, "converged": None, "dual_objective": None, "n_updates": None,
+    }),
+    "logistic_regression": (LogisticModel, LogisticConfig, {
+        "w": np.float64, "b": None, "converged": None, "n_iters": None,
+        "final_gradient_norm": None,
+    }),
+    "knn": (KnnModel, KnnConfig, {"x": np.float64, "y": np.int64}),
+}
+# the node arrays stored per tree, by forest task
+_TREE_KEYS = {
+    "classification": ("feature", "threshold", "right", "counts"),
+    "regression": ("feature", "threshold", "right", "n_samples", "value"),
+}
+_NODE_ARRAYS = ("feature", "threshold", "left", "right", "n_samples", "value")
 
 
 def model_to_dict(model) -> dict:
     kind = getattr(model, "kind", None)
     if kind == "random_forest":
-        return {
-            "kind": kind,
-            "config": asdict(model.config),
-            "parameters": {
-                "n_features": model.n_features,
-                "n_classes": model.n_classes,
-                "trees": [_node_to_dict(t.root) for t in model.trees],
-            },
+        keys = _TREE_KEYS[model.config.task]
+        parameters = {
+            "n_features": model.n_features,
+            "n_classes": model.n_classes,
+            "trees": [{k: getattr(t.root, k).tolist() for k in keys} for t in model.trees],
         }
-    if kind == "svm":
-        return {
-            "kind": kind,
-            "config": asdict(model.config),
-            "parameters": {
-                "x": model.x.tolist(),
-                "y_signed": model.y_signed.tolist(),
-                "alpha": model.alpha.tolist(),
-                "b": model.b,
-                "gamma_value": model.gamma_value,
-                "converged": model.converged,
-                "dual_objective": model.dual_objective,
-                "n_updates": model.n_updates,
-            },
+    elif kind in _FLAT_KINDS:
+        parameters = {
+            k: getattr(model, k) if dtype is None else getattr(model, k).tolist()
+            for k, dtype in _FLAT_KINDS[kind][2].items()
         }
-    if kind == "logistic_regression":
-        return {
-            "kind": kind,
-            "config": asdict(model.config),
-            "parameters": {
-                "w": model.w.tolist(),
-                "b": model.b,
-                "converged": model.converged,
-                "n_iters": model.n_iters,
-                "final_gradient_norm": model.final_gradient_norm,
-            },
-        }
-    if kind == "knn":
-        return {
-            "kind": kind,
-            "config": asdict(model.config),
-            "parameters": {"x": model.x.tolist(), "y": model.y.tolist()},
-        }
-    raise DataError(f"cannot serialize model of kind {kind!r}")
+    else:
+        raise DataError(f"cannot serialize model of kind {kind!r}")
+    return {"kind": kind, "config": asdict(model.config), "parameters": parameters}
 
 
 def model_from_dict(doc: dict):
+    if not isinstance(doc, dict):
+        raise DataError("model document is not a JSON object")
     kind = doc.get("kind")
     cfg = doc.get("config", {})
     params = doc.get("parameters", {})
-    if kind == "random_forest":
-        config = ForestConfig(**cfg)
-        tree_config = TreeConfig(task=config.task, max_depth=config.max_depth)
-        trees = [
-            DecisionTree(
-                root=_node_from_dict(t),
-                config=tree_config,
-                n_features=params["n_features"],
-                n_classes=params["n_classes"],
-            )
-            for t in params["trees"]
-        ]
-        return RandomForestModel(
-            trees=trees,
-            config=config,
-            n_features=params["n_features"],
-            n_classes=params["n_classes"],
-        )
-    if kind == "svm":
-        return SvmModel(
-            x=np.array(params["x"], dtype=np.float64),
-            y_signed=np.array(params["y_signed"], dtype=np.float64),
-            alpha=np.array(params["alpha"], dtype=np.float64),
-            b=params["b"],
-            config=SvmConfig(**cfg),
-            gamma_value=params["gamma_value"],
-            converged=params["converged"],
-            dual_objective=params["dual_objective"],
-            n_updates=params["n_updates"],
-        )
-    if kind == "logistic_regression":
-        return LogisticModel(
-            w=np.array(params["w"], dtype=np.float64),
-            b=params["b"],
-            config=LogisticConfig(**cfg),
-            converged=params["converged"],
-            n_iters=params["n_iters"],
-            final_gradient_norm=params["final_gradient_norm"],
-        )
-    if kind == "knn":
-        return KnnModel(
-            x=np.array(params["x"], dtype=np.float64),
-            y=np.array(params["y"], dtype=np.int64),
-            config=KnnConfig(**cfg),
-        )
+    try:
+        if kind == "random_forest":
+            return _forest_from_dict(cfg, params)
+        if kind in _FLAT_KINDS:
+            model_cls, config_cls, fields = _FLAT_KINDS[kind]
+            values = {k: params[k] if dtype is None else np.array(params[k], dtype=dtype)
+                      for k, dtype in fields.items()}
+            return model_cls(config=config_cls(**cfg), **values)
+    except KeyError as exc:
+        raise DataError(f"{kind} model document lacks key {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise DataError(f"malformed {kind} model document: {exc}") from exc
     raise DataError(f"cannot load model of kind {kind!r}")
+
+
+def _forest_from_dict(cfg: dict, params: dict) -> RandomForestModel:
+    config = ForestConfig(**cfg)
+    tree_config = TreeConfig(task=config.task, max_depth=config.max_depth)
+    n_features, n_classes = params["n_features"], params["n_classes"]
+    keys = _TREE_KEYS[config.task]
+    trees = []
+    for doc in params["trees"]:
+        if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in keys):
+            raise DataError(f"tree is not a node table of arrays {', '.join(keys)} "
+                            "(nested-node model files are no longer read; refit the model)")
+        table = NodeTable.build(**{k: doc[k] for k in keys})
+        n = len(doc["feature"])
+        if n < 1 or any(getattr(table, k).shape != (n,) for k in _NODE_ARRAYS) or (
+            table.counts is not None and table.counts.shape != (n, n_classes)
+        ):
+            raise DataError("tree node arrays must be nonempty and of equal length")
+        internal = table.feature >= 0
+        if (np.any((table.feature < -1) | (table.feature >= n_features) | (table.n_samples < 1))
+                or np.any(table.right[~internal] != -1)
+                or np.any(internal & ((table.right <= np.arange(n) + 1) | (table.right >= n)))):
+            raise DataError("tree split feature, child index or sample count out of range")
+        trees.append(DecisionTree(root=table, config=tree_config, n_features=n_features,
+                                  n_classes=n_classes))
+    if not trees:
+        raise DataError("random forest document holds no trees")
+    return RandomForestModel(trees=trees, config=config, n_features=n_features, n_classes=n_classes)
 
 
 def save_model(model, path: str, extra: dict | None = None) -> None:
@@ -157,7 +128,10 @@ def load_model(path: str):
         raise DataError(f"cannot read model file {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
-    return model_from_dict(doc)
+    try:
+        return model_from_dict(doc)
+    except DataError as exc:
+        raise DataError(f"model file {path}: {exc}") from exc
 
 
 __all__ = ["model_to_dict", "model_from_dict", "save_model", "load_model"]

@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -335,6 +336,20 @@ def stage_ingest(config: PipelineConfig) -> None:
     )
 
 
+def _cell(path: str, line: int, column: int, row: list[str], parse):
+    """One numeric cell of features.csv, or a DataError naming where it sits."""
+    try:
+        value = parse(row[column])
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise DataError(
+        f"{path} line {line}, column {CANONICAL_COLUMNS[column]!r}: "
+        f"{row[column]!r} is not a finite number"
+    )
+
+
 def _read_features(path: str) -> tuple[list[str], np.ndarray, list]:
     """features.csv back into (ids, values, rows-with-labels)."""
     if not os.path.exists(path):
@@ -347,10 +362,14 @@ def _read_features(path: str) -> tuple[list[str], np.ndarray, list]:
         header = next(reader, None)
         if header != list(CANONICAL_COLUMNS):
             raise DataError(f"{path} does not hold the canonical feature columns")
-        for row in reader:
+        for line, row in enumerate(reader, start=2):
+            if len(row) != len(CANONICAL_COLUMNS):
+                raise DataError(
+                    f"{path} line {line}: expected {len(CANONICAL_COLUMNS)} fields, got {len(row)}"
+                )
             ids.append(row[0])
-            values.append([float(v) for v in row[1:4]])
-            rows.append(SimpleNamespace(outcome=row[4], difficulty=int(row[5])))
+            values.append([_cell(path, line, j, row, float) for j in (1, 2, 3)])
+            rows.append(SimpleNamespace(outcome=row[4], difficulty=_cell(path, line, 5, row, int)))
     if not ids:
         raise DataError(f"{path} contains no rows")
     return ids, np.array(values, dtype=np.float64), rows

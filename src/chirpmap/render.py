@@ -254,6 +254,13 @@ def boundary_grid(
     return xc, yc, preds
 
 
+def _runs(row: np.ndarray) -> list[tuple[int, int, int]]:
+    """(start, stop, value) for each maximal run of equal values, left to right."""
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(row)) + 1))
+    stops = np.append(starts[1:], row.size)
+    return list(zip(starts.tolist(), stops.tolist(), row[starts].tolist()))
+
+
 def render_boundary(
     model,
     points,
@@ -284,21 +291,15 @@ def render_boundary(
     for row in range(g):
         # pixel y of the TOP edge of this row's cell (rows follow yc, ascending data y)
         y_px = frame.top + frame.plot_h - (row + 1) * cell_h_px
-        col = 0
-        while col < g:
-            cls = preds[row, col]
-            run = col
-            while run < g and preds[row, run] == cls:
-                run += 1
+        for col, run, cls in _runs(preds[row]):
             svg.rect(
                 frame.left + col * cell_w_px,
                 y_px,
                 (run - col) * cell_w_px,
                 cell_h_px,
-                BINARY_CLASS_COLORS[int(cls) % 2],
+                BINARY_CLASS_COLORS[cls % 2],
                 opacity=0.30,
             )
-            col = run
     _draw_frame(svg, spec, frame)
     for (x, y), lab in zip(coords, labels):
         svg.circle(frame.px(x), frame.py(y), 2.5, BINARY_CLASS_COLORS[int(lab) % 2])

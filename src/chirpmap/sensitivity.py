@@ -5,10 +5,13 @@ original three features; exact Shapley values over all 2^d feature
 subsets attribute every prediction back to the features, and the x/y
 attributions are combined into one magnitude per feature per record.
 
-The subset value v(S) is the tree-conditional expectation: walking a
-tree, a split on a feature in S follows the instance's branch, a split
-on a feature outside S descends both branches weighted by the training
-proportions stored at the nodes.
+The subset value v(S) is the tree-conditional expectation, the
+path-dependent value function of TreeSHAP (Lundberg, Erion & Lee 2018,
+arXiv:1802.03888): walking a tree's node table, a split on a feature in
+S follows the instance's branch, a split on a feature outside S descends
+both branches weighted by the training proportions stored at the nodes.
+v(S) is linear over trees, so a forest's values are averaged first and
+combined into Shapley values once.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ import numpy as np
 from .errors import DataError, NumericError
 from .ingest import FEATURE_NAMES, FeatureMatrix
 from .models import DecisionTree, ForestConfig, RandomForestModel, fit_random_forest
-from .models.tree import TreeNode
 from .seeding import derive_seed
 from .tsne import Embedding
 
@@ -95,49 +97,48 @@ def fit_coordinate_regressors(
     )
 
 
-def _subset_masks(d: int, feature: int) -> tuple[list[int], list[int]]:
-    with_f = [s for s in range(1 << d) if (s >> feature) & 1]
-    without_f = [s for s in range(1 << d) if not (s >> feature) & 1]
-    return with_f, without_f
-
-
-def _accumulate(node: TreeNode, x: np.ndarray, weights: np.ndarray, out: np.ndarray) -> None:
-    """DFS adding weight * leaf value into out (N x 2^d) per subset."""
-    if node.is_leaf:
-        out += weights * node.value
-        return
-    d = x.shape[1]
-    with_f, without_f = _subset_masks(d, node.feature)
-    goes_left = x[:, node.feature] <= node.threshold
-    nl = node.left.n_samples
-    nr = node.right.n_samples
-    n = node.n_samples
-    w_left = weights.copy()
-    w_right = weights
-    w_left[:, with_f] *= goes_left[:, None]
-    w_right = w_right.copy()
-    w_right[:, with_f] *= (~goes_left)[:, None]
-    w_left[:, without_f] *= nl / n
-    w_right[:, without_f] *= nr / n
-    if np.any(w_left):
-        _accumulate(node.left, x, w_left, out)
-    if np.any(w_right):
-        _accumulate(node.right, x, w_right, out)
-
-
 def tree_subset_values(tree: DecisionTree, instances) -> np.ndarray:
     """v(S) for every instance and every feature subset of one tree.
 
     Returns an (N, 2^d) array; column s holds v(S) for the subset whose
-    members are the set bits of s.
+    members are the set bits of s. The walk is depth-first, left before
+    right, so each leaf's weight is its path product taken root to leaf
+    and leaves add into the result in preorder.
     """
     x = np.atleast_2d(np.asarray(instances, dtype=np.float64))
     if not np.isfinite(x).all():
         raise DataError("instances must be finite")
     if x.shape[1] != tree.n_features:
         raise DataError(f"expected {tree.n_features} features, got {x.shape[1]}")
-    out = np.zeros((x.shape[0], 1 << tree.n_features), dtype=np.float64)
-    _accumulate(tree.root, x, np.ones_like(out), out)
+    table = tree.root
+    feature = table.feature.tolist()
+    threshold = table.threshold.tolist()
+    right = table.right.tolist()
+    n_samples = table.n_samples.tolist()
+    value = table.value.tolist()
+    xt = np.ascontiguousarray(x.T)
+    subsets = np.arange(1 << tree.n_features)
+    in_subset = [((subsets >> f) & 1).astype(bool) for f in range(tree.n_features)]
+    out = np.zeros((x.shape[0], subsets.size), dtype=np.float64)
+    stack = [(0, np.ones_like(out))]
+    while stack:
+        node, weights = stack.pop()
+        f = feature[node]
+        if f < 0:
+            out += weights * value[node]
+            continue
+        # a feature in S follows the instance's branch; one outside S
+        # splits the weight by the children's training shares
+        left_child, right_child = node + 1, right[node]
+        share_left = n_samples[left_child] / n_samples[node]
+        share_right = n_samples[right_child] / n_samples[node]
+        goes_left = (xt[f] <= threshold[node])[:, None]
+        w_right = weights * np.where(in_subset[f], ~goes_left, share_right)
+        w_left = weights * np.where(in_subset[f], goes_left, share_left)
+        if w_right.any():
+            stack.append((right_child, w_right))
+        if w_left.any():
+            stack.append((left_child, w_left))
     return out
 
 
@@ -178,8 +179,10 @@ class ShapleyAttribution:
 def shapley_values(model, instances) -> ShapleyAttribution:
     """Exact Shapley attributions for a tree or a regression forest.
 
-    Ensemble attributions are the per-tree values averaged; efficiency
-    (sum phi + base = prediction) is asserted to 1e-9 for every instance.
+    v(S) is linear over trees, so a forest's subset values are the
+    per-tree values averaged and one Shapley combination serves the whole
+    ensemble; efficiency (sum phi + base = prediction) is asserted to
+    1e-9 for every instance.
     """
     x = np.atleast_2d(np.asarray(instances, dtype=np.float64))
     if isinstance(model, DecisionTree):
@@ -192,19 +195,13 @@ def shapley_values(model, instances) -> ShapleyAttribution:
         raise DataError(f"cannot attribute model of type {type(model).__name__}")
 
     d = trees[0].n_features
-    full = (1 << d) - 1
-    phi_sum = np.zeros((x.shape[0], d), dtype=np.float64)
-    base_sum = 0.0
-    pred_sum = np.zeros(x.shape[0], dtype=np.float64)
+    total = np.zeros((x.shape[0], 1 << d), dtype=np.float64)
     for tree in trees:
-        values = tree_subset_values(tree, x)
-        phi_sum += shapley_from_subset_values(values, d)
-        base_sum += float(values[0, 0])  # v(empty) is instance-independent
-        pred_sum += values[:, full]
-    n_trees = len(trees)
-    phi = phi_sum / n_trees
-    base = base_sum / n_trees
-    predictions = pred_sum / n_trees
+        total += tree_subset_values(tree, x)
+    values = total / len(trees)
+    phi = shapley_from_subset_values(values, d)
+    base = float(values[0, 0])  # v(empty) is instance-independent
+    predictions = values[:, -1]
 
     gap = np.abs(phi.sum(axis=1) + base - predictions)
     worst = int(np.argmax(gap))

@@ -46,6 +46,27 @@ def test_zero_weights_exit_code_and_message(tmp_path, capsys):
     assert "apply_weights" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "column, cell",
+    [("frequency_onset", "abc"), ("temporal_duration", "nan"), ("difficulty", "2.5")],
+)
+def test_bad_features_cell_is_data_error(tmp_path, capsys, column, cell):
+    entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "8"])
+    out = tmp_path / "out"
+    assert entrypoint(["ingest", "--input", str(tmp_path / "synth_data.csv"), "--out", str(out)]) == 0
+    features = out / "features.csv"
+    lines = features.read_text().splitlines()
+    header = lines[0].split(",")
+    fields = lines[3].split(",")
+    fields[header.index(column)] = cell
+    lines[3] = ",".join(fields)
+    features.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert entrypoint(["embed", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "features.csv line 4" in err and repr(column) in err and "Traceback" not in err
+
+
 def test_malformed_weights_is_usage_error():
     assert entrypoint(["ingest", "--weights", "a,b,c", "--input", "x.csv"]) == 1
     assert entrypoint(["ingest", "--weights", "1,2", "--input", "x.csv"]) == 1

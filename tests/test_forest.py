@@ -3,18 +3,17 @@ import pytest
 
 from chirpmap.errors import DataError
 from chirpmap.models.forest import ForestConfig, RandomForestModel, fit_random_forest
-from chirpmap.models.tree import TreeConfig, TreeNode, DecisionTree
+from chirpmap.models.tree import DecisionTree, NodeTable, TreeConfig
 from tests.conftest import make_blobs
 
 
 def leaf_tree(value, task="classification"):
     """Single-leaf tree that predicts `value` everywhere."""
-    counts = None
     if task == "classification":
-        counts = np.zeros(2)
-        counts[value] = 1.0
-    node = TreeNode(n_samples=1, value=float(value), counts=counts)
-    return DecisionTree(root=node, config=TreeConfig(task=task), n_features=2, n_classes=2)
+        table = NodeTable.build([-1], [0.0], [-1], counts=np.eye(2, dtype=np.int64)[[value]])
+    else:
+        table = NodeTable.build([-1], [0.0], [-1], n_samples=[1], value=[value])
+    return DecisionTree(root=table, config=TreeConfig(task=task), n_features=2, n_classes=2)
 
 
 def test_same_seed_same_forest(two_blobs):

@@ -69,3 +69,62 @@ def test_svm_round_trip_keeps_decision_values(training_data, tmp_path):
     grid = np.random.default_rng(2).normal(0, 4, size=(30, 2))
     assert np.allclose(model.decision_function(grid), restored.decision_function(grid))
     assert model_to_dict(model) == model_to_dict(restored)
+
+
+def _break_missing_trees(doc):
+    del doc["parameters"]["trees"]
+
+
+def _break_lengths(doc):
+    doc["parameters"]["trees"][0]["threshold"].pop()
+
+
+def _break_child_range(doc):
+    doc["parameters"]["trees"][0]["right"][0] = 10**6
+
+
+def _break_child_backwards(doc):
+    doc["parameters"]["trees"][0]["right"][0] = 0
+
+
+def _break_old_nested_format(doc):
+    doc["parameters"]["trees"][0] = {
+        "n": 4, "value": 0.0, "counts": [3, 1], "feature": 0, "threshold": 0.5,
+        "left": {"n": 3, "value": 0.0, "counts": [3, 0]},
+        "right": {"n": 1, "value": 1.0, "counts": [0, 1]},
+    }
+
+
+def _break_svm_key(doc):
+    del doc["parameters"]["alpha"]
+
+
+@pytest.mark.parametrize(
+    "kind, corrupt",
+    [
+        ("random_forest", _break_missing_trees),
+        ("random_forest", _break_lengths),
+        ("random_forest", _break_child_range),
+        ("random_forest", _break_child_backwards),
+        ("random_forest", _break_old_nested_format),
+        ("svm", _break_svm_key),
+    ],
+)
+def test_malformed_model_file_is_data_error(kind, corrupt, training_data, tmp_path):
+    x, y = training_data
+    doc = model_to_dict(fit_classifier(kind, x, y, seed=3))
+    corrupt(doc)
+    with pytest.raises(DataError):
+        model_from_dict(doc)
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(DataError, match="m.json"):
+        load_model(str(path))
+
+
+def test_forest_file_stores_node_arrays(training_data):
+    x, y = training_data
+    doc = model_to_dict(fit_classifier("random_forest", x, y, seed=3))
+    tree = doc["parameters"]["trees"][0]
+    assert sorted(tree) == ["counts", "feature", "right", "threshold"]
+    assert len({len(tree[k]) for k in tree}) == 1

@@ -9,6 +9,7 @@ from chirpmap.models import LabeledPoints, fit_classifier
 from chirpmap.models.knn import KnnConfig
 from chirpmap.render import (
     BINARY_CLASS_COLORS,
+    _runs,
     MAGENTA,
     TEAL,
     PlotSpec,
@@ -83,6 +84,28 @@ def test_boundary_svg_covers_both_regions():
     svg = render_boundary(model, LabeledPoints(x, y), PlotSpec(kind="boundary"), g=24)
     assert BINARY_CLASS_COLORS[0] in svg and BINARY_CLASS_COLORS[1] in svg
     parse(svg)
+
+
+def _scan_runs(row):
+    """The per-cell scan the run finder replaced, kept as its reference."""
+    runs, col = [], 0
+    while col < row.size:
+        cls = row[col]
+        run = col
+        while run < row.size and row[run] == cls:
+            run += 1
+        runs.append((col, run, int(cls)))
+        col = run
+    return runs
+
+
+def test_boundary_runs_match_cell_scan():
+    grid = np.random.default_rng(4).integers(0, 2, size=(40, 300))
+    grid[0] = 1  # one run spanning the row
+    grid[1, ::2] = 0  # runs of one cell
+    grid[1, 1::2] = 1
+    for row in grid:
+        assert _runs(row) == _scan_runs(row)
 
 
 def test_boundary_identical_points_is_an_error():

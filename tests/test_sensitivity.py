@@ -21,20 +21,53 @@ from chirpmap.sensitivity import (
 )
 
 
-def naive_subset_value(node, instance, in_mask):
+def naive_subset_value(table, node, instance, in_mask):
     """Textbook recursion: out-of-subset splits average the children by
     training share."""
-    if node.is_leaf:
-        return node.value
-    if in_mask[node.feature]:
-        child = node.left if instance[node.feature] < node.threshold else node.right
-        return naive_subset_value(child, instance, in_mask)
-    nl = node.left.n_samples
-    nr = node.right.n_samples
+    f = table.feature[node]
+    if f < 0:
+        return table.value[node]
+    left, right = table.left[node], table.right[node]
+    if in_mask[f]:
+        child = left if instance[f] < table.threshold[node] else right
+        return naive_subset_value(table, child, instance, in_mask)
+    nl = table.n_samples[left]
+    nr = table.n_samples[right]
     return (
-        nl * naive_subset_value(node.left, instance, in_mask)
-        + nr * naive_subset_value(node.right, instance, in_mask)
+        nl * naive_subset_value(table, left, instance, in_mask)
+        + nr * naive_subset_value(table, right, instance, in_mask)
     ) / (nl + nr)
+
+
+def recursive_subset_values(table, x):
+    """The former recursive walk (DFS, left first, copies per child), kept
+    as the reference for the iterative one's exact arithmetic."""
+    d = x.shape[1]
+    out = np.zeros((x.shape[0], 1 << d))
+
+    def walk(node, weights):
+        f = table.feature[node]
+        if f < 0:
+            out[:] += weights * float(table.value[node])
+            return
+        with_f = [s for s in range(1 << d) if (s >> f) & 1]
+        without_f = [s for s in range(1 << d) if not (s >> f) & 1]
+        goes_left = x[:, f] <= table.threshold[node]
+        left, right = table.left[node], table.right[node]
+        n = int(table.n_samples[node])
+        w_left = weights.copy()
+        w_right = weights.copy()
+        w_left[:, with_f] *= goes_left[:, None]
+        w_right[:, with_f] *= (~goes_left)[:, None]
+        w_left[:, without_f] *= int(table.n_samples[left]) / n
+        w_right[:, without_f] *= int(table.n_samples[right]) / n
+        if np.any(w_left):
+            walk(left, w_left)
+        if np.any(w_right):
+            walk(right, w_right)
+
+    walk(0, np.ones_like(out))
+    return out
 
 
 def ordering_shapley(values_row, d):
@@ -69,8 +102,16 @@ def test_subset_values_match_naive_recursion(regression_tree):
         for mask in range(8):
             in_mask = [bool(mask >> j & 1) for j in range(3)]
             assert values[i, mask] == pytest.approx(
-                naive_subset_value(tree.root, inst, in_mask), abs=1e-12
+                naive_subset_value(tree.root, 0, inst, in_mask), abs=1e-12
             )
+
+
+def test_subset_values_equal_recursive_walk_exactly(regression_tree):
+    _, x = regression_tree
+    y = 3.0 * x[:, 0] - x[:, 2] + np.sin(x[:, 1])
+    forest = fit_random_forest(x, y, ForestConfig(n_trees=5, seed=8, task="regression"))
+    for tree in forest.trees:
+        assert np.array_equal(tree_subset_values(tree, x), recursive_subset_values(tree.root, x))
 
 
 def test_attributions_equal_ordering_enumeration_exactly(regression_tree):

@@ -1,14 +1,21 @@
+import sys
+
 import numpy as np
 import pytest
 
 from chirpmap.errors import DataError
+from chirpmap.models.forest import ForestConfig, RandomForestModel
+from chirpmap.models.io import load_model, save_model
 from chirpmap.models.tree import (
+    DecisionTree,
+    NodeTable,
     TreeConfig,
     count_leaves,
     fit_tree,
     gini_impurity,
     tree_depth,
 )
+from chirpmap.sensitivity import tree_subset_values
 from tests.conftest import make_blobs
 
 
@@ -35,15 +42,15 @@ def test_single_split_on_separated_line():
     tree = fit_tree(x, y)
     assert tree_depth(tree.root) == 1
     assert np.array_equal(tree.predict(x), y)
-    assert tree.root.feature == 0
-    assert tree.root.threshold == 0.0  # midpoint of -1 and 1
+    assert tree.root.feature[0] == 0
+    assert tree.root.threshold[0] == 0.0  # midpoint of -1 and 1
 
 
 def test_identical_rows_mixed_labels_yield_majority_leaf():
     x = np.ones((5, 2))
     y = np.array([0, 1, 1, 1, 0])
     tree = fit_tree(x, y)
-    assert tree.root.is_leaf
+    assert tree.root.feature[0] == -1
     assert tree.predict(np.zeros((1, 2)))[0] == 1
 
 
@@ -51,7 +58,7 @@ def test_majority_tie_prefers_lowest_class():
     x = np.ones((4, 2))
     y = np.array([1, 0, 1, 0])
     tree = fit_tree(x, y)
-    assert tree.root.is_leaf
+    assert tree.root.feature[0] == -1
     assert tree.predict(x)[0] == 0
 
 
@@ -64,15 +71,15 @@ def test_blob_training_accuracy():
 def test_thresholds_are_midpoints():
     x = np.array([[1.0], [3.0]])
     tree = fit_tree(x, np.array([0, 1]))
-    assert tree.root.threshold == 2.0
+    assert tree.root.threshold[0] == 2.0
 
 
 def test_split_tie_prefers_lowest_feature_then_threshold():
     # both features separate perfectly; the split must name feature 0
     x = np.array([[0.0, 0.0], [1.0, 1.0]])
     tree = fit_tree(x, np.array([0, 1]))
-    assert tree.root.feature == 0
-    assert tree.root.threshold == 0.5
+    assert tree.root.feature[0] == 0
+    assert tree.root.threshold[0] == 0.5
 
 
 def test_zero_gain_split_still_grows():
@@ -93,14 +100,9 @@ def test_max_depth_truncates():
 def test_leaf_counts_sum_to_training_rows():
     x, y = make_blobs([(-1.0, 0.0), (1.0, 0.0)], n_per=30, sd=1.5, seed=3)
 
-    def walk(node):
-        if node.is_leaf:
-            return [node]
-        return walk(node.left) + walk(node.right)
-
-    leaves = walk(fit_tree(x, y).root)
-    assert sum(sum(leaf.counts) for leaf in leaves) == 60
-    assert sum(int(leaf.n_samples) for leaf in leaves) == 60
+    table = fit_tree(x, y).root
+    assert table.counts[table.feature < 0].sum() == 60
+    assert table.n_samples[table.feature < 0].sum() == 60
 
 
 def test_regression_memorizes_distinct_points():
@@ -114,13 +116,13 @@ def test_regression_leaf_is_mean():
     x = np.ones((3, 1))
     y = np.array([1.0, 2.0, 6.0])
     tree = fit_tree(x, y, TreeConfig(task="regression"))
-    assert tree.root.is_leaf
+    assert tree.root.feature[0] == -1
     assert tree.predict(x)[0] == pytest.approx(3.0)
 
 
 def test_single_row_is_a_leaf():
     tree = fit_tree(np.array([[5.0, 5.0]]), np.array([1]))
-    assert tree.root.is_leaf
+    assert tree.root.feature[0] == -1
     assert tree.predict(np.array([[0.0, 0.0]]))[0] == 1
 
 
@@ -136,5 +138,55 @@ def test_config_validation():
 def test_max_depth_zero_is_a_stump():
     x = np.array([[0.0], [1.0], [2.0]])
     tree = fit_tree(x, np.array([0, 1, 1]), TreeConfig(max_depth=0))
-    assert tree.root.is_leaf
+    assert tree.root.feature[0] == -1
     assert tree.predict(x).tolist() == [1, 1, 1]
+
+
+def chain_tree(depth):
+    """Regression chain: split k sends x <= k + 0.5 to a leaf of value k."""
+    n_nodes = 2 * depth + 1
+    nodes = np.arange(n_nodes)
+    internal = (nodes % 2 == 0) & (nodes < 2 * depth)
+    k = nodes // 2
+    table = NodeTable.build(
+        feature=np.where(internal, 0, -1),
+        threshold=np.where(internal, k + 0.5, 0.0),
+        right=np.where(internal, nodes + 2, -1),
+        n_samples=np.where(internal, depth + 1 - k, 1),
+        value=k,
+    )
+    return DecisionTree(root=table, config=TreeConfig(task="regression"), n_features=1, n_classes=0)
+
+
+def test_deep_chain_predicts_attributes_and_round_trips(tmp_path):
+    depth = 5000
+    tree = chain_tree(depth)
+    assert tree_depth(tree.root) == depth
+    assert count_leaves(tree.root) == depth + 1
+    x = np.arange(depth + 1, dtype=np.float64)[:, None]
+    assert np.array_equal(tree.predict(x), x[:, 0])
+    values = tree_subset_values(tree, x[::1000])
+    assert np.array_equal(values[:, 1], x[::1000, 0])
+    assert values[:, 0] == pytest.approx(depth / 2.0, rel=1e-12)  # every leaf weighs 1/(depth+1)
+    forest = RandomForestModel(trees=[tree], config=ForestConfig(n_trees=1, task="regression"),
+                               n_features=1, n_classes=0)
+    path = tmp_path / "chain.json"
+    save_model(forest, str(path))
+    restored = load_model(str(path)).trees[0].root
+    for name in ("feature", "threshold", "left", "right", "n_samples", "value"):
+        assert np.array_equal(getattr(restored, name), getattr(tree.root, name))
+
+
+def test_fit_leaves_recursion_limit_unchanged():
+    limit = sys.getrecursionlimit()
+    x = np.random.default_rng(8).normal(size=(3000, 2))
+    fit_tree(x, (x[:, 0] > 0).astype(np.int64) ^ (x[:, 1] > 1.0))
+    assert sys.getrecursionlimit() == limit
+
+
+def test_midpoint_rounding_onto_upper_value_makes_a_leaf():
+    # (a + 1) / 2 rounds to 1.0, so x <= threshold cannot separate the rows
+    a = np.nextafter(1.0, 0.0)
+    tree = fit_tree(np.array([[a], [1.0]]), np.array([0, 1]))
+    assert tree.root.feature.tolist() == [-1]
+    assert tree.predict(np.array([[a], [1.0]])).tolist() == [0, 0]
