@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import math
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -111,6 +112,28 @@ class RejectionReport:
     def to_text(self) -> str:
         lines = [f"row {row}: {reason}" for row, reason in self.rejected]
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def csv_rows(path: str, reader, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
+    """(line, row) for each data row of a CSV artifact whose header line has
+    been read, or a DataError naming the line of a row of the wrong width."""
+    for line, row in enumerate(reader, start=2):
+        if len(row) != len(header):
+            raise DataError(f"{path} line {line}: expected {len(header)} fields, got {len(row)}")
+        yield line, row
+
+
+def csv_cell(path: str, line: int, header: Sequence[str], row: list[str], column: int, parse=float):
+    """One numeric cell of a CSV artifact, or a DataError naming where it sits."""
+    try:
+        value = parse(row[column])
+        if math.isfinite(value):
+            return value
+    except ValueError:
+        pass
+    raise DataError(
+        f"{path} line {line}, column {header[column]!r}: {row[column]!r} is not a finite number"
+    )
 
 
 def _parse_feature(raw: str | None, column: str) -> tuple[float | None, str | None]:

@@ -4,6 +4,12 @@ Prediction is the majority vote among the k Euclidean-nearest training
 points. Equal distances are resolved toward the lower training-row
 index (stable sort order); vote ties are resolved to the class of the
 single nearest neighbor.
+
+Queries are processed in chunks of exactly `_CHUNK` rows (the height is
+part of the result; see there). Each chunk's squared distances are
+written into two buffers allocated once per `predict` call, and the k
+neighbours are picked by k rounds of argmin: k passes over the chunk
+instead of a sort.
 """
 
 from __future__ import annotations
@@ -13,6 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
+
+# Queries per distance chunk. The height is part of the result: OpenBLAS's
+# gemm for two feature columns gives different bits for the same rows under
+# another chunk height (on a 300x300 render grid with 630 training points,
+# 1e-5 to 4e-5 of the distances differ for chunks of 128 to 4096 rows).
+# Other heights, tiles or pruned candidate sets change the gemm shapes the
+# same way and can flip near-tie neighbours, and with them SVG bytes.
+_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -38,38 +52,54 @@ class KnnModel:
         n_classes = max(2, int(self.y.max()) + 1)
         out = np.empty(p.shape[0], dtype=np.int64)
         sq_train = np.sum(self.x * self.x, axis=1)
-        for start in range(0, p.shape[0], 2048):
-            chunk = p[start : start + 2048]
-            d2 = (
-                np.sum(chunk * chunk, axis=1)[:, None]
-                + sq_train[None, :]
-                - 2.0 * (chunk @ self.x.T)
-            )
-            neigh = self.y[_nearest(d2, k)]
-            m = neigh.shape[0]
+        rows = min(p.shape[0], _CHUNK)
+        d2_buf = np.empty((rows, self.x.shape[0]))
+        work_buf = np.empty_like(d2_buf)
+        for start in range(0, p.shape[0], _CHUNK):
+            chunk = p[start : start + _CHUNK]
+            m = chunk.shape[0]
+            d2, work = d2_buf[:m], work_buf[:m]
+            # |q|^2 + |x|^2 - 2 q.x in this order: another order rounds differently
+            np.add(np.sum(chunk * chunk, axis=1)[:, None], sq_train[None, :], out=d2)
+            np.matmul(chunk, self.x.T, out=work)
+            work *= 2.0
+            d2 -= work
+            neigh = self.y[_nearest(d2, k, work=work)]
             counts = np.zeros((m, n_classes), dtype=np.int64)
             np.add.at(counts, (np.repeat(np.arange(m), k), neigh.ravel()), 1)
             pred = np.argmax(counts, axis=1)
             top = counts.max(axis=1)
             tied = (counts == top[:, None]).sum(axis=1) > 1
             pred[tied] = neigh[tied, 0]
-            out[start : start + 2048] = pred
+            out[start : start + m] = pred
         return out
 
 
-def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
+def _nearest(d2: np.ndarray, k: int, work: np.ndarray | None = None) -> np.ndarray:
     """Per row, the indices of the k smallest entries in (value, index)
-    order: the first k of a stable argsort, found by partitioning."""
-    cand = np.sort(np.argpartition(d2, k - 1, axis=1)[:, :k], axis=1)
-    cand_d2 = np.take_along_axis(d2, cand, axis=1)
-    # a stable sort of index-ordered candidates breaks distance ties by index
-    order = np.take_along_axis(cand, np.argsort(cand_d2, axis=1, kind="stable"), axis=1)
-    # where the k-th distance is tied beyond the candidates, the partition
-    # chose among the tied indices arbitrarily: sort those rows in full
-    kth = cand_d2.max(axis=1)
-    tied = np.count_nonzero(d2 <= kth[:, None], axis=1) > k
-    if tied.any():
-        order[tied] = np.argsort(d2[tied], axis=1, kind="stable")[:, :k]
+    order: the first k of a stable argsort.
+
+    `np.argmin` returns the first minimum, so k rounds of "argmin, then
+    set that entry to +inf" give the stable order with ties going to the
+    lower index. The rounds run on a copy (in `work` if given, which must
+    have d2's shape); d2 itself is left unchanged. A row where some round's
+    minimum is not finite (a NaN or -inf, or +inf, which cannot be told
+    from an entry already taken) is sorted in full instead.
+    """
+    if work is None:
+        work = d2.copy()
+    else:
+        np.copyto(work, d2)
+    rows = np.arange(d2.shape[0])
+    order = np.empty((d2.shape[0], k), dtype=np.intp)
+    finite = np.ones(d2.shape[0], dtype=bool)
+    for j in range(k):
+        col = np.argmin(work, axis=1)
+        order[:, j] = col
+        finite &= np.isfinite(work[rows, col])
+        work[rows, col] = np.inf
+    if not finite.all():
+        order[~finite] = np.argsort(d2[~finite], axis=1, kind="stable")[:, :k]
     return order
 
 

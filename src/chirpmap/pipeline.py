@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
-import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
@@ -41,6 +40,8 @@ from .ingest import (
     FeatureWeights,
     apply_weights,
     class_distribution,
+    csv_cell,
+    csv_rows,
     load_records,
     records_to_matrix,
     standardize,
@@ -336,20 +337,6 @@ def stage_ingest(config: PipelineConfig) -> None:
     )
 
 
-def _cell(path: str, line: int, column: int, row: list[str], parse):
-    """One numeric cell of features.csv, or a DataError naming where it sits."""
-    try:
-        value = parse(row[column])
-        if math.isfinite(value):
-            return value
-    except ValueError:
-        pass
-    raise DataError(
-        f"{path} line {line}, column {CANONICAL_COLUMNS[column]!r}: "
-        f"{row[column]!r} is not a finite number"
-    )
-
-
 def _read_features(path: str) -> tuple[list[str], np.ndarray, list]:
     """features.csv back into (ids, values, rows-with-labels)."""
     if not os.path.exists(path):
@@ -362,14 +349,11 @@ def _read_features(path: str) -> tuple[list[str], np.ndarray, list]:
         header = next(reader, None)
         if header != list(CANONICAL_COLUMNS):
             raise DataError(f"{path} does not hold the canonical feature columns")
-        for line, row in enumerate(reader, start=2):
-            if len(row) != len(CANONICAL_COLUMNS):
-                raise DataError(
-                    f"{path} line {line}: expected {len(CANONICAL_COLUMNS)} fields, got {len(row)}"
-                )
+        for line, row in csv_rows(path, reader, CANONICAL_COLUMNS):
             ids.append(row[0])
-            values.append([_cell(path, line, j, row, float) for j in (1, 2, 3)])
-            rows.append(SimpleNamespace(outcome=row[4], difficulty=_cell(path, line, 5, row, int)))
+            values.append([csv_cell(path, line, CANONICAL_COLUMNS, row, j) for j in (1, 2, 3)])
+            difficulty = csv_cell(path, line, CANONICAL_COLUMNS, row, 5, int)
+            rows.append(SimpleNamespace(outcome=row[4], difficulty=difficulty))
     if not ids:
         raise DataError(f"{path} contains no rows")
     return ids, np.array(values, dtype=np.float64), rows

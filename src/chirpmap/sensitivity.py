@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, NumericError
-from .ingest import FEATURE_NAMES, FeatureMatrix
+from .ingest import FEATURE_NAMES, FeatureMatrix, csv_cell, csv_rows
 from .models import DecisionTree, ForestConfig, RandomForestModel, fit_random_forest
 from .seeding import derive_seed
 from .tsne import Embedding
@@ -330,12 +330,12 @@ def load_sensitivity_map(csv_path: str, meta_path: str) -> SensitivityMap:
         header = next(reader, None)
         if header != ["id", "feature", "phi_x", "phi_y", "combined"]:
             raise DataError(f"{csv_path} is not a sensitivity file")
-        for row in reader:
+        for line, row in csv_rows(csv_path, reader, header):
             rec_id, feature = row[0], row[1]
             if rec_id not in rows:
                 rows[rec_id] = {}
                 ids.append(rec_id)
-            rows[rec_id][feature] = (float(row[2]), float(row[3]), float(row[4]))
+            rows[rec_id][feature] = tuple(csv_cell(csv_path, line, header, row, j) for j in (2, 3, 4))
     if not ids:
         raise DataError(f"{csv_path} contains no attributions")
     n, d = len(ids), len(names)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .errors import DataError, NumericError
-from .ingest import FeatureMatrix
+from .ingest import FeatureMatrix, csv_cell, csv_rows
 
 _LOG_BETA_MIN = math.log(1e-20)
 _LOG_BETA_MAX = math.log(1e20)
@@ -399,9 +399,9 @@ def load_embedding_csv(csv_path: str) -> tuple[list[str], np.ndarray]:
             raise DataError(f"{csv_path} is not an embedding file")
         ids: list[str] = []
         rows: list[tuple[float, float]] = []
-        for row in reader:
+        for line, row in csv_rows(csv_path, reader, header):
             ids.append(row[0])
-            rows.append((float(row[1]), float(row[2])))
+            rows.append(tuple(csv_cell(csv_path, line, header, row, j) for j in (1, 2)))
     if not ids:
         raise DataError(f"{csv_path} contains no coordinates")
     return ids, np.array(rows, dtype=np.float64)

@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 
 import pytest
 
@@ -65,6 +66,73 @@ def test_bad_features_cell_is_data_error(tmp_path, capsys, column, cell):
     assert entrypoint(["embed", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "features.csv line 4" in err and repr(column) in err and "Traceback" not in err
+
+
+@pytest.fixture(scope="module")
+def finished_run(tmp_path_factory):
+    """The out directory of a small pipeline run that went through render."""
+    root = tmp_path_factory.mktemp("finished")
+    entrypoint(["synth", "--out", str(root), "--n-per-cluster", "15", "--seed", "2"])
+    config_path = root / "c.json"
+    config_path.write_text(json.dumps({
+        "input": str(root / "synth_data.csv"),
+        "out": str(root / "out"),
+        "tsne": {"perplexity": 8, "n_iterations": 100,
+                 "momentum_switch_iter": 40, "exaggeration_until_iter": 40},
+        "k_folds": 3,
+        "classifier_configs": {"rf": {"n_trees": 5}},
+        "sensitivity": {"n_trees": 5},
+        "grid_resolution": 25,
+    }))
+    assert entrypoint(["pipeline", "--config", str(config_path),
+                       "--scenario", "s1", "--classifier", "knn"]) == 0
+    return root / "out"
+
+
+def corrupt_line_4(run_dir, tmp_path, name, column, cell):
+    """A copy of run_dir whose `name` has `cell` in `column` of file line 4;
+    cell None drops the column's field instead."""
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    path = out / name
+    lines = path.read_text().splitlines()
+    at = lines[0].split(",").index(column)
+    fields = lines[3].split(",")
+    if cell is None:
+        del fields[at]
+    else:
+        fields[at] = cell
+    lines[3] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("stage", ["eval", "render"])
+@pytest.mark.parametrize(
+    "column, cell, message",
+    [("tsne_x", "abc", "'tsne_x'"), ("tsne_y", "nan", "'tsne_y'"),
+     ("tsne_y", "-inf", "'tsne_y'"), ("tsne_y", None, "expected 3 fields, got 2")],
+)
+def test_bad_embedding_cell_is_data_error(tmp_path, capsys, finished_run, stage, column, cell,
+                                          message):
+    out = corrupt_line_4(finished_run, tmp_path, "embedding.csv", column, cell)
+    capsys.readouterr()
+    assert entrypoint([stage, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "embedding.csv line 4" in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "column, cell, message",
+    [("phi_x", "abc", "'phi_x'"), ("combined", "nan", "'combined'"),
+     ("phi_y", None, "expected 5 fields, got 4")],
+)
+def test_bad_sensitivity_cell_is_data_error(tmp_path, capsys, finished_run, column, cell, message):
+    out = corrupt_line_4(finished_run, tmp_path, "sensitivity.csv", column, cell)
+    capsys.readouterr()
+    assert entrypoint(["render", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "sensitivity.csv line 4" in err and message in err and "Traceback" not in err
 
 
 def test_malformed_weights_is_usage_error():
