@@ -59,8 +59,11 @@ class KnnModel:
             chunk = p[start : start + _CHUNK]
             m = chunk.shape[0]
             d2, work = d2_buf[:m], work_buf[:m]
-            # |q|^2 + |x|^2 - 2 q.x in this order: another order rounds differently
-            np.add(np.sum(chunk * chunk, axis=1)[:, None], sq_train[None, :], out=d2)
+            # (|q|^2 + |x|^2) - 2 q.x: another grouping rounds differently. The
+            # sum is filled as |x|^2 + |q|^2 (the same bits: addition commutes)
+            # by a row copy and a row-broadcast add.
+            d2[:] = sq_train
+            d2 += np.sum(chunk * chunk, axis=1)[:, None]
             np.matmul(chunk, self.x.T, out=work)
             work *= 2.0
             d2 -= work

@@ -318,7 +318,15 @@ def load_sensitivity_map(csv_path: str, meta_path: str) -> SensitivityMap:
             meta = json.load(handle)
     except OSError as exc:
         raise DataError(f"cannot read {meta_path}: {exc}") from exc
-    names = tuple(meta["feature_names"])
+    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
+        raise DataError(f"{meta_path} is not valid JSON: {exc}") from exc
+    names = meta.get("feature_names") if isinstance(meta, dict) else None
+    if not isinstance(names, list):
+        raise DataError(f"{meta_path} has no feature_names list")
+    missing = {"base_x", "base_y"} - meta.keys()
+    if missing:
+        raise DataError(f"{meta_path} is missing {', '.join(sorted(missing))}")
+    names = tuple(names)
     ids: list[str] = []
     rows: dict[str, dict[str, tuple[float, float, float]]] = {}
     try:

@@ -21,6 +21,8 @@ from .ingest import FeatureMatrix, csv_cell, csv_rows
 
 _LOG_BETA_MIN = math.log(1e-20)
 _LOG_BETA_MAX = math.log(1e20)
+# run_tsne takes the KL after every this-many updates (and after the last)
+_KL_CHECK_EVERY = 50
 
 
 @dataclass(frozen=True)
@@ -75,7 +77,8 @@ class Embedding:
 
     coords: np.ndarray  # N x 2
     config: TsneConfig
-    kl_trace: np.ndarray  # KL against unexaggerated affinities, per iteration
+    # (updates done, KL against unexaggerated affinities) at each checkpoint
+    kl_trace: list[tuple[int, float]]
     final_kl: float
     ids: list[str] | None = None
     metadata: dict = field(default_factory=dict)
@@ -100,7 +103,10 @@ def _squared_distances(
     out = np.empty((n, n)) if out is None else out
     scratch = np.empty((n, n)) if scratch is None else scratch
     sq = np.sum(x * x, axis=1)
-    np.add(sq[:, None], sq[None, :], out=out)
+    # |x_j|^2 + |x_i|^2 (the same bits as |x_i|^2 + |x_j|^2: addition
+    # commutes), by a row copy and a row-broadcast add
+    out[:] = sq
+    out += sq[:, None]
     np.matmul(x, x.T, out=scratch)
     scratch *= 2.0
     out -= scratch
@@ -109,9 +115,12 @@ def _squared_distances(
     return out
 
 
-def _row_distribution(d2_row: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
-    """Gaussian affinities exp(-beta * d^2) over one row, and their perplexity."""
-    shifted = d2_row - d2_row.min()  # cancels in normalization; avoids underflow
+def _row_distribution(shifted: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
+    """Gaussian affinities exp(-beta * d^2) over one row, and their perplexity.
+
+    ``shifted`` is the row's d^2 minus its minimum, which cancels in the
+    normalization and keeps the nearest neighbour's term from underflowing.
+    """
     e = np.exp(-beta * shifted)
     p = e / e.sum()
     mask = p > 0
@@ -154,13 +163,14 @@ def conditional_affinities(
             raise NumericError(
                 f"perplexity unreachable at row {i}: every distance from this point is zero"
             )
+        shifted = row_d2 - row_d2.min()
         lo, hi = _LOG_BETA_MIN, _LOG_BETA_MAX
         best = None  # (error, beta, p_row, realized)
         converged = False
         for _ in range(max_steps):
             log_beta = 0.5 * (lo + hi)
             beta = math.exp(log_beta)
-            p_row, perp = _row_distribution(row_d2, beta)
+            p_row, perp = _row_distribution(shifted, beta)
             err = abs(perp - perplexity)
             if best is None or err < best[0]:
                 best = (err, beta, p_row, perp)
@@ -214,9 +224,17 @@ def _student_t(y: np.ndarray, w: np.ndarray, q: np.ndarray) -> float:
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
-    """sum_ij p_ij * ln(p_ij / q_ij); terms with p_ij = 0 contribute 0."""
+    """sum_ij p_ij * ln(p_ij / q_ij); terms with p_ij = 0 contribute 0.
+
+    The terms are formed in place in the compressed copy of q, so the only
+    temporaries are the mask and the two compressed arrays.
+    """
     mask = p > 0
-    return float(np.sum(p[mask] * np.log(p[mask] / q[mask])))
+    p, q = p[mask], q[mask]
+    np.divide(p, q, out=q)
+    np.log(q, out=q)
+    q *= p
+    return float(np.sum(q))
 
 
 def kl_gradient(p: np.ndarray, coords: np.ndarray) -> np.ndarray:
@@ -281,16 +299,17 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
 
     The update is y <- y - lr * grad + momentum * (y - y_prev), with the
     affinities multiplied by the exaggeration factor during the early
-    phase. The KL trace is recorded against the unexaggerated affinities,
-    one entry per iteration (the value after that iteration's update).
+    phase. The KL trace holds (updates done, KL) against the unexaggerated
+    affinities after updates _KL_CHECK_EVERY, 2 * _KL_CHECK_EVERY, ...
+    and after the last update, whose KL is reported as ``final_kl``.
     Identical (input, config) pairs produce bit-identical output.
 
     Each iteration computes the Student-t kernel w into N x N buffers
-    allocated once per run. The KL entry for the previous update comes
-    from that same kernel as sum p ln p - sum p ln w + (sum p) ln(sum w),
-    with sum p ln p computed once; it agrees with ``kl_divergence`` to
-    rounding. The last entry, reported as ``final_kl``, is
-    ``kl_divergence`` itself.
+    allocated once per run. A checkpoint's KL comes from that same kernel
+    as sum p ln p - sum p ln w + (sum p) ln(sum w), with sum p ln p
+    computed once; it agrees with ``kl_divergence`` to rounding. The last
+    entry is ``kl_divergence`` itself, on q recomputed in the loop's
+    buffers.
     """
     x = _as_values(matrix)
     ids = matrix.ids if isinstance(matrix, FeatureMatrix) else None
@@ -308,7 +327,7 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
 
     y = coords.copy()
     y_prev = y.copy()
-    trace = np.empty(config.n_iterations, dtype=np.float64)
+    trace: list[tuple[int, float]] = []
     lr = config.learning_rate
     positive = p[p > 0]
     p_log_p = float(np.sum(positive * np.log(positive)))  # KL's constant term
@@ -320,12 +339,12 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
 
     for t in range(config.n_iterations):
         w_total = _student_t(y, w, q)
-        if t > 0:
+        if t > 0 and t % _KL_CHECK_EVERY == 0:
             # ln 1 = 0 on the diagonal, where p is 0; m below is unchanged
             # because its diagonal factor p_eff - q is 0 either way
             np.fill_diagonal(w, 1.0)
             np.log(w, out=m)
-            trace[t - 1] = p_log_p - float(np.vdot(p, m)) + p_total * math.log(w_total)
+            trace.append((t, p_log_p - float(np.vdot(p, m)) + p_total * math.log(w_total)))
         if t < config.exaggeration_until_iter:
             np.multiply(p, config.exaggeration_factor, out=m)
             m -= q
@@ -341,9 +360,11 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
             raise NumericError(f"non-finite coordinates at iteration {t}")
         y_prev, y = y, y_next
 
-    del w, q, m  # free the loop buffers before kl_divergence allocates its own
-    q, _ = low_dim_similarities(y)
-    trace[config.n_iterations - 1] = kl_divergence(p, q)
+    del m
+    _student_t(y, w, q)
+    del w  # kl_divergence reads q alone, and allocates its compressed copies
+    final_kl = kl_divergence(p, q)
+    trace.append((config.n_iterations, final_kl))
 
     metadata = {
         "seed": config.seed,
@@ -355,7 +376,7 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
         coords=y,
         config=config,
         kl_trace=trace,
-        final_kl=float(trace[-1]),
+        final_kl=final_kl,
         ids=ids,
         metadata=metadata,
     )
@@ -367,7 +388,8 @@ def save_embedding(
     meta_path: str,
     extra_metadata: dict | None = None,
 ) -> None:
-    """Write coordinates as `id,tsne_x,tsne_y` plus a JSON metadata sidecar."""
+    """Write coordinates as `id,tsne_x,tsne_y` plus a JSON metadata sidecar
+    with the config, the final KL and the KL trace."""
     ids = embedding.ids or [str(i) for i in range(embedding.coords.shape[0])]
     with open(csv_path, "w", newline="", encoding="utf-8") as handle:
         writer = csv.writer(handle)
@@ -377,6 +399,7 @@ def save_embedding(
     meta = {
         "config": asdict(embedding.config),
         "final_kl": embedding.final_kl,
+        "kl_trace": embedding.kl_trace,
         **embedding.metadata,
     }
     if extra_metadata:

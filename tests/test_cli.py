@@ -135,6 +135,30 @@ def test_bad_sensitivity_cell_is_data_error(tmp_path, capsys, finished_run, colu
     assert "sensitivity.csv line 4" in err and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda meta: "{nope", "is not valid JSON"),
+     (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "feature_names"}),
+      "has no feature_names list"),
+     (lambda meta: json.dumps({**meta, "feature_names": "temporal_duration"}),
+      "has no feature_names list"),
+     (lambda meta: json.dumps([meta]), "has no feature_names list"),
+     (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "base_y"}),
+      "is missing base_y")],
+    ids=["bad-json", "no-feature-names", "feature-names-not-a-list", "not-an-object",
+         "no-base-y"],
+)
+def test_malformed_sensitivity_meta_is_data_error(tmp_path, capsys, finished_run, edit, message):
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    path = out / "sensitivity_meta.json"
+    path.write_text(edit(json.loads(path.read_text())))
+    capsys.readouterr()
+    assert entrypoint(["render", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "sensitivity_meta.json" in err and message in err and "Traceback" not in err
+
+
 def test_malformed_weights_is_usage_error():
     assert entrypoint(["ingest", "--weights", "a,b,c", "--input", "x.csv"]) == 1
     assert entrypoint(["ingest", "--weights", "1,2", "--input", "x.csv"]) == 1

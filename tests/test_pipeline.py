@@ -112,6 +112,15 @@ def test_provenance_threads_through_artifacts(tiny_run):
     assert (out / "rejections.txt").read_text().startswith(f"# config={expected} seed=77")
 
 
+def test_embedding_meta_records_kl_checkpoints(tiny_run):
+    root, _, _ = tiny_run
+    meta = json.loads((root / "out" / "embedding_meta.json").read_text())
+    trace = meta["kl_trace"]
+    assert [t for t, _ in trace] == [50, 100, 150]
+    assert all(isinstance(t, int) and kl > 0.0 for t, kl in trace)
+    assert trace[-1][1] == meta["final_kl"]
+
+
 def test_eval_report_structure(tiny_run):
     root, _, _ = tiny_run
     report = json.loads((root / "out" / "eval_report.json").read_text())

@@ -110,12 +110,13 @@ def test_run_tsne_is_deterministic_and_traces_kl():
     first = run_tsne(matrix, config)
     second = run_tsne(matrix, config)
     assert np.array_equal(first.coords, second.coords)
-    assert len(first.kl_trace) == config.n_iterations
-    assert first.final_kl == first.kl_trace[-1]
+    assert len(first.kl_trace) == config.n_iterations // 50
+    assert first.final_kl == first.kl_trace[-1][1]
     # the trace tracks the plain objective, so judge progress from the
     # point where exaggeration ends
-    assert first.kl_trace[-1] < first.kl_trace[config.exaggeration_until_iter]
-    assert all(v >= 0.0 and np.isfinite(v) for v in first.kl_trace)
+    checkpoints = dict(first.kl_trace)
+    assert first.final_kl < checkpoints[config.exaggeration_until_iter]
+    assert all(v >= 0.0 and np.isfinite(v) for _, v in first.kl_trace)
     assert first.ids == matrix.ids
     assert first.metadata["duplicates_jittered"] == 0
 
