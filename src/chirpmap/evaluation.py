@@ -10,12 +10,12 @@ accuracies, and that definition is recorded in the report metadata.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
+from .artifacts import read_json, write_json
 from .errors import DataError
 from .models import CLASSIFIER_KINDS, default_config, fit_classifier
 from .seeding import derive_seed
@@ -301,16 +301,8 @@ def run_all_scenarios(
 
 
 def save_eval_report(report: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(report, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, report)
 
 
-def load_eval_report(path: str) -> dict:
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read report {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"report {path} is not valid JSON: {exc}") from exc
+def load_eval_report(path: str, missing: str | None = None) -> dict:
+    return read_json(path, missing)

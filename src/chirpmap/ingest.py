@@ -11,12 +11,13 @@ weights to emphasize a feature's contribution to distances.
 from __future__ import annotations
 
 import csv
+import io
 import math
-from collections.abc import Iterator, Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .artifacts import read_text
 from .errors import DataError
 
 FEATURE_NAMES = ("temporal_duration", "frequency_onset", "spectral_duration")
@@ -114,28 +115,6 @@ class RejectionReport:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def csv_rows(path: str, reader, header: Sequence[str]) -> Iterator[tuple[int, list[str]]]:
-    """(line, row) for each data row of a CSV artifact whose header line has
-    been read, or a DataError naming the line of a row of the wrong width."""
-    for line, row in enumerate(reader, start=2):
-        if len(row) != len(header):
-            raise DataError(f"{path} line {line}: expected {len(header)} fields, got {len(row)}")
-        yield line, row
-
-
-def csv_cell(path: str, line: int, header: Sequence[str], row: list[str], column: int, parse=float):
-    """One numeric cell of a CSV artifact, or a DataError naming where it sits."""
-    try:
-        value = parse(row[column])
-        if math.isfinite(value):
-            return value
-    except ValueError:
-        pass
-    raise DataError(
-        f"{path} line {line}, column {header[column]!r}: {row[column]!r} is not a finite number"
-    )
-
-
 def _parse_feature(raw: str | None, column: str) -> tuple[float | None, str | None]:
     if raw is None or raw.strip() == "":
         return None, f"missing value ({column})"
@@ -214,29 +193,23 @@ def load_records(
             raise DataError(f"schema maps unknown canonical columns: {sorted(unknown)}")
         columns.update(schema)
 
-    try:
-        handle = open(path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    reader = csv.DictReader(io.StringIO(read_text(path), newline=""), delimiter=delimiter)
+    header = reader.fieldnames
+    if header is None:
+        raise DataError(f"{path} has no header row")
+    missing = [col for col in columns.values() if col not in header]
+    if missing:
+        raise DataError(f"header is missing mapped columns: {missing}")
 
-    with handle:
-        reader = csv.DictReader(handle, delimiter=delimiter)
-        header = reader.fieldnames
-        if header is None:
-            raise DataError(f"{path} has no header row")
-        missing = [col for col in columns.values() if col not in header]
-        if missing:
-            raise DataError(f"header is missing mapped columns: {missing}")
-
-        records: list[ChirpRecord] = []
-        report = RejectionReport()
-        for row_number, row in enumerate(reader, start=1):
-            report.n_input += 1
-            record, reason = _parse_row(row, columns)
-            if record is None:
-                report.rejected.append((row_number, reason))
-            else:
-                records.append(record)
+    records: list[ChirpRecord] = []
+    report = RejectionReport()
+    for row_number, row in enumerate(reader, start=1):
+        report.n_input += 1
+        record, reason = _parse_row(row, columns)
+        if record is None:
+            report.rejected.append((row_number, reason))
+        else:
+            records.append(record)
 
     if not records:
         raise DataError(f"{path} contains zero valid rows")

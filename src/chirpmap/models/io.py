@@ -11,11 +11,11 @@ nested-node format of earlier versions, which is no longer read.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict
 
 import numpy as np
 
+from ..artifacts import read_json, write_json
 from ..errors import DataError
 from .forest import ForestConfig, RandomForestModel
 from .knn import KnnConfig, KnnModel
@@ -115,19 +115,11 @@ def save_model(model, path: str, extra: dict | None = None) -> None:
     doc = model_to_dict(model)
     if extra:
         doc.update(extra)
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, doc)
 
 
-def load_model(path: str):
-    try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read model file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise DataError(f"model file {path} is not valid JSON: {exc}") from exc
+def load_model(path: str, missing: str | None = None):
+    doc = read_json(path, missing)
     try:
         return model_from_dict(doc)
     except DataError as exc:

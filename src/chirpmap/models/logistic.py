@@ -89,9 +89,6 @@ class LogisticModel:
         p = np.atleast_2d(np.asarray(points, dtype=np.float64))
         return p @ self.w + self.b
 
-    def predict_proba(self, points) -> np.ndarray:
-        return _sigmoid(self.decision_function(points))
-
     def predict(self, points) -> np.ndarray:
         # sigma(z) >= 0.5 iff z >= 0
         return (self.decision_function(points) >= 0.0).astype(np.int64)

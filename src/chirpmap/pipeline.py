@@ -14,7 +14,6 @@ sensitivity_meta.json, figs/*.svg.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import os
@@ -24,6 +23,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
+from .artifacts import read_csv, read_json, write_csv, write_json, write_text
 from .errors import ChirpmapError, DataError, UsageError
 from .evaluation import (
     SCENARIO_ORDER,
@@ -40,8 +40,6 @@ from .ingest import (
     FeatureWeights,
     apply_weights,
     class_distribution,
-    csv_cell,
-    csv_rows,
     load_records,
     records_to_matrix,
     standardize,
@@ -248,15 +246,9 @@ def config_from_dict(doc: dict) -> PipelineConfig:
 
 def load_config_file(path: str) -> dict:
     try:
-        with open(path, encoding="utf-8") as handle:
-            doc = json.load(handle)
-    except OSError as exc:
-        raise UsageError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"config {path} is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise UsageError(f"config {path} must hold a JSON object")
-    return doc
+        return read_json(path)
+    except DataError as exc:
+        raise UsageError(f"bad config file: {exc}") from exc
 
 
 def artifact_paths(out_dir: str) -> dict:
@@ -275,18 +267,21 @@ def artifact_paths(out_dir: str) -> dict:
     }
 
 
+# the DataError message for an absent upstream artifact
+_MISSING = {
+    "features": "missing features artifact (run the ingest stage first)",
+    "embedding": "missing embedding artifact (run the embed stage first)",
+    "eval_report": "missing evaluation artifact (run the eval stage first)",
+    "sensitivity": "missing sensitivity artifact (run the explain stage first)",
+}
+
+
 def _log(message: str) -> None:
     print(f"[chirpmap] {message}", file=sys.stderr)
 
 
 def _provenance(config: PipelineConfig) -> dict:
     return {"config": config.hash(), "seed": config.seed}
-
-
-def _write_json(doc: dict, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(doc, handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def stage_ingest(config: PipelineConfig) -> None:
@@ -306,18 +301,12 @@ def stage_ingest(config: PipelineConfig) -> None:
         raise DataError(f"apply_weights: {exc}") from exc
     matrix = apply_weights(standardize(records_to_matrix(records)), weights)
 
-    with open(paths["features"], "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(CANONICAL_COLUMNS))
-        for record, row in zip(records, matrix.values):
-            writer.writerow(
-                [record.id]
-                + [repr(float(v)) for v in row]
-                + [record.outcome, record.difficulty]
-            )
-    with open(paths["rejections"], "w", encoding="utf-8") as handle:
-        handle.write(f"# config={config.hash()} seed={config.seed}\n")
-        handle.write(report.to_text())
+    rows = (
+        [record.id] + [repr(float(v)) for v in row] + [record.outcome, record.difficulty]
+        for record, row in zip(records, matrix.values)
+    )
+    write_csv(paths["features"], CANONICAL_COLUMNS, rows)
+    write_text(paths["rejections"], f"# config={config.hash()} seed={config.seed}\n" + report.to_text())
     meta = {
         "config_hash": config.hash(),
         "master_seed": config.seed,
@@ -330,7 +319,7 @@ def stage_ingest(config: PipelineConfig) -> None:
         "weights": list(config.weights),
         "distribution": class_distribution(records),
     }
-    _write_json(meta, paths["ingest_meta"])
+    write_json(paths["ingest_meta"], meta)
     _log(
         f"ingest: {report.n_accepted}/{report.n_input} rows accepted"
         + (f", {len(records)} kept after subsampling" if len(records) != n_loaded else "")
@@ -339,24 +328,11 @@ def stage_ingest(config: PipelineConfig) -> None:
 
 def _read_features(path: str) -> tuple[list[str], np.ndarray, list]:
     """features.csv back into (ids, values, rows-with-labels)."""
-    if not os.path.exists(path):
-        raise DataError("missing features artifact (run the ingest stage first)")
-    ids: list[str] = []
-    values: list[list[float]] = []
-    rows: list[SimpleNamespace] = []
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != list(CANONICAL_COLUMNS):
-            raise DataError(f"{path} does not hold the canonical feature columns")
-        for line, row in csv_rows(path, reader, CANONICAL_COLUMNS):
-            ids.append(row[0])
-            values.append([csv_cell(path, line, CANONICAL_COLUMNS, row, j) for j in (1, 2, 3)])
-            difficulty = csv_cell(path, line, CANONICAL_COLUMNS, row, 5, int)
-            rows.append(SimpleNamespace(outcome=row[4], difficulty=difficulty))
-    if not ids:
-        raise DataError(f"{path} contains no rows")
-    return ids, np.array(values, dtype=np.float64), rows
+    parse = (str, float, float, float, str, int)
+    table = read_csv(path, CANONICAL_COLUMNS, parse, _MISSING["features"])
+    ids = [row[0] for row in table]
+    values = np.array([row[1:4] for row in table], dtype=np.float64)
+    return ids, values, [SimpleNamespace(outcome=row[4], difficulty=row[5]) for row in table]
 
 
 def stage_embed(config: PipelineConfig) -> None:
@@ -376,9 +352,7 @@ def stage_embed(config: PipelineConfig) -> None:
 
 def _read_embedding_aligned(paths: dict) -> tuple[list[str], np.ndarray, np.ndarray, list]:
     ids, values, rows = _read_features(paths["features"])
-    if not os.path.exists(paths["embedding"]):
-        raise DataError("missing embedding artifact (run the embed stage first)")
-    emb_ids, coords = load_embedding_csv(paths["embedding"])
+    emb_ids, coords = load_embedding_csv(paths["embedding"], _MISSING["embedding"])
     if emb_ids != ids:
         raise DataError("embedding rows do not match features.csv rows")
     return ids, values, coords, rows
@@ -456,60 +430,76 @@ def stage_explain(config: PipelineConfig) -> None:
     )
 
 
+def _report_metrics(report: dict, path: str, config: PipelineConfig) -> dict:
+    """(scenario, kind) -> (hold-out confusion, metric bars) for every pair
+    render draws, or a DataError naming the first key the report lacks."""
+
+    def lookup(*keys):
+        doc = report
+        for depth, key in enumerate(keys, start=1):
+            if not isinstance(doc, dict) or key not in doc:
+                raise DataError(f"{path} has no {'.'.join(keys[:depth])}")
+            doc = doc[key]
+        return doc
+
+    metrics = {}
+    for scenario in config.scenarios:
+        for kind in config.classifiers:
+            entry = ("scenarios", scenario, "classifiers", kind)
+            bars = {"accuracy": lookup(*entry, "cv_accuracy_mean")}
+            for name in ("precision", "recall", "f1"):
+                bars[name] = lookup(*entry, "holdout", name)
+            metrics[scenario, kind] = (lookup(*entry, "holdout", "confusion"), bars)
+    return metrics
+
+
 def stage_render(config: PipelineConfig) -> None:
     paths = artifact_paths(config.out)
     ids, _, coords, rows = _read_embedding_aligned(paths)
-    if not os.path.exists(paths["eval_report"]):
-        raise DataError("missing evaluation artifact (run the eval stage first)")
-    report = load_eval_report(paths["eval_report"])
-    if not os.path.exists(paths["sensitivity"]):
-        raise DataError("missing sensitivity artifact (run the explain stage first)")
-    smap = load_sensitivity_map(paths["sensitivity"], paths["sensitivity_meta"])
+    report = load_eval_report(paths["eval_report"], _MISSING["eval_report"])
+    smap = load_sensitivity_map(paths["sensitivity"], paths["sensitivity_meta"], _MISSING["sensitivity"])
     if smap.ids != ids:
         raise DataError("sensitivity rows do not match embedding rows")
+    metrics = _report_metrics(report, paths["eval_report"], config)
 
     os.makedirs(paths["figs_dir"], exist_ok=True)
     prov = _provenance(config)
     figs = paths["figs_dir"]
 
     dist = class_distribution(rows)
-    _write_svg(
+    write_text(
+        os.path.join(figs, "fig_bars_outcome.svg"),
         render_bars(
             dist["outcome"],
             PlotSpec(kind="bars", title="Outcome distribution"),
             provenance=prov,
         ),
-        figs,
-        "fig_bars_outcome.svg",
     )
-    _write_svg(
+    write_text(
+        os.path.join(figs, "fig_bars_difficulty.svg"),
         render_bars(
             dist["difficulty"],
             PlotSpec(kind="bars", title="Difficulty distribution"),
             provenance=prov,
         ),
-        figs,
-        "fig_bars_difficulty.svg",
     )
-    _write_svg(
+    write_text(
+        os.path.join(figs, "fig_embedding_outcome.svg"),
         render_labeled_embedding(
             coords,
             [r.outcome for r in rows],
             PlotSpec(kind="scatter", title="Embedding by outcome", x_label="t-SNE x", y_label="t-SNE y"),
             provenance=prov,
         ),
-        figs,
-        "fig_embedding_outcome.svg",
     )
-    _write_svg(
+    write_text(
+        os.path.join(figs, "fig_embedding_difficulty.svg"),
         render_labeled_embedding(
             coords,
             [r.difficulty for r in rows],
             PlotSpec(kind="scatter", title="Embedding by difficulty", x_label="t-SNE x", y_label="t-SNE y"),
             provenance=prov,
         ),
-        figs,
-        "fig_embedding_difficulty.svg",
     )
 
     for scenario in config.scenarios:
@@ -518,10 +508,11 @@ def stage_render(config: PipelineConfig) -> None:
         for kind in config.classifiers:
             short = LONG_KIND_NAMES[kind]
             model_path = os.path.join(paths["models_dir"], f"{scenario}_{short}.json")
-            if not os.path.exists(model_path):
-                raise DataError(f"missing model artifact {model_path} (run the eval stage first)")
-            model = load_model(model_path)
-            _write_svg(
+            model = load_model(
+                model_path, f"missing model artifact {model_path} (run the eval stage first)"
+            )
+            write_text(
+                os.path.join(figs, f"fig_boundary_{scenario}_{short}.svg"),
                 render_boundary(
                     model,
                     points,
@@ -536,35 +527,19 @@ def stage_render(config: PipelineConfig) -> None:
                     g=config.grid_resolution,
                     provenance=prov,
                 ),
-                figs,
-                f"fig_boundary_{scenario}_{short}.svg",
             )
-        scen_report = report["scenarios"][scenario]["classifiers"]
-        confusions = {
-            LONG_KIND_NAMES[kind]: scen_report[kind]["holdout"]["confusion"]
-            for kind in config.classifiers
-        }
-        _write_svg(
+        write_text(
+            os.path.join(figs, f"fig_confusion_{scenario}.svg"),
             render_confusion(
-                confusions,
+                {LONG_KIND_NAMES[kind]: metrics[scenario, kind][0] for kind in config.classifiers},
                 PlotSpec(kind="confusion", title=f"{scenario} hold-out confusion", width=760, height=260),
                 provenance=prov,
             ),
-            figs,
-            f"fig_confusion_{scenario}.svg",
         )
-        metrics = {}
-        for kind in config.classifiers:
-            entry = scen_report[kind]
-            metrics[LONG_KIND_NAMES[kind]] = {
-                "accuracy": entry["cv_accuracy_mean"],
-                "precision": entry["holdout"]["precision"],
-                "recall": entry["holdout"]["recall"],
-                "f1": entry["holdout"]["f1"],
-            }
-        _write_svg(
+        write_text(
+            os.path.join(figs, f"fig_metrics_{scenario}.svg"),
             render_metric_bars(
-                metrics,
+                {LONG_KIND_NAMES[kind]: metrics[scenario, kind][1] for kind in config.classifiers},
                 PlotSpec(
                     kind="bars",
                     title=f"{scenario}: CV accuracy and hold-out precision/recall/F1",
@@ -573,12 +548,11 @@ def stage_render(config: PipelineConfig) -> None:
                 ),
                 provenance=prov,
             ),
-            figs,
-            f"fig_metrics_{scenario}.svg",
         )
 
     for j, feature in enumerate(smap.feature_names):
-        _write_svg(
+        write_text(
+            os.path.join(figs, f"fig_sensitivity_{feature}.svg"),
             render_sensitivity(
                 coords,
                 smap.combined[:, j],
@@ -586,16 +560,9 @@ def stage_render(config: PipelineConfig) -> None:
                 PlotSpec(kind="sensitivity", x_label="t-SNE x", y_label="t-SNE y"),
                 provenance=prov,
             ),
-            figs,
-            f"fig_sensitivity_{feature}.svg",
         )
     n_figs = 4 + len(config.scenarios) * (len(config.classifiers) + 2) + len(smap.feature_names)
     _log(f"render: {n_figs} figures written to {figs}")
-
-
-def _write_svg(svg: str, directory: str, name: str) -> None:
-    with open(os.path.join(directory, name), "w", encoding="utf-8") as handle:
-        handle.write(svg)
 
 
 _STAGES = (
@@ -617,8 +584,7 @@ def run_stage(name: str, config: PipelineConfig) -> None:
     try:
         stage_fn(config)
     except Exception as exc:
-        with open(paths["failed"], "w", encoding="utf-8") as handle:
-            handle.write(f"stage: {name}\ncause: {exc}\n")
+        write_text(paths["failed"], f"stage: {name}\ncause: {exc}\n")
         raise
     if os.path.exists(paths["failed"]):
         os.remove(paths["failed"])

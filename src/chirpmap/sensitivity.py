@@ -16,20 +16,20 @@ combined into Shapley values once.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .artifacts import read_csv, read_json, write_csv, write_json
 from .errors import DataError, NumericError
-from .ingest import FEATURE_NAMES, FeatureMatrix, csv_cell, csv_rows
+from .ingest import FEATURE_NAMES, FeatureMatrix
 from .models import DecisionTree, ForestConfig, RandomForestModel, fit_random_forest
 from .seeding import derive_seed
 from .tsne import Embedding
 
 COMBINATION_RULES = ("euclidean", "sum_abs")
+_SENSITIVITY_COLUMNS = ("id", "feature", "phi_x", "phi_y", "combined")
 
 
 @dataclass(frozen=True)
@@ -282,20 +282,13 @@ def sensitivity_summary(smap: SensitivityMap) -> dict:
 
 def save_sensitivity_map(smap: SensitivityMap, csv_path: str, meta_path: str, extra_metadata: dict | None = None) -> None:
     """Write one row per (record, feature) plus a JSON sidecar."""
-    with open(csv_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "feature", "phi_x", "phi_y", "combined"])
-        for i, rec_id in enumerate(smap.ids):
-            for j, name in enumerate(smap.feature_names):
-                writer.writerow(
-                    [
-                        rec_id,
-                        name,
-                        repr(float(smap.phi_x[i, j])),
-                        repr(float(smap.phi_y[i, j])),
-                        repr(float(smap.combined[i, j])),
-                    ]
-                )
+    rows = (
+        [rec_id, name, repr(float(smap.phi_x[i, j])), repr(float(smap.phi_y[i, j])),
+         repr(float(smap.combined[i, j]))]
+        for i, rec_id in enumerate(smap.ids)
+        for j, name in enumerate(smap.feature_names)
+    )
+    write_csv(csv_path, _SENSITIVITY_COLUMNS, rows)
     meta = {
         "base_x": smap.base_x,
         "base_y": smap.base_y,
@@ -307,45 +300,26 @@ def save_sensitivity_map(smap: SensitivityMap, csv_path: str, meta_path: str, ex
     }
     if extra_metadata:
         meta.update(extra_metadata)
-    with open(meta_path, "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(meta_path, meta)
 
 
-def load_sensitivity_map(csv_path: str, meta_path: str) -> SensitivityMap:
-    try:
-        with open(meta_path, encoding="utf-8") as handle:
-            meta = json.load(handle)
-    except OSError as exc:
-        raise DataError(f"cannot read {meta_path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or bytes that are not UTF-8
-        raise DataError(f"{meta_path} is not valid JSON: {exc}") from exc
-    names = meta.get("feature_names") if isinstance(meta, dict) else None
+def load_sensitivity_map(csv_path: str, meta_path: str, missing: str | None = None) -> SensitivityMap:
+    meta = read_json(meta_path, missing)
+    names = meta.get("feature_names")
     if not isinstance(names, list):
         raise DataError(f"{meta_path} has no feature_names list")
-    missing = {"base_x", "base_y"} - meta.keys()
-    if missing:
-        raise DataError(f"{meta_path} is missing {', '.join(sorted(missing))}")
+    missing_keys = {"base_x", "base_y"} - meta.keys()
+    if missing_keys:
+        raise DataError(f"{meta_path} is missing {', '.join(sorted(missing_keys))}")
     names = tuple(names)
     ids: list[str] = []
-    rows: dict[str, dict[str, tuple[float, float, float]]] = {}
-    try:
-        handle = open(csv_path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {csv_path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["id", "feature", "phi_x", "phi_y", "combined"]:
-            raise DataError(f"{csv_path} is not a sensitivity file")
-        for line, row in csv_rows(csv_path, reader, header):
-            rec_id, feature = row[0], row[1]
-            if rec_id not in rows:
-                rows[rec_id] = {}
-                ids.append(rec_id)
-            rows[rec_id][feature] = tuple(csv_cell(csv_path, line, header, row, j) for j in (2, 3, 4))
-    if not ids:
-        raise DataError(f"{csv_path} contains no attributions")
+    rows: dict[str, dict[str, list[float]]] = {}
+    table = read_csv(csv_path, _SENSITIVITY_COLUMNS, (str, str, float, float, float), missing)
+    for rec_id, feature, *values in table:
+        if rec_id not in rows:
+            rows[rec_id] = {}
+            ids.append(rec_id)
+        rows[rec_id][feature] = values
     n, d = len(ids), len(names)
     phi_x = np.zeros((n, d))
     phi_y = np.zeros((n, d))

@@ -10,10 +10,9 @@ chance).
 
 from __future__ import annotations
 
-import csv
-
 import numpy as np
 
+from .artifacts import write_csv
 from .errors import DataError
 from .ingest import CANONICAL_COLUMNS, OUTCOME_CODES, ChirpRecord
 
@@ -72,17 +71,9 @@ def write_records_csv(records: list[ChirpRecord], path: str) -> None:
     """Emit the canonical input schema; floats survive round-trip exactly."""
     if not records:
         raise DataError("no records to write")
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(list(CANONICAL_COLUMNS))
-        for r in records:
-            writer.writerow(
-                [
-                    r.id,
-                    repr(float(r.temporal_duration)),
-                    repr(float(r.frequency_onset)),
-                    repr(float(r.spectral_duration)),
-                    r.outcome,
-                    r.difficulty,
-                ]
-            )
+    rows = (
+        [r.id, repr(float(r.temporal_duration)), repr(float(r.frequency_onset)),
+         repr(float(r.spectral_duration)), r.outcome, r.difficulty]
+        for r in records
+    )
+    write_csv(path, CANONICAL_COLUMNS, rows)

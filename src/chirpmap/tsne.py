@@ -9,20 +9,20 @@ exaggeration. Everything is O(N^2) and deterministic under a fixed seed.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .artifacts import read_csv, write_csv, write_json
 from .errors import DataError, NumericError
-from .ingest import FeatureMatrix, csv_cell, csv_rows
+from .ingest import FeatureMatrix
 
 _LOG_BETA_MIN = math.log(1e-20)
 _LOG_BETA_MAX = math.log(1e20)
 # run_tsne takes the KL after every this-many updates (and after the last)
 _KL_CHECK_EVERY = 50
+_EMBEDDING_COLUMNS = ("id", "tsne_x", "tsne_y")
 
 
 @dataclass(frozen=True)
@@ -391,11 +391,8 @@ def save_embedding(
     """Write coordinates as `id,tsne_x,tsne_y` plus a JSON metadata sidecar
     with the config, the final KL and the KL trace."""
     ids = embedding.ids or [str(i) for i in range(embedding.coords.shape[0])]
-    with open(csv_path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(["id", "tsne_x", "tsne_y"])
-        for rec_id, (cx, cy) in zip(ids, embedding.coords):
-            writer.writerow([rec_id, repr(float(cx)), repr(float(cy))])
+    rows = ([rec_id, repr(float(cx)), repr(float(cy))] for rec_id, (cx, cy) in zip(ids, embedding.coords))
+    write_csv(csv_path, _EMBEDDING_COLUMNS, rows)
     meta = {
         "config": asdict(embedding.config),
         "final_kl": embedding.final_kl,
@@ -404,27 +401,10 @@ def save_embedding(
     }
     if extra_metadata:
         meta.update(extra_metadata)
-    with open(meta_path, "w", encoding="utf-8") as handle:
-        json.dump(meta, handle, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(meta_path, meta)
 
 
-def load_embedding_csv(csv_path: str) -> tuple[list[str], np.ndarray]:
+def load_embedding_csv(csv_path: str, missing: str | None = None) -> tuple[list[str], np.ndarray]:
     """Read back an `id,tsne_x,tsne_y` file."""
-    try:
-        handle = open(csv_path, newline="", encoding="utf-8")
-    except OSError as exc:
-        raise DataError(f"cannot read {csv_path}: {exc}") from exc
-    with handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != ["id", "tsne_x", "tsne_y"]:
-            raise DataError(f"{csv_path} is not an embedding file")
-        ids: list[str] = []
-        rows: list[tuple[float, float]] = []
-        for line, row in csv_rows(csv_path, reader, header):
-            ids.append(row[0])
-            rows.append(tuple(csv_cell(csv_path, line, header, row, j) for j in (1, 2)))
-    if not ids:
-        raise DataError(f"{csv_path} contains no coordinates")
-    return ids, np.array(rows, dtype=np.float64)
+    rows = read_csv(csv_path, _EMBEDDING_COLUMNS, (str, float, float), missing)
+    return [r[0] for r in rows], np.array([r[1:] for r in rows], dtype=np.float64)

@@ -142,7 +142,7 @@ def test_bad_sensitivity_cell_is_data_error(tmp_path, capsys, finished_run, colu
       "has no feature_names list"),
      (lambda meta: json.dumps({**meta, "feature_names": "temporal_duration"}),
       "has no feature_names list"),
-     (lambda meta: json.dumps([meta]), "has no feature_names list"),
+     (lambda meta: json.dumps([meta]), "is not a JSON object"),
      (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "base_y"}),
       "is missing base_y")],
     ids=["bad-json", "no-feature-names", "feature-names-not-a-list", "not-an-object",
@@ -157,6 +157,70 @@ def test_malformed_sensitivity_meta_is_data_error(tmp_path, capsys, finished_run
     assert entrypoint(["render", "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "sensitivity_meta.json" in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, argv",
+    [("eval_report.json", ["render"]), ("models/s1_knn.json", ["render"]),
+     ("sensitivity.csv", ["render"]), ("sensitivity_meta.json", ["render"]),
+     ("features.csv", ["embed"]), ("embedding.csv", ["eval"]),
+     ("in.csv", ["ingest", "--input"])],
+    ids=["eval-report", "model", "sensitivity", "sensitivity-meta", "features", "embedding",
+         "ingest-input"],
+)
+def test_non_utf8_artifact_is_data_error(tmp_path, capsys, finished_run, name, argv):
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    path = out / name
+    path.write_bytes(b"\xff\xfe\x7b")
+    if argv[-1] == "--input":
+        argv = argv + [str(path)]
+    capsys.readouterr()
+    code = entrypoint(argv + ["--out", str(out), "--scenario", "s1", "--classifier", "knn"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert name.split("/")[-1] + " is not UTF-8 text" in err and "Traceback" not in err
+
+
+def without(*keys):
+    """An edit that deletes report[keys[0]]...[keys[-1]]."""
+    def edit(report):
+        doc = report
+        for key in keys[:-1]:
+            doc = doc[key]
+        del doc[keys[-1]]
+        return report
+    return edit
+
+
+KNN_S1 = ("scenarios", "s1", "classifiers", "knn")
+
+
+@pytest.mark.parametrize(
+    "edit, scenario, message",
+    [(lambda report: [1], "s1", "is not a JSON object"),
+     (lambda report: {}, "s1", "has no scenarios"),
+     (lambda report: report, "s2", "has no scenarios.s2"),
+     (without(*KNN_S1, "cv_accuracy_mean"), "s1",
+      "has no scenarios.s1.classifiers.knn.cv_accuracy_mean"),
+     (without(*KNN_S1, "holdout", "confusion"), "s1",
+      "has no scenarios.s1.classifiers.knn.holdout.confusion"),
+     (without(*KNN_S1, "holdout", "f1"), "s1", "has no scenarios.s1.classifiers.knn.holdout.f1")],
+    ids=["list", "empty", "no-s2", "no-cv-accuracy", "no-confusion", "no-f1"],
+)
+def test_malformed_eval_report_is_data_error_before_any_figure(tmp_path, capsys, finished_run,
+                                                               edit, scenario, message):
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    shutil.rmtree(out / "figs")
+    path = out / "eval_report.json"
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    capsys.readouterr()
+    code = entrypoint(["render", "--out", str(out), "--scenario", scenario, "--classifier", "knn"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "eval_report.json " + message in err and "Traceback" not in err
+    assert not (out / "figs").exists()
 
 
 def test_malformed_weights_is_usage_error():
@@ -201,7 +265,7 @@ def test_flags_override_config_file(tmp_path):
     assert config.weights == (1.0, 2.0, 1.0)
 
 
-def test_invalid_config_file_is_usage_error(tmp_path):
+def test_invalid_config_file_is_usage_error(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text("{nope")
     assert entrypoint(["eval", "--config", str(bad)]) == 1
@@ -209,6 +273,12 @@ def test_invalid_config_file_is_usage_error(tmp_path):
     listy = tmp_path / "list.json"
     listy.write_text("[1, 2]")
     assert entrypoint(["eval", "--config", str(listy)]) == 1
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe\x7b")
+    capsys.readouterr()
+    assert entrypoint(["eval", "--config", str(binary)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "binary.json is not UTF-8 text" in err and "Traceback" not in err
 
 
 def test_scenario_selection_narrows_outputs(tmp_path):
