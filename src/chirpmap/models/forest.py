@@ -1,10 +1,15 @@
 """Random forests over the decision trees in tree.py.
 
-Each tree trains on a bootstrap resample with ceil(sqrt(d)) features
-re-drawn as candidates at every split. Classification predicts by
-majority vote with ties going to the lowest class index; regression
-predicts the mean of the tree outputs. Per-tree randomness comes from
-seeds spawned deterministically off the config seed.
+Each tree trains on a bootstrap resample, and every node it scores
+draws ceil(sqrt(d)) of the d features uniformly as split candidates.
+Classification predicts by majority vote with ties going to the lowest
+class index; regression predicts the mean of the tree outputs.
+
+Each tree has its own generator, spawned deterministically off the
+config seed: its bootstrap draw comes first, then its candidate draws,
+one block per level in level order (see `grow_trees`). Trees grow
+together in blocks of about `_BLOCK_ROWS` rows; since no tree's draws
+depend on another's, the forest does not depend on the block size.
 """
 
 from __future__ import annotations
@@ -15,7 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
-from .tree import DecisionTree, TreeConfig, fit_tree
+from .tree import DecisionTree, TreeConfig, grow_trees
+
+# rows grown together: bounds the grower's working memory
+_BLOCK_ROWS = 8192
 
 
 @dataclass(frozen=True)
@@ -28,6 +36,8 @@ class ForestConfig:
     def __post_init__(self):
         if self.n_trees < 1:
             raise DataError("n_trees must be positive")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise DataError("max_depth must be nonnegative")
         if self.task not in ("classification", "regression"):
             raise DataError(f"unknown forest task {self.task!r}")
 
@@ -75,20 +85,16 @@ def fit_random_forest(x, y, config: ForestConfig = ForestConfig()) -> RandomFore
 
     m_features = math.ceil(math.sqrt(d))
     tree_config = TreeConfig(task=config.task, max_depth=config.max_depth)
+    seeds = np.random.SeedSequence(config.seed).spawn(config.n_trees)
+    rngs = [np.random.default_rng(seed) for seed in seeds]
+    block = max(1, _BLOCK_ROWS // n)
     trees: list[DecisionTree] = []
-    for child_seed in np.random.SeedSequence(config.seed).spawn(config.n_trees):
-        rng = np.random.default_rng(child_seed)
-        boot = rng.integers(0, n, size=n)
-        trees.append(
-            fit_tree(
-                x[boot],
-                y[boot],
-                tree_config,
-                rng=rng,
-                m_features=m_features,
-                n_classes=n_classes if config.task == "classification" else None,
-            )
-        )
+    for lo in range(0, config.n_trees, block):
+        block_rngs = rngs[lo:lo + block]
+        boots = np.stack([rng.integers(0, n, size=n) for rng in block_rngs])
+        tables = grow_trees(x, y, boots, tree_config, n_classes, block_rngs, m_features)
+        trees += [DecisionTree(root=t, config=tree_config, n_features=d, n_classes=n_classes)
+                  for t in tables]
     return RandomForestModel(trees=trees, config=config, n_features=d, n_classes=n_classes)
 
 

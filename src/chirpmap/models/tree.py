@@ -6,10 +6,16 @@ consecutive sorted unique values; growth stops at a pure node, the
 depth cap, or fewer than 2 samples. Ties between equally good splits go
 to the lowest feature index, then the lowest threshold.
 
-A fitted tree is one `NodeTable` of per-node arrays in preorder. Growth
-is depth-first on an explicit stack, so no depth needs recursion. Each
-feature is argsorted once per tree and its order split stably at every
-node, which equals a stable argsort of the node's rows.
+A fitted tree is one `NodeTable` of per-node arrays in preorder. Trees
+grow breadth-first, a block of them at once (a forest's trees, or the
+single tree of `fit_tree`), over presorted attribute lists as in SLIQ
+(Mehta, Agrawal & Rissanen 1996) and SPRINT (Shafer, Agrawal & Mehta
+1996). Each feature is argsorted once per tree; on every level each
+node's slice of those orders is split stably into its children, which
+equals a stable argsort of the child's rows, and every node of every
+tree on the level is scored in one vectorized pass with the bits of
+scoring it alone. No loop runs once per node, and no depth needs
+recursion.
 """
 
 from __future__ import annotations
@@ -81,113 +87,309 @@ def gini_impurity(counts) -> float:
     return float(1.0 - np.sum(p * p))
 
 
-def _best_split(xt, y, orders, features, task: str, n_classes: int, class_totals):
-    """Scan candidate features for the split with lowest weighted impurity.
+def _ranges(starts, sizes) -> np.ndarray:
+    """start_i, start_i + 1, ..., start_i + size_i - 1 for every i, end to end."""
+    ends = np.cumsum(sizes)
+    if not ends.size:
+        return np.zeros(0, dtype=np.intp)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
 
-    `orders[f]` lists the node's rows sorted by feature f. Every candidate
-    is scored in one (m, n - 1) pass over the split positions; positions
-    between equal values are no candidates. Returns (feature, threshold),
-    or None when every candidate column is constant over the node.
-    Features are compared in ascending order and improvements must be
-    strict, which yields the documented tie-breaking.
+
+def _segment_sums(values, starts, sizes) -> np.ndarray:
+    """(c, k) sums of each row of `values` over k segments, each with the
+    bits of that segment's own 1-D `.sum()`.
+
+    numpy's pairwise summation depends on the length summed, so zero
+    padding would change the bits: the segments are gathered in order of
+    length, and those of one length are summed as the rows of a block
+    whose rows are contiguous.
     """
-    n = orders.shape[1]
-    rows = orders.take(features, axis=0)
-    sv = xt[features[:, None], rows]
-    ys = y[rows]
-    is_cut = sv[:, :-1] < sv[:, 1:]  # split after position i
-    n_left = np.arange(1, n)
-    n_right = n - n_left
-    if task == "classification":
-        # left-side class counts at every split position, all classes at once
-        below = (ys[:, :, None] == np.arange(n_classes)).cumsum(axis=1)[:, :-1]
-        pl = below / n_left[:, None]
-        pr = (class_totals - below) / n_right[:, None]
-        left_sq = pl * pl
-        right_sq = pr * pr
-        # summed class by class, in the order the impurity formula adds them
-        left_impurity = left_sq[:, :, 0]
-        right_impurity = right_sq[:, :, 0]
-        for c in range(1, n_classes):
-            left_impurity = left_impurity + left_sq[:, :, c]
-            right_impurity = right_impurity + right_sq[:, :, c]
-        weighted = (n_left * (1.0 - left_impurity) + n_right * (1.0 - right_impurity)) / n
-    else:
-        ys2 = ys * ys
-        s = ys.cumsum(axis=1)[:, :-1]
-        s2 = ys2.cumsum(axis=1)[:, :-1]
-        total_s = ys.sum(axis=1, keepdims=True)
-        total_s2 = ys2.sum(axis=1, keepdims=True)
-        var_left = np.maximum(s2 / n_left - (s / n_left) ** 2, 0.0)
-        var_right = np.maximum(
-            (total_s2 - s2) / n_right - ((total_s - s) / n_right) ** 2, 0.0
-        )
-        weighted = (n_left * var_left + n_right * var_right) / n
-    weighted = np.where(is_cut, weighted, np.inf)
-    best = None
-    # first minimum per feature: lowest threshold wins; a constant column has no cut
-    for r, j in enumerate(weighted.argmin(axis=1).tolist()):
-        if is_cut[r, j] and (best is None or weighted[r, j] < weighted[best]):
-            best = (r, j)
-    if best is None:
-        return None
-    r, j = best
-    return int(features[r]), float((sv[r, j] + sv[r, j + 1]) / 2.0)
+    order = np.argsort(sizes, kind="stable")
+    width = sizes[order]
+    gathered = values.take(_ranges(starts[order], width), axis=1)
+    out = np.empty((values.shape[0], sizes.size))
+    lo = at = 0
+    for hi in np.append(np.flatnonzero(np.diff(width)) + 1, sizes.size).tolist():
+        w = int(width[lo])
+        block = gathered[:, at:at + (hi - lo) * w].reshape(-1, hi - lo, w)
+        out[:, order[lo:hi]] = block.sum(axis=2)
+        lo, at = hi, at + (hi - lo) * w
+    return out
 
 
-def _grow(x, y, config: TreeConfig, n_classes: int, rng, m_features: int) -> NodeTable:
-    """Depth-first growth in preorder; feature draws follow the same order."""
-    n, d = x.shape
-    xt = np.ascontiguousarray(x.T)
+# padding this many more positions costs about what scoring one more
+# group of nodes costs in numpy calls
+_MERGE_POSITIONS = 2048
+
+
+def _size_groups(sizes) -> list[np.ndarray]:
+    """Node indices in groups to be scored padded to the group's widest
+    node: one group per size class (sizes in (2^(c-1), 2^c]), each merged
+    into the group below while the padding that adds stays small."""
+    size_class = np.frexp(sizes - 1)[1]
+    order = np.argsort(size_class, kind="stable")
+    groups = []
+    for nodes in np.split(order, np.flatnonzero(np.diff(size_class[order])) + 1):
+        widen = sizes[nodes].max() - sizes[groups[-1]].max() if groups else 0
+        if groups and groups[-1].size * widen <= _MERGE_POSITIONS:
+            groups[-1] = np.concatenate([groups[-1], nodes])
+        else:
+            groups.append(nodes)
+    return groups
+
+
+def _best_splits(xs, ys, orders, at, sizes, cand, counts, n_classes: int):
+    """Best split of each of k nodes: (feature, threshold), with feature
+    -1 where every candidate column is constant over the node.
+
+    Node i's rows sorted by feature f are orders[f, p] for its segment p
+    of the positions `at` (the segments lie end to end, `sizes` long);
+    its candidates are cand[i], ascending. Each candidate is scored at
+    every split position between unequal values; the first minimum wins,
+    so ties go to the lowest threshold and then to the lowest feature.
+    Nodes are padded with zeros to the widest node of their group (see
+    `_size_groups`): the valid prefix of a zero-padded cumsum row has the
+    bits of the unpadded one. Totals are exact-length sums and class
+    counts are integers, so every node gets the bits of being scored
+    alone. `counts` holds the (k, n_classes) class totals, or is None
+    for regression.
+    """
+    k, m = cand.shape
+    starts = np.cumsum(sizes) - sizes
+    feats = cand.T[:, np.repeat(np.arange(k), sizes)]  # (m, R): each slot's feature
+    rows = orders[feats, at]
+    sv = xs[feats, rows]  # every node's values sorted by each of its candidates
+    ys = ys[rows]
+    del feats, rows
+    if counts is None:
+        totals = _segment_sums(np.concatenate([ys, ys * ys]), starts, sizes)
+    feature = np.full(k, -1, dtype=np.int64)
+    threshold = np.zeros(k)
+    for group in _size_groups(sizes):
+        width = int(sizes[group].max())
+        n = sizes[group, None]
+        valid = np.arange(width) < n
+        pos = np.where(valid, starts[group, None] + np.arange(width), 0)  # (g, width)
+        svg = sv.take(pos, axis=1)  # (m, g, width)
+        is_cut = svg[..., :-1] < svg[..., 1:]  # split after position j
+        is_cut &= valid[:, 1:]
+        del svg
+        n_left = np.arange(1, width)
+        n_right = np.maximum(n - n_left, 1)  # past the node's end: masked below
+        yg = ys.take(pos, axis=1)
+        del pos
+        if counts is None:
+            # the variance formula of the former per-node scorer, evaluated
+            # in place: var_left = max(s2 / n_left - (s / n_left) ** 2, 0)
+            yg[:, ~valid] = 0.0
+            s = yg.cumsum(axis=-1)[..., :-1]
+            yg *= yg
+            s2 = yg.cumsum(axis=-1)[..., :-1]
+            del yg
+            sq = s / n_left
+            sq *= sq
+            weighted = s2 / n_left
+            weighted -= sq
+            np.maximum(weighted, 0.0, out=weighted)
+            np.subtract(totals[:m, group, None], s, out=sq)
+            sq /= n_right
+            sq *= sq
+            np.subtract(totals[m:, group, None], s2, out=s2)
+            s2 /= n_right
+            s2 -= sq
+            np.maximum(s2, 0.0, out=s2)  # var_right
+            weighted *= n_left
+            s2 *= n_right
+            weighted += s2
+            weighted /= n
+            del s, s2, sq
+        else:
+            # the Gini formula of the former per-node scorer, in place:
+            # (n_left * (1 - sum_c pl_c^2) + n_right * (1 - sum_c pr_c^2)) / n,
+            # summed class by class in class order
+            yg[:, ~valid] = -1
+            for c in range(n_classes):
+                below = (yg == c).cumsum(axis=-1)[..., :-1]
+                pl = below / n_left
+                np.subtract(counts[group, c, None], below, out=below)
+                pr = below / n_right
+                del below
+                pl *= pl
+                pr *= pr
+                if c == 0:
+                    weighted, right = pl, pr
+                else:
+                    weighted += pl
+                    right += pr
+            del yg, pl, pr
+            np.subtract(1.0, weighted, out=weighted)
+            weighted *= n_left
+            np.subtract(1.0, right, out=right)
+            right *= n_right
+            weighted += right
+            weighted /= n
+            del right
+        weighted[~is_cut] = np.inf
+        j = weighted.argmin(axis=-1)  # (m, g): first minimum per candidate
+        mi, g = np.arange(m)[:, None], np.arange(group.size)
+        found = is_cut[mi, g, j]
+        slot = np.where(found, weighted[mi, g, j], np.inf).argmin(axis=0)  # over candidates
+        cut = starts[group] + j[slot, g]
+        ok = found[slot, g]
+        feature[group[ok]] = cand[group, slot][ok]
+        threshold[group[ok]] = ((sv[slot, cut] + sv[slot, cut + 1]) / 2.0)[ok]
+    return feature, threshold
+
+
+def _partition(orders, at, sizes, n_left, goes_left) -> np.ndarray:
+    """Split k end-to-end segments (at the positions `at`) of every order
+    row stably in two: the rows that go left, then the rest, each in
+    their former order."""
+    starts = np.cumsum(sizes) - sizes
+    child_starts = starts[:, None] + np.stack([np.zeros_like(n_left), n_left], axis=1)
+    seg = np.repeat(np.arange(sizes.size), sizes)
+    out = np.empty((orders.shape[0], at.size), dtype=orders.dtype)
+    for row, full in zip(out, orders):
+        order = full[at]
+        left = goes_left[order]
+        before = np.cumsum(left) - left  # left-going rows before each position
+        lefts_before_node = before[starts]
+        row[np.where(
+            left,
+            (child_starts[:, 0] - lefts_before_node)[seg] + before,
+            (child_starts[:, 1] - starts + lefts_before_node)[seg] + np.arange(at.size) - before,
+        )] = order
+    return out
+
+
+def _preorder_tables(levels, n_trees: int) -> list[NodeTable]:
+    """Each tree's `NodeTable` from the per-level node records.
+
+    A split node's children are consecutive on the next level, left
+    first, in the order of their parents. Subtree sizes, summed bottom-up,
+    give every node's preorder index top-down.
+    """
+    size = [None] * len(levels)  # nodes in each node's subtree
+    size[-1] = np.ones(levels[-1]["feature"].size, dtype=np.int64)
+    for depth in range(len(levels) - 2, -1, -1):
+        size[depth] = np.ones(levels[depth]["feature"].size, dtype=np.int64)
+        children = size[depth + 1].reshape(-1, 2)
+        size[depth][levels[depth]["feature"] >= 0] += children[:, 0] + children[:, 1]
+    pre = [np.zeros(n_trees, dtype=np.int64)]  # index within the node's tree
+    for depth, level in enumerate(levels):
+        split = level["feature"] >= 0
+        level["right"] = np.full(split.size, -1, dtype=np.int64)
+        if depth + 1 < len(levels):
+            child_pre = np.repeat(pre[depth][split] + 1, 2)
+            child_pre[1::2] += size[depth + 1][0::2]
+            level["right"][split] = child_pre[1::2]
+            pre.append(child_pre)
+    n_nodes = size[0]
+    offsets = np.cumsum(n_nodes) - n_nodes
+    dest = np.concatenate([offsets[level["tree"]] + p for level, p in zip(levels, pre)])
+    table = {}
+    for key in [key for key in levels[0] if key != "tree"]:
+        merged = np.concatenate([level.pop(key) for level in levels])  # frees as it goes
+        table[key] = np.empty_like(merged)
+        table[key][dest] = merged
+    return [
+        NodeTable.build(**{key: a[lo:lo + size] for key, a in table.items()})
+        for lo, size in zip(offsets.tolist(), n_nodes.tolist())
+    ]
+
+
+def grow_trees(
+    x,
+    y,
+    samples,
+    config: TreeConfig,
+    n_classes: int,
+    rngs=None,
+    m_features: int | None = None,
+) -> list[NodeTable]:
+    """Grow one tree on the rows `samples[t]` of (x, y) for every t, all
+    trees at once, level by level.
+
+    `rngs[t]` draws tree t's candidate features when `m_features` is
+    below the feature count: for the k nodes it scores on a level, in
+    level order, one (k, d) block of uniform keys, a node's candidates
+    being the m features with the smallest keys. Without `rngs` every
+    feature is a candidate at every node.
+    """
+    xt = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
+    y = np.asarray(y)
+    d = xt.shape[0]
+    samples = np.atleast_2d(samples)
+    n_trees, n = samples.shape
     classify = config.task == "classification"
-    subsample = rng is not None and m_features < d
-    all_features = np.arange(d)
-    goes_left = np.empty(n, dtype=bool)
-    # row d of each order block lists the node's rows ascending
-    root_orders = np.vstack([np.argsort(xt, axis=1, kind="stable"), np.arange(n)])
-
-    feature, threshold, right, n_samples, value, counts = [], [], [], [], [], []
-    stack = [(root_orders, 0, -1)]  # (orders, depth, parent awaiting its right child)
-    while stack:
-        orders, depth, parent = stack.pop()
-        node = len(feature)
-        if parent >= 0:
-            right[parent] = node
-        feature.append(-1)
-        threshold.append(0.0)
-        right.append(-1)
-        idx = orders[d]
-        y_node = y[idx]
-        size = idx.size
-        class_totals = None
+    subsample = rngs is not None and m_features is not None and m_features < d
+    # the block's rows: tree t's row i is row t * n + i
+    xs = xt[:, samples.ravel()]
+    ys = y[samples.ravel()]
+    orders = np.empty((d + 1, n_trees * n), dtype=np.intp)
+    orders[:d] = (np.argsort(xs.reshape(d, n_trees, n), axis=2, kind="stable")
+                  + np.arange(0, n_trees * n, n)[:, None]).reshape(d, -1)
+    orders[d] = np.arange(n_trees * n)  # each node's rows ascending
+    goes_left = np.zeros(n_trees * n, dtype=bool)
+    tree = np.arange(n_trees)  # the tree of each node on the level
+    sizes = np.full(n_trees, n)
+    levels = []
+    depth = 0
+    while True:
+        k = sizes.size
+        starts = np.cumsum(sizes) - sizes
+        y_node = ys[orders[d]]
         if classify:
-            class_totals = np.bincount(y_node, minlength=n_classes)
-            counts.append(class_totals)
-            pure = np.count_nonzero(class_totals) == 1
+            counts = np.bincount(np.repeat(np.arange(k) * n_classes, sizes) + y_node,
+                                 minlength=k * n_classes).reshape(k, n_classes)
+            level = {"counts": counts}
+            scored = np.count_nonzero(counts, axis=1) > 1
         else:
-            n_samples.append(size)
-            value.append(float(y_node.sum()) / size)  # what y_node.mean() computes
-            pure = size < 2 or y_node.max() == y_node.min()
-        if pure or size < 2 or (config.max_depth is not None and depth >= config.max_depth):
-            continue
-        if subsample:
-            features = np.sort(rng.choice(d, size=m_features, replace=False))
-        else:
-            features = all_features
-        split = _best_split(xt, y, orders, features, config.task, n_classes, class_totals)
-        if split is None:
-            continue
-        f, t = split
-        goes_left[idx] = xt[f, idx] <= t
-        keep = goes_left[orders]
-        size_left = int(np.count_nonzero(keep[d]))
-        if size_left in (0, size):
-            continue  # a midpoint that rounds onto a value separates nothing
-        feature[node] = f
-        threshold[node] = t
-        stack.append((orders[~keep].reshape(d + 1, size - size_left), depth + 1, node))
-        stack.append((orders[keep].reshape(d + 1, size_left), depth + 1, -1))
-    return NodeTable.build(feature, threshold, right, n_samples, value, counts if classify else None)
+            counts = None
+            level = {"n_samples": sizes,
+                     "value": _segment_sums(y_node[None], starts, sizes)[0] / sizes}
+            scored = (sizes > 1) & (np.maximum.reduceat(y_node, starts)
+                                    != np.minimum.reduceat(y_node, starts))
+        if config.max_depth is not None and depth >= config.max_depth:
+            scored[:] = False
+        scored = np.flatnonzero(scored)
+        feature = np.full(k, -1, dtype=np.int64)
+        threshold = np.zeros(k)
+        if scored.size:
+            if subsample:
+                per_tree = np.bincount(tree[scored], minlength=n_trees).tolist()
+                keys = np.concatenate([rngs[t].random((c, d)) for t, c in enumerate(per_tree) if c])
+                cand = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :m_features], axis=1)
+            else:
+                cand = np.broadcast_to(np.arange(d), (scored.size, d))
+            feature[scored], threshold[scored] = _best_splits(
+                xs, ys, orders, _ranges(starts[scored], sizes[scored]), sizes[scored], cand,
+                None if counts is None else counts[scored], n_classes,
+            )
+        # route the split nodes' rows; a midpoint that rounds onto a value separates nothing
+        split = np.flatnonzero(feature >= 0)
+        at = _ranges(starts[split], sizes[split])
+        rows = orders[d, at]
+        left = xs[np.repeat(feature[split], sizes[split]), rows] <= np.repeat(
+            threshold[split], sizes[split])
+        n_left = np.bincount(np.repeat(np.arange(split.size), sizes[split])[left],
+                             minlength=split.size)
+        keep = (n_left > 0) & (n_left < sizes[split])
+        feature[split[~keep]] = -1
+        threshold[split[~keep]] = 0.0
+        level.update(tree=tree, feature=feature, threshold=threshold)
+        levels.append(level)
+        if not keep.any():
+            break
+        goes_left[rows] = left
+        at = at[np.repeat(keep, sizes[split])]
+        split, n_left = split[keep], n_left[keep]
+        orders = _partition(orders, at, sizes[split], n_left, goes_left)
+        sizes = np.stack([n_left, sizes[split] - n_left], axis=1).ravel()
+        tree = np.repeat(tree[split], 2)
+        depth += 1
+
+    return _preorder_tables(levels, n_trees)
 
 
 @dataclass
@@ -235,8 +437,8 @@ def fit_tree(
     m_features: int | None = None,
     n_classes: int | None = None,
 ) -> DecisionTree:
-    """Grow one tree. `rng` plus `m_features` enables per-split feature
-    subsampling (used by forests); by default every feature is a candidate.
+    """Grow one tree. `rng` plus `m_features` draws each node's candidate
+    features as `grow_trees` does; by default every feature is a candidate.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
@@ -253,11 +455,10 @@ def fit_tree(
         n_classes = 0
     if y.shape[0] != n:
         raise DataError("labels misaligned with rows")
-    if m_features is None:
-        m_features = x.shape[1]
-    else:
+    if m_features is not None:
         m_features = max(1, min(m_features, x.shape[1]))
-    root = _grow(x, y, config, n_classes, rng, m_features)
+    root, = grow_trees(x, y, np.arange(n), config, n_classes,
+                       None if rng is None else [rng], m_features)
     return DecisionTree(root=root, config=config, n_features=x.shape[1], n_classes=n_classes)
 
 
@@ -282,6 +483,7 @@ __all__ = [
     "DecisionTree",
     "gini_impurity",
     "fit_tree",
+    "grow_trees",
     "tree_depth",
     "count_leaves",
 ]

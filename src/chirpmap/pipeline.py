@@ -85,6 +85,7 @@ _TSNE_KEYS = (
     "exaggeration_factor",
     "exaggeration_until_iter",
 )
+_TSNE_INT_KEYS = ("n_iterations", "momentum_switch_iter", "exaggeration_until_iter")
 
 _TOP_KEYS = {
     "input",
@@ -172,6 +173,28 @@ def _normalize_classifiers(value) -> tuple[str, ...]:
     return tuple(out)
 
 
+def _number(value, name: str, integer: bool = False) -> None:
+    """A UsageError unless `value` is a JSON number (an integer if asked)."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise UsageError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
+
+
+def _convert(convert, value, name: str):
+    """convert(value), with a value it cannot take as a UsageError."""
+    try:
+        return convert(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise UsageError(f"{name} must be {'an integer' if convert is int else 'a number'}, "
+                         f"got {value!r}") from exc
+
+
+def _section(doc: dict, key: str) -> dict:
+    value = doc.get(key, {})
+    if not isinstance(value, dict):
+        raise UsageError(f"{key} must be an object, got {value!r}")
+    return dict(value)
+
+
 def config_from_dict(doc: dict) -> PipelineConfig:
     unknown = set(doc) - _TOP_KEYS
     if unknown:
@@ -185,13 +208,15 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     if len(weights) != 3:
         raise UsageError(f"weights must have exactly 3 entries, got {len(weights)}")
 
-    tsne = dict(doc.get("tsne", {}))
+    tsne = _section(doc, "tsne")
     bad = set(tsne) - set(_TSNE_KEYS)
     if bad:
         raise UsageError(f"unknown tsne config keys: {', '.join(sorted(bad))}")
+    for key, value in tsne.items():
+        _number(value, f"tsne.{key}", integer=key in _TSNE_INT_KEYS)
 
     classifier_configs = {}
-    for raw_kind, overrides in dict(doc.get("classifier_configs", {})).items():
+    for raw_kind, overrides in _section(doc, "classifier_configs").items():
         kind = SHORT_KIND_NAMES.get(str(raw_kind), str(raw_kind))
         if kind not in CLASSIFIER_KINDS:
             raise UsageError(f"unknown classifier in classifier_configs: {raw_kind!r}")
@@ -201,24 +226,29 @@ def config_from_dict(doc: dict) -> PipelineConfig:
             raise UsageError(f"bad config for {kind}: {exc}") from exc
         classifier_configs[kind] = dict(overrides)
 
-    sens = dict(doc.get("sensitivity", {}))
+    sens = _section(doc, "sensitivity")
     bad = set(sens) - {"n_trees", "max_depth", "combination"}
     if bad:
         raise UsageError(f"unknown sensitivity config keys: {', '.join(sorted(bad))}")
+    _convert(int, sens.get("n_trees", 100), "sensitivity.n_trees")
+    if sens.get("max_depth") is not None:
+        _number(sens["max_depth"], "sensitivity.max_depth", integer=True)
+    if not isinstance(sens.get("combination", ""), str):
+        raise UsageError(f"sensitivity.combination must be a string, got {sens['combination']!r}")
 
     subsample = doc.get("subsample")
     if subsample is not None:
-        subsample = int(subsample)
+        subsample = _convert(int, subsample, "subsample")
         if subsample < 1:
             raise UsageError("subsample must be a positive integer")
 
-    k_folds = int(doc.get("k_folds", 5))
-    holdout_fraction = float(doc.get("holdout_fraction", 0.3))
+    k_folds = _convert(int, doc.get("k_folds", 5), "k_folds")
+    holdout_fraction = _convert(float, doc.get("holdout_fraction", 0.3), "holdout_fraction")
     if k_folds < 2:
         raise UsageError("k_folds must be at least 2")
     if not 0.0 < holdout_fraction < 1.0:
         raise UsageError("holdout_fraction must be in (0, 1)")
-    grid = int(doc.get("grid_resolution", 300))
+    grid = _convert(int, doc.get("grid_resolution", 300), "grid_resolution")
     if grid < 2:
         raise UsageError("grid_resolution must be at least 2")
     delimiter = str(doc.get("delimiter", ","))
@@ -240,7 +270,7 @@ def config_from_dict(doc: dict) -> PipelineConfig:
         classifier_configs=classifier_configs,
         sensitivity=sens,
         grid_resolution=grid,
-        seed=int(doc.get("seed", 0)),
+        seed=_convert(int, doc.get("seed", 0), "seed"),
     )
 
 

@@ -281,6 +281,30 @@ def test_invalid_config_file_is_usage_error(tmp_path, capsys):
     assert "usage error" in err and "binary.json is not UTF-8 text" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, doc", [
+    ("eval", {"subsample": "abc"}),
+    ("eval", {"k_folds": None}),
+    ("eval", {"grid_resolution": [3]}),
+    ("eval", {"holdout_fraction": "most"}),
+    ("eval", {"seed": {"a": 1}}),
+    ("eval", {"classifier_configs": [1]}),
+    ("eval", {"classifier_configs": {"rf": {"max_depth": "x"}}}),
+    ("embed", {"tsne": {"perplexity": "x"}}),
+    ("embed", {"tsne": {"n_iterations": 100.5}}),
+    ("embed", {"tsne": {"learning_rate": True}}),
+    ("embed", {"tsne": [1]}),
+    ("explain", {"sensitivity": {"n_trees": "many"}}),
+    ("explain", {"sensitivity": {"max_depth": "deep"}}),
+    ("explain", {"sensitivity": {"combination": 3}}),
+])
+def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, doc):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({**doc, "out": str(tmp_path / "out")}))
+    assert entrypoint([command, "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "Traceback" not in err
+
+
 def test_scenario_selection_narrows_outputs(tmp_path):
     entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "15", "--seed", "2"])
     config_path = tmp_path / "c.json"

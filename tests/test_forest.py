@@ -1,7 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from chirpmap.errors import DataError
+from chirpmap.models import forest as forest_module
 from chirpmap.models.forest import ForestConfig, RandomForestModel, fit_random_forest
 from chirpmap.models.tree import DecisionTree, NodeTable, TreeConfig
 from tests.conftest import make_blobs
@@ -76,3 +79,46 @@ def test_needs_both_classes():
 def test_config_validation():
     with pytest.raises(DataError):
         ForestConfig(n_trees=0)
+
+
+def _tables(model):
+    return [[getattr(t.root, k).tolist() for k in ("feature", "threshold", "right", "n_samples", "value")]
+            for t in model.trees]
+
+
+@pytest.mark.parametrize("task, d", [("regression", 3), ("classification", 2)])
+def test_first_trees_equal_a_smaller_forest(task, d):
+    rng = np.random.default_rng(3)
+    x = np.round(rng.normal(size=(60, d)), 1)
+    y = x[:, 0] - x[:, -1] if task == "regression" else (x[:, 0] > 0).astype(np.int64)
+    full = fit_random_forest(x, y, ForestConfig(n_trees=100, seed=9, task=task))
+    for k in (1, 7, 40):
+        assert _tables(fit_random_forest(x, y, ForestConfig(n_trees=k, seed=9, task=task))) \
+            == _tables(full)[:k]
+
+
+@pytest.mark.parametrize("task, d", [("regression", 3), ("classification", 2)])
+def test_forest_does_not_depend_on_block_size(task, d, monkeypatch):
+    rng = np.random.default_rng(4)
+    x = np.round(rng.normal(size=(70, d)), 1)
+    y = x[:, 0] * x[:, 1] if task == "regression" else (x[:, 0] + x[:, 1] > 0).astype(np.int64)
+    config = ForestConfig(n_trees=12, seed=2, task=task)
+    forests = []
+    for rows in (1, 150, 500, 10**6):  # 1, 2, 7 and 12 trees per block
+        monkeypatch.setattr(forest_module, "_BLOCK_ROWS", rows)
+        forests.append(_tables(fit_random_forest(x, y, config)))
+    assert all(f == forests[0] for f in forests[1:])
+
+
+def test_forest_fit_peak_memory():
+    """The grower's working memory stays small next to the fitted model."""
+    rng = np.random.default_rng(6)
+    x = rng.normal(size=(900, 3))
+    y = np.sin(x[:, 0]) + x[:, 1] * x[:, 2]
+    tracemalloc.start()
+    try:
+        fit_random_forest(x, y, ForestConfig(n_trees=100, seed=1, task="regression"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
