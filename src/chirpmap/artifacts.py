@@ -82,11 +82,11 @@ def read_csv(path: str, header: Sequence[str], parse: Sequence, missing: str | N
 def _parse_row(path: str, line: int, header: Sequence[str], parse: Sequence, row: list[str]) -> list:
     if len(row) != len(header):
         raise DataError(f"{path} line {line}: expected {len(header)} fields, got {len(row)}")
-    return [cell if fn is str else _number(path, line, header[j], cell, fn)
+    return [cell if fn is str else _numeric_cell(path, line, header[j], cell, fn)
             for j, (fn, cell) in enumerate(zip(parse, row))]
 
 
-def _number(path: str, line: int, column: str, cell: str, fn):
+def _numeric_cell(path: str, line: int, column: str, cell: str, fn):
     try:
         value = fn(cell)
         if math.isfinite(value):

@@ -12,6 +12,8 @@ import os
 import sys
 
 from .errors import DataError, NumericError, UsageError
+from .evaluation import SCENARIO_ORDER
+from .models import SHORT_KIND_NAMES
 from .pipeline import (
     PipelineConfig,
     config_from_dict,
@@ -40,12 +42,12 @@ def _add_common_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--scenario",
-        choices=("s1", "s2", "s3", "all"),
+        choices=(*SCENARIO_ORDER, "all"),
         help="which labeling scenario(s) to evaluate",
     )
     parser.add_argument(
         "--classifier",
-        choices=("rf", "svm", "logreg", "knn", "all"),
+        choices=(*SHORT_KIND_NAMES, "all"),
         help="which classifier(s) to evaluate",
     )
 

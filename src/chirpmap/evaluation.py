@@ -17,7 +17,7 @@ import numpy as np
 
 from .artifacts import read_json, write_json
 from .errors import DataError
-from .models import CLASSIFIER_KINDS, default_config, fit_classifier
+from .models import CLASSIFIER_KINDS, fit_classifier
 from .seeding import derive_seed
 
 

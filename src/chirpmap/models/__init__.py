@@ -14,7 +14,14 @@ from .svm import SvmConfig, SvmModel, fit_svm, kkt_violation
 from .tree import DecisionTree, NodeTable, TreeConfig, fit_tree, gini_impurity
 from .io import load_model, model_from_dict, model_to_dict, save_model
 
-CLASSIFIER_KINDS = ("random_forest", "svm", "logistic_regression", "knn")
+# each classifier kind's config dataclass, in the order the pipeline runs them
+CONFIG_TYPES = {
+    "random_forest": ForestConfig,
+    "svm": SvmConfig,
+    "logistic_regression": LogisticConfig,
+    "knn": KnnConfig,
+}
+CLASSIFIER_KINDS = tuple(CONFIG_TYPES)
 
 # short names accepted on the command line
 SHORT_KIND_NAMES = {
@@ -47,18 +54,6 @@ class LabeledPoints:
         return self.coords.shape[0]
 
 
-def default_config(kind: str):
-    if kind == "random_forest":
-        return ForestConfig()
-    if kind == "svm":
-        return SvmConfig()
-    if kind == "logistic_regression":
-        return LogisticConfig()
-    if kind == "knn":
-        return KnnConfig()
-    raise DataError(f"unknown classifier kind {kind!r}")
-
-
 def fit_classifier(kind: str, coords, labels, seed: int = 0, config=None):
     """Train one classifier kind on (coords, labels).
 
@@ -70,7 +65,7 @@ def fit_classifier(kind: str, coords, labels, seed: int = 0, config=None):
     if kind not in CLASSIFIER_KINDS:
         raise DataError(f"unknown classifier kind {kind!r}")
     if config is None:
-        config = default_config(kind)
+        config = CONFIG_TYPES[kind]()
     if kind == "random_forest":
         return fit_random_forest(coords, labels, replace(config, seed=seed))
     if kind == "svm":
@@ -80,13 +75,9 @@ def fit_classifier(kind: str, coords, labels, seed: int = 0, config=None):
     return fit_knn(coords, labels, config)
 
 
-def predict(model, points) -> np.ndarray:
-    """Vectorized class prediction for any fitted model."""
-    return model.predict(points)
-
-
 __all__ = [
     "CLASSIFIER_KINDS",
+    "CONFIG_TYPES",
     "SHORT_KIND_NAMES",
     "LabeledPoints",
     "DecisionTree",
@@ -107,9 +98,7 @@ __all__ = [
     "fit_logistic",
     "fit_knn",
     "fit_classifier",
-    "predict",
     "kkt_violation",
-    "default_config",
     "model_to_dict",
     "model_from_dict",
     "save_model",

@@ -14,17 +14,19 @@ sensitivity_meta.json, figs/*.svg.
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
-from types import SimpleNamespace
+from dataclasses import asdict, dataclass, field
+from types import NoneType, SimpleNamespace, UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
 from .artifacts import read_csv, read_json, write_csv, write_json, write_text
-from .errors import ChirpmapError, DataError, UsageError
+from .errors import DataError, UsageError
 from .evaluation import (
     SCENARIO_ORDER,
     SCENARIOS,
@@ -47,9 +49,9 @@ from .ingest import (
 )
 from .models import (
     CLASSIFIER_KINDS,
+    CONFIG_TYPES,
     SHORT_KIND_NAMES,
     LabeledPoints,
-    default_config,
     load_model,
     save_model,
 )
@@ -75,39 +77,56 @@ from .tsne import TsneConfig, load_embedding_csv, run_tsne, save_embedding
 
 LONG_KIND_NAMES = {v: k for k, v in SHORT_KIND_NAMES.items()}
 
-_TSNE_KEYS = (
-    "perplexity",
-    "n_iterations",
-    "learning_rate",
-    "momentum_early",
-    "momentum_late",
-    "momentum_switch_iter",
-    "exaggeration_factor",
-    "exaggeration_until_iter",
-)
-_TSNE_INT_KEYS = ("n_iterations", "momentum_switch_iter", "exaggeration_until_iter")
+# fields of a section's dataclass that the pipeline sets, not the config: each
+# stage's seed derives from the master seed, eval's forests classify, and
+# t-SNE embeds in two dimensions
+_SET_BY_PIPELINE = ("seed", "task", "output_dims")
 
-_TOP_KEYS = {
-    "input",
-    "out",
-    "schema",
-    "delimiter",
-    "weights",
-    "subsample",
-    "tsne",
-    "scenarios",
-    "classifiers",
-    "k_folds",
-    "holdout_fraction",
-    "classifier_configs",
-    "sensitivity",
-    "grid_resolution",
-    "seed",
-}
+_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object",
+               NoneType: "null"}
+
+
+def _fits(value, hint) -> bool:
+    """Whether a JSON value has a field's type: an int field takes an
+    integer, a float field any number, neither a boolean, and `X | None`
+    also takes null."""
+    if get_origin(hint) in (Union, UnionType):
+        return any(_fits(value, h) for h in get_args(hint))
+    if isinstance(value, bool):
+        return False
+    return isinstance(value, (int, float) if hint is float else get_origin(hint) or hint)
+
+
+def _build(cls, values, where: str, reserved=_SET_BY_PIPELINE, **fixed):
+    """cls(**values, **fixed), with a key that cls lacks or that is in
+    `reserved`, a value of the wrong type, or a value cls rejects as a
+    UsageError. `where` names the section ("" for the top level)."""
+    if not isinstance(values, dict):
+        raise UsageError(f"{where} must be an object, got {values!r}")
+    hints = get_type_hints(cls)
+    unknown = sorted(set(values) - (set(hints) - set(reserved)))
+    if unknown:
+        note = " (set by the pipeline)" if set(unknown) & set(reserved) else ""
+        label = f"{where} config" if where else "config"
+        raise UsageError(f"unknown {label} keys: {', '.join(unknown)}{note}")
+    for key, value in values.items():
+        hint = hints[key]
+        if not _fits(value, hint):
+            expected = " or ".join(_TYPE_NAMES[h] for h in get_args(hint) or (hint,))
+            name = f"{where}.{key}" if where else key
+            raise UsageError(f"{name} must be {expected}, got {value!r}")
+    try:
+        return cls(**values, **fixed)
+    except DataError as exc:  # the section dataclasses' own checks
+        raise UsageError(f"bad {where} config: {exc}") from exc
 
 
 @dataclass(frozen=True)
 class PipelineConfig:
+    """The run config. The sections `tsne`, `classifier_configs` (by kind)
+    and `sensitivity` hold the overrides as given, which the hash covers;
+    each section's dataclass supplies its keys, types and defaults."""
+
     input: str | None = None
     out: str = "out"
     schema: dict | None = None
@@ -124,25 +143,50 @@ class PipelineConfig:
     grid_resolution: int = 300
     seed: int = 0
 
+    def __post_init__(self):
+        if self.subsample is not None and self.subsample < 1:
+            raise UsageError("subsample must be a positive integer")
+        if self.k_folds < 2:
+            raise UsageError("k_folds must be at least 2")
+        if not 0.0 < self.holdout_fraction < 1.0:
+            raise UsageError("holdout_fraction must be in (0, 1)")
+        if self.grid_resolution < 2:
+            raise UsageError("grid_resolution must be at least 2")
+        if len(self.delimiter) != 1:
+            raise UsageError("delimiter must be a single character")
+        self.tsne_config()
+        self.sensitivity_config()
+        for kind in self.classifier_configs:
+            self.classifier_config(kind)
+
+    def tsne_config(self) -> TsneConfig:
+        return _build(TsneConfig, self.tsne, "tsne", seed=derive_seed(self.seed, "embed"))
+
+    def sensitivity_config(self) -> SensitivityConfig:
+        return _build(SensitivityConfig, self.sensitivity, "sensitivity",
+                      seed=derive_seed(self.seed, "explain"))
+
+    def classifier_config(self, kind: str):
+        """Eval's config for one kind; `fit_classifier` seeds each forest."""
+        return _build(CONFIG_TYPES[kind], self.classifier_configs.get(kind, {}),
+                      f"classifier_configs.{kind}")
+
     def hash(self) -> str:
         """Identity of everything semantic; file locations excluded."""
-        doc = {
-            "schema": self.schema,
-            "delimiter": self.delimiter,
-            "weights": list(self.weights),
-            "subsample": self.subsample,
-            "tsne": self.tsne,
-            "scenarios": list(self.scenarios),
-            "classifiers": list(self.classifiers),
-            "k_folds": self.k_folds,
-            "holdout_fraction": self.holdout_fraction,
-            "classifier_configs": self.classifier_configs,
-            "sensitivity": self.sensitivity,
-            "grid_resolution": self.grid_resolution,
-            "seed": self.seed,
-        }
+        doc = asdict(self)
+        del doc["input"], doc["out"]
         canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
+def _normalize_weights(value) -> tuple[float, ...]:
+    try:
+        weights = tuple(float(w) for w in value)
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"weights must be three numbers: {exc}") from exc
+    if len(weights) != 3:
+        raise UsageError(f"weights must have exactly 3 entries, got {len(weights)}")
+    return weights
 
 
 def _normalize_scenarios(value) -> tuple[str, ...]:
@@ -153,7 +197,7 @@ def _normalize_scenarios(value) -> tuple[str, ...]:
     keys = tuple(str(v).lower() for v in value)
     for k in keys:
         if k not in SCENARIOS:
-            raise UsageError(f"unknown scenario {k!r}; expected s1, s2, s3, or all")
+            raise UsageError(f"unknown scenario {k!r}; expected {', '.join(SCENARIO_ORDER)}, or all")
     return keys
 
 
@@ -167,111 +211,41 @@ def _normalize_classifiers(value) -> tuple[str, ...]:
         name = SHORT_KIND_NAMES.get(str(v), str(v))
         if name not in CLASSIFIER_KINDS:
             raise UsageError(
-                f"unknown classifier {v!r}; expected rf, svm, logreg, knn, or all"
+                f"unknown classifier {v!r}; expected {', '.join(SHORT_KIND_NAMES)}, or all"
             )
         out.append(name)
     return tuple(out)
 
 
-def _number(value, name: str, integer: bool = False) -> None:
-    """A UsageError unless `value` is a JSON number (an integer if asked)."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise UsageError(f"{name} must be {'an integer' if integer else 'a number'}, got {value!r}")
-
-
-def _convert(convert, value, name: str):
-    """convert(value), with a value it cannot take as a UsageError."""
-    try:
-        return convert(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise UsageError(f"{name} must be {'an integer' if convert is int else 'a number'}, "
-                         f"got {value!r}") from exc
-
-
-def _section(doc: dict, key: str) -> dict:
-    value = doc.get(key, {})
+def _normalize_classifier_configs(value) -> dict:
+    """The per-kind overrides, keyed by long kind names."""
     if not isinstance(value, dict):
-        raise UsageError(f"{key} must be an object, got {value!r}")
-    return dict(value)
+        raise UsageError(f"classifier_configs must be an object, got {value!r}")
+    configs = {}
+    for raw_kind, overrides in value.items():
+        kind = SHORT_KIND_NAMES.get(raw_kind, raw_kind)
+        if kind not in CLASSIFIER_KINDS:
+            raise UsageError(f"unknown classifier in classifier_configs: {raw_kind!r}")
+        configs[kind] = overrides
+    return configs
+
+
+_NORMALIZERS = {
+    "weights": _normalize_weights,
+    "scenarios": _normalize_scenarios,
+    "classifiers": _normalize_classifiers,
+    "classifier_configs": _normalize_classifier_configs,
+}
 
 
 def config_from_dict(doc: dict) -> PipelineConfig:
-    unknown = set(doc) - _TOP_KEYS
-    if unknown:
-        raise UsageError(f"unknown config keys: {', '.join(sorted(unknown))}")
-
-    weights = doc.get("weights", (1.0, 1.0, 1.0))
-    try:
-        weights = tuple(float(w) for w in weights)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"weights must be three numbers: {exc}") from exc
-    if len(weights) != 3:
-        raise UsageError(f"weights must have exactly 3 entries, got {len(weights)}")
-
-    tsne = _section(doc, "tsne")
-    bad = set(tsne) - set(_TSNE_KEYS)
-    if bad:
-        raise UsageError(f"unknown tsne config keys: {', '.join(sorted(bad))}")
-    for key, value in tsne.items():
-        _number(value, f"tsne.{key}", integer=key in _TSNE_INT_KEYS)
-
-    classifier_configs = {}
-    for raw_kind, overrides in _section(doc, "classifier_configs").items():
-        kind = SHORT_KIND_NAMES.get(str(raw_kind), str(raw_kind))
-        if kind not in CLASSIFIER_KINDS:
-            raise UsageError(f"unknown classifier in classifier_configs: {raw_kind!r}")
-        try:
-            replace(default_config(kind), **overrides)
-        except (TypeError, ChirpmapError) as exc:
-            raise UsageError(f"bad config for {kind}: {exc}") from exc
-        classifier_configs[kind] = dict(overrides)
-
-    sens = _section(doc, "sensitivity")
-    bad = set(sens) - {"n_trees", "max_depth", "combination"}
-    if bad:
-        raise UsageError(f"unknown sensitivity config keys: {', '.join(sorted(bad))}")
-    _convert(int, sens.get("n_trees", 100), "sensitivity.n_trees")
-    if sens.get("max_depth") is not None:
-        _number(sens["max_depth"], "sensitivity.max_depth", integer=True)
-    if not isinstance(sens.get("combination", ""), str):
-        raise UsageError(f"sensitivity.combination must be a string, got {sens['combination']!r}")
-
-    subsample = doc.get("subsample")
-    if subsample is not None:
-        subsample = _convert(int, subsample, "subsample")
-        if subsample < 1:
-            raise UsageError("subsample must be a positive integer")
-
-    k_folds = _convert(int, doc.get("k_folds", 5), "k_folds")
-    holdout_fraction = _convert(float, doc.get("holdout_fraction", 0.3), "holdout_fraction")
-    if k_folds < 2:
-        raise UsageError("k_folds must be at least 2")
-    if not 0.0 < holdout_fraction < 1.0:
-        raise UsageError("holdout_fraction must be in (0, 1)")
-    grid = _convert(int, doc.get("grid_resolution", 300), "grid_resolution")
-    if grid < 2:
-        raise UsageError("grid_resolution must be at least 2")
-    delimiter = str(doc.get("delimiter", ","))
-    if len(delimiter) != 1:
-        raise UsageError("delimiter must be a single character")
-
-    return PipelineConfig(
-        input=doc.get("input"),
-        out=str(doc.get("out", "out")),
-        schema=doc.get("schema"),
-        delimiter=delimiter,
-        weights=weights,
-        subsample=subsample,
-        tsne=tsne,
-        scenarios=_normalize_scenarios(doc.get("scenarios")),
-        classifiers=_normalize_classifiers(doc.get("classifiers")),
-        k_folds=k_folds,
-        holdout_fraction=holdout_fraction,
-        classifier_configs=classifier_configs,
-        sensitivity=sens,
-        grid_resolution=grid,
-        seed=_convert(int, doc.get("seed", 0), "seed"),
-    )
+    """The run config from its JSON object; a key, a value type or a
+    value that the config dataclasses reject is a UsageError."""
+    values = copy.deepcopy(doc)
+    for key, normalize in _NORMALIZERS.items():
+        if key in values:
+            values[key] = normalize(values[key])
+    return _build(PipelineConfig, values, "", reserved=())
 
 
 def load_config_file(path: str) -> dict:
@@ -368,9 +342,8 @@ def _read_features(path: str) -> tuple[list[str], np.ndarray, list]:
 def stage_embed(config: PipelineConfig) -> None:
     paths = artifact_paths(config.out)
     ids, values, _ = _read_features(paths["features"])
-    tsne_config = TsneConfig(seed=derive_seed(config.seed, "embed"), **config.tsne)
     matrix = FeatureMatrix(ids=ids, values=values)
-    embedding = run_tsne(matrix, tsne_config)
+    embedding = run_tsne(matrix, config.tsne_config())
     save_embedding(
         embedding,
         paths["embedding"],
@@ -391,6 +364,7 @@ def _read_embedding_aligned(paths: dict) -> tuple[list[str], np.ndarray, np.ndar
 def stage_eval(config: PipelineConfig) -> None:
     paths = artifact_paths(config.out)
     _, _, coords, rows = _read_embedding_aligned(paths)
+    classifier_configs = {kind: config.classifier_config(kind) for kind in config.classifiers}
     report, models = run_all_scenarios(
         coords,
         rows,
@@ -399,12 +373,10 @@ def stage_eval(config: PipelineConfig) -> None:
         classifier_kinds=config.classifiers,
         k_folds=config.k_folds,
         holdout_fraction=config.holdout_fraction,
-        classifier_configs=_built_classifier_configs(config),
+        classifier_configs=classifier_configs,
     )
     report["config_hash"] = config.hash()
-    report["classifier_configs"] = {
-        kind: _config_doc(kind, config) for kind in config.classifiers
-    }
+    report["classifier_configs"] = {kind: asdict(c) for kind, c in classifier_configs.items()}
     save_eval_report(report, paths["eval_report"])
     os.makedirs(paths["models_dir"], exist_ok=True)
     for (scenario, kind), model in models.items():
@@ -419,28 +391,10 @@ def stage_eval(config: PipelineConfig) -> None:
     )
 
 
-def _built_classifier_configs(config: PipelineConfig) -> dict:
-    built = {}
-    for kind, overrides in config.classifier_configs.items():
-        built[kind] = replace(default_config(kind), **overrides)
-    return built
-
-
-def _config_doc(kind: str, config: PipelineConfig) -> dict:
-    base = default_config(kind)
-    overrides = config.classifier_configs.get(kind, {})
-    return asdict(replace(base, **overrides))
-
-
 def stage_explain(config: PipelineConfig) -> None:
     paths = artifact_paths(config.out)
     ids, values, coords, _ = _read_embedding_aligned(paths)
-    sens_config = SensitivityConfig(
-        n_trees=int(config.sensitivity.get("n_trees", 100)),
-        max_depth=config.sensitivity.get("max_depth"),
-        seed=derive_seed(config.seed, "explain"),
-        combination=config.sensitivity.get("combination", "euclidean"),
-    )
+    sens_config = config.sensitivity_config()
     matrix = FeatureMatrix(ids=ids, values=values)
     regressors = fit_coordinate_regressors(matrix, coords, sens_config)
     smap = build_sensitivity_map(regressors, matrix, combination=sens_config.combination)

@@ -296,6 +296,14 @@ def test_invalid_config_file_is_usage_error(tmp_path, capsys):
     ("explain", {"sensitivity": {"n_trees": "many"}}),
     ("explain", {"sensitivity": {"max_depth": "deep"}}),
     ("explain", {"sensitivity": {"combination": 3}}),
+    ("eval", {"classifier_configs": {"rf": {"task": "regression"}}}),
+    ("eval", {"classifier_configs": {"knn": {"k": 2.5}}}),
+    ("eval", {"classifier_configs": {"rf": {"n_trees": 5.5}}}),
+    ("eval", {"classifier_configs": {"rf": {"seed": 5}}}),
+    ("explain", {"sensitivity": {"n_trees": 5.7}}),
+    ("eval", {"k_folds": 3.9}),
+    ("eval", {"k_folds": "5"}),
+    ("explain", {"sensitivity": {"combination": "foo"}}),
 ])
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, doc):
     path = tmp_path / "c.json"

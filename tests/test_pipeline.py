@@ -1,5 +1,7 @@
 import json
 import os
+import re
+from dataclasses import fields
 
 import pytest
 
@@ -167,6 +169,45 @@ def test_scenario_and_classifier_normalization():
     assert config_from_dict({"classifiers": "all"}).classifiers == (
         "random_forest", "svm", "logistic_regression", "knn"
     )
+
+
+@pytest.mark.parametrize("doc, expected", [
+    ({}, "7610e47dcdfae7ae"),
+    ({"tsne": {"n_iterations": 500}, "sensitivity": {"n_trees": 10}, "seed": 2024},
+     "ac7e93399ebe07af"),
+    ({"weights": [2, 1, 1], "scenarios": "s2", "classifiers": ["rf", "knn"],
+      "classifier_configs": {"rf": {"n_trees": 5}}, "subsample": 30, "schema": {"id": "ID"},
+      "holdout_fraction": 0.25}, "6e473713fe2e6c0f"),
+    ({"tsne": {"perplexity": 8, "learning_rate": 100},
+      "classifier_configs": {"svm": {"c": 2, "gamma": None}},
+      "sensitivity": {"max_depth": None, "combination": "sum_abs"}}, "8bbf314f58ac8314"),
+])
+def test_config_hash_is_pinned(doc, expected):
+    # every artifact records this hash, so a change here changes every artifact
+    assert config_from_dict(doc).hash() == expected
+
+
+@pytest.mark.parametrize("doc", [
+    {"tsne": {"seed": 1}},
+    {"tsne": {"output_dims": 2}},
+    {"sensitivity": {"seed": 1}},
+    {"classifier_configs": {"rf": {"task": "classification"}}},
+    {"classifier_configs": {"knn": {"seed": 1}}},
+])
+def test_fields_the_pipeline_sets_are_not_config_keys(doc):
+    with pytest.raises(UsageError, match="set by the pipeline"):
+        config_from_dict(doc)
+
+
+def test_readme_config_example_passes_the_schema():
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as handle:
+        text = handle.read()
+    block = re.search(r"## Configuration\n.*?```jsonc\n(.*?)```", text, re.S).group(1)
+    doc = json.loads(re.sub(r"//.*", "", block))
+    config = config_from_dict(doc)
+    assert set(doc) == {f.name for f in fields(config)}
+    assert set(doc["classifier_configs"]) == set(config.classifiers)
 
 
 def test_missing_upstream_artifacts_fail_with_marker(tmp_path):
