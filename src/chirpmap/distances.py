@@ -1,0 +1,31 @@
+"""Pairwise squared Euclidean distances, the one implementation in the package.
+
+Each entry is sum_k (a_ik - b_jk)^2, formed elementwise feature by feature
+in feature order. An entry's bits therefore depend only on its two rows,
+not on how many rows a and b have: any row split of a gives the same
+bytes as one call. With ``a is b`` the result is exactly symmetric, since
+(u - v)^2 and (v - u)^2 round alike, and its diagonal is exactly 0. No
+entry is negative, so no clamp is needed.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+
+def squared_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
+                      scratch: np.ndarray | None = None) -> np.ndarray:
+    """The (len(a), len(b)) matrix of squared distances between the rows
+    of a and b, written into ``out``; ``scratch`` holds each later
+    feature's squares. Both are allocated here when not given."""
+    out = np.empty((a.shape[0], b.shape[0])) if out is None else out
+    # one contiguous row per feature
+    a_cols, b_cols = np.array(a.T), np.array(b.T)
+    np.subtract(a_cols[0][:, None], b_cols[0], out=out)
+    np.multiply(out, out, out=out)
+    for k in range(1, a_cols.shape[0]):
+        scratch = np.empty_like(out) if scratch is None else scratch
+        np.subtract(a_cols[k][:, None], b_cols[k], out=scratch)
+        np.multiply(scratch, scratch, out=scratch)
+        out += scratch
+    return out

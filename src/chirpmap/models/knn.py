@@ -5,11 +5,10 @@ points. Equal distances are resolved toward the lower training-row
 index (stable sort order); vote ties are resolved to the class of the
 single nearest neighbor.
 
-Queries are processed in chunks of exactly `_CHUNK` rows (the height is
-part of the result; see there). Each chunk's squared distances are
-written into two buffers allocated once per `predict` call, and the k
-neighbours are picked by k rounds of argmin: k passes over the chunk
-instead of a sort.
+Queries are processed in chunks of about `_CHUNK_ENTRIES` distances.
+Each chunk's squared distances are written into two buffers allocated
+once per `predict` call, and the k neighbours are picked by k rounds of
+argmin: k passes over the chunk instead of a sort.
 """
 
 from __future__ import annotations
@@ -18,15 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..distances import squared_distances
 from ..errors import DataError
 
-# Queries per distance chunk. The height is part of the result: OpenBLAS's
-# gemm for two feature columns gives different bits for the same rows under
-# another chunk height (on a 300x300 render grid with 630 training points,
-# 1e-5 to 4e-5 of the distances differ for chunks of 128 to 4096 rows).
-# Other heights, tiles or pruned candidate sets change the gemm shapes the
-# same way and can flip near-tie neighbours, and with them SVG bytes.
-_CHUNK = 2048
+# distances per query chunk; the chunk height only bounds memory, since
+# every distance has the same bits under any split of the queries
+_CHUNK_ENTRIES = 65536
 
 
 @dataclass(frozen=True)
@@ -51,22 +47,14 @@ class KnnModel:
         k = self.config.k
         n_classes = max(2, int(self.y.max()) + 1)
         out = np.empty(p.shape[0], dtype=np.int64)
-        sq_train = np.sum(self.x * self.x, axis=1)
-        rows = min(p.shape[0], _CHUNK)
-        d2_buf = np.empty((rows, self.x.shape[0]))
+        rows = max(1, _CHUNK_ENTRIES // self.x.shape[0])
+        d2_buf = np.empty((min(p.shape[0], rows), self.x.shape[0]))
         work_buf = np.empty_like(d2_buf)
-        for start in range(0, p.shape[0], _CHUNK):
-            chunk = p[start : start + _CHUNK]
+        for start in range(0, p.shape[0], rows):
+            chunk = p[start : start + rows]
             m = chunk.shape[0]
             d2, work = d2_buf[:m], work_buf[:m]
-            # (|q|^2 + |x|^2) - 2 q.x: another grouping rounds differently. The
-            # sum is filled as |x|^2 + |q|^2 (the same bits: addition commutes)
-            # by a row copy and a row-broadcast add.
-            d2[:] = sq_train
-            d2 += np.sum(chunk * chunk, axis=1)[:, None]
-            np.matmul(chunk, self.x.T, out=work)
-            work *= 2.0
-            d2 -= work
+            squared_distances(chunk, self.x, out=d2, scratch=work)
             neigh = self.y[_nearest(d2, k, work=work)]
             counts = np.zeros((m, n_classes), dtype=np.int64)
             np.add.at(counts, (np.repeat(np.arange(m), k), neigh.ravel()), 1)

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..distances import squared_distances
 from ..errors import DataError
 
 _BOUND_EPS = 1e-12
@@ -40,11 +41,16 @@ class SvmConfig:
 def _kernel_block(a: np.ndarray, b: np.ndarray, kernel: str, gamma: float) -> np.ndarray:
     if kernel == "linear":
         return a @ b.T
-    sq_a = np.sum(a * a, axis=1)
-    sq_b = np.sum(b * b, axis=1)
-    d2 = sq_a[:, None] + sq_b[None, :] - 2.0 * (a @ b.T)
-    np.maximum(d2, 0.0, out=d2)
-    return np.exp(-gamma * d2)
+    return np.exp(-gamma * squared_distances(a, b))
+
+
+def _violating_sets(alpha: np.ndarray, ys: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
+    """SMO's index sets: `up` marks the points whose y_t alpha_t can still
+    grow inside [0, C], `low` those whose y_t alpha_t can still shrink."""
+    below_c, above_0 = alpha < c - _BOUND_EPS, alpha > _BOUND_EPS
+    up = (below_c & (ys > 0)) | (above_0 & (ys < 0))
+    low = (below_c & (ys < 0)) | (above_0 & (ys > 0))
+    return up, low
 
 
 @dataclass
@@ -110,8 +116,7 @@ def fit_svm(x, y, config: SvmConfig = SvmConfig()) -> SvmModel:
 
     for _ in range(config.max_passes):
         vals = -ys * grad
-        up = ((alpha < c - _BOUND_EPS) & (ys > 0)) | ((alpha > _BOUND_EPS) & (ys < 0))
-        low = ((alpha < c - _BOUND_EPS) & (ys < 0)) | ((alpha > _BOUND_EPS) & (ys > 0))
+        up, low = _violating_sets(alpha, ys, c)
         if not up.any() or not low.any():
             converged = True
             break
@@ -154,8 +159,7 @@ def fit_svm(x, y, config: SvmConfig = SvmConfig()) -> SvmModel:
 
     grad = q @ alpha - 1.0  # refresh: incremental updates accumulate drift
     vals = -ys * grad
-    up = ((alpha < c - _BOUND_EPS) & (ys > 0)) | ((alpha > _BOUND_EPS) & (ys < 0))
-    low = ((alpha < c - _BOUND_EPS) & (ys < 0)) | ((alpha > _BOUND_EPS) & (ys > 0))
+    up, low = _violating_sets(alpha, ys, c)
     # KKT: vals_t = y_t - u(x_t) lower-bounds b on the up set and
     # upper-bounds it on the low set; free vectors pin it exactly
     if up.any() and low.any():
@@ -185,13 +189,7 @@ def kkt_violation(model: SvmModel) -> float:
     q = (model.y_signed[:, None] * model.y_signed[None, :]) * k
     grad = q @ model.alpha - 1.0
     vals = -model.y_signed * grad
-    c = model.config.c
-    up = ((model.alpha < c - _BOUND_EPS) & (model.y_signed > 0)) | (
-        (model.alpha > _BOUND_EPS) & (model.y_signed < 0)
-    )
-    low = ((model.alpha < c - _BOUND_EPS) & (model.y_signed < 0)) | (
-        (model.alpha > _BOUND_EPS) & (model.y_signed > 0)
-    )
+    up, low = _violating_sets(model.alpha, model.y_signed, model.config.c)
     if not up.any() or not low.any():
         return 0.0
     return float(np.where(up, vals, -np.inf).max() - np.where(low, vals, np.inf).min())

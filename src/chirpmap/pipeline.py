@@ -180,13 +180,11 @@ class PipelineConfig:
 
 
 def _normalize_weights(value) -> tuple[float, ...]:
-    try:
-        weights = tuple(float(w) for w in value)
-    except (TypeError, ValueError) as exc:
-        raise UsageError(f"weights must be three numbers: {exc}") from exc
-    if len(weights) != 3:
-        raise UsageError(f"weights must have exactly 3 entries, got {len(weights)}")
-    return weights
+    if not isinstance(value, (list, tuple)) or not all(_fits(w, float) for w in value):
+        raise UsageError(f"weights must be three numbers, got {value!r}")
+    if len(value) != 3:
+        raise UsageError(f"weights must have exactly 3 entries, got {len(value)}")
+    return tuple(float(w) for w in value)
 
 
 def _normalize_scenarios(value) -> tuple[str, ...]:

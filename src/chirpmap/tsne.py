@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, asdict
 import numpy as np
 
 from .artifacts import read_csv, write_csv, write_json
+from .distances import squared_distances
 from .errors import DataError, NumericError
 from .ingest import FeatureMatrix
 
@@ -38,15 +39,11 @@ class TsneConfig:
     seed: int = 0
     output_dims: int = 2
 
-    def validate(self, n_points: int) -> None:
+    def __post_init__(self):
         if self.output_dims != 2:
             raise DataError("only 2-D output is supported")
-        if n_points < 3:
-            raise DataError("t-SNE needs at least 3 points")
-        if not self.perplexity > 0 or self.perplexity >= n_points:
-            raise DataError(
-                f"perplexity must be in (0, n_points); got {self.perplexity} for {n_points} points"
-            )
+        if not self.perplexity > 0:
+            raise DataError("perplexity must be positive")
         if self.n_iterations < 1:
             raise DataError("n_iterations must be positive")
         if self.learning_rate <= 0:
@@ -59,6 +56,13 @@ class TsneConfig:
             raise DataError("exaggeration_factor must be >= 1")
         if self.exaggeration_until_iter > self.n_iterations:
             raise DataError("exaggeration_until_iter cannot exceed n_iterations")
+
+    def validate(self, n_points: int) -> None:
+        """The checks that depend on the number of points."""
+        if n_points < 3:
+            raise DataError("t-SNE needs at least 3 points")
+        if self.perplexity >= n_points:
+            raise DataError(f"perplexity {self.perplexity} must be below the {n_points} points")
 
 
 @dataclass
@@ -88,31 +92,6 @@ def _as_values(matrix) -> np.ndarray:
     if isinstance(matrix, FeatureMatrix):
         return matrix.values
     return np.asarray(matrix, dtype=np.float64)
-
-
-def _squared_distances(
-    x: np.ndarray, out: np.ndarray | None = None, scratch: np.ndarray | None = None
-) -> np.ndarray:
-    """(|x_i|^2 + |x_j|^2) - 2 x_i.x_j, clamped at 0, with a zero diagonal.
-
-    Written into ``out``, using ``scratch`` for the Gram matrix; both are
-    N x N buffers allocated here when not given. The operation order is
-    fixed, so buffered and allocating calls give identical bits.
-    """
-    n = x.shape[0]
-    out = np.empty((n, n)) if out is None else out
-    scratch = np.empty((n, n)) if scratch is None else scratch
-    sq = np.sum(x * x, axis=1)
-    # |x_j|^2 + |x_i|^2 (the same bits as |x_i|^2 + |x_j|^2: addition
-    # commutes), by a row copy and a row-broadcast add
-    out[:] = sq
-    out += sq[:, None]
-    np.matmul(x, x.T, out=scratch)
-    scratch *= 2.0
-    out -= scratch
-    np.maximum(out, 0.0, out=out)
-    np.fill_diagonal(out, 0.0)
-    return out
 
 
 def _row_distribution(shifted: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
@@ -149,7 +128,7 @@ def conditional_affinities(
     if not 0 < perplexity < n:
         raise DataError(f"perplexity must be in (0, n); got {perplexity} for n={n}")
 
-    d2 = _squared_distances(x)
+    d2 = squared_distances(x, x)
     p = np.zeros((n, n), dtype=np.float64)
     betas = np.empty(n)
     realized = np.empty(n)
@@ -214,7 +193,7 @@ def low_dim_similarities(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _student_t(y: np.ndarray, w: np.ndarray, q: np.ndarray) -> float:
     """Fill the N x N buffers w and q as ``low_dim_similarities`` returns
     them, and return sum(w)."""
-    _squared_distances(y, out=w, scratch=q)
+    squared_distances(y, y, out=w, scratch=q)
     w += 1.0
     np.divide(1.0, w, out=w)
     np.fill_diagonal(w, 0.0)
@@ -241,7 +220,11 @@ def kl_gradient(p: np.ndarray, coords: np.ndarray) -> np.ndarray:
     """Gradient 4 * sum_j (p_ij - q_ij) (y_i - y_j) / (1 + ||y_i - y_j||^2)."""
     y = np.asarray(coords, dtype=np.float64)
     q, w = low_dim_similarities(y)
-    m = (p - q) * w
+    return _gradient((p - q) * w, y)
+
+
+def _gradient(m: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """4 * sum_j m_ij (y_i - y_j), where m = (p_eff - q) * w."""
     return 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
 
 
@@ -351,7 +334,7 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
         else:
             np.subtract(p, q, out=m)
         m *= w
-        grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
+        grad = _gradient(m, y)
         momentum = (
             config.momentum_early if t < config.momentum_switch_iter else config.momentum_late
         )

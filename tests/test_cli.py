@@ -304,6 +304,7 @@ def test_invalid_config_file_is_usage_error(tmp_path, capsys):
     ("eval", {"k_folds": 3.9}),
     ("eval", {"k_folds": "5"}),
     ("explain", {"sensitivity": {"combination": "foo"}}),
+    ("eval", {"weights": ["2", True, 1]}),
 ])
 def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, doc):
     path = tmp_path / "c.json"
@@ -311,6 +312,25 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, do
     assert entrypoint([command, "--config", str(path)]) == 1
     err = capsys.readouterr().err
     assert "usage error" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("tsne", [
+    {"learning_rate": -1},
+    {"perplexity": 0},
+    {"momentum_late": 1.0},
+    {"exaggeration_factor": 0.5},
+    {"n_iterations": 0},
+    {"n_iterations": 100},
+])
+def test_tsne_setting_out_of_range_fails_before_ingest_writes(tmp_path, capsys, tsne):
+    entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "10"])
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"input": str(tmp_path / "synth_data.csv"),
+                                "out": str(tmp_path / "out"), "tsne": {"perplexity": 5, **tsne}}))
+    capsys.readouterr()
+    assert entrypoint(["pipeline", "--config", str(path)]) == 1
+    assert "usage error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def test_scenario_selection_narrows_outputs(tmp_path):

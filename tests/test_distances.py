@@ -1,0 +1,51 @@
+"""Properties of the one pairwise squared-distance helper."""
+
+import numpy as np
+import pytest
+
+from chirpmap.distances import squared_distances
+
+
+def reference(a, b):
+    """sum_k (a_ik - b_jk)^2, one entry at a time, in feature order."""
+    out = np.empty((len(a), len(b)))
+    for i in range(len(a)):
+        for j in range(len(b)):
+            diffs = [float(a[i, k] - b[j, k]) for k in range(a.shape[1])]
+            total = diffs[0] * diffs[0]
+            for diff in diffs[1:]:
+                total += diff * diff
+            out[i, j] = total
+    return out
+
+
+def points(n, d, seed):
+    rng = np.random.default_rng(seed)
+    # mixed scales, so that cancellation in another form would show
+    return rng.normal(size=(n, d)) * 10.0 ** rng.integers(-3, 4, size=(1, d)) + 50.0
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_any_row_split_gives_the_same_bytes(d):
+    a, b = points(97, d, seed=d), points(61, d, seed=10 + d)
+    whole = squared_distances(a, b)
+    for cuts in ([1], [13, 50], [5, 6, 7, 90]):
+        parts = [squared_distances(part, b) for part in np.split(a, cuts)]
+        assert np.concatenate(parts).tobytes() == whole.tobytes()
+    out, scratch = np.empty((97, 61)), np.empty((97, 61))
+    assert squared_distances(a, b, out=out, scratch=scratch).tobytes() == whole.tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_same_points_give_a_symmetric_result_with_zero_diagonal(d):
+    a = points(120, d, seed=20 + d)
+    d2 = squared_distances(a, a)
+    assert np.array_equal(d2, d2.T)
+    assert np.all(np.diag(d2) == 0.0)
+    assert np.all(d2 >= 0.0)
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_equals_a_per_feature_reference_sum(d):
+    a, b = points(23, d, seed=30 + d), points(17, d, seed=40 + d)
+    assert squared_distances(a, b).tobytes() == reference(a, b).tobytes()
