@@ -15,17 +15,21 @@ import numpy as np
 
 def squared_distances(a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None,
                       scratch: np.ndarray | None = None) -> np.ndarray:
-    """The (len(a), len(b)) matrix of squared distances between the rows
-    of a and b, written into ``out``; ``scratch`` holds each later
-    feature's squares. Both are allocated here when not given."""
-    out = np.empty((a.shape[0], b.shape[0])) if out is None else out
+    """The (..., len(a), len(b)) matrix of squared distances between the
+    rows of a and b, written into ``out``; ``scratch`` holds each later
+    feature's squares. Both are allocated here when not given. Leading
+    axes of a (..., n, d) and b (..., m, d) broadcast, so a batch of
+    matrices is one call with the bits of one call per matrix."""
+    shape = np.broadcast_shapes(a.shape[:-2], b.shape[:-2]) + (a.shape[-2], b.shape[-2])
+    out = np.empty(shape) if out is None else out
     # one contiguous row per feature
-    a_cols, b_cols = np.array(a.T), np.array(b.T)
-    np.subtract(a_cols[0][:, None], b_cols[0], out=out)
+    a_cols = np.ascontiguousarray(np.moveaxis(a, -1, 0))[..., :, None]
+    b_cols = np.ascontiguousarray(np.moveaxis(b, -1, 0))[..., None, :]
+    np.subtract(a_cols[0], b_cols[0], out=out)
     np.multiply(out, out, out=out)
     for k in range(1, a_cols.shape[0]):
         scratch = np.empty_like(out) if scratch is None else scratch
-        np.subtract(a_cols[k][:, None], b_cols[k], out=scratch)
+        np.subtract(a_cols[k], b_cols[k], out=scratch)
         np.multiply(scratch, scratch, out=scratch)
         out += scratch
     return out

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
-from .tree import DecisionTree, TreeConfig, grow_trees
+from .tree import DecisionTree, NodeTable, TreeConfig, grow_trees, leaf_boxes
 
 # rows grown together: bounds the grower's working memory
 _BLOCK_ROWS = 8192
@@ -65,6 +65,54 @@ class RandomForestModel:
             for c in range(self.n_classes):
                 votes[c] += pred == c
         return np.argmax(votes, axis=0)  # first max: ties go to class 0
+
+    def predict_grid(self, xc, yc) -> np.ndarray:
+        """`predict` at every (xc[col], yc[row]) of ascending axes, as a
+        (len(yc), len(xc)) array, painted from the leaf boxes.
+
+        On a sorted axis, x <= t holds exactly for the indices below
+        searchsorted(axis, t, side="right"), so each leaf's box is one
+        index rectangle and adds one vote for its class there, through a
+        per-class 2-D difference array. The votes are the integers
+        `predict` counts, so argmax gives the same class, ties included.
+        """
+        if self.config.task != "classification" or self.n_features != 2:
+            raise DataError("grid prediction needs a classification forest over 2 features")
+        axes = [np.asarray(a, dtype=np.float64) for a in (xc, yc)]
+        if any(np.any(np.diff(a) < 0) for a in axes):
+            raise DataError("grid axes must be ascending")
+        lo, hi, value = leaf_boxes(_stacked(self.trees), 2)
+        start = [np.searchsorted(a, lo[:, f], side="right") for f, a in enumerate(axes)]
+        # an empty box (hi <= lo) gets zero width
+        stop = [np.maximum(np.searchsorted(a, hi[:, f], side="right"), s)
+                for f, (a, s) in enumerate(zip(axes, start))]
+        shape = (self.n_classes, axes[1].size + 1, axes[0].size + 1)
+        cls = value.astype(np.int64)
+
+        def corners(row, col):
+            return np.bincount(np.ravel_multi_index((cls, row, col), shape),
+                               minlength=np.prod(shape))
+
+        diff = (corners(start[1], start[0]) - corners(start[1], stop[0])
+                - corners(stop[1], start[0]) + corners(stop[1], stop[0]))
+        votes = diff.reshape(shape).cumsum(axis=1).cumsum(axis=2)[:, :-1, :-1]
+        return np.argmax(votes, axis=0)
+
+
+def _stacked(trees: list[DecisionTree]) -> NodeTable:
+    """The trees' node tables end to end, child indices shifted to match:
+    one table whose roots are the trees' roots."""
+    sizes = [t.root.feature.size for t in trees]
+    shift = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    feature = np.concatenate([t.root.feature for t in trees])
+    right = np.concatenate([t.root.right for t in trees])
+    return NodeTable.build(
+        feature=feature,
+        threshold=np.concatenate([t.root.threshold for t in trees]),
+        right=np.where(feature >= 0, right + shift, -1),
+        n_samples=np.concatenate([t.root.n_samples for t in trees]),
+        value=np.concatenate([t.root.value for t in trees]),
+    )
 
 
 def fit_random_forest(x, y, config: ForestConfig = ForestConfig()) -> RandomForestModel:

@@ -5,8 +5,11 @@ predictions are bit-identical to the originals (floats survive via
 shortest round-trip repr, which json uses natively). A random forest
 stores each tree as node arrays, minus those the table derives (see
 `NodeTable.build`). Loading raises DataError for a missing key, node
-arrays of unequal length, a child index out of range, or a tree in the
-nested-node format of earlier versions, which is no longer read.
+arrays of unequal length, a child index out of range, nodes that do not
+form one tree, a non-finite threshold, leaf value or model parameter,
+or a tree in the nested-node format of earlier versions, which is no
+longer read. Fitting never writes a non-finite parameter, and the grid
+paths of `render.boundary_grid` are exact only for finite ones.
 """
 
 from __future__ import annotations
@@ -23,15 +26,16 @@ from .logistic import LogisticConfig, LogisticModel
 from .svm import SvmConfig, SvmModel
 from .tree import DecisionTree, NodeTable, TreeConfig
 
-# kind -> (model class, config class, {parameter: dtype of an array, None for a scalar})
+# kind -> (model class, config class, {parameter: dtype of an array, float for a
+# float scalar, None for any other scalar})
 _FLAT_KINDS = {
     "svm": (SvmModel, SvmConfig, {
-        "x": np.float64, "y_signed": np.float64, "alpha": np.float64, "b": None,
-        "gamma_value": None, "converged": None, "dual_objective": None, "n_updates": None,
+        "x": np.float64, "y_signed": np.float64, "alpha": np.float64, "b": float,
+        "gamma_value": float, "converged": None, "dual_objective": float, "n_updates": None,
     }),
     "logistic_regression": (LogisticModel, LogisticConfig, {
-        "w": np.float64, "b": None, "converged": None, "n_iters": None,
-        "final_gradient_norm": None,
+        "w": np.float64, "b": float, "converged": None, "n_iters": None,
+        "final_gradient_norm": float,
     }),
     "knn": (KnnModel, KnnConfig, {"x": np.float64, "y": np.int64}),
 }
@@ -54,8 +58,9 @@ def model_to_dict(model) -> dict:
         }
     elif kind in _FLAT_KINDS:
         parameters = {
-            k: getattr(model, k) if dtype is None else getattr(model, k).tolist()
-            for k, dtype in _FLAT_KINDS[kind][2].items()
+            k: getattr(model, k).tolist() if isinstance(getattr(model, k), np.ndarray)
+            else getattr(model, k)
+            for k in _FLAT_KINDS[kind][2]
         }
     else:
         raise DataError(f"cannot serialize model of kind {kind!r}")
@@ -73,14 +78,23 @@ def model_from_dict(doc: dict):
             return _forest_from_dict(cfg, params)
         if kind in _FLAT_KINDS:
             model_cls, config_cls, fields = _FLAT_KINDS[kind]
-            values = {k: params[k] if dtype is None else np.array(params[k], dtype=dtype)
-                      for k, dtype in fields.items()}
+            values = {k: _parameter(params[k], k, dtype) for k, dtype in fields.items()}
             return model_cls(config=config_cls(**cfg), **values)
     except KeyError as exc:
         raise DataError(f"{kind} model document lacks key {exc}") from exc
     except (TypeError, ValueError) as exc:
         raise DataError(f"malformed {kind} model document: {exc}") from exc
     raise DataError(f"cannot load model of kind {kind!r}")
+
+
+def _parameter(value, key: str, dtype):
+    """A stored parameter as its model holds it; a float one must be finite."""
+    if dtype is None:
+        return value
+    value = float(value) if dtype is float else np.array(value, dtype=dtype)
+    if dtype is not np.int64 and not np.all(np.isfinite(value)):
+        raise DataError(f"parameter {key!r} is not finite")
+    return value
 
 
 def _forest_from_dict(cfg: dict, params: dict) -> RandomForestModel:
@@ -104,6 +118,13 @@ def _forest_from_dict(cfg: dict, params: dict) -> RandomForestModel:
                 or np.any(table.right[~internal] != -1)
                 or np.any(internal & ((table.right <= np.arange(n) + 1) | (table.right >= n)))):
             raise DataError("tree split feature, child index or sample count out of range")
+        parents = np.bincount(np.concatenate([table.left[internal], table.right[internal]]),
+                              minlength=n)
+        if parents[0] != 0 or np.any(parents[1:] != 1):
+            raise DataError("tree nodes do not form one tree: every node but the root "
+                            "must be the child of exactly one node")
+        if not (np.all(np.isfinite(table.threshold)) and np.all(np.isfinite(table.value))):
+            raise DataError("tree threshold or leaf value is not finite")
         trees.append(DecisionTree(root=table, config=tree_config, n_features=n_features,
                                   n_classes=n_classes))
     if not trees:

@@ -8,7 +8,9 @@ single nearest neighbor.
 Queries are processed in chunks of about `_CHUNK_ENTRIES` distances.
 Each chunk's squared distances are written into two buffers allocated
 once per `predict` call, and the k neighbours are picked by k rounds of
-argmin: k passes over the chunk instead of a sort.
+argmin: k passes over the chunk instead of a sort. `predict_grid`
+gives `predict`'s answers on a grid of centres, computing distances
+only to each grid tile's candidate neighbours.
 """
 
 from __future__ import annotations
@@ -23,6 +25,8 @@ from ..errors import DataError
 # distances per query chunk; the chunk height only bounds memory, since
 # every distance has the same bits under any split of the queries
 _CHUNK_ENTRIES = 65536
+# grid centres per tile side in `predict_grid`
+_TILE = 16
 
 
 @dataclass(frozen=True)
@@ -45,7 +49,6 @@ class KnnModel:
     def predict(self, points) -> np.ndarray:
         p = np.atleast_2d(np.asarray(points, dtype=np.float64))
         k = self.config.k
-        n_classes = max(2, int(self.y.max()) + 1)
         out = np.empty(p.shape[0], dtype=np.int64)
         rows = max(1, _CHUNK_ENTRIES // self.x.shape[0])
         d2_buf = np.empty((min(p.shape[0], rows), self.x.shape[0]))
@@ -55,15 +58,99 @@ class KnnModel:
             m = chunk.shape[0]
             d2, work = d2_buf[:m], work_buf[:m]
             squared_distances(chunk, self.x, out=d2, scratch=work)
-            neigh = self.y[_nearest(d2, k, work=work)]
-            counts = np.zeros((m, n_classes), dtype=np.int64)
-            np.add.at(counts, (np.repeat(np.arange(m), k), neigh.ravel()), 1)
-            pred = np.argmax(counts, axis=1)
-            top = counts.max(axis=1)
-            tied = (counts == top[:, None]).sum(axis=1) > 1
-            pred[tied] = neigh[tied, 0]
-            out[start : start + m] = pred
+            out[start : start + m] = self._vote(_nearest(d2, k, work=work))
         return out
+
+    def predict_grid(self, xc, yc) -> np.ndarray:
+        """The classes `predict` gives at every (xc[col], yc[row]), as a
+        (len(yc), len(xc)) array.
+
+        The grid is cut into `_TILE` x `_TILE` tiles. Rounding is monotone,
+        so the distance terms computed at a tile's extreme centres bound
+        from below and above every distance `squared_distances` computes
+        for a point of the tile, exactly. The k-th smallest upper bound is
+        then at least every point's k-th smallest distance, and a training
+        point whose lower bound exceeds it is no point's neighbour. The
+        other training points are the tile's candidates, in ascending row
+        order, so picking among them keeps the stable first k. The tiles
+        of one tile row are batched, their candidate lists padded with
+        +inf distances.
+        """
+        if self.x.shape[1] != 2:
+            raise DataError("grid prediction needs a model over 2 features")
+        xc = np.asarray(xc, dtype=np.float64)
+        yc = np.asarray(yc, dtype=np.float64)
+        k = self.config.k
+        n_tiles = -(-xc.size // _TILE)
+        # the last tile repeats the last centre, which leaves its extremes as they are
+        x_tiles = np.concatenate([xc, np.repeat(xc[-1:], n_tiles * _TILE - xc.size)])
+        x_tiles = x_tiles.reshape(n_tiles, _TILE)
+        x_lower, x_upper = _term_bounds(x_tiles, self.x[:, 0])
+        out = np.empty((yc.size, n_tiles, _TILE), dtype=np.int64)
+        d2_buf = np.empty(max(_CHUNK_ENTRIES, self.x.shape[0]))
+        work_buf = np.empty_like(d2_buf)
+        for r0 in range(0, yc.size, _TILE):
+            rows = yc[r0 : r0 + _TILE]
+            y_lower, y_upper = _term_bounds(rows[None], self.x[:, 1])
+            cutoff = np.partition(x_upper + y_upper, k - 1, axis=1)[:, k - 1]
+            keep = x_lower + y_lower <= cutoff[:, None]
+            n_cand = keep.sum(axis=1)
+            width = int(n_cand.max())
+            cand = np.argsort(~keep, axis=1, kind="stable")[:, :width]  # ascending rows
+            padded = np.arange(width) >= n_cand[:, None]
+            # the tile row's centres, tile by tile, each tile row-major
+            px = np.tile(x_tiles, rows.size)
+            points = np.stack([px, np.broadcast_to(np.repeat(rows, _TILE), px.shape)], axis=-1)
+            per_tile = px.shape[1]
+            step = max(1, _CHUNK_ENTRIES // width)  # candidate rows per chunk
+            tiles_per_chunk = max(1, step // per_tile)
+            points_per_chunk = min(per_tile, step)
+            pred = np.empty((n_tiles, per_tile), dtype=np.int64)
+            for t0 in range(0, n_tiles, tiles_per_chunk):
+                t1 = min(n_tiles, t0 + tiles_per_chunk)
+                for p0 in range(0, per_tile, points_per_chunk):
+                    p1 = min(per_tile, p0 + points_per_chunk)
+                    size = (t1 - t0) * (p1 - p0) * width
+                    d2 = d2_buf[:size].reshape(t1 - t0, p1 - p0, width)
+                    work = work_buf[:size].reshape(d2.shape)
+                    squared_distances(points[t0:t1, p0:p1], self.x[cand[t0:t1]],
+                                      out=d2, scratch=work)
+                    np.copyto(d2, np.inf, where=padded[t0:t1, None, :])
+                    d2, work = d2.reshape(-1, width), work.reshape(-1, width)
+                    tile = np.repeat(np.arange(t0, t1), p1 - p0)[:, None]
+                    neigh = cand[tile, _nearest(d2, k, work=work)]
+                    pred[t0:t1, p0:p1] = self._vote(neigh).reshape(t1 - t0, p1 - p0)
+            out[r0 : r0 + rows.size] = pred.reshape(n_tiles, rows.size, _TILE).transpose(1, 0, 2)
+        return out.reshape(yc.size, -1)[:, : xc.size]
+
+    def _vote(self, order: np.ndarray) -> np.ndarray:
+        """The majority class among each row's neighbours (training rows,
+        nearest first); a vote tie goes to the nearest neighbour's class."""
+        neigh = self.y[order]
+        m = neigh.shape[0]
+        n_classes = max(2, int(self.y.max()) + 1)
+        counts = np.bincount((np.arange(m)[:, None] * n_classes + neigh).ravel(),
+                             minlength=m * n_classes).reshape(m, n_classes)
+        pred = np.argmax(counts, axis=1)
+        top = counts.max(axis=1)
+        tied = (counts == top[:, None]).sum(axis=1) > 1
+        pred[tied] = neigh[tied, 0]
+        return pred
+
+
+def _term_bounds(tiles: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per tile (a row of centres on one axis) and training coordinate t_j,
+    bounds on the term (c - t_j)^2 that `squared_distances` computes for
+    any centre c of the tile, taken at the tile's extreme centres: an
+    interval straddling 0 bounds it below by 0."""
+    below = np.subtract.outer(tiles.min(axis=1), t)
+    above = np.subtract.outer(tiles.max(axis=1), t)
+    straddle = (below <= 0.0) & (above >= 0.0)
+    below *= below
+    above *= above
+    lower = np.minimum(below, above)
+    lower[straddle] = 0.0
+    return lower, np.maximum(below, above)
 
 
 def _nearest(d2: np.ndarray, k: int, work: np.ndarray | None = None) -> np.ndarray:

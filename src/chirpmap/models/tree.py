@@ -477,6 +477,35 @@ def count_leaves(table: NodeTable) -> int:
     return int(np.count_nonzero(table.feature < 0))
 
 
+def leaf_boxes(table: NodeTable, n_features: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lo, hi, value) of every leaf in preorder: the leaf holds exactly
+    the x with lo[i, f] < x[f] <= hi[i, f] for every feature f, walked down
+    from the roots (the nodes no node points to) one level at a time.
+
+    A path that splits twice on one feature keeps the tighter bound on
+    each side, so a leaf that no x reaches gets a box with hi <= lo on
+    some feature.
+    """
+    n = table.feature.size
+    lo = np.full((n, n_features), -np.inf)
+    hi = np.full((n, n_features), np.inf)
+    internal = table.feature >= 0
+    is_child = np.zeros(n, dtype=bool)
+    is_child[table.left[internal]] = is_child[table.right[internal]] = True
+    level = np.flatnonzero(~is_child)
+    while level.size:
+        split = level[internal[level]]
+        f, t = table.feature[split], table.threshold[split]
+        left, right = table.left[split], table.right[split]
+        lo[left] = lo[right] = lo[split]
+        hi[left] = hi[right] = hi[split]
+        hi[left, f] = np.minimum(hi[split, f], t)
+        lo[right, f] = np.maximum(lo[split, f], t)
+        level = np.concatenate([left, right])
+    leaves = ~internal
+    return lo[leaves], hi[leaves], table.value[leaves]
+
+
 __all__ = [
     "TreeConfig",
     "NodeTable",
@@ -486,4 +515,5 @@ __all__ = [
     "grow_trees",
     "tree_depth",
     "count_leaves",
+    "leaf_boxes",
 ]

@@ -239,6 +239,12 @@ def boundary_grid(
     the padded bounding box of coords. Returns (x_centers, y_centers,
     predictions[g, g]) with predictions[row, col] at (x_centers[col],
     y_centers[row]).
+
+    Random forests and k-NN models answer through `predict_grid`, which
+    uses the grid's two sorted axes: a forest paints its leaf boxes, and
+    k-NN measures each grid tile's distances only to the training points
+    that can be a neighbour there. Both give `predict`'s classes bit for
+    bit. The other kinds call `predict` on every center.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     if g < 2:
@@ -248,6 +254,8 @@ def boundary_grid(
     cell_h = (y1 - y0) / g
     xc = x0 + (np.arange(g) + 0.5) * cell_w
     yc = y0 + (np.arange(g) + 0.5) * cell_h
+    if hasattr(model, "predict_grid"):
+        return xc, yc, np.asarray(model.predict_grid(xc, yc), dtype=np.int64)
     gx, gy = np.meshgrid(xc, yc)
     points = np.column_stack([gx.ravel(), gy.ravel()])
     preds = np.asarray(model.predict(points), dtype=np.int64).reshape(g, g)

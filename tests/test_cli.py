@@ -84,8 +84,7 @@ def finished_run(tmp_path_factory):
         "sensitivity": {"n_trees": 5},
         "grid_resolution": 25,
     }))
-    assert entrypoint(["pipeline", "--config", str(config_path),
-                       "--scenario", "s1", "--classifier", "knn"]) == 0
+    assert entrypoint(["pipeline", "--config", str(config_path), "--scenario", "s1"]) == 0
     return root / "out"
 
 
@@ -180,6 +179,34 @@ def test_non_utf8_artifact_is_data_error(tmp_path, capsys, finished_run, name, a
     err = capsys.readouterr().err
     assert code == 2
     assert name.split("/")[-1] + " is not UTF-8 text" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "short, path, value",
+    [("rf", ("parameters", "trees", 0, "threshold", 0), float("nan")),
+     ("rf", ("parameters", "trees", 0, "threshold", 0), float("inf")),
+     ("knn", ("parameters", "x", 3, 1), float("nan")),
+     ("svm", ("parameters", "alpha", 0), float("nan")),
+     ("logreg", ("parameters", "w", 0), float("-inf")),
+     ("logreg", ("parameters", "b"), float("nan"))],
+    ids=["rf-threshold-nan", "rf-threshold-inf", "knn-x-nan", "svm-alpha-nan", "logreg-w-inf",
+         "logreg-b-nan"],
+)
+def test_non_finite_model_parameter_is_data_error(tmp_path, capsys, finished_run, short, path,
+                                                  value):
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    model_file = out / "models" / f"s1_{short}.json"
+    doc = json.loads(model_file.read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    model_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert entrypoint(["render", "--out", str(out), "--scenario", "s1"]) == 2
+    err = capsys.readouterr().err
+    assert f"s1_{short}.json" in err and "not finite" in err and "Traceback" not in err
 
 
 def without(*keys):

@@ -49,3 +49,16 @@ def test_same_points_give_a_symmetric_result_with_zero_diagonal(d):
 def test_equals_a_per_feature_reference_sum(d):
     a, b = points(23, d, seed=30 + d), points(17, d, seed=40 + d)
     assert squared_distances(a, b).tobytes() == reference(a, b).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_leading_axes_give_the_bytes_of_one_call_per_matrix(d):
+    a = points(4 * 7, d, seed=50 + d).reshape(4, 7, d)
+    b = points(4 * 5, d, seed=60 + d).reshape(4, 5, d)
+    batch = squared_distances(a, b)
+    assert batch.shape == (4, 7, 5)
+    for i in range(4):
+        assert batch[i].tobytes() == squared_distances(a[i], b[i]).tobytes()
+    shared = squared_distances(a[0], b)  # a broadcast against every b[i]
+    for i in range(4):
+        assert shared[i].tobytes() == squared_distances(a[0], b[i]).tobytes()

@@ -87,6 +87,19 @@ def _break_child_backwards(doc):
     doc["parameters"]["trees"][0]["right"][0] = 0
 
 
+def _break_two_parents(doc):
+    """A tree whose root points right at its left child's right child,
+    which two nodes then reach; the last leaf is reached by none."""
+    doc["parameters"]["trees"][0] = {
+        "feature": [0, 1, -1, -1, -1], "threshold": [0.0] * 5, "right": [3, 3, -1, -1, -1],
+        "counts": [[2, 2], [1, 1], [1, 0], [0, 1], [1, 1]],
+    }
+
+
+def _break_threshold_nan(doc):
+    doc["parameters"]["trees"][0]["threshold"][0] = float("nan")
+
+
 def _break_old_nested_format(doc):
     doc["parameters"]["trees"][0] = {
         "n": 4, "value": 0.0, "counts": [3, 1], "feature": 0, "threshold": 0.5,
@@ -106,6 +119,8 @@ def _break_svm_key(doc):
         ("random_forest", _break_lengths),
         ("random_forest", _break_child_range),
         ("random_forest", _break_child_backwards),
+        ("random_forest", _break_two_parents),
+        ("random_forest", _break_threshold_nan),
         ("random_forest", _break_old_nested_format),
         ("svm", _break_svm_key),
     ],
