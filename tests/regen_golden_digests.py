@@ -1,0 +1,87 @@
+"""Regenerate tests/golden_digests.json, the SHA-256 of every artifact of
+one full `pipeline` run on the acceptance cohort.
+
+Run from the repository root after a deliberate change of artifact bytes:
+
+    PYTHONPATH=src python tests/regen_golden_digests.py
+
+and name every file whose digest changed in CHANGES.md. The digests hold
+only for the numpy version and BLAS recorded beside them; floating-point
+results, and so the bytes, may differ under another build. The run goes
+to a child process with BLAS pinned to one thread, as in the benchmark,
+because `embedding_meta.json` differs between one and two threads.
+"""
+
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+import numpy as np
+
+from chirpmap.pipeline import config_from_dict, run_pipeline
+from chirpmap.synth import generate_records, write_records_csv
+
+LEDGER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
+COHORT = {"n_per_cluster": 40, "seed": 12}
+MASTER_SEED = 2024
+_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+
+
+def environment() -> dict:
+    """numpy's version and the BLAS it was built against."""
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
+            "blas_threads": 1}
+
+
+def _run(root: str) -> None:
+    data = os.path.join(root, "synth_data.csv")
+    write_records_csv(generate_records(**COHORT), data)
+    run_pipeline(config_from_dict({"input": data, "seed": MASTER_SEED,
+                                   "out": os.path.join(root, "out")}))
+
+
+def run_digests(root: str) -> dict[str, str]:
+    """Run the pipeline into root/out in a one-thread child process; the
+    SHA-256 of every file it wrote, by path relative to the out directory."""
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.pathsep.join(p for p in (os.path.join(repo, "src"), os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.run([sys.executable, os.path.abspath(__file__), "--run", root],
+                           capture_output=True, text=True,
+                           env={**os.environ, **_ONE_THREAD, "PYTHONPATH": path})
+    if child.returncode:
+        raise RuntimeError(f"pipeline run failed:\n{child.stderr}")
+    out = os.path.join(root, "out")
+    digests = {}
+    for base, _, files in os.walk(out):
+        for name in files:
+            full = os.path.join(base, name)
+            with open(full, "rb") as handle:
+                rel = os.path.relpath(full, out).replace(os.sep, "/")
+                digests[rel] = hashlib.sha256(handle.read()).hexdigest()
+    return dict(sorted(digests.items()))
+
+
+def main(argv: list[str]) -> int:
+    if argv[:1] == ["--run"]:
+        _run(argv[1])
+        return 0
+    with tempfile.TemporaryDirectory() as root:
+        digests = run_digests(root)
+    ledger = {
+        "cohort": {**COHORT, "master_seed": MASTER_SEED},
+        "environment": environment(),
+        "digests": digests,
+    }
+    with open(LEDGER, "w", encoding="utf-8") as handle:
+        json.dump(ledger, handle, indent=1)
+        handle.write("\n")
+    print(f"wrote {len(digests)} digests to {LEDGER}", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
