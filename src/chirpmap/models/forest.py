@@ -14,6 +14,7 @@ depend on another's, the forest does not depend on the block size.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -70,36 +71,57 @@ class RandomForestModel:
         """`predict` at every (xc[col], yc[row]) of ascending axes, as a
         (len(yc), len(xc)) array, painted from the leaf boxes.
 
-        On a sorted axis, x <= t holds exactly for the indices below
-        searchsorted(axis, t, side="right"), so each leaf's box is one
-        index rectangle and adds one vote for its class there, through a
-        per-class 2-D difference array. The votes are the integers
-        `predict` counts, so argmax gives the same class, ties included.
+        Each leaf adds one vote for its class over its box (`paint_boxes`).
+        The votes are the integers `predict` counts, so argmax gives the
+        same class, ties included.
         """
         if self.config.task != "classification" or self.n_features != 2:
             raise DataError("grid prediction needs a classification forest over 2 features")
-        axes = [np.asarray(a, dtype=np.float64) for a in (xc, yc)]
+        axes = [np.asarray(a, dtype=np.float64) for a in (yc, xc)]
         if any(np.any(np.diff(a) < 0) for a in axes):
             raise DataError("grid axes must be ascending")
-        lo, hi, value = leaf_boxes(_stacked(self.trees), 2)
-        start = [np.searchsorted(a, lo[:, f], side="right") for f, a in enumerate(axes)]
-        # an empty box (hi <= lo) gets zero width
-        stop = [np.maximum(np.searchsorted(a, hi[:, f], side="right"), s)
-                for f, (a, s) in enumerate(zip(axes, start))]
-        shape = (self.n_classes, axes[1].size + 1, axes[0].size + 1)
-        cls = value.astype(np.int64)
-
-        def corners(row, col):
-            return np.bincount(np.ravel_multi_index((cls, row, col), shape),
-                               minlength=np.prod(shape))
-
-        diff = (corners(start[1], start[0]) - corners(start[1], stop[0])
-                - corners(stop[1], start[0]) + corners(stop[1], stop[0]))
-        votes = diff.reshape(shape).cumsum(axis=1).cumsum(axis=2)[:, :-1, :-1]
+        lo, hi, value = leaf_boxes(stack_trees(self.trees), 2)
+        votes = paint_boxes(axes, lo[:, ::-1], hi[:, ::-1],
+                            layer=value.astype(np.int64), n_layers=self.n_classes)
         return np.argmax(votes, axis=0)
 
 
-def _stacked(trees: list[DecisionTree]) -> NodeTable:
+def paint_boxes(axes, lo, hi, weights=None, layer=None, n_layers: int = 1) -> np.ndarray:
+    """The sum of the weights of the boxes that hold each point of the
+    grid spanned by ascending `axes`: an (n_layers, len(axes[0]), ...)
+    array in which box i adds weights[i] (an integer 1 without weights)
+    to layer[i] (layer 0 without layers).
+
+    Box i holds the points with lo[i, k] < p[k] <= hi[i, k] on every axis
+    k. On a sorted axis, p <= t holds exactly for the indices below
+    searchsorted(axis, t, side="right"), so each box is one index range
+    per axis and adds at the corners of a difference array whose running
+    sums along every axis paint it.
+    """
+    start = [np.searchsorted(a, lo[:, k], side="right") for k, a in enumerate(axes)]
+    # an empty box (hi <= lo) gets zero width
+    stop = [np.maximum(np.searchsorted(a, hi[:, k], side="right"), s)
+            for k, (a, s) in enumerate(zip(axes, start))]
+    shape = (n_layers, *(a.size + 1 for a in axes))
+    layer = np.zeros(lo.shape[0], dtype=np.int64) if layer is None else layer
+    painted = None
+    for corner in itertools.product((0, 1), repeat=len(axes)):
+        at = np.ravel_multi_index(
+            (layer, *(stop[k] if c else start[k] for k, c in enumerate(corner))), shape)
+        added = np.bincount(at, weights, minlength=math.prod(shape))
+        if painted is None:
+            painted = added
+        elif sum(corner) % 2:
+            painted -= added
+        else:
+            painted += added
+    painted = painted.reshape(shape)
+    for axis in range(1, painted.ndim):
+        np.cumsum(painted, axis=axis, out=painted)
+    return painted[(slice(None),) + (slice(-1),) * len(axes)]
+
+
+def stack_trees(trees: list[DecisionTree]) -> NodeTable:
     """The trees' node tables end to end, child indices shifted to match:
     one table whose roots are the trees' roots."""
     sizes = [t.root.feature.size for t in trees]
@@ -146,4 +168,4 @@ def fit_random_forest(x, y, config: ForestConfig = ForestConfig()) -> RandomFore
     return RandomForestModel(trees=trees, config=config, n_features=d, n_classes=n_classes)
 
 
-__all__ = ["ForestConfig", "RandomForestModel", "fit_random_forest"]
+__all__ = ["ForestConfig", "RandomForestModel", "fit_random_forest", "paint_boxes", "stack_trees"]

@@ -477,10 +477,23 @@ def count_leaves(table: NodeTable) -> int:
     return int(np.count_nonzero(table.feature < 0))
 
 
+def _split_levels(table: NodeTable):
+    """The split nodes of each level, top-down from the roots (the nodes
+    no node points to), one array per level."""
+    internal = table.feature >= 0
+    is_child = np.zeros(table.feature.size, dtype=bool)
+    is_child[table.left[internal]] = is_child[table.right[internal]] = True
+    level = np.flatnonzero(~is_child)
+    while level.size:
+        split = level[internal[level]]
+        yield split
+        level = np.concatenate([table.left[split], table.right[split]])
+
+
 def leaf_boxes(table: NodeTable, n_features: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(lo, hi, value) of every leaf in preorder: the leaf holds exactly
     the x with lo[i, f] < x[f] <= hi[i, f] for every feature f, walked down
-    from the roots (the nodes no node points to) one level at a time.
+    from the roots one level at a time.
 
     A path that splits twice on one feature keeps the tighter bound on
     each side, so a leaf that no x reaches gets a box with hi <= lo on
@@ -489,21 +502,35 @@ def leaf_boxes(table: NodeTable, n_features: int) -> tuple[np.ndarray, np.ndarra
     n = table.feature.size
     lo = np.full((n, n_features), -np.inf)
     hi = np.full((n, n_features), np.inf)
-    internal = table.feature >= 0
-    is_child = np.zeros(n, dtype=bool)
-    is_child[table.left[internal]] = is_child[table.right[internal]] = True
-    level = np.flatnonzero(~is_child)
-    while level.size:
-        split = level[internal[level]]
+    for split in _split_levels(table):
         f, t = table.feature[split], table.threshold[split]
         left, right = table.left[split], table.right[split]
         lo[left] = lo[right] = lo[split]
         hi[left] = hi[right] = hi[split]
         hi[left, f] = np.minimum(hi[split, f], t)
         lo[right, f] = np.maximum(lo[split, f], t)
-        level = np.concatenate([left, right])
-    leaves = ~internal
+    leaves = table.feature < 0
     return lo[leaves], hi[leaves], table.value[leaves]
+
+
+def leaf_path_shares(table: NodeTable, n_features: int) -> np.ndarray:
+    """P[i, s] for every leaf i in preorder and every feature subset s,
+    whose members are the set bits of s: the product, root to leaf, of the
+    child's training share n_child / n_parent at each split on a feature
+    outside the subset.
+
+    Each level multiplies its parents' products by the shares, so every
+    product is taken in path order starting from 1.0, with the bits of a
+    root-to-leaf walk that multiplies by 1.0 at the splits inside the subset.
+    """
+    subsets = np.arange(1 << n_features)
+    share = np.ones((table.feature.size, subsets.size))
+    for split in _split_levels(table):
+        outside = ((subsets >> table.feature[split, None]) & 1) == 0
+        for child in (table.left[split], table.right[split]):
+            ratio = table.n_samples[child] / table.n_samples[split]
+            share[child] = np.where(outside, share[split] * ratio[:, None], share[split])
+    return share[table.feature < 0]
 
 
 __all__ = [
@@ -516,4 +543,5 @@ __all__ = [
     "tree_depth",
     "count_leaves",
     "leaf_boxes",
+    "leaf_path_shares",
 ]

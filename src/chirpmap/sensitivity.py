@@ -7,11 +7,17 @@ attributions are combined into one magnitude per feature per record.
 
 The subset value v(S) is the tree-conditional expectation, the
 path-dependent value function of TreeSHAP (Lundberg, Erion & Lee 2018,
-arXiv:1802.03888): walking a tree's node table, a split on a feature in
-S follows the instance's branch, a split on a feature outside S descends
-both branches weighted by the training proportions stored at the nodes.
-v(S) is linear over trees, so a forest's values are averaged first and
-combined into Shapley values once.
+arXiv:1802.03888): a split on a feature in S follows the instance's
+branch, a split on a feature outside S descends both branches weighted
+by the training shares of the children. A leaf's weight is therefore an
+indicator times a constant: whether the instance lies in the leaf's box
+on S's features, times the product P(l, S) of the shares at the path's
+splits outside S. v(S) is the sum of P(l, S) * value over the leaves
+whose box holds the instance, averaged over the trees, and it is painted
+for a whole forest at once from the leaf boxes (`tree_subset_values`).
+The painted values are exact up to rounding; the subset of every feature
+the forest splits on is the routed prediction, bit-equal to `predict`.
+The averaged values are combined into Shapley values once.
 """
 
 from __future__ import annotations
@@ -25,6 +31,8 @@ from .artifacts import read_csv, read_json, write_csv, write_json
 from .errors import DataError, NumericError
 from .ingest import FEATURE_NAMES, FeatureMatrix
 from .models import DecisionTree, ForestConfig, RandomForestModel, fit_random_forest
+from .models.forest import paint_boxes, stack_trees
+from .models.tree import leaf_boxes, leaf_path_shares
 from .seeding import derive_seed
 from .tsne import Embedding
 
@@ -52,6 +60,17 @@ class CoordinateRegressors:
     r2_y: float
     constant_x: bool  # target had zero spread; R^2 reported as 1.0 by convention
     constant_y: bool
+    # the rows the forests were fitted to and their predictions there, one
+    # column per axis: routed once for R^2 and reused by the attributions
+    fitted_on: np.ndarray | None = None
+    fitted: np.ndarray | None = None
+
+    def fitted_predictions(self, x: np.ndarray, axis: int) -> np.ndarray | None:
+        """model_x's (axis 0) or model_y's (axis 1) predictions at x, if x
+        are the rows the forests were fitted to."""
+        if self.fitted is None or not np.array_equal(self.fitted_on, x):
+            return None
+        return self.fitted[:, axis]
 
 
 def _r_squared(target: np.ndarray, predicted: np.ndarray) -> tuple[float, bool]:
@@ -76,6 +95,7 @@ def fit_coordinate_regressors(
 
     models = []
     stats = []
+    fitted = np.empty((x.shape[0], 2))
     for axis, name in enumerate(("x", "y")):
         fc = ForestConfig(
             n_trees=config.n_trees,
@@ -84,7 +104,8 @@ def fit_coordinate_regressors(
             task="regression",
         )
         model = fit_random_forest(x, coords[:, axis], fc)
-        r2, constant = _r_squared(coords[:, axis], model.predict(x))
+        fitted[:, axis] = model.predict(x)
+        r2, constant = _r_squared(coords[:, axis], fitted[:, axis])
         models.append(model)
         stats.append((r2, constant))
     return CoordinateRegressors(
@@ -94,51 +115,72 @@ def fit_coordinate_regressors(
         r2_y=stats[1][0],
         constant_x=stats[0][1],
         constant_y=stats[1][1],
+        fitted_on=x.copy(),
+        fitted=fitted,
     )
 
 
-def tree_subset_values(tree: DecisionTree, instances) -> np.ndarray:
-    """v(S) for every instance and every feature subset of one tree.
+def tree_subset_values(model, instances, predictions=None) -> np.ndarray:
+    """v(S) for every instance and every feature subset, averaged over the
+    trees of `model`, a DecisionTree or a regression RandomForestModel.
 
     Returns an (N, 2^d) array; column s holds v(S) for the subset whose
-    members are the set bits of s. The walk is depth-first, left before
-    right, so each leaf's weight is its path product taken root to leaf
-    and leaves add into the result in preorder.
+    members are the set bits of s. Each leaf's P(l, S) * value is painted
+    over its box on S's features (`paint_boxes`) and read at the
+    instances, by the features of S that some tree splits on:
+
+    - none: one sum over the leaves, the same for every instance;
+    - one or two: a 1-D or 2-D painting on the instances' sorted unique
+      values of those features;
+    - all of them: the routed prediction, which is `predictions` when
+      given (it must be model.predict(instances)).
+
+    Subsets that differ only in features no tree splits on share one
+    computation, so such a feature's Shapley value is exactly 0. The
+    values equal those of a root-to-leaf walk up to rounding, since the
+    sums run in another order; the routed column is bit-equal to
+    `predict`. A model that splits on more than 3 features is a DataError.
     """
+    if isinstance(model, DecisionTree):
+        trees = [model]
+    elif isinstance(model, RandomForestModel):
+        if model.config.task != "regression":
+            raise DataError("shapley attributions require regression trees (votes are not additive)")
+        trees = model.trees
+    else:
+        raise DataError(f"cannot attribute model of type {type(model).__name__}")
     x = np.atleast_2d(np.asarray(instances, dtype=np.float64))
     if not np.isfinite(x).all():
         raise DataError("instances must be finite")
-    if x.shape[1] != tree.n_features:
-        raise DataError(f"expected {tree.n_features} features, got {x.shape[1]}")
-    table = tree.root
-    feature = table.feature.tolist()
-    threshold = table.threshold.tolist()
-    right = table.right.tolist()
-    n_samples = table.n_samples.tolist()
-    value = table.value.tolist()
-    xt = np.ascontiguousarray(x.T)
-    subsets = np.arange(1 << tree.n_features)
-    in_subset = [((subsets >> f) & 1).astype(bool) for f in range(tree.n_features)]
-    out = np.zeros((x.shape[0], subsets.size), dtype=np.float64)
-    stack = [(0, np.ones_like(out))]
-    while stack:
-        node, weights = stack.pop()
-        f = feature[node]
-        if f < 0:
-            out += weights * value[node]
-            continue
-        # a feature in S follows the instance's branch; one outside S
-        # splits the weight by the children's training shares
-        left_child, right_child = node + 1, right[node]
-        share_left = n_samples[left_child] / n_samples[node]
-        share_right = n_samples[right_child] / n_samples[node]
-        goes_left = (xt[f] <= threshold[node])[:, None]
-        w_right = weights * np.where(in_subset[f], ~goes_left, share_right)
-        w_left = weights * np.where(in_subset[f], goes_left, share_left)
-        if w_right.any():
-            stack.append((right_child, w_right))
-        if w_left.any():
-            stack.append((left_child, w_left))
+    d = model.n_features
+    if x.shape[1] != d:
+        raise DataError(f"expected {d} features, got {x.shape[1]}")
+    table = stack_trees(trees)
+    split_on = np.unique(table.feature[table.feature >= 0]).tolist()
+    if len(split_on) > 3:
+        raise DataError(f"cannot paint subset values of a model split on {len(split_on)} features")
+    used = sum(1 << f for f in split_on)
+    lo, hi, value = leaf_boxes(table, d)
+    weight = leaf_path_shares(table, d) * value[:, None]
+
+    def paint(key: int) -> np.ndarray:
+        if key == used:
+            routed = model.predict(x) if predictions is None else predictions
+            return np.asarray(routed, dtype=np.float64)
+        features = [f for f in split_on if key >> f & 1]
+        if not features:
+            return np.full(x.shape[0], weight[:, key].sum() / len(trees))
+        axes, cells = zip(*(np.unique(x[:, f], return_inverse=True) for f in features))
+        painted = paint_boxes(axes, lo[:, features], hi[:, features], weight[:, key])[0]
+        return painted[cells] / len(trees)
+
+    out = np.empty((x.shape[0], 1 << d))
+    columns: dict[int, np.ndarray] = {}
+    for s in range(1 << d):
+        key = s & used
+        if key not in columns:
+            columns[key] = paint(key)
+        out[:, s] = columns[key]
     return out
 
 
@@ -176,30 +218,17 @@ class ShapleyAttribution:
     predictions: np.ndarray  # N
 
 
-def shapley_values(model, instances) -> ShapleyAttribution:
+def shapley_values(model, instances, predictions=None) -> ShapleyAttribution:
     """Exact Shapley attributions for a tree or a regression forest.
 
     v(S) is linear over trees, so a forest's subset values are the
-    per-tree values averaged and one Shapley combination serves the whole
-    ensemble; efficiency (sum phi + base = prediction) is asserted to
-    1e-9 for every instance.
+    per-tree values averaged (`tree_subset_values`, one call per model,
+    which takes `predictions` as given there) and one Shapley combination
+    serves the whole ensemble; efficiency (sum phi + base = prediction)
+    is asserted to 1e-9 for every instance.
     """
-    x = np.atleast_2d(np.asarray(instances, dtype=np.float64))
-    if isinstance(model, DecisionTree):
-        trees = [model]
-    elif isinstance(model, RandomForestModel):
-        if model.config.task != "regression":
-            raise DataError("shapley attributions require regression trees (votes are not additive)")
-        trees = model.trees
-    else:
-        raise DataError(f"cannot attribute model of type {type(model).__name__}")
-
-    d = trees[0].n_features
-    total = np.zeros((x.shape[0], 1 << d), dtype=np.float64)
-    for tree in trees:
-        total += tree_subset_values(tree, x)
-    values = total / len(trees)
-    phi = shapley_from_subset_values(values, d)
+    values = tree_subset_values(model, instances, predictions)
+    phi = shapley_from_subset_values(values, model.n_features)
     base = float(values[0, 0])  # v(empty) is instance-independent
     predictions = values[:, -1]
 
@@ -242,8 +271,8 @@ def build_sensitivity_map(
         ids = [str(i) for i in range(x.shape[0])]
         names = tuple(FEATURE_NAMES[: x.shape[1]])
 
-    att_x = shapley_values(regressors.model_x, x)
-    att_y = shapley_values(regressors.model_y, x)
+    att_x = shapley_values(regressors.model_x, x, regressors.fitted_predictions(x, 0))
+    att_y = shapley_values(regressors.model_y, x, regressors.fitted_predictions(x, 1))
     if combination == "euclidean":
         combined = np.sqrt(att_x.phi**2 + att_y.phi**2)
     else:
@@ -315,10 +344,15 @@ def load_sensitivity_map(csv_path: str, meta_path: str, missing: str | None = No
     ids: list[str] = []
     rows: dict[str, dict[str, list[float]]] = {}
     table = read_csv(csv_path, _SENSITIVITY_COLUMNS, (str, str, float, float, float), missing)
+    known = set(names)
     for rec_id, feature, *values in table:
+        if feature not in known:
+            raise DataError(f"{csv_path}: record {rec_id} has unknown feature {feature!r}")
         if rec_id not in rows:
             rows[rec_id] = {}
             ids.append(rec_id)
+        if feature in rows[rec_id]:
+            raise DataError(f"{csv_path}: record {rec_id} has feature {feature!r} twice")
         rows[rec_id][feature] = values
     n, d = len(ids), len(names)
     phi_x = np.zeros((n, d))

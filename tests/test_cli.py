@@ -159,6 +159,27 @@ def test_malformed_sensitivity_meta_is_data_error(tmp_path, capsys, finished_run
 
 
 @pytest.mark.parametrize(
+    "edit, message",
+    [(lambda lines: lines + [lines[1]], "has feature 'temporal_duration' twice"),
+     (lambda lines: lines + [lines[1].replace("temporal_duration", "not_a_feature")],
+      "has unknown feature 'not_a_feature'")],
+    ids=["duplicate-row", "unknown-feature"],
+)
+def test_inconsistent_sensitivity_rows_are_data_error(tmp_path, capsys, finished_run, edit,
+                                                      message):
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    path = out / "sensitivity.csv"
+    lines = path.read_text().splitlines()
+    assert lines[1].split(",")[1] == "temporal_duration"
+    path.write_text("\n".join(edit(lines)) + "\n")
+    capsys.readouterr()
+    assert entrypoint(["render", "--out", str(out), "--scenario", "s1"]) == 2
+    err = capsys.readouterr().err
+    assert "sensitivity.csv" in err and message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "name, argv",
     [("eval_report.json", ["render"]), ("models/s1_knn.json", ["render"]),
      ("sensitivity.csv", ["render"]), ("sensitivity_meta.json", ["render"]),

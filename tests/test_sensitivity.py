@@ -19,6 +19,7 @@ from chirpmap.sensitivity import (
     shapley_values,
     tree_subset_values,
 )
+from tests.test_subset_oracle import walk_subset_values
 
 
 def naive_subset_value(table, node, instance, in_mask):
@@ -41,7 +42,7 @@ def naive_subset_value(table, node, instance, in_mask):
 
 def recursive_subset_values(table, x):
     """The former recursive walk (DFS, left first, copies per child), kept
-    as the reference for the iterative one's exact arithmetic."""
+    as the reference for the exact arithmetic of the iterative walk oracle."""
     d = x.shape[1]
     out = np.zeros((x.shape[0], 1 << d))
 
@@ -111,7 +112,7 @@ def test_subset_values_equal_recursive_walk_exactly(regression_tree):
     y = 3.0 * x[:, 0] - x[:, 2] + np.sin(x[:, 1])
     forest = fit_random_forest(x, y, ForestConfig(n_trees=5, seed=8, task="regression"))
     for tree in forest.trees:
-        assert np.array_equal(tree_subset_values(tree, x), recursive_subset_values(tree.root, x))
+        assert np.array_equal(walk_subset_values(tree, x), recursive_subset_values(tree.root, x))
 
 
 def test_attributions_equal_ordering_enumeration_exactly(regression_tree):
