@@ -15,7 +15,7 @@ import pytest
 from chirpmap.errors import DataError
 from chirpmap.ingest import records_to_matrix, standardize
 from chirpmap.models.forest import ForestConfig, RandomForestModel, fit_random_forest
-from chirpmap.models.tree import DecisionTree, NodeTable, TreeConfig, fit_tree
+from chirpmap.models.tree import DecisionTree, NodeTable, TreeConfig, fit_tree, leaf_path_shares
 from chirpmap.sensitivity import shapley_values, tree_subset_values
 from chirpmap.synth import generate_records
 from chirpmap.tsne import TsneConfig, run_tsne
@@ -83,6 +83,25 @@ def cohort(seed: int, n: int):
     tsne = TsneConfig(perplexity=min(30.0, n / 4), n_iterations=100, momentum_switch_iter=40,
                       exaggeration_until_iter=40, seed=seed)
     return values, run_tsne(values, tsne).coords
+
+
+def test_leaf_path_shares_have_the_walks_bits():
+    rng = np.random.default_rng(12)
+    x = rng.normal(size=(300, 3))
+    tree = fit_tree(x, x[:, 0] * x[:, 1] - x[:, 2], TreeConfig(task="regression"))
+    table, d = tree.root, 3
+    expected = []
+    stack = [(0, [1.0] * (1 << d))]
+    while stack:  # depth-first, left before right: leaves in preorder
+        node, weights = stack.pop()
+        f = int(table.feature[node])
+        if f < 0:
+            expected.append(weights)
+            continue
+        for child in (int(table.right[node]), node + 1):
+            share = int(table.n_samples[child]) / int(table.n_samples[node])
+            stack.append((child, [w if s >> f & 1 else w * share for s, w in enumerate(weights)]))
+    assert np.array_equal(leaf_path_shares(table, d), np.array(expected))
 
 
 @pytest.mark.parametrize("n, n_trees", [(120, 20), (450, 5)])
