@@ -5,12 +5,18 @@ so the realized perplexity (2^entropy, entropy in bits) matches a target;
 the symmetrized affinities are matched against Student-t similarities in
 2-D by minimizing KL divergence with momentum gradient descent and early
 exaggeration. Everything is O(N^2) and deterministic under a fixed seed.
+
+The only N x N array the gradient loop keeps is p: each iteration is one
+pass over square tiles of p's upper triangle (``_gradient_pass``), which
+forms the Student-t kernel tile by tile in two tile buffers. The
+coordinates' bits depend on the tile size ``_TILE``, not on the BLAS
+thread count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field, fields, asdict
 
 import numpy as np
 
@@ -23,6 +29,9 @@ _LOG_BETA_MIN = math.log(1e-20)
 _LOG_BETA_MAX = math.log(1e20)
 # run_tsne takes the KL after every this-many updates (and after the last)
 _KL_CHECK_EVERY = 50
+# side of the square tiles of p that run_tsne's gradient pass works in;
+# 150-256 measured best at N = 450 and 900, and the bits depend on it
+_TILE = 225
 _EMBEDDING_COLUMNS = ("id", "tsne_x", "tsne_y")
 
 
@@ -40,6 +49,10 @@ class TsneConfig:
     output_dims: int = 2
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise DataError(f"{f.name} must be finite")
         if self.output_dims != 2:
             raise DataError("only 2-D output is supported")
         if not self.perplexity > 0:
@@ -186,20 +199,12 @@ def low_dim_similarities(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     y = np.asarray(coords, dtype=np.float64)
     w = np.empty((y.shape[0], y.shape[0]))
     q = np.empty_like(w)
-    _student_t(y, w, q)
-    return q, w
-
-
-def _student_t(y: np.ndarray, w: np.ndarray, q: np.ndarray) -> float:
-    """Fill the N x N buffers w and q as ``low_dim_similarities`` returns
-    them, and return sum(w)."""
     squared_distances(y, y, out=w, scratch=q)
     w += 1.0
     np.divide(1.0, w, out=w)
     np.fill_diagonal(w, 0.0)
-    total = w.sum()
-    np.divide(w, total, out=q)
-    return float(total)
+    np.divide(w, w.sum(), out=q)
+    return q, w
 
 
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
@@ -217,15 +222,67 @@ def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
 
 
 def kl_gradient(p: np.ndarray, coords: np.ndarray) -> np.ndarray:
-    """Gradient 4 * sum_j (p_ij - q_ij) (y_i - y_j) / (1 + ||y_i - y_j||^2)."""
+    """Gradient 4 * sum_j (p_ij - q_ij) (y_i - y_j) / (1 + ||y_i - y_j||^2).
+
+    The unblocked reference for the tiled pass ``run_tsne`` iterates with.
+    """
     y = np.asarray(coords, dtype=np.float64)
     q, w = low_dim_similarities(y)
-    return _gradient((p - q) * w, y)
-
-
-def _gradient(m: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """4 * sum_j m_ij (y_i - y_j), where m = (p_eff - q) * w."""
+    m = (p - q) * w
     return 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
+
+
+def _gradient_pass(p: np.ndarray, y: np.ndarray, exaggeration: float, tiles: np.ndarray,
+                   with_log: bool = False) -> tuple[np.ndarray, float, float | None]:
+    """The KL gradient 4 sum_j (a p_ij - q_ij) w_ij (y_i - y_j), with
+    a = ``exaggeration``, in one pass over the upper-triangle tiles of p.
+
+    With Z = sum w, the gradient is 4 (a A - B / Z), where
+    A_i = sum_j p_ij w_ij (y_i - y_j) and B_i = sum_j w_ij^2 (y_i - y_j)
+    (the exact attractive/repulsive split). w is symmetric, so tile (I, J)
+    serves the rows of I through c @ [y_J, 1] and those of J through
+    c.T @ [y_I, 1], for c = p_IJ w_IJ and then c = w_IJ^2. ``tiles`` is a
+    flat buffer of 2 * _TILE^2 floats; each tile works in a contiguous
+    prefix of it, because strided views into a wider buffer measured
+    slower.
+
+    Returns (gradient, Z, sum p ln(1 + d^2)); the last is None unless
+    ``with_log``, and then KL = sum p ln p + sum p ln(1 + d^2)
+    + (sum p) ln Z, each term summed by numpy rather than BLAS so that
+    its bits do not depend on the BLAS thread count.
+    """
+    n = y.shape[0]
+    y1 = np.empty((n, 3))
+    y1[:, :2] = y
+    y1[:, 2] = 1.0
+    sums = np.zeros((2, n, 3))  # [c @ [y, 1] summed over tiles] for c = p w, w^2
+    z = 0.0
+    p_log_d = 0.0 if with_log else None
+    spans = [(start, min(start + _TILE, n)) for start in range(0, n, _TILE)]
+    for k, (i0, i1) in enumerate(spans):
+        for j0, j1 in spans[k:]:
+            pair = tiles[: 2 * (i1 - i0) * (j1 - j0)].reshape(2, i1 - i0, j1 - j0)
+            c, w = pair
+            p_ij = p[i0:i1, j0:j1]
+            copies = 1.0 if i0 == j0 else 2.0  # the tile and its transpose
+            squared_distances(y[i0:i1], y[j0:j1], out=w, scratch=c)
+            w += 1.0
+            if with_log:  # ln(1 + d^2) = -ln w, and 0 on the diagonal
+                np.log(w, out=c)
+                c *= p_ij
+                p_log_d += copies * float(c.sum())
+            np.divide(1.0, w, out=w)
+            if i0 == j0:
+                np.fill_diagonal(w, 0.0)
+            z += copies * float(w.sum())
+            np.multiply(p_ij, w, out=c)
+            w *= w
+            sums[:, i0:i1] += pair @ y1[j0:j1]
+            if i0 != j0:
+                sums[:, j0:j1] += pair.transpose(0, 2, 1) @ y1[i0:i1]
+    attract, repulse = sums[:, :, 2:] * y - sums[:, :, :2]
+    grad = 4.0 * (exaggeration * attract - repulse / z)
+    return grad, z, p_log_d
 
 
 def pca_init(matrix, seed: int) -> tuple[np.ndarray, bool]:
@@ -287,12 +344,14 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
     and after the last update, whose KL is reported as ``final_kl``.
     Identical (input, config) pairs produce bit-identical output.
 
-    Each iteration computes the Student-t kernel w into N x N buffers
-    allocated once per run. A checkpoint's KL comes from that same kernel
-    as sum p ln p - sum p ln w + (sum p) ln(sum w), with sum p ln p
-    computed once; it agrees with ``kl_divergence`` to rounding. The last
-    entry is ``kl_divergence`` itself, on q recomputed in the loop's
-    buffers.
+    The loop keeps no N x N buffer besides p: each iteration is one
+    ``_gradient_pass`` over the upper-triangle tiles of p in a buffer of
+    two _TILE x _TILE tiles allocated once per run, and exaggeration is a
+    scalar factor on the attractive term. The bits depend on _TILE. A
+    checkpoint's KL comes from the same tiles as
+    sum p ln p - sum p ln w + (sum p) ln(sum w), with sum p ln p computed
+    once; it agrees with ``kl_divergence`` to rounding. The last entry is
+    ``kl_divergence`` itself, on q from ``low_dim_similarities``.
     """
     x = _as_values(matrix)
     ids = matrix.ids if isinstance(matrix, FeatureMatrix) else None
@@ -316,25 +375,16 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
     p_log_p = float(np.sum(positive * np.log(positive)))  # KL's constant term
     p_total = float(p.sum())
     del positive
-    w = np.empty_like(p)
-    q = np.empty_like(p)
-    m = np.empty_like(p)
+    tiles = np.empty(2 * _TILE * _TILE)
 
     for t in range(config.n_iterations):
-        w_total = _student_t(y, w, q)
-        if t > 0 and t % _KL_CHECK_EVERY == 0:
-            # ln 1 = 0 on the diagonal, where p is 0; m below is unchanged
-            # because its diagonal factor p_eff - q is 0 either way
-            np.fill_diagonal(w, 1.0)
-            np.log(w, out=m)
-            trace.append((t, p_log_p - float(np.vdot(p, m)) + p_total * math.log(w_total)))
-        if t < config.exaggeration_until_iter:
-            np.multiply(p, config.exaggeration_factor, out=m)
-            m -= q
-        else:
-            np.subtract(p, q, out=m)
-        m *= w
-        grad = _gradient(m, y)
+        checkpoint = t > 0 and t % _KL_CHECK_EVERY == 0
+        exaggeration = (
+            config.exaggeration_factor if t < config.exaggeration_until_iter else 1.0
+        )
+        grad, z, p_log_d = _gradient_pass(p, y, exaggeration, tiles, with_log=checkpoint)
+        if checkpoint:
+            trace.append((t, p_log_p + p_log_d + p_total * math.log(z)))
         momentum = (
             config.momentum_early if t < config.momentum_switch_iter else config.momentum_late
         )
@@ -343,10 +393,8 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
             raise NumericError(f"non-finite coordinates at iteration {t}")
         y_prev, y = y, y_next
 
-    del m
-    _student_t(y, w, q)
-    del w  # kl_divergence reads q alone, and allocates its compressed copies
-    final_kl = kl_divergence(p, q)
+    del tiles
+    final_kl = kl_divergence(p, low_dim_similarities(y)[0])
     trace.append((config.n_iterations, final_kl))
 
     metadata = {

@@ -8,8 +8,11 @@ Run from the repository root after a deliberate change of artifact bytes:
 and name every file whose digest changed in CHANGES.md. The digests hold
 only for the numpy version and BLAS recorded beside them; floating-point
 results, and so the bytes, may differ under another build. The run goes
-to a child process with BLAS pinned to one thread, as in the benchmark,
-because `embedding_meta.json` differs between one and two threads.
+to a child process with BLAS pinned to one thread, as in the benchmark.
+Every file of this run has the same bytes under two threads, and
+tests/test_tsne_loop.py checks that for `run_tsne` (whose KL trace once
+took a BLAS dot product that did not), but no test checks every other
+BLAS call under every thread count, so the pin stays.
 """
 
 import hashlib

@@ -369,6 +369,10 @@ def test_config_value_of_wrong_type_is_usage_error(tmp_path, capsys, command, do
     {"exaggeration_factor": 0.5},
     {"n_iterations": 0},
     {"n_iterations": 100},
+    {"learning_rate": float("nan")},
+    {"exaggeration_factor": float("inf")},
+    {"perplexity": float("inf")},
+    {"momentum_early": float("nan")},
 ])
 def test_tsne_setting_out_of_range_fails_before_ingest_writes(tmp_path, capsys, tsne):
     entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "10"])

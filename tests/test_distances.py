@@ -62,3 +62,27 @@ def test_leading_axes_give_the_bytes_of_one_call_per_matrix(d):
     shared = squared_distances(a[0], b)  # a broadcast against every b[i]
     for i in range(4):
         assert shared[i].tobytes() == squared_distances(a[0], b[i]).tobytes()
+
+
+def former(a, b):
+    """The broadcast form the helper used before: (a_k - b_k)^2 summed in
+    feature order, each difference formed by one broadcast subtraction."""
+    a_cols = np.moveaxis(a, -1, 0)[..., :, None]
+    b_cols = np.moveaxis(b, -1, 0)[..., None, :]
+    out = np.subtract(a_cols[0], b_cols[0])
+    out *= out
+    for k in range(1, a.shape[-1]):
+        diff = np.subtract(a_cols[k], b_cols[k])
+        out += diff * diff
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_copy_then_subtract_keeps_the_broadcast_subtraction_bits(d):
+    a, b = points(150, d, seed=70 + d), points(130, d, seed=80 + d)
+    assert squared_distances(a, b).tobytes() == former(a, b).tobytes()
+    assert squared_distances(a, a).tobytes() == former(a, a).tobytes()
+    batch_a = points(3 * 40, d, seed=90 + d).reshape(3, 40, d)
+    batch_b = points(3 * 30, d, seed=100 + d).reshape(3, 30, d)
+    assert squared_distances(batch_a, batch_b).tobytes() == former(batch_a, batch_b).tobytes()
+    assert squared_distances(batch_a[0], batch_b).tobytes() == former(batch_a[0], batch_b).tobytes()

@@ -1,13 +1,22 @@
-"""run_tsne's buffered loop against a loop written from the public pieces."""
+"""run_tsne's tiled loop against a loop written from the public pieces,
+and the tiled gradient pass against the unblocked kl_gradient."""
 
+import math
+import os
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
+import pytest
 
 from chirpmap.tsne import (
+    _TILE,
     TsneConfig,
+    _gradient_pass,
     conditional_affinities,
     kl_divergence,
+    kl_gradient,
     low_dim_similarities,
     pca_init,
     run_tsne,
@@ -15,17 +24,22 @@ from chirpmap.tsne import (
 )
 
 
+def tiles():
+    return np.empty(2 * _TILE * _TILE)
+
+
 def reference_run(x, config):
-    """Coordinates after every update, each KL, and the final q."""
+    """Coordinates after every update, each KL, and the final q. Each
+    update takes the tiled gradient, which the test below checks against
+    kl_gradient."""
     p = symmetrize(conditional_affinities(x, config.perplexity).p)
     y, _ = pca_init(x, config.seed)
     y_prev = y.copy()
+    buffer = tiles()
     kls = []
     for t in range(config.n_iterations):
-        q, w = low_dim_similarities(y)
-        p_eff = p * config.exaggeration_factor if t < config.exaggeration_until_iter else p
-        m = (p_eff - q) * w
-        grad = 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
+        exaggeration = config.exaggeration_factor if t < config.exaggeration_until_iter else 1.0
+        grad = _gradient_pass(p, y, exaggeration, buffer)[0]
         momentum = (
             config.momentum_early if t < config.momentum_switch_iter else config.momentum_late
         )
@@ -84,8 +98,8 @@ def test_kl_divergence_keeps_the_former_expression_bits():
 
 
 def test_run_tsne_peak_memory_is_the_loop_buffers():
-    # p plus the loop's w, q and m; the final KL adds at most a mask of
-    # N^2 bytes on top of p, q and their two compressed copies
+    # the loop holds p and two tiles; the final KL holds p, q and their
+    # two compressed copies, plus a mask of N^2 bytes
     n = 300
     x = clustered(seed=8, n=n)
     config = TsneConfig(perplexity=20.0, n_iterations=60, seed=2,
@@ -98,3 +112,50 @@ def test_run_tsne_peak_memory_is_the_loop_buffers():
         tracemalloc.stop()
     buffer = n * n * 8
     assert peak <= 4 * buffer + n * n + 256 * 1024
+
+
+@pytest.mark.parametrize("n", [3, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 7])
+@pytest.mark.parametrize("exaggeration", [1.0, 12.0])
+def test_tiled_gradient_and_kl_match_the_unblocked_references(n, exaggeration):
+    x = clustered(seed=n, n=n)
+    p = symmetrize(conditional_affinities(x, min(30.0, n / 2)).p)
+    positive = p[p > 0]
+    p_log_p = float(np.sum(positive * np.log(positive)))
+    y0 = np.random.default_rng(n).normal(size=(n, 2))
+    for scale in (1e-4, 1.0, 20.0):
+        y = y0 * scale
+        grad, z, p_log_d = _gradient_pass(p, y, exaggeration, tiles(), with_log=True)
+        reference = kl_gradient(exaggeration * p, y)
+        assert np.abs(grad - reference).max() <= 1e-12 * np.abs(reference).max()
+        kl = p_log_p + p_log_d + float(p.sum()) * math.log(z)
+        reference_kl = kl_divergence(p, low_dim_similarities(y)[0])
+        assert abs(kl - reference_kl) <= 1e-12 * abs(reference_kl)
+        # a checkpoint's log pass leaves the gradient's bits alone
+        plain = _gradient_pass(p, y, exaggeration, tiles())
+        assert plain[0].tobytes() == grad.tobytes() and plain[1] == z and plain[2] is None
+
+
+_THREAD_RUN = """
+import numpy as np
+from chirpmap.tsne import TsneConfig, run_tsne
+rng = np.random.default_rng(5)
+x = rng.normal(size=(300, 3))
+x[:100] += 3.0
+embedding = run_tsne(x, TsneConfig(perplexity=20.0, n_iterations=200, seed=3,
+                                   momentum_switch_iter=100, exaggeration_until_iter=100))
+print(embedding.coords.tobytes().hex())
+print(repr(embedding.kl_trace))
+"""
+
+
+def test_run_tsne_bytes_do_not_depend_on_the_blas_thread_count():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    outputs = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "OMP_NUM_THREADS": threads,
+               "MKL_NUM_THREADS": threads, "PYTHONPATH": src}
+        child = subprocess.run([sys.executable, "-c", _THREAD_RUN], env=env,
+                               capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        outputs.append(child.stdout)
+    assert outputs[0] == outputs[1]
