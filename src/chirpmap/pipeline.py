@@ -82,19 +82,21 @@ LONG_KIND_NAMES = {v: k for k, v in SHORT_KIND_NAMES.items()}
 # t-SNE embeds in two dimensions
 _SET_BY_PIPELINE = ("seed", "task", "output_dims")
 
-_TYPE_NAMES = {int: "an integer", float: "a number", str: "a string", dict: "an object",
+_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", dict: "an object",
                NoneType: "null"}
 
 
 def _fits(value, hint) -> bool:
     """Whether a JSON value has a field's type: an int field takes an
-    integer, a float field any number, neither a boolean, and `X | None`
-    also takes null."""
+    integer, a float field any finite number, neither a boolean, and
+    `X | None` also takes null."""
     if get_origin(hint) in (Union, UnionType):
         return any(_fits(value, h) for h in get_args(hint))
     if isinstance(value, bool):
         return False
-    return isinstance(value, (int, float) if hint is float else get_origin(hint) or hint)
+    if hint is float:  # NaN, +-inf and an integer past the float range all fail
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, get_origin(hint) or hint)
 
 
 def _build(cls, values, where: str, reserved=_SET_BY_PIPELINE, **fixed):
@@ -181,7 +183,7 @@ class PipelineConfig:
 
 def _normalize_weights(value) -> tuple[float, ...]:
     if not isinstance(value, (list, tuple)) or not all(_fits(w, float) for w in value):
-        raise UsageError(f"weights must be three numbers, got {value!r}")
+        raise UsageError(f"weights must be three finite numbers, got {value!r}")
     if len(value) != 3:
         raise UsageError(f"weights must have exactly 3 entries, got {len(value)}")
     return tuple(float(w) for w in value)
@@ -301,7 +303,11 @@ def stage_ingest(config: PipelineConfig) -> None:
         weights = FeatureWeights(*config.weights)
     except DataError as exc:
         raise DataError(f"apply_weights: {exc}") from exc
-    matrix = apply_weights(standardize(records_to_matrix(records)), weights)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, by column
+        matrix = apply_weights(standardize(records_to_matrix(records)), weights)
+    for name, column, mean_sd in zip(FEATURE_NAMES, matrix.values.T, matrix.scaling):
+        if not (np.isfinite(column).all() and np.isfinite(mean_sd).all()):
+            raise DataError(f"{name} overflows the float range when standardized and weighted")
 
     rows = (
         [record.id] + [repr(float(v)) for v in row] + [record.outcome, record.difficulty]

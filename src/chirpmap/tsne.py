@@ -10,7 +10,9 @@ The only N x N array the gradient loop keeps is p: each iteration is one
 pass over square tiles of p's upper triangle (``_gradient_pass``), which
 forms the Student-t kernel tile by tile in two tile buffers. The
 coordinates' bits depend on the tile size ``_TILE``, not on the BLAS
-thread count.
+thread count. ``symmetrize`` zeroes the joint affinities below ``_P_FLOOR``,
+which keeps subnormal floats (slow on the CPU's denormal path) out of the
+loop; the coordinates kept their bits on every cohort checked.
 """
 
 from __future__ import annotations
@@ -32,6 +34,9 @@ _KL_CHECK_EVERY = 50
 # side of the square tiles of p that run_tsne's gradient pass works in;
 # 150-256 measured best at N = 450 and 900, and the bits depend on it
 _TILE = 225
+# joint affinities below this are zeroed: 2^-970, the least p for which
+# p * w stays a normal float for every Student-t w >= eps
+_P_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
 _EMBEDDING_COLUMNS = ("id", "tsne_x", "tsne_y")
 
 
@@ -184,10 +189,23 @@ def conditional_affinities(
 
 
 def symmetrize(conditionals: np.ndarray) -> np.ndarray:
-    """Joint affinities p_ij = (p_j|i + p_i|j) / (2N); entries sum to 1."""
+    """Joint affinities p_ij = (p_j|i + p_i|j) / (2N); entries sum to 1.
+
+    Entries below ``_P_FLOOR`` (2^-970, about 1e-292) are set to 0. They
+    come from exp underflow in the calibration, and the subnormal ones
+    among them, used in every gradient pass, take the CPU's slow denormal
+    path. The floor is tiny / eps, so p * w stays normal for every
+    w = 1 / (1 + d^2) >= eps, i.e. d^2 < 4.5e15. Every row of p sums to
+    at least 1 / (2N), so a dropped term is far below half an ulp of the
+    gradient sums it enters and the coordinates keep their bits (checked
+    on cohorts of 450 and 900 points). Only the KL's last digits can move:
+    its sums run over the entries with p > 0, and their count changes.
+    """
     p = np.asarray(conditionals, dtype=np.float64)
     n = p.shape[0]
-    return (p + p.T) / (2.0 * n)
+    joint = (p + p.T) / (2.0 * n)
+    joint[joint < _P_FLOOR] = 0.0
+    return joint
 
 
 def low_dim_similarities(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

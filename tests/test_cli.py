@@ -385,6 +385,56 @@ def test_tsne_setting_out_of_range_fails_before_ingest_writes(tmp_path, capsys, 
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc, flags", [
+    ({"classifier_configs": {"logreg": {"l2_lambda": float("nan")}}}, []),
+    ({"classifier_configs": {"logreg": {"l2_lambda": float("inf")}}}, []),
+    ({"classifier_configs": {"logreg": {"tol": float("nan")}}}, []),
+    ({"classifier_configs": {"svm": {"c": float("nan")}}}, []),
+    ({"classifier_configs": {"svm": {"c": float("inf")}}}, []),
+    ({"classifier_configs": {"svm": {"gamma": float("nan")}}}, []),
+    ({"classifier_configs": {"svm": {"c": 10 ** 400}}}, []),
+    ({"weights": [float("nan"), 1, 1]}, []),
+    ({}, ["--weights", "nan,1,1"]),
+    ({}, ["--weights", "inf,1,1"]),
+])
+def test_non_finite_config_value_fails_before_ingest_writes(tmp_path, capsys, doc, flags):
+    entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "10"])
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"input": str(tmp_path / "synth_data.csv"),
+                                "out": str(tmp_path / "out"), "tsne": {"perplexity": 5}, **doc}))
+    capsys.readouterr()
+    assert entrypoint(["pipeline", "--config", str(path), "--scenario", "s1", *flags]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "finite" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("cells, flags", [
+    (("1e308", "1.5e308"), []),  # the mean overflows
+    (("1e200",), []),  # the sd overflows, which would zero the column
+    ((), ["--weights", "1e308,1,1"]),
+])
+def test_overflowing_features_are_data_error_with_nothing_written(tmp_path, capsys, recwarn,
+                                                                   cells, flags):
+    column = "temporal_duration"
+    entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "10"])
+    data = tmp_path / "synth_data.csv"
+    lines = data.read_text().splitlines()
+    index = lines[0].split(",").index(column)
+    for row, cell in enumerate(cells, start=1):
+        fields = lines[row].split(",")
+        fields[index] = cell
+        lines[row] = ",".join(fields)
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert entrypoint(["ingest", "--input", str(data), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and column in err and "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    assert os.listdir(out) == ["FAILED"]
+
+
 def test_scenario_selection_narrows_outputs(tmp_path):
     entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "15", "--seed", "2"])
     config_path = tmp_path / "c.json"

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from chirpmap.tsne import (
+    _P_FLOOR,
     _TILE,
     TsneConfig,
     _gradient_pass,
@@ -28,11 +29,11 @@ def tiles():
     return np.empty(2 * _TILE * _TILE)
 
 
-def reference_run(x, config):
+def reference_run(x, config, joint=symmetrize):
     """Coordinates after every update, each KL, and the final q. Each
     update takes the tiled gradient, which the test below checks against
-    kl_gradient."""
-    p = symmetrize(conditional_affinities(x, config.perplexity).p)
+    kl_gradient; ``joint`` turns the conditionals into p."""
+    p = joint(conditional_affinities(x, config.perplexity).p)
     y, _ = pca_init(x, config.seed)
     y_prev = y.copy()
     buffer = tiles()
@@ -77,6 +78,35 @@ def test_run_tsne_matches_reference_loop():
 
 def test_last_checkpoint_is_the_last_update():
     check_against_reference(130, [50, 100, 130])
+
+
+def far_blobs(n=300, separation=20.0):
+    """Three unit blobs whose joint affinities underflow between them."""
+    x = np.random.default_rng(13).normal(size=(n, 3))
+    x[: n // 3, 0] += separation
+    x[n // 3 : 2 * n // 3, 1] += separation
+    return x
+
+
+def test_symmetrize_zeroes_affinities_below_the_floor():
+    x = far_blobs()
+    conditionals = conditional_affinities(x, 30.0).p
+    unfloored = (conditionals + conditionals.T) / (2 * len(x))
+    assert np.any((unfloored > 0) & (unfloored < np.finfo(np.float64).tiny))  # subnormals
+    p = symmetrize(conditionals)
+    assert not np.any((p > 0) & (p < _P_FLOOR))
+    assert np.array_equal(p, p.T)
+    assert abs(p.sum() - 1.0) <= 1e-12
+    kept = unfloored >= _P_FLOOR
+    assert np.array_equal(p[kept], unfloored[kept]) and not p[~kept].any()
+
+
+def test_floor_leaves_run_tsne_coordinates_alone():
+    x = far_blobs()
+    config = TsneConfig(perplexity=30.0, n_iterations=100, seed=6,
+                        momentum_switch_iter=50, exaggeration_until_iter=50)
+    coords = reference_run(x, config, joint=lambda c: (c + c.T) / (2 * len(c)))[0]
+    assert np.array_equal(run_tsne(x, config).coords, coords)
 
 
 def test_kl_divergence_keeps_the_former_expression_bits():
