@@ -183,8 +183,9 @@ def load_records(
     ``schema`` maps canonical column names to the file's actual header
     names; omitted entries default to the canonical names. Rows with any
     missing, non-numeric, non-finite, or non-positive feature, an unknown
-    outcome code, or a difficulty outside 1..4 are rejected with a reason.
-    Accepted rows keep their input order.
+    outcome code, or a difficulty outside 1..4 are rejected with a reason,
+    and so is a row whose id an accepted row already has. Accepted rows
+    keep their input order. One leading UTF-8 byte order mark is skipped.
     """
     columns = {name: name for name in CANONICAL_COLUMNS}
     if schema:
@@ -193,7 +194,8 @@ def load_records(
             raise DataError(f"schema maps unknown canonical columns: {sorted(unknown)}")
         columns.update(schema)
 
-    reader = csv.DictReader(io.StringIO(read_text(path), newline=""), delimiter=delimiter)
+    text = read_text(path).removeprefix("\ufeff")
+    reader = csv.DictReader(io.StringIO(text, newline=""), delimiter=delimiter)
     header = reader.fieldnames
     if header is None:
         raise DataError(f"{path} has no header row")
@@ -203,12 +205,16 @@ def load_records(
 
     records: list[ChirpRecord] = []
     report = RejectionReport()
+    first_row: dict[str, int] = {}  # accepted id -> its row
     for row_number, row in enumerate(reader, start=1):
         report.n_input += 1
         record, reason = _parse_row(row, columns)
+        if record is not None and record.id in first_row:
+            record, reason = None, f"duplicate id (first at row {first_row[record.id]})"
         if record is None:
             report.rejected.append((row_number, reason))
         else:
+            first_row[record.id] = row_number
             records.append(record)
 
     if not records:

@@ -142,7 +142,8 @@ def _term_bounds(tiles: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarr
     """Per tile (a row of centres on one axis) and training coordinate t_j,
     bounds on the term (c - t_j)^2 that `squared_distances` computes for
     any centre c of the tile, taken at the tile's extreme centres: an
-    interval straddling 0 bounds it below by 0."""
+    interval straddling 0 bounds it below by 0. The helper's rank-2
+    product rounds c - t_j exactly as this subtraction does."""
     below = np.subtract.outer(tiles.min(axis=1), t)
     above = np.subtract.outer(tiles.max(axis=1), t)
     straddle = (below <= 0.0) & (above >= 0.0)

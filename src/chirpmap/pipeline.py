@@ -335,10 +335,16 @@ def stage_ingest(config: PipelineConfig) -> None:
 
 
 def _read_features(path: str) -> tuple[list[str], np.ndarray, list]:
-    """features.csv back into (ids, values, rows-with-labels)."""
+    """features.csv back into (ids, values, rows-with-labels); every id
+    must be unique."""
     parse = (str, float, float, float, str, int)
     table = read_csv(path, CANONICAL_COLUMNS, parse, _MISSING["features"])
     ids = [row[0] for row in table]
+    first_line: dict[str, int] = {}
+    for line, rec_id in enumerate(ids, start=2):
+        first = first_line.setdefault(rec_id, line)
+        if first != line:
+            raise DataError(f"{path} line {line}: duplicate id {rec_id!r} (first at line {first})")
     values = np.array([row[1:4] for row in table], dtype=np.float64)
     return ids, values, [SimpleNamespace(outcome=row[4], difficulty=row[5]) for row in table]
 

@@ -6,13 +6,15 @@ the symmetrized affinities are matched against Student-t similarities in
 2-D by minimizing KL divergence with momentum gradient descent and early
 exaggeration. Everything is O(N^2) and deterministic under a fixed seed.
 
-The only N x N array the gradient loop keeps is p: each iteration is one
-pass over square tiles of p's upper triangle (``_gradient_pass``), which
-forms the Student-t kernel tile by tile in two tile buffers. The
-coordinates' bits depend on the tile size ``_TILE``, not on the BLAS
-thread count. ``symmetrize`` zeroes the joint affinities below ``_P_FLOOR``,
-which keeps subnormal floats (slow on the CPU's denormal path) out of the
-loop; the coordinates kept their bits on every cohort checked.
+The gradient loop keeps p and one tile-major copy of its upper
+triangle, each tile contiguous (``_tile_major``): each iteration is one
+pass over those tiles (``_gradient_pass``), which builds y's distance
+operands once and forms the Student-t kernel tile by tile in two tile
+buffers. The coordinates' bits depend on the tile size ``_TILE``, not on
+the BLAS thread count. ``symmetrize`` zeroes the joint affinities below
+``_P_FLOOR``, which keeps subnormal floats (slow on the CPU's denormal
+path) out of the loop; the coordinates kept their bits on every cohort
+checked.
 """
 
 from __future__ import annotations
@@ -23,7 +25,8 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .artifacts import read_csv, write_csv, write_json
-from .distances import squared_distances
+from .distances import (_column_operands, _operand_distances, _row_operands,
+                        squared_distances)
 from .errors import DataError, NumericError
 from .ingest import FeatureMatrix
 
@@ -250,19 +253,42 @@ def kl_gradient(p: np.ndarray, coords: np.ndarray) -> np.ndarray:
     return 4.0 * (m.sum(axis=1)[:, None] * y - m @ y)
 
 
-def _gradient_pass(p: np.ndarray, y: np.ndarray, exaggeration: float, tiles: np.ndarray,
-                   with_log: bool = False) -> tuple[np.ndarray, float, float | None]:
+def _tile_spans(n: int) -> list[tuple[int, int, int, int]]:
+    """The upper-triangle tiles (i0, i1, j0, j1) of an n x n matrix, in
+    the order ``_gradient_pass`` visits them."""
+    spans = [(start, min(start + _TILE, n)) for start in range(0, n, _TILE)]
+    return [(i0, i1, j0, j1) for k, (i0, i1) in enumerate(spans) for j0, j1 in spans[k:]]
+
+
+def _tile_major(p: np.ndarray) -> list[np.ndarray]:
+    """p's upper-triangle tiles in ``_tile_spans`` order, each a
+    contiguous view into one flat copy."""
+    spans = _tile_spans(p.shape[0])
+    flat = np.empty(sum((i1 - i0) * (j1 - j0) for i0, i1, j0, j1 in spans))
+    tiles, offset = [], 0
+    for i0, i1, j0, j1 in spans:
+        tile = flat[offset : offset + (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
+        tile[...] = p[i0:i1, j0:j1]
+        tiles.append(tile)
+        offset += tile.size
+    return tiles
+
+
+def _gradient_pass(p_tiles: list[np.ndarray], y: np.ndarray, exaggeration: float,
+                   tiles: np.ndarray, with_log: bool = False) -> tuple[np.ndarray, float, float | None]:
     """The KL gradient 4 sum_j (a p_ij - q_ij) w_ij (y_i - y_j), with
-    a = ``exaggeration``, in one pass over the upper-triangle tiles of p.
+    a = ``exaggeration``, in one pass over the upper-triangle tiles of p,
+    given as ``_tile_major(p)``.
 
     With Z = sum w, the gradient is 4 (a A - B / Z), where
     A_i = sum_j p_ij w_ij (y_i - y_j) and B_i = sum_j w_ij^2 (y_i - y_j)
     (the exact attractive/repulsive split). w is symmetric, so tile (I, J)
     serves the rows of I through c @ [y_J, 1] and those of J through
-    c.T @ [y_I, 1], for c = p_IJ w_IJ and then c = w_IJ^2. ``tiles`` is a
-    flat buffer of 2 * _TILE^2 floats; each tile works in a contiguous
-    prefix of it, because strided views into a wider buffer measured
-    slower.
+    c.T @ [y_I, 1], for c = p_IJ w_IJ and then c = w_IJ^2. y's distance
+    operands are built once per pass, and each tile's d^2 comes from
+    slices of them. ``tiles`` is a flat buffer of 2 * _TILE^2 floats;
+    each tile works in a contiguous prefix of it, because strided views
+    into a wider buffer measured slower.
 
     Returns (gradient, Z, sum p ln(1 + d^2)); the last is None unless
     ``with_log``, and then KL = sum p ln p + sum p ln(1 + d^2)
@@ -273,31 +299,29 @@ def _gradient_pass(p: np.ndarray, y: np.ndarray, exaggeration: float, tiles: np.
     y1 = np.empty((n, 3))
     y1[:, :2] = y
     y1[:, 2] = 1.0
+    rows, cols = _row_operands(y), _column_operands(y)
     sums = np.zeros((2, n, 3))  # [c @ [y, 1] summed over tiles] for c = p w, w^2
     z = 0.0
     p_log_d = 0.0 if with_log else None
-    spans = [(start, min(start + _TILE, n)) for start in range(0, n, _TILE)]
-    for k, (i0, i1) in enumerate(spans):
-        for j0, j1 in spans[k:]:
-            pair = tiles[: 2 * (i1 - i0) * (j1 - j0)].reshape(2, i1 - i0, j1 - j0)
-            c, w = pair
-            p_ij = p[i0:i1, j0:j1]
-            copies = 1.0 if i0 == j0 else 2.0  # the tile and its transpose
-            squared_distances(y[i0:i1], y[j0:j1], out=w, scratch=c)
-            w += 1.0
-            if with_log:  # ln(1 + d^2) = -ln w, and 0 on the diagonal
-                np.log(w, out=c)
-                c *= p_ij
-                p_log_d += copies * float(c.sum())
-            np.divide(1.0, w, out=w)
-            if i0 == j0:
-                np.fill_diagonal(w, 0.0)
-            z += copies * float(w.sum())
-            np.multiply(p_ij, w, out=c)
-            w *= w
-            sums[:, i0:i1] += pair @ y1[j0:j1]
-            if i0 != j0:
-                sums[:, j0:j1] += pair.transpose(0, 2, 1) @ y1[i0:i1]
+    for (i0, i1, j0, j1), p_ij in zip(_tile_spans(n), p_tiles, strict=True):
+        pair = tiles[: 2 * p_ij.size].reshape(2, i1 - i0, j1 - j0)
+        c, w = pair
+        copies = 1.0 if i0 == j0 else 2.0  # the tile and its transpose
+        _operand_distances(rows[:, i0:i1], cols[..., j0:j1], out=w, scratch=c)
+        w += 1.0
+        if with_log:  # ln(1 + d^2) = -ln w, and 0 on the diagonal
+            np.log(w, out=c)
+            c *= p_ij
+            p_log_d += copies * float(c.sum())
+        np.divide(1.0, w, out=w)
+        if i0 == j0:
+            np.fill_diagonal(w, 0.0)
+        z += copies * float(w.sum())
+        np.multiply(p_ij, w, out=c)
+        w *= w
+        sums[:, i0:i1] += pair @ y1[j0:j1]
+        if i0 != j0:
+            sums[:, j0:j1] += pair.transpose(0, 2, 1) @ y1[i0:i1]
     attract, repulse = sums[:, :, 2:] * y - sums[:, :, :2]
     grad = 4.0 * (exaggeration * attract - repulse / z)
     return grad, z, p_log_d
@@ -362,10 +386,13 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
     and after the last update, whose KL is reported as ``final_kl``.
     Identical (input, config) pairs produce bit-identical output.
 
-    The loop keeps no N x N buffer besides p: each iteration is one
-    ``_gradient_pass`` over the upper-triangle tiles of p in a buffer of
-    two _TILE x _TILE tiles allocated once per run, and exaggeration is a
-    scalar factor on the attractive term. The bits depend on _TILE. A
+    The loop keeps no N x N buffer besides p and a copy of its upper
+    triangle: p's upper-triangle tiles are copied once per run into one
+    tile-major buffer, and each iteration is one ``_gradient_pass`` over
+    them in a buffer of two _TILE x _TILE tiles allocated once per run;
+    both are freed before the final KL, which sets the memory peak.
+    Exaggeration is a scalar factor on the attractive term. The bits
+    depend on _TILE. A
     checkpoint's KL comes from the same tiles as
     sum p ln p - sum p ln w + (sum p) ln(sum w), with sum p ln p computed
     once; it agrees with ``kl_divergence`` to rounding. The last entry is
@@ -393,6 +420,7 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
     p_log_p = float(np.sum(positive * np.log(positive)))  # KL's constant term
     p_total = float(p.sum())
     del positive
+    p_tiles = _tile_major(p)
     tiles = np.empty(2 * _TILE * _TILE)
 
     for t in range(config.n_iterations):
@@ -400,7 +428,8 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
         exaggeration = (
             config.exaggeration_factor if t < config.exaggeration_until_iter else 1.0
         )
-        grad, z, p_log_d = _gradient_pass(p, y, exaggeration, tiles, with_log=checkpoint)
+        grad, z, p_log_d = _gradient_pass(p_tiles, y, exaggeration, tiles,
+                                           with_log=checkpoint)
         if checkpoint:
             trace.append((t, p_log_p + p_log_d + p_total * math.log(z)))
         momentum = (
@@ -411,7 +440,7 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
             raise NumericError(f"non-finite coordinates at iteration {t}")
         y_prev, y = y, y_next
 
-    del tiles
+    del p_tiles, tiles
     final_kl = kl_divergence(p, low_dim_similarities(y)[0])
     trace.append((config.n_iterations, final_kl))
 

@@ -435,6 +435,58 @@ def test_overflowing_features_are_data_error_with_nothing_written(tmp_path, caps
     assert os.listdir(out) == ["FAILED"]
 
 
+def test_duplicate_input_id_is_rejected_at_ingest(tmp_path, capsys):
+    entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "10"])
+    data = tmp_path / "synth_data.csv"
+    lines = data.read_text().splitlines()
+    first_id = lines[1].split(",")[0]
+    fields = lines[3].split(",")
+    fields[0] = first_id
+    lines[3] = ",".join(fields)
+    data.write_text("\n".join(lines) + "\n")
+    out = tmp_path / "out"
+    assert entrypoint(["ingest", "--input", str(data), "--out", str(out)]) == 0
+    rejections = (out / "rejections.txt").read_text().splitlines()
+    assert rejections[1:] == ["row 3: duplicate id (first at row 1)"]
+    ids = [line.split(",")[0] for line in (out / "features.csv").read_text().splitlines()[1:]]
+    assert len(ids) == 29 and len(set(ids)) == 29
+    assert json.loads((out / "ingest_meta.json").read_text())["n_rejected"] == 1
+
+
+def test_duplicate_features_id_is_data_error(tmp_path, capsys):
+    entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "8"])
+    out = tmp_path / "out"
+    assert entrypoint(["ingest", "--input", str(tmp_path / "synth_data.csv"), "--out", str(out)]) == 0
+    features = out / "features.csv"
+    lines = features.read_text().splitlines()
+    repeated = lines[2].split(",")[0]
+    fields = lines[5].split(",")
+    fields[0] = repeated
+    lines[5] = ",".join(fields)
+    features.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert entrypoint(["embed", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"features.csv line 6: duplicate id {repeated!r} (first at line 3)" in err
+    assert "Traceback" not in err
+    assert not (out / "embedding.csv").exists()
+
+
+def test_input_with_a_byte_order_mark_ingests_like_one_without(tmp_path):
+    entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "10"])
+    plain = tmp_path / "synth_data.csv"
+    marked_dir = tmp_path / "marked"
+    marked_dir.mkdir()
+    marked = marked_dir / "synth_data.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    for source, out in ((plain, "out_plain"), (marked, "out_marked")):
+        assert entrypoint(["ingest", "--input", str(source), "--out", str(tmp_path / out)]) == 0
+    for name in ("features.csv", "rejections.txt", "ingest_meta.json"):
+        written = (tmp_path / "out_marked" / name).read_bytes()
+        assert written == (tmp_path / "out_plain" / name).read_bytes()
+        assert not written.startswith(b"\xef\xbb\xbf")
+
+
 def test_scenario_selection_narrows_outputs(tmp_path):
     entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "15", "--seed", "2"])
     config_path = tmp_path / "c.json"

@@ -15,6 +15,7 @@ from chirpmap.tsne import (
     _TILE,
     TsneConfig,
     _gradient_pass,
+    _tile_major,
     conditional_affinities,
     kl_divergence,
     kl_gradient,
@@ -36,11 +37,11 @@ def reference_run(x, config, joint=symmetrize):
     p = joint(conditional_affinities(x, config.perplexity).p)
     y, _ = pca_init(x, config.seed)
     y_prev = y.copy()
-    buffer = tiles()
+    p_tiles, buffer = _tile_major(p), tiles()
     kls = []
     for t in range(config.n_iterations):
         exaggeration = config.exaggeration_factor if t < config.exaggeration_until_iter else 1.0
-        grad = _gradient_pass(p, y, exaggeration, buffer)[0]
+        grad = _gradient_pass(p_tiles, y, exaggeration, buffer)[0]
         momentum = (
             config.momentum_early if t < config.momentum_switch_iter else config.momentum_late
         )
@@ -128,8 +129,9 @@ def test_kl_divergence_keeps_the_former_expression_bits():
 
 
 def test_run_tsne_peak_memory_is_the_loop_buffers():
-    # the loop holds p and two tiles; the final KL holds p, q and their
-    # two compressed copies, plus a mask of N^2 bytes
+    # the loop holds p, its tile-major upper triangle and two tiles; the
+    # final KL holds p, q and their two compressed copies, plus a mask of
+    # N^2 bytes
     n = 300
     x = clustered(seed=8, n=n)
     config = TsneConfig(perplexity=20.0, n_iterations=60, seed=2,
@@ -154,14 +156,14 @@ def test_tiled_gradient_and_kl_match_the_unblocked_references(n, exaggeration):
     y0 = np.random.default_rng(n).normal(size=(n, 2))
     for scale in (1e-4, 1.0, 20.0):
         y = y0 * scale
-        grad, z, p_log_d = _gradient_pass(p, y, exaggeration, tiles(), with_log=True)
+        grad, z, p_log_d = _gradient_pass(_tile_major(p), y, exaggeration, tiles(), with_log=True)
         reference = kl_gradient(exaggeration * p, y)
         assert np.abs(grad - reference).max() <= 1e-12 * np.abs(reference).max()
         kl = p_log_p + p_log_d + float(p.sum()) * math.log(z)
         reference_kl = kl_divergence(p, low_dim_similarities(y)[0])
         assert abs(kl - reference_kl) <= 1e-12 * abs(reference_kl)
         # a checkpoint's log pass leaves the gradient's bits alone
-        plain = _gradient_pass(p, y, exaggeration, tiles())
+        plain = _gradient_pass(_tile_major(p), y, exaggeration, tiles())
         assert plain[0].tobytes() == grad.tobytes() and plain[1] == z and plain[2] is None
 
 
