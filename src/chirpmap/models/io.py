@@ -6,10 +6,13 @@ shortest round-trip repr, which json uses natively). A random forest
 stores each tree as node arrays, minus those the table derives (see
 `NodeTable.build`). Loading raises DataError for a missing key, node
 arrays of unequal length, a child index out of range, nodes that do not
-form one tree, a non-finite threshold, leaf value or model parameter,
-or a tree in the nested-node format of earlier versions, which is no
-longer read. Fitting never writes a non-finite parameter, and the grid
-paths of `render.boundary_grid` are exact only for finite ones.
+form one tree, a non-finite threshold, leaf value or model parameter, a
+node's feature, child index or count, or a forest's feature or class
+count, that is not a JSON integer (a bool or a float is not one), a
+negative count, or a tree in the nested-node format of earlier
+versions, which is no longer read. Fitting never writes a non-finite
+parameter, and the grid paths of `render.boundary_grid` are exact only
+for finite ones.
 """
 
 from __future__ import annotations
@@ -45,6 +48,8 @@ _TREE_KEYS = {
     "regression": ("feature", "threshold", "right", "n_samples", "value"),
 }
 _NODE_ARRAYS = ("feature", "threshold", "left", "right", "n_samples", "value")
+# the stored node arrays whose entries are integers
+_INTEGER_KEYS = ("feature", "right", "counts", "n_samples")
 
 
 def model_to_dict(model) -> dict:
@@ -101,12 +106,17 @@ def _forest_from_dict(cfg: dict, params: dict) -> RandomForestModel:
     config = ForestConfig(**cfg)
     tree_config = TreeConfig(task=config.task, max_depth=config.max_depth)
     n_features, n_classes = params["n_features"], params["n_classes"]
+    if not (_integers([n_features, n_classes]) and n_features >= 1 and n_classes >= 0):
+        raise DataError("forest feature count must be a positive integer, "
+                        "and its class count a nonnegative one")
     keys = _TREE_KEYS[config.task]
     trees = []
     for doc in params["trees"]:
         if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in keys):
             raise DataError(f"tree is not a node table of arrays {', '.join(keys)} "
                             "(nested-node model files are no longer read; refit the model)")
+        if not all(_integers(doc[k]) for k in keys if k in _INTEGER_KEYS):
+            raise DataError("tree split feature, child index or count is not an integer")
         table = NodeTable.build(**{k: doc[k] for k in keys})
         n = len(doc["feature"])
         if n < 1 or any(getattr(table, k).shape != (n,) for k in _NODE_ARRAYS) or (
@@ -115,9 +125,10 @@ def _forest_from_dict(cfg: dict, params: dict) -> RandomForestModel:
             raise DataError("tree node arrays must be nonempty and of equal length")
         internal = table.feature >= 0
         if (np.any((table.feature < -1) | (table.feature >= n_features) | (table.n_samples < 1))
+                or (table.counts is not None and np.any(table.counts < 0))
                 or np.any(table.right[~internal] != -1)
                 or np.any(internal & ((table.right <= np.arange(n) + 1) | (table.right >= n)))):
-            raise DataError("tree split feature, child index or sample count out of range")
+            raise DataError("tree split feature, child index or count out of range")
         parents = np.bincount(np.concatenate([table.left[internal], table.right[internal]]),
                               minlength=n)
         if parents[0] != 0 or np.any(parents[1:] != 1):
@@ -130,6 +141,13 @@ def _forest_from_dict(cfg: dict, params: dict) -> RandomForestModel:
     if not trees:
         raise DataError("random forest document holds no trees")
     return RandomForestModel(trees=trees, config=config, n_features=n_features, n_classes=n_classes)
+
+
+def _integers(values) -> bool:
+    """Whether every entry of a list, or of its nested lists, is an int
+    and not a bool: json reads 1.5 and 1.0 as floats, which a node array
+    of integers would silently truncate."""
+    return all(_integers(v) if isinstance(v, list) else type(v) is int for v in values)
 
 
 def save_model(model, path: str, extra: dict | None = None) -> None:

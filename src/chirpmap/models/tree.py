@@ -10,12 +10,22 @@ A fitted tree is one `NodeTable` of per-node arrays in preorder. Trees
 grow breadth-first, a block of them at once (a forest's trees, or the
 single tree of `fit_tree`), over presorted attribute lists as in SLIQ
 (Mehta, Agrawal & Rissanen 1996) and SPRINT (Shafer, Agrawal & Mehta
-1996). Each feature is argsorted once per tree; on every level each
-node's slice of those orders is split stably into its children, which
-equals a stable argsort of the child's rows, and every node of every
-tree on the level is scored in one vectorized pass with the bits of
-scoring it alone. No loop runs once per node, and no depth needs
-recursion.
+1996). On every level each node's slice of the per-feature orders is
+split stably into its children, which equals a stable argsort of the
+child's rows, and every node of every tree on the level is scored in
+one vectorized pass with the bits of scoring it alone. No loop runs
+once per node, and no depth needs recursion.
+
+A classification tree grows on its sample's distinct rows, each
+weighted by how often the sample holds it. Its class counts, and with
+them every Gini score and stored count, are the integers the repeated
+rows would give, and a cut falls only between unequal values, where the
+order of rows within a tie cannot matter: the tree is the one grown on
+the repeated rows, bit for bit. Its root orders are one stable argsort
+per feature of all of x, filtered to each tree's rows. A regression
+tree keeps every repeated row and argsorts its own rows: its float
+cumsums add repeated rows one at a time, so weighting them would change
+the bits.
 """
 
 from __future__ import annotations
@@ -138,7 +148,7 @@ def _size_groups(sizes) -> list[np.ndarray]:
     return groups
 
 
-def _best_splits(xs, ys, orders, at, sizes, cand, counts, n_classes: int):
+def _best_splits(xs, ys, orders, at, sizes, cand, counts, n_classes: int, weights=None):
     """Best split of each of k nodes: (feature, threshold), with feature
     -1 where every candidate column is constant over the node.
 
@@ -147,40 +157,54 @@ def _best_splits(xs, ys, orders, at, sizes, cand, counts, n_classes: int):
     its candidates are cand[i], ascending. Each candidate is scored at
     every split position between unequal values; the first minimum wins,
     so ties go to the lowest threshold and then to the lowest feature.
-    Nodes are padded with zeros to the widest node of their group (see
-    `_size_groups`): the valid prefix of a zero-padded cumsum row has the
-    bits of the unpadded one. Totals are exact-length sums and class
-    counts are integers, so every node gets the bits of being scored
-    alone. `counts` holds the (k, n_classes) class totals, or is None
-    for regression.
+    Nodes are padded to the widest node of their group (see
+    `_size_groups`); positions past a node's end are masked, and the
+    regression sums are zero-padded, since the valid prefix of a
+    zero-padded cumsum row has the bits of the unpadded one. Totals are
+    exact-length sums and class counts are integers, so every node gets
+    the bits of being scored alone. `counts` holds the (k, n_classes)
+    class totals, or is None for regression.
+
+    `weights` (classification only) holds each row's integer multiplicity,
+    indexed like `ys`; without it every row counts once. The left counts
+    at a cut are weighted counts of the rows before it, the integers its
+    rows repeated would give, so a node is scored with the bits of its
+    repeated rows.
     """
     k, m = cand.shape
     starts = np.cumsum(sizes) - sizes
-    feats = cand.T[:, np.repeat(np.arange(k), sizes)]  # (m, R): each slot's feature
-    rows = orders[feats, at]
-    sv = xs[feats, rows]  # every node's values sorted by each of its candidates
-    ys = ys[rows]
-    del feats, rows
+    # flat takes: much faster than numpy's 2-D fancy indexing
+    feats = cand.T.take(np.repeat(np.arange(k), sizes), axis=1)  # (m, R): each slot's feature
+    rows = orders.ravel().take(feats * orders.shape[1] + at)
+    sv = xs.ravel().take(feats * xs.shape[1] + rows)  # each node's values sorted by each candidate
+    del feats
+    ys = ys.take(rows)
     if counts is None:
         totals = _segment_sums(np.concatenate([ys, ys * ys]), starts, sizes)
+        node_n = sizes
+    else:
+        # each slot's weight, and its weight in every class but the last
+        ws = np.ones_like(rows) if weights is None else weights.take(rows)
+        class_ws = [np.where(ys == c, ws, 0) for c in range(n_classes - 1)]
+        node_n = counts.sum(axis=1)
+    del rows
     feature = np.full(k, -1, dtype=np.int64)
     threshold = np.zeros(k)
     for group in _size_groups(sizes):
         width = int(sizes[group].max())
-        n = sizes[group, None]
-        valid = np.arange(width) < n
+        n = node_n[group, None]
+        valid = np.arange(width) < sizes[group, None]
         pos = np.where(valid, starts[group, None] + np.arange(width), 0)  # (g, width)
         svg = sv.take(pos, axis=1)  # (m, g, width)
         is_cut = svg[..., :-1] < svg[..., 1:]  # split after position j
         is_cut &= valid[:, 1:]
         del svg
-        n_left = np.arange(1, width)
-        n_right = np.maximum(n - n_left, 1)  # past the node's end: masked below
-        yg = ys.take(pos, axis=1)
-        del pos
         if counts is None:
             # the variance formula of the former per-node scorer, evaluated
             # in place: var_left = max(s2 / n_left - (s / n_left) ** 2, 0)
+            n_left = np.arange(1, width)
+            n_right = np.maximum(n - n_left, 1)  # past the node's end: masked below
+            yg = ys.take(pos, axis=1)
             yg[:, ~valid] = 0.0
             s = yg.cumsum(axis=-1)[..., :-1]
             yg *= yg
@@ -206,10 +230,17 @@ def _best_splits(xs, ys, orders, at, sizes, cand, counts, n_classes: int):
         else:
             # the Gini formula of the former per-node scorer, in place:
             # (n_left * (1 - sum_c pl_c^2) + n_right * (1 - sum_c pr_c^2)) / n,
-            # summed class by class in class order
-            yg[:, ~valid] = -1
+            # summed class by class in class order; the last class's left
+            # counts are n_left less the others', all integers
+            n_left = ws.take(pos, axis=1).cumsum(axis=-1)[..., :-1]
+            n_right = np.maximum(n - n_left, 1)  # past the node's end: masked below
+            last = n_left.copy()
             for c in range(n_classes):
-                below = (yg == c).cumsum(axis=-1)[..., :-1]
+                if c + 1 < n_classes:
+                    below = class_ws[c].take(pos, axis=1).cumsum(axis=-1)[..., :-1]
+                    last -= below
+                else:
+                    below = last
                 pl = below / n_left
                 np.subtract(counts[group, c, None], below, out=below)
                 pr = below / n_right
@@ -221,7 +252,7 @@ def _best_splits(xs, ys, orders, at, sizes, cand, counts, n_classes: int):
                 else:
                     weighted += pl
                     right += pr
-            del yg, pl, pr
+            del pl, pr, last
             np.subtract(1.0, weighted, out=weighted)
             weighted *= n_left
             np.subtract(1.0, right, out=right)
@@ -229,6 +260,7 @@ def _best_splits(xs, ys, orders, at, sizes, cand, counts, n_classes: int):
             weighted += right
             weighted /= n
             del right
+        del pos
         weighted[~is_cut] = np.inf
         j = weighted.argmin(axis=-1)  # (m, g): first minimum per candidate
         mi, g = np.arange(m)[:, None], np.arange(group.size)
@@ -244,21 +276,24 @@ def _best_splits(xs, ys, orders, at, sizes, cand, counts, n_classes: int):
 def _partition(orders, at, sizes, n_left, goes_left) -> np.ndarray:
     """Split k end-to-end segments (at the positions `at`) of every order
     row stably in two: the rows that go left, then the rest, each in
-    their former order."""
-    starts = np.cumsum(sizes) - sizes
-    child_starts = starts[:, None] + np.stack([np.zeros_like(n_left), n_left], axis=1)
+    their former order.
+
+    Every row holds each segment's rows, in its own order, so the rows
+    that go left from the segments before segment i, sum(n_left[:i]), are
+    the same in every row, and so are the children's offsets."""
+    lefts_before = np.cumsum(n_left) - n_left
     seg = np.repeat(np.arange(sizes.size), sizes)
+    # a left-going row's destination is to_left + (left-going rows before
+    # it); a right-going row's, to_right - (those rows)
+    to_left = (np.cumsum(sizes) - sizes - lefts_before)[seg]
+    to_right = (n_left + lefts_before)[seg] + np.arange(at.size)
     out = np.empty((orders.shape[0], at.size), dtype=orders.dtype)
     for row, full in zip(out, orders):
         order = full[at]
         left = goes_left[order]
-        before = np.cumsum(left) - left  # left-going rows before each position
-        lefts_before_node = before[starts]
-        row[np.where(
-            left,
-            (child_starts[:, 0] - lefts_before_node)[seg] + before,
-            (child_starts[:, 1] - starts + lefts_before_node)[seg] + np.arange(at.size) - before,
-        )] = order
+        before = np.cumsum(left)
+        before -= left
+        row[np.where(left, to_left + before, to_right - before)] = order
     return out
 
 
@@ -292,8 +327,13 @@ def _preorder_tables(levels, n_trees: int) -> list[NodeTable]:
         merged = np.concatenate([level.pop(key) for level in levels])  # frees as it goes
         table[key] = np.empty_like(merged)
         table[key][dest] = merged
+    # one table for the block, whose `left` then counts within each tree,
+    # sliced into the trees' tables
+    whole = NodeTable.build(**table)
+    internal = whole.feature >= 0
+    whole.left[internal] -= np.repeat(offsets, n_nodes)[internal]
     return [
-        NodeTable.build(**{key: a[lo:lo + size] for key, a in table.items()})
+        NodeTable(**{key: a if a is None else a[lo:lo + size] for key, a in vars(whole).items()})
         for lo, size in zip(offsets.tolist(), n_nodes.tolist())
     ]
 
@@ -315,33 +355,59 @@ def grow_trees(
     level order, one (k, d) block of uniform keys, a node's candidates
     being the m features with the smallest keys. Without `rngs` every
     feature is a candidate at every node.
+
+    A classification tree grows on the distinct rows of `samples[t]`,
+    each weighted by its multiplicity there; a regression tree on every
+    row of it (see the module docstring).
     """
     xt = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
     y = np.asarray(y)
-    d = xt.shape[0]
+    d, n_x = xt.shape
     samples = np.atleast_2d(samples)
-    n_trees, n = samples.shape
+    n_trees = samples.shape[0]
     classify = config.task == "classification"
     subsample = rngs is not None and m_features is not None and m_features < d
-    # the block's rows: tree t's row i is row t * n + i
-    xs = xt[:, samples.ravel()]
-    ys = y[samples.ravel()]
-    orders = np.empty((d + 1, n_trees * n), dtype=np.intp)
-    orders[:d] = (np.argsort(xs.reshape(d, n_trees, n), axis=2, kind="stable")
-                  + np.arange(0, n_trees * n, n)[:, None]).reshape(d, -1)
-    orders[d] = np.arange(n_trees * n)  # each node's rows ascending
-    goes_left = np.zeros(n_trees * n, dtype=bool)
+    if classify:
+        # each tree's distinct rows, ascending, tree after tree, and how often it drew them
+        offsets = np.arange(0, n_trees * n_x, n_x)
+        mult = np.bincount((samples + offsets[:, None]).ravel(), minlength=n_trees * n_x)
+        held = mult > 0
+        flat = np.flatnonzero(held)  # each block row's (tree, row of x), flattened
+        picked = flat % n_x
+        weights = mult[flat]
+        sizes = np.count_nonzero(held.reshape(n_trees, n_x), axis=1)
+        # filtering x's stable orders to a tree's rows gives their stable
+        # orders, ties still by row of x
+        at = (np.argsort(xt, axis=1, kind="stable")[:, None, :] + offsets[:, None]).reshape(d, -1)
+        block_row = np.cumsum(held) - 1
+        orders = block_row[at[held[at]]].reshape(d, -1)
+        del mult, held, flat, at, block_row
+    else:
+        # tree t's row i is row t * n + i of the block
+        n = samples.shape[1]
+        picked = samples.ravel()
+        weights = None
+        sizes = np.full(n_trees, n)
+        orders = np.empty((d + 1, picked.size), dtype=np.intp)
+        orders[:d] = (np.argsort(xt[:, picked].reshape(d, n_trees, n), axis=2, kind="stable")
+                      + np.arange(0, n_trees * n, n)[:, None]).reshape(d, -1)
+        orders[d] = np.arange(picked.size)
+    # a node's rows are its segment of orders[-1]: ascending for regression,
+    # whose node means sum in that order; the class counts take any order
+    xs = xt[:, picked]
+    ys = y[picked]
+    goes_left = np.zeros(picked.size, dtype=bool)
     tree = np.arange(n_trees)  # the tree of each node on the level
-    sizes = np.full(n_trees, n)
     levels = []
     depth = 0
     while True:
         k = sizes.size
         starts = np.cumsum(sizes) - sizes
-        y_node = ys[orders[d]]
+        y_node = ys[orders[-1]]
         if classify:
             counts = np.bincount(np.repeat(np.arange(k) * n_classes, sizes) + y_node,
-                                 minlength=k * n_classes).reshape(k, n_classes)
+                                 weights[orders[-1]], minlength=k * n_classes)
+            counts = counts.astype(np.int64).reshape(k, n_classes)  # sums of integers: exact
             level = {"counts": counts}
             scored = np.count_nonzero(counts, axis=1) > 1
         else:
@@ -364,14 +430,14 @@ def grow_trees(
                 cand = np.broadcast_to(np.arange(d), (scored.size, d))
             feature[scored], threshold[scored] = _best_splits(
                 xs, ys, orders, _ranges(starts[scored], sizes[scored]), sizes[scored], cand,
-                None if counts is None else counts[scored], n_classes,
+                None if counts is None else counts[scored], n_classes, weights,
             )
         # route the split nodes' rows; a midpoint that rounds onto a value separates nothing
         split = np.flatnonzero(feature >= 0)
         at = _ranges(starts[split], sizes[split])
-        rows = orders[d, at]
-        left = xs[np.repeat(feature[split], sizes[split]), rows] <= np.repeat(
-            threshold[split], sizes[split])
+        rows = orders[-1, at]
+        left = xs.ravel().take(np.repeat(feature[split], sizes[split]) * xs.shape[1] + rows) \
+            <= np.repeat(threshold[split], sizes[split])
         n_left = np.bincount(np.repeat(np.arange(split.size), sizes[split])[left],
                              minlength=split.size)
         keep = (n_left > 0) & (n_left < sizes[split])

@@ -81,6 +81,52 @@ def test_config_validation():
         ForestConfig(n_trees=0)
 
 
+def _walk_predict(model, x):
+    """The former forest predict, kept as the oracle: one
+    `DecisionTree.predict` walk per tree, votes or sums in tree order."""
+    if model.config.task == "regression":
+        acc = np.zeros(x.shape[0])
+        for tree in model.trees:
+            acc += tree.predict(x)
+        return acc / len(model.trees)
+    votes = np.zeros((model.n_classes, x.shape[0]), dtype=np.int64)
+    for tree in model.trees:
+        pred = tree.predict(x)
+        for c in range(model.n_classes):
+            votes[c] += pred == c
+    return np.argmax(votes, axis=0)
+
+
+@pytest.mark.parametrize("task", ["classification", "regression"])
+@pytest.mark.parametrize("n_trees", [1, 2, 24])
+@pytest.mark.parametrize("pairs", [5, None])
+def test_routed_predict_matches_the_per_tree_walk(task, n_trees, pairs, monkeypatch):
+    """Bit for bit, on points exactly on thresholds, one point, and, with
+    an even number of trees, vote ties; `pairs` routes a few points per chunk."""
+    if pairs is not None:
+        monkeypatch.setattr(forest_module, "_PREDICT_PAIRS", pairs)
+    rng = np.random.default_rng(n_trees)
+    x = np.round(rng.normal(size=(80, 3)), 1)
+    if task == "regression":
+        y = np.sin(3.0 * x[:, 0]) + x[:, 1] * x[:, 2] + 0.1 * rng.normal(size=80)
+    else:
+        y = (x[:, 0] + rng.normal(size=80) > 0).astype(np.int64) + (x[:, 1] > 0.8)
+    model = fit_random_forest(x, y, ForestConfig(n_trees=n_trees, seed=3, task=task))
+    on_cuts = []
+    for tree in model.trees:
+        internal = np.flatnonzero(tree.root.feature >= 0)
+        point = x[rng.integers(0, 80, size=internal.size)]
+        point[np.arange(internal.size), tree.root.feature[internal]] = tree.root.threshold[internal]
+        on_cuts.append(point)
+    points = np.vstack([x, rng.normal(size=(50, 3))] + on_cuts)
+    for queries in (points, points[:1], np.asfortranarray(points)):
+        got, want = model.predict(queries), _walk_predict(model, queries)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    if task == "classification" and n_trees == 2:
+        pred = np.array([tree.predict(points) for tree in model.trees])
+        assert np.any(pred[0] != pred[1])  # some point's vote ties
+
+
 def _tables(model):
     return [[getattr(t.root, k).tolist() for k in ("feature", "threshold", "right", "n_samples", "value")]
             for t in model.trees]
@@ -104,7 +150,9 @@ def test_forest_does_not_depend_on_block_size(task, d, monkeypatch):
     y = x[:, 0] * x[:, 1] if task == "regression" else (x[:, 0] + x[:, 1] > 0).astype(np.int64)
     config = ForestConfig(n_trees=12, seed=2, task=task)
     forests = []
-    for rows in (1, 150, 500, 10**6):  # 1, 2, 7 and 12 trees per block
+    # 1, 2, 7 and 12 trees per block for regression; 1, 3, 11 and 12 for
+    # classification, whose blocks count each bootstrap's distinct rows
+    for rows in (1, 150, 500, 10**6):
         monkeypatch.setattr(forest_module, "_BLOCK_ROWS", rows)
         forests.append(_tables(fit_random_forest(x, y, config)))
     assert all(f == forests[0] for f in forests[1:])

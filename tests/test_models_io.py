@@ -108,6 +108,36 @@ def _break_old_nested_format(doc):
     }
 
 
+def _break_negative_count(doc):
+    root = doc["parameters"]["trees"][0]["counts"][0]
+    root[:] = [-5, sum(root) + 5]  # the node total is unchanged
+
+
+def _break_fractional_count(doc):
+    doc["parameters"]["trees"][0]["counts"][0][1] += 0.5
+
+
+def _break_bool_feature(doc):
+    feature = doc["parameters"]["trees"][0]["feature"]
+    feature[0] = bool(feature[0])  # a root split on feature 0 or 1
+
+
+def _break_float_feature(doc):
+    doc["parameters"]["trees"][0]["feature"][0] += 0.0
+
+
+def _break_float_child(doc):
+    doc["parameters"]["trees"][0]["right"][0] += 0.0
+
+
+def _break_float_class_count(doc):
+    doc["parameters"]["n_classes"] = 2.0
+
+
+def _break_bool_feature_count(doc):
+    doc["parameters"]["n_features"] = True
+
+
 def _break_svm_key(doc):
     del doc["parameters"]["alpha"]
 
@@ -122,6 +152,13 @@ def _break_svm_key(doc):
         ("random_forest", _break_two_parents),
         ("random_forest", _break_threshold_nan),
         ("random_forest", _break_old_nested_format),
+        ("random_forest", _break_negative_count),
+        ("random_forest", _break_fractional_count),
+        ("random_forest", _break_bool_feature),
+        ("random_forest", _break_float_feature),
+        ("random_forest", _break_float_child),
+        ("random_forest", _break_float_class_count),
+        ("random_forest", _break_bool_feature_count),
         ("svm", _break_svm_key),
     ],
 )

@@ -3,6 +3,9 @@
 `_reference_grow` and `_reference_best_split` are a former recursive
 implementation (per-node stable argsort, one feature at a time), kept
 here only as the oracle: every node of every tree must match it exactly.
+The reference grows on every repeated row of a bootstrap, so it also
+checks that classification trees grown on distinct rows with weights
+are the same trees.
 With feature subsampling the reference is fed the candidates of the
 grower's schedule, drawn independently here one node at a time from a
 breadth-first queue (`_queue_schedule`).
@@ -185,11 +188,33 @@ def test_grower_matches_recursive_reference(task, max_depth, m_features, bootstr
     _assert_same_tree(tree.root, reference)
 
 
-@pytest.mark.parametrize("task, d", [("regression", 3), ("classification", 2)])
+def _repeated_rows(task, seed, n=80, d=3):
+    """Rows drawn from 20 distinct ones, on a 0.5 grid, so that bootstraps
+    repeat rows many times over and values tie across rows; a few labels
+    are redrawn, so equal rows can disagree."""
+    x, y = _data(task, seed, n=20, d=d)
+    rng = np.random.default_rng(seed)
+    pick = rng.integers(0, 20, size=n)
+    x, y = np.round(2.0 * x[pick]) / 2.0, y[pick]
+    flip = rng.random(n) < 0.15
+    y[flip] = rng.permutation(y)[flip]
+    return x, y
+
+
+@pytest.mark.parametrize("task, d, cohort", [
+    pytest.param("regression", 3, _data, id="regression-3"),
+    pytest.param("classification", 2, _data, id="classification-2"),
+    pytest.param("classification", 3, _data, id="classification-3"),
+    pytest.param("regression", 3, _repeated_rows, id="regression-3-repeated"),
+    pytest.param("classification", 3, _repeated_rows, id="classification-3-repeated"),
+])
 @pytest.mark.parametrize("block_rows", [1, 10**6])
-def test_forest_matches_recursive_reference(task, d, block_rows, monkeypatch):
+def test_forest_matches_recursive_reference(task, d, cohort, block_rows, monkeypatch):
+    """Every tree of a forest against the reference grown on its bootstrap's
+    rows, repeats included: classification grows on distinct rows with
+    weights, and with d = 3 draws 2 candidates per node."""
     monkeypatch.setattr(forest_module, "_BLOCK_ROWS", block_rows)
-    x, y = _data(task, 11, n=80, d=d)
+    x, y = cohort(task, 11, n=80, d=d)
     config = ForestConfig(n_trees=6, seed=4, task=task)
     forest = fit_random_forest(x, y, config)
     n_classes = forest.n_classes
@@ -278,6 +303,21 @@ def test_batched_scorer_matches_former_per_node_scorer(task):
     feature, threshold = _best_splits(xt, y, orders, np.arange(n), sizes, cand,
                                       counts if task == "classification" else None, n_classes)
     assert list(zip(feature.tolist(), threshold.tolist())) == expected
+    if task == "classification":
+        # the same rows weighted score as those rows repeated, bit for bit
+        weights = rng.integers(1, 5, size=n)
+        repeated = np.repeat(np.arange(n), weights)
+        expected = []
+        for i, (lo, size) in enumerate(zip(starts, sizes)):
+            rows = np.flatnonzero((repeated >= lo) & (repeated < lo + size))
+            node_orders = np.vstack([rows[np.argsort(xt[:, repeated[rows]], axis=1,
+                                                     kind="stable")], rows])
+            counts[i] = np.bincount(y[repeated[rows]], minlength=n_classes)
+            expected.append(_former_best_split(xt[:, repeated], y[repeated], node_orders,
+                                               cand[i], task, n_classes, counts[i]))
+        feature, threshold = _best_splits(xt, y, orders, np.arange(n), sizes, cand, counts,
+                                          n_classes, weights)
+        assert list(zip(feature.tolist(), threshold.tolist())) == expected
 
 
 @pytest.mark.parametrize("channels", [1, 3, 4])
