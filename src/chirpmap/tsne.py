@@ -6,15 +6,18 @@ the symmetrized affinities are matched against Student-t similarities in
 2-D by minimizing KL divergence with momentum gradient descent and early
 exaggeration. Everything is O(N^2) and deterministic under a fixed seed.
 
-The gradient loop keeps p and one tile-major copy of its upper
-triangle, each tile contiguous (``_tile_major``): each iteration is one
-pass over those tiles (``_gradient_pass``), which builds y's distance
-operands once and forms the Student-t kernel tile by tile in two tile
-buffers. The coordinates' bits depend on the tile size ``_TILE``, not on
-the BLAS thread count. ``symmetrize`` zeroes the joint affinities below
-``_P_FLOOR``, which keeps subnormal floats (slow on the CPU's denormal
-path) out of the loop; the coordinates kept their bits on every cohort
-checked.
+The joint affinities p exist only as their upper-triangle tiles, each
+contiguous in one tile-major buffer, built straight from the
+conditionals (``_joint_tiles``). Each iteration is one pass over those
+tiles (``_gradient_pass``), which builds y's distance operands once and
+forms the Student-t kernel tile by tile in two tile buffers; the KL
+checkpoints and the final KL come from the same pass. The coordinates'
+bits depend on the tile size ``_TILE``, not on the BLAS thread count.
+Joint affinities below ``_P_FLOOR`` are zeroed, which keeps subnormal
+floats (slow on the CPU's denormal path) out of the loop; the
+coordinates kept their bits on every cohort checked. ``symmetrize``,
+``low_dim_similarities``, ``kl_divergence`` and ``kl_gradient`` are the
+N x N references the tiled code is tested against.
 """
 
 from __future__ import annotations
@@ -82,8 +85,9 @@ class TsneConfig:
         """The checks that depend on the number of points."""
         if n_points < 3:
             raise DataError("t-SNE needs at least 3 points")
-        if self.perplexity >= n_points:
-            raise DataError(f"perplexity {self.perplexity} must be below the {n_points} points")
+        if self.perplexity > n_points - 1:
+            raise DataError(f"perplexity {self.perplexity} exceeds {n_points - 1}, the most "
+                            f"a row of {n_points} points can reach")
 
 
 @dataclass
@@ -140,14 +144,15 @@ def conditional_affinities(
     [1e-20, 1e20]; realized perplexity decreases monotonically in beta, so
     the search brackets the target. Rows that do not reach the target
     within ``max_steps`` keep the nearest-achieved beta and are reported
-    in ``fallback_rows``.
+    in ``fallback_rows``. A row has n - 1 neighbours, so its perplexity
+    is at most n - 1, reached by the uniform row.
     """
     x = _as_values(matrix)
     n = x.shape[0]
     if n < 3:
         raise DataError("need at least 3 points to calibrate affinities")
-    if not 0 < perplexity < n:
-        raise DataError(f"perplexity must be in (0, n); got {perplexity} for n={n}")
+    if not 0 < perplexity <= n - 1:
+        raise DataError(f"perplexity must be in (0, n - 1]; got {perplexity} for n={n}")
 
     d2 = squared_distances(x, x)
     p = np.zeros((n, n), dtype=np.float64)
@@ -194,6 +199,7 @@ def conditional_affinities(
 def symmetrize(conditionals: np.ndarray) -> np.ndarray:
     """Joint affinities p_ij = (p_j|i + p_i|j) / (2N); entries sum to 1.
 
+    The N x N reference for ``_joint_tiles``, whose tiles have its bits.
     Entries below ``_P_FLOOR`` (2^-970, about 1e-292) are set to 0. They
     come from exp underflow in the calibration, and the subnormal ones
     among them, used in every gradient pass, take the CPU's slow denormal
@@ -215,7 +221,8 @@ def low_dim_similarities(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Student-t (1 dof) similarities over 2-D coordinates.
 
     Returns (q, w) where w_ij = 1 / (1 + ||y_i - y_j||^2) with zero
-    diagonal and q is w normalized over all ordered pairs.
+    diagonal and q is w normalized over all ordered pairs. An N x N
+    reference: ``run_tsne`` forms w tile by tile in ``_gradient_pass``.
     """
     y = np.asarray(coords, dtype=np.float64)
     w = np.empty((y.shape[0], y.shape[0]))
@@ -231,8 +238,10 @@ def low_dim_similarities(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def kl_divergence(p: np.ndarray, q: np.ndarray) -> float:
     """sum_ij p_ij * ln(p_ij / q_ij); terms with p_ij = 0 contribute 0.
 
-    The terms are formed in place in the compressed copy of q, so the only
-    temporaries are the mask and the two compressed arrays.
+    An N x N reference: ``run_tsne`` takes its KL values from the tile
+    pass, which agrees with this to rounding. The terms are formed in
+    place in the compressed copy of q, so the only temporaries are the
+    mask and the two compressed arrays.
     """
     mask = p > 0
     p, q = p[mask], q[mask]
@@ -260,15 +269,24 @@ def _tile_spans(n: int) -> list[tuple[int, int, int, int]]:
     return [(i0, i1, j0, j1) for k, (i0, i1) in enumerate(spans) for j0, j1 in spans[k:]]
 
 
-def _tile_major(p: np.ndarray) -> list[np.ndarray]:
-    """p's upper-triangle tiles in ``_tile_spans`` order, each a
-    contiguous view into one flat copy."""
-    spans = _tile_spans(p.shape[0])
+def _joint_tiles(c: np.ndarray) -> list[np.ndarray]:
+    """The joint affinities' upper-triangle tiles in ``_tile_spans`` order,
+    each a contiguous view into one flat buffer, built from the float64
+    conditionals c without forming the N x N joint.
+
+    Tile (I, J) is (c_IJ + c_JI^T) / (2N) with the entries below
+    ``_P_FLOOR`` zeroed: ``symmetrize``'s operations entry by entry, so
+    every tile has the bits of the same block of ``symmetrize(c)``.
+    """
+    n = c.shape[0]
+    spans = _tile_spans(n)
     flat = np.empty(sum((i1 - i0) * (j1 - j0) for i0, i1, j0, j1 in spans))
     tiles, offset = [], 0
     for i0, i1, j0, j1 in spans:
         tile = flat[offset : offset + (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
-        tile[...] = p[i0:i1, j0:j1]
+        np.add(c[i0:i1, j0:j1], c[j0:j1, i0:i1].T, out=tile)
+        tile /= 2.0 * n
+        tile[tile < _P_FLOOR] = 0.0
         tiles.append(tile)
         offset += tile.size
     return tiles
@@ -278,7 +296,7 @@ def _gradient_pass(p_tiles: list[np.ndarray], y: np.ndarray, exaggeration: float
                    tiles: np.ndarray, with_log: bool = False) -> tuple[np.ndarray, float, float | None]:
     """The KL gradient 4 sum_j (a p_ij - q_ij) w_ij (y_i - y_j), with
     a = ``exaggeration``, in one pass over the upper-triangle tiles of p,
-    given as ``_tile_major(p)``.
+    given in ``_tile_spans`` order as ``_joint_tiles`` builds them.
 
     With Z = sum w, the gradient is 4 (a A - B / Z), where
     A_i = sum_j p_ij w_ij (y_i - y_j) and B_i = sum_j w_ij^2 (y_i - y_j)
@@ -386,17 +404,16 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
     and after the last update, whose KL is reported as ``final_kl``.
     Identical (input, config) pairs produce bit-identical output.
 
-    The loop keeps no N x N buffer besides p and a copy of its upper
-    triangle: p's upper-triangle tiles are copied once per run into one
-    tile-major buffer, and each iteration is one ``_gradient_pass`` over
-    them in a buffer of two _TILE x _TILE tiles allocated once per run;
-    both are freed before the final KL, which sets the memory peak.
-    Exaggeration is a scalar factor on the attractive term. The bits
-    depend on _TILE. A
-    checkpoint's KL comes from the same tiles as
-    sum p ln p - sum p ln w + (sum p) ln(sum w), with sum p ln p computed
-    once; it agrees with ``kl_divergence`` to rounding. The last entry is
-    ``kl_divergence`` itself, on q from ``low_dim_similarities``.
+    p is never formed as an N x N matrix: its upper-triangle tiles are
+    built from the conditionals into one tile-major buffer, and each
+    iteration is one ``_gradient_pass`` over them in a buffer of two
+    _TILE x _TILE tiles allocated once per run. The memory peak is the
+    calibration's d^2 and conditionals. Exaggeration is a scalar factor
+    on the attractive term. The bits depend on _TILE. Every KL, the
+    final one included, comes from a pass over the same tiles as
+    sum p ln p - sum p ln w + (sum p) ln(sum w), with sum p ln p and
+    sum p taken once from the tiles; it agrees with ``kl_divergence`` to
+    rounding. The final KL takes one more pass, at the final y.
     """
     x = _as_values(matrix)
     ids = matrix.ids if isinstance(matrix, FeatureMatrix) else None
@@ -408,19 +425,25 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
 
     cond = conditional_affinities(x_run, config.perplexity)
     fallback_rows = list(cond.fallback_rows)
-    p = symmetrize(cond.p)
+    p_tiles = _joint_tiles(cond.p)
     del cond  # its N x N conditionals are not needed past this point
+    # KL's constant term and sum p; an off-diagonal tile stands for itself
+    # and its transpose
+    p_log_p = p_total = 0.0
+    for (i0, _, j0, _), p_ij in zip(_tile_spans(n), p_tiles, strict=True):
+        copies = 1.0 if i0 == j0 else 2.0
+        positive = p_ij[p_ij > 0]
+        terms = np.log(positive)
+        terms *= positive
+        p_log_p += copies * float(np.sum(terms))
+        p_total += copies * float(p_ij.sum())
+        del positive, terms  # before the next tile's are allocated
     coords, pca_fallback = pca_init(x_run, config.seed)
 
     y = coords.copy()
     y_prev = y.copy()
     trace: list[tuple[int, float]] = []
     lr = config.learning_rate
-    positive = p[p > 0]
-    p_log_p = float(np.sum(positive * np.log(positive)))  # KL's constant term
-    p_total = float(p.sum())
-    del positive
-    p_tiles = _tile_major(p)
     tiles = np.empty(2 * _TILE * _TILE)
 
     for t in range(config.n_iterations):
@@ -440,8 +463,8 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
             raise NumericError(f"non-finite coordinates at iteration {t}")
         y_prev, y = y, y_next
 
-    del p_tiles, tiles
-    final_kl = kl_divergence(p, low_dim_similarities(y)[0])
+    _, z, p_log_d = _gradient_pass(p_tiles, y, 1.0, tiles, with_log=True)
+    final_kl = p_log_p + p_log_d + p_total * math.log(z)
     trace.append((config.n_iterations, final_kl))
 
     metadata = {

@@ -472,6 +472,24 @@ def test_duplicate_features_id_is_data_error(tmp_path, capsys):
     assert not (out / "embedding.csv").exists()
 
 
+def test_perplexity_above_n_minus_1_is_data_error(tmp_path, capsys):
+    # 120 records give each row 119 neighbours, the most perplexity it can reach
+    entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "40"])
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({
+        "input": str(tmp_path / "synth_data.csv"), "out": str(tmp_path / "out"),
+        "tsne": {"perplexity": 119.5, "n_iterations": 60,
+                 "momentum_switch_iter": 30, "exaggeration_until_iter": 30},
+        "k_folds": 3, "classifier_configs": {"rf": {"n_trees": 5}},
+        "sensitivity": {"n_trees": 5}, "grid_resolution": 10,
+    }))
+    capsys.readouterr()
+    assert entrypoint(["pipeline", "--config", str(path), "--scenario", "s1"]) == 2
+    err = capsys.readouterr().err
+    assert "perplexity 119.5 exceeds 119" in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "embedding.csv").exists()
+
+
 def test_input_with_a_byte_order_mark_ingests_like_one_without(tmp_path):
     entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "10"])
     plain = tmp_path / "synth_data.csv"

@@ -13,10 +13,25 @@ import pytest
 from chirpmap.tsne import (
     _TILE,
     _gradient_pass,
-    _tile_major,
+    _tile_spans,
     conditional_affinities,
     symmetrize,
 )
+
+
+def tile_major(p):
+    """A square p's upper-triangle tiles in ``_tile_spans`` order, each a
+    contiguous view into one flat copy: the layout ``_gradient_pass``
+    reads, copied from an N x N reference."""
+    spans = _tile_spans(p.shape[0])
+    flat = np.empty(sum((i1 - i0) * (j1 - j0) for i0, i1, j0, j1 in spans))
+    tiles, offset = [], 0
+    for i0, i1, j0, j1 in spans:
+        tile = flat[offset : offset + (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
+        tile[...] = p[i0:i1, j0:j1]
+        tiles.append(tile)
+        offset += tile.size
+    return tiles
 
 
 def former_squared_distances(a, b, out=None, scratch=None):
@@ -78,7 +93,7 @@ def test_tiled_pass_keeps_the_former_pass_bits(n):
     x = rng.normal(size=(n, 3))
     x[: n // 3] += 3.0
     p = symmetrize(conditional_affinities(x, min(30.0, n / 2)).p)
-    p_tiles = _tile_major(p)
+    p_tiles = tile_major(p)
     buffer = np.empty(2 * _TILE * _TILE)
     y0 = rng.normal(size=(n, 2))
     for scale in (1e-4, 1.0, 1e4):

@@ -42,6 +42,20 @@ def test_calibration_survives_extreme_scales():
         assert np.all(np.abs(aff.realized_perplexity - 8.0) <= 1e-3)
 
 
+def test_perplexity_of_n_minus_1_is_the_reachable_maximum():
+    # a row of 10 points has 9 neighbours: perplexity 9 is the uniform row
+    x = gaussian_cloud(10, seed=3)
+    aff = conditional_affinities(x, perplexity=9.0)
+    assert aff.fallback_rows == []
+    assert np.all(np.abs(aff.realized_perplexity - 9.0) <= 1e-5)
+    TsneConfig(perplexity=9.0).validate(n_points=10)
+    for perplexity in (9.5, np.nextafter(9.0, 10.0)):
+        with pytest.raises(DataError, match="perplexity"):
+            conditional_affinities(x, perplexity=perplexity)
+        with pytest.raises(DataError, match="perplexity"):
+            TsneConfig(perplexity=perplexity).validate(n_points=10)
+
+
 def test_symmetrize_produces_joint_distribution():
     aff = conditional_affinities(gaussian_cloud(30), perplexity=9.0)
     p = symmetrize(aff.p)

@@ -15,7 +15,8 @@ from chirpmap.tsne import (
     _TILE,
     TsneConfig,
     _gradient_pass,
-    _tile_major,
+    _joint_tiles,
+    _tile_spans,
     conditional_affinities,
     kl_divergence,
     kl_gradient,
@@ -24,6 +25,7 @@ from chirpmap.tsne import (
     run_tsne,
     symmetrize,
 )
+from tests.test_tile_pass_oracle import tile_major
 
 
 def tiles():
@@ -37,7 +39,7 @@ def reference_run(x, config, joint=symmetrize):
     p = joint(conditional_affinities(x, config.perplexity).p)
     y, _ = pca_init(x, config.seed)
     y_prev = y.copy()
-    p_tiles, buffer = _tile_major(p), tiles()
+    p_tiles, buffer = tile_major(p), tiles()
     kls = []
     for t in range(config.n_iterations):
         exaggeration = config.exaggeration_factor if t < config.exaggeration_until_iter else 1.0
@@ -52,6 +54,21 @@ def reference_run(x, config, joint=symmetrize):
     return y, np.array(kls), p, q
 
 
+def tile_kl(p, y):
+    """The KL as run_tsne forms it: sum p ln p and sum p from p's tiles,
+    each off-diagonal tile counted for itself and its transpose, and the
+    rest from one log pass at y."""
+    p_tiles = tile_major(p)
+    p_log_p = p_total = 0.0
+    for (i0, _, j0, _), p_ij in zip(_tile_spans(len(p)), p_tiles, strict=True):
+        copies = 1.0 if i0 == j0 else 2.0
+        positive = p_ij[p_ij > 0]
+        p_log_p += copies * float(np.sum(positive * np.log(positive)))
+        p_total += copies * float(p_ij.sum())
+    _, z, p_log_d = _gradient_pass(p_tiles, y, 1.0, tiles(), with_log=True)
+    return p_log_p + p_log_d + p_total * math.log(z)
+
+
 def clustered(seed=21, n=60):
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(n, 3))
@@ -59,8 +76,8 @@ def clustered(seed=21, n=60):
     return x
 
 
-def check_against_reference(n_iterations, checkpoints):
-    x = clustered()
+def check_against_reference(n_iterations, checkpoints, n=60):
+    x = clustered(n=n)
     config = TsneConfig(perplexity=12.0, n_iterations=n_iterations, seed=4,
                         momentum_switch_iter=50, exaggeration_until_iter=50)
     embedding = run_tsne(x, config)
@@ -69,7 +86,9 @@ def check_against_reference(n_iterations, checkpoints):
     assert [t for t, _ in embedding.kl_trace] == checkpoints
     for t, kl in embedding.kl_trace:
         assert abs(kl - kls[t - 1]) / kls[t - 1] <= 1e-12
-    assert embedding.final_kl == kl_divergence(p, q_final)
+    assert embedding.final_kl == tile_kl(p, coords)
+    reference_kl = kl_divergence(p, q_final)
+    assert abs(embedding.final_kl - reference_kl) <= 1e-12 * reference_kl
     assert embedding.kl_trace[-1] == (n_iterations, embedding.final_kl)
 
 
@@ -79,6 +98,10 @@ def test_run_tsne_matches_reference_loop():
 
 def test_last_checkpoint_is_the_last_update():
     check_against_reference(130, [50, 100, 130])
+
+
+def test_kl_over_several_tiles_counts_each_off_diagonal_tile_twice():
+    check_against_reference(60, [50, 60], n=2 * _TILE + 7)
 
 
 def far_blobs(n=300, separation=20.0):
@@ -100,6 +123,26 @@ def test_symmetrize_zeroes_affinities_below_the_floor():
     assert abs(p.sum() - 1.0) <= 1e-12
     kept = unfloored >= _P_FLOOR
     assert np.array_equal(p[kept], unfloored[kept]) and not p[~kept].any()
+
+
+@pytest.mark.parametrize("n", [3, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 7, "far_blobs"])
+def test_joint_tiles_have_the_bits_of_the_symmetrized_tiles(n):
+    if n == "far_blobs":
+        x = far_blobs()
+        c = conditional_affinities(x, 30.0).p
+        unfloored = (c + c.T) / (2 * len(x))
+        assert np.any((unfloored > 0) & (unfloored < _P_FLOOR))  # the floor bites
+    else:
+        c = conditional_affinities(clustered(seed=n, n=n), min(30.0, n / 2)).p
+    p = symmetrize(c)
+    built, expected = _joint_tiles(c), tile_major(p)
+    assert len(built) == len(expected)
+    for tile, reference in zip(built, expected):
+        assert tile.shape == reference.shape and tile.flags.c_contiguous
+        assert tile.tobytes() == reference.tobytes()
+    total = sum((1.0 if i0 == j0 else 2.0) * float(tile.sum())
+                for (i0, _, j0, _), tile in zip(_tile_spans(len(c)), built))
+    assert abs(total - p.sum()) <= 1e-15 * p.sum()
 
 
 def test_floor_leaves_run_tsne_coordinates_alone():
@@ -129,9 +172,9 @@ def test_kl_divergence_keeps_the_former_expression_bits():
 
 
 def test_run_tsne_peak_memory_is_the_loop_buffers():
-    # the loop holds p, its tile-major upper triangle and two tiles; the
-    # final KL holds p, q and their two compressed copies, plus a mask of
-    # N^2 bytes
+    # the calibration holds d^2 and the conditionals; p is then built
+    # straight into its tile-major upper triangle, and the loop and the
+    # final KL hold only that and two tiles
     n = 300
     x = clustered(seed=8, n=n)
     config = TsneConfig(perplexity=20.0, n_iterations=60, seed=2,
@@ -143,7 +186,7 @@ def test_run_tsne_peak_memory_is_the_loop_buffers():
     finally:
         tracemalloc.stop()
     buffer = n * n * 8
-    assert peak <= 4 * buffer + n * n + 256 * 1024
+    assert peak <= 2.1 * buffer + 256 * 1024
 
 
 @pytest.mark.parametrize("n", [3, _TILE - 1, _TILE, _TILE + 1, 2 * _TILE + 7])
@@ -156,14 +199,14 @@ def test_tiled_gradient_and_kl_match_the_unblocked_references(n, exaggeration):
     y0 = np.random.default_rng(n).normal(size=(n, 2))
     for scale in (1e-4, 1.0, 20.0):
         y = y0 * scale
-        grad, z, p_log_d = _gradient_pass(_tile_major(p), y, exaggeration, tiles(), with_log=True)
+        grad, z, p_log_d = _gradient_pass(tile_major(p), y, exaggeration, tiles(), with_log=True)
         reference = kl_gradient(exaggeration * p, y)
         assert np.abs(grad - reference).max() <= 1e-12 * np.abs(reference).max()
         kl = p_log_p + p_log_d + float(p.sum()) * math.log(z)
         reference_kl = kl_divergence(p, low_dim_similarities(y)[0])
         assert abs(kl - reference_kl) <= 1e-12 * abs(reference_kl)
         # a checkpoint's log pass leaves the gradient's bits alone
-        plain = _gradient_pass(_tile_major(p), y, exaggeration, tiles())
+        plain = _gradient_pass(tile_major(p), y, exaggeration, tiles())
         assert plain[0].tobytes() == grad.tobytes() and plain[1] == z and plain[2] is None
 
 
