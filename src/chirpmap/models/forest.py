@@ -11,11 +11,9 @@ one block per level in level order (see `grow_trees`). Trees grow
 together in blocks of about `_BLOCK_ROWS` rows; since no tree's draws
 depend on another's, the forest does not depend on the block size.
 
-A classification tree grows on its bootstrap's distinct rows, each
-weighted by its multiplicity, about 63% of the n rows drawn (Breiman
-2001); the tree is bit for bit the one grown on every drawn row. A
-regression tree keeps the repeated rows, whose float sums would change
-bits if weighted (see `models/tree.py`).
+A tree grows on its bootstrap's distinct rows, each weighted by its
+multiplicity, about 63% of the n rows drawn (Breiman 2001); a node's
+sample count is still the number of drawn rows that reach it.
 
 `predict` routes every point down every tree at once, level by level,
 over the trees' stacked node tables (`route_trees`).
@@ -30,12 +28,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
-from .tree import DecisionTree, NodeTable, TreeConfig, grow_trees, leaf_boxes
+from .tree import DecisionTree, NodeTable, TreeConfig, grow_trees, leaf_boxes, route_trees
 
-# rows grown together, on average: bounds the grower's working memory. A
-# regression tree grows on every row of its bootstrap, repeats included,
-# and a classification tree on the bootstrap's distinct rows only, so a
-# classification block holds about 1.58 times as many trees.
+# distinct rows grown together, on average: bounds the grower's working memory
 _BLOCK_ROWS = 8192
 # (tree, point) pairs routed together by `predict`: bounds its working memory
 _PREDICT_PAIRS = 1 << 16
@@ -144,27 +139,6 @@ def paint_boxes(axes, lo, hi, weights=None, layer=None, n_layers: int = 1) -> np
     return painted[(slice(None),) + (slice(-1),) * len(axes)]
 
 
-def route_trees(table: NodeTable, roots, x) -> np.ndarray:
-    """The leaf of `table` that every point of x reaches from every root:
-    a (len(roots), len(x)) array of node indices, found one level at a
-    time for the (root, point) pairs not yet at a leaf. A point goes left
-    where x[feature] <= threshold, as `DecisionTree.predict` sends it."""
-    n_points = x.shape[0]
-    leaf = np.empty((len(roots), n_points), dtype=np.int64)
-    node = np.repeat(np.asarray(roots, dtype=np.int64), n_points)
-    pair = np.arange(node.size)
-    xf = np.ascontiguousarray(x).ravel()
-    at = pair % n_points * x.shape[1]  # each pair's point's offset in xf
-    while pair.size:
-        feature = table.feature[node]
-        done = feature < 0
-        leaf.flat[pair[done]] = node[done]
-        inner = ~done
-        node, pair, at, feature = node[inner], pair[inner], at[inner], feature[inner]
-        node = np.where(xf[at + feature] <= table.threshold[node], node + 1, table.right[node])
-    return leaf
-
-
 def stack_trees(trees: list[DecisionTree]) -> NodeTable:
     """The trees' node tables end to end, child indices shifted to match:
     one table whose roots are the trees' roots."""
@@ -201,9 +175,9 @@ def fit_random_forest(x, y, config: ForestConfig = ForestConfig()) -> RandomFore
     tree_config = TreeConfig(task=config.task, max_depth=config.max_depth)
     seeds = np.random.SeedSequence(config.seed).spawn(config.n_trees)
     rngs = [np.random.default_rng(seed) for seed in seeds]
-    # a classification tree grows on its bootstrap's distinct rows, on
-    # average n (1 - (1 - 1/n)^n) of them, about 63%
-    rows_per_tree = n if config.task == "regression" else n * (1.0 - (1.0 - 1.0 / n) ** n)
+    # a tree grows on its bootstrap's distinct rows, on average
+    # n (1 - (1 - 1/n)^n) of them, about 63%
+    rows_per_tree = n * (1.0 - (1.0 - 1.0 / n) ** n)
     block = max(1, int(_BLOCK_ROWS // rows_per_tree))
     trees: list[DecisionTree] = []
     for lo in range(0, config.n_trees, block):

@@ -1,10 +1,12 @@
 """Greedy binary decision trees stored as flat node tables.
 
 Splits minimize weighted child impurity: Gini for classification,
-variance for regression. Candidate thresholds are midpoints between
-consecutive sorted unique values; growth stops at a pure node, the
-depth cap, or fewer than 2 samples. Ties between equally good splits go
-to the lowest feature index, then the lowest threshold.
+variance for regression, the latter scored as the centered gain of
+CART (Breiman et al. 1984). Candidate thresholds are midpoints between
+consecutive sorted unique values; growth stops at a pure node or the
+depth cap. Of splits whose scores are equal bit for bit, the lowest
+feature index wins, then the lowest threshold; splits tied only in
+exact arithmetic are decided by rounding.
 
 A fitted tree is one `NodeTable` of per-node arrays in preorder. Trees
 grow breadth-first, a block of them at once (a forest's trees, or the
@@ -16,16 +18,15 @@ child's rows, and every node of every tree on the level is scored in
 one vectorized pass with the bits of scoring it alone. No loop runs
 once per node, and no depth needs recursion.
 
-A classification tree grows on its sample's distinct rows, each
-weighted by how often the sample holds it. Its class counts, and with
+A tree grows on its sample's distinct rows, each weighted by how often
+the sample holds it. A node's n_samples is the weighted row count, the
+rows the sample drew that reach it; a regression node's value is its
+weighted mean target. A classification tree's class counts, and with
 them every Gini score and stored count, are the integers the repeated
 rows would give, and a cut falls only between unequal values, where the
-order of rows within a tie cannot matter: the tree is the one grown on
-the repeated rows, bit for bit. Its root orders are one stable argsort
-per feature of all of x, filtered to each tree's rows. A regression
-tree keeps every repeated row and argsorts its own rows: its float
-cumsums add repeated rows one at a time, so weighting them would change
-the bits.
+order of rows within a tie cannot matter: it is the tree grown on the
+repeated rows, bit for bit. The root orders are one stable argsort per
+feature of all of x, filtered to each tree's rows.
 """
 
 from __future__ import annotations
@@ -105,28 +106,6 @@ def _ranges(starts, sizes) -> np.ndarray:
     return np.arange(ends[-1]) + np.repeat(starts - (ends - sizes), sizes)
 
 
-def _segment_sums(values, starts, sizes) -> np.ndarray:
-    """(c, k) sums of each row of `values` over k segments, each with the
-    bits of that segment's own 1-D `.sum()`.
-
-    numpy's pairwise summation depends on the length summed, so zero
-    padding would change the bits: the segments are gathered in order of
-    length, and those of one length are summed as the rows of a block
-    whose rows are contiguous.
-    """
-    order = np.argsort(sizes, kind="stable")
-    width = sizes[order]
-    gathered = values.take(_ranges(starts[order], width), axis=1)
-    out = np.empty((values.shape[0], sizes.size))
-    lo = at = 0
-    for hi in np.append(np.flatnonzero(np.diff(width)) + 1, sizes.size).tolist():
-        w = int(width[lo])
-        block = gathered[:, at:at + (hi - lo) * w].reshape(-1, hi - lo, w)
-        out[:, order[lo:hi]] = block.sum(axis=2)
-        lo, at = hi, at + (hi - lo) * w
-    return out
-
-
 # padding this many more positions costs about what scoring one more
 # group of nodes costs in numpy calls
 _MERGE_POSITIONS = 2048
@@ -148,28 +127,34 @@ def _size_groups(sizes) -> list[np.ndarray]:
     return groups
 
 
-def _best_splits(xs, ys, orders, at, sizes, cand, counts, n_classes: int, weights=None):
+def _best_splits(xs, ys, weights, orders, at, sizes, cand, counts=None, means=None):
     """Best split of each of k nodes: (feature, threshold), with feature
     -1 where every candidate column is constant over the node.
 
     Node i's rows sorted by feature f are orders[f, p] for its segment p
     of the positions `at` (the segments lie end to end, `sizes` long);
-    its candidates are cand[i], ascending. Each candidate is scored at
-    every split position between unequal values; the first minimum wins,
-    so ties go to the lowest threshold and then to the lowest feature.
+    its candidates are cand[i], ascending. Row r counts weights[r] times,
+    an integer. Each candidate is scored at every split position between
+    unequal values, and the first minimum wins: of bitwise-equal scores
+    the lowest threshold wins, then the lowest feature. Splits tied only
+    in exact arithmetic are decided by how their scores round.
+
+    Classification (`counts`, the (k, n_classes) weighted class totals)
+    scores the weighted child Gini impurity. The left counts at a cut are
+    weighted counts of the rows before it, the integers the rows repeated
+    would give, so a node is scored with the bits of its repeated rows.
+
+    Regression (`means`, each node's weighted mean target) scores minus
+    the centered gain s_L^2 / (n_L n_R), where s_L sums w (y - mean) and
+    n_L sums w over the rows before the cut. In exact arithmetic the gain
+    is n / (n_L n_R) times the fall in weighted squared error, so its
+    maximum is the minimum of the weighted child variance (CART), and
+    centering keeps it clear of the cancellation in s2/n - (s/n)^2.
+
     Nodes are padded to the widest node of their group (see
     `_size_groups`); positions past a node's end are masked, and the
-    regression sums are zero-padded, since the valid prefix of a
-    zero-padded cumsum row has the bits of the unpadded one. Totals are
-    exact-length sums and class counts are integers, so every node gets
-    the bits of being scored alone. `counts` holds the (k, n_classes)
-    class totals, or is None for regression.
-
-    `weights` (classification only) holds each row's integer multiplicity,
-    indexed like `ys`; without it every row counts once. The left counts
-    at a cut are weighted counts of the rows before it, the integers its
-    rows repeated would give, so a node is scored with the bits of its
-    repeated rows.
+    valid prefix of a cumsum does not depend on them, so every node gets
+    the bits of being scored alone.
     """
     k, m = cand.shape
     starts = np.cumsum(sizes) - sizes
@@ -179,15 +164,16 @@ def _best_splits(xs, ys, orders, at, sizes, cand, counts, n_classes: int, weight
     sv = xs.ravel().take(feats * xs.shape[1] + rows)  # each node's values sorted by each candidate
     del feats
     ys = ys.take(rows)
-    if counts is None:
-        totals = _segment_sums(np.concatenate([ys, ys * ys]), starts, sizes)
-        node_n = sizes
-    else:
-        # each slot's weight, and its weight in every class but the last
-        ws = np.ones_like(rows) if weights is None else weights.take(rows)
-        class_ws = [np.where(ys == c, ws, 0) for c in range(n_classes - 1)]
-        node_n = counts.sum(axis=1)
+    ws = weights.take(rows)  # each slot's weight
     del rows
+    node_n = np.add.reduceat(ws[0], starts)  # integers: exact
+    if counts is None:
+        ys -= np.repeat(means, sizes)
+        ys *= ws  # each slot's w (y - mean)
+    else:
+        n_classes = counts.shape[1]
+        # each slot's weight in every class but the last
+        class_ws = [np.where(ys == c, ws, 0) for c in range(n_classes - 1)]
     feature = np.full(k, -1, dtype=np.int64)
     threshold = np.zeros(k)
     for group in _size_groups(sizes):
@@ -199,41 +185,19 @@ def _best_splits(xs, ys, orders, at, sizes, cand, counts, n_classes: int, weight
         is_cut = svg[..., :-1] < svg[..., 1:]  # split after position j
         is_cut &= valid[:, 1:]
         del svg
+        n_left = ws.take(pos, axis=1).cumsum(axis=-1)[..., :-1]
+        n_right = np.maximum(n - n_left, 1)  # past the node's end: masked below
         if counts is None:
-            # the variance formula of the former per-node scorer, evaluated
-            # in place: var_left = max(s2 / n_left - (s / n_left) ** 2, 0)
-            n_left = np.arange(1, width)
-            n_right = np.maximum(n - n_left, 1)  # past the node's end: masked below
-            yg = ys.take(pos, axis=1)
-            yg[:, ~valid] = 0.0
-            s = yg.cumsum(axis=-1)[..., :-1]
-            yg *= yg
-            s2 = yg.cumsum(axis=-1)[..., :-1]
-            del yg
-            sq = s / n_left
-            sq *= sq
-            weighted = s2 / n_left
-            weighted -= sq
-            np.maximum(weighted, 0.0, out=weighted)
-            np.subtract(totals[:m, group, None], s, out=sq)
-            sq /= n_right
-            sq *= sq
-            np.subtract(totals[m:, group, None], s2, out=s2)
-            s2 /= n_right
-            s2 -= sq
-            np.maximum(s2, 0.0, out=s2)  # var_right
-            weighted *= n_left
-            s2 *= n_right
-            weighted += s2
-            weighted /= n
-            del s, s2, sq
+            weighted = ys.take(pos, axis=1).cumsum(axis=-1)[..., :-1]
+            weighted *= weighted
+            n_right *= n_left  # integers: exact
+            weighted /= n_right
+            np.negative(weighted, out=weighted)
         else:
             # the Gini formula of the former per-node scorer, in place:
             # (n_left * (1 - sum_c pl_c^2) + n_right * (1 - sum_c pr_c^2)) / n,
             # summed class by class in class order; the last class's left
             # counts are n_left less the others', all integers
-            n_left = ws.take(pos, axis=1).cumsum(axis=-1)[..., :-1]
-            n_right = np.maximum(n - n_left, 1)  # past the node's end: masked below
             last = n_left.copy()
             for c in range(n_classes):
                 if c + 1 < n_classes:
@@ -260,7 +224,7 @@ def _best_splits(xs, ys, orders, at, sizes, cand, counts, n_classes: int, weight
             weighted += right
             weighted /= n
             del right
-        del pos
+        del pos, n_left, n_right
         weighted[~is_cut] = np.inf
         j = weighted.argmin(axis=-1)  # (m, g): first minimum per candidate
         mi, g = np.arange(m)[:, None], np.arange(group.size)
@@ -356,9 +320,8 @@ def grow_trees(
     being the m features with the smallest keys. Without `rngs` every
     feature is a candidate at every node.
 
-    A classification tree grows on the distinct rows of `samples[t]`,
-    each weighted by its multiplicity there; a regression tree on every
-    row of it (see the module docstring).
+    Every tree grows on the distinct rows of `samples[t]`, each weighted
+    by its multiplicity there (see the module docstring).
     """
     xt = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
     y = np.asarray(y)
@@ -367,55 +330,45 @@ def grow_trees(
     n_trees = samples.shape[0]
     classify = config.task == "classification"
     subsample = rngs is not None and m_features is not None and m_features < d
-    if classify:
-        # each tree's distinct rows, ascending, tree after tree, and how often it drew them
-        offsets = np.arange(0, n_trees * n_x, n_x)
-        mult = np.bincount((samples + offsets[:, None]).ravel(), minlength=n_trees * n_x)
-        held = mult > 0
-        flat = np.flatnonzero(held)  # each block row's (tree, row of x), flattened
-        picked = flat % n_x
-        weights = mult[flat]
-        sizes = np.count_nonzero(held.reshape(n_trees, n_x), axis=1)
-        # filtering x's stable orders to a tree's rows gives their stable
-        # orders, ties still by row of x
-        at = (np.argsort(xt, axis=1, kind="stable")[:, None, :] + offsets[:, None]).reshape(d, -1)
-        block_row = np.cumsum(held) - 1
-        orders = block_row[at[held[at]]].reshape(d, -1)
-        del mult, held, flat, at, block_row
-    else:
-        # tree t's row i is row t * n + i of the block
-        n = samples.shape[1]
-        picked = samples.ravel()
-        weights = None
-        sizes = np.full(n_trees, n)
-        orders = np.empty((d + 1, picked.size), dtype=np.intp)
-        orders[:d] = (np.argsort(xt[:, picked].reshape(d, n_trees, n), axis=2, kind="stable")
-                      + np.arange(0, n_trees * n, n)[:, None]).reshape(d, -1)
-        orders[d] = np.arange(picked.size)
-    # a node's rows are its segment of orders[-1]: ascending for regression,
-    # whose node means sum in that order; the class counts take any order
+    # each tree's distinct rows, ascending, tree after tree, and how often it drew them
+    offsets = np.arange(0, n_trees * n_x, n_x)
+    mult = np.bincount((samples + offsets[:, None]).ravel(), minlength=n_trees * n_x)
+    held = mult > 0
+    flat = np.flatnonzero(held)  # each block row's (tree, row of x), flattened
+    picked = flat % n_x
+    weights = mult[flat]
     xs = xt[:, picked]
     ys = y[picked]
-    goes_left = np.zeros(picked.size, dtype=bool)
+    sizes = np.count_nonzero(held.reshape(n_trees, n_x), axis=1)
+    # filtering x's stable orders to a tree's rows gives their stable
+    # orders, ties still by row of x
+    at = (np.argsort(xt, axis=1, kind="stable")[:, None, :] + offsets[:, None]).reshape(d, -1)
+    block_row = np.cumsum(held) - 1
+    orders = block_row[at[held[at]]].reshape(d, -1)
+    del mult, held, flat, picked, at, block_row
+    goes_left = np.zeros(ys.size, dtype=bool)
     tree = np.arange(n_trees)  # the tree of each node on the level
     levels = []
     depth = 0
     while True:
         k = sizes.size
         starts = np.cumsum(sizes) - sizes
+        # a node's rows are its segment of orders[-1]; its totals are
+        # summed in that order
         y_node = ys[orders[-1]]
+        w_node = weights[orders[-1]]
+        node = np.repeat(np.arange(k), sizes)
         if classify:
-            counts = np.bincount(np.repeat(np.arange(k) * n_classes, sizes) + y_node,
-                                 weights[orders[-1]], minlength=k * n_classes)
+            counts = np.bincount(node * n_classes + y_node, w_node, minlength=k * n_classes)
             counts = counts.astype(np.int64).reshape(k, n_classes)  # sums of integers: exact
             level = {"counts": counts}
             scored = np.count_nonzero(counts, axis=1) > 1
         else:
-            counts = None
-            level = {"n_samples": sizes,
-                     "value": _segment_sums(y_node[None], starts, sizes)[0] / sizes}
-            scored = (sizes > 1) & (np.maximum.reduceat(y_node, starts)
-                                    != np.minimum.reduceat(y_node, starts))
+            n_node = np.bincount(node, w_node, minlength=k)  # sums of integers: exact
+            level = {"n_samples": n_node.astype(np.int64),
+                     "value": np.bincount(node, w_node * y_node, minlength=k) / n_node}
+            scored = np.maximum.reduceat(y_node, starts) != np.minimum.reduceat(y_node, starts)
+        del y_node, w_node, node
         if config.max_depth is not None and depth >= config.max_depth:
             scored[:] = False
         scored = np.flatnonzero(scored)
@@ -429,9 +382,9 @@ def grow_trees(
             else:
                 cand = np.broadcast_to(np.arange(d), (scored.size, d))
             feature[scored], threshold[scored] = _best_splits(
-                xs, ys, orders, _ranges(starts[scored], sizes[scored]), sizes[scored], cand,
-                None if counts is None else counts[scored], n_classes, weights,
-            )
+                xs, ys, weights, orders, _ranges(starts[scored], sizes[scored]), sizes[scored],
+                cand, counts=counts[scored] if classify else None,
+                means=None if classify else level["value"][scored])
         # route the split nodes' rows; a midpoint that rounds onto a value separates nothing
         split = np.flatnonzero(feature >= 0)
         at = _ranges(starts[split], sizes[split])
@@ -469,30 +422,31 @@ class DecisionTree:
         x = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if x.shape[1] != self.n_features:
             raise DataError(f"expected {self.n_features} features, got {x.shape[1]}")
-        out = np.empty(x.shape[0], dtype=np.float64)
-        feature = self.root.feature.tolist()
-        threshold = self.root.threshold.tolist()
-        right = self.root.right.tolist()
-        value = self.root.value
-        xt = np.ascontiguousarray(x.T)  # free when x is column-major
-        stack = [(0, np.arange(x.shape[0]))]
-        while stack:
-            node, idx = stack.pop()
-            f = feature[node]
-            if f < 0:
-                out[idx] = value[node]
-                continue
-            column = xt[f] if node == 0 else xt[f].take(idx)  # the root holds every row
-            mask = column <= threshold[node]
-            right_idx = idx[~mask]
-            left_idx = idx[mask]
-            if right_idx.size:
-                stack.append((right[node], right_idx))
-            if left_idx.size:
-                stack.append((node + 1, left_idx))
+        out = self.root.value[route_trees(self.root, [0], x)[0]]
         if self.config.task == "classification":
             return out.astype(np.int64)
         return out
+
+
+def route_trees(table: NodeTable, roots, x) -> np.ndarray:
+    """The leaf of `table` that every point of x reaches from every root:
+    a (len(roots), len(x)) array of node indices, found one level at a
+    time for the (root, point) pairs not yet at a leaf. A point goes left
+    where x[feature] <= threshold."""
+    n_points = x.shape[0]
+    leaf = np.empty((len(roots), n_points), dtype=np.int64)
+    node = np.repeat(np.asarray(roots, dtype=np.int64), n_points)
+    pair = np.arange(node.size)
+    xf = np.ascontiguousarray(x).ravel()
+    at = pair % n_points * x.shape[1]  # each pair's point's offset in xf
+    while pair.size:
+        feature = table.feature[node]
+        done = feature < 0
+        leaf.flat[pair[done]] = node[done]
+        inner = ~done
+        node, pair, at, feature = node[inner], pair[inner], at[inner], feature[inner]
+        node = np.where(xf[at + feature] <= table.threshold[node], node + 1, table.right[node])
+    return leaf
 
 
 def fit_tree(
@@ -610,4 +564,5 @@ __all__ = [
     "count_leaves",
     "leaf_boxes",
     "leaf_path_shares",
+    "route_trees",
 ]

@@ -304,8 +304,8 @@ def _gradient_pass(p_tiles: list[np.ndarray], y: np.ndarray, exaggeration: float
     serves the rows of I through c @ [y_J, 1] and those of J through
     c.T @ [y_I, 1], for c = p_IJ w_IJ and then c = w_IJ^2. y's distance
     operands are built once per pass, and each tile's d^2 comes from
-    slices of them. ``tiles`` is a flat buffer of 2 * _TILE^2 floats;
-    each tile works in a contiguous prefix of it, because strided views
+    slices of them. ``tiles`` is a flat buffer of at least
+    2 * min(n, _TILE)^2 floats; each tile works in a contiguous prefix of it, because strided views
     into a wider buffer measured slower.
 
     Returns (gradient, Z, sum p ln(1 + d^2)); the last is None unless
@@ -407,7 +407,7 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
     p is never formed as an N x N matrix: its upper-triangle tiles are
     built from the conditionals into one tile-major buffer, and each
     iteration is one ``_gradient_pass`` over them in a buffer of two
-    _TILE x _TILE tiles allocated once per run. The memory peak is the
+    tiles of the largest span, allocated once per run. The memory peak is the
     calibration's d^2 and conditionals. Exaggeration is a scalar factor
     on the attractive term. The bits depend on _TILE. Every KL, the
     final one included, comes from a pass over the same tiles as
@@ -444,7 +444,7 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
     y_prev = y.copy()
     trace: list[tuple[int, float]] = []
     lr = config.learning_rate
-    tiles = np.empty(2 * _TILE * _TILE)
+    tiles = np.empty(2 * min(n, _TILE) ** 2)
 
     for t in range(config.n_iterations):
         checkpoint = t > 0 and t % _KL_CHECK_EVERY == 0

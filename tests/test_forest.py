@@ -81,17 +81,40 @@ def test_config_validation():
         ForestConfig(n_trees=0)
 
 
+def _walk_tree(tree, x):
+    """The former `DecisionTree.predict`, kept as the oracle: a stack walk
+    that splits the points reaching each node into its children."""
+    out = np.empty(x.shape[0], dtype=np.float64)
+    feature = tree.root.feature.tolist()
+    threshold = tree.root.threshold.tolist()
+    right = tree.root.right.tolist()
+    xt = np.ascontiguousarray(x.T)
+    stack = [(0, np.arange(x.shape[0]))]
+    while stack:
+        node, idx = stack.pop()
+        f = feature[node]
+        if f < 0:
+            out[idx] = tree.root.value[node]
+            continue
+        mask = xt[f].take(idx) <= threshold[node]
+        if np.any(~mask):
+            stack.append((right[node], idx[~mask]))
+        if np.any(mask):
+            stack.append((node + 1, idx[mask]))
+    return out
+
+
 def _walk_predict(model, x):
-    """The former forest predict, kept as the oracle: one
-    `DecisionTree.predict` walk per tree, votes or sums in tree order."""
+    """The former forest predict, kept as the oracle: one stack walk per
+    tree, votes or sums in tree order."""
     if model.config.task == "regression":
         acc = np.zeros(x.shape[0])
         for tree in model.trees:
-            acc += tree.predict(x)
+            acc += _walk_tree(tree, x)
         return acc / len(model.trees)
     votes = np.zeros((model.n_classes, x.shape[0]), dtype=np.int64)
     for tree in model.trees:
-        pred = tree.predict(x)
+        pred = _walk_tree(tree, x).astype(np.int64)
         for c in range(model.n_classes):
             votes[c] += pred == c
     return np.argmax(votes, axis=0)
@@ -102,7 +125,8 @@ def _walk_predict(model, x):
 @pytest.mark.parametrize("pairs", [5, None])
 def test_routed_predict_matches_the_per_tree_walk(task, n_trees, pairs, monkeypatch):
     """Bit for bit, on points exactly on thresholds, one point, and, with
-    an even number of trees, vote ties; `pairs` routes a few points per chunk."""
+    an even number of trees, vote ties; `pairs` routes a few points per
+    chunk. Each tree's own predict must match its walk too."""
     if pairs is not None:
         monkeypatch.setattr(forest_module, "_PREDICT_PAIRS", pairs)
     rng = np.random.default_rng(n_trees)
@@ -122,6 +146,11 @@ def test_routed_predict_matches_the_per_tree_walk(task, n_trees, pairs, monkeypa
     for queries in (points, points[:1], np.asfortranarray(points)):
         got, want = model.predict(queries), _walk_predict(model, queries)
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        for tree in model.trees:
+            walked = _walk_tree(tree, np.atleast_2d(queries))
+            if task == "classification":
+                walked = walked.astype(np.int64)
+            assert tree.predict(queries).tobytes() == walked.tobytes()
     if task == "classification" and n_trees == 2:
         pred = np.array([tree.predict(points) for tree in model.trees])
         assert np.any(pred[0] != pred[1])  # some point's vote ties
@@ -150,8 +179,8 @@ def test_forest_does_not_depend_on_block_size(task, d, monkeypatch):
     y = x[:, 0] * x[:, 1] if task == "regression" else (x[:, 0] + x[:, 1] > 0).astype(np.int64)
     config = ForestConfig(n_trees=12, seed=2, task=task)
     forests = []
-    # 1, 2, 7 and 12 trees per block for regression; 1, 3, 11 and 12 for
-    # classification, whose blocks count each bootstrap's distinct rows
+    # 1, 3, 11 and 12 trees per block: blocks count each bootstrap's
+    # distinct rows
     for rows in (1, 150, 500, 10**6):
         monkeypatch.setattr(forest_module, "_BLOCK_ROWS", rows)
         forests.append(_tables(fit_random_forest(x, y, config)))

@@ -190,3 +190,16 @@ def test_midpoint_rounding_onto_upper_value_makes_a_leaf():
     tree = fit_tree(np.array([[a], [1.0]]), np.array([0, 1]))
     assert tree.root.feature.tolist() == [-1]
     assert tree.predict(np.array([[a], [1.0]])).tolist() == [0, 0]
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_regression_root_finds_a_small_step_on_a_large_offset(seed):
+    """A 1e-7 step on a target near 30, with 1e-9 noise: the step is the
+    best cut by far, but s2/n - (s/n)^2 cancels to rounding noise at this
+    offset, where a centered score does not."""
+    rng = np.random.default_rng(seed)
+    cut = int(rng.integers(5, 36))
+    x = np.arange(40.0)[:, None]
+    y = 30.0 + 1e-7 * (x[:, 0] >= cut) + 1e-9 * rng.normal(size=40)
+    tree = fit_tree(x, y, TreeConfig("regression", max_depth=1))
+    assert tree.root.threshold[0] == cut - 0.5

@@ -3,9 +3,12 @@
 `_reference_grow` and `_reference_best_split` are a former recursive
 implementation (per-node stable argsort, one feature at a time), kept
 here only as the oracle: every node of every tree must match it exactly.
-The reference grows on every repeated row of a bootstrap, so it also
-checks that classification trees grown on distinct rows with weights
-are the same trees.
+The reference grows on rows with integer weights. Regression forests are
+checked against it on each bootstrap's distinct rows, weighted by their
+multiplicity, as the grower grows them; classification forests on every
+repeated row of the bootstrap, each weighing 1, so it also checks that
+classification trees grown on distinct rows with weights are the same
+trees.
 With feature subsampling the reference is fed the candidates of the
 grower's schedule, drawn independently here one node at a time from a
 breadth-first queue (`_queue_schedule`).
@@ -18,44 +21,47 @@ import pytest
 
 from chirpmap.models import forest as forest_module
 from chirpmap.models.forest import ForestConfig, fit_random_forest
-from chirpmap.models.tree import TreeConfig, _best_splits, _segment_sums, fit_tree
+from chirpmap.models.tree import TreeConfig, _best_splits, fit_tree
 
 
-def _reference_best_split(x, y, idx, features, task, n_classes):
-    n = idx.size
+def _node_mean(x, y, w, idx):
+    """Sum of w y over the node's rows / sum of w: the products added one
+    at a time in the rows' stable order by the last feature, the order
+    in which the grower sums them."""
+    order = idx[np.argsort(x[idx, -1], kind="stable")]
+    return np.cumsum(w[order] * y[order])[-1] / w[idx].sum()
+
+
+def _reference_best_split(x, y, w, idx, features, task, n_classes):
+    n = w[idx].sum()
     best = None
-    y_node = y[idx]
+    if task == "regression":
+        mean = _node_mean(x, y, w, idx)
     for f in features:
-        vals = x[idx, f]
-        order = np.argsort(vals, kind="stable")
-        sv = vals[order]
+        order = idx[np.argsort(x[idx, f], kind="stable")]
+        sv = x[order, f]
         cut = np.nonzero(sv[:-1] < sv[1:])[0]
         if cut.size == 0:
             continue
-        n_left = cut + 1
+        ws = w[order]
+        n_left = np.cumsum(ws)[cut]
         n_right = n - n_left
-        ys = y_node[order]
+        ys = y[order]
         if task == "classification":
             left_impurity = np.zeros(cut.size)
             right_impurity = np.zeros(cut.size)
-            total = np.bincount(ys, minlength=n_classes)
+            total = np.bincount(ys, ws, minlength=n_classes).astype(np.int64)
             for c in range(n_classes):
-                cum_c = np.cumsum(ys == c)[cut]
+                cum_c = np.cumsum(ws * (ys == c))[cut]
                 pl = cum_c / n_left
                 pr = (total[c] - cum_c) / n_right
                 left_impurity += pl * pl
                 right_impurity += pr * pr
             weighted = (n_left * (1.0 - left_impurity) + n_right * (1.0 - right_impurity)) / n
         else:
-            s = np.cumsum(ys)[cut]
-            s2 = np.cumsum(ys * ys)[cut]
-            total_s = ys.sum()
-            total_s2 = (ys * ys).sum()
-            var_left = np.maximum(s2 / n_left - (s / n_left) ** 2, 0.0)
-            var_right = np.maximum(
-                (total_s2 - s2) / n_right - ((total_s - s) / n_right) ** 2, 0.0
-            )
-            weighted = (n_left * var_left + n_right * var_right) / n
+            # minus the centered gain
+            s = np.cumsum(ws * (ys - mean))[cut]
+            weighted = -(s * s) / (n_left * n_right)
         j = int(np.argmin(weighted))
         if best is None or weighted[j] < best[0]:
             threshold = (sv[cut[j]] + sv[cut[j] + 1]) / 2.0
@@ -65,26 +71,23 @@ def _reference_best_split(x, y, idx, features, task, n_classes):
     return best[1], best[2]
 
 
-def _reference_leaf(y_node, task, n_classes):
+def _reference_leaf(x, y, w, idx, task, n_classes):
+    n = int(w[idx].sum())
     if task == "classification":
-        counts = np.bincount(y_node, minlength=n_classes)
-        return {"n": y_node.size, "value": float(np.argmax(counts)), "counts": counts.tolist()}
-    return {"n": y_node.size, "value": float(y_node.mean()), "counts": None}
+        counts = np.bincount(y[idx], w[idx], minlength=n_classes).astype(np.int64)
+        return {"n": n, "value": float(np.argmax(counts)), "counts": counts.tolist()}
+    return {"n": n, "value": float(_node_mean(x, y, w, idx)), "counts": None}
 
 
-def _reference_grow(x, y, idx, depth, config, n_classes, features_of, path=""):
+def _reference_grow(x, y, w, idx, depth, config, n_classes, features_of, path=""):
     """`features_of(path)` gives the candidates of the node at `path`, a
-    string of L and R steps from the root."""
+    string of L and R steps from the root; row i weighs w[i]."""
     y_node = y[idx]
-    n = idx.size
-    if config.task == "classification":
-        pure = bool(np.all(y_node == y_node[0]))
-    else:
-        pure = bool(y_node.max() == y_node.min())
-    if pure or n < 2 or (config.max_depth is not None and depth >= config.max_depth):
-        return _reference_leaf(y_node, config.task, n_classes)
-    split = _reference_best_split(x, y, idx, features_of(path), config.task, n_classes)
-    node = _reference_leaf(y_node, config.task, n_classes)
+    node = _reference_leaf(x, y, w, idx, config.task, n_classes)
+    if (bool(np.all(y_node == y_node[0])) or idx.size < 2
+            or (config.max_depth is not None and depth >= config.max_depth)):
+        return node
+    split = _reference_best_split(x, y, w, idx, features_of(path), config.task, n_classes)
     node["scored"] = True
     if split is None:
         return node
@@ -92,10 +95,10 @@ def _reference_grow(x, y, idx, depth, config, n_classes, features_of, path=""):
     mask = x[idx, feature] <= threshold
     node["feature"] = feature
     node["threshold"] = threshold
-    node["left"] = _reference_grow(x, y, idx[mask], depth + 1, config, n_classes, features_of,
-                                   path + "L")
-    node["right"] = _reference_grow(x, y, idx[~mask], depth + 1, config, n_classes, features_of,
-                                    path + "R")
+    node["left"] = _reference_grow(x, y, w, idx[mask], depth + 1, config, n_classes,
+                                   features_of, path + "L")
+    node["right"] = _reference_grow(x, y, w, idx[~mask], depth + 1, config, n_classes,
+                                    features_of, path + "R")
     return node
 
 
@@ -113,20 +116,22 @@ def _queue_schedule(tree, rng, d, m):
     return schedule
 
 
-def _reference_tree(x, y, config, n_classes, m, make_rng):
-    """The reference tree, with the level-order schedule when m < d.
+def _reference_tree(x, y, config, n_classes, m, make_rng, w=None):
+    """The reference tree on rows weighted by w (by default 1 each), with
+    the level-order schedule when m < d.
 
     The schedule of a level depends only on the levels above it, so
     growing on the last schedule and redrawing converges, level by level.
     `make_rng()` returns the generator in the state the tree's draws start.
     """
     d = x.shape[1]
+    w = np.ones(x.shape[0], dtype=np.int64) if w is None else w
+    idx = np.arange(x.shape[0])
     if m >= d:
-        return _reference_grow(x, y, np.arange(x.shape[0]), 0, config, n_classes,
-                               lambda path: np.arange(d))
+        return _reference_grow(x, y, w, idx, 0, config, n_classes, lambda path: np.arange(d))
     schedule = {}
     for _ in range(200):
-        tree = _reference_grow(x, y, np.arange(x.shape[0]), 0, config, n_classes,
+        tree = _reference_grow(x, y, w, idx, 0, config, n_classes,
                                lambda path: np.array(schedule.get(path, range(m))))
         drawn = _queue_schedule(tree, make_rng(), d, m)
         if drawn == schedule:
@@ -210,9 +215,9 @@ def _repeated_rows(task, seed, n=80, d=3):
 ])
 @pytest.mark.parametrize("block_rows", [1, 10**6])
 def test_forest_matches_recursive_reference(task, d, cohort, block_rows, monkeypatch):
-    """Every tree of a forest against the reference grown on its bootstrap's
-    rows, repeats included: classification grows on distinct rows with
-    weights, and with d = 3 draws 2 candidates per node."""
+    """Every tree of a forest against the reference grown on its bootstrap:
+    on the distinct rows weighted by multiplicity for regression, on every
+    drawn row for classification. With d = 3 each node draws 2 candidates."""
     monkeypatch.setattr(forest_module, "_BLOCK_ROWS", block_rows)
     x, y = cohort(task, 11, n=80, d=d)
     config = ForestConfig(n_trees=6, seed=4, task=task)
@@ -227,23 +232,29 @@ def test_forest_matches_recursive_reference(task, d, cohort, block_rows, monkeyp
             return rng
 
         boot = np.random.default_rng(seed).integers(0, x.shape[0], size=x.shape[0])
-        _assert_same_tree(tree.root, _reference_tree(x[boot], y[boot], tree_config, n_classes, m,
-                                                     tree_rng))
+        if task == "regression":
+            rows, w = np.unique(boot, return_counts=True)
+            reference = _reference_tree(x[rows], y[rows], tree_config, n_classes, m, tree_rng, w)
+        else:
+            reference = _reference_tree(x[boot], y[boot], tree_config, n_classes, m, tree_rng)
+        _assert_same_tree(tree.root, reference)
 
 
-def _former_best_split(xt, y, orders, features, task, n_classes, class_totals):
-    """The former per-node scorer: every candidate in one (m, n - 1) pass."""
-    n = orders.shape[1]
+def _former_best_split(xt, y, w, orders, features, task, n_classes, totals):
+    """The former per-node scorer: every candidate in one (m, n - 1) pass.
+    `totals` holds the node's class totals, or its mean target for
+    regression."""
     rows = orders.take(features, axis=0)
     sv = xt[features[:, None], rows]
     ys = y[rows]
+    ws = w[rows]
     is_cut = sv[:, :-1] < sv[:, 1:]
-    n_left = np.arange(1, n)
-    n_right = n - n_left
+    n_left = ws.cumsum(axis=1)[:, :-1]
+    n_right = ws[0].sum() - n_left
     if task == "classification":
-        below = (ys[:, :, None] == np.arange(n_classes)).cumsum(axis=1)[:, :-1]
-        pl = below / n_left[:, None]
-        pr = (class_totals - below) / n_right[:, None]
+        below = ((ys[:, :, None] == np.arange(n_classes)) * ws[:, :, None]).cumsum(axis=1)[:, :-1]
+        pl = below / n_left[:, :, None]
+        pr = (totals - below) / n_right[:, :, None]
         left_sq = pl * pl
         right_sq = pr * pr
         left_impurity = left_sq[:, :, 0]
@@ -251,18 +262,11 @@ def _former_best_split(xt, y, orders, features, task, n_classes, class_totals):
         for c in range(1, n_classes):
             left_impurity = left_impurity + left_sq[:, :, c]
             right_impurity = right_impurity + right_sq[:, :, c]
-        weighted = (n_left * (1.0 - left_impurity) + n_right * (1.0 - right_impurity)) / n
+        weighted = (n_left * (1.0 - left_impurity) + n_right * (1.0 - right_impurity)) \
+            / ws[0].sum()
     else:
-        ys2 = ys * ys
-        s = ys.cumsum(axis=1)[:, :-1]
-        s2 = ys2.cumsum(axis=1)[:, :-1]
-        total_s = ys.sum(axis=1, keepdims=True)
-        total_s2 = ys2.sum(axis=1, keepdims=True)
-        var_left = np.maximum(s2 / n_left - (s / n_left) ** 2, 0.0)
-        var_right = np.maximum(
-            (total_s2 - s2) / n_right - ((total_s - s) / n_right) ** 2, 0.0
-        )
-        weighted = (n_left * var_left + n_right * var_right) / n
+        s = (ws * (ys - totals)).cumsum(axis=1)[:, :-1]
+        weighted = -(s * s) / (n_left * n_right)
     weighted = np.where(is_cut, weighted, np.inf)
     best = None
     for r, j in enumerate(weighted.argmin(axis=1).tolist()):
@@ -285,23 +289,28 @@ def test_batched_scorer_matches_former_per_node_scorer(task):
     xt = np.round(rng.normal(size=(d, n)), 1)
     if task == "classification":
         y = rng.integers(0, n_classes, size=n)
+        w = np.ones(n, dtype=np.int64)
     else:
         y = np.round(rng.normal(size=n), 1) * 10.0 ** rng.integers(-3, 4, size=n)
+        w = rng.integers(1, 5, size=n)
     starts = np.cumsum(sizes) - sizes
-    orders = np.empty((d + 1, n), dtype=np.intp)
+    orders = np.empty((d, n), dtype=np.intp)
     cand = np.sort(np.argsort(rng.random((sizes.size, d)), axis=1)[:, :2], axis=1)
-    counts = np.zeros((sizes.size, n_classes), dtype=np.int64)
+    totals = np.zeros((sizes.size, n_classes), dtype=np.int64)
+    means = np.zeros(sizes.size)
     expected = []
     for i, (lo, size) in enumerate(zip(starts, sizes)):
         rows = np.arange(lo, lo + size)
-        node_orders = np.vstack([rows[np.argsort(xt[:, rows], axis=1, kind="stable")], rows])
+        node_orders = rows[np.argsort(xt[:, rows], axis=1, kind="stable")]
         orders[:, lo:lo + size] = node_orders
         if task == "classification":
-            counts[i] = np.bincount(y[rows], minlength=n_classes)
-        expected.append(_former_best_split(xt, y, node_orders, cand[i], task, n_classes,
-                                           counts[i]))
-    feature, threshold = _best_splits(xt, y, orders, np.arange(n), sizes, cand,
-                                      counts if task == "classification" else None, n_classes)
+            totals[i] = np.bincount(y[rows], minlength=n_classes)
+        else:
+            means[i] = (w[rows] * y[rows]).sum() / w[rows].sum()
+        expected.append(_former_best_split(xt, y, w, node_orders, cand[i], task, n_classes,
+                                           totals[i] if task == "classification" else means[i]))
+    node_totals = {"counts": totals} if task == "classification" else {"means": means}
+    feature, threshold = _best_splits(xt, y, w, orders, np.arange(n), sizes, cand, **node_totals)
     assert list(zip(feature.tolist(), threshold.tolist())) == expected
     if task == "classification":
         # the same rows weighted score as those rows repeated, bit for bit
@@ -310,26 +319,11 @@ def test_batched_scorer_matches_former_per_node_scorer(task):
         expected = []
         for i, (lo, size) in enumerate(zip(starts, sizes)):
             rows = np.flatnonzero((repeated >= lo) & (repeated < lo + size))
-            node_orders = np.vstack([rows[np.argsort(xt[:, repeated[rows]], axis=1,
-                                                     kind="stable")], rows])
-            counts[i] = np.bincount(y[repeated[rows]], minlength=n_classes)
-            expected.append(_former_best_split(xt[:, repeated], y[repeated], node_orders,
-                                               cand[i], task, n_classes, counts[i]))
-        feature, threshold = _best_splits(xt, y, orders, np.arange(n), sizes, cand, counts,
-                                          n_classes, weights)
+            node_orders = rows[np.argsort(xt[:, repeated[rows]], axis=1, kind="stable")]
+            totals[i] = np.bincount(y[repeated[rows]], minlength=n_classes)
+            expected.append(_former_best_split(xt[:, repeated], y[repeated],
+                                               np.ones(repeated.size, dtype=np.int64),
+                                               node_orders, cand[i], task, n_classes, totals[i]))
+        feature, threshold = _best_splits(xt, y, weights, orders, np.arange(n), sizes, cand,
+                                          counts=totals)
         assert list(zip(feature.tolist(), threshold.tolist())) == expected
-
-
-@pytest.mark.parametrize("channels", [1, 3, 4])
-def test_segment_sums_have_the_bits_of_one_dimensional_sums(channels):
-    rng = np.random.default_rng(channels)
-    sizes = np.concatenate([np.arange(1, 300), rng.integers(1, 1000, size=40), [1, 2, 9, 129]])
-    rng.shuffle(sizes)
-    values = rng.normal(size=(channels, int(sizes.sum())))
-    values *= 10.0 ** rng.integers(-8, 9, size=values.shape)
-    values[:, ::7] = -0.0
-    starts = np.cumsum(sizes) - sizes
-    sums = _segment_sums(values, starts, sizes)
-    for c in range(channels):
-        expected = [values[c, lo:lo + size].sum() for lo, size in zip(starts, sizes)]
-        assert sums[c].tolist() == expected

@@ -171,11 +171,11 @@ def test_kl_divergence_keeps_the_former_expression_bits():
     assert np.array_equal(p, p_before) and np.array_equal(q, q_before)
 
 
-def test_run_tsne_peak_memory_is_the_loop_buffers():
+@pytest.mark.parametrize("n", [120, 300])
+def test_run_tsne_peak_memory_is_the_loop_buffers(n):
     # the calibration holds d^2 and the conditionals; p is then built
     # straight into its tile-major upper triangle, and the loop and the
-    # final KL hold only that and two tiles
-    n = 300
+    # final KL hold only that and two tiles, each at most n x n
     x = clustered(seed=8, n=n)
     config = TsneConfig(perplexity=20.0, n_iterations=60, seed=2,
                         momentum_switch_iter=30, exaggeration_until_iter=30)
