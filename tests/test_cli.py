@@ -490,6 +490,24 @@ def test_perplexity_above_n_minus_1_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "out" / "embedding.csv").exists()
 
 
+@pytest.mark.parametrize("weight", ["1e100", "1e150", "1e-160"])
+def test_unreachable_perplexity_is_numeric_failure(tmp_path, capsys, weight):
+    # squared distances near 1e200 leave only the nearest neighbour at any
+    # beta in [1e-20, 1e20] (perplexity 1), and near 1e300 beta * d^2
+    # overflows at the top of the range; near 1e-320 they leave every row
+    # uniform (perplexity 119): none reaches the default 30
+    entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "40"])
+    out = tmp_path / "out"
+    weights = ["--weights", ",".join([weight] * 3)]
+    assert entrypoint(["ingest", "--input", str(tmp_path / "synth_data.csv"),
+                       "--out", str(out), *weights]) == 0
+    capsys.readouterr()
+    assert entrypoint(["embed", "--out", str(out), *weights]) == 3
+    err = capsys.readouterr().err
+    assert "perplexity unreachable at row 0" in err and "Traceback" not in err
+    assert not (out / "embedding.csv").exists()
+
+
 def test_input_with_a_byte_order_mark_ingests_like_one_without(tmp_path):
     entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "10"])
     plain = tmp_path / "synth_data.csv"

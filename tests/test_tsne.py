@@ -39,7 +39,8 @@ def test_calibration_survives_extreme_scales():
     # bandwidth search must cope with very large and very tiny distances
     for scale in (1e-6, 1e6):
         aff = conditional_affinities(gaussian_cloud(25, seed=2, scale=scale), perplexity=8.0)
-        assert np.all(np.abs(aff.realized_perplexity - 8.0) <= 1e-3)
+        assert not aff.fallback_rows
+        assert np.all(np.abs(aff.realized_perplexity - 8.0) <= 1e-5)
 
 
 def test_perplexity_of_n_minus_1_is_the_reachable_maximum():
