@@ -180,27 +180,14 @@ def compute_metrics(cm: ConfusionMatrix) -> dict:
     return {"accuracy": accuracy, "precision": precision, "recall": recall, "f1": f1}
 
 
-def cross_validate(
-    coords,
-    labels,
-    kind: str,
-    k: int = 5,
-    seed: int = 0,
-    config=None,
-) -> dict:
-    """Stratified k-fold CV of one classifier kind.
-
-    Folds depend only on (labels, k, seed), so different classifiers
+def cross_validate(coords, labels, kind: str, folds, seed: int, config=None) -> dict:
+    """CV of one classifier kind over folds that `stratified_kfold` drew
+    from (labels, k, seed). Folds depend only on those, so classifiers
     evaluated under the same seed see identical folds. Per-fold training
     seeds are derived from the fold seed.
     """
-    labels = np.asarray(labels, dtype=np.int64)
-    return _cross_validate_folds(coords, labels, kind, stratified_kfold(labels, k, seed), seed, config)
-
-
-def _cross_validate_folds(coords, labels, kind: str, folds, seed: int, config) -> dict:
-    """``cross_validate`` over folds already drawn from (labels, k, seed)."""
     coords = np.asarray(coords, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
     all_idx = np.arange(labels.size)
     accuracies: list[float] = []
     confusions: list[dict] = []
@@ -275,7 +262,7 @@ def run_all_scenarios(
         }
         for kind in classifier_kinds:
             config = classifier_configs.get(kind)
-            cv = _cross_validate_folds(coords, labels, kind, folds, cv_seed, config)
+            cv = cross_validate(coords, labels, kind, folds, cv_seed, config)
             fit_seed = derive_seed(master_seed, f"holdout-fit:{key}:{kind}")
             model = fit_classifier(
                 kind, coords[train_idx], labels[train_idx], seed=fit_seed, config=config

@@ -11,7 +11,7 @@ from .forest import ForestConfig, RandomForestModel, fit_random_forest
 from .knn import KnnConfig, KnnModel, fit_knn
 from .logistic import LogisticConfig, LogisticModel, fit_logistic
 from .svm import SvmConfig, SvmModel, fit_svm, kkt_violation
-from .tree import DecisionTree, NodeTable, TreeConfig, fit_tree, gini_impurity
+from .tree import DecisionTree, NodeTable, TreeConfig, fit_tree
 from .io import load_model, model_from_dict, model_to_dict, save_model
 
 # each classifier kind's config dataclass, in the order the pipeline runs them
@@ -48,10 +48,6 @@ class LabeledPoints:
             raise DataError("labels must be binary {0, 1}")
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "labels", labels)
-
-    @property
-    def n_points(self) -> int:
-        return self.coords.shape[0]
 
 
 def fit_classifier(kind: str, coords, labels, seed: int = 0, config=None):
@@ -91,7 +87,6 @@ __all__ = [
     "LogisticModel",
     "KnnConfig",
     "KnnModel",
-    "gini_impurity",
     "fit_tree",
     "fit_random_forest",
     "fit_svm",

@@ -88,16 +88,6 @@ class NodeTable:
         )
 
 
-def gini_impurity(counts) -> float:
-    """1 - sum_c (n_c / n)^2 over per-class counts; 0 iff pure."""
-    c = np.asarray(counts, dtype=np.float64)
-    n = c.sum()
-    if n < 1:
-        raise DataError("gini_impurity needs at least one sample")
-    p = c / n
-    return float(1.0 - np.sum(p * p))
-
-
 def _ranges(starts, sizes) -> np.ndarray:
     """start_i, start_i + 1, ..., start_i + size_i - 1 for every i, end to end."""
     ends = np.cumsum(sizes)
@@ -557,7 +547,6 @@ __all__ = [
     "TreeConfig",
     "NodeTable",
     "DecisionTree",
-    "gini_impurity",
     "fit_tree",
     "grow_trees",
     "tree_depth",

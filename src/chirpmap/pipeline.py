@@ -189,32 +189,38 @@ def _normalize_weights(value) -> tuple[float, ...]:
     return tuple(float(w) for w in value)
 
 
-def _normalize_scenarios(value) -> tuple[str, ...]:
+def _normalize_selection(value, what: str, every: tuple[str, ...], spellings: dict) -> tuple[str, ...]:
+    """The `what`s (scenarios or classifiers) a run covers: null or "all"
+    is `every` one, a string one, a list those it names. `spellings` maps
+    each accepted name, in lower case, to the one the run uses. An empty
+    list leaves nothing to run, and a name listed twice would run twice
+    and overwrite its own artifacts; both are UsageErrors."""
     if value in (None, "all"):
-        return SCENARIO_ORDER
+        return every
     if isinstance(value, str):
         value = [value]
-    keys = tuple(str(v).lower() for v in value)
-    for k in keys:
-        if k not in SCENARIOS:
-            raise UsageError(f"unknown scenario {k!r}; expected {', '.join(SCENARIO_ORDER)}, or all")
-    return keys
+    if not isinstance(value, (list, tuple)):
+        raise UsageError(f"{what}s must be a name, a list of names or all, got {value!r}")
+    if not value:
+        raise UsageError(f"{what}s must name at least one {what}")
+    names = []
+    for v in value:
+        name = spellings.get(str(v).lower())
+        if name is None:
+            raise UsageError(f"unknown {what} {v!r}; expected {', '.join(spellings)}, or all")
+        if name in names:
+            raise UsageError(f"{what}s lists {name!r} twice")
+        names.append(name)
+    return tuple(names)
+
+
+def _normalize_scenarios(value) -> tuple[str, ...]:
+    return _normalize_selection(value, "scenario", SCENARIO_ORDER, {k: k for k in SCENARIO_ORDER})
 
 
 def _normalize_classifiers(value) -> tuple[str, ...]:
-    if value in (None, "all"):
-        return CLASSIFIER_KINDS
-    if isinstance(value, str):
-        value = [value]
-    out = []
-    for v in value:
-        name = SHORT_KIND_NAMES.get(str(v), str(v))
-        if name not in CLASSIFIER_KINDS:
-            raise UsageError(
-                f"unknown classifier {v!r}; expected {', '.join(SHORT_KIND_NAMES)}, or all"
-            )
-        out.append(name)
-    return tuple(out)
+    spellings = {**SHORT_KIND_NAMES, **{kind: kind for kind in CLASSIFIER_KINDS}}
+    return _normalize_selection(value, "classifier", CLASSIFIER_KINDS, spellings)
 
 
 def _normalize_classifier_configs(value) -> dict:
@@ -455,108 +461,48 @@ def stage_render(config: PipelineConfig) -> None:
     if smap.ids != ids:
         raise DataError("sensitivity rows do not match embedding rows")
     metrics = _report_metrics(report, paths["eval_report"], config)
-
-    os.makedirs(paths["figs_dir"], exist_ok=True)
     prov = _provenance(config)
-    figs = paths["figs_dir"]
+    axes = {"x_label": "t-SNE x", "y_label": "t-SNE y"}
 
+    figures = []  # (file name, svg), written in one loop once every figure is drawn
     dist = class_distribution(rows)
-    write_text(
-        os.path.join(figs, "fig_bars_outcome.svg"),
-        render_bars(
-            dist["outcome"],
-            PlotSpec(kind="bars", title="Outcome distribution"),
-            provenance=prov,
-        ),
-    )
-    write_text(
-        os.path.join(figs, "fig_bars_difficulty.svg"),
-        render_bars(
-            dist["difficulty"],
-            PlotSpec(kind="bars", title="Difficulty distribution"),
-            provenance=prov,
-        ),
-    )
-    write_text(
-        os.path.join(figs, "fig_embedding_outcome.svg"),
-        render_labeled_embedding(
-            coords,
-            [r.outcome for r in rows],
-            PlotSpec(kind="scatter", title="Embedding by outcome", x_label="t-SNE x", y_label="t-SNE y"),
-            provenance=prov,
-        ),
-    )
-    write_text(
-        os.path.join(figs, "fig_embedding_difficulty.svg"),
-        render_labeled_embedding(
-            coords,
-            [r.difficulty for r in rows],
-            PlotSpec(kind="scatter", title="Embedding by difficulty", x_label="t-SNE x", y_label="t-SNE y"),
-            provenance=prov,
-        ),
-    )
-
+    for name in ("outcome", "difficulty"):
+        spec = PlotSpec(title=f"{name.title()} distribution")
+        figures.append((f"fig_bars_{name}.svg", render_bars(dist[name], spec, provenance=prov)))
+    for name in ("outcome", "difficulty"):
+        spec = PlotSpec(title=f"Embedding by {name}", **axes)
+        figures.append((f"fig_embedding_{name}.svg",
+                        render_labeled_embedding(coords, [getattr(r, name) for r in rows], spec,
+                                                 provenance=prov)))
     for scenario in config.scenarios:
         labels, _ = encode_scenario(rows, SCENARIOS[scenario])
         points = LabeledPoints(coords, labels)
         for kind in config.classifiers:
             short = LONG_KIND_NAMES[kind]
             model_path = os.path.join(paths["models_dir"], f"{scenario}_{short}.json")
-            model = load_model(
-                model_path, f"missing model artifact {model_path} (run the eval stage first)"
-            )
-            write_text(
-                os.path.join(figs, f"fig_boundary_{scenario}_{short}.svg"),
-                render_boundary(
-                    model,
-                    points,
-                    PlotSpec(
-                        kind="boundary",
-                        title=f"{scenario} decision regions ({short})",
-                        width=640,
-                        height=640,
-                        x_label="t-SNE x",
-                        y_label="t-SNE y",
-                    ),
-                    g=config.grid_resolution,
-                    provenance=prov,
-                ),
-            )
-        write_text(
-            os.path.join(figs, f"fig_confusion_{scenario}.svg"),
-            render_confusion(
-                {LONG_KIND_NAMES[kind]: metrics[scenario, kind][0] for kind in config.classifiers},
-                PlotSpec(kind="confusion", title=f"{scenario} hold-out confusion", width=760, height=260),
-                provenance=prov,
-            ),
-        )
-        write_text(
-            os.path.join(figs, f"fig_metrics_{scenario}.svg"),
-            render_metric_bars(
-                {LONG_KIND_NAMES[kind]: metrics[scenario, kind][1] for kind in config.classifiers},
-                PlotSpec(
-                    kind="bars",
-                    title=f"{scenario}: CV accuracy and hold-out precision/recall/F1",
-                    width=760,
-                    height=360,
-                ),
-                provenance=prov,
-            ),
-        )
-
+            model = load_model(model_path, f"missing model artifact {model_path} (run the eval stage first)")
+            spec = PlotSpec(title=f"{scenario} decision regions ({short})", width=640, height=640, **axes)
+            figures.append((f"fig_boundary_{scenario}_{short}.svg",
+                            render_boundary(model, points, spec, g=config.grid_resolution, provenance=prov)))
+        figures.append((f"fig_confusion_{scenario}.svg", render_confusion(
+            {LONG_KIND_NAMES[kind]: metrics[scenario, kind][0] for kind in config.classifiers},
+            PlotSpec(title=f"{scenario} hold-out confusion", width=760, height=260),
+            provenance=prov,
+        )))
+        figures.append((f"fig_metrics_{scenario}.svg", render_metric_bars(
+            {LONG_KIND_NAMES[kind]: metrics[scenario, kind][1] for kind in config.classifiers},
+            PlotSpec(title=f"{scenario}: CV accuracy and hold-out precision/recall/F1", width=760, height=360),
+            provenance=prov,
+        )))
     for j, feature in enumerate(smap.feature_names):
-        write_text(
-            os.path.join(figs, f"fig_sensitivity_{feature}.svg"),
-            render_sensitivity(
-                coords,
-                smap.combined[:, j],
-                feature,
-                PlotSpec(kind="sensitivity", x_label="t-SNE x", y_label="t-SNE y"),
-                provenance=prov,
-            ),
-        )
-    n_figs = 4 + len(config.scenarios) * (len(config.classifiers) + 2) + len(smap.feature_names)
-    _log(f"render: {n_figs} figures written to {figs}")
+        figures.append((f"fig_sensitivity_{feature}.svg",
+                        render_sensitivity(coords, smap.combined[:, j], feature, PlotSpec(**axes),
+                                           provenance=prov)))
+
+    os.makedirs(paths["figs_dir"], exist_ok=True)
+    for name, svg in figures:
+        write_text(os.path.join(paths["figs_dir"], name), svg)
+    _log(f"render: {len(figures)} figures written to {paths['figs_dir']}")
 
 
 _STAGES = (

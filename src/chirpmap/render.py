@@ -27,12 +27,12 @@ CYAN = "#00ffff"
 OUTCOME_COLORS = {"S": TEAL, "NR": MAGENTA, "F": CYAN}
 BINARY_CLASS_COLORS = (TEAL, MAGENTA)  # class 0, class 1
 
-_PLOT_KINDS = ("bars", "scatter", "boundary", "confusion", "sensitivity")
+# the share of each axis's span added on both sides of a scatter's points
+_PAD = 0.05
 
 
 @dataclass(frozen=True)
 class PlotSpec:
-    kind: str
     title: str = ""
     width: int = 640
     height: int = 480
@@ -40,8 +40,6 @@ class PlotSpec:
     y_label: str = ""
 
     def __post_init__(self):
-        if self.kind not in _PLOT_KINDS:
-            raise DataError(f"unknown plot kind {self.kind!r}")
         if self.width < 100 or self.height < 100:
             raise DataError("figure must be at least 100 x 100 px")
 
@@ -109,20 +107,14 @@ def _categorical_palette(categories) -> dict:
     return palette
 
 
-def render_bars(
-    distribution: dict,
-    spec: PlotSpec | None = None,
-    palette: dict | None = None,
-    provenance: dict | None = None,
-) -> str:
+def render_bars(distribution: dict, spec: PlotSpec, provenance: dict | None = None) -> str:
     """Bar chart of category proportions with the percentage printed on
     every bar. Categories keep their input order; absent categories never
     appear.
     """
     if not distribution:
         raise DataError("empty distribution")
-    spec = spec or PlotSpec(kind="bars")
-    palette = palette or _categorical_palette(distribution.keys())
+    palette = _categorical_palette(distribution.keys())
     svg = _Svg(spec.width, spec.height, provenance)
     if spec.title:
         svg.text(spec.width / 2, 24, spec.title, size=15, anchor="middle", bold=True)
@@ -144,8 +136,6 @@ def render_bars(
         h = plot_h * (v / vmax)
         x = left + i * slot + (slot - bar_w) / 2
         y = spec.height - bottom - h
-        if cat not in palette:
-            raise DataError(f"palette missing category {cat!r}")
         svg.rect(x, y, bar_w, h, palette[cat])
         svg.text(x + bar_w / 2, y - 6, f"{100.0 * v:.1f}%", anchor="middle", size=12)
         svg.text(x + bar_w / 2, spec.height - bottom + 18, str(cat), anchor="middle", size=12)
@@ -156,15 +146,15 @@ def render_bars(
     return svg.to_string()
 
 
-def _data_window(coords: np.ndarray, pad: float) -> tuple[float, float, float, float]:
+def _data_window(coords: np.ndarray) -> tuple[float, float, float, float]:
     x_min, x_max = float(coords[:, 0].min()), float(coords[:, 0].max())
     y_min, y_max = float(coords[:, 1].min()), float(coords[:, 1].max())
     span_x, span_y = x_max - x_min, y_max - y_min
     if span_x == 0 and span_y == 0:
         raise DataError("degenerate bounding box: all points identical")
     # an axis with zero spread borrows half the other axis's span
-    dx = span_x * pad if span_x > 0 else max(span_x, span_y) * 0.5
-    dy = span_y * pad if span_y > 0 else max(span_x, span_y) * 0.5
+    dx = span_x * _PAD if span_x > 0 else max(span_x, span_y) * 0.5
+    dy = span_y * _PAD if span_y > 0 else max(span_x, span_y) * 0.5
     return x_min - dx, x_max + dx, y_min - dy, y_max + dy
 
 
@@ -183,6 +173,14 @@ class _Frame:
         return self.top + (self.y1 - y) / (self.y1 - self.y0) * self.plot_h
 
 
+def _scatter_canvas(coords, spec: PlotSpec, right: int, provenance) -> tuple[_Svg, _Frame]:
+    """The document and the plot frame of a scatter over coords' padded
+    window, with `right` pixels kept beside the plot for its legend."""
+    left, top, bottom = 52, 44, 44
+    frame = _Frame(_data_window(coords), left, top, spec.width - left - right, spec.height - top - bottom)
+    return _Svg(spec.width, spec.height, provenance), frame
+
+
 def _draw_frame(svg: _Svg, spec: PlotSpec, frame: _Frame) -> None:
     svg.rect(frame.left, frame.top, frame.plot_w, frame.plot_h, "none", stroke="#333333")
     if spec.title:
@@ -193,13 +191,16 @@ def _draw_frame(svg: _Svg, spec: PlotSpec, frame: _Frame) -> None:
         svg.text(14, frame.top + frame.plot_h / 2, spec.y_label)
 
 
-def render_labeled_embedding(
-    coords,
-    labels,
-    spec: PlotSpec | None = None,
-    palette: dict | None = None,
-    provenance: dict | None = None,
-) -> str:
+def _draw_legend(svg: _Svg, frame: _Frame, entries) -> None:
+    """One swatch per (name, color), stacked right of the plot."""
+    lx = frame.left + frame.plot_w + 14
+    for i, (name, color) in enumerate(entries):
+        ly = frame.top + 12 + i * 20
+        svg.rect(lx, ly - 9, 12, 12, color)
+        svg.text(lx + 18, ly + 1, name, size=12)
+
+
+def render_labeled_embedding(coords, labels, spec: PlotSpec, provenance: dict | None = None) -> str:
     """Scatter of embedding points colored by category, with a legend
     listing only the categories actually present.
     """
@@ -209,32 +210,18 @@ def render_labeled_embedding(
         raise DataError("labels misaligned with coords")
     if coords.shape[0] == 0:
         raise DataError("no points to draw")
-    spec = spec or PlotSpec(kind="scatter")
     present = sorted(set(labels), key=str)
-    palette = palette or _categorical_palette(present)
-    for cat in present:
-        if cat not in palette:
-            raise DataError(f"palette missing category {cat!r}")
+    palette = _categorical_palette(present)
 
-    svg = _Svg(spec.width, spec.height, provenance)
-    left, right, top, bottom = 52, 110, 44, 44
-    frame = _Frame(
-        _data_window(coords, 0.05), left, top, spec.width - left - right, spec.height - top - bottom
-    )
+    svg, frame = _scatter_canvas(coords, spec, 110, provenance)
     _draw_frame(svg, spec, frame)
     for (x, y), lab in zip(coords, labels):
         svg.circle(frame.px(x), frame.py(y), 2.5, palette[lab], opacity=0.8)
-    lx = spec.width - right + 14
-    for i, cat in enumerate(present):
-        ly = top + 12 + i * 20
-        svg.rect(lx, ly - 9, 12, 12, palette[cat])
-        svg.text(lx + 18, ly + 1, str(cat), size=12)
+    _draw_legend(svg, frame, [(str(cat), palette[cat]) for cat in present])
     return svg.to_string()
 
 
-def boundary_grid(
-    model, coords, g: int = 300, pad: float = 0.05
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def boundary_grid(model, coords, g: int = 300) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Class predictions on a uniform g x g grid of cell centers spanning
     the padded bounding box of coords. Returns (x_centers, y_centers,
     predictions[g, g]) with predictions[row, col] at (x_centers[col],
@@ -249,7 +236,7 @@ def boundary_grid(
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     if g < 2:
         raise DataError("grid resolution must be at least 2")
-    x0, x1, y0, y1 = _data_window(coords, pad)
+    x0, x1, y0, y1 = _data_window(coords)
     cell_w = (x1 - x0) / g
     cell_h = (y1 - y0) / g
     xc = x0 + (np.arange(g) + 0.5) * cell_w
@@ -262,21 +249,22 @@ def boundary_grid(
     return xc, yc, preds
 
 
-def _runs(row: np.ndarray) -> list[tuple[int, int, int]]:
-    """(start, stop, value) for each maximal run of equal values, left to right."""
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(row)) + 1))
-    stops = np.append(starts[1:], row.size)
-    return list(zip(starts.tolist(), stops.tolist(), row[starts].tolist()))
+def _runs(grid: np.ndarray) -> list[tuple[int, int, int, int]]:
+    """(row, start, stop, value) for each maximal run of equal values
+    within a row, rows in order and each row left to right."""
+    n_cols = grid.shape[1]
+    starts_run = np.ones(grid.shape, dtype=bool)
+    starts_run[:, 1:] = grid[:, 1:] != grid[:, :-1]
+    starts = np.flatnonzero(starts_run)
+    # every row's first cell starts a run, so a row's last run stops where
+    # the next row's first run starts
+    stops = np.append(starts[1:], grid.size)
+    rows, cols = np.divmod(starts, n_cols)
+    return list(zip(rows.tolist(), cols.tolist(), (stops - rows * n_cols).tolist(),
+                    grid.ravel()[starts].tolist()))
 
 
-def render_boundary(
-    model,
-    points,
-    spec: PlotSpec | None = None,
-    g: int = 300,
-    pad: float = 0.05,
-    provenance: dict | None = None,
-) -> str:
+def render_boundary(model, points, spec: PlotSpec, g: int = 300, provenance: dict | None = None) -> str:
     """Decision regions under the training scatter.
 
     The model is evaluated at every cell center of a g x g grid over the
@@ -285,37 +273,26 @@ def render_boundary(
     draw on top in full color.
     """
     coords = points.coords
-    labels = points.labels
-    spec = spec or PlotSpec(kind="boundary", width=640, height=640)
-    xc, yc, preds = boundary_grid(model, coords, g=g, pad=pad)
-
-    x0, x1, y0, y1 = _data_window(coords, pad)
-    svg = _Svg(spec.width, spec.height, provenance)
-    left, right, top, bottom = 52, 110, 44, 44
-    frame = _Frame((x0, x1, y0, y1), left, top, spec.width - left - right, spec.height - top - bottom)
+    _, _, preds = boundary_grid(model, coords, g=g)
+    svg, frame = _scatter_canvas(coords, spec, 110, provenance)
 
     cell_w_px = frame.plot_w / g
     cell_h_px = frame.plot_h / g
-    for row in range(g):
-        # pixel y of the TOP edge of this row's cell (rows follow yc, ascending data y)
+    for row, start, stop, cls in _runs(preds):
+        # pixel y of the TOP edge of this row's cells (rows follow yc, ascending data y)
         y_px = frame.top + frame.plot_h - (row + 1) * cell_h_px
-        for col, run, cls in _runs(preds[row]):
-            svg.rect(
-                frame.left + col * cell_w_px,
-                y_px,
-                (run - col) * cell_w_px,
-                cell_h_px,
-                BINARY_CLASS_COLORS[cls % 2],
-                opacity=0.30,
-            )
+        svg.rect(
+            frame.left + start * cell_w_px,
+            y_px,
+            (stop - start) * cell_w_px,
+            cell_h_px,
+            BINARY_CLASS_COLORS[cls % 2],
+            opacity=0.30,
+        )
     _draw_frame(svg, spec, frame)
-    for (x, y), lab in zip(coords, labels):
+    for (x, y), lab in zip(coords, points.labels):
         svg.circle(frame.px(x), frame.py(y), 2.5, BINARY_CLASS_COLORS[int(lab) % 2])
-    lx = spec.width - right + 14
-    for i, name in enumerate(("class 0", "class 1")):
-        ly = top + 12 + i * 20
-        svg.rect(lx, ly - 9, 12, 12, BINARY_CLASS_COLORS[i])
-        svg.text(lx + 18, ly + 1, name, size=12)
+    _draw_legend(svg, frame, zip(("class 0", "class 1"), BINARY_CLASS_COLORS))
     return svg.to_string()
 
 
@@ -323,7 +300,7 @@ def render_sensitivity(
     coords,
     magnitudes,
     feature_name: str,
-    spec: PlotSpec | None = None,
+    spec: PlotSpec,
     provenance: dict | None = None,
 ) -> str:
     """Embedding scatter colored by combined attribution magnitude.
@@ -338,16 +315,11 @@ def render_sensitivity(
         raise DataError("magnitudes misaligned with coords")
     if coords.shape[0] == 0:
         raise DataError("no points to draw")
-    spec = spec or PlotSpec(kind="sensitivity")
     lo, hi = float(mags.min()), float(mags.max())
     span = hi - lo
     t = np.full(mags.shape, 0.5) if span == 0 else (mags - lo) / span
 
-    svg = _Svg(spec.width, spec.height, provenance)
-    left, right, top, bottom = 52, 120, 44, 44
-    frame = _Frame(
-        _data_window(coords, 0.05), left, top, spec.width - left - right, spec.height - top - bottom
-    )
+    svg, frame = _scatter_canvas(coords, spec, 120, provenance)
     _draw_frame(svg, spec, frame)
     if not spec.title:
         svg.text(spec.width / 2, 24, feature_name, size=15, anchor="middle", bold=True)
@@ -355,9 +327,9 @@ def render_sensitivity(
         svg.circle(frame.px(x), frame.py(y), 2.5, viridis_hex(float(ti)), opacity=0.9)
 
     # color scale: stacked samples of the colormap, max at the top
-    bar_x = spec.width - right + 24
+    bar_x = frame.left + frame.plot_w + 24
     bar_h = frame.plot_h * 0.7
-    bar_y = top + (frame.plot_h - bar_h) / 2
+    bar_y = frame.top + (frame.plot_h - bar_h) / 2
     n_stops = 50
     step = bar_h / n_stops
     for i in range(n_stops):
@@ -368,17 +340,12 @@ def render_sensitivity(
     return svg.to_string()
 
 
-def render_confusion(
-    confusions: dict,
-    spec: PlotSpec | None = None,
-    provenance: dict | None = None,
-) -> str:
+def render_confusion(confusions: dict, spec: PlotSpec, provenance: dict | None = None) -> str:
     """2x2 confusion grids, one per classifier, counts printed in every
     cell; shading scales with the count.
     """
     if not confusions:
         raise DataError("no confusion matrices to draw")
-    spec = spec or PlotSpec(kind="confusion", width=760, height=260)
     svg = _Svg(spec.width, spec.height, provenance)
     if spec.title:
         svg.text(spec.width / 2, 22, spec.title, size=15, anchor="middle", bold=True)
@@ -412,17 +379,12 @@ def render_confusion(
     return svg.to_string()
 
 
-def render_metric_bars(
-    metrics_by_classifier: dict,
-    spec: PlotSpec | None = None,
-    provenance: dict | None = None,
-) -> str:
+def render_metric_bars(metrics_by_classifier: dict, spec: PlotSpec, provenance: dict | None = None) -> str:
     """Grouped bars: one group per classifier, one bar per metric, with
     the numeric value printed above each bar.
     """
     if not metrics_by_classifier:
         raise DataError("no metrics to draw")
-    spec = spec or PlotSpec(kind="bars", width=760, height=360)
     metric_names = ("accuracy", "precision", "recall", "f1")
     metric_colors = {
         "accuracy": "#4c78a8",

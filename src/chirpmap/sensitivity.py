@@ -48,6 +48,10 @@ class SensitivityConfig:
     combination: str = "euclidean"
 
     def __post_init__(self):
+        if self.n_trees < 1:
+            raise DataError("n_trees must be positive")
+        if self.max_depth is not None and self.max_depth < 0:
+            raise DataError("max_depth must be nonnegative")
         if self.combination not in COMBINATION_RULES:
             raise DataError(f"unknown combination rule {self.combination!r}")
 

@@ -409,6 +409,29 @@ def test_non_finite_config_value_fails_before_ingest_writes(tmp_path, capsys, do
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"sensitivity": {"n_trees": 0}}, "n_trees must be positive"),
+    ({"sensitivity": {"max_depth": -1}}, "max_depth must be nonnegative"),
+    ({"classifiers": []}, "classifiers must name at least one classifier"),
+    ({"scenarios": []}, "scenarios must name at least one scenario"),
+    ({"scenarios": 5}, "scenarios must be a name, a list of names or all"),
+    ({"classifiers": {"knn": 1}}, "classifiers must be a name, a list of names or all"),
+    ({"scenarios": ["s1", "S1"]}, "scenarios lists 's1' twice"),
+    ({"classifiers": ["knn", "rf", "random_forest"]}, "classifiers lists 'random_forest' twice"),
+], ids=["zero-trees", "negative-depth", "no-classifiers", "no-scenarios", "scenarios-number",
+        "classifiers-object", "scenario-twice", "classifier-twice"])
+def test_config_the_stages_cannot_run_fails_before_ingest_writes(tmp_path, capsys, doc, message):
+    entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "10"])
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"input": str(tmp_path / "synth_data.csv"),
+                                "out": str(tmp_path / "out"), "tsne": {"perplexity": 5}, **doc}))
+    capsys.readouterr()
+    assert entrypoint(["pipeline", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and message in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("cells, flags", [
     (("1e308", "1.5e308"), []),  # the mean overflows
     (("1e200",), []),  # the sd overflows, which would zero the column

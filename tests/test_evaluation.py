@@ -127,12 +127,12 @@ def test_metric_zero_division_conventions():
 
 def test_cross_validate_accounting(two_blobs):
     coords, labels = two_blobs
-    result = cross_validate(coords, labels, "knn", k=5, seed=3)
+    result = cross_validate(coords, labels, "knn", stratified_kfold(labels, 5, 3), seed=3)
     accs = result["fold_accuracies"]
     assert len(accs) == 5
     assert result["cv_accuracy_mean"] == pytest.approx(np.mean(accs))
     assert result["cv_accuracy_sd"] == pytest.approx(np.std(accs))  # population sd
-    repeat = cross_validate(coords, labels, "knn", k=5, seed=3)
+    repeat = cross_validate(coords, labels, "knn", stratified_kfold(labels, 5, 3), seed=3)
     assert repeat["fold_accuracies"] == accs
     assert result["cv_seed"] == 3
 
@@ -185,10 +185,27 @@ def test_run_all_scenarios_draws_folds_once_per_scenario(two_blobs, monkeypatch)
         entry = report["scenarios"][key]
         scenario_labels, _ = encode_scenario(records, SCENARIOS[key])
         for kind in kinds:
-            alone = cross_validate(coords, scenario_labels, kind, k=4, seed=entry["cv_seed"])
+            folds = stratified_kfold(scenario_labels, 4, entry["cv_seed"])
+            alone = cross_validate(coords, scenario_labels, kind, folds, seed=entry["cv_seed"])
             assert alone["fold_assignments"] == entry["fold_assignments"]
             for field in ("fold_accuracies", "fold_confusions", "cv_accuracy_mean", "cv_accuracy_sd"):
                 assert entry["classifiers"][kind][field] == alone[field]
+
+
+def test_run_all_scenarios_cross_validates_through_cross_validate(two_blobs, monkeypatch):
+    coords, labels = two_blobs
+    records = [record("S" if l == 1 else "F", 3 if l == 1 else 1) for l in labels]
+    calls = []
+
+    def counted(coords, labels, kind, folds, seed, config=None):
+        calls.append(kind)
+        return cross_validate(coords, labels, kind, folds, seed, config)
+
+    monkeypatch.setattr(evaluation, "cross_validate", counted)
+    kinds = ("knn", "logistic_regression")
+    run_all_scenarios(coords, records, master_seed=5, k_folds=4, scenario_keys=("s1", "s2"),
+                      classifier_kinds=kinds)
+    assert calls == list(kinds) * 2
 
 
 def test_report_round_trip(tmp_path, two_blobs):

@@ -29,7 +29,7 @@ def parse(svg: str):
 
 
 def test_bars_show_percentages_and_only_observed_categories():
-    svg = render_bars({"S": 0.6, "NR": 0.4}, PlotSpec(kind="bars", title="outcomes"))
+    svg = render_bars({"S": 0.6, "NR": 0.4}, PlotSpec(title="outcomes"))
     assert "60.0%" in svg and "40.0%" in svg
     assert "outcomes" in svg
     assert TEAL in svg and MAGENTA in svg
@@ -39,20 +39,20 @@ def test_bars_show_percentages_and_only_observed_categories():
 
 def test_render_is_deterministic():
     coords, labels = make_blobs([(-2.0, 0.0), (2.0, 0.0)], n_per=20, seed=1)
-    spec = PlotSpec(kind="scatter")
+    spec = PlotSpec()
     a = render_labeled_embedding(coords, labels, spec)
     b = render_labeled_embedding(coords, labels, spec)
     assert a == b
 
 
 def test_provenance_comment_sorted_keys():
-    svg = render_bars({"S": 1.0}, PlotSpec(kind="bars"), provenance={"seed": 9, "config": "ff00"})
+    svg = render_bars({"S": 1.0}, PlotSpec(), provenance={"seed": 9, "config": "ff00"})
     assert "<!-- provenance: config=ff00 seed=9 -->" in svg
 
 
 def test_embedding_legend_lists_present_categories():
     coords = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    svg = render_labeled_embedding(coords, ["S", "F", "S"], PlotSpec(kind="scatter"))
+    svg = render_labeled_embedding(coords, ["S", "F", "S"], PlotSpec())
     assert ">S<" in svg and ">F<" in svg
     assert ">NR<" not in svg
     parse(svg)
@@ -60,7 +60,7 @@ def test_embedding_legend_lists_present_categories():
 
 def test_difficulty_levels_use_viridis():
     coords = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
-    svg = render_labeled_embedding(coords, [1, 2, 3, 4], PlotSpec(kind="scatter"))
+    svg = render_labeled_embedding(coords, [1, 2, 3, 4], PlotSpec())
     for level in range(4):
         assert viridis_hex(level / 3.0) in svg
 
@@ -81,7 +81,7 @@ def test_boundary_grid_matches_model_predictions():
 def test_boundary_svg_covers_both_regions():
     x, y = make_blobs([(-3.0, 0.0), (3.0, 0.0)], n_per=25, seed=2)
     model = fit_classifier("knn", x, y)
-    svg = render_boundary(model, LabeledPoints(x, y), PlotSpec(kind="boundary"), g=24)
+    svg = render_boundary(model, LabeledPoints(x, y), PlotSpec(), g=24)
     assert BINARY_CLASS_COLORS[0] in svg and BINARY_CLASS_COLORS[1] in svg
     parse(svg)
 
@@ -104,15 +104,15 @@ def test_boundary_runs_match_cell_scan():
     grid[0] = 1  # one run spanning the row
     grid[1, ::2] = 0  # runs of one cell
     grid[1, 1::2] = 1
-    for row in grid:
-        assert _runs(row) == _scan_runs(row)
+    expected = [(r, *run) for r, row in enumerate(grid) for run in _scan_runs(row)]
+    assert _runs(grid) == expected
 
 
 def test_boundary_identical_points_is_an_error():
     pts = np.tile([[1.0, 1.0]], (4, 1))
     model = fit_classifier("knn", pts, np.array([0, 1, 0, 1]), config=KnnConfig(k=1))
     with pytest.raises(DataError, match="identical"):
-        render_boundary(model, LabeledPoints(pts, np.array([0, 1, 0, 1])), PlotSpec(kind="boundary"))
+        render_boundary(model, LabeledPoints(pts, np.array([0, 1, 0, 1])), PlotSpec())
 
 
 def test_boundary_flat_axis_is_padded_not_fatal():
@@ -120,13 +120,13 @@ def test_boundary_flat_axis_is_padded_not_fatal():
     x = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     y = np.array([0, 0, 1, 1])
     model = fit_classifier("knn", x, y, config=KnnConfig(k=1))
-    svg = render_boundary(model, LabeledPoints(x, y), PlotSpec(kind="boundary"), g=8)
+    svg = render_boundary(model, LabeledPoints(x, y), PlotSpec(), g=8)
     parse(svg)
 
 
 def test_sensitivity_uniform_magnitudes_use_midscale():
     coords = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    svg = render_sensitivity(coords, np.full(3, 0.7), "temporal_duration", PlotSpec(kind="sensitivity"))
+    svg = render_sensitivity(coords, np.full(3, 0.7), "temporal_duration", PlotSpec())
     assert viridis_hex(0.5) in svg
     assert "temporal_duration" in svg
     parse(svg)
@@ -134,7 +134,7 @@ def test_sensitivity_uniform_magnitudes_use_midscale():
 
 def test_sensitivity_scale_bar_labels_extremes():
     coords = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 3.0]])
-    svg = render_sensitivity(coords, np.array([0.125, 0.5, 0.25, 4.0]), "f", PlotSpec(kind="sensitivity"))
+    svg = render_sensitivity(coords, np.array([0.125, 0.5, 0.25, 4.0]), "f", PlotSpec())
     assert "0.125" in svg and ">4<" in svg or "4.0" in svg or ">4</text>" in svg
     assert viridis_hex(0.0) in svg and viridis_hex(1.0) in svg
 
@@ -144,7 +144,7 @@ def test_confusion_prints_all_counts():
         "knn": {"tp": 11, "fp": 3, "tn": 17, "fn": 5},
         "rf": {"tp": 9, "fp": 4, "tn": 16, "fn": 7},
     }
-    svg = render_confusion(confusions, PlotSpec(kind="confusion", width=600, height=260))
+    svg = render_confusion(confusions, PlotSpec(width=600, height=260))
     for value in (11, 3, 17, 5, 9, 4, 16, 7):
         assert f">{value}<" in svg
     assert "knn" in svg and "rf" in svg
@@ -153,7 +153,7 @@ def test_confusion_prints_all_counts():
 
 def test_metric_bars_print_values():
     metrics = {"knn": {"accuracy": 0.875, "precision": 0.8, "recall": 0.75, "f1": 0.774}}
-    svg = render_metric_bars(metrics, PlotSpec(kind="bars"))
+    svg = render_metric_bars(metrics, PlotSpec())
     assert "0.875" in svg and "0.800" in svg and "0.750" in svg and "0.774" in svg
     assert "accuracy" in svg
     parse(svg)
@@ -161,13 +161,11 @@ def test_metric_bars_print_values():
 
 def test_plot_spec_validation():
     with pytest.raises(DataError):
-        PlotSpec(kind="pie")
-    with pytest.raises(DataError):
-        PlotSpec(kind="bars", width=50)
+        PlotSpec(width=50)
 
 
 def test_empty_inputs_rejected():
     with pytest.raises(DataError):
-        render_bars({}, PlotSpec(kind="bars"))
+        render_bars({}, PlotSpec())
     with pytest.raises(DataError):
-        render_confusion({}, PlotSpec(kind="confusion"))
+        render_confusion({}, PlotSpec())

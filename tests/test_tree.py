@@ -12,28 +12,10 @@ from chirpmap.models.tree import (
     TreeConfig,
     count_leaves,
     fit_tree,
-    gini_impurity,
     tree_depth,
 )
 from chirpmap.sensitivity import tree_subset_values
 from tests.conftest import make_blobs
-
-
-def test_gini_known_values():
-    assert gini_impurity((4, 0)) == 0.0
-    assert gini_impurity((2, 2)) == 0.5
-    assert gini_impurity((1, 3)) == pytest.approx(0.375)
-
-
-def test_gini_bounds_for_binary_counts():
-    rng = np.random.default_rng(0)
-    for _ in range(200):
-        counts = rng.integers(0, 30, size=2)
-        if counts.sum() == 0:
-            continue
-        g = gini_impurity(counts)
-        assert 0.0 <= g <= 0.5
-        assert (g == 0.0) == (0 in counts)
 
 
 def test_single_split_on_separated_line():
