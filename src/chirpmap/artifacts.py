@@ -6,7 +6,9 @@ that is not an object, and a CSV table with the wrong header, a row of
 the wrong width, a numeric cell that is not a finite number, or no rows.
 Writes go to a temporary file in the target's directory, which then
 replaces the target, so a crash leaves the old file or the new one,
-never a truncated one.
+never a truncated one. A directory that cannot be created and a file
+that cannot be written, such as a path through an existing file, are a
+DataError naming the path too.
 """
 
 from __future__ import annotations
@@ -35,15 +37,25 @@ def read_text(path: str, missing: str | None = None) -> str:
         raise DataError(f"{path} is not UTF-8 text: {exc}") from exc
 
 
+def make_dir(path: str) -> None:
+    """Create the directory and any missing parents; an existing one is kept."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot create directory {path}: {exc}") from exc
+
+
 def write_text(path: str, text: str) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="") as handle:
             handle.write(text)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.remove(tmp)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {path}: {exc}") from exc
         raise
 
 

@@ -11,6 +11,7 @@ import argparse
 import os
 import sys
 
+from .artifacts import make_dir
 from .errors import DataError, NumericError, UsageError
 from .evaluation import SCENARIO_ORDER
 from .models import SHORT_KIND_NAMES
@@ -114,7 +115,7 @@ def _cmd_synth(args: argparse.Namespace) -> None:
         seed=config.seed,
         label_model=args.label_model,
     )
-    os.makedirs(config.out, exist_ok=True)
+    make_dir(config.out)
     path = os.path.join(config.out, "synth_data.csv")
     write_records_csv(records, path)
     print(f"[chirpmap] synth: {len(records)} records written to {path}", file=sys.stderr)

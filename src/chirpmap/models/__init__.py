@@ -2,9 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-
-import numpy as np
+from dataclasses import replace
 
 from ..errors import DataError
 from .forest import ForestConfig, RandomForestModel, fit_random_forest
@@ -32,24 +30,6 @@ SHORT_KIND_NAMES = {
 }
 
 
-@dataclass(frozen=True)
-class LabeledPoints:
-    coords: np.ndarray  # N x 2
-    labels: np.ndarray  # N values in {0, 1}
-
-    def __post_init__(self):
-        coords = np.atleast_2d(np.asarray(self.coords, dtype=np.float64))
-        labels = np.asarray(self.labels, dtype=np.int64)
-        if coords.ndim != 2 or coords.shape[1] != 2:
-            raise DataError("coords must be N x 2")
-        if labels.shape != (coords.shape[0],):
-            raise DataError("labels misaligned with coords")
-        if not np.all((labels == 0) | (labels == 1)):
-            raise DataError("labels must be binary {0, 1}")
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "labels", labels)
-
-
 def fit_classifier(kind: str, coords, labels, seed: int = 0, config=None):
     """Train one classifier kind on (coords, labels).
 
@@ -75,7 +55,6 @@ __all__ = [
     "CLASSIFIER_KINDS",
     "CONFIG_TYPES",
     "SHORT_KIND_NAMES",
-    "LabeledPoints",
     "DecisionTree",
     "TreeConfig",
     "NodeTable",

@@ -105,8 +105,9 @@ def fit_svm(x, y, config: SvmConfig = SvmConfig()) -> SvmModel:
 
     ys = np.where(y01 > 0, 1.0, -1.0)
     gamma = _resolve_gamma(x, config)
-    k = _kernel_block(x, x, config.kernel, gamma)
-    q = (ys[:, None] * ys[None, :]) * k
+    q = _kernel_block(x, x, config.kernel, gamma)  # Q in K's buffer; ys is +-1: exact
+    q *= ys[:, None]
+    q *= ys
     c = config.c
 
     alpha = np.zeros(n, dtype=np.float64)
@@ -136,7 +137,8 @@ def fit_svm(x, y, config: SvmConfig = SvmConfig()) -> SvmModel:
         if hi - lo < _BOUND_EPS:
             break  # the worst pair cannot move: stuck short of tol
 
-        eta = k[i, i] + k[j, j] - 2.0 * k[i, j]
+        # ys is +-1, so q[i, i] and s * q[i, j] are K's entries bit for bit
+        eta = q[i, i] + q[j, j] - 2.0 * (s * q[i, j])
         if eta > _BOUND_EPS:
             aj_new = min(max(alpha[j] + (s * grad[i] - grad[j]) / eta, lo), hi)
         else:
@@ -185,8 +187,9 @@ def fit_svm(x, y, config: SvmConfig = SvmConfig()) -> SvmModel:
 
 def kkt_violation(model: SvmModel) -> float:
     """Worst violating-pair gap; <= tol certifies KKT within tolerance."""
-    k = _kernel_block(model.x, model.x, model.config.kernel, model.gamma_value)
-    q = (model.y_signed[:, None] * model.y_signed[None, :]) * k
+    q = _kernel_block(model.x, model.x, model.config.kernel, model.gamma_value)
+    q *= model.y_signed[:, None]
+    q *= model.y_signed
     grad = q @ model.alpha - 1.0
     vals = -model.y_signed * grad
     up, low = _violating_sets(model.alpha, model.y_signed, model.config.c)

@@ -5,8 +5,10 @@ variance for regression, the latter scored as the centered gain of
 CART (Breiman et al. 1984). Candidate thresholds are midpoints between
 consecutive sorted unique values; growth stops at a pure node or the
 depth cap. Of splits whose scores are equal bit for bit, the lowest
-feature index wins, then the lowest threshold; splits tied only in
-exact arithmetic are decided by rounding.
+feature index wins, then the lowest threshold. A classification score
+is one correctly rounded ratio of exact integers, so splits tied in
+exact arithmetic tie bit for bit and follow that rule; regression
+splits tied only in exact arithmetic are decided by rounding.
 
 A fitted tree is one `NodeTable` of per-node arrays in preorder. Trees
 grow breadth-first, a block of them at once (a forest's trees, or the
@@ -125,21 +127,24 @@ def _best_splits(xs, ys, weights, orders, at, sizes, cand, counts=None, means=No
     of the positions `at` (the segments lie end to end, `sizes` long);
     its candidates are cand[i], ascending. Row r counts weights[r] times,
     an integer. Each candidate is scored at every split position between
-    unequal values, and the first minimum wins: of bitwise-equal scores
-    the lowest threshold wins, then the lowest feature. Splits tied only
-    in exact arithmetic are decided by how their scores round.
+    unequal values as -num / (n_L n_R), n_L and n_R the weighted rows
+    left and right of the cut, and the first minimum wins: of
+    bitwise-equal scores the lowest feature wins, then the lowest
+    threshold.
 
     Classification (`counts`, the (k, n_classes) weighted class totals)
-    scores the weighted child Gini impurity. The left counts at a cut are
-    weighted counts of the rows before it, the integers the rows repeated
-    would give, so a node is scored with the bits of its repeated rows.
+    takes num = sum_c (a_c^2 n_R + b_c^2 n_L), a_c and b_c class c's
+    weighted counts left and right: the weighted child Gini impurity
+    times n is n - num / (n_L n_R). Below 2^53 (nodes under about 3e5
+    drawn rows) every term is an exact integer in float64, so a score is
+    one correctly rounded ratio and exact ties are bitwise ties.
 
-    Regression (`means`, each node's weighted mean target) scores minus
-    the centered gain s_L^2 / (n_L n_R), where s_L sums w (y - mean) and
-    n_L sums w over the rows before the cut. In exact arithmetic the gain
-    is n / (n_L n_R) times the fall in weighted squared error, so its
-    maximum is the minimum of the weighted child variance (CART), and
-    centering keeps it clear of the cancellation in s2/n - (s/n)^2.
+    Regression (`means`, each node's weighted mean target) takes num =
+    s_L^2, s_L summing w (y - mean) over the rows left of the cut: the
+    centered gain, in exact arithmetic n / (n_L n_R) times the fall in
+    weighted squared error, so its maximum is the least weighted child
+    variance (CART); centering keeps it clear of the cancellation in
+    s2/n - (s/n)^2. Its ties in exact arithmetic are decided by rounding.
 
     Nodes are padded to the widest node of their group (see
     `_size_groups`); positions past a node's end are masked, and the
@@ -154,7 +159,7 @@ def _best_splits(xs, ys, weights, orders, at, sizes, cand, counts=None, means=No
     sv = xs.ravel().take(feats * xs.shape[1] + rows)  # each node's values sorted by each candidate
     del feats
     ys = ys.take(rows)
-    ws = weights.take(rows)  # each slot's weight
+    ws = weights.take(rows).astype(np.float64)  # each slot's weight
     del rows
     node_n = np.add.reduceat(ws[0], starts)  # integers: exact
     if counts is None:
@@ -163,7 +168,7 @@ def _best_splits(xs, ys, weights, orders, at, sizes, cand, counts=None, means=No
     else:
         n_classes = counts.shape[1]
         # each slot's weight in every class but the last
-        class_ws = [np.where(ys == c, ws, 0) for c in range(n_classes - 1)]
+        class_ws = [np.where(ys == c, ws, 0.0) for c in range(n_classes - 1)]
     feature = np.full(k, -1, dtype=np.int64)
     threshold = np.zeros(k)
     for group in _size_groups(sizes):
@@ -178,43 +183,29 @@ def _best_splits(xs, ys, weights, orders, at, sizes, cand, counts=None, means=No
         n_left = ws.take(pos, axis=1).cumsum(axis=-1)[..., :-1]
         n_right = np.maximum(n - n_left, 1)  # past the node's end: masked below
         if counts is None:
-            weighted = ys.take(pos, axis=1).cumsum(axis=-1)[..., :-1]
-            weighted *= weighted
-            n_right *= n_left  # integers: exact
-            weighted /= n_right
-            np.negative(weighted, out=weighted)
+            num = ys.take(pos, axis=1).cumsum(axis=-1)[..., :-1]
+            num *= num  # s_L^2
         else:
-            # the Gini formula of the former per-node scorer, in place:
-            # (n_left * (1 - sum_c pl_c^2) + n_right * (1 - sum_c pr_c^2)) / n,
-            # summed class by class in class order; the last class's left
-            # counts are n_left less the others', all integers
+            # summed class by class; the last class's left counts are
+            # n_left less the others'
+            num = np.zeros_like(n_left)
             last = n_left.copy()
             for c in range(n_classes):
                 if c + 1 < n_classes:
-                    below = class_ws[c].take(pos, axis=1).cumsum(axis=-1)[..., :-1]
-                    last -= below
+                    a = class_ws[c].take(pos, axis=1).cumsum(axis=-1)[..., :-1]
+                    last -= a
                 else:
-                    below = last
-                pl = below / n_left
-                np.subtract(counts[group, c, None], below, out=below)
-                pr = below / n_right
-                del below
-                pl *= pl
-                pr *= pr
-                if c == 0:
-                    weighted, right = pl, pr
-                else:
-                    weighted += pl
-                    right += pr
-            del pl, pr, last
-            np.subtract(1.0, weighted, out=weighted)
-            weighted *= n_left
-            np.subtract(1.0, right, out=right)
-            right *= n_right
-            weighted += right
-            weighted /= n
-            del right
-        del pos, n_left, n_right
+                    a = last
+                b = counts[group, c, None] - a
+                a *= a
+                a *= n_right
+                num += a
+                b *= b
+                b *= n_left
+                num += b
+            del a, b, last
+        weighted = -num / (n_left * n_right)
+        del num, pos, n_left, n_right
         weighted[~is_cut] = np.inf
         j = weighted.argmin(axis=-1)  # (m, g): first minimum per candidate
         mi, g = np.arange(m)[:, None], np.arange(group.size)

@@ -25,7 +25,7 @@ from typing import Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .artifacts import read_csv, read_json, write_csv, write_json, write_text
+from .artifacts import make_dir, read_csv, read_json, write_csv, write_json, write_text
 from .errors import DataError, UsageError
 from .evaluation import (
     SCENARIO_ORDER,
@@ -51,7 +51,6 @@ from .models import (
     CLASSIFIER_KINDS,
     CONFIG_TYPES,
     SHORT_KIND_NAMES,
-    LabeledPoints,
     load_model,
     save_model,
 )
@@ -299,7 +298,7 @@ def stage_ingest(config: PipelineConfig) -> None:
     if not config.input:
         raise UsageError("ingest needs an input file (--input or config 'input')")
     paths = artifact_paths(config.out)
-    os.makedirs(config.out, exist_ok=True)
+    make_dir(config.out)
 
     records, report = load_records(config.input, schema=config.schema, delimiter=config.delimiter)
     n_loaded = len(records)
@@ -394,7 +393,7 @@ def stage_eval(config: PipelineConfig) -> None:
     report["config_hash"] = config.hash()
     report["classifier_configs"] = {kind: asdict(c) for kind, c in classifier_configs.items()}
     save_eval_report(report, paths["eval_report"])
-    os.makedirs(paths["models_dir"], exist_ok=True)
+    make_dir(paths["models_dir"])
     for (scenario, kind), model in models.items():
         save_model(
             model,
@@ -476,14 +475,14 @@ def stage_render(config: PipelineConfig) -> None:
                                                  provenance=prov)))
     for scenario in config.scenarios:
         labels, _ = encode_scenario(rows, SCENARIOS[scenario])
-        points = LabeledPoints(coords, labels)
         for kind in config.classifiers:
             short = LONG_KIND_NAMES[kind]
             model_path = os.path.join(paths["models_dir"], f"{scenario}_{short}.json")
             model = load_model(model_path, f"missing model artifact {model_path} (run the eval stage first)")
             spec = PlotSpec(title=f"{scenario} decision regions ({short})", width=640, height=640, **axes)
             figures.append((f"fig_boundary_{scenario}_{short}.svg",
-                            render_boundary(model, points, spec, g=config.grid_resolution, provenance=prov)))
+                            render_boundary(model, coords, labels, spec, g=config.grid_resolution,
+                                            provenance=prov)))
         figures.append((f"fig_confusion_{scenario}.svg", render_confusion(
             {LONG_KIND_NAMES[kind]: metrics[scenario, kind][0] for kind in config.classifiers},
             PlotSpec(title=f"{scenario} hold-out confusion", width=760, height=260),
@@ -499,7 +498,7 @@ def stage_render(config: PipelineConfig) -> None:
                         render_sensitivity(coords, smap.combined[:, j], feature, PlotSpec(**axes),
                                            provenance=prov)))
 
-    os.makedirs(paths["figs_dir"], exist_ok=True)
+    make_dir(paths["figs_dir"])
     for name, svg in figures:
         write_text(os.path.join(paths["figs_dir"], name), svg)
     _log(f"render: {len(figures)} figures written to {paths['figs_dir']}")
@@ -519,7 +518,7 @@ def run_stage(name: str, config: PipelineConfig) -> None:
     stage_fn = dict(_STAGES).get(name)
     if stage_fn is None:
         raise UsageError(f"unknown stage {name!r}")
-    os.makedirs(config.out, exist_ok=True)
+    make_dir(config.out)
     paths = artifact_paths(config.out)
     try:
         stage_fn(config)

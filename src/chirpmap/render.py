@@ -264,7 +264,8 @@ def _runs(grid: np.ndarray) -> list[tuple[int, int, int, int]]:
                     grid.ravel()[starts].tolist()))
 
 
-def render_boundary(model, points, spec: PlotSpec, g: int = 300, provenance: dict | None = None) -> str:
+def render_boundary(model, coords, labels, spec: PlotSpec, g: int = 300,
+                    provenance: dict | None = None) -> str:
     """Decision regions under the training scatter.
 
     The model is evaluated at every cell center of a g x g grid over the
@@ -272,7 +273,6 @@ def render_boundary(model, points, spec: PlotSpec, g: int = 300, provenance: dic
     rects per row. Class 0 fills teal, class 1 magenta; the true points
     draw on top in full color.
     """
-    coords = points.coords
     _, _, preds = boundary_grid(model, coords, g=g)
     svg, frame = _scatter_canvas(coords, spec, 110, provenance)
 
@@ -290,7 +290,7 @@ def render_boundary(model, points, spec: PlotSpec, g: int = 300, provenance: dic
             opacity=0.30,
         )
     _draw_frame(svg, spec, frame)
-    for (x, y), lab in zip(coords, points.labels):
+    for (x, y), lab in zip(coords, labels):
         svg.circle(frame.px(x), frame.py(y), 2.5, BINARY_CLASS_COLORS[int(lab) % 2])
     _draw_legend(svg, frame, zip(("class 0", "class 1"), BINARY_CLASS_COLORS))
     return svg.to_string()

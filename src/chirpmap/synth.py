@@ -30,8 +30,10 @@ def generate_records(
 ) -> list[ChirpRecord]:
     if n_per_cluster < 1 or n_clusters < 1:
         raise DataError("cluster counts must be positive")
-    if separation < 0:
-        raise DataError("separation must be nonnegative")
+    if not 0 <= separation < np.inf:
+        raise DataError(f"separation must be finite and nonnegative, got {separation}")
+    if seed < 0:
+        raise DataError(f"seed must be nonnegative, got {seed}")
     if label_model not in LABEL_MODELS:
         raise DataError(f"unknown label model {label_model!r}")
 

@@ -500,15 +500,9 @@ def pca_init(matrix, seed: int) -> tuple[np.ndarray, bool]:
 
 def _jitter_duplicates(x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndarray, int]:
     """Add seeded noise (scale 1e-10) to repeat occurrences of duplicate rows."""
-    _, inverse, counts = np.unique(x, axis=0, return_inverse=True, return_counts=True)
-    inverse = inverse.reshape(-1)
-    jitter = np.zeros(x.shape[0], dtype=bool)
-    seen: set[int] = set()
-    for i, group in enumerate(inverse):
-        if counts[group] > 1:
-            if group in seen:
-                jitter[i] = True
-            seen.add(int(group))
+    _, first = np.unique(x, axis=0, return_index=True)  # each group's first occurrence
+    jitter = np.ones(x.shape[0], dtype=bool)
+    jitter[first] = False
     n_jittered = int(jitter.sum())
     if n_jittered == 0:
         return x, 0

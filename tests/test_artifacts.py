@@ -10,11 +10,12 @@ import pytest
 import chirpmap
 from chirpmap import artifacts
 from chirpmap.artifacts import write_csv, write_json, write_text
+from chirpmap.errors import DataError
 
 PACKAGE = Path(chirpmap.__file__).parent
 # calls that touch a file, allowed only in artifacts.py
-FILE_CALLS = {"open", "io.open", "os.open", "os.fdopen", "json.dump", "json.load", "csv.writer",
-              "csv.reader", "csv.DictReader"}
+FILE_CALLS = {"open", "io.open", "os.open", "os.fdopen", "os.makedirs", "json.dump", "json.load",
+              "csv.writer", "csv.reader", "csv.DictReader"}
 # ingest parses the input table from text that artifacts.read_text returned
 ALLOWED = {("ingest.py", "csv.DictReader")}
 
@@ -90,7 +91,7 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypatc
     write_text(str(target), "old contents\n")
     before = sorted(os.listdir(tmp_path))
     break_write(monkeypatch)
-    with pytest.raises(OSError):
+    with pytest.raises(DataError, match=f"cannot write {target}"):
         write_text(str(target), "new contents, long enough to be cut in half\n")
     assert target.read_bytes() == b"old contents\n"
     assert sorted(os.listdir(tmp_path)) == before

@@ -17,6 +17,28 @@ def test_synth_succeeds_and_writes_dataset(tmp_path, capsys):
     assert "synth" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags", [["--seed", "-1"], ["--separation", "nan"], ["--separation", "inf"]])
+def test_unusable_synth_argument_is_data_error(tmp_path, capsys, flags):
+    assert entrypoint(["synth", "--out", str(tmp_path / "out")] + flags) == 2
+    assert "data error" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["synth", "pipeline"])
+@pytest.mark.parametrize("below", [False, True])
+def test_out_path_through_a_file_is_data_error(tmp_path, capsys, command, below):
+    entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "8"])
+    afile = tmp_path / "afile"
+    afile.write_text("keep\n")
+    out = afile / "sub" if below else afile
+    argv = [command, "--out", str(out)]
+    if command == "pipeline":
+        argv += ["--input", str(tmp_path / "synth_data.csv")]
+    assert entrypoint(argv) == 2
+    assert str(out) in capsys.readouterr().err
+    assert afile.read_text() == "keep\n"
+
+
 def test_unrecognized_flag_is_usage_error(capsys):
     assert entrypoint(["embed", "--bogus"]) == 1
     assert "usage error" in capsys.readouterr().err

@@ -5,7 +5,7 @@ import pytest
 
 from chirpmap.colormap import viridis_hex
 from chirpmap.errors import DataError
-from chirpmap.models import LabeledPoints, fit_classifier
+from chirpmap.models import fit_classifier
 from chirpmap.models.knn import KnnConfig
 from chirpmap.render import (
     BINARY_CLASS_COLORS,
@@ -81,7 +81,7 @@ def test_boundary_grid_matches_model_predictions():
 def test_boundary_svg_covers_both_regions():
     x, y = make_blobs([(-3.0, 0.0), (3.0, 0.0)], n_per=25, seed=2)
     model = fit_classifier("knn", x, y)
-    svg = render_boundary(model, LabeledPoints(x, y), PlotSpec(), g=24)
+    svg = render_boundary(model, x, y, PlotSpec(), g=24)
     assert BINARY_CLASS_COLORS[0] in svg and BINARY_CLASS_COLORS[1] in svg
     parse(svg)
 
@@ -112,7 +112,7 @@ def test_boundary_identical_points_is_an_error():
     pts = np.tile([[1.0, 1.0]], (4, 1))
     model = fit_classifier("knn", pts, np.array([0, 1, 0, 1]), config=KnnConfig(k=1))
     with pytest.raises(DataError, match="identical"):
-        render_boundary(model, LabeledPoints(pts, np.array([0, 1, 0, 1])), PlotSpec())
+        render_boundary(model, pts, np.array([0, 1, 0, 1]), PlotSpec())
 
 
 def test_boundary_flat_axis_is_padded_not_fatal():
@@ -120,7 +120,7 @@ def test_boundary_flat_axis_is_padded_not_fatal():
     x = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     y = np.array([0, 0, 1, 1])
     model = fit_classifier("knn", x, y, config=KnnConfig(k=1))
-    svg = render_boundary(model, LabeledPoints(x, y), PlotSpec(), g=8)
+    svg = render_boundary(model, x, y, PlotSpec(), g=8)
     parse(svg)
 
 

@@ -55,3 +55,7 @@ def test_validation():
         generate_records(n_per_cluster=0)
     with pytest.raises(DataError):
         generate_records(n_per_cluster=5, label_model="alternating")
+    for unusable in ({"seed": -1}, {"separation": -1.0}, {"separation": float("nan")},
+                     {"separation": float("inf")}):
+        with pytest.raises(DataError, match="must be"):
+            generate_records(n_per_cluster=5, **unusable)

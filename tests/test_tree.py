@@ -64,6 +64,16 @@ def test_split_tie_prefers_lowest_feature_then_threshold():
     assert tree.root.threshold[0] == 0.5
 
 
+def test_exact_gini_tie_follows_lowest_feature_rule():
+    # feature 0 at 2.5 and feature 1 at 1.5 both score Q = 16/3 exactly;
+    # the rule picks the lower feature, whatever the rounding of a float Gini
+    x = np.array([[2, 3], [3, 3], [1, 1], [3, 3], [2, 2], [1, 1], [2, 3], [1, 3]], dtype=float)
+    y = np.array([0, 1, 0, 1, 1, 1, 1, 1])
+    tree = fit_tree(x, y, TreeConfig(max_depth=1))
+    assert tree.root.feature[0] == 0
+    assert tree.root.threshold[0] == 2.5
+
+
 def test_zero_gain_split_still_grows():
     # no first split improves impurity, yet growth must continue to purity
     x = np.array([[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]])
