@@ -7,10 +7,12 @@ stores each tree as node arrays, minus those the table derives (see
 `NodeTable.build`). Loading raises DataError for a missing key, node
 arrays of unequal length, a child index out of range, nodes that do not
 form one tree, a non-finite threshold, leaf value or model parameter, a
-node's feature, child index or count, or a forest's feature or class
-count, that is not a JSON integer (a bool or a float is not one), a
-negative count, or a tree in the nested-node format of earlier
-versions, which is no longer read. Fitting never writes a non-finite
+node's feature, child index or count, a forest's feature or class
+count, or a k-NN label, that is not a JSON integer (a bool or a float
+is not one), a negative count, or a tree in the nested-node format of
+earlier versions, which is no longer read. A k-NN model itself rejects
+missing rows, misaligned or negative labels and a k that is not an
+integer or exceeds its training size. Fitting never writes a non-finite
 parameter, and the grid paths of `render.boundary_grid` are exact only
 for finite ones.
 """
@@ -93,9 +95,12 @@ def model_from_dict(doc: dict):
 
 
 def _parameter(value, key: str, dtype):
-    """A stored parameter as its model holds it; a float one must be finite."""
+    """A stored parameter as its model holds it; a float one must be finite,
+    and an integer array one a list of JSON integers."""
     if dtype is None:
         return value
+    if dtype is np.int64 and not (isinstance(value, list) and _integers(value)):
+        raise DataError(f"parameter {key!r} is not a list of integers")
     value = float(value) if dtype is float else np.array(value, dtype=dtype)
     if dtype is not np.int64 and not np.all(np.isfinite(value)):
         raise DataError(f"parameter {key!r} is not finite")

@@ -8,9 +8,18 @@ single nearest neighbor.
 Queries are processed in chunks of about `_CHUNK_ENTRIES` distances.
 Each chunk's squared distances are written into two buffers allocated
 once per `predict` call, and the k neighbours are picked by k rounds of
-argmin: k passes over the chunk instead of a sort. `predict_grid`
-gives `predict`'s answers on a grid of centres, computing distances
-only to each grid tile's candidate neighbours.
+argmin: k passes over the chunk instead of a sort.
+
+`predict_grid` gives `predict`'s answers on a grid of centres. Exact
+bounds on every distance within a grid tile certify which training
+points can be a neighbour of any of the tile's centres: the tile's
+candidates. A tile whose candidates all share one class is filled with
+that class, since every centre's k neighbours vote it unanimously; only
+the other tiles compute distances, and only to their candidates.
+
+A model holds at least one training row, one nonnegative label per row
+and an integer k with 1 <= k <= rows; anything else raises `DataError`
+on construction.
 """
 
 from __future__ import annotations
@@ -34,8 +43,8 @@ class KnnConfig:
     k: int = 5
 
     def __post_init__(self):
-        if self.k < 1:
-            raise DataError("k must be >= 1")
+        if type(self.k) is not int or self.k < 1:
+            raise DataError(f"k must be an integer >= 1, got {self.k!r}")
 
 
 @dataclass
@@ -45,6 +54,16 @@ class KnnModel:
     config: KnnConfig
 
     kind = "knn"
+
+    def __post_init__(self):
+        if self.x.ndim != 2 or self.x.shape[0] < 1:
+            raise DataError("k-NN training points must be a nonempty 2-D array")
+        if self.y.shape != self.x.shape[:1]:
+            raise DataError("k-NN labels must be one per training row")
+        if np.any(self.y < 0):
+            raise DataError("k-NN labels must be nonnegative")
+        if self.config.k > self.x.shape[0]:
+            raise DataError(f"k={self.config.k} exceeds training size {self.x.shape[0]}")
 
     def predict(self, points) -> np.ndarray:
         p = np.atleast_2d(np.asarray(points, dtype=np.float64))
@@ -72,9 +91,13 @@ class KnnModel:
         then at least every point's k-th smallest distance, and a training
         point whose lower bound exceeds it is no point's neighbour. The
         other training points are the tile's candidates, in ascending row
-        order, so picking among them keeps the stable first k. The tiles
-        of one tile row are batched, their candidate lists padded with
-        +inf distances.
+        order, so picking among them keeps the stable first k.
+
+        When every candidate of a tile has one class, each centre's k
+        neighbours all have it: no vote tie can arise, and the tile is
+        filled with that class without computing a distance. The other
+        tiles of one tile row are batched, their candidate lists padded
+        with +inf distances up to the longest list among them.
         """
         if self.x.shape[1] != 2:
             raise DataError("grid prediction needs a model over 2 features")
@@ -86,6 +109,7 @@ class KnnModel:
         x_tiles = np.concatenate([xc, np.repeat(xc[-1:], n_tiles * _TILE - xc.size)])
         x_tiles = x_tiles.reshape(n_tiles, _TILE)
         x_lower, x_upper = _term_bounds(x_tiles, self.x[:, 0])
+        onehot = self.y[:, None] == np.arange(max(2, int(self.y.max()) + 1))
         out = np.empty((yc.size, n_tiles, _TILE), dtype=np.int64)
         d2_buf = np.empty(max(_CHUNK_ENTRIES, self.x.shape[0]))
         work_buf = np.empty_like(d2_buf)
@@ -94,20 +118,26 @@ class KnnModel:
             y_lower, y_upper = _term_bounds(rows[None], self.x[:, 1])
             cutoff = np.partition(x_upper + y_upper, k - 1, axis=1)[:, k - 1]
             keep = x_lower + y_lower <= cutoff[:, None]
+            # a tile whose candidates share one class votes it at every centre
+            present = keep @ onehot
+            one_class = present.sum(axis=1) == 1
+            pred = np.empty((n_tiles, _TILE * rows.size), dtype=np.int64)
+            pred[one_class] = present[one_class].argmax(axis=1)[:, None]
+            mixed = np.flatnonzero(~one_class)
+            keep = keep[mixed]
             n_cand = keep.sum(axis=1)
-            width = int(n_cand.max())
+            width = int(n_cand.max(initial=1))  # 1 keeps the sizes below defined if none is mixed
             cand = np.argsort(~keep, axis=1, kind="stable")[:, :width]  # ascending rows
             padded = np.arange(width) >= n_cand[:, None]
-            # the tile row's centres, tile by tile, each tile row-major
-            px = np.tile(x_tiles, rows.size)
+            # the mixed tiles' centres, tile by tile, each tile row-major
+            px = np.tile(x_tiles[mixed], rows.size)
             points = np.stack([px, np.broadcast_to(np.repeat(rows, _TILE), px.shape)], axis=-1)
             per_tile = px.shape[1]
             step = max(1, _CHUNK_ENTRIES // width)  # candidate rows per chunk
             tiles_per_chunk = max(1, step // per_tile)
             points_per_chunk = min(per_tile, step)
-            pred = np.empty((n_tiles, per_tile), dtype=np.int64)
-            for t0 in range(0, n_tiles, tiles_per_chunk):
-                t1 = min(n_tiles, t0 + tiles_per_chunk)
+            for t0 in range(0, mixed.size, tiles_per_chunk):
+                t1 = min(mixed.size, t0 + tiles_per_chunk)
                 for p0 in range(0, per_tile, points_per_chunk):
                     p1 = min(per_tile, p0 + points_per_chunk)
                     size = (t1 - t0) * (p1 - p0) * width
@@ -119,7 +149,7 @@ class KnnModel:
                     d2, work = d2.reshape(-1, width), work.reshape(-1, width)
                     tile = np.repeat(np.arange(t0, t1), p1 - p0)[:, None]
                     neigh = cand[tile, _nearest(d2, k, work=work)]
-                    pred[t0:t1, p0:p1] = self._vote(neigh).reshape(t1 - t0, p1 - p0)
+                    pred[mixed[t0:t1], p0:p1] = self._vote(neigh).reshape(t1 - t0, p1 - p0)
             out[r0 : r0 + rows.size] = pred.reshape(n_tiles, rows.size, _TILE).transpose(1, 0, 2)
         return out.reshape(yc.size, -1)[:, : xc.size]
 
@@ -185,10 +215,6 @@ def _nearest(d2: np.ndarray, k: int, work: np.ndarray | None = None) -> np.ndarr
 def fit_knn(x, y, config: KnnConfig = KnnConfig()) -> KnnModel:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     y = np.asarray(y, dtype=np.int64)
-    if y.shape[0] != x.shape[0]:
-        raise DataError("labels misaligned with rows")
-    if config.k > x.shape[0]:
-        raise DataError(f"k={config.k} exceeds training size {x.shape[0]}")
     return KnnModel(x=x, y=y, config=config)
 
 

@@ -463,17 +463,6 @@ def fit_tree(
     return DecisionTree(root=root, config=config, n_features=x.shape[1], n_classes=n_classes)
 
 
-def tree_depth(table: NodeTable) -> int:
-    """Edges on the longest root-to-leaf path, walked one level at a time."""
-    depth, level = 0, np.zeros(1, dtype=np.int64)
-    while True:
-        split = level[table.feature[level] >= 0]
-        if not split.size:
-            return depth
-        level = np.concatenate([table.left[split], table.right[split]])
-        depth += 1
-
-
 def count_leaves(table: NodeTable) -> int:
     return int(np.count_nonzero(table.feature < 0))
 
@@ -540,7 +529,6 @@ __all__ = [
     "DecisionTree",
     "fit_tree",
     "grow_trees",
-    "tree_depth",
     "count_leaves",
     "leaf_boxes",
     "leaf_path_shares",

@@ -9,10 +9,12 @@ and name every file whose digest changed in CHANGES.md. The digests hold
 only for the numpy version and BLAS recorded beside them; floating-point
 results, and so the bytes, may differ under another build. The run goes
 to a child process with BLAS pinned to one thread, as in the benchmark.
-Every file of this run has the same bytes under two threads, and
-tests/test_tsne_loop.py checks that for `run_tsne` (whose KL trace once
-took a BLAS dot product that did not), but no test checks every other
-BLAS call under every thread count, so the pin stays.
+Every file of this run has the same bytes under two threads:
+tests/test_golden_digests.py reruns the cohort in a two-thread child
+against this ledger, and tests/test_tsne_loop.py checks `run_tsne`
+(whose KL trace once took a BLAS dot product that did not) on its own.
+Small matrices may stay on a BLAS's one-thread path, so this shows no
+thread count beyond two or cohort beyond this one, and the pin stays.
 """
 
 import hashlib
@@ -30,7 +32,7 @@ from chirpmap.synth import generate_records, write_records_csv
 LEDGER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
 COHORT = {"n_per_cluster": 40, "seed": 12}
 MASTER_SEED = 2024
-_ONE_THREAD = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+_THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def environment() -> dict:
@@ -47,14 +49,16 @@ def _run(root: str) -> None:
                                    "out": os.path.join(root, "out")}))
 
 
-def run_digests(root: str) -> dict[str, str]:
-    """Run the pipeline into root/out in a one-thread child process; the
-    SHA-256 of every file it wrote, by path relative to the out directory."""
+def run_digests(root: str, threads: int = 1) -> dict[str, str]:
+    """Run the pipeline into root/out in a child process with BLAS pinned
+    to `threads` threads; the SHA-256 of every file it wrote, by path
+    relative to the out directory."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(p for p in (os.path.join(repo, "src"), os.environ.get("PYTHONPATH")) if p)
     child = subprocess.run([sys.executable, os.path.abspath(__file__), "--run", root],
                            capture_output=True, text=True,
-                           env={**os.environ, **_ONE_THREAD, "PYTHONPATH": path})
+                           env={**os.environ, **dict.fromkeys(_THREAD_VARIABLES, str(threads)),
+                                "PYTHONPATH": path})
     if child.returncode:
         raise RuntimeError(f"pipeline run failed:\n{child.stderr}")
     out = os.path.join(root, "out")

@@ -252,6 +252,32 @@ def test_non_finite_model_parameter_is_data_error(tmp_path, capsys, finished_run
     assert f"s1_{short}.json" in err and "not finite" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "edit, message",
+    [(lambda config, p: config.update(k=len(p["x"]) + 1), "exceeds training size"),
+     (lambda config, p: p.update(y=p["y"][:-1]), "one per training row"),
+     (lambda config, p: p.update(x=[], y=[]), "nonempty 2-D array"),
+     (lambda config, p: p.update(y=[-1] + p["y"][1:]), "labels must be nonnegative"),
+     (lambda config, p: p.update(y=[1.5] + p["y"][1:]), "not a list of integers"),
+     (lambda config, p: config.update(k=2.5), "k must be an integer"),
+     (lambda config, p: config.update(k=True), "k must be an integer")],
+    ids=["k-above-rows", "labels-short", "no-rows", "negative-label", "fractional-label",
+         "fractional-k", "bool-k"],
+)
+def test_malformed_knn_model_is_data_error(tmp_path, capsys, finished_run, edit, message):
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    model_file = out / "models" / "s1_knn.json"
+    doc = json.loads(model_file.read_text())
+    edit(doc["config"], doc["parameters"])
+    model_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = entrypoint(["render", "--out", str(out), "--scenario", "s1", "--classifier", "knn"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "s1_knn.json" in err and message in err and "Traceback" not in err
+
+
 def without(*keys):
     """An edit that deletes report[keys[0]]...[keys[-1]]."""
     def edit(report):

@@ -4,7 +4,8 @@ Criterion 9 compares two runs of one session; this compares a run with
 the bytes recorded in tests/golden_digests.json, so a change that moves
 any artifact's bytes fails here and names the files. The ledger is
 rewritten only by tests/regen_golden_digests.py, in the commit that
-changes the bytes on purpose.
+changes the bytes on purpose. The ledger is pinned under one BLAS
+thread; a second run under two threads must give the same bytes.
 """
 
 import json
@@ -12,7 +13,7 @@ import json
 from tests.regen_golden_digests import LEDGER, environment, run_digests
 
 
-def test_every_artifact_matches_its_pinned_digest(tmp_path):
+def assert_run_matches_ledger(root, threads):
     with open(LEDGER, encoding="utf-8") as handle:
         ledger = json.load(handle)
     here = environment()
@@ -20,10 +21,18 @@ def test_every_artifact_matches_its_pinned_digest(tmp_path):
         f"digests were pinned under {ledger['environment']}, this is {here}: "
         "regenerate the ledger with tests/regen_golden_digests.py on this build"
     )
-    got, pinned = run_digests(str(tmp_path)), ledger["digests"]
+    got, pinned = run_digests(str(root), threads), ledger["digests"]
     changed = sorted(name for name in got.keys() & pinned.keys() if got[name] != pinned[name])
     missing = sorted(pinned.keys() - got.keys())
     extra = sorted(got.keys() - pinned.keys())
     assert not (changed or missing or extra), (
         f"changed: {changed}; missing: {missing}; not in the ledger: {extra}"
     )
+
+
+def test_every_artifact_matches_its_pinned_digest(tmp_path):
+    assert_run_matches_ledger(tmp_path, threads=1)
+
+
+def test_two_blas_threads_give_the_pinned_digests(tmp_path):
+    assert_run_matches_ledger(tmp_path, threads=2)

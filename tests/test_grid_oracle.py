@@ -1,8 +1,9 @@
 """Boundary grids from model geometry against `predict` on every grid centre.
 
 `RandomForestModel.predict_grid` paints leaf boxes and
-`KnnModel.predict_grid` prunes candidates per grid tile; the routing
-and all-pairs `predict` (and, for k-NN, the former argpartition
+`KnnModel.predict_grid` prunes candidates per grid tile, filling a tile
+whose candidates share one class without computing a distance; the
+routing and all-pairs `predict` (and, for k-NN, the former argpartition
 selection) are the oracles: every class must be the same.
 """
 
@@ -11,10 +12,12 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from chirpmap.models import knn
 from chirpmap.models.forest import ForestConfig, RandomForestModel, fit_random_forest
 from chirpmap.models.knn import KnnConfig, fit_knn
 from chirpmap.models.tree import DecisionTree, NodeTable, TreeConfig, fit_tree, leaf_boxes
 from chirpmap.render import boundary_grid
+from tests.conftest import make_blobs
 from tests.test_knn_oracle import argpartition_predict, clustered_training_set
 
 
@@ -203,3 +206,56 @@ def test_three_classes():
     y = np.where(x[:, 1] > 10.0, 2, y)
     xc, yc, _ = boundary_grid(fit_knn(x, y), x, g=150)
     assert_knn_grid_equals_oracles(fit_knn(x, y, KnnConfig(k=6)), xc, yc)
+
+
+def grid_points_computed(monkeypatch, model, xc, yc):
+    """`predict_grid`'s classes, and the number of distinct grid centres
+    it passed to `squared_distances`."""
+    seen, original = [], knn.squared_distances
+
+    def counting(a, b, **kwargs):
+        seen.append(a.reshape(-1, 2).copy())
+        return original(a, b, **kwargs)
+
+    monkeypatch.setattr(knn, "squared_distances", counting)
+    got = model.predict_grid(xc, yc)
+    monkeypatch.undo()
+    return got, len(np.unique(np.vstack(seen), axis=0)) if seen else 0
+
+
+def test_one_class_training_set_computes_no_distance(monkeypatch):
+    x, _ = clustered_training_set(84, seed=16)
+    model = fit_knn(x, np.ones(len(x), dtype=np.int64), KnnConfig(k=3))
+    xc, yc, _ = boundary_grid(model, x, g=100)
+    got, computed = grid_points_computed(monkeypatch, model, xc, yc)
+    assert computed == 0
+    assert np.array_equal(got, np.ones((yc.size, xc.size), dtype=np.int64))
+    assert np.array_equal(got, meshgrid_predict(model.predict, xc, yc))
+
+
+@pytest.mark.parametrize("k", [1, 4, 5])
+def test_filled_and_computed_tiles_both_equal_predict(monkeypatch, k):
+    # the clusters overlap, but without label noise most tiles are one-class
+    x, y = make_blobs([(-20.0, 5.0), (15.0, 15.0), (5.0, -20.0)], n_per=105, sd=8.0, seed=17)
+    model = fit_knn(x, y, KnnConfig(k=k))
+    xc, yc, _ = boundary_grid(model, x, g=300)
+    got, computed = grid_points_computed(monkeypatch, model, xc, yc)
+    assert 0 < computed < xc.size * yc.size
+    assert np.array_equal(got, meshgrid_predict(model.predict, xc, yc))
+
+
+@pytest.mark.parametrize("layout", ["class-1-absent", "three-bands"])
+def test_three_classes_with_two_in_each_mixed_tile(monkeypatch, layout):
+    if layout == "class-1-absent":
+        x, y = clustered_training_set(315, seed=18)
+        y = 2 * y  # classes 0 and 2; the vote still counts class 1
+    else:
+        # classes 0, 1, 2 in bands from left to right: a mixed tile holds
+        # 0 and 1 or 1 and 2, never 0 and 2
+        x, y = make_blobs([(-30.0, 0.0), (0.0, 0.0), (30.0, 0.0)], n_per=60, sd=4.0, seed=18)
+    model = fit_knn(x, y, KnnConfig(k=4))
+    xc, yc, _ = boundary_grid(model, x, g=300)
+    got, computed = grid_points_computed(monkeypatch, model, xc, yc)
+    assert 0 < computed < xc.size * yc.size
+    assert set(np.unique(got)) == ({0, 2} if layout == "class-1-absent" else {0, 1, 2})
+    assert np.array_equal(got, meshgrid_predict(model.predict, xc, yc))

@@ -90,6 +90,19 @@ def test_k_cannot_exceed_training_size():
         KnnConfig(k=0)
 
 
+@pytest.mark.parametrize(
+    "x, y",
+    [(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)),
+     (np.zeros((3, 2)), np.array([0, 1])),
+     (np.zeros((3, 2)), np.array([[0], [1], [0]])),
+     (np.zeros((3, 2)), np.array([0, -1, 1]))],
+    ids=["no-rows", "labels-short", "labels-2d", "negative-label"],
+)
+def test_malformed_training_set_is_data_error(x, y):
+    with pytest.raises(DataError):
+        fit_knn(x, y, KnnConfig(k=1))
+
+
 def test_blob_holdout_accuracy(two_blobs):
     x, y = two_blobs
     train = np.arange(0, 200, 2)

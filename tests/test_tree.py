@@ -12,10 +12,20 @@ from chirpmap.models.tree import (
     TreeConfig,
     count_leaves,
     fit_tree,
-    tree_depth,
 )
 from chirpmap.sensitivity import tree_subset_values
 from tests.conftest import make_blobs
+
+
+def tree_depth(table: NodeTable) -> int:
+    """Edges on the longest root-to-leaf path, walked one level at a time."""
+    depth, level = 0, np.zeros(1, dtype=np.int64)
+    while True:
+        split = level[table.feature[level] >= 0]
+        if not split.size:
+            return depth
+        level = np.concatenate([table.left[split], table.right[split]])
+        depth += 1
 
 
 def test_single_split_on_separated_line():
