@@ -10,15 +10,23 @@ form one tree, a non-finite threshold, leaf value or model parameter, a
 node's feature, child index or count, a forest's feature or class
 count, or a k-NN label, that is not a JSON integer (a bool or a float
 is not one), a negative count, or a tree in the nested-node format of
-earlier versions, which is no longer read. A k-NN model itself rejects
-missing rows, misaligned or negative labels and a k that is not an
-integer or exceeds its training size. Fitting never writes a non-finite
-parameter, and the grid paths of `render.boundary_grid` are exact only
-for finite ones.
+earlier versions, which is no longer read. A forest's trees are checked
+together, in one pass over all their nodes end to end, with each node's
+child indices taken within its own tree, and then sliced into the trees.
+A k-NN model itself rejects missing rows, misaligned or negative labels
+and a k that is not an integer or exceeds its training size. An SVM
+model rejects an `x` that is not 2-D with a row, labels or multipliers
+that are not one per row, a label other than -1 and +1, a negative
+multiplier (beyond SMO's rounding slack) and a negative gamma; a
+logistic model rejects weights that are not 1-D. Both raise DataError
+for points whose width differs from their training points'. Fitting
+never writes a non-finite parameter, and the grid paths of
+`render.boundary_grid` are exact only for finite ones.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import asdict
 
 import numpy as np
@@ -115,36 +123,49 @@ def _forest_from_dict(cfg: dict, params: dict) -> RandomForestModel:
         raise DataError("forest feature count must be a positive integer, "
                         "and its class count a nonnegative one")
     keys = _TREE_KEYS[config.task]
-    trees = []
-    for doc in params["trees"]:
+    docs = list(params["trees"])
+    for doc in docs:
         if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in keys):
             raise DataError(f"tree is not a node table of arrays {', '.join(keys)} "
                             "(nested-node model files are no longer read; refit the model)")
-        if not all(_integers(doc[k]) for k in keys if k in _INTEGER_KEYS):
-            raise DataError("tree split feature, child index or count is not an integer")
-        table = NodeTable.build(**{k: doc[k] for k in keys})
-        n = len(doc["feature"])
-        if n < 1 or any(getattr(table, k).shape != (n,) for k in _NODE_ARRAYS) or (
-            table.counts is not None and table.counts.shape != (n, n_classes)
-        ):
-            raise DataError("tree node arrays must be nonempty and of equal length")
-        internal = table.feature >= 0
-        if (np.any((table.feature < -1) | (table.feature >= n_features) | (table.n_samples < 1))
-                or (table.counts is not None and np.any(table.counts < 0))
-                or np.any(table.right[~internal] != -1)
-                or np.any(internal & ((table.right <= np.arange(n) + 1) | (table.right >= n)))):
-            raise DataError("tree split feature, child index or count out of range")
-        parents = np.bincount(np.concatenate([table.left[internal], table.right[internal]]),
-                              minlength=n)
-        if parents[0] != 0 or np.any(parents[1:] != 1):
-            raise DataError("tree nodes do not form one tree: every node but the root "
-                            "must be the child of exactly one node")
-        if not (np.all(np.isfinite(table.threshold)) and np.all(np.isfinite(table.value))):
-            raise DataError("tree threshold or leaf value is not finite")
-        trees.append(DecisionTree(root=table, config=tree_config, n_features=n_features,
-                                  n_classes=n_classes))
-    if not trees:
+    if not docs:
         raise DataError("random forest document holds no trees")
+    # all trees' nodes end to end in one table, checked in one pass, each
+    # node's index and child indices taken within its own tree
+    columns = {k: list(itertools.chain.from_iterable(doc[k] for doc in docs)) for k in keys}
+    if not all(_integers(columns[k]) for k in keys if k in _INTEGER_KEYS):
+        raise DataError("tree split feature, child index or count is not an integer")
+    sizes = [len(doc["feature"]) for doc in docs]
+    table = NodeTable.build(**columns)
+    total = table.feature.size
+    if (min(sizes) < 1 or any(len(doc[k]) != n for doc, n in zip(docs, sizes) for k in keys)
+            or any(getattr(table, k).shape != (total,) for k in _NODE_ARRAYS)
+            or (table.counts is not None and table.counts.shape != (total, n_classes))):
+        raise DataError("tree node arrays must be nonempty and of equal length")
+    offsets = np.cumsum(sizes) - sizes
+    first = np.repeat(offsets, sizes)  # each node's root
+    local = np.arange(total) - first
+    internal = table.feature >= 0
+    if (np.any((table.feature < -1) | (table.feature >= n_features) | (table.n_samples < 1))
+            or (table.counts is not None and np.any(table.counts < 0))
+            or np.any(table.right[~internal] != -1)
+            or np.any(internal & ((table.right <= local + 1)
+                                  | (table.right >= np.repeat(sizes, sizes))))):
+        raise DataError("tree split feature, child index or count out of range")
+    parents = np.bincount(np.concatenate([table.left[internal], (first + table.right)[internal]]),
+                          minlength=total)
+    if np.any(parents != (local > 0)):  # one parent each, none for a root
+        raise DataError("tree nodes do not form one tree: every node but the root "
+                        "must be the child of exactly one node")
+    if not (np.all(np.isfinite(table.threshold)) and np.all(np.isfinite(table.value))):
+        raise DataError("tree threshold or leaf value is not finite")
+    table.left = np.where(internal, local + 1, -1)
+    trees = [
+        DecisionTree(root=NodeTable(**{key: a if a is None else a[lo:lo + n]
+                                       for key, a in vars(table).items()}),
+                     config=tree_config, n_features=n_features, n_classes=n_classes)
+        for lo, n in zip(offsets.tolist(), sizes)
+    ]
     return RandomForestModel(trees=trees, config=config, n_features=n_features, n_classes=n_classes)
 
 
@@ -152,7 +173,11 @@ def _integers(values) -> bool:
     """Whether every entry of a list, or of its nested lists, is an int
     and not a bool: json reads 1.5 and 1.0 as floats, which a node array
     of integers would silently truncate."""
-    return all(_integers(v) if isinstance(v, list) else type(v) is int for v in values)
+    types = set(map(type, values))
+    if list in types:
+        rows = values if types == {list} else [v for v in values if type(v) is list]
+        return types <= {int, list} and _integers(list(itertools.chain.from_iterable(rows)))
+    return types <= {int}
 
 
 def save_model(model, path: str, extra: dict | None = None) -> None:

@@ -85,8 +85,14 @@ class LogisticModel:
 
     kind = "logistic_regression"
 
+    def __post_init__(self):
+        if self.w.ndim != 1:
+            raise DataError("logistic weights must be a 1-D array")
+
     def decision_function(self, points) -> np.ndarray:
         p = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if p.shape[1] != self.w.shape[0]:
+            raise DataError(f"expected {self.w.shape[0]} features, got {p.shape[1]}")
         return p @ self.w + self.b
 
     def predict(self, points) -> np.ndarray:

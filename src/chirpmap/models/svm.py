@@ -5,6 +5,11 @@ with Q_ij = y_i y_j K(x_i, x_j). Each step updates the maximal violating
 pair (the point most below and the point most above the running KKT
 threshold); termination when the worst violation is within tol. Labels
 {0,1} are mapped to {-1,+1} internally.
+
+An update moves only alpha_i and alpha_j, so the loop keeps the index
+sets (as masks) across updates and recomputes them at i and j only; it
+reads Q's rows for its columns, which Q's exact symmetry makes the same
+numbers. The final threshold and `kkt_violation` take the sets afresh.
 """
 
 from __future__ import annotations
@@ -46,7 +51,8 @@ def _kernel_block(a: np.ndarray, b: np.ndarray, kernel: str, gamma: float) -> np
 
 def _violating_sets(alpha: np.ndarray, ys: np.ndarray, c: float) -> tuple[np.ndarray, np.ndarray]:
     """SMO's index sets: `up` marks the points whose y_t alpha_t can still
-    grow inside [0, C], `low` those whose y_t alpha_t can still shrink."""
+    grow inside [0, C], `low` those whose y_t alpha_t can still shrink.
+    Given one point's alpha and y as floats, its two memberships as bools."""
     below_c, above_0 = alpha < c - _BOUND_EPS, alpha > _BOUND_EPS
     up = (below_c & (ys > 0)) | (above_0 & (ys < 0))
     low = (below_c & (ys < 0)) | (above_0 & (ys > 0))
@@ -67,8 +73,23 @@ class SvmModel:
 
     kind = "svm"
 
+    def __post_init__(self):
+        if self.x.ndim != 2 or self.x.shape[0] < 1:
+            raise DataError("SVM training points must be a nonempty 2-D array")
+        if self.y_signed.shape != self.x.shape[:1] or self.alpha.shape != self.x.shape[:1]:
+            raise DataError("SVM labels and multipliers must be one per training row")
+        if not np.all(np.abs(self.y_signed) == 1.0):
+            raise DataError("SVM labels must be -1 or +1")
+        # SMO's rounding can leave a multiplier a few ulps of C below 0
+        if np.any(self.alpha < -_BOUND_EPS * max(1.0, self.config.c)):
+            raise DataError("SVM multipliers must be nonnegative")
+        if not self.gamma_value >= 0.0:
+            raise DataError("SVM gamma must be nonnegative")
+
     def decision_function(self, points) -> np.ndarray:
         p = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if p.shape[1] != self.x.shape[1]:
+            raise DataError(f"expected {self.x.shape[1]} features, got {p.shape[1]}")
         support = self.alpha > 0
         coef = self.alpha[support] * self.y_signed[support]
         sx = self.x[support]
@@ -95,7 +116,9 @@ def _resolve_gamma(x: np.ndarray, config: SvmConfig) -> float:
 
 
 def fit_svm(x, y, config: SvmConfig = SvmConfig()) -> SvmModel:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    # C order makes the linear kernel's x @ x.T exactly symmetric (BLAS
+    # syrk), as the RBF kernel always is; strided x gave a Q that was not
+    x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
     y01 = np.asarray(y, dtype=np.int64)
     n = x.shape[0]
     if y01.shape[0] != n:
@@ -115,49 +138,63 @@ def fit_svm(x, y, config: SvmConfig = SvmConfig()) -> SvmModel:
     converged = False
     n_updates = 0
 
+    # the index sets as masks, 0 inside and -inf (up) or inf (low) outside:
+    # for finite vals, vals + up_mask has where(up, vals, -inf)'s argmax
+    # (ties to the first index) and max (-inf only when up is empty)
+    up, low = _violating_sets(alpha, ys, c)
+    up_mask, low_mask = np.where(up, 0.0, -np.inf), np.where(low, 0.0, np.inf)
+    signs, diagonal, neg_ys = ys.tolist(), q.diagonal().tolist(), -ys
+    vals, up_vals, low_vals, step, step_j = (np.empty(n) for _ in range(5))
+
     for _ in range(config.max_passes):
-        vals = -ys * grad
-        up, low = _violating_sets(alpha, ys, c)
-        if not up.any() or not low.any():
-            converged = True
-            break
-        i = int(np.where(up, vals, -np.inf).argmax())
-        j = int(np.where(low, vals, np.inf).argmin())
-        if vals[i] - vals[j] <= config.tol:
+        np.multiply(neg_ys, grad, out=vals)
+        i = int(np.add(vals, up_mask, out=up_vals).argmax())
+        j = int(np.add(vals, low_mask, out=low_vals).argmin())
+        if (up_vals.item(i) == -np.inf or low_vals.item(j) == np.inf  # an empty set
+                or vals.item(i) - vals.item(j) <= config.tol):
             converged = True
             break
 
-        s = ys[i] * ys[j]
+        ai, aj, gi, gj = alpha.item(i), alpha.item(j), grad.item(i), grad.item(j)
+        s = signs[i] * signs[j]
         if s < 0:
-            lo = max(0.0, alpha[j] - alpha[i])
-            hi = min(c, c + alpha[j] - alpha[i])
+            lo = max(0.0, aj - ai)
+            hi = min(c, c + aj - ai)
         else:
-            lo = max(0.0, alpha[i] + alpha[j] - c)
-            hi = min(c, alpha[i] + alpha[j])
+            lo = max(0.0, ai + aj - c)
+            hi = min(c, ai + aj)
         if hi - lo < _BOUND_EPS:
             break  # the worst pair cannot move: stuck short of tol
 
-        # ys is +-1, so q[i, i] and s * q[i, j] are K's entries bit for bit
-        eta = q[i, i] + q[j, j] - 2.0 * (s * q[i, j])
+        # Q is exactly symmetric, so its rows are its columns; ys is +-1,
+        # so q[i, i] and s * q[i, j] are K's entries bit for bit
+        q_i, q_j = q[i], q[j]
+        eta = diagonal[i] + diagonal[j] - 2.0 * (s * q_i.item(j))
         if eta > _BOUND_EPS:
-            aj_new = min(max(alpha[j] + (s * grad[i] - grad[j]) / eta, lo), hi)
+            aj_new = min(max(aj + (s * gi - gj) / eta, lo), hi)
         else:
             # flat direction: objective is linear in the step, take the endpoint
-            lin = grad[j] - s * grad[i]
+            lin = gj - s * gi
             if lin > 0:
                 aj_new = lo
             elif lin < 0:
                 aj_new = hi
             else:
                 break
-        dj = aj_new - alpha[j]
+        dj = aj_new - aj
         if abs(dj) < _BOUND_EPS:
             break
         di = -s * dj
         alpha[j] = aj_new
-        alpha[i] += di
-        grad += di * q[:, i] + dj * q[:, j]
+        alpha[i] = ai + di
+        np.multiply(q_i, di, out=step)
+        np.multiply(q_j, dj, out=step_j)
+        step += step_j
+        grad += step
         n_updates += 1
+        for t in (i, j):
+            in_up, in_low = _violating_sets(alpha.item(t), signs[t], c)
+            up_mask[t], low_mask[t] = (0.0 if in_up else -np.inf), (0.0 if in_low else np.inf)
 
     grad = q @ alpha - 1.0  # refresh: incremental updates accumulate drift
     vals = -ys * grad

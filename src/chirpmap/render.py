@@ -12,6 +12,7 @@ through the viridis lookup table. Hex values are project constants
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
@@ -63,19 +64,25 @@ class _Svg:
             self.parts.append(f"<!-- provenance: {escape(fields)} -->")
         self.parts.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
 
-    def rect(self, x, y, w, h, fill, opacity=None, stroke=None):
-        attrs = f'x="{_fmt(x)}" y="{_fmt(y)}" width="{_fmt(w)}" height="{_fmt(h)}" fill="{fill}"'
-        if opacity is not None:
-            attrs += f' fill-opacity="{opacity}"'
-        if stroke is not None:
-            attrs += f' stroke="{stroke}"'
-        self.parts.append(f"<rect {attrs}/>")
+    def rects(self, xs, ys, widths, heights, fills, opacity=None, stroke=None):
+        """One rect per (x, y, width, height, fill), all with the given
+        opacity and stroke; one f-string each, numbers as `_fmt` writes them."""
+        tail = "" if opacity is None else f' fill-opacity="{opacity}"'
+        tail += "" if stroke is None else f' stroke="{stroke}"'
+        self.parts += [
+            f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" fill="{fill}"{tail}/>'
+            for x, y, w, h, fill in zip(xs, ys, widths, heights, fills)
+        ]
 
-    def circle(self, cx, cy, r, fill, opacity=None):
-        attrs = f'cx="{_fmt(cx)}" cy="{_fmt(cy)}" r="{_fmt(r)}" fill="{fill}"'
-        if opacity is not None:
-            attrs += f' fill-opacity="{opacity}"'
-        self.parts.append(f"<circle {attrs}/>")
+    def rect(self, x, y, w, h, fill, opacity=None, stroke=None):
+        self.rects((x,), (y,), (w,), (h,), (fill,), opacity, stroke)
+
+    def circles(self, xs, ys, r, fills, opacity=None):
+        """One circle of radius r per (x, y, fill), as `rects` writes rects."""
+        tail = f' r="{_fmt(r)}" fill="'
+        end = '"/>' if opacity is None else f'" fill-opacity="{opacity}"/>'
+        self.parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}"{tail}{fill}{end}'
+                       for x, y, fill in zip(xs, ys, fills)]
 
     def line(self, x1, y1, x2, y2, stroke="#333333", width=1.0):
         self.parts.append(
@@ -166,11 +173,12 @@ class _Frame:
         self.left, self.top = left, top
         self.plot_w, self.plot_h = plot_w, plot_h
 
-    def px(self, x: float) -> float:
-        return self.left + (x - self.x0) / (self.x1 - self.x0) * self.plot_w
-
-    def py(self, y: float) -> float:
-        return self.top + (self.y1 - y) / (self.y1 - self.y0) * self.plot_h
+    def pixels(self, coords: np.ndarray) -> tuple[list[float], list[float]]:
+        """The pixel x and y of every point of coords (n x 2), one array
+        expression per axis."""
+        xs = self.left + (coords[:, 0] - self.x0) / (self.x1 - self.x0) * self.plot_w
+        ys = self.top + (self.y1 - coords[:, 1]) / (self.y1 - self.y0) * self.plot_h
+        return xs.tolist(), ys.tolist()
 
 
 def _scatter_canvas(coords, spec: PlotSpec, right: int, provenance) -> tuple[_Svg, _Frame]:
@@ -215,8 +223,7 @@ def render_labeled_embedding(coords, labels, spec: PlotSpec, provenance: dict | 
 
     svg, frame = _scatter_canvas(coords, spec, 110, provenance)
     _draw_frame(svg, spec, frame)
-    for (x, y), lab in zip(coords, labels):
-        svg.circle(frame.px(x), frame.py(y), 2.5, palette[lab], opacity=0.8)
+    svg.circles(*frame.pixels(coords), 2.5, [palette[lab] for lab in labels], opacity=0.8)
     _draw_legend(svg, frame, [(str(cat), palette[cat]) for cat in present])
     return svg.to_string()
 
@@ -279,20 +286,19 @@ def render_boundary(model, coords, labels, spec: PlotSpec, g: int = 300,
 
     cell_w_px = frame.plot_w / g
     cell_h_px = frame.plot_h / g
-    for row, start, stop, cls in _runs(preds):
-        # pixel y of the TOP edge of this row's cells (rows follow yc, ascending data y)
-        y_px = frame.top + frame.plot_h - (row + 1) * cell_h_px
-        svg.rect(
-            frame.left + start * cell_w_px,
-            y_px,
-            (stop - start) * cell_w_px,
-            cell_h_px,
-            BINARY_CLASS_COLORS[cls % 2],
-            opacity=0.30,
-        )
+    left, bottom = frame.left, frame.top + frame.plot_h
+    rows, starts, stops, classes = zip(*_runs(preds))
+    svg.rects(
+        [left + start * cell_w_px for start in starts],
+        # pixel y of the TOP edge of each row's cells (rows follow yc, ascending data y)
+        [bottom - (row + 1) * cell_h_px for row in rows],
+        [(stop - start) * cell_w_px for start, stop in zip(starts, stops)],
+        itertools.repeat(cell_h_px),
+        [BINARY_CLASS_COLORS[cls % 2] for cls in classes],
+        opacity=0.30,
+    )
     _draw_frame(svg, spec, frame)
-    for (x, y), lab in zip(coords, labels):
-        svg.circle(frame.px(x), frame.py(y), 2.5, BINARY_CLASS_COLORS[int(lab) % 2])
+    svg.circles(*frame.pixels(coords), 2.5, [BINARY_CLASS_COLORS[int(lab) % 2] for lab in labels])
     _draw_legend(svg, frame, zip(("class 0", "class 1"), BINARY_CLASS_COLORS))
     return svg.to_string()
 
@@ -324,8 +330,7 @@ def render_sensitivity(
     _draw_frame(svg, spec, frame)
     if not spec.title:
         svg.text(spec.width / 2, 24, feature_name, size=15, anchor="middle", bold=True)
-    for (x, y), ti in zip(coords, t):
-        svg.circle(frame.px(x), frame.py(y), 2.5, viridis_hex(float(ti)), opacity=0.9)
+    svg.circles(*frame.pixels(coords), 2.5, [viridis_hex(ti) for ti in t.tolist()], opacity=0.9)
 
     # color scale: stacked samples of the colormap, max at the top
     bar_x = frame.left + frame.plot_w + 24

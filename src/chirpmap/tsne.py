@@ -13,15 +13,17 @@ exaggeration. Everything is O(N^2) and deterministic under a fixed seed.
 The joint affinities p exist only as their upper-triangle tiles, each
 contiguous in one tile-major buffer, built straight from the
 conditionals (``_joint_tiles``). Each iteration is one pass over those
-tiles (``_gradient_pass``), which builds y's distance operands once and
-forms the Student-t kernel tile by tile in two tile buffers; the KL
-checkpoints and the final KL come from the same pass. The coordinates'
-bits depend on the tile size ``_TILE``, not on the BLAS thread count.
-Joint affinities below ``_P_FLOOR`` are zeroed, which keeps subnormal
-floats (slow on the CPU's denormal path) out of the loop; the
-coordinates kept their bits on every cohort checked. ``symmetrize``,
-``low_dim_similarities``, ``kl_divergence`` and ``kl_gradient`` are the
-N x N references the tiled code is tested against.
+tiles (``_TilePass``), which forms the Student-t kernel tile by tile in
+two tile buffers; y's distance operands, the sums and every tile's
+views are built once per run, not once per pass, and a pass only copies
+y into them. The KL checkpoints and the final KL come from the same
+pass. The coordinates' bits depend on the tile size ``_TILE``, not on
+the BLAS thread count. Joint affinities below ``_P_FLOOR`` are zeroed,
+which keeps subnormal floats (slow on the CPU's denormal path) out of
+the loop; the coordinates kept their bits on every cohort checked.
+``symmetrize``, ``low_dim_similarities``, ``kl_divergence`` and
+``kl_gradient`` are the N x N references the tiled code is tested
+against.
 """
 
 from __future__ import annotations
@@ -32,8 +34,7 @@ from dataclasses import dataclass, field, fields, asdict
 import numpy as np
 
 from .artifacts import read_csv, write_csv, write_json
-from .distances import (_column_operands, _operand_distances, _row_operands,
-                        squared_distances)
+from .distances import _operand_distances, squared_distances
 from .errors import DataError, NumericError
 from .ingest import FeatureMatrix
 
@@ -345,7 +346,7 @@ def low_dim_similarities(coords: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (q, w) where w_ij = 1 / (1 + ||y_i - y_j||^2) with zero
     diagonal and q is w normalized over all ordered pairs. An N x N
-    reference: ``run_tsne`` forms w tile by tile in ``_gradient_pass``.
+    reference: ``run_tsne`` forms w tile by tile in ``_TilePass``.
     """
     y = np.asarray(coords, dtype=np.float64)
     w = np.empty((y.shape[0], y.shape[0]))
@@ -387,7 +388,7 @@ def kl_gradient(p: np.ndarray, coords: np.ndarray) -> np.ndarray:
 
 def _tile_spans(n: int) -> list[tuple[int, int, int, int]]:
     """The upper-triangle tiles (i0, i1, j0, j1) of an n x n matrix, in
-    the order ``_gradient_pass`` visits them."""
+    the order ``_TilePass`` visits them."""
     spans = [(start, min(start + _TILE, n)) for start in range(0, n, _TILE)]
     return [(i0, i1, j0, j1) for k, (i0, i1) in enumerate(spans) for j0, j1 in spans[k:]]
 
@@ -415,57 +416,77 @@ def _joint_tiles(c: np.ndarray) -> list[np.ndarray]:
     return tiles
 
 
-def _gradient_pass(p_tiles: list[np.ndarray], y: np.ndarray, exaggeration: float,
-                   tiles: np.ndarray, with_log: bool = False) -> tuple[np.ndarray, float, float | None]:
+class _TilePass:
     """The KL gradient 4 sum_j (a p_ij - q_ij) w_ij (y_i - y_j), with
-    a = ``exaggeration``, in one pass over the upper-triangle tiles of p,
+    a = the exaggeration, in one pass over the upper-triangle tiles of p,
     given in ``_tile_spans`` order as ``_joint_tiles`` builds them.
 
     With Z = sum w, the gradient is 4 (a A - B / Z), where
     A_i = sum_j p_ij w_ij (y_i - y_j) and B_i = sum_j w_ij^2 (y_i - y_j)
     (the exact attractive/repulsive split). w is symmetric, so tile (I, J)
     serves the rows of I through c @ [y_J, 1] and those of J through
-    c.T @ [y_I, 1], for c = p_IJ w_IJ and then c = w_IJ^2. y's distance
-    operands are built once per pass, and each tile's d^2 comes from
-    slices of them. ``tiles`` is a flat buffer of at least
-    2 * min(n, _TILE)^2 floats; each tile works in a contiguous prefix of it, because strided views
-    into a wider buffer measured slower.
+    c.T @ [y_I, 1], for c = p_IJ w_IJ and then c = w_IJ^2. Each tile's
+    d^2 comes from slices of y's distance operands (as ``_row_operands``
+    and ``_column_operands`` lay them out).
 
-    Returns (gradient, Z, sum p ln(1 + d^2)); the last is None unless
-    ``with_log``, and then KL = sum p ln p + sum p ln(1 + d^2)
+    What does not depend on y is built once per run, here: the operand
+    buffers, [y, 1], the sums, a buffer of two tiles of the largest span
+    and every tile's views. A pass copies y into them, zeroes the sums and
+    runs the tiles' arithmetic. Each tile works in a contiguous prefix of
+    the tile buffer, as strided views measured slower.
+
+    A call returns (gradient, Z, sum p ln(1 + d^2)); the last is None
+    unless ``with_log``, and then KL = sum p ln p + sum p ln(1 + d^2)
     + (sum p) ln Z, each term summed by numpy rather than BLAS so that
     its bits do not depend on the BLAS thread count.
     """
-    n = y.shape[0]
-    y1 = np.empty((n, 3))
-    y1[:, :2] = y
-    y1[:, 2] = 1.0
-    rows, cols = _row_operands(y), _column_operands(y)
-    sums = np.zeros((2, n, 3))  # [c @ [y, 1] summed over tiles] for c = p w, w^2
-    z = 0.0
-    p_log_d = 0.0 if with_log else None
-    for (i0, i1, j0, j1), p_ij in zip(_tile_spans(n), p_tiles, strict=True):
-        pair = tiles[: 2 * p_ij.size].reshape(2, i1 - i0, j1 - j0)
-        c, w = pair
-        copies = 1.0 if i0 == j0 else 2.0  # the tile and its transpose
-        _operand_distances(rows[:, i0:i1], cols[..., j0:j1], out=w, scratch=c)
-        w += 1.0
-        if with_log:  # ln(1 + d^2) = -ln w, and 0 on the diagonal
-            np.log(w, out=c)
-            c *= p_ij
-            p_log_d += copies * float(c.sum())
-        np.divide(1.0, w, out=w)
-        if i0 == j0:
-            np.fill_diagonal(w, 0.0)
-        z += copies * float(w.sum())
-        np.multiply(p_ij, w, out=c)
-        w *= w
-        sums[:, i0:i1] += pair @ y1[j0:j1]
-        if i0 != j0:
-            sums[:, j0:j1] += pair.transpose(0, 2, 1) @ y1[i0:i1]
-    attract, repulse = sums[:, :, 2:] * y - sums[:, :, :2]
-    grad = 4.0 * (exaggeration * attract - repulse / z)
-    return grad, z, p_log_d
+
+    def __init__(self, p_tiles: list[np.ndarray], n: int):
+        tiles = np.empty(2 * min(n, _TILE) ** 2)
+        self.rows = np.ones((2, n, 2))  # [y_k, 1] for each coordinate k
+        self.cols = np.ones((2, 2, n))  # [1; -y_k]
+        self.y1 = np.ones((n, 3))  # [y, 1]
+        self.sums = np.empty((2, n, 3))  # [c @ [y, 1] summed over tiles] for c = p w, w^2
+        self.steps = []
+        for (i0, i1, j0, j1), p_ij in zip(_tile_spans(n), p_tiles, strict=True):
+            pair = tiles[: 2 * p_ij.size].reshape(2, i1 - i0, j1 - j0)
+            # w's diagonal on a diagonal tile, else the transposed tile's views
+            other = (pair[1].reshape(-1)[:: j1 - j0 + 1] if i0 == j0 else
+                     (pair.transpose(0, 2, 1), self.sums[:, j0:j1], self.y1[i0:i1]))
+            self.steps.append((p_ij, pair, self.rows[:, i0:i1], self.cols[..., j0:j1],
+                               self.sums[:, i0:i1], self.y1[j0:j1], i0 == j0, other))
+
+    def __call__(self, y: np.ndarray, exaggeration: float,
+                 with_log: bool = False) -> tuple[np.ndarray, float, float | None]:
+        self.rows[:, :, 0] = y.T
+        np.negative(y.T, out=self.cols[:, 1, :])
+        self.y1[:, :2] = y
+        sums = self.sums
+        sums[...] = 0.0
+        z = 0.0
+        p_log_d = 0.0 if with_log else None
+        for p_ij, pair, rows, cols, sums_i, y1_j, diagonal, other in self.steps:
+            c, w = pair
+            copies = 1.0 if diagonal else 2.0  # the tile and its transpose
+            _operand_distances(rows, cols, out=w, scratch=c)
+            w += 1.0
+            if with_log:  # ln(1 + d^2) = -ln w, and 0 on the diagonal
+                np.log(w, out=c)
+                c *= p_ij
+                p_log_d += copies * float(c.sum())
+            np.divide(1.0, w, out=w)
+            if diagonal:
+                other[...] = 0.0
+            z += copies * float(w.sum())
+            np.multiply(p_ij, w, out=c)
+            w *= w
+            sums_i += pair @ y1_j
+            if not diagonal:
+                pair_t, sums_j, y1_i = other
+                sums_j += pair_t @ y1_i
+        attract, repulse = sums[:, :, 2:] * y - sums[:, :, :2]
+        grad = 4.0 * (exaggeration * attract - repulse / z)
+        return grad, z, p_log_d
 
 
 def pca_init(matrix, seed: int) -> tuple[np.ndarray, bool]:
@@ -523,9 +544,9 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
 
     p is never formed as an N x N matrix: its upper-triangle tiles are
     built from the conditionals into one tile-major buffer, and each
-    iteration is one ``_gradient_pass`` over them in a buffer of two
-    tiles of the largest span, allocated once per run. The memory peak is the
-    calibration's d^2 and conditionals. Exaggeration is a scalar factor
+    iteration is one call of a ``_TilePass`` over them, built once per
+    run with a buffer of two tiles of the largest span. The memory peak
+    is the calibration's d^2 and conditionals. Exaggeration is a scalar factor
     on the attractive term. The bits depend on _TILE. Every KL, the
     final one included, comes from a pass over the same tiles as
     sum p ln p - sum p ln w + (sum p) ln(sum w), with sum p ln p and
@@ -561,15 +582,14 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
     y_prev = y.copy()
     trace: list[tuple[int, float]] = []
     lr = config.learning_rate
-    tiles = np.empty(2 * min(n, _TILE) ** 2)
+    gradient_pass = _TilePass(p_tiles, n)
 
     for t in range(config.n_iterations):
         checkpoint = t > 0 and t % _KL_CHECK_EVERY == 0
         exaggeration = (
             config.exaggeration_factor if t < config.exaggeration_until_iter else 1.0
         )
-        grad, z, p_log_d = _gradient_pass(p_tiles, y, exaggeration, tiles,
-                                           with_log=checkpoint)
+        grad, z, p_log_d = gradient_pass(y, exaggeration, with_log=checkpoint)
         if checkpoint:
             trace.append((t, p_log_p + p_log_d + p_total * math.log(z)))
         momentum = (
@@ -580,7 +600,7 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
             raise NumericError(f"non-finite coordinates at iteration {t}")
         y_prev, y = y, y_next
 
-    _, z, p_log_d = _gradient_pass(p_tiles, y, 1.0, tiles, with_log=True)
+    _, z, p_log_d = gradient_pass(y, 1.0, with_log=True)
     final_kl = p_log_p + p_log_d + p_total * math.log(z)
     trace.append((config.n_iterations, final_kl))
 

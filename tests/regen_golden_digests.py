@@ -15,8 +15,18 @@ against this ledger, and tests/test_tsne_loop.py checks `run_tsne`
 (whose KL trace once took a BLAS dot product that did not) on its own.
 Small matrices may stay on a BLAS's one-thread path, so this shows no
 thread count beyond two or cohort beyond this one, and the pin stays.
+
+To compare the bytes of two checkouts on another cohort size, print the
+digests of a full run without touching the ledger:
+
+    PYTHONPATH=src python tests/regen_golden_digests.py --print --n-per-cluster 150
+
+prints one "digest  path" line per artifact (master seed 2024, synth
+seed 12, three clusters, one BLAS thread), so N = 450 and 900 are one
+command per checkout and a `diff` of the two outputs.
 """
 
+import argparse
 import hashlib
 import json
 import os
@@ -42,20 +52,23 @@ def environment() -> dict:
             "blas_threads": 1}
 
 
-def _run(root: str) -> None:
+def _run(root: str, n_per_cluster: int) -> None:
     data = os.path.join(root, "synth_data.csv")
-    write_records_csv(generate_records(**COHORT), data)
+    write_records_csv(generate_records(**{**COHORT, "n_per_cluster": n_per_cluster}), data)
     run_pipeline(config_from_dict({"input": data, "seed": MASTER_SEED,
                                    "out": os.path.join(root, "out")}))
 
 
-def run_digests(root: str, threads: int = 1) -> dict[str, str]:
-    """Run the pipeline into root/out in a child process with BLAS pinned
-    to `threads` threads; the SHA-256 of every file it wrote, by path
+def run_digests(root: str, threads: int = 1,
+                n_per_cluster: int = COHORT["n_per_cluster"]) -> dict[str, str]:
+    """Run the pipeline on the cohort of `n_per_cluster` records per
+    cluster into root/out, in a child process with BLAS pinned to
+    `threads` threads; the SHA-256 of every file it wrote, by path
     relative to the out directory."""
     repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     path = os.pathsep.join(p for p in (os.path.join(repo, "src"), os.environ.get("PYTHONPATH")) if p)
-    child = subprocess.run([sys.executable, os.path.abspath(__file__), "--run", root],
+    child = subprocess.run([sys.executable, os.path.abspath(__file__), "--run", root,
+                            "--n-per-cluster", str(n_per_cluster)],
                            capture_output=True, text=True,
                            env={**os.environ, **dict.fromkeys(_THREAD_VARIABLES, str(threads)),
                                 "PYTHONPATH": path})
@@ -73,11 +86,24 @@ def run_digests(root: str, threads: int = 1) -> dict[str, str]:
 
 
 def main(argv: list[str]) -> int:
-    if argv[:1] == ["--run"]:
-        _run(argv[1])
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--print", action="store_true",
+                        help="print the digests to stdout instead of writing the ledger")
+    parser.add_argument("--n-per-cluster", type=int, default=COHORT["n_per_cluster"],
+                        help="records per cluster (default %(default)s, the ledger's cohort)")
+    parser.add_argument("--run", metavar="ROOT", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    if args.run:
+        _run(args.run, args.n_per_cluster)
         return 0
+    if args.n_per_cluster != COHORT["n_per_cluster"] and not args.print:
+        parser.error("--n-per-cluster other than the ledger's cohort needs --print")
     with tempfile.TemporaryDirectory() as root:
-        digests = run_digests(root)
+        digests = run_digests(root, n_per_cluster=args.n_per_cluster)
+    if args.print:
+        for name, digest in digests.items():
+            print(f"{digest}  {name}")
+        return 0
     ledger = {
         "cohort": {**COHORT, "master_seed": MASTER_SEED},
         "environment": environment(),

@@ -278,6 +278,42 @@ def test_malformed_knn_model_is_data_error(tmp_path, capsys, finished_run, edit,
     assert "s1_knn.json" in err and message in err and "Traceback" not in err
 
 
+def _rows_widened(p):
+    p["x"] = [row + [0.0] for row in p["x"]]
+
+
+@pytest.mark.parametrize(
+    "short, edit, message",
+    [("svm", lambda p: p.update(alpha=p["alpha"][:-1]), "one per training row"),
+     ("svm", lambda p: p.update(y_signed=p["y_signed"][1:]), "one per training row"),
+     ("svm", lambda p: p.update(x=[], y_signed=[], alpha=[]), "nonempty 2-D array"),
+     ("svm", lambda p: p.update(x=[v for row in p["x"] for v in row][:len(p["alpha"])]),
+      "nonempty 2-D array"),
+     ("svm", lambda p: p.update(y_signed=[0.5] + p["y_signed"][1:]), "-1 or +1"),
+     ("svm", lambda p: p.update(alpha=[-1.0] + p["alpha"][1:]), "nonnegative"),
+     ("svm", lambda p: p.update(gamma_value=-0.5), "gamma must be nonnegative"),
+     ("svm", _rows_widened, "expected 3 features, got 2"),
+     ("logreg", lambda p: p.update(w=[p["w"]]), "1-D array"),
+     ("logreg", lambda p: p.update(w=p["w"] + [1.0]), "expected 3 features, got 2")],
+    ids=["svm-alpha-short", "svm-labels-short", "svm-no-rows", "svm-flat-x", "svm-label-half",
+         "svm-negative-alpha", "svm-negative-gamma", "svm-three-features", "logreg-2d-w",
+         "logreg-three-weights"],
+)
+def test_malformed_svm_or_logistic_model_is_data_error(tmp_path, capsys, finished_run, short,
+                                                       edit, message):
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    model_file = out / "models" / f"s1_{short}.json"
+    doc = json.loads(model_file.read_text())
+    edit(doc["parameters"])
+    model_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = entrypoint(["render", "--out", str(out), "--scenario", "s1", "--classifier", short])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
 def without(*keys):
     """An edit that deletes report[keys[0]]...[keys[-1]]."""
     def edit(report):

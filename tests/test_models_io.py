@@ -75,59 +75,68 @@ def _break_missing_trees(doc):
     del doc["parameters"]["trees"]
 
 
-def _break_lengths(doc):
-    doc["parameters"]["trees"][0]["threshold"].pop()
+# each edit below breaks one tree of a forest file, the first by default
+def _break_lengths(doc, tree=0):
+    doc["parameters"]["trees"][tree]["threshold"].pop()
 
 
-def _break_child_range(doc):
-    doc["parameters"]["trees"][0]["right"][0] = 10**6
+def _break_child_range(doc, tree=0):
+    doc["parameters"]["trees"][tree]["right"][0] = 10**6
 
 
-def _break_child_backwards(doc):
-    doc["parameters"]["trees"][0]["right"][0] = 0
+def _break_child_backwards(doc, tree=0):
+    doc["parameters"]["trees"][tree]["right"][0] = 0
 
 
-def _break_two_parents(doc):
+def _break_child_past_its_tree(doc, tree=0):
+    """A root whose right child is a node of the next tree: in range for
+    the forest's nodes end to end (but for the last tree's), and not for
+    its own tree's."""
+    nodes = doc["parameters"]["trees"][tree]
+    nodes["right"][0] = len(nodes["feature"]) + 1
+
+
+def _break_two_parents(doc, tree=0):
     """A tree whose root points right at its left child's right child,
     which two nodes then reach; the last leaf is reached by none."""
-    doc["parameters"]["trees"][0] = {
+    doc["parameters"]["trees"][tree] = {
         "feature": [0, 1, -1, -1, -1], "threshold": [0.0] * 5, "right": [3, 3, -1, -1, -1],
         "counts": [[2, 2], [1, 1], [1, 0], [0, 1], [1, 1]],
     }
 
 
-def _break_threshold_nan(doc):
-    doc["parameters"]["trees"][0]["threshold"][0] = float("nan")
+def _break_threshold_nan(doc, tree=0):
+    doc["parameters"]["trees"][tree]["threshold"][0] = float("nan")
 
 
-def _break_old_nested_format(doc):
-    doc["parameters"]["trees"][0] = {
+def _break_old_nested_format(doc, tree=0):
+    doc["parameters"]["trees"][tree] = {
         "n": 4, "value": 0.0, "counts": [3, 1], "feature": 0, "threshold": 0.5,
         "left": {"n": 3, "value": 0.0, "counts": [3, 0]},
         "right": {"n": 1, "value": 1.0, "counts": [0, 1]},
     }
 
 
-def _break_negative_count(doc):
-    root = doc["parameters"]["trees"][0]["counts"][0]
+def _break_negative_count(doc, tree=0):
+    root = doc["parameters"]["trees"][tree]["counts"][0]
     root[:] = [-5, sum(root) + 5]  # the node total is unchanged
 
 
-def _break_fractional_count(doc):
-    doc["parameters"]["trees"][0]["counts"][0][1] += 0.5
+def _break_fractional_count(doc, tree=0):
+    doc["parameters"]["trees"][tree]["counts"][0][1] += 0.5
 
 
-def _break_bool_feature(doc):
-    feature = doc["parameters"]["trees"][0]["feature"]
+def _break_bool_feature(doc, tree=0):
+    feature = doc["parameters"]["trees"][tree]["feature"]
     feature[0] = bool(feature[0])  # a root split on feature 0 or 1
 
 
-def _break_float_feature(doc):
-    doc["parameters"]["trees"][0]["feature"][0] += 0.0
+def _break_float_feature(doc, tree=0):
+    doc["parameters"]["trees"][tree]["feature"][0] += 0.0
 
 
-def _break_float_child(doc):
-    doc["parameters"]["trees"][0]["right"][0] += 0.0
+def _break_float_child(doc, tree=0):
+    doc["parameters"]["trees"][tree]["right"][0] += 0.0
 
 
 def _break_float_class_count(doc):
@@ -142,21 +151,28 @@ def _break_svm_key(doc):
     del doc["parameters"]["alpha"]
 
 
+# the one-tree defects and the rejection each gets, whichever tree has it
+TREE_DEFECTS = {
+    _break_lengths: "nonempty and of equal length",
+    _break_child_range: "out of range",
+    _break_child_backwards: "out of range",
+    _break_child_past_its_tree: "out of range",
+    _break_two_parents: "do not form one tree",
+    _break_threshold_nan: "not finite",
+    _break_old_nested_format: "nested-node model files",
+    _break_negative_count: "out of range",
+    _break_fractional_count: "not an integer",
+    _break_bool_feature: "not an integer",
+    _break_float_feature: "not an integer",
+    _break_float_child: "not an integer",
+}
+
+
 @pytest.mark.parametrize(
     "kind, corrupt",
     [
         ("random_forest", _break_missing_trees),
-        ("random_forest", _break_lengths),
-        ("random_forest", _break_child_range),
-        ("random_forest", _break_child_backwards),
-        ("random_forest", _break_two_parents),
-        ("random_forest", _break_threshold_nan),
-        ("random_forest", _break_old_nested_format),
-        ("random_forest", _break_negative_count),
-        ("random_forest", _break_fractional_count),
-        ("random_forest", _break_bool_feature),
-        ("random_forest", _break_float_feature),
-        ("random_forest", _break_float_child),
+        *(("random_forest", corrupt) for corrupt in TREE_DEFECTS),
         ("random_forest", _break_float_class_count),
         ("random_forest", _break_bool_feature_count),
         ("svm", _break_svm_key),
@@ -166,7 +182,24 @@ def test_malformed_model_file_is_data_error(kind, corrupt, training_data, tmp_pa
     x, y = training_data
     doc = model_to_dict(fit_classifier(kind, x, y, seed=3))
     corrupt(doc)
-    with pytest.raises(DataError):
+    assert_rejected(doc, tmp_path, TREE_DEFECTS.get(corrupt))
+
+
+@pytest.mark.parametrize("which", ["middle", "last"])
+@pytest.mark.parametrize("corrupt", TREE_DEFECTS)
+def test_a_defect_in_a_later_tree_is_data_error(corrupt, which, training_data, tmp_path):
+    # the test above breaks the first tree
+    x, y = training_data
+    doc = model_to_dict(fit_classifier("random_forest", x, y, seed=3))
+    n_trees = len(doc["parameters"]["trees"])
+    tree = n_trees // 2 if which == "middle" else n_trees - 1
+    assert all(t["feature"][0] >= 0 for t in doc["parameters"]["trees"])  # root splits
+    corrupt(doc, tree)
+    assert_rejected(doc, tmp_path, TREE_DEFECTS[corrupt])
+
+
+def assert_rejected(doc, tmp_path, message=None):
+    with pytest.raises(DataError, match=message):
         model_from_dict(doc)
     path = tmp_path / "m.json"
     path.write_text(json.dumps(doc))

@@ -3,8 +3,9 @@
 ``former_gradient_pass`` is that pass as it was, on a square p, with the
 copy-then-subtract distance helper it called; the current pass takes p
 tile-major and forms each tile's distances from operands built once per
-pass. Every tile's arithmetic is meant to be unchanged, so the gradient,
-Z and sum p ln(1 + d^2) must match exactly, over one tile and many.
+run. Every tile's arithmetic is meant to be unchanged, so the gradient,
+Z and sum p ln(1 + d^2) must match exactly, over one tile and many,
+whether a pass object is fresh or has run at other y before.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 
 from chirpmap.tsne import (
     _TILE,
-    _gradient_pass,
+    _TilePass,
     _tile_spans,
     conditional_affinities,
     symmetrize,
@@ -21,7 +22,7 @@ from chirpmap.tsne import (
 
 def tile_major(p):
     """A square p's upper-triangle tiles in ``_tile_spans`` order, each a
-    contiguous view into one flat copy: the layout ``_gradient_pass``
+    contiguous view into one flat copy: the layout ``_TilePass``
     reads, copied from an N x N reference."""
     spans = _tile_spans(p.shape[0])
     flat = np.empty(sum((i1 - i0) * (j1 - j0) for i0, i1, j0, j1 in spans))
@@ -32,6 +33,11 @@ def tile_major(p):
         tiles.append(tile)
         offset += tile.size
     return tiles
+
+
+def gradient_pass(p_tiles, y, exaggeration, with_log=False):
+    """One pass at y by a ``_TilePass`` built for it alone."""
+    return _TilePass(p_tiles, y.shape[0])(y, exaggeration, with_log)
 
 
 def former_squared_distances(a, b, out=None, scratch=None):
@@ -95,12 +101,35 @@ def test_tiled_pass_keeps_the_former_pass_bits(n):
     p = symmetrize(conditional_affinities(x, min(30.0, n / 2)).p)
     p_tiles = tile_major(p)
     buffer = np.empty(2 * _TILE * _TILE)
+    reused = _TilePass(p_tiles, n)
     y0 = rng.normal(size=(n, 2))
     for scale in (1e-4, 1.0, 1e4):
         y = y0 * scale
         for exaggeration in (1.0, 12.0):
             for with_log in (False, True):
-                grad, z, p_log_d = _gradient_pass(p_tiles, y, exaggeration, buffer, with_log)
                 expected = former_gradient_pass(p, y, exaggeration, buffer, with_log)
-                assert np.array_equal(grad, expected[0])
-                assert z == expected[1] and p_log_d == expected[2]
+                for grad, z, p_log_d in (gradient_pass(p_tiles, y, exaggeration, with_log),
+                                         reused(y, exaggeration, with_log)):
+                    assert np.array_equal(grad, expected[0])
+                    assert z == expected[1] and p_log_d == expected[2]
+
+
+@pytest.mark.parametrize("n", [3, 120, _TILE + 1, 2 * _TILE + 7])
+def test_a_reused_pass_gives_the_bits_of_fresh_passes(n):
+    # one pass object over many y, with and without the log, in an order
+    # where state left over from the previous call (the sums, the operand
+    # buffers, the tile buffer, the log total) would show
+    rng = np.random.default_rng(300 + n)
+    x = rng.normal(size=(n, 3))
+    x[: n // 2] += 2.0
+    p_tiles = tile_major(symmetrize(conditional_affinities(x, min(30.0, n / 2)).p))
+    reused = _TilePass(p_tiles, n)
+    for step, with_log in enumerate((True, False, False, True, True, False, True)):
+        y = rng.normal(scale=10.0 ** (step % 3 - 1), size=(n, 2))
+        exaggeration = 12.0 if step % 2 else 1.0
+        y_before = y.copy()
+        grad, z, p_log_d = reused(y, exaggeration, with_log)
+        fresh = gradient_pass(p_tiles, y, exaggeration, with_log)
+        assert grad.tobytes() == fresh[0].tobytes()
+        assert z == fresh[1] and p_log_d == fresh[2]
+        assert np.array_equal(y, y_before)

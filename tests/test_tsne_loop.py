@@ -14,7 +14,6 @@ from chirpmap.tsne import (
     _P_FLOOR,
     _TILE,
     TsneConfig,
-    _gradient_pass,
     _joint_tiles,
     _tile_spans,
     conditional_affinities,
@@ -25,25 +24,22 @@ from chirpmap.tsne import (
     run_tsne,
     symmetrize,
 )
-from tests.test_tile_pass_oracle import tile_major
-
-
-def tiles():
-    return np.empty(2 * _TILE * _TILE)
+from tests.test_tile_pass_oracle import gradient_pass, tile_major
 
 
 def reference_run(x, config, joint=symmetrize):
     """Coordinates after every update, each KL, and the final q. Each
-    update takes the tiled gradient, which the test below checks against
-    kl_gradient; ``joint`` turns the conditionals into p."""
+    update takes the tiled gradient of a pass built for that update
+    alone, which the test below checks against kl_gradient; ``joint``
+    turns the conditionals into p."""
     p = joint(conditional_affinities(x, config.perplexity).p)
     y, _ = pca_init(x, config.seed)
     y_prev = y.copy()
-    p_tiles, buffer = tile_major(p), tiles()
+    p_tiles = tile_major(p)
     kls = []
     for t in range(config.n_iterations):
         exaggeration = config.exaggeration_factor if t < config.exaggeration_until_iter else 1.0
-        grad = _gradient_pass(p_tiles, y, exaggeration, buffer)[0]
+        grad = gradient_pass(p_tiles, y, exaggeration)[0]
         momentum = (
             config.momentum_early if t < config.momentum_switch_iter else config.momentum_late
         )
@@ -65,7 +61,7 @@ def tile_kl(p, y):
         positive = p_ij[p_ij > 0]
         p_log_p += copies * float(np.sum(positive * np.log(positive)))
         p_total += copies * float(p_ij.sum())
-    _, z, p_log_d = _gradient_pass(p_tiles, y, 1.0, tiles(), with_log=True)
+    _, z, p_log_d = gradient_pass(p_tiles, y, 1.0, with_log=True)
     return p_log_p + p_log_d + p_total * math.log(z)
 
 
@@ -199,14 +195,14 @@ def test_tiled_gradient_and_kl_match_the_unblocked_references(n, exaggeration):
     y0 = np.random.default_rng(n).normal(size=(n, 2))
     for scale in (1e-4, 1.0, 20.0):
         y = y0 * scale
-        grad, z, p_log_d = _gradient_pass(tile_major(p), y, exaggeration, tiles(), with_log=True)
+        grad, z, p_log_d = gradient_pass(tile_major(p), y, exaggeration, with_log=True)
         reference = kl_gradient(exaggeration * p, y)
         assert np.abs(grad - reference).max() <= 1e-12 * np.abs(reference).max()
         kl = p_log_p + p_log_d + float(p.sum()) * math.log(z)
         reference_kl = kl_divergence(p, low_dim_similarities(y)[0])
         assert abs(kl - reference_kl) <= 1e-12 * abs(reference_kl)
         # a checkpoint's log pass leaves the gradient's bits alone
-        plain = _gradient_pass(tile_major(p), y, exaggeration, tiles())
+        plain = gradient_pass(tile_major(p), y, exaggeration)
         assert plain[0].tobytes() == grad.tobytes() and plain[1] == z and plain[2] is None
 
 
