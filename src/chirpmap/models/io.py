@@ -9,10 +9,11 @@ arrays of unequal length, a child index out of range, nodes that do not
 form one tree, a non-finite threshold, leaf value or model parameter, a
 node's feature, child index or count, a forest's feature or class
 count, or a k-NN label, that is not a JSON integer (a bool or a float
-is not one), a negative count, or a tree in the nested-node format of
-earlier versions, which is no longer read. A forest's trees are checked
-together, in one pass over all their nodes end to end, with each node's
-child indices taken within its own tree, and then sliced into the trees.
+is not one) or lies beyond int64, a negative count, or a tree in the
+nested-node format of earlier versions, which is no longer read. A
+forest's trees are checked together, in one pass over all their nodes
+end to end, with each node's child indices taken within its own tree,
+and then sliced into the trees.
 A k-NN model itself rejects missing rows, misaligned or negative labels
 and a k that is not an integer or exceeds its training size. An SVM
 model rejects an `x` that is not 2-D with a row, labels or multipliers
@@ -97,7 +98,7 @@ def model_from_dict(doc: dict):
             return model_cls(config=config_cls(**cfg), **values)
     except KeyError as exc:
         raise DataError(f"{kind} model document lacks key {exc}") from exc
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise DataError(f"malformed {kind} model document: {exc}") from exc
     raise DataError(f"cannot load model of kind {kind!r}")
 

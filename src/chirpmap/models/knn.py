@@ -14,8 +14,8 @@ argmin: k passes over the chunk instead of a sort.
 bounds on every distance within a grid tile certify which training
 points can be a neighbour of any of the tile's centres: the tile's
 candidates. A tile whose candidates all share one class is filled with
-that class, since every centre's k neighbours vote it unanimously; only
-the other tiles compute distances, and only to their candidates.
+that class, since every centre's k neighbours vote it unanimously; each
+other tile is answered by `predict` on a model of its candidates alone.
 
 A model holds at least one training row, one nonnegative label per row
 and an integer k with 1 <= k <= rows; anything else raises `DataError`
@@ -95,9 +95,10 @@ class KnnModel:
 
         When every candidate of a tile has one class, each centre's k
         neighbours all have it: no vote tie can arise, and the tile is
-        filled with that class without computing a distance. The other
-        tiles of one tile row are batched, their candidate lists padded
-        with +inf distances up to the longest list among them.
+        filled with that class without computing a distance. Each other
+        tile's centres go through `predict` on a model of the tile's
+        candidates alone: its distances have the full model's bits, and
+        its vote, ties included, is the full model's.
         """
         if self.x.shape[1] != 2:
             raise DataError("grid prediction needs a model over 2 features")
@@ -111,8 +112,6 @@ class KnnModel:
         x_lower, x_upper = _term_bounds(x_tiles, self.x[:, 0])
         onehot = self.y[:, None] == np.arange(max(2, int(self.y.max()) + 1))
         out = np.empty((yc.size, n_tiles, _TILE), dtype=np.int64)
-        d2_buf = np.empty(max(_CHUNK_ENTRIES, self.x.shape[0]))
-        work_buf = np.empty_like(d2_buf)
         for r0 in range(0, yc.size, _TILE):
             rows = yc[r0 : r0 + _TILE]
             y_lower, y_upper = _term_bounds(rows[None], self.x[:, 1])
@@ -123,33 +122,9 @@ class KnnModel:
             one_class = present.sum(axis=1) == 1
             pred = np.empty((n_tiles, _TILE * rows.size), dtype=np.int64)
             pred[one_class] = present[one_class].argmax(axis=1)[:, None]
-            mixed = np.flatnonzero(~one_class)
-            keep = keep[mixed]
-            n_cand = keep.sum(axis=1)
-            width = int(n_cand.max(initial=1))  # 1 keeps the sizes below defined if none is mixed
-            cand = np.argsort(~keep, axis=1, kind="stable")[:, :width]  # ascending rows
-            padded = np.arange(width) >= n_cand[:, None]
-            # the mixed tiles' centres, tile by tile, each tile row-major
-            px = np.tile(x_tiles[mixed], rows.size)
-            points = np.stack([px, np.broadcast_to(np.repeat(rows, _TILE), px.shape)], axis=-1)
-            per_tile = px.shape[1]
-            step = max(1, _CHUNK_ENTRIES // width)  # candidate rows per chunk
-            tiles_per_chunk = max(1, step // per_tile)
-            points_per_chunk = min(per_tile, step)
-            for t0 in range(0, mixed.size, tiles_per_chunk):
-                t1 = min(mixed.size, t0 + tiles_per_chunk)
-                for p0 in range(0, per_tile, points_per_chunk):
-                    p1 = min(per_tile, p0 + points_per_chunk)
-                    size = (t1 - t0) * (p1 - p0) * width
-                    d2 = d2_buf[:size].reshape(t1 - t0, p1 - p0, width)
-                    work = work_buf[:size].reshape(d2.shape)
-                    squared_distances(points[t0:t1, p0:p1], self.x[cand[t0:t1]],
-                                      out=d2, scratch=work)
-                    np.copyto(d2, np.inf, where=padded[t0:t1, None, :])
-                    d2, work = d2.reshape(-1, width), work.reshape(-1, width)
-                    tile = np.repeat(np.arange(t0, t1), p1 - p0)[:, None]
-                    neigh = cand[tile, _nearest(d2, k, work=work)]
-                    pred[mixed[t0:t1], p0:p1] = self._vote(neigh).reshape(t1 - t0, p1 - p0)
+            for t in np.flatnonzero(~one_class):  # the tile's centres, row-major
+                points = np.column_stack([np.tile(x_tiles[t], rows.size), np.repeat(rows, _TILE)])
+                pred[t] = KnnModel(self.x[keep[t]], self.y[keep[t]], self.config).predict(points)
             out[r0 : r0 + rows.size] = pred.reshape(n_tiles, rows.size, _TILE).transpose(1, 0, 2)
         return out.reshape(yc.size, -1)[:, : xc.size]
 

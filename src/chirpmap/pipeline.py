@@ -431,24 +431,37 @@ def stage_explain(config: PipelineConfig) -> None:
 
 def _report_metrics(report: dict, path: str, config: PipelineConfig) -> dict:
     """(scenario, kind) -> (hold-out confusion, metric bars) for every pair
-    render draws, or a DataError naming the first key the report lacks."""
+    render draws, or a DataError naming the first key the report lacks or
+    whose value cannot be drawn: a confusion count must be a nonnegative
+    JSON integer (a bool is not one), a metric a number in [0, 1]."""
 
-    def lookup(*keys):
+    def lookup(*keys, ok, what):
         doc = report
         for depth, key in enumerate(keys, start=1):
             if not isinstance(doc, dict) or key not in doc:
                 raise DataError(f"{path} has no {'.'.join(keys[:depth])}")
             doc = doc[key]
+        if not ok(doc):
+            raise DataError(f"{path} has {'.'.join(keys)} = {doc!r}, not {what}")
         return doc
+
+    def metric(*keys):
+        return lookup(*keys, ok=lambda v: type(v) in (int, float) and 0.0 <= v <= 1.0,
+                      what="a number in [0, 1]")
+
+    def count(*keys):
+        return lookup(*keys, ok=lambda v: type(v) is int and v >= 0,
+                      what="a nonnegative integer")
 
     metrics = {}
     for scenario in config.scenarios:
         for kind in config.classifiers:
             entry = ("scenarios", scenario, "classifiers", kind)
-            bars = {"accuracy": lookup(*entry, "cv_accuracy_mean")}
+            bars = {"accuracy": metric(*entry, "cv_accuracy_mean")}
             for name in ("precision", "recall", "f1"):
-                bars[name] = lookup(*entry, "holdout", name)
-            metrics[scenario, kind] = (lookup(*entry, "holdout", "confusion"), bars)
+                bars[name] = metric(*entry, "holdout", name)
+            confusion = {c: count(*entry, "holdout", "confusion", c) for c in ("tp", "fn", "fp", "tn")}
+            metrics[scenario, kind] = (confusion, bars)
     return metrics
 
 

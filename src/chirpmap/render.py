@@ -237,8 +237,8 @@ def boundary_grid(model, coords, g: int = 300) -> tuple[np.ndarray, np.ndarray, 
     Random forests and k-NN models answer through `predict_grid`, which
     uses the grid's two sorted axes: a forest paints its leaf boxes, and
     k-NN fills each grid tile whose possible neighbours share one class
-    with that class, and measures each other tile's distances only to
-    its possible neighbours. Both give `predict`'s classes bit for bit.
+    with that class, and answers each other tile by `predict` on a model
+    of its possible neighbours. Both give `predict`'s classes bit for bit.
     The other kinds call `predict` on every center.
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))

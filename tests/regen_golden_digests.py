@@ -1,5 +1,7 @@
 """Regenerate tests/golden_digests.json, the SHA-256 of every artifact of
-one full `pipeline` run on the acceptance cohort.
+one full `pipeline` run on each ledger cohort: the acceptance cohort
+(N = 120) and N = 450, which takes t-SNE through several row tiles and
+the k-NN grids through more mixed tiles.
 
 Run from the repository root after a deliberate change of artifact bytes:
 
@@ -7,23 +9,23 @@ Run from the repository root after a deliberate change of artifact bytes:
 
 and name every file whose digest changed in CHANGES.md. The digests hold
 only for the numpy version and BLAS recorded beside them; floating-point
-results, and so the bytes, may differ under another build. The run goes
+results, and so the bytes, may differ under another build. Each run goes
 to a child process with BLAS pinned to one thread, as in the benchmark.
-Every file of this run has the same bytes under two threads:
-tests/test_golden_digests.py reruns the cohort in a two-thread child
+Every file of the N = 120 run has the same bytes under two threads:
+tests/test_golden_digests.py reruns that cohort in a two-thread child
 against this ledger, and tests/test_tsne_loop.py checks `run_tsne`
 (whose KL trace once took a BLAS dot product that did not) on its own.
 Small matrices may stay on a BLAS's one-thread path, so this shows no
-thread count beyond two or cohort beyond this one, and the pin stays.
+thread count beyond two or cohort beyond N = 120, and the pin stays.
 
 To compare the bytes of two checkouts on another cohort size, print the
 digests of a full run without touching the ledger:
 
-    PYTHONPATH=src python tests/regen_golden_digests.py --print --n-per-cluster 150
+    PYTHONPATH=src python tests/regen_golden_digests.py --print --n-per-cluster 300
 
 prints one "digest  path" line per artifact (master seed 2024, synth
-seed 12, three clusters, one BLAS thread), so N = 450 and 900 are one
-command per checkout and a `diff` of the two outputs.
+seed 12, three clusters, one BLAS thread), so N = 900 is one command
+per checkout and a `diff` of the two outputs.
 """
 
 import argparse
@@ -41,6 +43,8 @@ from chirpmap.synth import generate_records, write_records_csv
 
 LEDGER = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_digests.json")
 COHORT = {"n_per_cluster": 40, "seed": 12}
+# records per cluster of each ledger cohort: N = 120 and 450
+LEDGER_SIZES = (COHORT["n_per_cluster"], 150)
 MASTER_SEED = 2024
 _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -97,22 +101,24 @@ def main(argv: list[str]) -> int:
         _run(args.run, args.n_per_cluster)
         return 0
     if args.n_per_cluster != COHORT["n_per_cluster"] and not args.print:
-        parser.error("--n-per-cluster other than the ledger's cohort needs --print")
-    with tempfile.TemporaryDirectory() as root:
-        digests = run_digests(root, n_per_cluster=args.n_per_cluster)
+        parser.error("--n-per-cluster needs --print; the ledger holds its own cohorts")
     if args.print:
+        with tempfile.TemporaryDirectory() as root:
+            digests = run_digests(root, n_per_cluster=args.n_per_cluster)
         for name, digest in digests.items():
             print(f"{digest}  {name}")
         return 0
-    ledger = {
-        "cohort": {**COHORT, "master_seed": MASTER_SEED},
-        "environment": environment(),
-        "digests": digests,
-    }
+    cohorts = []
+    for n_per_cluster in LEDGER_SIZES:
+        with tempfile.TemporaryDirectory() as root:
+            digests = run_digests(root, n_per_cluster=n_per_cluster)
+        cohorts.append({**COHORT, "n_per_cluster": n_per_cluster, "master_seed": MASTER_SEED,
+                        "digests": digests})
+    ledger = {"environment": environment(), "cohorts": cohorts}
     with open(LEDGER, "w", encoding="utf-8") as handle:
         json.dump(ledger, handle, indent=1)
         handle.write("\n")
-    print(f"wrote {len(digests)} digests to {LEDGER}", file=sys.stderr)
+    print(f"wrote {len(cohorts)} cohorts of digests to {LEDGER}", file=sys.stderr)
     return 0
 
 

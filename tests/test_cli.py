@@ -278,6 +278,30 @@ def test_malformed_knn_model_is_data_error(tmp_path, capsys, finished_run, edit,
     assert "s1_knn.json" in err and message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "short, path",
+    [("knn", ("parameters", "y", 0)),
+     ("rf", ("parameters", "trees", 0, "right", 0)),
+     ("rf", ("parameters", "trees", 0, "counts", 0, 0))],
+    ids=["knn-label", "rf-child", "rf-count"],
+)
+def test_model_integer_beyond_int64_is_data_error(tmp_path, capsys, finished_run, short, path):
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    model_file = out / "models" / f"s1_{short}.json"
+    doc = json.loads(model_file.read_text())
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = 10**30
+    model_file.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code = entrypoint(["render", "--out", str(out), "--scenario", "s1", "--classifier", short])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"s1_{short}.json" in err and "Traceback" not in err
+
+
 def _rows_widened(p):
     p["x"] = [row + [0.0] for row in p["x"]]
 
@@ -325,6 +349,17 @@ def without(*keys):
     return edit
 
 
+def replaced(value, *keys):
+    """An edit that sets report[keys[0]]...[keys[-1]] to value."""
+    def edit(report):
+        doc = report
+        for key in keys[:-1]:
+            doc = doc[key]
+        doc[keys[-1]] = value
+        return report
+    return edit
+
+
 KNN_S1 = ("scenarios", "s1", "classifiers", "knn")
 
 
@@ -337,8 +372,17 @@ KNN_S1 = ("scenarios", "s1", "classifiers", "knn")
       "has no scenarios.s1.classifiers.knn.cv_accuracy_mean"),
      (without(*KNN_S1, "holdout", "confusion"), "s1",
       "has no scenarios.s1.classifiers.knn.holdout.confusion"),
-     (without(*KNN_S1, "holdout", "f1"), "s1", "has no scenarios.s1.classifiers.knn.holdout.f1")],
-    ids=["list", "empty", "no-s2", "no-cv-accuracy", "no-confusion", "no-f1"],
+     (without(*KNN_S1, "holdout", "f1"), "s1", "has no scenarios.s1.classifiers.knn.holdout.f1"),
+     (replaced("high", *KNN_S1, "cv_accuracy_mean"), "s1",
+      "has scenarios.s1.classifiers.knn.cv_accuracy_mean = 'high', not a number in [0, 1]"),
+     (replaced("7", *KNN_S1, "holdout", "confusion", "tp"), "s1",
+      "has scenarios.s1.classifiers.knn.holdout.confusion.tp = '7', not a nonnegative integer"),
+     (replaced(True, *KNN_S1, "holdout", "confusion", "fn"), "s1",
+      "has scenarios.s1.classifiers.knn.holdout.confusion.fn = True, not a nonnegative integer"),
+     (replaced(float("nan"), *KNN_S1, "holdout", "precision"), "s1",
+      "has scenarios.s1.classifiers.knn.holdout.precision = nan, not a number in [0, 1]")],
+    ids=["list", "empty", "no-s2", "no-cv-accuracy", "no-confusion", "no-f1", "text-accuracy",
+         "text-count", "bool-count", "nan-precision"],
 )
 def test_malformed_eval_report_is_data_error_before_any_figure(tmp_path, capsys, finished_run,
                                                                edit, scenario, message):

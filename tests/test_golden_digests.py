@@ -5,15 +5,17 @@ the bytes recorded in tests/golden_digests.json, so a change that moves
 any artifact's bytes fails here and names the files. The ledger is
 rewritten only by tests/regen_golden_digests.py, in the commit that
 changes the bytes on purpose. The ledger is pinned under one BLAS
-thread; a second run under two threads must give the same bytes.
+thread; a second run of the N = 120 cohort under two threads must give
+the same bytes. The N = 450 cohort reaches paths N = 120 does not, such
+as t-SNE over several row tiles.
 """
 
 import json
 
-from tests.regen_golden_digests import LEDGER, environment, run_digests
+from tests.regen_golden_digests import COHORT, LEDGER, environment, run_digests
 
 
-def assert_run_matches_ledger(root, threads):
+def assert_run_matches_ledger(root, threads, n_per_cluster=COHORT["n_per_cluster"]):
     with open(LEDGER, encoding="utf-8") as handle:
         ledger = json.load(handle)
     here = environment()
@@ -21,7 +23,8 @@ def assert_run_matches_ledger(root, threads):
         f"digests were pinned under {ledger['environment']}, this is {here}: "
         "regenerate the ledger with tests/regen_golden_digests.py on this build"
     )
-    got, pinned = run_digests(str(root), threads), ledger["digests"]
+    [pinned] = [c["digests"] for c in ledger["cohorts"] if c["n_per_cluster"] == n_per_cluster]
+    got = run_digests(str(root), threads, n_per_cluster)
     changed = sorted(name for name in got.keys() & pinned.keys() if got[name] != pinned[name])
     missing = sorted(pinned.keys() - got.keys())
     extra = sorted(got.keys() - pinned.keys())
@@ -36,3 +39,7 @@ def test_every_artifact_matches_its_pinned_digest(tmp_path):
 
 def test_two_blas_threads_give_the_pinned_digests(tmp_path):
     assert_run_matches_ledger(tmp_path, threads=2)
+
+
+def test_a_cohort_of_450_gives_its_pinned_digests(tmp_path):
+    assert_run_matches_ledger(tmp_path, threads=1, n_per_cluster=150)
