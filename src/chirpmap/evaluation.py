@@ -84,12 +84,11 @@ def stratified_kfold(labels, k: int, seed: int) -> list[np.ndarray]:
         raise DataError("k must be >= 2")
     rng = np.random.default_rng(seed)
     folds: list[list[int]] = [[] for _ in range(k)]
-    for cls in np.unique(labels):
+    classes, sizes = np.unique(labels, return_counts=True)
+    for cls, size in zip(classes.tolist(), sizes.tolist()):
+        if size < k:
+            raise DataError(f"class {cls} has {size} members, fewer than k={k}")
         idx = np.nonzero(labels == cls)[0]
-        if idx.size < k:
-            raise DataError(
-                f"class {int(cls)} has {idx.size} members, fewer than k={k}"
-            )
         rng.shuffle(idx)
         for f in range(k):
             folds[f].extend(idx[f::k].tolist())
@@ -107,8 +106,8 @@ def holdout_split(labels, fraction: float, seed: int) -> tuple[np.ndarray, np.nd
     n = labels.size
     if not 0.0 < fraction < 1.0:
         raise DataError("holdout fraction must be in (0, 1)")
-    classes = np.unique(labels)
-    counts = {int(c): int(np.sum(labels == c)) for c in classes}
+    classes, sizes = np.unique(labels, return_counts=True)
+    counts = dict(zip(classes.tolist(), sizes.tolist()))
     if any(v < 2 for v in counts.values()):
         raise DataError("holdout_split needs at least 2 members per class")
     n_test = int(round(fraction * n))

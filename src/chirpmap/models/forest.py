@@ -162,7 +162,8 @@ def fit_random_forest(x, y, config: ForestConfig = ForestConfig()) -> RandomFore
         raise DataError("fit_random_forest needs at least one row")
     if config.task == "classification":
         y = np.asarray(y, dtype=np.int64)
-        if n > 1 and np.unique(y).size < 2:
+        # return_counts: plain np.unique imports numpy.ma (numpy >= 2)
+        if n > 1 and np.unique(y, return_counts=True)[0].size < 2:
             raise DataError("forest training needs both classes present")
         n_classes = max(2, int(y.max()) + 1)
     else:

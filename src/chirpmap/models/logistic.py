@@ -106,7 +106,8 @@ def fit_logistic(x, y, config: LogisticConfig = LogisticConfig()) -> LogisticMod
     n, d = x.shape
     if y.shape[0] != n:
         raise DataError("labels misaligned with rows")
-    if len(np.unique(y)) < 2:
+    # return_counts: plain np.unique imports numpy.ma (numpy >= 2)
+    if np.unique(y, return_counts=True)[0].size < 2:
         raise DataError("logistic training needs both classes present")
 
     w = np.zeros(d, dtype=np.float64)

@@ -123,7 +123,8 @@ def fit_svm(x, y, config: SvmConfig = SvmConfig()) -> SvmModel:
     n = x.shape[0]
     if y01.shape[0] != n:
         raise DataError("labels misaligned with rows")
-    if len(np.unique(y01)) < 2:
+    # return_counts: plain np.unique imports numpy.ma (numpy >= 2)
+    if np.unique(y01, return_counts=True)[0].size < 2:
         raise DataError("svm training needs both classes present")
 
     ys = np.where(y01 > 0, 1.0, -1.0)

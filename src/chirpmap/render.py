@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -49,6 +48,11 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
+def _escape(text: str) -> str:
+    """`xml.sax.saxutils.escape`, whose import pulls in the network stack."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
+
+
 class _Svg:
     """Accumulates SVG elements; deterministic text out."""
 
@@ -61,7 +65,7 @@ class _Svg:
         ]
         if provenance:
             fields = " ".join(f"{k}={provenance[k]}" for k in sorted(provenance))
-            self.parts.append(f"<!-- provenance: {escape(fields)} -->")
+            self.parts.append(f"<!-- provenance: {_escape(fields)} -->")
         self.parts.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
 
     def rects(self, xs, ys, widths, heights, fills, opacity=None, stroke=None):
@@ -94,7 +98,7 @@ class _Svg:
         weight = ' font-weight="bold"' if bold else ""
         self.parts.append(
             f'<text x="{_fmt(x)}" y="{_fmt(y)}" font-family="Helvetica,Arial,sans-serif" '
-            f'font-size="{size}" text-anchor="{anchor}" fill="{fill}"{weight}>{escape(str(content))}</text>'
+            f'font-size="{size}" text-anchor="{anchor}" fill="{fill}"{weight}>{_escape(str(content))}</text>'
         )
 
     def to_string(self) -> str:

@@ -160,7 +160,7 @@ def tree_subset_values(model, instances, predictions=None) -> np.ndarray:
     if x.shape[1] != d:
         raise DataError(f"expected {d} features, got {x.shape[1]}")
     table = stack_trees(trees)
-    split_on = np.unique(table.feature[table.feature >= 0]).tolist()
+    split_on = np.flatnonzero(np.bincount(table.feature[table.feature >= 0])).tolist()
     if len(split_on) > 3:
         raise DataError(f"cannot paint subset values of a model split on {len(split_on)} features")
     used = sum(1 << f for f in split_on)
@@ -295,6 +295,23 @@ def build_sensitivity_map(
     )
 
 
+def _quartiles(col: np.ndarray) -> list:
+    """np.quantile(col, (0.25, 0.5, 0.75)) bit for bit, by its "linear"
+    rule, without the numpy.ma import that np.quantile triggers."""
+    s = np.sort(col)
+    last = s.size - 1
+    if np.isnan(s[last]):  # NaN sorts last; np.quantile returns it for every q
+        return [s[last]] * 3
+    out = []
+    for q in (0.25, 0.5, 0.75):
+        pos = last * q
+        i = math.floor(pos)
+        a, b = s[i], s[min(i + 1, last)]
+        t = pos - i if i < last else 1.0  # i == last only for one value: numpy's t is 1
+        out.append(a + (b - a) * t if t < 0.5 else b - (b - a) * (1 - t))
+    return out
+
+
 def sensitivity_summary(smap: SensitivityMap) -> dict:
     """Per-feature distribution statistics of the combined magnitudes."""
     if smap.combined.size == 0:
@@ -302,7 +319,7 @@ def sensitivity_summary(smap: SensitivityMap) -> dict:
     summary: dict = {}
     for j, name in enumerate(smap.feature_names):
         col = smap.combined[:, j]
-        q25, q50, q75 = np.quantile(col, (0.25, 0.5, 0.75))
+        q25, q50, q75 = _quartiles(col)
         summary[name] = {
             "mean": float(col.mean()),
             "max": float(col.max()),

@@ -1,4 +1,5 @@
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from chirpmap.models import fit_classifier
 from chirpmap.models.knn import KnnConfig
 from chirpmap.render import (
     BINARY_CLASS_COLORS,
+    _escape,
     _runs,
     MAGENTA,
     TEAL,
@@ -56,6 +58,22 @@ def test_embedding_legend_lists_present_categories():
     assert ">S<" in svg and ">F<" in svg
     assert ">NR<" not in svg
     parse(svg)
+
+
+def test_escape_equals_saxutils_escape():
+    texts = ["", "plain", "a & b", "x > y < z", "&amp; &lt; &gt;", "&&<<>>",
+             'say "hi" & \'bye\'', "<tag attr=\"v\">", "größe ≤ 5 → µ & ∞ 🐦"]
+    for text in texts:
+        assert _escape(text) == escape(text)
+
+
+def test_markup_characters_in_title_and_legend_survive_parsing():
+    title = 'R&D <s1> > "x"'
+    coords = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+    svg = render_labeled_embedding(coords, ["a&b", "<c>", "a&b"], PlotSpec(title=title))
+    texts = [el.text for el in parse(svg).iter("{http://www.w3.org/2000/svg}text")]
+    assert title in texts
+    assert "a&b" in texts and "<c>" in texts
 
 
 def test_difficulty_levels_use_viridis():

@@ -10,6 +10,7 @@ from chirpmap.models.forest import ForestConfig, fit_random_forest
 from chirpmap.models.tree import TreeConfig, fit_tree
 from chirpmap.sensitivity import (
     SensitivityConfig,
+    _quartiles,
     build_sensitivity_map,
     fit_coordinate_regressors,
     load_sensitivity_map,
@@ -228,3 +229,19 @@ def test_map_round_trip(tmp_path):
 def test_regressors_need_enough_rows():
     with pytest.raises(DataError):
         fit_coordinate_regressors(np.ones((5, 3)), np.ones((5, 2)), SensitivityConfig(n_trees=2))
+
+
+def test_quartiles_equal_np_quantile_bitwise():
+    rng = np.random.default_rng(25)
+    for n in [*range(1, 61), 120, 450, 900]:
+        columns = [
+            rng.random(n),
+            np.abs(rng.standard_normal(n)) * 10.0 ** rng.integers(-300, 300),
+            rng.integers(0, 3, n).astype(np.float64),  # ties
+            np.full(n, rng.random()),  # constant
+            np.zeros(n),
+            np.where(np.arange(n) == n // 2, np.nan, rng.random(n)),  # NaN sorts last
+        ]
+        for col in columns:
+            ours = np.array(_quartiles(col.copy()))
+            assert ours.tobytes() == np.quantile(col, (0.25, 0.5, 0.75)).tobytes(), (n, col)
