@@ -9,6 +9,12 @@ replaces the target, so a crash leaves the old file or the new one,
 never a truncated one. A directory that cannot be created and a file
 that cannot be written, such as a path through an existing file, are a
 DataError naming the path too.
+
+Every JSON value is read through one predicate and one accessor: `fits`
+says whether a value has a type hint's type, and `json_value` walks an
+object by keys and raises a DataError naming the file and the dotted key
+for a value that is absent, of the wrong type or out of range. `build`
+makes a dataclass from an object through both.
 """
 
 from __future__ import annotations
@@ -18,7 +24,12 @@ import io
 import json
 import math
 import os
+import reprlib
 from collections.abc import Iterable, Sequence
+from functools import cache
+from itertools import chain
+from types import NoneType, UnionType
+from typing import Union, get_args, get_origin, get_type_hints
 
 from .errors import DataError
 
@@ -69,6 +80,83 @@ def read_json(path: str, missing: str | None = None) -> dict:
     return doc
 
 
+# what a value of each type is called, one and many
+_NAMES = {int: ("an integer", "integers"), float: ("a finite number", "finite numbers"),
+          str: ("a string", "strings"), bool: ("true or false", "booleans"),
+          dict: ("an object", "objects"), list: ("a list", "lists"), tuple: ("a list", "lists"),
+          NoneType: ("null", "nulls")}
+
+
+def fits(value, hint) -> bool:
+    """Whether a JSON value has a type hint's type: an int takes an
+    integer, a float any finite number, neither a boolean; `X | None`
+    also takes null, and list[T] a list whose every entry fits T."""
+    return _all_fit((value,), hint)
+
+
+def _all_fit(values, hint) -> bool:
+    """Whether every value fits `hint`, checked in one pass over the
+    values' types (and one over floats for finiteness), not one call per
+    value, unless `hint` is a union."""
+    if get_origin(hint) in (Union, UnionType):
+        return all(any(fits(v, h) for h in get_args(hint)) for v in values)
+    types = set(map(type, values))
+    if get_origin(hint) is list:
+        return types <= {list} and _all_fit(list(chain.from_iterable(values)), get_args(hint)[0])
+    if hint is float:  # NaN, +-inf and an integer past the float range all fail
+        try:
+            return types <= {int, float} and all(map(math.isfinite, values))
+        except OverflowError:
+            return False
+    return types <= {get_origin(hint) or hint}
+
+
+def _describe(hint, plural: bool = False) -> str:
+    if get_origin(hint) in (Union, UnionType):
+        return " or ".join(_describe(h, plural) for h in get_args(hint))
+    if get_origin(hint) is list:
+        return f"{_NAMES[list][plural]} of {_describe(get_args(hint)[0], True)}"
+    return _NAMES[get_origin(hint) or hint][plural]
+
+
+def json_value(doc, keys: Sequence, where: str, hint, ok=None, what: str | None = None):
+    """doc[keys[0]][keys[1]]..., a value that fits `hint` and, if given,
+    `ok`; otherwise a DataError naming `where` (the file) and the dotted
+    key, and saying what the value must be: `what`, or the hint's type."""
+    value = doc
+    for depth, key in enumerate(keys, start=1):
+        if not isinstance(value, dict) or key not in value:
+            raise DataError(f"{where} has no {'.'.join(keys[:depth])}")
+        value = value[key]
+    if not (fits(value, hint) and (ok is None or ok(value))):
+        raise DataError(f"{where} has {'.'.join(keys)} = {reprlib.repr(value)}, "
+                        f"not {what or _describe(hint)}")
+    return value
+
+
+_field_types = cache(get_type_hints)  # a dataclass's field types, resolved once
+
+
+def build(cls, doc: dict, keys: Sequence, where: str, reserved=(), **fixed):
+    """cls(**doc[keys...], **fixed) from an object whose keys are fields of
+    cls outside `reserved` (fields the pipeline sets) and whose values
+    have their fields' types, read by `json_value`; an unknown key, and a
+    value that cls itself rejects, are DataErrors naming `where` too."""
+    values = json_value(doc, keys, where, dict)
+    hints = _field_types(cls)
+    unknown = sorted(set(values) - (set(hints) - set(reserved)))
+    if unknown:
+        note = " (set by the pipeline)" if set(unknown) & set(reserved) else ""
+        names = ", ".join(".".join((*keys, k)) for k in unknown)
+        raise DataError(f"unknown {where} keys: {names}{note}")
+    for key in values:
+        json_value(doc, (*keys, key), where, hints[key])
+    try:
+        return cls(**values, **fixed)
+    except DataError as exc:
+        raise DataError(f"{where} has a bad {'.'.join(keys)}: {exc}") from exc
+
+
 def write_json(path: str, doc: dict) -> None:
     write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
@@ -103,7 +191,7 @@ def _numeric_cell(path: str, line: int, column: str, cell: str, fn):
         value = fn(cell)
         if math.isfinite(value):
             return value
-    except ValueError:
+    except (ValueError, OverflowError):  # an integer past the float range overflows
         pass
     raise DataError(f"{path} line {line}, column {column!r}: {cell!r} is not a finite number")
 

@@ -15,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .artifacts import read_json, write_json
+from .artifacts import json_value, read_json, write_json
 from .errors import DataError
 from .models import CLASSIFIER_KINDS, fit_classifier
 from .seeding import derive_seed
@@ -292,3 +292,26 @@ def save_eval_report(report: dict, path: str) -> None:
 
 def load_eval_report(path: str, missing: str | None = None) -> dict:
     return read_json(path, missing)
+
+
+# what render draws from the report: a hold-out confusion count, a metric bar
+_COUNT = (int, lambda v: v >= 0, "a nonnegative integer")
+_METRIC = (float, lambda v: 0.0 <= v <= 1.0, "a number in [0, 1]")
+
+
+def report_metrics(report: dict, path: str, scenarios, classifiers) -> dict:
+    """(scenario, kind) -> (hold-out confusion, metric bars) for every pair
+    render draws, or a DataError naming the first key the report lacks or
+    whose value cannot be drawn: a confusion count must be a nonnegative
+    JSON integer (a bool is not one), a metric a number in [0, 1]."""
+    metrics = {}
+    for scenario in scenarios:
+        for kind in classifiers:
+            entry = ("scenarios", scenario, "classifiers", kind)
+            bars = {"accuracy": json_value(report, (*entry, "cv_accuracy_mean"), path, *_METRIC)}
+            for name in ("precision", "recall", "f1"):
+                bars[name] = json_value(report, (*entry, "holdout", name), path, *_METRIC)
+            confusion = {c: json_value(report, (*entry, "holdout", "confusion", c), path, *_COUNT)
+                         for c in ("tp", "fn", "fp", "tn")}
+            metrics[scenario, kind] = (confusion, bars)
+    return metrics

@@ -4,35 +4,36 @@ Documents carry {kind, config, parameters} and reconstruct models whose
 predictions are bit-identical to the originals (floats survive via
 shortest round-trip repr, which json uses natively). A random forest
 stores each tree as node arrays, minus those the table derives (see
-`NodeTable.build`). Loading raises DataError for a missing key, node
-arrays of unequal length, a child index out of range, nodes that do not
-form one tree, a non-finite threshold, leaf value or model parameter, a
-node's feature, child index or count, a forest's feature or class
-count, or a k-NN label, that is not a JSON integer (a bool or a float
-is not one) or lies beyond int64, a negative count, or a tree in the
-nested-node format of earlier versions, which is no longer read. A
-forest's trees are checked together, in one pass over all their nodes
-end to end, with each node's child indices taken within its own tree,
-and then sliced into the trees.
-A k-NN model itself rejects missing rows, misaligned or negative labels
-and a k that is not an integer or exceeds its training size. An SVM
-model rejects an `x` that is not 2-D with a row, labels or multipliers
-that are not one per row, a label other than -1 and +1, a negative
-multiplier (beyond SMO's rounding slack) and a negative gamma; a
-logistic model rejects weights that are not 1-D. Both raise DataError
-for points whose width differs from their training points'. Fitting
-never writes a non-finite parameter, and the grid paths of
-`render.boundary_grid` are exact only for finite ones.
+`NodeTable.build`).
+
+Loading reads every JSON value through `artifacts.json_value` and
+`artifacts.build`: a value that is absent or of the wrong type or range
+is a DataError naming the key. An array of integers must also fit in
+int64. Beside that, loading checks structure only. A forest's node arrays
+must be of equal length and form one tree each, with child indices and
+split features in range and no negative count; a tree in the nested-node
+format of earlier versions is no longer read. A forest's trees are
+checked together, in one pass over all their nodes end to end, with each
+node's child indices taken within its own tree, and then sliced into the
+trees. A k-NN model itself rejects missing rows, misaligned or negative
+labels and a k that exceeds its training size. An SVM model rejects an
+`x` without a row, labels or multipliers that are not one per row, a
+label other than -1 and +1, a negative multiplier (beyond SMO's rounding
+slack) and a negative gamma. Both raise DataError for points whose width
+differs from their training points'. Fitting never writes a non-finite
+parameter, and the grid paths of `render.boundary_grid` are exact only
+for finite ones.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import asdict
+from typing import get_origin
 
 import numpy as np
 
-from ..artifacts import read_json, write_json
+from ..artifacts import build, fits, json_value, read_json, write_json
 from ..errors import DataError
 from .forest import ForestConfig, RandomForestModel
 from .knn import KnnConfig, KnnModel
@@ -40,27 +41,26 @@ from .logistic import LogisticConfig, LogisticModel
 from .svm import SvmConfig, SvmModel
 from .tree import DecisionTree, NodeTable, TreeConfig
 
-# kind -> (model class, config class, {parameter: dtype of an array, float for a
-# float scalar, None for any other scalar})
+# kind -> (model class, config class, {parameter: its JSON type}); a model
+# holds a list parameter as an array, of int64 for list[int], else of float64
 _FLAT_KINDS = {
     "svm": (SvmModel, SvmConfig, {
-        "x": np.float64, "y_signed": np.float64, "alpha": np.float64, "b": float,
-        "gamma_value": float, "converged": None, "dual_objective": float, "n_updates": None,
+        "x": list[list[float]], "y_signed": list[float], "alpha": list[float], "b": float,
+        "gamma_value": float, "converged": bool, "dual_objective": float, "n_updates": int,
     }),
     "logistic_regression": (LogisticModel, LogisticConfig, {
-        "w": np.float64, "b": float, "converged": None, "n_iters": None,
+        "w": list[float], "b": float, "converged": bool, "n_iters": int,
         "final_gradient_norm": float,
     }),
-    "knn": (KnnModel, KnnConfig, {"x": np.float64, "y": np.int64}),
+    "knn": (KnnModel, KnnConfig, {"x": list[list[float]], "y": list[int]}),
 }
-# the node arrays stored per tree, by forest task
+# the node arrays stored per tree, by forest task, and their JSON types
 _TREE_KEYS = {
-    "classification": ("feature", "threshold", "right", "counts"),
-    "regression": ("feature", "threshold", "right", "n_samples", "value"),
+    "classification": {"feature": list[int], "threshold": list[float], "right": list[int],
+                       "counts": list[list[int]]},
+    "regression": {"feature": list[int], "threshold": list[float], "right": list[int],
+                   "n_samples": list[int], "value": list[float]},
 }
-_NODE_ARRAYS = ("feature", "threshold", "left", "right", "n_samples", "value")
-# the stored node arrays whose entries are integers
-_INTEGER_KEYS = ("feature", "right", "counts", "n_samples")
 
 
 def model_to_dict(model) -> dict:
@@ -73,74 +73,57 @@ def model_to_dict(model) -> dict:
             "trees": [{k: getattr(t.root, k).tolist() for k in keys} for t in model.trees],
         }
     elif kind in _FLAT_KINDS:
-        parameters = {
-            k: getattr(model, k).tolist() if isinstance(getattr(model, k), np.ndarray)
-            else getattr(model, k)
-            for k in _FLAT_KINDS[kind][2]
-        }
+        parameters = {k: np.asarray(getattr(model, k)).tolist() for k in _FLAT_KINDS[kind][2]}
     else:
         raise DataError(f"cannot serialize model of kind {kind!r}")
     return {"kind": kind, "config": asdict(model.config), "parameters": parameters}
 
 
 def model_from_dict(doc: dict):
-    if not isinstance(doc, dict):
-        raise DataError("model document is not a JSON object")
-    kind = doc.get("kind")
-    cfg = doc.get("config", {})
-    params = doc.get("parameters", {})
+    kind = json_value(doc, ("kind",), "model document", str,
+                      lambda k: k == "random_forest" or k in _FLAT_KINDS, "a model kind")
+    where = f"{kind} model"
     try:
         if kind == "random_forest":
-            return _forest_from_dict(cfg, params)
-        if kind in _FLAT_KINDS:
-            model_cls, config_cls, fields = _FLAT_KINDS[kind]
-            values = {k: _parameter(params[k], k, dtype) for k, dtype in fields.items()}
-            return model_cls(config=config_cls(**cfg), **values)
-    except KeyError as exc:
-        raise DataError(f"{kind} model document lacks key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DataError(f"malformed {kind} model document: {exc}") from exc
-    raise DataError(f"cannot load model of kind {kind!r}")
+            return _forest_from_dict(doc, where)
+        model_cls, config_cls, hints = _FLAT_KINDS[kind]
+        config = build(config_cls, doc, ("config",), where)
+        values = {k: json_value(doc, ("parameters", k), where, hint) for k, hint in hints.items()}
+        for k, hint in hints.items():
+            if get_origin(hint) is list:
+                values[k] = np.array(values[k], dtype=np.int64 if hint == list[int] else np.float64)
+        return model_cls(config=config, **values)
+    except (ValueError, OverflowError) as exc:  # ragged rows; an integer beyond int64
+        raise DataError(f"malformed {where} document: {exc}") from exc
 
 
-def _parameter(value, key: str, dtype):
-    """A stored parameter as its model holds it; a float one must be finite,
-    and an integer array one a list of JSON integers."""
-    if dtype is None:
-        return value
-    if dtype is np.int64 and not (isinstance(value, list) and _integers(value)):
-        raise DataError(f"parameter {key!r} is not a list of integers")
-    value = float(value) if dtype is float else np.array(value, dtype=dtype)
-    if dtype is not np.int64 and not np.all(np.isfinite(value)):
-        raise DataError(f"parameter {key!r} is not finite")
-    return value
-
-
-def _forest_from_dict(cfg: dict, params: dict) -> RandomForestModel:
-    config = ForestConfig(**cfg)
+def _forest_from_dict(doc: dict, where: str) -> RandomForestModel:
+    config = build(ForestConfig, doc, ("config",), where)
     tree_config = TreeConfig(task=config.task, max_depth=config.max_depth)
-    n_features, n_classes = params["n_features"], params["n_classes"]
-    if not (_integers([n_features, n_classes]) and n_features >= 1 and n_classes >= 0):
-        raise DataError("forest feature count must be a positive integer, "
-                        "and its class count a nonnegative one")
-    keys = _TREE_KEYS[config.task]
-    docs = list(params["trees"])
-    for doc in docs:
-        if not isinstance(doc, dict) or not all(isinstance(doc.get(k), list) for k in keys):
-            raise DataError(f"tree is not a node table of arrays {', '.join(keys)} "
-                            "(nested-node model files are no longer read; refit the model)")
-    if not docs:
-        raise DataError("random forest document holds no trees")
+    n_features = json_value(doc, ("parameters", "n_features"), where, int, lambda n: n >= 1,
+                            "a positive integer")
+    n_classes = json_value(doc, ("parameters", "n_classes"), where, int, lambda n: n >= 0,
+                           "a nonnegative integer")
+    docs = json_value(doc, ("parameters", "trees"), where, list, bool, "a nonempty list")
+    hints = _TREE_KEYS[config.task]
     # all trees' nodes end to end in one table, checked in one pass, each
     # node's index and child indices taken within its own tree
-    columns = {k: list(itertools.chain.from_iterable(doc[k] for doc in docs)) for k in keys}
-    if not all(_integers(columns[k]) for k in keys if k in _INTEGER_KEYS):
-        raise DataError("tree split feature, child index or count is not an integer")
-    sizes = [len(doc["feature"]) for doc in docs]
+    columns = {}
+    for k, hint in hints.items():
+        column = [tree.get(k) if isinstance(tree, dict) else None for tree in docs]
+        flat = list(itertools.chain.from_iterable(column)) if fits(column, list[list]) else None
+        if flat is None or not fits(flat, hint):  # name the first tree at fault
+            for i, tree in enumerate(docs):
+                if isinstance(tree, dict) and "left" in tree:
+                    raise DataError(f"{where} has parameters.trees.{i} in the nested-node format "
+                                    "of earlier versions (nested-node model files are no longer "
+                                    "read; refit the model)")
+                json_value(tree, (k,), f"{where} parameters.trees.{i}", hint)
+        columns[k] = flat
+    sizes = [len(tree["feature"]) for tree in docs]
     table = NodeTable.build(**columns)
     total = table.feature.size
-    if (min(sizes) < 1 or any(len(doc[k]) != n for doc, n in zip(docs, sizes) for k in keys)
-            or any(getattr(table, k).shape != (total,) for k in _NODE_ARRAYS)
+    if (min(sizes) < 1 or any(len(tree[k]) != n for tree, n in zip(docs, sizes) for k in hints)
             or (table.counts is not None and table.counts.shape != (total, n_classes))):
         raise DataError("tree node arrays must be nonempty and of equal length")
     offsets = np.cumsum(sizes) - sizes
@@ -158,8 +141,6 @@ def _forest_from_dict(cfg: dict, params: dict) -> RandomForestModel:
     if np.any(parents != (local > 0)):  # one parent each, none for a root
         raise DataError("tree nodes do not form one tree: every node but the root "
                         "must be the child of exactly one node")
-    if not (np.all(np.isfinite(table.threshold)) and np.all(np.isfinite(table.value))):
-        raise DataError("tree threshold or leaf value is not finite")
     table.left = np.where(internal, local + 1, -1)
     trees = [
         DecisionTree(root=NodeTable(**{key: a if a is None else a[lo:lo + n]
@@ -168,17 +149,6 @@ def _forest_from_dict(cfg: dict, params: dict) -> RandomForestModel:
         for lo, n in zip(offsets.tolist(), sizes)
     ]
     return RandomForestModel(trees=trees, config=config, n_features=n_features, n_classes=n_classes)
-
-
-def _integers(values) -> bool:
-    """Whether every entry of a list, or of its nested lists, is an int
-    and not a bool: json reads 1.5 and 1.0 as floats, which a node array
-    of integers would silently truncate."""
-    types = set(map(type, values))
-    if list in types:
-        rows = values if types == {list} else [v for v in values if type(v) is list]
-        return types <= {int, list} and _integers(list(itertools.chain.from_iterable(rows)))
-    return types <= {int}
 
 
 def save_model(model, path: str, extra: dict | None = None) -> None:

@@ -20,12 +20,11 @@ import json
 import os
 import sys
 from dataclasses import asdict, dataclass, field
-from types import NoneType, SimpleNamespace, UnionType
-from typing import Union, get_args, get_origin, get_type_hints
+from types import SimpleNamespace
 
 import numpy as np
 
-from .artifacts import make_dir, read_csv, read_json, write_csv, write_json, write_text
+from .artifacts import build, fits, make_dir, read_csv, read_json, write_csv, write_json, write_text
 from .errors import DataError, UsageError
 from .evaluation import (
     SCENARIO_ORDER,
@@ -34,6 +33,7 @@ from .evaluation import (
     run_all_scenarios,
     save_eval_report,
     load_eval_report,
+    report_metrics,
 )
 from .ingest import (
     CANONICAL_COLUMNS,
@@ -81,46 +81,6 @@ LONG_KIND_NAMES = {v: k for k, v in SHORT_KIND_NAMES.items()}
 # t-SNE embeds in two dimensions
 _SET_BY_PIPELINE = ("seed", "task", "output_dims")
 
-_TYPE_NAMES = {int: "an integer", float: "a finite number", str: "a string", dict: "an object",
-               NoneType: "null"}
-
-
-def _fits(value, hint) -> bool:
-    """Whether a JSON value has a field's type: an int field takes an
-    integer, a float field any finite number, neither a boolean, and
-    `X | None` also takes null."""
-    if get_origin(hint) in (Union, UnionType):
-        return any(_fits(value, h) for h in get_args(hint))
-    if isinstance(value, bool):
-        return False
-    if hint is float:  # NaN, +-inf and an integer past the float range all fail
-        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-    return isinstance(value, get_origin(hint) or hint)
-
-
-def _build(cls, values, where: str, reserved=_SET_BY_PIPELINE, **fixed):
-    """cls(**values, **fixed), with a key that cls lacks or that is in
-    `reserved`, a value of the wrong type, or a value cls rejects as a
-    UsageError. `where` names the section ("" for the top level)."""
-    if not isinstance(values, dict):
-        raise UsageError(f"{where} must be an object, got {values!r}")
-    hints = get_type_hints(cls)
-    unknown = sorted(set(values) - (set(hints) - set(reserved)))
-    if unknown:
-        note = " (set by the pipeline)" if set(unknown) & set(reserved) else ""
-        label = f"{where} config" if where else "config"
-        raise UsageError(f"unknown {label} keys: {', '.join(unknown)}{note}")
-    for key, value in values.items():
-        hint = hints[key]
-        if not _fits(value, hint):
-            expected = " or ".join(_TYPE_NAMES[h] for h in get_args(hint) or (hint,))
-            name = f"{where}.{key}" if where else key
-            raise UsageError(f"{name} must be {expected}, got {value!r}")
-    try:
-        return cls(**values, **fixed)
-    except DataError as exc:  # the section dataclasses' own checks
-        raise UsageError(f"bad {where} config: {exc}") from exc
-
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -155,22 +115,20 @@ class PipelineConfig:
             raise UsageError("grid_resolution must be at least 2")
         if len(self.delimiter) != 1:
             raise UsageError("delimiter must be a single character")
-        self.tsne_config()
-        self.sensitivity_config()
-        for kind in self.classifier_configs:
-            self.classifier_config(kind)
 
     def tsne_config(self) -> TsneConfig:
-        return _build(TsneConfig, self.tsne, "tsne", seed=derive_seed(self.seed, "embed"))
+        return build(TsneConfig, vars(self), ("tsne",), "config", _SET_BY_PIPELINE,
+                     seed=derive_seed(self.seed, "embed"))
 
     def sensitivity_config(self) -> SensitivityConfig:
-        return _build(SensitivityConfig, self.sensitivity, "sensitivity",
-                      seed=derive_seed(self.seed, "explain"))
+        return build(SensitivityConfig, vars(self), ("sensitivity",), "config", _SET_BY_PIPELINE,
+                     seed=derive_seed(self.seed, "explain"))
 
     def classifier_config(self, kind: str):
         """Eval's config for one kind; `fit_classifier` seeds each forest."""
-        return _build(CONFIG_TYPES[kind], self.classifier_configs.get(kind, {}),
-                      f"classifier_configs.{kind}")
+        doc = {"classifier_configs": {kind: self.classifier_configs.get(kind, {})}}
+        return build(CONFIG_TYPES[kind], doc, ("classifier_configs", kind), "config",
+                     _SET_BY_PIPELINE)
 
     def hash(self) -> str:
         """Identity of everything semantic; file locations excluded."""
@@ -181,7 +139,7 @@ class PipelineConfig:
 
 
 def _normalize_weights(value) -> tuple[float, ...]:
-    if not isinstance(value, (list, tuple)) or not all(_fits(w, float) for w in value):
+    if not isinstance(value, (list, tuple)) or not all(fits(w, float) for w in value):
         raise UsageError(f"weights must be three finite numbers, got {value!r}")
     if len(value) != 3:
         raise UsageError(f"weights must have exactly 3 entries, got {len(value)}")
@@ -250,7 +208,15 @@ def config_from_dict(doc: dict) -> PipelineConfig:
     for key, normalize in _NORMALIZERS.items():
         if key in values:
             values[key] = normalize(values[key])
-    return _build(PipelineConfig, values, "", reserved=())
+    try:
+        config = build(PipelineConfig, values, (), "config")
+        config.tsne_config()
+        config.sensitivity_config()
+        for kind in config.classifier_configs:
+            config.classifier_config(kind)
+    except DataError as exc:
+        raise UsageError(str(exc)) from exc
+    return config
 
 
 def load_config_file(path: str) -> dict:
@@ -429,42 +395,6 @@ def stage_explain(config: PipelineConfig) -> None:
     )
 
 
-def _report_metrics(report: dict, path: str, config: PipelineConfig) -> dict:
-    """(scenario, kind) -> (hold-out confusion, metric bars) for every pair
-    render draws, or a DataError naming the first key the report lacks or
-    whose value cannot be drawn: a confusion count must be a nonnegative
-    JSON integer (a bool is not one), a metric a number in [0, 1]."""
-
-    def lookup(*keys, ok, what):
-        doc = report
-        for depth, key in enumerate(keys, start=1):
-            if not isinstance(doc, dict) or key not in doc:
-                raise DataError(f"{path} has no {'.'.join(keys[:depth])}")
-            doc = doc[key]
-        if not ok(doc):
-            raise DataError(f"{path} has {'.'.join(keys)} = {doc!r}, not {what}")
-        return doc
-
-    def metric(*keys):
-        return lookup(*keys, ok=lambda v: type(v) in (int, float) and 0.0 <= v <= 1.0,
-                      what="a number in [0, 1]")
-
-    def count(*keys):
-        return lookup(*keys, ok=lambda v: type(v) is int and v >= 0,
-                      what="a nonnegative integer")
-
-    metrics = {}
-    for scenario in config.scenarios:
-        for kind in config.classifiers:
-            entry = ("scenarios", scenario, "classifiers", kind)
-            bars = {"accuracy": metric(*entry, "cv_accuracy_mean")}
-            for name in ("precision", "recall", "f1"):
-                bars[name] = metric(*entry, "holdout", name)
-            confusion = {c: count(*entry, "holdout", "confusion", c) for c in ("tp", "fn", "fp", "tn")}
-            metrics[scenario, kind] = (confusion, bars)
-    return metrics
-
-
 def stage_render(config: PipelineConfig) -> None:
     paths = artifact_paths(config.out)
     ids, _, coords, rows = _read_embedding_aligned(paths)
@@ -472,7 +402,7 @@ def stage_render(config: PipelineConfig) -> None:
     smap = load_sensitivity_map(paths["sensitivity"], paths["sensitivity_meta"], _MISSING["sensitivity"])
     if smap.ids != ids:
         raise DataError("sensitivity rows do not match embedding rows")
-    metrics = _report_metrics(report, paths["eval_report"], config)
+    metrics = report_metrics(report, paths["eval_report"], config.scenarios, config.classifiers)
     prov = _provenance(config)
     axes = {"x_label": "t-SNE x", "y_label": "t-SNE y"}
 

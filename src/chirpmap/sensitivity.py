@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import read_csv, read_json, write_csv, write_json
+from .artifacts import json_value, read_csv, read_json, write_csv, write_json
 from .errors import DataError, NumericError
 from .ingest import FEATURE_NAMES, FeatureMatrix
 from .models import DecisionTree, ForestConfig, RandomForestModel, fit_random_forest
@@ -353,15 +353,15 @@ def save_sensitivity_map(smap: SensitivityMap, csv_path: str, meta_path: str, ex
     write_json(meta_path, meta)
 
 
+# the meta file's scalars that a loaded map holds, by type
+_META_SCALARS = {"base_x": float, "base_y": float, "combination": str,
+                 "r2_x": float | None, "r2_y": float | None}
+
+
 def load_sensitivity_map(csv_path: str, meta_path: str, missing: str | None = None) -> SensitivityMap:
     meta = read_json(meta_path, missing)
-    names = meta.get("feature_names")
-    if not isinstance(names, list):
-        raise DataError(f"{meta_path} has no feature_names list")
-    missing_keys = {"base_x", "base_y"} - meta.keys()
-    if missing_keys:
-        raise DataError(f"{meta_path} is missing {', '.join(sorted(missing_keys))}")
-    names = tuple(names)
+    names = tuple(json_value(meta, ("feature_names",), meta_path, list[str]))
+    scalars = {key: json_value(meta, (key,), meta_path, hint) for key, hint in _META_SCALARS.items()}
     ids: list[str] = []
     rows: dict[str, dict[str, list[float]]] = {}
     table = read_csv(csv_path, _SENSITIVITY_COLUMNS, (str, str, float, float, float), missing)
@@ -390,9 +390,5 @@ def load_sensitivity_map(csv_path: str, meta_path: str, missing: str | None = No
         phi_x=phi_x,
         phi_y=phi_y,
         combined=combined,
-        base_x=meta["base_x"],
-        base_y=meta["base_y"],
-        combination=meta.get("combination", "euclidean"),
-        r2_x=meta.get("r2_x"),
-        r2_y=meta.get("r2_y"),
+        **scalars,
     )

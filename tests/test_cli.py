@@ -71,7 +71,8 @@ def test_zero_weights_exit_code_and_message(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "column, cell",
-    [("frequency_onset", "abc"), ("temporal_duration", "nan"), ("difficulty", "2.5")],
+    [("frequency_onset", "abc"), ("temporal_duration", "nan"), ("difficulty", "2.5"),
+     pytest.param("difficulty", "9" * 400, id="difficulty-past-the-float-range")],
 )
 def test_bad_features_cell_is_data_error(tmp_path, capsys, column, cell):
     entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "8"])
@@ -160,14 +161,18 @@ def test_bad_sensitivity_cell_is_data_error(tmp_path, capsys, finished_run, colu
     "edit, message",
     [(lambda meta: "{nope", "is not valid JSON"),
      (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "feature_names"}),
-      "has no feature_names list"),
+      "has no feature_names"),
      (lambda meta: json.dumps({**meta, "feature_names": "temporal_duration"}),
-      "has no feature_names list"),
+      "has feature_names = 'temporal_duration', not a list of strings"),
      (lambda meta: json.dumps([meta]), "is not a JSON object"),
      (lambda meta: json.dumps({k: v for k, v in meta.items() if k != "base_y"}),
-      "is missing base_y")],
+      "has no base_y"),
+     (lambda meta: json.dumps({**meta, "feature_names": [meta["feature_names"]]}),
+      "not a list of strings"),
+     (lambda meta: json.dumps({**meta, "feature_names": meta["feature_names"][:-1] + [{}]}),
+      "not a list of strings")],
     ids=["bad-json", "no-feature-names", "feature-names-not-a-list", "not-an-object",
-         "no-base-y"],
+         "no-base-y", "feature-name-a-list", "feature-name-an-object"],
 )
 def test_malformed_sensitivity_meta_is_data_error(tmp_path, capsys, finished_run, edit, message):
     out = tmp_path / "out"
@@ -249,7 +254,7 @@ def test_non_finite_model_parameter_is_data_error(tmp_path, capsys, finished_run
     capsys.readouterr()
     assert entrypoint(["render", "--out", str(out), "--scenario", "s1"]) == 2
     err = capsys.readouterr().err
-    assert f"s1_{short}.json" in err and "not finite" in err and "Traceback" not in err
+    assert f"s1_{short}.json" in err and "finite number" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -259,8 +264,8 @@ def test_non_finite_model_parameter_is_data_error(tmp_path, capsys, finished_run
      (lambda config, p: p.update(x=[], y=[]), "nonempty 2-D array"),
      (lambda config, p: p.update(y=[-1] + p["y"][1:]), "labels must be nonnegative"),
      (lambda config, p: p.update(y=[1.5] + p["y"][1:]), "not a list of integers"),
-     (lambda config, p: config.update(k=2.5), "k must be an integer"),
-     (lambda config, p: config.update(k=True), "k must be an integer")],
+     (lambda config, p: config.update(k=2.5), "config.k = 2.5, not an integer"),
+     (lambda config, p: config.update(k=True), "config.k = True, not an integer")],
     ids=["k-above-rows", "labels-short", "no-rows", "negative-label", "fractional-label",
          "fractional-k", "bool-k"],
 )
@@ -312,12 +317,12 @@ def _rows_widened(p):
      ("svm", lambda p: p.update(y_signed=p["y_signed"][1:]), "one per training row"),
      ("svm", lambda p: p.update(x=[], y_signed=[], alpha=[]), "nonempty 2-D array"),
      ("svm", lambda p: p.update(x=[v for row in p["x"] for v in row][:len(p["alpha"])]),
-      "nonempty 2-D array"),
+      "not a list of lists of finite numbers"),
      ("svm", lambda p: p.update(y_signed=[0.5] + p["y_signed"][1:]), "-1 or +1"),
      ("svm", lambda p: p.update(alpha=[-1.0] + p["alpha"][1:]), "nonnegative"),
      ("svm", lambda p: p.update(gamma_value=-0.5), "gamma must be nonnegative"),
      ("svm", _rows_widened, "expected 3 features, got 2"),
-     ("logreg", lambda p: p.update(w=[p["w"]]), "1-D array"),
+     ("logreg", lambda p: p.update(w=[p["w"]]), "not a list of finite numbers"),
      ("logreg", lambda p: p.update(w=p["w"] + [1.0]), "expected 3 features, got 2")],
     ids=["svm-alpha-short", "svm-labels-short", "svm-no-rows", "svm-flat-x", "svm-label-half",
          "svm-negative-alpha", "svm-negative-gamma", "svm-three-features", "logreg-2d-w",

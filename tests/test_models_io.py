@@ -151,6 +151,43 @@ def _break_svm_key(doc):
     del doc["parameters"]["alpha"]
 
 
+def _break_string_threshold(doc, tree=0):
+    thresholds = doc["parameters"]["trees"][tree]["threshold"]
+    thresholds[:] = [repr(v) for v in thresholds]
+
+
+def _break_string_weights(doc):
+    doc["parameters"]["w"] = [repr(v) for v in doc["parameters"]["w"]]
+
+
+def _break_bool_intercept(doc):
+    doc["parameters"]["b"] = True
+
+
+def _break_string_point(doc):
+    doc["parameters"]["x"][0][0] = repr(doc["parameters"]["x"][0][0])
+
+
+def _break_bool_multiplier(doc):
+    doc["parameters"]["alpha"][-1] = True
+
+
+def _break_text_converged(doc):
+    doc["parameters"]["converged"] = "maybe"
+
+
+def _break_integer_converged(doc):
+    doc["parameters"]["converged"] = 1
+
+
+def _break_fractional_updates(doc):
+    doc["parameters"]["n_updates"] += 0.5
+
+
+def _break_string_iterations(doc):
+    doc["parameters"]["n_iters"] = str(doc["parameters"]["n_iters"])
+
+
 # the one-tree defects and the rejection each gets, whichever tree has it
 TREE_DEFECTS = {
     _break_lengths: "nonempty and of equal length",
@@ -158,13 +195,27 @@ TREE_DEFECTS = {
     _break_child_backwards: "out of range",
     _break_child_past_its_tree: "out of range",
     _break_two_parents: "do not form one tree",
-    _break_threshold_nan: "not finite",
+    _break_threshold_nan: r"threshold = .*, not a list of finite numbers",
     _break_old_nested_format: "nested-node model files",
     _break_negative_count: "out of range",
-    _break_fractional_count: "not an integer",
-    _break_bool_feature: "not an integer",
-    _break_float_feature: "not an integer",
-    _break_float_child: "not an integer",
+    _break_fractional_count: r"counts = .*, not a list of lists of integers",
+    _break_bool_feature: r"feature = .*, not a list of integers",
+    _break_float_feature: r"feature = .*, not a list of integers",
+    _break_float_child: r"right = .*, not a list of integers",
+    _break_string_threshold: r"threshold = .*, not a list of finite numbers",
+}
+
+# numbers and flags of the other kinds stored as the wrong JSON type, and the
+# rejection each gets
+FLAT_DEFECTS = {
+    _break_string_weights: r"parameters.w = .*, not a list of finite numbers",
+    _break_bool_intercept: r"parameters.b = True, not a finite number",
+    _break_string_point: r"parameters.x = .*, not a list of lists of finite numbers",
+    _break_bool_multiplier: r"parameters.alpha = .*, not a list of finite numbers",
+    _break_text_converged: r"parameters.converged = 'maybe', not true or false",
+    _break_integer_converged: r"parameters.converged = 1, not true or false",
+    _break_fractional_updates: r"parameters.n_updates = .*, not an integer",
+    _break_string_iterations: r"parameters.n_iters = '\d+', not an integer",
 }
 
 
@@ -176,13 +227,21 @@ TREE_DEFECTS = {
         ("random_forest", _break_float_class_count),
         ("random_forest", _break_bool_feature_count),
         ("svm", _break_svm_key),
+        ("logistic_regression", _break_string_weights),
+        ("logistic_regression", _break_bool_intercept),
+        ("svm", _break_string_point),
+        ("svm", _break_bool_multiplier),
+        ("svm", _break_text_converged),
+        ("logistic_regression", _break_integer_converged),
+        ("svm", _break_fractional_updates),
+        ("logistic_regression", _break_string_iterations),
     ],
 )
 def test_malformed_model_file_is_data_error(kind, corrupt, training_data, tmp_path):
     x, y = training_data
     doc = model_to_dict(fit_classifier(kind, x, y, seed=3))
     corrupt(doc)
-    assert_rejected(doc, tmp_path, TREE_DEFECTS.get(corrupt))
+    assert_rejected(doc, tmp_path, {**TREE_DEFECTS, **FLAT_DEFECTS}.get(corrupt))
 
 
 @pytest.mark.parametrize("which", ["middle", "last"])
