@@ -90,7 +90,8 @@ _NAMES = {int: ("an integer", "integers"), float: ("a finite number", "finite nu
 def fits(value, hint) -> bool:
     """Whether a JSON value has a type hint's type: an int takes an
     integer, a float any finite number, neither a boolean; `X | None`
-    also takes null, and list[T] a list whose every entry fits T."""
+    also takes null, list[T] a list whose every entry fits T, and
+    dict[str, T] an object whose every value does."""
     return _all_fit((value,), hint)
 
 
@@ -101,8 +102,9 @@ def _all_fit(values, hint) -> bool:
     if get_origin(hint) in (Union, UnionType):
         return all(any(fits(v, h) for h in get_args(hint)) for v in values)
     types = set(map(type, values))
-    if get_origin(hint) is list:
-        return types <= {list} and _all_fit(list(chain.from_iterable(values)), get_args(hint)[0])
+    if get_origin(hint) in (list, dict):  # JSON keys are strings, so a dict's values are checked
+        entries = chain.from_iterable(map(dict.values, values) if get_origin(hint) is dict else values)
+        return types <= {get_origin(hint)} and _all_fit(list(entries), get_args(hint)[-1])
     if hint is float:  # NaN, +-inf and an integer past the float range all fail
         try:
             return types <= {int, float} and all(map(math.isfinite, values))
@@ -114,8 +116,8 @@ def _all_fit(values, hint) -> bool:
 def _describe(hint, plural: bool = False) -> str:
     if get_origin(hint) in (Union, UnionType):
         return " or ".join(_describe(h, plural) for h in get_args(hint))
-    if get_origin(hint) is list:
-        return f"{_NAMES[list][plural]} of {_describe(get_args(hint)[0], True)}"
+    if get_origin(hint) in (list, dict):
+        return f"{_NAMES[get_origin(hint)][plural]} of {_describe(get_args(hint)[-1], True)}"
     return _NAMES[get_origin(hint) or hint][plural]
 
 

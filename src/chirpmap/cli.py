@@ -15,13 +15,7 @@ from .artifacts import make_dir
 from .errors import DataError, NumericError, UsageError
 from .evaluation import SCENARIO_ORDER
 from .models import SHORT_KIND_NAMES
-from .pipeline import (
-    PipelineConfig,
-    config_from_dict,
-    load_config_file,
-    run_pipeline,
-    run_stage,
-)
+from .pipeline import STAGES, PipelineConfig, config_from_dict, load_config_file, run_pipeline, run_stage
 from .synth import LABEL_MODELS, generate_records, write_records_csv
 
 
@@ -57,15 +51,9 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="chirpmap", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
 
-    specs = (
-        ("synth", "generate a synthetic chirp dataset"),
-        ("ingest", "validate, standardize, and weight the input features"),
-        ("embed", "project weighted features to 2-D"),
-        ("eval", "cross-validate and hold-out test the classifiers"),
-        ("explain", "compute per-record feature attributions"),
-        ("render", "draw all figures as SVG"),
-        ("pipeline", "run every stage in order"),
-    )
+    specs = (("synth", "generate a synthetic chirp dataset"),
+             *((stage.name, stage.help) for stage in STAGES),
+             ("pipeline", "run every stage in order"))
     for name, help_text in specs:
         p = sub.add_parser(name, help=help_text, description=help_text)
         _add_common_flags(p)

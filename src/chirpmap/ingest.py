@@ -173,6 +173,14 @@ def _parse_row(row: dict[str, str], columns: dict[str, str]) -> tuple[ChirpRecor
     )
 
 
+def mapped_columns(schema: dict[str, str] | None) -> dict[str, str]:
+    """Canonical column -> header name; `schema`'s keys must be canonical columns."""
+    unknown = sorted(set(schema or ()) - set(CANONICAL_COLUMNS))
+    if unknown:
+        raise DataError(f"schema maps unknown canonical columns: {unknown}")
+    return {**{name: name for name in CANONICAL_COLUMNS}, **(schema or {})}
+
+
 def load_records(
     path: str,
     schema: dict[str, str] | None = None,
@@ -187,13 +195,7 @@ def load_records(
     and so is a row whose id an accepted row already has. Accepted rows
     keep their input order. One leading UTF-8 byte order mark is skipped.
     """
-    columns = {name: name for name in CANONICAL_COLUMNS}
-    if schema:
-        unknown = set(schema) - set(CANONICAL_COLUMNS)
-        if unknown:
-            raise DataError(f"schema maps unknown canonical columns: {sorted(unknown)}")
-        columns.update(schema)
-
+    columns = mapped_columns(schema)
     text = read_text(path).removeprefix("\ufeff")
     reader = csv.DictReader(io.StringIO(text, newline=""), delimiter=delimiter)
     header = reader.fieldnames

@@ -6,10 +6,10 @@ byte the same files as the single-shot pipeline. Every artifact embeds
 the config hash and master seed; a failing stage leaves a FAILED marker
 naming the stage and cause next to whatever partial outputs exist.
 
-Artifacts: features.csv + ingest_meta.json + rejections.txt,
-embedding.csv + embedding_meta.json, eval_report.json,
-models/<scenario>_<classifier>.json, sensitivity.csv +
-sensitivity_meta.json, figs/*.svg.
+`STAGES` is the one list of the stages: each entry declares, in pipeline
+order, the stage's function, its CLI help line, and the files and
+directories it writes. The artifact paths, the missing-upstream messages,
+`run_stage`, `run_pipeline` and the CLI's stage subcommands all read it.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import hashlib
 import json
 import os
 import sys
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from types import SimpleNamespace
 
@@ -43,6 +44,7 @@ from .ingest import (
     apply_weights,
     class_distribution,
     load_records,
+    mapped_columns,
     records_to_matrix,
     standardize,
     subsample_records,
@@ -90,7 +92,7 @@ class PipelineConfig:
 
     input: str | None = None
     out: str = "out"
-    schema: dict | None = None
+    schema: dict[str, str] | None = None
     delimiter: str = ","
     weights: tuple[float, float, float] = (1.0, 1.0, 1.0)
     subsample: int | None = None
@@ -210,6 +212,7 @@ def config_from_dict(doc: dict) -> PipelineConfig:
             values[key] = normalize(values[key])
     try:
         config = build(PipelineConfig, values, (), "config")
+        mapped_columns(config.schema)
         config.tsne_config()
         config.sensitivity_config()
         for kind in config.classifier_configs:
@@ -227,28 +230,22 @@ def load_config_file(path: str) -> dict:
 
 
 def artifact_paths(out_dir: str) -> dict:
-    return {
-        "features": os.path.join(out_dir, "features.csv"),
-        "ingest_meta": os.path.join(out_dir, "ingest_meta.json"),
-        "rejections": os.path.join(out_dir, "rejections.txt"),
-        "embedding": os.path.join(out_dir, "embedding.csv"),
-        "embedding_meta": os.path.join(out_dir, "embedding_meta.json"),
-        "eval_report": os.path.join(out_dir, "eval_report.json"),
-        "models_dir": os.path.join(out_dir, "models"),
-        "sensitivity": os.path.join(out_dir, "sensitivity.csv"),
-        "sensitivity_meta": os.path.join(out_dir, "sensitivity_meta.json"),
-        "figs_dir": os.path.join(out_dir, "figs"),
-        "failed": os.path.join(out_dir, "FAILED"),
-    }
+    """Artifact key -> path under `out_dir`, for every file and directory
+    `STAGES` declares, and the FAILED marker."""
+    paths = {key: os.path.join(out_dir, name) for key, (name, _, _) in _ARTIFACTS.items()}
+    return {**paths, "failed": os.path.join(out_dir, "FAILED")}
 
 
-# the DataError message for an absent upstream artifact
-_MISSING = {
-    "features": "missing features artifact (run the ingest stage first)",
-    "embedding": "missing embedding artifact (run the embed stage first)",
-    "eval_report": "missing evaluation artifact (run the eval stage first)",
-    "sensitivity": "missing sensitivity artifact (run the explain stage first)",
-}
+def _missing(key: str, path: str = "") -> str:
+    """The DataError message for the absent upstream artifact `key`, or
+    for the absent file `path` in the directory `key`."""
+    _, label, stage = _ARTIFACTS[key]
+    return f"missing {label} artifact{f' {path}' if path else ''} (run the {stage} stage first)"
+
+
+def _model_path(paths: dict, scenario: str, kind: str) -> str:
+    """models/<scenario>_<short kind>.json, the file of one fitted model."""
+    return os.path.join(paths["models_dir"], f"{scenario}_{LONG_KIND_NAMES[kind]}.json")
 
 
 def _log(message: str) -> None:
@@ -259,12 +256,16 @@ def _provenance(config: PipelineConfig) -> dict:
     return {"config": config.hash(), "seed": config.seed}
 
 
+def _meta_provenance(config: PipelineConfig) -> dict:
+    """The provenance keys of every stage's JSON metadata."""
+    return {"config_hash": config.hash(), "master_seed": config.seed}
+
+
 def stage_ingest(config: PipelineConfig) -> None:
     """Load, validate, optionally subsample, standardize, and weight."""
     if not config.input:
         raise UsageError("ingest needs an input file (--input or config 'input')")
     paths = artifact_paths(config.out)
-    make_dir(config.out)
 
     records, report = load_records(config.input, schema=config.schema, delimiter=config.delimiter)
     n_loaded = len(records)
@@ -287,8 +288,7 @@ def stage_ingest(config: PipelineConfig) -> None:
     write_csv(paths["features"], CANONICAL_COLUMNS, rows)
     write_text(paths["rejections"], f"# config={config.hash()} seed={config.seed}\n" + report.to_text())
     meta = {
-        "config_hash": config.hash(),
-        "master_seed": config.seed,
+        **_meta_provenance(config),
         "input_basename": os.path.basename(config.input),
         "n_input": report.n_input,
         "n_rejected": report.n_rejected,
@@ -309,7 +309,7 @@ def _read_features(path: str) -> tuple[list[str], np.ndarray, list]:
     """features.csv back into (ids, values, rows-with-labels); every id
     must be unique."""
     parse = (str, float, float, float, str, int)
-    table = read_csv(path, CANONICAL_COLUMNS, parse, _MISSING["features"])
+    table = read_csv(path, CANONICAL_COLUMNS, parse, _missing("features"))
     ids = [row[0] for row in table]
     first_line: dict[str, int] = {}
     for line, rec_id in enumerate(ids, start=2):
@@ -325,20 +325,16 @@ def stage_embed(config: PipelineConfig) -> None:
     ids, values, _ = _read_features(paths["features"])
     matrix = FeatureMatrix(ids=ids, values=values)
     embedding = run_tsne(matrix, config.tsne_config())
-    save_embedding(
-        embedding,
-        paths["embedding"],
-        paths["embedding_meta"],
-        extra_metadata={"config_hash": config.hash(), "master_seed": config.seed},
-    )
+    save_embedding(embedding, paths["embedding"], paths["embedding_meta"],
+                   extra_metadata=_meta_provenance(config))
     _log(f"embed: {len(ids)} points, final KL {embedding.final_kl:.4f}")
 
 
 def _read_embedding_aligned(paths: dict) -> tuple[list[str], np.ndarray, np.ndarray, list]:
     ids, values, rows = _read_features(paths["features"])
-    emb_ids, coords = load_embedding_csv(paths["embedding"], _MISSING["embedding"])
+    emb_ids, coords = load_embedding_csv(paths["embedding"], _missing("embedding"))
     if emb_ids != ids:
-        raise DataError("embedding rows do not match features.csv rows")
+        raise DataError(f"embedding rows do not match {os.path.basename(paths['features'])} rows")
     return ids, values, coords, rows
 
 
@@ -361,11 +357,7 @@ def stage_eval(config: PipelineConfig) -> None:
     save_eval_report(report, paths["eval_report"])
     make_dir(paths["models_dir"])
     for (scenario, kind), model in models.items():
-        save_model(
-            model,
-            os.path.join(paths["models_dir"], f"{scenario}_{LONG_KIND_NAMES[kind]}.json"),
-            extra={"provenance": _provenance(config)},
-        )
+        save_model(model, _model_path(paths, scenario, kind), extra={"provenance": _provenance(config)})
     _log(
         f"eval: {len(config.scenarios)} scenarios x {len(config.classifiers)} classifiers, "
         f"{config.k_folds}-fold CV + {config.holdout_fraction:.0%} hold-out"
@@ -379,16 +371,8 @@ def stage_explain(config: PipelineConfig) -> None:
     matrix = FeatureMatrix(ids=ids, values=values)
     regressors = fit_coordinate_regressors(matrix, coords, sens_config)
     smap = build_sensitivity_map(regressors, matrix, combination=sens_config.combination)
-    save_sensitivity_map(
-        smap,
-        paths["sensitivity"],
-        paths["sensitivity_meta"],
-        extra_metadata={
-            "config_hash": config.hash(),
-            "master_seed": config.seed,
-            "summary": sensitivity_summary(smap),
-        },
-    )
+    save_sensitivity_map(smap, paths["sensitivity"], paths["sensitivity_meta"],
+                         extra_metadata={**_meta_provenance(config), "summary": sensitivity_summary(smap)})
     _log(
         f"explain: R^2 x={regressors.r2_x:.3f} y={regressors.r2_y:.3f}, "
         f"{len(ids)} records attributed"
@@ -398,8 +382,8 @@ def stage_explain(config: PipelineConfig) -> None:
 def stage_render(config: PipelineConfig) -> None:
     paths = artifact_paths(config.out)
     ids, _, coords, rows = _read_embedding_aligned(paths)
-    report = load_eval_report(paths["eval_report"], _MISSING["eval_report"])
-    smap = load_sensitivity_map(paths["sensitivity"], paths["sensitivity_meta"], _MISSING["sensitivity"])
+    report = load_eval_report(paths["eval_report"], _missing("eval_report"))
+    smap = load_sensitivity_map(paths["sensitivity"], paths["sensitivity_meta"], _missing("sensitivity"))
     if smap.ids != ids:
         raise DataError("sensitivity rows do not match embedding rows")
     metrics = report_metrics(report, paths["eval_report"], config.scenarios, config.classifiers)
@@ -420,8 +404,8 @@ def stage_render(config: PipelineConfig) -> None:
         labels, _ = encode_scenario(rows, SCENARIOS[scenario])
         for kind in config.classifiers:
             short = LONG_KIND_NAMES[kind]
-            model_path = os.path.join(paths["models_dir"], f"{scenario}_{short}.json")
-            model = load_model(model_path, f"missing model artifact {model_path} (run the eval stage first)")
+            model_path = _model_path(paths, scenario, kind)
+            model = load_model(model_path, _missing("models_dir", model_path))
             spec = PlotSpec(title=f"{scenario} decision regions ({short})", width=640, height=640, **axes)
             figures.append((f"fig_boundary_{scenario}_{short}.svg",
                             render_boundary(model, coords, labels, spec, g=config.grid_resolution,
@@ -447,18 +431,43 @@ def stage_render(config: PipelineConfig) -> None:
     _log(f"render: {len(figures)} figures written to {paths['figs_dir']}")
 
 
-_STAGES = (
-    ("ingest", stage_ingest),
-    ("embed", stage_embed),
-    ("eval", stage_eval),
-    ("explain", stage_explain),
-    ("render", stage_render),
+@dataclass(frozen=True)
+class Stage:
+    """One stage: `files` maps each artifact key to the file's name and the
+    label of its missing-artifact message (None where no stage reads it);
+    `dirs` does the same for directories of files named from the config."""
+
+    name: str
+    run: Callable[[PipelineConfig], None]
+    help: str
+    files: dict[str, tuple[str, str | None]] = field(default_factory=dict)
+    dirs: dict[str, tuple[str, str | None]] = field(default_factory=dict)
+
+
+STAGES = (
+    Stage("ingest", stage_ingest, "validate, standardize, and weight the input features",
+          files={"features": ("features.csv", "features"), "ingest_meta": ("ingest_meta.json", None),
+                 "rejections": ("rejections.txt", None)}),
+    Stage("embed", stage_embed, "project weighted features to 2-D",
+          files={"embedding": ("embedding.csv", "embedding"),
+                 "embedding_meta": ("embedding_meta.json", None)}),
+    Stage("eval", stage_eval, "cross-validate and hold-out test the classifiers",
+          files={"eval_report": ("eval_report.json", "evaluation")},
+          dirs={"models_dir": ("models", "model")}),
+    Stage("explain", stage_explain, "compute per-record feature attributions",
+          files={"sensitivity": ("sensitivity.csv", "sensitivity"),
+                 "sensitivity_meta": ("sensitivity_meta.json", None)}),
+    Stage("render", stage_render, "draw all figures as SVG", dirs={"figs_dir": ("figs", None)}),
 )
+
+# artifact key -> (name under the output directory, missing-artifact label, stage)
+_ARTIFACTS = {key: (name, label, stage.name)
+              for stage in STAGES for key, (name, label) in {**stage.files, **stage.dirs}.items()}
 
 
 def run_stage(name: str, config: PipelineConfig) -> None:
     """Run one stage; on failure leave a FAILED marker naming it."""
-    stage_fn = dict(_STAGES).get(name)
+    stage_fn = {stage.name: stage.run for stage in STAGES}.get(name)
     if stage_fn is None:
         raise UsageError(f"unknown stage {name!r}")
     make_dir(config.out)
@@ -473,9 +482,7 @@ def run_stage(name: str, config: PipelineConfig) -> None:
 
 
 def run_pipeline(config: PipelineConfig) -> None:
-    """ingest -> embed -> eval -> explain -> render, stopping at the
-    first failure.
-    """
-    for name, _ in _STAGES:
-        run_stage(name, config)
+    """Every stage of `STAGES` in order, stopping at the first failure."""
+    for stage in STAGES:
+        run_stage(stage.name, config)
     _log("pipeline: complete")

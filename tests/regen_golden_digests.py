@@ -8,8 +8,9 @@ Run from the repository root after a deliberate change of artifact bytes:
     PYTHONPATH=src python tests/regen_golden_digests.py
 
 and name every file whose digest changed in CHANGES.md. The digests hold
-only for the numpy version and BLAS recorded beside them; floating-point
-results, and so the bytes, may differ under another build. Each run goes
+only for the numpy version, BLAS, numpy SIMD targets and OpenBLAS kernel
+recorded beside them; floating-point results, and so the bytes, may
+differ under another build or on another CPU family. Each run goes
 to a child process with BLAS pinned to one thread, as in the benchmark.
 Every file of the N = 120 run has the same bytes under two threads:
 tests/test_golden_digests.py reruns that cohort in a two-thread child
@@ -29,6 +30,8 @@ per checkout and a `diff` of the two outputs.
 """
 
 import argparse
+import ctypes
+import glob
 import hashlib
 import json
 import os
@@ -37,6 +40,7 @@ import sys
 import tempfile
 
 import numpy as np
+from numpy._core import _multiarray_umath as _umath
 
 from chirpmap.pipeline import config_from_dict, run_pipeline
 from chirpmap.synth import generate_records, write_records_csv
@@ -50,10 +54,27 @@ _THREAD_VARIABLES = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 
 def environment() -> dict:
-    """numpy's version and the BLAS it was built against."""
+    """numpy's version, the BLAS it was built against, and the CPU code
+    paths both chose when they loaded: numpy's active SIMD dispatch
+    targets and the OpenBLAS kernel. Either changes the bits of exp, log
+    and matrix products, so a ledger holds for one CPU family."""
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {"numpy": np.__version__, "blas": f"{blas.get('name')} {blas.get('version')}",
-            "blas_threads": 1}
+            "blas_threads": 1,
+            "simd": [t for t in _umath.__cpu_dispatch__ if _umath.__cpu_features__.get(t)],
+            "openblas_core": _openblas_core()}
+
+
+def _openblas_core() -> str | None:
+    """The kernel name of the OpenBLAS bundled with numpy, or None where
+    no bundled library exports `scipy_openblas_get_corename64_`."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "*openblas*"))):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename().decode()
+    return None
 
 
 def _run(root: str, n_per_cluster: int) -> None:

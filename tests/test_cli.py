@@ -551,8 +551,11 @@ def test_non_finite_config_value_fails_before_ingest_writes(tmp_path, capsys, do
     ({"classifiers": {"knn": 1}}, "classifiers must be a name, a list of names or all"),
     ({"scenarios": ["s1", "S1"]}, "scenarios lists 's1' twice"),
     ({"classifiers": ["knn", "rf", "random_forest"]}, "classifiers lists 'random_forest' twice"),
+    ({"schema": {"idx": "ID"}}, "schema maps unknown canonical columns: ['idx']"),
+    ({"schema": {"id": ["a"]}}, "schema = {'id': ['a']}, not an object of strings or null"),
 ], ids=["zero-trees", "negative-depth", "no-classifiers", "no-scenarios", "scenarios-number",
-        "classifiers-object", "scenario-twice", "classifier-twice"])
+        "classifiers-object", "scenario-twice", "classifier-twice", "schema-unknown-column",
+        "schema-list-value"])
 def test_config_the_stages_cannot_run_fails_before_ingest_writes(tmp_path, capsys, doc, message):
     entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "10"])
     path = tmp_path / "c.json"

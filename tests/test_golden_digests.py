@@ -7,12 +7,20 @@ rewritten only by tests/regen_golden_digests.py, in the commit that
 changes the bytes on purpose. The ledger is pinned under one BLAS
 thread; a second run of the N = 120 cohort under two threads must give
 the same bytes. The N = 450 cohort reaches paths N = 120 does not, such
-as t-SNE over several row tiles.
+as t-SNE over several row tiles. The ledger holds for one CPU family:
+another OpenBLAS kernel or numpy SIMD dispatch is another environment.
 """
 
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from tests.regen_golden_digests import COHORT, LEDGER, environment, run_digests
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def assert_run_matches_ledger(root, threads, n_per_cluster=COHORT["n_per_cluster"]):
@@ -43,3 +51,21 @@ def test_two_blas_threads_give_the_pinned_digests(tmp_path):
 
 def test_a_cohort_of_450_gives_its_pinned_digests(tmp_path):
     assert_run_matches_ledger(tmp_path, threads=1, n_per_cluster=150)
+
+
+@pytest.mark.parametrize("variable, value", [
+    ("NPY_DISABLE_CPU_FEATURES", "X86_V4 AVX512_ICL AVX512_SPR"),  # numpy's AVX2 loops
+    ("OPENBLAS_CORETYPE", "Haswell"),
+])
+def test_another_cpu_family_is_not_the_pinned_environment(variable, value):
+    """Under a kernel or dispatch that changes digests, the ledger tests
+    fail with their "regenerate" message, not with a list of files."""
+    with open(LEDGER, encoding="utf-8") as handle:
+        pinned = json.load(handle)["environment"]
+    path = os.pathsep.join(p for p in (REPO, os.path.join(REPO, "src"), os.environ.get("PYTHONPATH")) if p)
+    child = subprocess.run(
+        [sys.executable, "-c", "import json; from tests.regen_golden_digests import environment; "
+                               "print(json.dumps(environment()))"],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, variable: value, "PYTHONPATH": path})
+    assert json.loads(child.stdout) != pinned

@@ -1,12 +1,17 @@
+import importlib.util
 import json
 import os
 import re
+import sys
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from chirpmap.errors import DataError, UsageError
 from chirpmap.pipeline import (
+    LONG_KIND_NAMES,
+    STAGES,
     PipelineConfig,
     artifact_paths,
     config_from_dict,
@@ -269,3 +274,63 @@ def test_artifact_paths_shape(tmp_path):
     paths = artifact_paths(str(tmp_path))
     assert paths["features"].endswith("features.csv")
     assert paths["failed"].endswith("FAILED")
+
+
+def run_stagewise(root, overrides) -> tuple[PipelineConfig, dict[str, set[str]]]:
+    """Run every stage in turn into a fresh root/out; the config, and the
+    files each stage added, by path relative to root/out."""
+    data = write_dataset(str(root))
+    config = config_from_dict({**TINY, **overrides, "input": data, "out": str(root / "out")})
+    written, before = {}, set()
+    for stage in STAGES:
+        run_stage(stage.name, config)
+        after = {path.replace(os.sep, "/") for path in read_tree(root / "out")}
+        written[stage.name], before = after - before, after
+    return config, written
+
+
+@pytest.fixture(scope="module")
+def stagewise_defaults(tmp_path_factory):
+    return run_stagewise(tmp_path_factory.mktemp("defaults"), {})
+
+
+@pytest.fixture(scope="module")
+def stagewise_subset(tmp_path_factory):
+    return run_stagewise(tmp_path_factory.mktemp("subset"),
+                         {"scenarios": ["s2"], "classifiers": ["knn", "rf"]})
+
+
+@pytest.mark.parametrize("run", ["stagewise_defaults", "stagewise_subset"])
+def test_each_stage_writes_exactly_what_the_table_declares(request, run):
+    config, written = request.getfixturevalue(run)
+    n_s, n_k = len(config.scenarios), len(config.classifiers)
+    models = {f"models/{s}_{LONG_KIND_NAMES[k]}.json" for s in config.scenarios for k in config.classifiers}
+    figs = {path for path in written["render"] if path.startswith("figs/") and path.endswith(".svg")}
+    assert len(models) == n_s * n_k
+    assert len(figs) == 4 + n_s * n_k + 2 * n_s + 3
+    in_dirs = {"eval": models, "render": figs}
+    for stage in STAGES:
+        files = {name for name, _ in stage.files.values()}
+        assert written[stage.name] == files | in_dirs.get(stage.name, set()), stage.name
+        assert {path.split("/")[0] for path in in_dirs.get(stage.name, ())} == {
+            name for name, _ in stage.dirs.values()}, stage.name
+
+
+def _load_workloads(monkeypatch):
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look their module up there
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_expects_what_the_stages_write(stagewise_defaults, monkeypatch):
+    """perfbench keeps its own list of every stage's artifacts; it must
+    name exactly the files those stages write under the default config."""
+    _, written = stagewise_defaults
+    bench = _load_workloads(monkeypatch)
+    assert set(bench.WORKLOADS) == {"pipeline_n120", "embed_eval_n900", "classify_n450"}
+    for workload in bench.WORKLOADS.values():
+        expected = bench.expected_artifacts(workload.stages)
+        assert sorted(expected) == sorted(set().union(*(written[s] for s in workload.stages)))
