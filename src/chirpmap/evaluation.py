@@ -6,6 +6,9 @@ Accuracy is averaged over stratified k-fold cross-validation; precision,
 recall, and F1 come from a stratified hold-out split. The reported
 accuracy spread is the population standard deviation over fold
 accuracies, and that definition is recorded in the report metadata.
+
+A scenario's folds and CV seed are reported once for all its classifiers;
+a confusion count is the plain {"tp", "fp", "tn", "fn"} dict of `confusion`.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .artifacts import json_value, read_json, write_json
+from .artifacts import json_value
 from .errors import DataError
 from .models import CLASSIFIER_KINDS, fit_classifier
 from .seeding import derive_seed
@@ -23,30 +26,23 @@ from .seeding import derive_seed
 
 @dataclass(frozen=True)
 class Scenario:
-    key: str
     positive_name: str
     description: str
     rule: Callable[[str, int], bool]
 
-    def is_positive(self, outcome: str, difficulty: int) -> bool:
-        return self.rule(outcome, difficulty)
-
 
 SCENARIOS: dict[str, Scenario] = {
     "s1": Scenario(
-        key="s1",
         positive_name="success",
         description="surgical success vs no-resection or failure",
         rule=lambda outcome, difficulty: outcome == "S",
     ),
     "s2": Scenario(
-        key="s2",
         positive_name="high_difficulty",
         description="difficult cases (levels 3-4) vs easy cases (levels 1-2)",
         rule=lambda outcome, difficulty: difficulty in (3, 4),
     ),
     "s3": Scenario(
-        key="s3",
         positive_name="optimal",
         description="success at low difficulty (levels 1-2) vs everything else",
         rule=lambda outcome, difficulty: outcome == "S" and difficulty in (1, 2),
@@ -61,7 +57,7 @@ def encode_scenario(records, scenario: Scenario) -> tuple[np.ndarray, dict]:
     if not records:
         raise DataError("encode_scenario needs at least one record")
     labels = np.array(
-        [1 if scenario.is_positive(r.outcome, r.difficulty) else 0 for r in records],
+        [1 if scenario.rule(r.outcome, r.difficulty) else 0 for r in records],
         dtype=np.int64,
     )
     n_pos = int(labels.sum())
@@ -133,44 +129,34 @@ def holdout_split(labels, fraction: float, seed: int) -> tuple[np.ndarray, np.nd
     return train, test
 
 
-@dataclass(frozen=True)
-class ConfusionMatrix:
-    tp: int
-    fp: int
-    tn: int
-    fn: int
-
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
-    def to_dict(self) -> dict:
-        return {"tp": self.tp, "fp": self.fp, "tn": self.tn, "fn": self.fn}
-
-    @staticmethod
-    def from_predictions(y_true, y_pred) -> "ConfusionMatrix":
-        t = np.asarray(y_true, dtype=np.int64)
-        p = np.asarray(y_pred, dtype=np.int64)
-        if t.shape != p.shape:
-            raise DataError("prediction/label shape mismatch")
-        return ConfusionMatrix(
-            tp=int(np.sum((t == 1) & (p == 1))),
-            fp=int(np.sum((t == 0) & (p == 1))),
-            tn=int(np.sum((t == 0) & (p == 0))),
-            fn=int(np.sum((t == 1) & (p == 0))),
-        )
+def confusion(y_true, y_pred) -> dict:
+    """Counts of true and false positives and negatives, as {"tp", "fp",
+    "tn", "fn"}."""
+    t = np.asarray(y_true, dtype=np.int64)
+    p = np.asarray(y_pred, dtype=np.int64)
+    if t.shape != p.shape:
+        raise DataError("prediction/label shape mismatch")
+    return {
+        "tp": int(np.sum((t == 1) & (p == 1))),
+        "fp": int(np.sum((t == 0) & (p == 1))),
+        "tn": int(np.sum((t == 0) & (p == 0))),
+        "fn": int(np.sum((t == 1) & (p == 0))),
+    }
 
 
-def compute_metrics(cm: ConfusionMatrix) -> dict:
-    """Accuracy, precision, recall, F1 with explicit zero-division rules:
-    precision is 0 when nothing was predicted positive, recall is 0 when
-    nothing is positive, F1 is 0 when precision and recall are both 0.
+def compute_metrics(cm: dict) -> dict:
+    """Accuracy, precision, recall, F1 of a `confusion` count, with
+    explicit zero-division rules: precision is 0 when nothing was
+    predicted positive, recall is 0 when nothing is positive, F1 is 0
+    when precision and recall are both 0.
     """
-    if cm.total < 1:
+    tp, fp, tn, fn = cm["tp"], cm["fp"], cm["tn"], cm["fn"]
+    total = tp + fp + tn + fn
+    if total < 1:
         raise DataError("empty confusion matrix")
-    accuracy = (cm.tp + cm.tn) / cm.total
-    precision = cm.tp / (cm.tp + cm.fp) if (cm.tp + cm.fp) > 0 else 0.0
-    recall = cm.tp / (cm.tp + cm.fn) if (cm.tp + cm.fn) > 0 else 0.0
+    accuracy = (tp + tn) / total
+    precision = tp / (tp + fp) if (tp + fp) > 0 else 0.0
+    recall = tp / (tp + fn) if (tp + fn) > 0 else 0.0
     f1 = (
         2.0 * precision * recall / (precision + recall)
         if (precision + recall) > 0
@@ -196,17 +182,15 @@ def cross_validate(coords, labels, kind: str, folds, seed: int, config=None) -> 
         train_idx = all_idx[train_mask]
         fit_seed = derive_seed(seed, f"fold{f}:{kind}")
         model = fit_classifier(kind, coords[train_idx], labels[train_idx], seed=fit_seed, config=config)
-        cm = ConfusionMatrix.from_predictions(labels[test_idx], model.predict(coords[test_idx]))
+        cm = confusion(labels[test_idx], model.predict(coords[test_idx]))
         accuracies.append(compute_metrics(cm)["accuracy"])
-        confusions.append(cm.to_dict())
+        confusions.append(cm)
     acc = np.array(accuracies)
     return {
         "cv_accuracy_mean": float(acc.mean()),
         "cv_accuracy_sd": float(acc.std()),  # population sd over folds
         "fold_accuracies": accuracies,
         "fold_confusions": confusions,
-        "fold_assignments": [f.tolist() for f in folds],
-        "cv_seed": seed,
     }
 
 
@@ -266,32 +250,14 @@ def run_all_scenarios(
             model = fit_classifier(
                 kind, coords[train_idx], labels[train_idx], seed=fit_seed, config=config
             )
-            cm = ConfusionMatrix.from_predictions(
-                labels[test_idx], model.predict(coords[test_idx])
-            )
-            holdout_metrics = compute_metrics(cm)
-            holdout_metrics["confusion"] = cm.to_dict()
-            entry["classifiers"][kind] = {
-                "cv_accuracy_mean": cv["cv_accuracy_mean"],
-                "cv_accuracy_sd": cv["cv_accuracy_sd"],
-                "fold_accuracies": cv["fold_accuracies"],
-                "fold_confusions": cv["fold_confusions"],
-                "holdout": holdout_metrics,
-            }
+            cm = confusion(labels[test_idx], model.predict(coords[test_idx]))
+            entry["classifiers"][kind] = {**cv, "holdout": {**compute_metrics(cm), "confusion": cm}}
             models[(key, kind)] = model
         entry["fold_assignments"] = [f.tolist() for f in folds]
         entry["cv_seed"] = cv_seed
         report["scenarios"][key] = entry
 
     return report, models
-
-
-def save_eval_report(report: dict, path: str) -> None:
-    write_json(path, report)
-
-
-def load_eval_report(path: str, missing: str | None = None) -> dict:
-    return read_json(path, missing)
 
 
 # what render draws from the report: a hold-out confusion count, a metric bar

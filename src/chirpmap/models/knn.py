@@ -67,6 +67,8 @@ class KnnModel:
 
     def predict(self, points) -> np.ndarray:
         p = np.atleast_2d(np.asarray(points, dtype=np.float64))
+        if p.shape[1] != self.x.shape[1]:
+            raise DataError(f"expected {self.x.shape[1]} features, got {p.shape[1]}")
         k = self.config.k
         out = np.empty(p.shape[0], dtype=np.int64)
         rows = max(1, _CHUNK_ENTRIES // self.x.shape[0])

@@ -32,13 +32,13 @@ from .evaluation import (
     SCENARIOS,
     encode_scenario,
     run_all_scenarios,
-    save_eval_report,
-    load_eval_report,
     report_metrics,
 )
 from .ingest import (
     CANONICAL_COLUMNS,
+    DIFFICULTY_LEVELS,
     FEATURE_NAMES,
+    OUTCOME_CODES,
     FeatureMatrix,
     FeatureWeights,
     apply_weights,
@@ -307,15 +307,20 @@ def stage_ingest(config: PipelineConfig) -> None:
 
 def _read_features(path: str) -> tuple[list[str], np.ndarray, list]:
     """features.csv back into (ids, values, rows-with-labels); every id
-    must be unique."""
+    must be unique and every label one that ingest accepts."""
     parse = (str, float, float, float, str, int)
     table = read_csv(path, CANONICAL_COLUMNS, parse, _missing("features"))
     ids = [row[0] for row in table]
     first_line: dict[str, int] = {}
-    for line, rec_id in enumerate(ids, start=2):
+    for line, (rec_id, *_, outcome, difficulty) in enumerate(table, start=2):
         first = first_line.setdefault(rec_id, line)
         if first != line:
             raise DataError(f"{path} line {line}: duplicate id {rec_id!r} (first at line {first})")
+        for column, value, levels in (("outcome", outcome, OUTCOME_CODES),
+                                      ("difficulty", difficulty, DIFFICULTY_LEVELS)):
+            if value not in levels:
+                raise DataError(f"{path} line {line}, column {column!r}: {value!r} is not one of "
+                                f"{', '.join(map(str, levels))}")
     values = np.array([row[1:4] for row in table], dtype=np.float64)
     return ids, values, [SimpleNamespace(outcome=row[4], difficulty=row[5]) for row in table]
 
@@ -354,7 +359,7 @@ def stage_eval(config: PipelineConfig) -> None:
     )
     report["config_hash"] = config.hash()
     report["classifier_configs"] = {kind: asdict(c) for kind, c in classifier_configs.items()}
-    save_eval_report(report, paths["eval_report"])
+    write_json(paths["eval_report"], report)
     make_dir(paths["models_dir"])
     for (scenario, kind), model in models.items():
         save_model(model, _model_path(paths, scenario, kind), extra={"provenance": _provenance(config)})
@@ -370,11 +375,11 @@ def stage_explain(config: PipelineConfig) -> None:
     sens_config = config.sensitivity_config()
     matrix = FeatureMatrix(ids=ids, values=values)
     regressors = fit_coordinate_regressors(matrix, coords, sens_config)
-    smap = build_sensitivity_map(regressors, matrix, combination=sens_config.combination)
+    smap = build_sensitivity_map(regressors, matrix, coords, combination=sens_config.combination)
     save_sensitivity_map(smap, paths["sensitivity"], paths["sensitivity_meta"],
                          extra_metadata={**_meta_provenance(config), "summary": sensitivity_summary(smap)})
     _log(
-        f"explain: R^2 x={regressors.r2_x:.3f} y={regressors.r2_y:.3f}, "
+        f"explain: R^2 x={smap.r2_x:.3f} y={smap.r2_y:.3f}, "
         f"{len(ids)} records attributed"
     )
 
@@ -382,7 +387,7 @@ def stage_explain(config: PipelineConfig) -> None:
 def stage_render(config: PipelineConfig) -> None:
     paths = artifact_paths(config.out)
     ids, _, coords, rows = _read_embedding_aligned(paths)
-    report = load_eval_report(paths["eval_report"], _missing("eval_report"))
+    report = read_json(paths["eval_report"], _missing("eval_report"))
     smap = load_sensitivity_map(paths["sensitivity"], paths["sensitivity_meta"], _missing("sensitivity"))
     if smap.ids != ids:
         raise DataError("sensitivity rows do not match embedding rows")

@@ -18,6 +18,9 @@ for a whole forest at once from the leaf boxes (`tree_subset_values`).
 The painted values are exact up to rounding; the subset of every feature
 the forest splits on is the routed prediction, bit-equal to `predict`.
 The averaged values are combined into Shapley values once.
+
+The full-subset column is the prediction (TreeSHAP's local accuracy), so
+a map routes each forest once and scores its R^2 from the attribution.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .models import DecisionTree, ForestConfig, RandomForestModel, fit_random_fo
 from .models.forest import paint_boxes, stack_trees
 from .models.tree import leaf_boxes, leaf_path_shares
 from .seeding import derive_seed
-from .tsne import Embedding
 
 COMBINATION_RULES = ("euclidean", "sum_abs")
 _SENSITIVITY_COLUMNS = ("id", "feature", "phi_x", "phi_y", "combined")
@@ -60,46 +62,30 @@ class SensitivityConfig:
 class CoordinateRegressors:
     model_x: RandomForestModel
     model_y: RandomForestModel
-    r2_x: float
-    r2_y: float
-    constant_x: bool  # target had zero spread; R^2 reported as 1.0 by convention
-    constant_y: bool
-    # the rows the forests were fitted to and their predictions there, one
-    # column per axis: routed once for R^2 and reused by the attributions
-    fitted_on: np.ndarray | None = None
-    fitted: np.ndarray | None = None
-
-    def fitted_predictions(self, x: np.ndarray, axis: int) -> np.ndarray | None:
-        """model_x's (axis 0) or model_y's (axis 1) predictions at x, if x
-        are the rows the forests were fitted to."""
-        if self.fitted is None or not np.array_equal(self.fitted_on, x):
-            return None
-        return self.fitted[:, axis]
 
 
-def _r_squared(target: np.ndarray, predicted: np.ndarray) -> tuple[float, bool]:
+def _r_squared(target: np.ndarray, predicted: np.ndarray) -> float:
+    """R^2, or 1.0 by convention for a target with zero spread."""
     ss_tot = float(np.sum((target - target.mean()) ** 2))
     if ss_tot == 0.0:
-        return 1.0, True
+        return 1.0
     ss_res = float(np.sum((target - predicted) ** 2))
-    return 1.0 - ss_res / ss_tot, False
+    return 1.0 - ss_res / ss_tot
 
 
 def fit_coordinate_regressors(
     features,
-    embedding,
+    coords,
     config: SensitivityConfig = SensitivityConfig(),
 ) -> CoordinateRegressors:
     x = features.values if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
-    coords = embedding.coords if isinstance(embedding, Embedding) else np.asarray(embedding, dtype=np.float64)
+    coords = np.asarray(coords, dtype=np.float64)
     if x.shape[0] != coords.shape[0]:
         raise DataError("features misaligned with embedding rows")
     if x.shape[0] < 10:
         raise DataError("need at least 10 rows to fit coordinate regressors")
 
     models = []
-    stats = []
-    fitted = np.empty((x.shape[0], 2))
     for axis, name in enumerate(("x", "y")):
         fc = ForestConfig(
             n_trees=config.n_trees,
@@ -107,24 +93,11 @@ def fit_coordinate_regressors(
             seed=derive_seed(config.seed, f"coord-{name}"),
             task="regression",
         )
-        model = fit_random_forest(x, coords[:, axis], fc)
-        fitted[:, axis] = model.predict(x)
-        r2, constant = _r_squared(coords[:, axis], fitted[:, axis])
-        models.append(model)
-        stats.append((r2, constant))
-    return CoordinateRegressors(
-        model_x=models[0],
-        model_y=models[1],
-        r2_x=stats[0][0],
-        r2_y=stats[1][0],
-        constant_x=stats[0][1],
-        constant_y=stats[1][1],
-        fitted_on=x.copy(),
-        fitted=fitted,
-    )
+        models.append(fit_random_forest(x, coords[:, axis], fc))
+    return CoordinateRegressors(model_x=models[0], model_y=models[1])
 
 
-def tree_subset_values(model, instances, predictions=None) -> np.ndarray:
+def tree_subset_values(model, instances) -> np.ndarray:
     """v(S) for every instance and every feature subset, averaged over the
     trees of `model`, a DecisionTree or a regression RandomForestModel.
 
@@ -136,8 +109,7 @@ def tree_subset_values(model, instances, predictions=None) -> np.ndarray:
     - none: one sum over the leaves, the same for every instance;
     - one or two: a 1-D or 2-D painting on the instances' sorted unique
       values of those features;
-    - all of them: the routed prediction, which is `predictions` when
-      given (it must be model.predict(instances)).
+    - all of them: the routed prediction, `model.predict(instances)`.
 
     Subsets that differ only in features no tree splits on share one
     computation, so such a feature's Shapley value is exactly 0. The
@@ -169,8 +141,7 @@ def tree_subset_values(model, instances, predictions=None) -> np.ndarray:
 
     def paint(key: int) -> np.ndarray:
         if key == used:
-            routed = model.predict(x) if predictions is None else predictions
-            return np.asarray(routed, dtype=np.float64)
+            return np.asarray(model.predict(x), dtype=np.float64)
         features = [f for f in split_on if key >> f & 1]
         if not features:
             return np.full(x.shape[0], weight[:, key].sum() / len(trees))
@@ -222,16 +193,16 @@ class ShapleyAttribution:
     predictions: np.ndarray  # N
 
 
-def shapley_values(model, instances, predictions=None) -> ShapleyAttribution:
+def shapley_values(model, instances) -> ShapleyAttribution:
     """Exact Shapley attributions for a tree or a regression forest.
 
     v(S) is linear over trees, so a forest's subset values are the
-    per-tree values averaged (`tree_subset_values`, one call per model,
-    which takes `predictions` as given there) and one Shapley combination
-    serves the whole ensemble; efficiency (sum phi + base = prediction)
-    is asserted to 1e-9 for every instance.
+    per-tree values averaged (`tree_subset_values`, one call per model)
+    and one Shapley combination serves the whole ensemble; efficiency
+    (sum phi + base = prediction) is asserted to 1e-9 for every instance.
+    The predictions are the full-subset values, bit-equal to `predict`.
     """
-    values = tree_subset_values(model, instances, predictions)
+    values = tree_subset_values(model, instances)
     phi = shapley_from_subset_values(values, model.n_features)
     base = float(values[0, 0])  # v(empty) is instance-independent
     predictions = values[:, -1]
@@ -262,8 +233,11 @@ class SensitivityMap:
 def build_sensitivity_map(
     regressors: CoordinateRegressors,
     features,
+    coords,
     combination: str = "euclidean",
 ) -> SensitivityMap:
+    """Both regressors' attributions at `features`, combined by `combination`,
+    and each forest's R^2 against its column of `coords`."""
     if combination not in COMBINATION_RULES:
         raise DataError(f"unknown combination rule {combination!r}")
     if isinstance(features, FeatureMatrix):
@@ -274,9 +248,12 @@ def build_sensitivity_map(
         x = np.atleast_2d(np.asarray(features, dtype=np.float64))
         ids = [str(i) for i in range(x.shape[0])]
         names = tuple(FEATURE_NAMES[: x.shape[1]])
+    coords = np.asarray(coords, dtype=np.float64)
+    if coords.shape != (x.shape[0], 2):
+        raise DataError("features misaligned with embedding rows")
 
-    att_x = shapley_values(regressors.model_x, x, regressors.fitted_predictions(x, 0))
-    att_y = shapley_values(regressors.model_y, x, regressors.fitted_predictions(x, 1))
+    att_x = shapley_values(regressors.model_x, x)
+    att_y = shapley_values(regressors.model_y, x)
     if combination == "euclidean":
         combined = np.sqrt(att_x.phi**2 + att_y.phi**2)
     else:
@@ -290,8 +267,8 @@ def build_sensitivity_map(
         base_x=att_x.base,
         base_y=att_y.base,
         combination=combination,
-        r2_x=regressors.r2_x,
-        r2_y=regressors.r2_y,
+        r2_x=_r_squared(coords[:, 0], att_x.predictions),
+        r2_y=_r_squared(coords[:, 1], att_y.predictions),
     )
 
 

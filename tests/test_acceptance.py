@@ -17,8 +17,8 @@ import numpy as np
 import pytest
 
 from chirpmap.evaluation import (
-    ConfusionMatrix,
     compute_metrics,
+    confusion,
     holdout_split,
     stratified_kfold,
 )
@@ -182,12 +182,12 @@ def test_criterion_06_metrics_against_counting():
             n = int(rng.integers(1, 60))
             y_true = rng.integers(0, 2, size=n)
             y_pred = rng.integers(0, 2, size=n)
-            cm = ConfusionMatrix.from_predictions(y_true, y_pred)
+            cm = confusion(y_true, y_pred)
             tp = sum(1 for t, p in zip(y_true, y_pred) if t == 1 and p == 1)
             fp = sum(1 for t, p in zip(y_true, y_pred) if t == 0 and p == 1)
             tn = sum(1 for t, p in zip(y_true, y_pred) if t == 0 and p == 0)
             fn = sum(1 for t, p in zip(y_true, y_pred) if t == 1 and p == 0)
-            assert (cm.tp, cm.fp, cm.tn, cm.fn) == (tp, fp, tn, fn)
+            assert cm == {"tp": tp, "fp": fp, "tn": tn, "fn": fn}
             metrics = compute_metrics(cm)
             assert metrics["accuracy"] == ((tp + tn) / n)
             assert metrics["precision"] == (tp / (tp + fp) if tp + fp else 0.0)

@@ -13,8 +13,9 @@ import os
 
 import pytest
 
+from chirpmap.artifacts import read_json
 from chirpmap.errors import DataError, NumericError, UsageError
-from chirpmap.evaluation import load_eval_report, report_metrics
+from chirpmap.evaluation import report_metrics
 from chirpmap.models import CLASSIFIER_KINDS, load_model
 from chirpmap.pipeline import config_from_dict, run_stage
 from chirpmap.sensitivity import load_sensitivity_map
@@ -68,7 +69,7 @@ def readers(out):
     report = os.path.join(out, "eval_report.json")
     pairs = [(os.path.join(models, f"s1_{short}.json"), load_model)
              for short in ("rf", "svm", "logreg", "knn")]
-    pairs.append((report, lambda path: report_metrics(load_eval_report(path), path, SCENARIOS,
+    pairs.append((report, lambda path: report_metrics(read_json(path), path, SCENARIOS,
                                                       CLASSIFIER_KINDS)))
     pairs.append((os.path.join(out, "sensitivity_meta.json"),
                   lambda path: load_sensitivity_map(sensitivity_csv, path)))

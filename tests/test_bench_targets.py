@@ -2,10 +2,13 @@
 
 `perfbench/tracer.py` swaps package callables for timing wrappers by
 name and records a missing one as absent instead of failing, so a
-renamed or moved function would silently zero a per-layer metric.
+renamed or moved function would silently zero a per-layer metric, and a
+call that no longer goes through the patched name would silently
+record no span.
 """
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +16,7 @@ import numpy as np
 import chirpmap.models
 import chirpmap.pipeline
 import chirpmap.sensitivity
+from chirpmap.synth import generate_records, write_records_csv
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -52,3 +56,44 @@ def test_forest_node_counter_reads_the_fitted_trees():
     assert tracer.absent_counters == set()
     nodes = [span.info["models.rf.nodes"] for span in tracer.spans if span.name == "models.fit.rf"]
     assert nodes == [sum(tree.root.feature.size for tree in model.trees)]
+
+
+def test_tracer_bills_stages_by_the_pipeline_stage_names():
+    assert _load_tracer().STAGES == tuple(s.name for s in chirpmap.pipeline.STAGES)
+
+
+def test_traced_pipeline_records_every_eval_and_explain_call(tmp_path):
+    """Span counts of one traced run: each classifier is fitted once per
+    fold and once on the hold-out split, and each coordinate forest is
+    routed once, inside its attribution."""
+    data = tmp_path / "data.csv"
+    write_records_csv(generate_records(n_per_cluster=10, seed=0), str(data))
+    k = 3
+    config = chirpmap.pipeline.config_from_dict({
+        "input": str(data), "out": str(tmp_path / "out"), "k_folds": k,
+        "tsne": {"perplexity": 5, "n_iterations": 60, "momentum_switch_iter": 20,
+                 "exaggeration_until_iter": 20},
+        "classifier_configs": {"rf": {"n_trees": 3}}, "sensitivity": {"n_trees": 3},
+        "grid_resolution": 10,
+    })
+    s = len(config.scenarios)
+    assert s == 3
+    tracer = _load_tracer().Tracer()
+    with tracer.installed(0):
+        chirpmap.pipeline.run_pipeline(config)
+    counts = Counter(span.name for span in tracer.spans)
+    assert tracer.absent_spans == set() and tracer.absent_counters == set()
+    expected = {
+        "evaluation.run": 1,
+        "evaluation.kfold": s,
+        "evaluation.cross_validate": 4 * s,
+        **{f"models.fit.{kind}": s * (k + 1) for kind in ("rf", "svm", "logreg", "knn")},
+        "models.predict.rf": s * (k + 1) + 2,
+        "sensitivity.fit_regressors": 1,
+        "sensitivity.forest_fit": 2,
+        "sensitivity.build_map": 1,
+        "sensitivity.subset_values": 2,
+        "sensitivity.combine": 2,
+        "sensitivity.summary": 1,
+    }
+    assert {name: counts[name] for name in expected} == expected

@@ -72,7 +72,9 @@ def test_zero_weights_exit_code_and_message(tmp_path, capsys):
 @pytest.mark.parametrize(
     "column, cell",
     [("frequency_onset", "abc"), ("temporal_duration", "nan"), ("difficulty", "2.5"),
-     pytest.param("difficulty", "9" * 400, id="difficulty-past-the-float-range")],
+     pytest.param("difficulty", "9" * 400, id="difficulty-past-the-float-range"),
+     pytest.param("outcome", "X", id="unknown-outcome-code"),
+     pytest.param("difficulty", "7", id="difficulty-out-of-range")],
 )
 def test_bad_features_cell_is_data_error(tmp_path, capsys, column, cell):
     entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "8"])

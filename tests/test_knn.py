@@ -103,6 +103,13 @@ def test_malformed_training_set_is_data_error(x, y):
         fit_knn(x, y, KnnConfig(k=1))
 
 
+@pytest.mark.parametrize("width", [1, 3])
+def test_points_of_another_width_are_data_error(width):
+    model = fit_knn(np.zeros((3, 2)), np.array([0, 1, 0]), KnnConfig(k=1))
+    with pytest.raises(DataError, match=f"expected 2 features, got {width}"):
+        model.predict(np.zeros((4, width)))
+
+
 def test_blob_holdout_accuracy(two_blobs):
     x, y = two_blobs
     train = np.arange(0, 200, 2)

@@ -177,9 +177,8 @@ def test_coordinate_regressors_and_map():
     coords = np.column_stack([2.0 * values[:, 0], values[:, 1] - values[:, 2]])
     matrix = FeatureMatrix(ids=[f"i{k}" for k in range(60)], values=values)
     reg = fit_coordinate_regressors(matrix, coords, SensitivityConfig(n_trees=20, seed=1))
-    assert reg.r2_x > 0.8 and reg.r2_y > 0.8
-    assert not reg.constant_x and not reg.constant_y
-    smap = build_sensitivity_map(reg, matrix)
+    smap = build_sensitivity_map(reg, matrix, coords)
+    assert smap.r2_x > 0.8 and smap.r2_y > 0.8
     assert smap.combined.shape == (60, 3)
     assert np.allclose(smap.combined, np.hypot(smap.phi_x, smap.phi_y))
     assert np.all(smap.combined >= 0.0)
@@ -193,9 +192,8 @@ def test_constant_coordinate_convention():
     values = rng.normal(size=(40, 3))
     coords = np.column_stack([values[:, 0], np.zeros(40)])  # flat y
     reg = fit_coordinate_regressors(values, coords, SensitivityConfig(n_trees=5, seed=0))
-    assert reg.constant_y
-    assert reg.r2_y == 1.0  # fit of a constant is trivially perfect, flagged
-    smap = build_sensitivity_map(reg, values)
+    smap = build_sensitivity_map(reg, values, coords)
+    assert smap.r2_y == 1.0  # fit of a constant is trivially perfect
     assert np.all(smap.phi_y == 0.0)
 
 
@@ -204,10 +202,10 @@ def test_sum_abs_combination():
     values = rng.normal(size=(30, 3))
     coords = np.column_stack([values[:, 0], values[:, 1]])
     reg = fit_coordinate_regressors(values, coords, SensitivityConfig(n_trees=5, seed=2))
-    smap = build_sensitivity_map(reg, values, combination="sum_abs")
+    smap = build_sensitivity_map(reg, values, coords, combination="sum_abs")
     assert np.allclose(smap.combined, np.abs(smap.phi_x) + np.abs(smap.phi_y))
     with pytest.raises(DataError):
-        build_sensitivity_map(reg, values, combination="max")
+        build_sensitivity_map(reg, values, coords, combination="max")
 
 
 def test_map_round_trip(tmp_path):
@@ -216,7 +214,7 @@ def test_map_round_trip(tmp_path):
     coords = np.column_stack([values[:, 0], values[:, 2]])
     matrix = FeatureMatrix(ids=[f"r{k}" for k in range(25)], values=values)
     reg = fit_coordinate_regressors(matrix, coords, SensitivityConfig(n_trees=5, seed=3))
-    smap = build_sensitivity_map(reg, matrix)
+    smap = build_sensitivity_map(reg, matrix, coords)
     csv_path, meta_path = tmp_path / "s.csv", tmp_path / "s.json"
     save_sensitivity_map(smap, str(csv_path), str(meta_path), extra_metadata={"k": 1})
     loaded = load_sensitivity_map(str(csv_path), str(meta_path))
@@ -229,6 +227,16 @@ def test_map_round_trip(tmp_path):
 def test_regressors_need_enough_rows():
     with pytest.raises(DataError):
         fit_coordinate_regressors(np.ones((5, 3)), np.ones((5, 2)), SensitivityConfig(n_trees=2))
+
+
+def test_map_needs_one_coordinate_pair_per_record():
+    rng = np.random.default_rng(13)
+    values = rng.normal(size=(20, 3))
+    coords = values[:, :2].copy()
+    reg = fit_coordinate_regressors(values, coords, SensitivityConfig(n_trees=3, seed=4))
+    for bad in (coords[:-1], coords[:, :1]):
+        with pytest.raises(DataError, match="misaligned"):
+            build_sensitivity_map(reg, values, bad)
 
 
 def test_quartiles_equal_np_quantile_bitwise():
