@@ -6,6 +6,10 @@ code, and a difficulty level. Rows failing validation are dropped and
 reported, never imputed. Features are standardized column-wise
 ((value - mean) / population sd) and may then be scaled by per-feature
 weights to emphasize a feature's contribution to distances.
+
+The feature table is a plain N x 3 float64 array whose rows follow the
+records and whose columns follow ``FEATURE_NAMES``; the caller keeps the
+record ids beside it. The weights are checked where the config is loaded.
 """
 
 from __future__ import annotations
@@ -13,7 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -44,52 +48,6 @@ class ChirpRecord:
             [self.temporal_duration, self.frequency_onset, self.spectral_duration],
             dtype=np.float64,
         )
-
-
-@dataclass(frozen=True)
-class FeatureWeights:
-    """Per-feature multipliers applied after standardization."""
-
-    temporal: float = 1.0
-    frequency: float = 1.0
-    spectral: float = 1.0
-
-    def __post_init__(self) -> None:
-        vals = (self.temporal, self.frequency, self.spectral)
-        if any(w < 0 for w in vals):
-            raise DataError(f"feature weights must be nonnegative, got {vals}")
-        if not any(w > 0 for w in vals):
-            raise DataError("at least one feature weight must be strictly positive")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.temporal, self.frequency, self.spectral], dtype=np.float64)
-
-
-@dataclass
-class FeatureMatrix:
-    """Numeric feature matrix aligned with record order.
-
-    ``scaling`` records the per-column (mean, sd) used by ``standardize``;
-    it is None for a raw matrix. ``weights`` records the multipliers
-    applied by ``apply_weights``.
-    """
-
-    ids: list[str]
-    values: np.ndarray  # N x 3 float64
-    feature_names: tuple[str, ...] = FEATURE_NAMES
-    scaling: list[tuple[float, float]] | None = None
-    weights: FeatureWeights | None = None
-
-    def __post_init__(self) -> None:
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 2:
-            raise DataError("feature matrix must be 2-D")
-        if len(self.ids) != self.values.shape[0]:
-            raise DataError("ids and value rows are misaligned")
-
-    @property
-    def n_rows(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass
@@ -224,42 +182,37 @@ def load_records(
     return records, report
 
 
-def records_to_matrix(records: list[ChirpRecord]) -> FeatureMatrix:
-    """Stack record features into a raw (unscaled) matrix."""
+def records_to_matrix(records: list[ChirpRecord]) -> np.ndarray:
+    """Stack record features into a raw (unscaled) N x 3 array, in record order."""
     if not records:
         raise DataError("no records to build a feature matrix from")
-    values = np.array([r.features for r in records], dtype=np.float64)
-    return FeatureMatrix(ids=[r.id for r in records], values=values)
+    return np.array([r.features for r in records], dtype=np.float64)
 
 
-def standardize(matrix: FeatureMatrix) -> FeatureMatrix:
+def standardize(values: np.ndarray) -> tuple[np.ndarray, list[tuple[float, float]]]:
     """Center and scale each column to mean 0 and population sd 1.
 
-    The (mean, sd) pair per column is recorded on the result so the
+    Returns the scaled array and the (mean, sd) pair per column, so the
     transform is auditable and reversible.
     """
-    if matrix.n_rows < 2:
+    if values.shape[0] < 2:
         raise DataError("standardization needs at least 2 rows")
-    means = matrix.values.mean(axis=0)
-    sds = matrix.values.std(axis=0)  # population (1/N) convention
-    for j, sd in enumerate(sds):
+    means = values.mean(axis=0)
+    sds = values.std(axis=0)  # population (1/N) convention
+    for name, sd in zip(FEATURE_NAMES, sds):
         if sd == 0:
-            raise DataError(f"constant column ({matrix.feature_names[j]}): zero spread")
-    values = (matrix.values - means) / sds
+            raise DataError(f"constant column ({name}): zero spread")
     scaling = [(float(m), float(s)) for m, s in zip(means, sds)]
-    return replace(matrix, values=values, scaling=scaling)
+    return (values - means) / sds, scaling
 
 
-def apply_weights(matrix: FeatureMatrix, weights: FeatureWeights) -> FeatureMatrix:
+def apply_weights(values: np.ndarray, weights: tuple[float, float, float]) -> np.ndarray:
     """Multiply each standardized column by its weight.
 
     A weight of 2 quadruples the feature's contribution to squared
     Euclidean distance, which is what downstream embeddings consume.
     """
-    if matrix.scaling is None:
-        raise DataError("apply_weights requires a standardized matrix")
-    values = matrix.values * weights.as_array()[None, :]
-    return replace(matrix, values=values, weights=weights)
+    return values * np.array(weights, dtype=np.float64)
 
 
 def class_distribution(records: list[ChirpRecord]) -> dict[str, dict]:

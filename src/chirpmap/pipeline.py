@@ -39,8 +39,6 @@ from .ingest import (
     DIFFICULTY_LEVELS,
     FEATURE_NAMES,
     OUTCOME_CODES,
-    FeatureMatrix,
-    FeatureWeights,
     apply_weights,
     class_distribution,
     load_records,
@@ -117,6 +115,10 @@ class PipelineConfig:
             raise UsageError("grid_resolution must be at least 2")
         if len(self.delimiter) != 1:
             raise UsageError("delimiter must be a single character")
+        if any(w < 0 for w in self.weights):
+            raise UsageError(f"feature weights must be nonnegative, got {self.weights}")
+        if not any(w > 0 for w in self.weights):
+            raise UsageError("at least one feature weight must be strictly positive")
 
     def tsne_config(self) -> TsneConfig:
         return build(TsneConfig, vars(self), ("tsne",), "config", _SET_BY_PIPELINE,
@@ -262,7 +264,8 @@ def _meta_provenance(config: PipelineConfig) -> dict:
 
 
 def stage_ingest(config: PipelineConfig) -> None:
-    """Load, validate, optionally subsample, standardize, and weight."""
+    """Load, validate, optionally subsample, standardize, and weight; the
+    records keep the ids, and the feature table is the array beside them."""
     if not config.input:
         raise UsageError("ingest needs an input file (--input or config 'input')")
     paths = artifact_paths(config.out)
@@ -271,19 +274,16 @@ def stage_ingest(config: PipelineConfig) -> None:
     n_loaded = len(records)
     if config.subsample is not None:
         records = subsample_records(records, config.subsample, derive_seed(config.seed, "subsample"))
-    try:
-        weights = FeatureWeights(*config.weights)
-    except DataError as exc:
-        raise DataError(f"apply_weights: {exc}") from exc
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, by column
-        matrix = apply_weights(standardize(records_to_matrix(records)), weights)
-    for name, column, mean_sd in zip(FEATURE_NAMES, matrix.values.T, matrix.scaling):
+        values, scaling = standardize(records_to_matrix(records))
+        values = apply_weights(values, config.weights)
+    for name, column, mean_sd in zip(FEATURE_NAMES, values.T, scaling):
         if not (np.isfinite(column).all() and np.isfinite(mean_sd).all()):
             raise DataError(f"{name} overflows the float range when standardized and weighted")
 
     rows = (
         [record.id] + [repr(float(v)) for v in row] + [record.outcome, record.difficulty]
-        for record, row in zip(records, matrix.values)
+        for record, row in zip(records, values)
     )
     write_csv(paths["features"], CANONICAL_COLUMNS, rows)
     write_text(paths["rejections"], f"# config={config.hash()} seed={config.seed}\n" + report.to_text())
@@ -294,7 +294,7 @@ def stage_ingest(config: PipelineConfig) -> None:
         "n_rejected": report.n_rejected,
         "n_accepted": report.n_accepted,
         "n_after_subsample": len(records) if config.subsample is not None else None,
-        "scaling": matrix.scaling,
+        "scaling": scaling,
         "weights": list(config.weights),
         "distribution": class_distribution(records),
     }
@@ -328,9 +328,8 @@ def _read_features(path: str) -> tuple[list[str], np.ndarray, list]:
 def stage_embed(config: PipelineConfig) -> None:
     paths = artifact_paths(config.out)
     ids, values, _ = _read_features(paths["features"])
-    matrix = FeatureMatrix(ids=ids, values=values)
-    embedding = run_tsne(matrix, config.tsne_config())
-    save_embedding(embedding, paths["embedding"], paths["embedding_meta"],
+    embedding = run_tsne(values, config.tsne_config())
+    save_embedding(embedding, ids, paths["embedding"], paths["embedding_meta"],
                    extra_metadata=_meta_provenance(config))
     _log(f"embed: {len(ids)} points, final KL {embedding.final_kl:.4f}")
 
@@ -373,10 +372,9 @@ def stage_explain(config: PipelineConfig) -> None:
     paths = artifact_paths(config.out)
     ids, values, coords, _ = _read_embedding_aligned(paths)
     sens_config = config.sensitivity_config()
-    matrix = FeatureMatrix(ids=ids, values=values)
-    regressors = fit_coordinate_regressors(matrix, coords, sens_config)
-    smap = build_sensitivity_map(regressors, matrix, coords, combination=sens_config.combination)
-    save_sensitivity_map(smap, paths["sensitivity"], paths["sensitivity_meta"],
+    regressors = fit_coordinate_regressors(values, coords, sens_config)
+    smap = build_sensitivity_map(regressors, values, coords, combination=sens_config.combination)
+    save_sensitivity_map(smap, ids, paths["sensitivity"], paths["sensitivity_meta"],
                          extra_metadata={**_meta_provenance(config), "summary": sensitivity_summary(smap)})
     _log(
         f"explain: R^2 x={smap.r2_x:.3f} y={smap.r2_y:.3f}, "
@@ -388,8 +386,9 @@ def stage_render(config: PipelineConfig) -> None:
     paths = artifact_paths(config.out)
     ids, _, coords, rows = _read_embedding_aligned(paths)
     report = read_json(paths["eval_report"], _missing("eval_report"))
-    smap = load_sensitivity_map(paths["sensitivity"], paths["sensitivity_meta"], _missing("sensitivity"))
-    if smap.ids != ids:
+    sens_ids, smap = load_sensitivity_map(paths["sensitivity"], paths["sensitivity_meta"],
+                                          _missing("sensitivity"))
+    if sens_ids != ids:
         raise DataError("sensitivity rows do not match embedding rows")
     metrics = report_metrics(report, paths["eval_report"], config.scenarios, config.classifiers)
     prov = _provenance(config)
@@ -425,7 +424,7 @@ def stage_render(config: PipelineConfig) -> None:
             PlotSpec(title=f"{scenario}: CV accuracy and hold-out precision/recall/F1", width=760, height=360),
             provenance=prov,
         )))
-    for j, feature in enumerate(smap.feature_names):
+    for j, feature in enumerate(FEATURE_NAMES):
         figures.append((f"fig_sensitivity_{feature}.svg",
                         render_sensitivity(coords, smap.combined[:, j], feature, PlotSpec(**axes),
                                            provenance=prov)))

@@ -21,6 +21,11 @@ The averaged values are combined into Shapley values once.
 
 The full-subset column is the prediction (TreeSHAP's local accuracy), so
 a map routes each forest once and scores its R^2 from the attribution.
+
+The features arrive as ingest's plain N x 3 array. A map's rows follow
+the array's and its columns ``FEATURE_NAMES``; the caller keeps the
+record ids, which ``save_sensitivity_map`` writes beside the values and
+``load_sensitivity_map`` returns, as the embedding's reader does.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ import numpy as np
 
 from .artifacts import json_value, read_csv, read_json, write_csv, write_json
 from .errors import DataError, NumericError
-from .ingest import FEATURE_NAMES, FeatureMatrix
+from .ingest import FEATURE_NAMES
 from .models import DecisionTree, ForestConfig, RandomForestModel, fit_random_forest
 from .models.forest import paint_boxes, stack_trees
 from .models.tree import leaf_boxes, leaf_path_shares
@@ -74,12 +79,13 @@ def _r_squared(target: np.ndarray, predicted: np.ndarray) -> float:
 
 
 def fit_coordinate_regressors(
-    features,
+    x: np.ndarray,
     coords,
     config: SensitivityConfig = SensitivityConfig(),
 ) -> CoordinateRegressors:
-    x = features.values if isinstance(features, FeatureMatrix) else np.asarray(features, dtype=np.float64)
     coords = np.asarray(coords, dtype=np.float64)
+    if x.shape[1] != len(FEATURE_NAMES):
+        raise DataError(f"expected {len(FEATURE_NAMES)} feature columns, got {x.shape[1]}")
     if x.shape[0] != coords.shape[0]:
         raise DataError("features misaligned with embedding rows")
     if x.shape[0] < 10:
@@ -218,8 +224,9 @@ def shapley_values(model, instances) -> ShapleyAttribution:
 
 @dataclass
 class SensitivityMap:
-    ids: list[str]
-    feature_names: tuple[str, ...]
+    """Attributions of N records (rows) to the features (columns, in
+    ``FEATURE_NAMES`` order)."""
+
     phi_x: np.ndarray  # N x d
     phi_y: np.ndarray  # N x d
     combined: np.ndarray  # N x d, nonnegative
@@ -232,22 +239,14 @@ class SensitivityMap:
 
 def build_sensitivity_map(
     regressors: CoordinateRegressors,
-    features,
+    x: np.ndarray,
     coords,
     combination: str = "euclidean",
 ) -> SensitivityMap:
-    """Both regressors' attributions at `features`, combined by `combination`,
-    and each forest's R^2 against its column of `coords`."""
+    """Both regressors' attributions at the feature rows `x`, combined by
+    `combination`, and each forest's R^2 against its column of `coords`."""
     if combination not in COMBINATION_RULES:
         raise DataError(f"unknown combination rule {combination!r}")
-    if isinstance(features, FeatureMatrix):
-        x = features.values
-        ids = list(features.ids)
-        names = tuple(features.feature_names)
-    else:
-        x = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        ids = [str(i) for i in range(x.shape[0])]
-        names = tuple(FEATURE_NAMES[: x.shape[1]])
     coords = np.asarray(coords, dtype=np.float64)
     if coords.shape != (x.shape[0], 2):
         raise DataError("features misaligned with embedding rows")
@@ -259,8 +258,6 @@ def build_sensitivity_map(
     else:
         combined = np.abs(att_x.phi) + np.abs(att_y.phi)
     return SensitivityMap(
-        ids=ids,
-        feature_names=names,
         phi_x=att_x.phi,
         phi_y=att_y.phi,
         combined=combined,
@@ -294,7 +291,7 @@ def sensitivity_summary(smap: SensitivityMap) -> dict:
     if smap.combined.size == 0:
         raise DataError("empty sensitivity map")
     summary: dict = {}
-    for j, name in enumerate(smap.feature_names):
+    for j, name in enumerate(FEATURE_NAMES):
         col = smap.combined[:, j]
         q25, q50, q75 = _quartiles(col)
         summary[name] = {
@@ -307,13 +304,17 @@ def sensitivity_summary(smap: SensitivityMap) -> dict:
     return summary
 
 
-def save_sensitivity_map(smap: SensitivityMap, csv_path: str, meta_path: str, extra_metadata: dict | None = None) -> None:
-    """Write one row per (record, feature) plus a JSON sidecar."""
+def save_sensitivity_map(smap: SensitivityMap, ids: list[str], csv_path: str, meta_path: str,
+                         extra_metadata: dict | None = None) -> None:
+    """Write one row per (record, feature), row i of the map under
+    ``ids[i]``, plus a JSON sidecar."""
+    if len(ids) != smap.combined.shape[0]:
+        raise DataError(f"{len(ids)} ids for {smap.combined.shape[0]} sensitivity rows")
     rows = (
         [rec_id, name, repr(float(smap.phi_x[i, j])), repr(float(smap.phi_y[i, j])),
          repr(float(smap.combined[i, j]))]
-        for i, rec_id in enumerate(smap.ids)
-        for j, name in enumerate(smap.feature_names)
+        for i, rec_id in enumerate(ids)
+        for j, name in enumerate(FEATURE_NAMES)
     )
     write_csv(csv_path, _SENSITIVITY_COLUMNS, rows)
     meta = {
@@ -322,8 +323,8 @@ def save_sensitivity_map(smap: SensitivityMap, csv_path: str, meta_path: str, ex
         "combination": smap.combination,
         "r2_x": smap.r2_x,
         "r2_y": smap.r2_y,
-        "feature_names": list(smap.feature_names),
-        "n_records": len(smap.ids),
+        "feature_names": list(FEATURE_NAMES),
+        "n_records": len(ids),
     }
     if extra_metadata:
         meta.update(extra_metadata)
@@ -335,16 +336,20 @@ _META_SCALARS = {"base_x": float, "base_y": float, "combination": str,
                  "r2_x": float | None, "r2_y": float | None}
 
 
-def load_sensitivity_map(csv_path: str, meta_path: str, missing: str | None = None) -> SensitivityMap:
+def load_sensitivity_map(csv_path: str, meta_path: str,
+                         missing: str | None = None) -> tuple[list[str], SensitivityMap]:
+    """Read back a map and its record ids; the meta file's feature_names
+    must be ``FEATURE_NAMES``, the names every map is written with."""
     meta = read_json(meta_path, missing)
-    names = tuple(json_value(meta, ("feature_names",), meta_path, list[str]))
+    names = json_value(meta, ("feature_names",), meta_path, list[str])
+    if tuple(names) != FEATURE_NAMES:
+        raise DataError(f"{meta_path} has feature_names = {names!r}, not {list(FEATURE_NAMES)!r}")
     scalars = {key: json_value(meta, (key,), meta_path, hint) for key, hint in _META_SCALARS.items()}
     ids: list[str] = []
     rows: dict[str, dict[str, list[float]]] = {}
     table = read_csv(csv_path, _SENSITIVITY_COLUMNS, (str, str, float, float, float), missing)
-    known = set(names)
     for rec_id, feature, *values in table:
-        if feature not in known:
+        if feature not in FEATURE_NAMES:
             raise DataError(f"{csv_path}: record {rec_id} has unknown feature {feature!r}")
         if rec_id not in rows:
             rows[rec_id] = {}
@@ -352,20 +357,13 @@ def load_sensitivity_map(csv_path: str, meta_path: str, missing: str | None = No
         if feature in rows[rec_id]:
             raise DataError(f"{csv_path}: record {rec_id} has feature {feature!r} twice")
         rows[rec_id][feature] = values
-    n, d = len(ids), len(names)
+    n, d = len(ids), len(FEATURE_NAMES)
     phi_x = np.zeros((n, d))
     phi_y = np.zeros((n, d))
     combined = np.zeros((n, d))
     for i, rec_id in enumerate(ids):
-        for j, name in enumerate(names):
+        for j, name in enumerate(FEATURE_NAMES):
             if name not in rows[rec_id]:
                 raise DataError(f"record {rec_id} missing feature {name}")
             phi_x[i, j], phi_y[i, j], combined[i, j] = rows[rec_id][name]
-    return SensitivityMap(
-        ids=ids,
-        feature_names=names,
-        phi_x=phi_x,
-        phi_y=phi_y,
-        combined=combined,
-        **scalars,
-    )
+    return ids, SensitivityMap(phi_x=phi_x, phi_y=phi_y, combined=combined, **scalars)

@@ -9,6 +9,9 @@ the bisection's at about a quarter of its row evaluations. The
 symmetrized affinities are matched against Student-t similarities in
 2-D by minimizing KL divergence with momentum gradient descent and early
 exaggeration. Everything is O(N^2) and deterministic under a fixed seed.
+The input is a plain N x d float64 array of feature rows, and row k of
+the coordinates embeds row k; the caller keeps the rows' ids and hands
+them to ``save_embedding``.
 
 The joint affinities p exist only as their upper-triangle tiles, each
 contiguous in one tile-major buffer, built straight from the
@@ -36,7 +39,6 @@ import numpy as np
 from .artifacts import read_csv, write_csv, write_json
 from .distances import _operand_distances, squared_distances
 from .errors import DataError, NumericError
-from .ingest import FeatureMatrix
 
 _LOG_BETA_MIN = math.log(1e-20)
 _LOG_BETA_MAX = math.log(1e20)
@@ -117,14 +119,7 @@ class Embedding:
     # (updates done, KL against unexaggerated affinities) at each checkpoint
     kl_trace: list[tuple[int, float]]
     final_kl: float
-    ids: list[str] | None = None
     metadata: dict = field(default_factory=dict)
-
-
-def _as_values(matrix) -> np.ndarray:
-    if isinstance(matrix, FeatureMatrix):
-        return matrix.values
-    return np.asarray(matrix, dtype=np.float64)
 
 
 def _row_distribution(shifted: np.ndarray, beta: float) -> tuple[np.ndarray, float]:
@@ -245,7 +240,7 @@ def _bisect_row(shifted: np.ndarray, perplexity: float, tol: float, max_steps: i
 
 
 def conditional_affinities(
-    matrix,
+    x: np.ndarray,
     perplexity: float,
     tol: float = 1e-5,
     max_steps: int = 50,
@@ -267,7 +262,6 @@ def conditional_affinities(
     n - 1 neighbours, so its perplexity is at most n - 1, reached by the
     uniform row.
     """
-    x = _as_values(matrix)
     n = x.shape[0]
     if n < 3:
         raise DataError("need at least 3 points to calibrate affinities")
@@ -489,7 +483,7 @@ class _TilePass:
         return grad, z, p_log_d
 
 
-def pca_init(matrix, seed: int) -> tuple[np.ndarray, bool]:
+def pca_init(x: np.ndarray, seed: int) -> tuple[np.ndarray, bool]:
     """Top-2 principal-component projection rescaled to per-column sd 1e-4.
 
     Component signs are fixed by forcing the first nonzero loading of each
@@ -497,7 +491,6 @@ def pca_init(matrix, seed: int) -> tuple[np.ndarray, bool]:
     values) falls back to seeded Gaussian noise of scale 1e-4; the second
     return value reports whether the fallback was used.
     """
-    x = _as_values(matrix)
     n = x.shape[0]
     if n < 3:
         raise DataError("pca_init needs at least 3 points")
@@ -532,15 +525,16 @@ def _jitter_duplicates(x: np.ndarray, rng: np.random.Generator) -> tuple[np.ndar
     return out, n_jittered
 
 
-def run_tsne(matrix, config: TsneConfig) -> Embedding:
-    """Optimize a 2-D embedding of the given feature matrix.
+def run_tsne(x: np.ndarray, config: TsneConfig) -> Embedding:
+    """Optimize a 2-D embedding of the rows of the N x d feature array ``x``.
 
     The update is y <- y - lr * grad + momentum * (y - y_prev), with the
     affinities multiplied by the exaggeration factor during the early
     phase. The KL trace holds (updates done, KL) against the unexaggerated
     affinities after updates _KL_CHECK_EVERY, 2 * _KL_CHECK_EVERY, ...
     and after the last update, whose KL is reported as ``final_kl``.
-    Identical (input, config) pairs produce bit-identical output.
+    Identical (input, config) pairs produce bit-identical output. Row k of
+    ``coords`` embeds row k of ``x``.
 
     p is never formed as an N x N matrix: its upper-triangle tiles are
     built from the conditionals into one tile-major buffer, and each
@@ -553,8 +547,6 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
     sum p taken once from the tiles; it agrees with ``kl_divergence`` to
     rounding. The final KL takes one more pass, at the final y.
     """
-    x = _as_values(matrix)
-    ids = matrix.ids if isinstance(matrix, FeatureMatrix) else None
     n = x.shape[0]
     config.validate(n)
 
@@ -615,20 +607,22 @@ def run_tsne(matrix, config: TsneConfig) -> Embedding:
         config=config,
         kl_trace=trace,
         final_kl=final_kl,
-        ids=ids,
         metadata=metadata,
     )
 
 
 def save_embedding(
     embedding: Embedding,
+    ids: list[str],
     csv_path: str,
     meta_path: str,
     extra_metadata: dict | None = None,
 ) -> None:
-    """Write coordinates as `id,tsne_x,tsne_y` plus a JSON metadata sidecar
-    with the config, the final KL and the KL trace."""
-    ids = embedding.ids or [str(i) for i in range(embedding.coords.shape[0])]
+    """Write coordinates as `id,tsne_x,tsne_y`, row k under ``ids[k]``, the
+    id of the feature row it embeds, plus a JSON metadata sidecar with the
+    config, the final KL and the KL trace."""
+    if len(ids) != embedding.coords.shape[0]:
+        raise DataError(f"{len(ids)} ids for {embedding.coords.shape[0]} embedding rows")
     rows = ([rec_id, repr(float(cx)), repr(float(cy))] for rec_id, (cx, cy) in zip(ids, embedding.coords))
     write_csv(csv_path, _EMBEDDING_COLUMNS, rows)
     meta = {

@@ -22,7 +22,7 @@ from chirpmap.evaluation import (
     holdout_split,
     stratified_kfold,
 )
-from chirpmap.ingest import FeatureMatrix, FeatureWeights, apply_weights, standardize
+from chirpmap.ingest import apply_weights, standardize
 from chirpmap.models import CLASSIFIER_KINDS, fit_classifier
 from chirpmap.models.forest import ForestConfig, fit_random_forest
 from chirpmap.models.svm import SvmConfig, _kernel_block, fit_svm, kkt_violation
@@ -108,14 +108,13 @@ def test_criterion_03_blob_embedding_purity():
             [(c, 0.0, 0.0), (0.0, c, 0.0), (0.0, 0.0, c)], n_per=50, sd=1.0, seed=17
         )
         config = TsneConfig(perplexity=30.0, n_iterations=500, seed=3)
-        ids = [f"b{i}" for i in range(150)]
 
-        base = run_tsne(FeatureMatrix(ids=ids, values=values), config)
+        base = run_tsne(values, config)
         assert _purity(base.coords, labels) >= 0.95
 
-        std = standardize(FeatureMatrix(ids=ids, values=values))
+        std, _ = standardize(values)
         for weights in ((2.0, 1.0, 1.0), (1.0, 2.0, 1.0), (1.0, 1.0, 2.0)):
-            weighted = apply_weights(std, FeatureWeights(*weights))
+            weighted = apply_weights(std, weights)
             out = run_tsne(weighted, config)
             assert _purity(out.coords, labels) >= 0.90, weights
         assert time.perf_counter() - started < 30.0

@@ -63,9 +63,13 @@ def test_tracer_bills_stages_by_the_pipeline_stage_names():
 
 
 def test_traced_pipeline_records_every_eval_and_explain_call(tmp_path):
-    """Span counts of one traced run: each classifier is fitted once per
-    fold and once on the hold-out split, and each coordinate forest is
-    routed once, inside its attribution."""
+    """Span counts of one traced run: each ingest step runs once (the
+    class distribution again in render), t-SNE and its calibration once,
+    each classifier is fitted once per fold and once on the hold-out
+    split, each hold-out model is saved once and loaded once to draw, each
+    coordinate forest is routed once, inside its attribution, and render
+    draws each figure once. A call that moves off a traced name fails
+    here instead of silently reading 0."""
     data = tmp_path / "data.csv"
     write_records_csv(generate_records(n_per_cluster=10, seed=0), str(data))
     k = 3
@@ -84,6 +88,11 @@ def test_traced_pipeline_records_every_eval_and_explain_call(tmp_path):
     counts = Counter(span.name for span in tracer.spans)
     assert tracer.absent_spans == set() and tracer.absent_counters == set()
     expected = {
+        **{f"ingest.{fn}": 1 for fn in ("load_records", "records_to_matrix", "standardize",
+                                        "apply_weights")},
+        "ingest.class_distribution": 2,
+        "tsne.run": 1,
+        "tsne.affinities": 1,
         "evaluation.run": 1,
         "evaluation.kfold": s,
         "evaluation.cross_validate": 4 * s,
@@ -95,5 +104,14 @@ def test_traced_pipeline_records_every_eval_and_explain_call(tmp_path):
         "sensitivity.subset_values": 2,
         "sensitivity.combine": 2,
         "sensitivity.summary": 1,
+        "models.io.save": 4 * s,
+        "models.io.load": 4 * s,
+        "render.bars": 2,
+        "render.labeled_embedding": 2,
+        "render.boundary": 4 * s,
+        "render.grid": 4 * s,
+        "render.confusion": s,
+        "render.metric_bars": s,
+        "render.sensitivity": 3,
     }
     assert {name: counts[name] for name in expected} == expected

@@ -75,7 +75,7 @@ def assert_same_bits(x, perplexity, **kwargs):
 
 
 def bench_cohort(n):
-    return standardize(records_to_matrix(generate_records(n // 3, 3, seed=12))).values
+    return standardize(records_to_matrix(generate_records(n // 3, 3, seed=12)))[0]
 
 
 def cloud(n, seed=0, scale=1.0, d=3):

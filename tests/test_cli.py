@@ -65,8 +65,10 @@ def test_zero_weights_exit_code_and_message(tmp_path, capsys):
     entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "8"])
     code = entrypoint(["ingest", "--input", str(tmp_path / "synth_data.csv"),
                        "--out", str(tmp_path / "out"), "--weights", "0,0,0"])
-    assert code == 2
-    assert "apply_weights" in capsys.readouterr().err
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "usage error" in err and "at least one feature weight must be strictly positive" in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(
@@ -172,9 +174,11 @@ def test_bad_sensitivity_cell_is_data_error(tmp_path, capsys, finished_run, colu
      (lambda meta: json.dumps({**meta, "feature_names": [meta["feature_names"]]}),
       "not a list of strings"),
      (lambda meta: json.dumps({**meta, "feature_names": meta["feature_names"][:-1] + [{}]}),
-      "not a list of strings")],
+      "not a list of strings"),
+     (lambda meta: json.dumps({**meta, "feature_names": meta["feature_names"] + ["temporal_duration"]}),
+      "not ['temporal_duration', 'frequency_onset', 'spectral_duration']")],
     ids=["bad-json", "no-feature-names", "feature-names-not-a-list", "not-an-object",
-         "no-base-y", "feature-name-a-list", "feature-name-an-object"],
+         "no-base-y", "feature-name-a-list", "feature-name-an-object", "feature-name-repeated"],
 )
 def test_malformed_sensitivity_meta_is_data_error(tmp_path, capsys, finished_run, edit, message):
     out = tmp_path / "out"
@@ -555,9 +559,11 @@ def test_non_finite_config_value_fails_before_ingest_writes(tmp_path, capsys, do
     ({"classifiers": ["knn", "rf", "random_forest"]}, "classifiers lists 'random_forest' twice"),
     ({"schema": {"idx": "ID"}}, "schema maps unknown canonical columns: ['idx']"),
     ({"schema": {"id": ["a"]}}, "schema = {'id': ['a']}, not an object of strings or null"),
+    ({"weights": [0, 0, 0]}, "at least one feature weight must be strictly positive"),
+    ({"weights": [-1, 1, 1]}, "feature weights must be nonnegative, got (-1.0, 1.0, 1.0)"),
 ], ids=["zero-trees", "negative-depth", "no-classifiers", "no-scenarios", "scenarios-number",
         "classifiers-object", "scenario-twice", "classifier-twice", "schema-unknown-column",
-        "schema-list-value"])
+        "schema-list-value", "zero-weights", "negative-weight"])
 def test_config_the_stages_cannot_run_fails_before_ingest_writes(tmp_path, capsys, doc, message):
     entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "10"])
     path = tmp_path / "c.json"

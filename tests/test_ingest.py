@@ -5,7 +5,6 @@ from chirpmap.errors import DataError
 from chirpmap.ingest import (
     CANONICAL_COLUMNS,
     FEATURE_NAMES,
-    FeatureWeights,
     apply_weights,
     class_distribution,
     load_records,
@@ -99,11 +98,11 @@ def test_load_records_missing_file():
 
 def test_standardize_matches_population_moments(tmp_path):
     records, _ = load_records(write_csv(tmp_path / "s.csv", GOOD_ROWS))
-    matrix = standardize(records_to_matrix(records))
-    assert np.allclose(matrix.values.mean(axis=0), 0.0, atol=1e-12)
-    assert np.allclose(matrix.values.std(axis=0), 1.0, atol=1e-12)
+    values, scaling = standardize(records_to_matrix(records))
+    assert np.allclose(values.mean(axis=0), 0.0, atol=1e-12)
+    assert np.allclose(values.std(axis=0), 1.0, atol=1e-12)
     raw = np.array([r.features for r in records])
-    for j, (mean, sd) in enumerate(matrix.scaling):
+    for j, (mean, sd) in enumerate(scaling):
         assert mean == pytest.approx(raw[:, j].mean())
         assert sd == pytest.approx(raw[:, j].std())  # population, not sample
 
@@ -117,24 +116,9 @@ def test_standardize_constant_column_is_an_error(tmp_path):
 
 def test_apply_weights_scales_standardized_columns(tmp_path):
     records, _ = load_records(write_csv(tmp_path / "w.csv", GOOD_ROWS))
-    std = standardize(records_to_matrix(records))
-    weighted = apply_weights(std, FeatureWeights(2.0, 1.0, 0.5))
-    assert np.allclose(weighted.values, std.values * np.array([2.0, 1.0, 0.5]))
-    assert weighted.weights == FeatureWeights(2.0, 1.0, 0.5)
-
-
-def test_apply_weights_requires_standardization(tmp_path):
-    records, _ = load_records(write_csv(tmp_path / "u.csv", GOOD_ROWS))
-    with pytest.raises(DataError, match="standardized"):
-        apply_weights(records_to_matrix(records), FeatureWeights())
-
-
-def test_weights_must_not_all_vanish():
-    with pytest.raises(DataError):
-        FeatureWeights(0.0, 0.0, 0.0)
-    with pytest.raises(DataError):
-        FeatureWeights(-1.0, 1.0, 1.0)
-    FeatureWeights(0.0, 1.0, 0.0)  # a single live feature is allowed
+    std, _ = standardize(records_to_matrix(records))
+    weighted = apply_weights(std, (2.0, 1.0, 0.5))
+    assert np.allclose(weighted, std * np.array([2.0, 1.0, 0.5]))
 
 
 def test_class_distribution_proportions(tmp_path):

@@ -256,12 +256,17 @@ def test_subsample_limits_rows(tmp_path):
     assert meta["n_accepted"] == 45
 
 
-def test_zero_weights_error_names_the_weighting_step(tmp_path):
-    data = write_dataset(str(tmp_path))
-    config = config_from_dict({**TINY, "input": data, "out": str(tmp_path / "out"),
-                               "weights": [0, 0, 0]})
-    with pytest.raises(DataError, match="apply_weights"):
-        run_stage("ingest", config)
+def test_zero_weights_error_names_the_weighting_step():
+    with pytest.raises(UsageError, match="feature weight must be strictly positive"):
+        config_from_dict({**TINY, "weights": [0, 0, 0]})
+
+
+def test_weights_must_not_all_vanish():
+    with pytest.raises(UsageError):
+        config_from_dict({"weights": [0.0, 0.0, 0.0]})
+    with pytest.raises(UsageError):
+        config_from_dict({"weights": [-1.0, 1.0, 1.0]})
+    config_from_dict({"weights": [0.0, 1.0, 0.0]})  # a single live feature is allowed
 
 
 def test_ingest_requires_input(tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from chirpmap.errors import DataError
-from chirpmap.ingest import FEATURE_NAMES, FeatureMatrix
+from chirpmap.ingest import FEATURE_NAMES
 from chirpmap.models.forest import ForestConfig, fit_random_forest
 from chirpmap.models.tree import TreeConfig, fit_tree
 from chirpmap.sensitivity import (
@@ -175,9 +175,8 @@ def test_coordinate_regressors_and_map():
     rng = np.random.default_rng(9)
     values = rng.normal(size=(60, 3))
     coords = np.column_stack([2.0 * values[:, 0], values[:, 1] - values[:, 2]])
-    matrix = FeatureMatrix(ids=[f"i{k}" for k in range(60)], values=values)
-    reg = fit_coordinate_regressors(matrix, coords, SensitivityConfig(n_trees=20, seed=1))
-    smap = build_sensitivity_map(reg, matrix, coords)
+    reg = fit_coordinate_regressors(values, coords, SensitivityConfig(n_trees=20, seed=1))
+    smap = build_sensitivity_map(reg, values, coords)
     assert smap.r2_x > 0.8 and smap.r2_y > 0.8
     assert smap.combined.shape == (60, 3)
     assert np.allclose(smap.combined, np.hypot(smap.phi_x, smap.phi_y))
@@ -212,21 +211,30 @@ def test_map_round_trip(tmp_path):
     rng = np.random.default_rng(12)
     values = rng.normal(size=(25, 3))
     coords = np.column_stack([values[:, 0], values[:, 2]])
-    matrix = FeatureMatrix(ids=[f"r{k}" for k in range(25)], values=values)
-    reg = fit_coordinate_regressors(matrix, coords, SensitivityConfig(n_trees=5, seed=3))
-    smap = build_sensitivity_map(reg, matrix, coords)
+    ids = [f"r{k}" for k in range(25)]
+    reg = fit_coordinate_regressors(values, coords, SensitivityConfig(n_trees=5, seed=3))
+    smap = build_sensitivity_map(reg, values, coords)
     csv_path, meta_path = tmp_path / "s.csv", tmp_path / "s.json"
-    save_sensitivity_map(smap, str(csv_path), str(meta_path), extra_metadata={"k": 1})
-    loaded = load_sensitivity_map(str(csv_path), str(meta_path))
-    assert loaded.ids == smap.ids
+    save_sensitivity_map(smap, ids, str(csv_path), str(meta_path), extra_metadata={"k": 1})
+    read_ids, loaded = load_sensitivity_map(str(csv_path), str(meta_path))
+    assert read_ids == ids
     assert np.array_equal(loaded.phi_x, smap.phi_x)
     assert np.array_equal(loaded.combined, smap.combined)
     assert loaded.combination == "euclidean"
+    with pytest.raises(DataError, match="24 ids for 25 sensitivity rows"):
+        save_sensitivity_map(smap, ids[1:], str(csv_path), str(meta_path))
 
 
 def test_regressors_need_enough_rows():
     with pytest.raises(DataError):
         fit_coordinate_regressors(np.ones((5, 3)), np.ones((5, 2)), SensitivityConfig(n_trees=2))
+
+
+def test_regressors_need_the_three_features():
+    """A map's columns are FEATURE_NAMES, so its features are those three."""
+    x = np.random.default_rng(14).normal(size=(20, 2))
+    with pytest.raises(DataError, match="expected 3 feature columns, got 2"):
+        fit_coordinate_regressors(x, x, SensitivityConfig(n_trees=2))
 
 
 def test_map_needs_one_coordinate_pair_per_record():

@@ -79,7 +79,7 @@ def assert_painted_matches_walk(model, x):
 def cohort(seed: int, n: int):
     """Standardized features of a synth cohort and a short t-SNE of them:
     the explain stage's inputs, with fewer gradient steps."""
-    values = standardize(records_to_matrix(generate_records(n // 3, seed=seed))).values
+    values, _ = standardize(records_to_matrix(generate_records(n // 3, seed=seed)))
     tsne = TsneConfig(perplexity=min(30.0, n / 4), n_iterations=100, momentum_switch_iter=40,
                       exaggeration_until_iter=40, seed=seed)
     return values, run_tsne(values, tsne).coords

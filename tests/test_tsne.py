@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from chirpmap.errors import DataError
-from chirpmap.ingest import FeatureMatrix
 from chirpmap.tsne import (
     TsneConfig,
     conditional_affinities,
@@ -119,11 +118,11 @@ def test_pca_init_rank_deficient_fallback():
 
 
 def test_run_tsne_is_deterministic_and_traces_kl():
-    matrix = FeatureMatrix(ids=[f"p{i}" for i in range(40)], values=gaussian_cloud(40, seed=7))
+    values = gaussian_cloud(40, seed=7)
     config = TsneConfig(perplexity=10.0, n_iterations=400, seed=13,
                         momentum_switch_iter=100, exaggeration_until_iter=100)
-    first = run_tsne(matrix, config)
-    second = run_tsne(matrix, config)
+    first = run_tsne(values, config)
+    second = run_tsne(values, config)
     assert np.array_equal(first.coords, second.coords)
     assert len(first.kl_trace) == config.n_iterations // 50
     assert first.final_kl == first.kl_trace[-1][1]
@@ -132,7 +131,6 @@ def test_run_tsne_is_deterministic_and_traces_kl():
     checkpoints = dict(first.kl_trace)
     assert first.final_kl < checkpoints[config.exaggeration_until_iter]
     assert all(v >= 0.0 and np.isfinite(v) for _, v in first.kl_trace)
-    assert first.ids == matrix.ids
     assert first.metadata["duplicates_jittered"] == 0
 
 
@@ -159,14 +157,16 @@ def test_tsne_config_validation():
 
 
 def test_embedding_round_trip(tmp_path):
-    matrix = FeatureMatrix(ids=[f"r{i}" for i in range(12)], values=gaussian_cloud(12, seed=2))
+    ids = [f"r{i}" for i in range(12)]
     config = TsneConfig(perplexity=4.0, n_iterations=40, seed=0,
                         momentum_switch_iter=20, exaggeration_until_iter=20)
-    embedding = run_tsne(matrix, config)
+    embedding = run_tsne(gaussian_cloud(12, seed=2), config)
     csv_path = tmp_path / "emb.csv"
     meta_path = tmp_path / "emb.json"
-    save_embedding(embedding, str(csv_path), str(meta_path), extra_metadata={"note": 1})
-    ids, coords = load_embedding_csv(str(csv_path))
-    assert ids == matrix.ids
+    save_embedding(embedding, ids, str(csv_path), str(meta_path), extra_metadata={"note": 1})
+    read_ids, coords = load_embedding_csv(str(csv_path))
+    assert read_ids == ids
     assert np.array_equal(coords, embedding.coords)  # repr round-trip is exact
     assert "note" in meta_path.read_text()
+    with pytest.raises(DataError, match="11 ids for 12 embedding rows"):
+        save_embedding(embedding, ids[1:], str(csv_path), str(meta_path))
