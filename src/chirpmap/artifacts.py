@@ -6,9 +6,9 @@ that is not an object, and a CSV table with the wrong header, a row of
 the wrong width, a numeric cell that is not a finite number, or no rows.
 Writes go to a temporary file in the target's directory, which then
 replaces the target, so a crash leaves the old file or the new one,
-never a truncated one. A directory that cannot be created and a file
-that cannot be written, such as a path through an existing file, are a
-DataError naming the path too.
+never a truncated one. A directory that cannot be created, a file that
+cannot be written (say, a path through an existing file) and a JSON
+document holding NaN or an infinity are a DataError naming the path too.
 
 Every JSON value is read through one predicate and one accessor: `fits`
 says whether a value has a type hint's type, and `json_value` walks an
@@ -160,7 +160,11 @@ def build(cls, doc: dict, keys: Sequence, where: str, reserved=(), **fixed):
 
 
 def write_json(path: str, doc: dict) -> None:
-    write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    try:  # NaN and the infinities are not JSON, and no reader of an artifact takes them
+        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise DataError(f"cannot write {path}: {exc}") from exc
+    write_text(path, text)
 
 
 def read_csv(path: str, header: Sequence[str], parse: Sequence, missing: str | None = None) -> list[list]:

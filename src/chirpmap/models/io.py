@@ -20,9 +20,9 @@ labels and a k that exceeds its training size. An SVM model rejects an
 `x` without a row, labels or multipliers that are not one per row, a
 label other than -1 and +1, a negative multiplier (beyond SMO's rounding
 slack) and a negative gamma. Both raise DataError for points whose width
-differs from their training points'. Fitting never writes a non-finite
-parameter, and the grid paths of `render.boundary_grid` are exact only
-for finite ones.
+differs from their training points'. `artifacts.write_json` refuses a
+non-finite parameter, so saving fails rather than write one, and the
+grid paths of `render.boundary_grid` are exact only for finite ones.
 """
 
 from __future__ import annotations

@@ -55,7 +55,6 @@ from .models import (
     save_model,
 )
 from .render import (
-    PlotSpec,
     render_bars,
     render_boundary,
     render_confusion,
@@ -392,42 +391,33 @@ def stage_render(config: PipelineConfig) -> None:
         raise DataError("sensitivity rows do not match embedding rows")
     metrics = report_metrics(report, paths["eval_report"], config.scenarios, config.classifiers)
     prov = _provenance(config)
-    axes = {"x_label": "t-SNE x", "y_label": "t-SNE y"}
 
     figures = []  # (file name, svg), written in one loop once every figure is drawn
     dist = class_distribution(rows)
     for name in ("outcome", "difficulty"):
-        spec = PlotSpec(title=f"{name.title()} distribution")
-        figures.append((f"fig_bars_{name}.svg", render_bars(dist[name], spec, provenance=prov)))
+        figures.append((f"fig_bars_{name}.svg",
+                        render_bars(dist[name], f"{name.title()} distribution", prov)))
     for name in ("outcome", "difficulty"):
-        spec = PlotSpec(title=f"Embedding by {name}", **axes)
-        figures.append((f"fig_embedding_{name}.svg",
-                        render_labeled_embedding(coords, [getattr(r, name) for r in rows], spec,
-                                                 provenance=prov)))
+        figures.append((f"fig_embedding_{name}.svg", render_labeled_embedding(
+            coords, [getattr(r, name) for r in rows], f"Embedding by {name}", prov)))
     for scenario in config.scenarios:
         labels, _ = encode_scenario(rows, SCENARIOS[scenario])
         for kind in config.classifiers:
             short = LONG_KIND_NAMES[kind]
             model_path = _model_path(paths, scenario, kind)
             model = load_model(model_path, _missing("models_dir", model_path))
-            spec = PlotSpec(title=f"{scenario} decision regions ({short})", width=640, height=640, **axes)
-            figures.append((f"fig_boundary_{scenario}_{short}.svg",
-                            render_boundary(model, coords, labels, spec, g=config.grid_resolution,
-                                            provenance=prov)))
+            figures.append((f"fig_boundary_{scenario}_{short}.svg", render_boundary(
+                model, coords, labels, f"{scenario} decision regions ({short})",
+                config.grid_resolution, prov)))
         figures.append((f"fig_confusion_{scenario}.svg", render_confusion(
             {LONG_KIND_NAMES[kind]: metrics[scenario, kind][0] for kind in config.classifiers},
-            PlotSpec(title=f"{scenario} hold-out confusion", width=760, height=260),
-            provenance=prov,
-        )))
+            f"{scenario} hold-out confusion", prov)))
         figures.append((f"fig_metrics_{scenario}.svg", render_metric_bars(
             {LONG_KIND_NAMES[kind]: metrics[scenario, kind][1] for kind in config.classifiers},
-            PlotSpec(title=f"{scenario}: CV accuracy and hold-out precision/recall/F1", width=760, height=360),
-            provenance=prov,
-        )))
+            f"{scenario}: CV accuracy and hold-out precision/recall/F1", prov)))
     for j, feature in enumerate(FEATURE_NAMES):
         figures.append((f"fig_sensitivity_{feature}.svg",
-                        render_sensitivity(coords, smap.combined[:, j], feature, PlotSpec(**axes),
-                                           provenance=prov)))
+                        render_sensitivity(coords, smap.combined[:, j], feature, prov)))
 
     make_dir(paths["figs_dir"])
     for name, svg in figures:

@@ -2,7 +2,9 @@
 
 Every figure is assembled as plain SVG 1.1 text with fixed-precision
 coordinates, so identical inputs produce byte-identical documents. No
-raster formats, no plotting library.
+raster formats, no plotting library. Each figure fixes its own size,
+margins and axis labels; callers give the data, the title, the
+provenance every document carries in a comment, and the grid resolution.
 
 Palette: class 0 / outcome S is teal, class 1 / outcome NR is magenta,
 outcome F is cyan; difficulty levels and sensitivity magnitudes go
@@ -13,7 +15,6 @@ through the viridis lookup table. Hex values are project constants
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,19 +32,6 @@ BINARY_CLASS_COLORS = (TEAL, MAGENTA)  # class 0, class 1
 _PAD = 0.05
 
 
-@dataclass(frozen=True)
-class PlotSpec:
-    title: str = ""
-    width: int = 640
-    height: int = 480
-    x_label: str = ""
-    y_label: str = ""
-
-    def __post_init__(self):
-        if self.width < 100 or self.height < 100:
-            raise DataError("figure must be at least 100 x 100 px")
-
-
 def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
@@ -56,16 +44,15 @@ def _escape(text: str) -> str:
 class _Svg:
     """Accumulates SVG elements; deterministic text out."""
 
-    def __init__(self, width: int, height: int, provenance: dict | None = None):
+    def __init__(self, width: int, height: int, provenance: dict):
         self.width = width
         self.height = height
         self.parts: list[str] = [
             f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}" '
             f'viewBox="0 0 {width} {height}" version="1.1">'
         ]
-        if provenance:
-            fields = " ".join(f"{k}={provenance[k]}" for k in sorted(provenance))
-            self.parts.append(f"<!-- provenance: {_escape(fields)} -->")
+        fields = " ".join(f"{k}={provenance[k]}" for k in sorted(provenance))
+        self.parts.append(f"<!-- provenance: {_escape(fields)} -->")
         self.parts.append(f'<rect x="0" y="0" width="{width}" height="{height}" fill="#ffffff"/>')
 
     def rects(self, xs, ys, widths, heights, fills, opacity=None, stroke=None):
@@ -118,7 +105,7 @@ def _categorical_palette(categories) -> dict:
     return palette
 
 
-def render_bars(distribution: dict, spec: PlotSpec, provenance: dict | None = None) -> str:
+def render_bars(distribution: dict, title: str, provenance: dict) -> str:
     """Bar chart of category proportions with the percentage printed on
     every bar. Categories keep their input order; absent categories never
     appear.
@@ -126,13 +113,12 @@ def render_bars(distribution: dict, spec: PlotSpec, provenance: dict | None = No
     if not distribution:
         raise DataError("empty distribution")
     palette = _categorical_palette(distribution.keys())
-    svg = _Svg(spec.width, spec.height, provenance)
-    if spec.title:
-        svg.text(spec.width / 2, 24, spec.title, size=15, anchor="middle", bold=True)
+    svg = _Svg(640, 480, provenance)
+    svg.text(svg.width / 2, 24, title, size=15, anchor="middle", bold=True)
 
     left, right, top, bottom = 60, 20, 48, 56
-    plot_w = spec.width - left - right
-    plot_h = spec.height - top - bottom
+    plot_w = svg.width - left - right
+    plot_h = svg.height - top - bottom
     cats = list(distribution.keys())
     vmax = max(distribution.values())
     if vmax <= 0:
@@ -140,20 +126,16 @@ def render_bars(distribution: dict, spec: PlotSpec, provenance: dict | None = No
     slot = plot_w / len(cats)
     bar_w = slot * 0.6
 
-    svg.line(left, spec.height - bottom, spec.width - right, spec.height - bottom)
-    svg.line(left, top, left, spec.height - bottom)
+    svg.line(left, svg.height - bottom, svg.width - right, svg.height - bottom)
+    svg.line(left, top, left, svg.height - bottom)
     for i, cat in enumerate(cats):
         v = distribution[cat]
         h = plot_h * (v / vmax)
         x = left + i * slot + (slot - bar_w) / 2
-        y = spec.height - bottom - h
+        y = svg.height - bottom - h
         svg.rect(x, y, bar_w, h, palette[cat])
         svg.text(x + bar_w / 2, y - 6, f"{100.0 * v:.1f}%", anchor="middle", size=12)
-        svg.text(x + bar_w / 2, spec.height - bottom + 18, str(cat), anchor="middle", size=12)
-    if spec.x_label:
-        svg.text(spec.width / 2, spec.height - 12, spec.x_label, anchor="middle", size=12)
-    if spec.y_label:
-        svg.text(16, top - 10, spec.y_label, size=12)
+        svg.text(x + bar_w / 2, svg.height - bottom + 18, str(cat), anchor="middle", size=12)
     return svg.to_string()
 
 
@@ -166,7 +148,10 @@ def _data_window(coords: np.ndarray) -> tuple[float, float, float, float]:
     # an axis with zero spread borrows half the other axis's span
     dx = span_x * _PAD if span_x > 0 else max(span_x, span_y) * 0.5
     dy = span_y * _PAD if span_y > 0 else max(span_x, span_y) * 0.5
-    return x_min - dx, x_max + dx, y_min - dy, y_max + dy
+    x0, x1, y0, y1 = x_min - dx, x_max + dx, y_min - dy, y_max + dy
+    if not np.isfinite([x1 - x0, y1 - y0]).all():
+        raise DataError("padded bounding box overflows: its width or height is not a finite number")
+    return x0, x1, y0, y1
 
 
 class _Frame:
@@ -185,22 +170,22 @@ class _Frame:
         return xs.tolist(), ys.tolist()
 
 
-def _scatter_canvas(coords, spec: PlotSpec, right: int, provenance) -> tuple[_Svg, _Frame]:
-    """The document and the plot frame of a scatter over coords' padded
-    window, with `right` pixels kept beside the plot for its legend."""
+def _scatter_canvas(coords, height: int, right: int, provenance: dict) -> tuple[_Svg, _Frame]:
+    """The 640 px wide document and the plot frame of a scatter over coords'
+    padded window, with `right` pixels kept beside the plot for its legend."""
     left, top, bottom = 52, 44, 44
-    frame = _Frame(_data_window(coords), left, top, spec.width - left - right, spec.height - top - bottom)
-    return _Svg(spec.width, spec.height, provenance), frame
+    frame = _Frame(_data_window(coords), left, top, 640 - left - right, height - top - bottom)
+    return _Svg(640, height, provenance), frame
 
 
-def _draw_frame(svg: _Svg, spec: PlotSpec, frame: _Frame) -> None:
+def _draw_frame(svg: _Svg, frame: _Frame, title: str | None) -> None:
+    """The plot's border, then the title unless it is None (the caller
+    draws it later), then the t-SNE axis labels."""
     svg.rect(frame.left, frame.top, frame.plot_w, frame.plot_h, "none", stroke="#333333")
-    if spec.title:
-        svg.text(spec.width / 2, 24, spec.title, size=15, anchor="middle", bold=True)
-    if spec.x_label:
-        svg.text(frame.left + frame.plot_w / 2, spec.height - 10, spec.x_label, anchor="middle")
-    if spec.y_label:
-        svg.text(14, frame.top + frame.plot_h / 2, spec.y_label)
+    if title is not None:
+        svg.text(svg.width / 2, 24, title, size=15, anchor="middle", bold=True)
+    svg.text(frame.left + frame.plot_w / 2, svg.height - 10, "t-SNE x", anchor="middle")
+    svg.text(14, frame.top + frame.plot_h / 2, "t-SNE y")
 
 
 def _draw_legend(svg: _Svg, frame: _Frame, entries) -> None:
@@ -212,7 +197,7 @@ def _draw_legend(svg: _Svg, frame: _Frame, entries) -> None:
         svg.text(lx + 18, ly + 1, name, size=12)
 
 
-def render_labeled_embedding(coords, labels, spec: PlotSpec, provenance: dict | None = None) -> str:
+def render_labeled_embedding(coords, labels, title: str, provenance: dict) -> str:
     """Scatter of embedding points colored by category, with a legend
     listing only the categories actually present.
     """
@@ -225,14 +210,14 @@ def render_labeled_embedding(coords, labels, spec: PlotSpec, provenance: dict | 
     present = sorted(set(labels), key=str)
     palette = _categorical_palette(present)
 
-    svg, frame = _scatter_canvas(coords, spec, 110, provenance)
-    _draw_frame(svg, spec, frame)
+    svg, frame = _scatter_canvas(coords, 480, 110, provenance)
+    _draw_frame(svg, frame, title)
     svg.circles(*frame.pixels(coords), 2.5, [palette[lab] for lab in labels], opacity=0.8)
     _draw_legend(svg, frame, [(str(cat), palette[cat]) for cat in present])
     return svg.to_string()
 
 
-def boundary_grid(model, coords, g: int = 300) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def boundary_grid(model, coords, g: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Class predictions on a uniform g x g grid of cell centers spanning
     the padded bounding box of coords. Returns (x_centers, y_centers,
     predictions[g, g]) with predictions[row, col] at (x_centers[col],
@@ -276,8 +261,7 @@ def _runs(grid: np.ndarray) -> list[tuple[int, int, int, int]]:
                     grid.ravel()[starts].tolist()))
 
 
-def render_boundary(model, coords, labels, spec: PlotSpec, g: int = 300,
-                    provenance: dict | None = None) -> str:
+def render_boundary(model, coords, labels, title: str, g: int, provenance: dict) -> str:
     """Decision regions under the training scatter.
 
     The model is evaluated at every cell center of a g x g grid over the
@@ -285,8 +269,8 @@ def render_boundary(model, coords, labels, spec: PlotSpec, g: int = 300,
     rects per row. Class 0 fills teal, class 1 magenta; the true points
     draw on top in full color.
     """
-    _, _, preds = boundary_grid(model, coords, g=g)
-    svg, frame = _scatter_canvas(coords, spec, 110, provenance)
+    _, _, preds = boundary_grid(model, coords, g)
+    svg, frame = _scatter_canvas(coords, 640, 110, provenance)
 
     cell_w_px = frame.plot_w / g
     cell_h_px = frame.plot_h / g
@@ -301,20 +285,15 @@ def render_boundary(model, coords, labels, spec: PlotSpec, g: int = 300,
         [BINARY_CLASS_COLORS[cls % 2] for cls in classes],
         opacity=0.30,
     )
-    _draw_frame(svg, spec, frame)
+    _draw_frame(svg, frame, title)
     svg.circles(*frame.pixels(coords), 2.5, [BINARY_CLASS_COLORS[int(lab) % 2] for lab in labels])
     _draw_legend(svg, frame, zip(("class 0", "class 1"), BINARY_CLASS_COLORS))
     return svg.to_string()
 
 
-def render_sensitivity(
-    coords,
-    magnitudes,
-    feature_name: str,
-    spec: PlotSpec,
-    provenance: dict | None = None,
-) -> str:
-    """Embedding scatter colored by combined attribution magnitude.
+def render_sensitivity(coords, magnitudes, feature_name: str, provenance: dict) -> str:
+    """Embedding scatter colored by combined attribution magnitude, titled
+    with the feature's name.
 
     Magnitudes are min-max normalized (smallest -> 0, largest -> 1) and
     mapped through viridis; a vertical color-scale legend shows the raw
@@ -330,10 +309,9 @@ def render_sensitivity(
     span = hi - lo
     t = np.full(mags.shape, 0.5) if span == 0 else (mags - lo) / span
 
-    svg, frame = _scatter_canvas(coords, spec, 120, provenance)
-    _draw_frame(svg, spec, frame)
-    if not spec.title:
-        svg.text(spec.width / 2, 24, feature_name, size=15, anchor="middle", bold=True)
+    svg, frame = _scatter_canvas(coords, 480, 120, provenance)
+    _draw_frame(svg, frame, None)  # the feature's name follows the axis labels
+    svg.text(svg.width / 2, 24, feature_name, size=15, anchor="middle", bold=True)
     svg.circles(*frame.pixels(coords), 2.5, [viridis_hex(ti) for ti in t.tolist()], opacity=0.9)
 
     # color scale: stacked samples of the colormap, max at the top
@@ -350,18 +328,17 @@ def render_sensitivity(
     return svg.to_string()
 
 
-def render_confusion(confusions: dict, spec: PlotSpec, provenance: dict | None = None) -> str:
+def render_confusion(confusions: dict, title: str, provenance: dict) -> str:
     """2x2 confusion grids, one per classifier, counts printed in every
     cell; shading scales with the count.
     """
     if not confusions:
         raise DataError("no confusion matrices to draw")
-    svg = _Svg(spec.width, spec.height, provenance)
-    if spec.title:
-        svg.text(spec.width / 2, 22, spec.title, size=15, anchor="middle", bold=True)
+    svg = _Svg(760, 260, provenance)
+    svg.text(svg.width / 2, 22, title, size=15, anchor="middle", bold=True)
 
     names = list(confusions.keys())
-    slot_w = spec.width / len(names)
+    slot_w = svg.width / len(names)
     grid = 64.0
     top = 70.0
     for k, name in enumerate(names):
@@ -389,7 +366,7 @@ def render_confusion(confusions: dict, spec: PlotSpec, provenance: dict | None =
     return svg.to_string()
 
 
-def render_metric_bars(metrics_by_classifier: dict, spec: PlotSpec, provenance: dict | None = None) -> str:
+def render_metric_bars(metrics_by_classifier: dict, title: str, provenance: dict) -> str:
     """Grouped bars: one group per classifier, one bar per metric, with
     the numeric value printed above each bar.
     """
@@ -402,19 +379,18 @@ def render_metric_bars(metrics_by_classifier: dict, spec: PlotSpec, provenance: 
         "recall": "#54a24b",
         "f1": "#b279a2",
     }
-    svg = _Svg(spec.width, spec.height, provenance)
-    if spec.title:
-        svg.text(spec.width / 2, 22, spec.title, size=15, anchor="middle", bold=True)
+    svg = _Svg(760, 360, provenance)
+    svg.text(svg.width / 2, 22, title, size=15, anchor="middle", bold=True)
 
     left, right, top, bottom = 56, 20, 56, 64
-    plot_w = spec.width - left - right
-    plot_h = spec.height - top - bottom
+    plot_w = svg.width - left - right
+    plot_h = svg.height - top - bottom
     names = list(metrics_by_classifier.keys())
     slot = plot_w / len(names)
     bar_w = slot / (len(metric_names) + 1)
-    base_y = spec.height - bottom
+    base_y = svg.height - bottom
 
-    svg.line(left, base_y, spec.width - right, base_y)
+    svg.line(left, base_y, svg.width - right, base_y)
     svg.line(left, top, left, base_y)
     for frac in (0.25, 0.5, 0.75, 1.0):
         gy = base_y - plot_h * frac
@@ -431,6 +407,6 @@ def render_metric_bars(metrics_by_classifier: dict, spec: PlotSpec, provenance: 
         svg.text(left + k * slot + slot / 2, base_y + 16, name, anchor="middle", size=11)
     for m, metric in enumerate(metric_names):
         lx = left + m * 120
-        svg.rect(lx, spec.height - 28, 10, 10, metric_colors[metric])
-        svg.text(lx + 14, spec.height - 19, metric, size=11)
+        svg.rect(lx, svg.height - 28, 10, 10, metric_colors[metric])
+        svg.text(lx + 14, svg.height - 19, metric, size=11)
     return svg.to_string()

@@ -95,3 +95,13 @@ def test_failed_write_keeps_the_old_file_and_leaves_no_temp(tmp_path, monkeypatc
         write_text(str(target), "new contents, long enough to be cut in half\n")
     assert target.read_bytes() == b"old contents\n"
     assert sorted(os.listdir(tmp_path)) == before
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_json_with_a_non_finite_number_is_not_written(tmp_path, value):
+    target = tmp_path / "model.json"
+    write_text(str(target), "old contents\n")
+    with pytest.raises(DataError, match=f"cannot write {target}: .*not JSON compliant"):
+        write_json(str(target), {"parameters": {"w": [0.5, value]}})
+    assert target.read_bytes() == b"old contents\n"
+    assert os.listdir(tmp_path) == ["model.json"]

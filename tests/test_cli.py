@@ -148,6 +148,50 @@ def test_bad_embedding_cell_is_data_error(tmp_path, capsys, finished_run, stage,
     assert "embedding.csv line 4" in err and message in err and "Traceback" not in err
 
 
+def spread_tsne_x(run_dir, tmp_path, value):
+    """A copy of run_dir whose embedding has tsne_x = value on its first
+    row and -value on its second."""
+    out = tmp_path / "out"
+    shutil.copytree(run_dir, out)
+    path = out / "embedding.csv"
+    lines = path.read_text().splitlines()
+    at = lines[0].split(",").index("tsne_x")
+    for line, cell in ((1, value), (2, f"-{value}")):
+        fields = lines[line].split(",")
+        fields[at] = cell
+        lines[line] = ",".join(fields)
+    path.write_text("\n".join(lines) + "\n")
+    return out
+
+
+@pytest.mark.parametrize("value", ["1.7e308", "8.5e307"], ids=["span-overflows", "padding-overflows"])
+@pytest.mark.parametrize("flags", [["--classifier", "rf"], []], ids=["rf", "every-classifier"])
+def test_embedding_window_that_overflows_is_data_error_before_any_figure(tmp_path, capsys,
+                                                                        finished_run, value, flags):
+    out = spread_tsne_x(finished_run, tmp_path, value)
+    figures = {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in (out / "figs").iterdir()}
+    capsys.readouterr()
+    assert entrypoint(["render", "--out", str(out), "--scenario", "s1", *flags]) == 2
+    err = capsys.readouterr().err
+    assert "padded bounding box overflows" in err and "Traceback" not in err
+    assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in (out / "figs").iterdir()} == figures
+
+
+@pytest.mark.parametrize("stage, written", [("eval", "s1_svm.json"), ("explain", "sensitivity_meta.json")])
+def test_non_finite_result_is_data_error_not_a_json_token(tmp_path, capsys, recwarn, finished_run,
+                                                          stage, written):
+    # fitting on these coordinates overflows (recwarn keeps its warnings); only the write fails
+    out = spread_tsne_x(finished_run, tmp_path, "1.7e308")
+    capsys.readouterr()
+    assert entrypoint([stage, "--out", str(out), "--scenario", "s1"]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out}" in err and written in err and "not JSON compliant" in err
+    assert "Traceback" not in err
+    for path in out.rglob("*.json"):
+        text = path.read_text()
+        assert "NaN" not in text and "Infinity" not in text, path
+
+
 @pytest.mark.parametrize(
     "column, cell, message",
     [("phi_x", "abc", "'phi_x'"), ("combined", "nan", "'combined'"),

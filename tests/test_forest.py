@@ -7,7 +7,6 @@ from chirpmap.errors import DataError
 from chirpmap.models import forest as forest_module
 from chirpmap.models.forest import ForestConfig, RandomForestModel, fit_random_forest
 from chirpmap.models.tree import DecisionTree, NodeTable, TreeConfig
-from tests.conftest import make_blobs
 
 
 def leaf_tree(value, task="classification"):

@@ -1,0 +1,53 @@
+"""Every name a module imports is used in it: a lint check by `ast`, for
+want of a linter. Names listed in `__all__` count as used (they are the
+module's exports), and `from __future__` imports bind no name."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import chirpmap
+
+ROOTS = (Path(chirpmap.__file__).parent, Path(__file__).parent)
+MODULES = sorted(path for root in ROOTS for path in root.rglob("*.py"))
+
+
+def imported_names(tree: ast.Module) -> dict[str, int]:
+    """Each name the module's imports bind, with the line that binds it."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def used_names(tree: ast.Module) -> set[str]:
+    """Every name the module reads or binds outside its imports, and the
+    entries of its `__all__`."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Assign) and isinstance(node.value, (ast.List, ast.Tuple))
+                and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)):
+            used |= {elt.value for elt in node.value.elts if isinstance(elt, ast.Constant)}
+    return used
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_imported_name_is_used(path):
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    used = used_names(tree)
+    unused = [f"{path.name}:{line} {name}" for name, line in imported_names(tree).items()
+              if name not in used]
+    assert unused == []
+
+
+def test_the_scan_sees_an_unused_import():
+    tree = ast.parse("from __future__ import annotations\nimport os\nfrom a import b as c, d\n"
+                     "__all__ = ['d']\n")
+    assert set(imported_names(tree)) - used_names(tree) == {"os", "c"}

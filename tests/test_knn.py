@@ -3,7 +3,6 @@ import pytest
 
 from chirpmap.errors import DataError
 from chirpmap.models.knn import KnnConfig, _nearest, fit_knn
-from tests.conftest import make_blobs
 
 
 def reference_predict(train_x, train_y, queries, k):

@@ -8,7 +8,6 @@ from chirpmap.models.logistic import (
     fit_logistic,
     penalized_log_likelihood,
 )
-from tests.conftest import make_blobs
 
 
 def fd_gradient(x, y, w, b, lam, h=1e-6):

@@ -14,7 +14,6 @@ from chirpmap.render import (
     _runs,
     MAGENTA,
     TEAL,
-    PlotSpec,
     boundary_grid,
     render_bars,
     render_boundary,
@@ -26,12 +25,15 @@ from chirpmap.render import (
 from tests.conftest import make_blobs
 
 
+PROV = {"config": "ff00", "seed": 9}
+
+
 def parse(svg: str):
     return ET.fromstring(svg)
 
 
 def test_bars_show_percentages_and_only_observed_categories():
-    svg = render_bars({"S": 0.6, "NR": 0.4}, PlotSpec(title="outcomes"))
+    svg = render_bars({"S": 0.6, "NR": 0.4}, "outcomes", PROV)
     assert "60.0%" in svg and "40.0%" in svg
     assert "outcomes" in svg
     assert TEAL in svg and MAGENTA in svg
@@ -41,20 +43,19 @@ def test_bars_show_percentages_and_only_observed_categories():
 
 def test_render_is_deterministic():
     coords, labels = make_blobs([(-2.0, 0.0), (2.0, 0.0)], n_per=20, seed=1)
-    spec = PlotSpec()
-    a = render_labeled_embedding(coords, labels, spec)
-    b = render_labeled_embedding(coords, labels, spec)
+    a = render_labeled_embedding(coords, labels, "", PROV)
+    b = render_labeled_embedding(coords, labels, "", PROV)
     assert a == b
 
 
 def test_provenance_comment_sorted_keys():
-    svg = render_bars({"S": 1.0}, PlotSpec(), provenance={"seed": 9, "config": "ff00"})
+    svg = render_bars({"S": 1.0}, "", {"seed": 9, "config": "ff00"})
     assert "<!-- provenance: config=ff00 seed=9 -->" in svg
 
 
 def test_embedding_legend_lists_present_categories():
     coords = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    svg = render_labeled_embedding(coords, ["S", "F", "S"], PlotSpec())
+    svg = render_labeled_embedding(coords, ["S", "F", "S"], "", PROV)
     assert ">S<" in svg and ">F<" in svg
     assert ">NR<" not in svg
     parse(svg)
@@ -70,7 +71,7 @@ def test_escape_equals_saxutils_escape():
 def test_markup_characters_in_title_and_legend_survive_parsing():
     title = 'R&D <s1> > "x"'
     coords = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    svg = render_labeled_embedding(coords, ["a&b", "<c>", "a&b"], PlotSpec(title=title))
+    svg = render_labeled_embedding(coords, ["a&b", "<c>", "a&b"], title, PROV)
     texts = [el.text for el in parse(svg).iter("{http://www.w3.org/2000/svg}text")]
     assert title in texts
     assert "a&b" in texts and "<c>" in texts
@@ -78,7 +79,7 @@ def test_markup_characters_in_title_and_legend_survive_parsing():
 
 def test_difficulty_levels_use_viridis():
     coords = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0]])
-    svg = render_labeled_embedding(coords, [1, 2, 3, 4], PlotSpec())
+    svg = render_labeled_embedding(coords, [1, 2, 3, 4], "", PROV)
     for level in range(4):
         assert viridis_hex(level / 3.0) in svg
 
@@ -86,7 +87,7 @@ def test_difficulty_levels_use_viridis():
 def test_boundary_grid_matches_model_predictions():
     x, y = make_blobs([(-3.0, 0.0), (3.0, 0.0)], n_per=25, seed=2)
     model = fit_classifier("knn", x, y)
-    xc, yc, preds = boundary_grid(model, x, g=12)
+    xc, yc, preds = boundary_grid(model, x, 12)
     assert preds.shape == (12, 12)
     pts = np.array([[xc[c], yc[r]] for r in range(12) for c in range(12)])
     direct = model.predict(pts).reshape(12, 12)
@@ -99,7 +100,7 @@ def test_boundary_grid_matches_model_predictions():
 def test_boundary_svg_covers_both_regions():
     x, y = make_blobs([(-3.0, 0.0), (3.0, 0.0)], n_per=25, seed=2)
     model = fit_classifier("knn", x, y)
-    svg = render_boundary(model, x, y, PlotSpec(), g=24)
+    svg = render_boundary(model, x, y, "", 24, PROV)
     assert BINARY_CLASS_COLORS[0] in svg and BINARY_CLASS_COLORS[1] in svg
     parse(svg)
 
@@ -130,7 +131,7 @@ def test_boundary_identical_points_is_an_error():
     pts = np.tile([[1.0, 1.0]], (4, 1))
     model = fit_classifier("knn", pts, np.array([0, 1, 0, 1]), config=KnnConfig(k=1))
     with pytest.raises(DataError, match="identical"):
-        render_boundary(model, pts, np.array([0, 1, 0, 1]), PlotSpec())
+        render_boundary(model, pts, np.array([0, 1, 0, 1]), "", 300, PROV)
 
 
 def test_boundary_flat_axis_is_padded_not_fatal():
@@ -138,13 +139,13 @@ def test_boundary_flat_axis_is_padded_not_fatal():
     x = np.array([[-1.0, 0.0], [0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
     y = np.array([0, 0, 1, 1])
     model = fit_classifier("knn", x, y, config=KnnConfig(k=1))
-    svg = render_boundary(model, x, y, PlotSpec(), g=8)
+    svg = render_boundary(model, x, y, "", 8, PROV)
     parse(svg)
 
 
 def test_sensitivity_uniform_magnitudes_use_midscale():
     coords = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
-    svg = render_sensitivity(coords, np.full(3, 0.7), "temporal_duration", PlotSpec())
+    svg = render_sensitivity(coords, np.full(3, 0.7), "temporal_duration", PROV)
     assert viridis_hex(0.5) in svg
     assert "temporal_duration" in svg
     parse(svg)
@@ -152,7 +153,7 @@ def test_sensitivity_uniform_magnitudes_use_midscale():
 
 def test_sensitivity_scale_bar_labels_extremes():
     coords = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 3.0]])
-    svg = render_sensitivity(coords, np.array([0.125, 0.5, 0.25, 4.0]), "f", PlotSpec())
+    svg = render_sensitivity(coords, np.array([0.125, 0.5, 0.25, 4.0]), "f", PROV)
     assert "0.125" in svg and ">4<" in svg or "4.0" in svg or ">4</text>" in svg
     assert viridis_hex(0.0) in svg and viridis_hex(1.0) in svg
 
@@ -162,7 +163,7 @@ def test_confusion_prints_all_counts():
         "knn": {"tp": 11, "fp": 3, "tn": 17, "fn": 5},
         "rf": {"tp": 9, "fp": 4, "tn": 16, "fn": 7},
     }
-    svg = render_confusion(confusions, PlotSpec(width=600, height=260))
+    svg = render_confusion(confusions, "", PROV)
     for value in (11, 3, 17, 5, 9, 4, 16, 7):
         assert f">{value}<" in svg
     assert "knn" in svg and "rf" in svg
@@ -171,19 +172,14 @@ def test_confusion_prints_all_counts():
 
 def test_metric_bars_print_values():
     metrics = {"knn": {"accuracy": 0.875, "precision": 0.8, "recall": 0.75, "f1": 0.774}}
-    svg = render_metric_bars(metrics, PlotSpec())
+    svg = render_metric_bars(metrics, "", PROV)
     assert "0.875" in svg and "0.800" in svg and "0.750" in svg and "0.774" in svg
     assert "accuracy" in svg
     parse(svg)
 
 
-def test_plot_spec_validation():
-    with pytest.raises(DataError):
-        PlotSpec(width=50)
-
-
 def test_empty_inputs_rejected():
     with pytest.raises(DataError):
-        render_bars({}, PlotSpec())
+        render_bars({}, "", PROV)
     with pytest.raises(DataError):
-        render_confusion({}, PlotSpec())
+        render_confusion({}, "", PROV)

@@ -3,7 +3,6 @@ import pytest
 
 from chirpmap.errors import DataError
 from chirpmap.models.svm import SvmConfig, fit_svm, kkt_violation
-from tests.conftest import make_blobs
 
 
 def test_two_point_bisector():
