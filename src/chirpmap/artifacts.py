@@ -159,12 +159,17 @@ def build(cls, doc: dict, keys: Sequence, where: str, reserved=(), **fixed):
         raise DataError(f"{where} has a bad {'.'.join(keys)}: {exc}") from exc
 
 
-def write_json(path: str, doc: dict) -> None:
+def json_text(path: str, doc: dict) -> str:
+    """The text `write_json` writes to `path`, for a caller that must
+    refuse a document before it writes anything."""
     try:  # NaN and the infinities are not JSON, and no reader of an artifact takes them
-        text = json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        return json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n"
     except ValueError as exc:
         raise DataError(f"cannot write {path}: {exc}") from exc
-    write_text(path, text)
+
+
+def write_json(path: str, doc: dict) -> None:
+    write_text(path, json_text(path, doc))
 
 
 def read_csv(path: str, header: Sequence[str], parse: Sequence, missing: str | None = None) -> list[list]:

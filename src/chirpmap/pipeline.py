@@ -10,6 +10,11 @@ naming the stage and cause next to whatever partial outputs exist.
 order, the stage's function, its CLI help line, and the files and
 directories it writes. The artifact paths, the missing-upstream messages,
 `run_stage`, `run_pipeline` and the CLI's stage subcommands all read it.
+
+The stages own the table formats: only this module reads and writes the
+CSV tables and their JSON sidecars; `tsne` and `sensitivity` compute on
+arrays. Embed and explain check a table and its sidecar before writing
+either (`_write_table`), and write the sidecar last.
 """
 
 from __future__ import annotations
@@ -21,11 +26,13 @@ import os
 import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
+from itertools import zip_longest
 from types import SimpleNamespace
 
 import numpy as np
 
-from .artifacts import build, fits, make_dir, read_csv, read_json, write_csv, write_json, write_text
+from .artifacts import (build, fits, json_text, json_value, make_dir, read_csv, read_json,
+                        write_csv, write_json, write_text)
 from .errors import DataError, UsageError
 from .evaluation import (
     SCENARIO_ORDER,
@@ -67,11 +74,9 @@ from .sensitivity import (
     SensitivityConfig,
     build_sensitivity_map,
     fit_coordinate_regressors,
-    load_sensitivity_map,
-    save_sensitivity_map,
     sensitivity_summary,
 )
-from .tsne import TsneConfig, load_embedding_csv, run_tsne, save_embedding
+from .tsne import TsneConfig, run_tsne
 
 LONG_KIND_NAMES = {v: k for k, v in SHORT_KIND_NAMES.items()}
 
@@ -79,6 +84,10 @@ LONG_KIND_NAMES = {v: k for k, v in SHORT_KIND_NAMES.items()}
 # stage's seed derives from the master seed, eval's forests classify, and
 # t-SNE embeds in two dimensions
 _SET_BY_PIPELINE = ("seed", "task", "output_dims")
+
+# each table after features.csv, by artifact key: its text columns, then its number columns
+_TABLES = {"embedding": (("id",), ("tsne_x", "tsne_y")),
+           "sensitivity": (("id", "feature"), ("phi_x", "phi_y", "combined"))}
 
 
 @dataclass(frozen=True)
@@ -324,18 +333,44 @@ def _read_features(path: str) -> tuple[list[str], np.ndarray, list]:
     return ids, values, [SimpleNamespace(outcome=row[4], difficulty=row[5]) for row in table]
 
 
+def _write_table(paths: dict, key: str, text: list[tuple], numbers: np.ndarray, meta: dict) -> None:
+    """Write table `key`, row k holding the cells text[k] and then the
+    reprs of numbers[k], and then its sidecar `key`_meta. Both are checked
+    before either is written, so a refused value leaves the old pair."""
+    path, meta_path = paths[key], paths[f"{key}_meta"]
+    text_columns, number_columns = _TABLES[key]
+    meta_text = json_text(meta_path, meta)
+    if not np.isfinite(numbers).all():
+        row, column = np.argwhere(~np.isfinite(numbers))[0]
+        raise DataError(f"cannot write {path}: line {row + 2}, column {number_columns[column]!r} is not finite")
+    rows = ([*cells, *map(repr, values)] for cells, values in zip(text, numbers.tolist(), strict=True))
+    write_csv(path, text_columns + number_columns, rows)
+    write_text(meta_path, meta_text)
+
+
+def _read_table(paths: dict, key: str) -> tuple[list[list[str]], np.ndarray]:
+    """Table `key`'s text columns, each a list, and its numbers, an array row per line."""
+    text_columns, number_columns = _TABLES[key]
+    k = len(text_columns)
+    table = read_csv(paths[key], text_columns + number_columns,
+                     (str,) * k + (float,) * len(number_columns), _missing(key))
+    return [[row[j] for row in table] for j in range(k)], np.array([row[k:] for row in table])
+
+
 def stage_embed(config: PipelineConfig) -> None:
     paths = artifact_paths(config.out)
     ids, values, _ = _read_features(paths["features"])
-    embedding = run_tsne(values, config.tsne_config())
-    save_embedding(embedding, ids, paths["embedding"], paths["embedding_meta"],
-                   extra_metadata=_meta_provenance(config))
+    tsne_config = config.tsne_config()
+    embedding = run_tsne(values, tsne_config)
+    meta = {**_meta_provenance(config), "config": asdict(tsne_config), "final_kl": embedding.final_kl,
+            "kl_trace": embedding.kl_trace, **embedding.metadata}
+    _write_table(paths, "embedding", [(rec_id,) for rec_id in ids], embedding.coords, meta)
     _log(f"embed: {len(ids)} points, final KL {embedding.final_kl:.4f}")
 
 
 def _read_embedding_aligned(paths: dict) -> tuple[list[str], np.ndarray, np.ndarray, list]:
     ids, values, rows = _read_features(paths["features"])
-    emb_ids, coords = load_embedding_csv(paths["embedding"], _missing("embedding"))
+    (emb_ids,), coords = _read_table(paths, "embedding")
     if emb_ids != ids:
         raise DataError(f"embedding rows do not match {os.path.basename(paths['features'])} rows")
     return ids, values, coords, rows
@@ -372,23 +407,49 @@ def stage_explain(config: PipelineConfig) -> None:
     ids, values, coords, _ = _read_embedding_aligned(paths)
     sens_config = config.sensitivity_config()
     regressors = fit_coordinate_regressors(values, coords, sens_config)
-    smap = build_sensitivity_map(regressors, values, coords, combination=sens_config.combination)
-    save_sensitivity_map(smap, ids, paths["sensitivity"], paths["sensitivity_meta"],
-                         extra_metadata={**_meta_provenance(config), "summary": sensitivity_summary(smap)})
+    smap = build_sensitivity_map(regressors, values, coords, sens_config.combination)
+    meta = {**_meta_provenance(config), "base_x": smap.base_x, "base_y": smap.base_y,
+            "combination": sens_config.combination, "r2_x": smap.r2_x, "r2_y": smap.r2_y,
+            "feature_names": list(FEATURE_NAMES), "n_records": len(ids),
+            "summary": sensitivity_summary(smap)}
+    text = [(rec_id, name) for rec_id in ids for name in FEATURE_NAMES]
+    numbers = np.stack((smap.phi_x, smap.phi_y, smap.combined), axis=-1).reshape(-1, 3)
+    _write_table(paths, "sensitivity", text, numbers, meta)
     _log(
         f"explain: R^2 x={smap.r2_x:.3f} y={smap.r2_y:.3f}, "
         f"{len(ids)} records attributed"
     )
 
 
+def _read_combined(paths: dict, ids: list[str]) -> np.ndarray:
+    """sensitivity.csv's combined attributions, row i for ids[i] and a
+    column per feature. The sidecar must name ``FEATURE_NAMES`` and hold
+    the bases, rule and R^2, and the rows come as explain writes them:
+    each id in turn, with the features in order."""
+    meta_path = paths["sensitivity_meta"]
+    meta = read_json(meta_path, _missing("sensitivity"))
+    names = json_value(meta, ("feature_names",), meta_path, list[str])
+    if tuple(names) != FEATURE_NAMES:
+        raise DataError(f"{meta_path} has feature_names = {names!r}, not {list(FEATURE_NAMES)!r}")
+    for key, hint in (("base_x", float), ("base_y", float), ("combination", str),
+                      ("r2_x", float | None), ("r2_y", float | None)):
+        json_value(meta, (key,), meta_path, hint)
+    (table_ids, features), numbers = _read_table(paths, "sensitivity")
+    want_ids = [rec_id for rec_id in ids for _ in FEATURE_NAMES]
+    want_features = list(FEATURE_NAMES) * len(ids)
+    if table_ids != want_ids or features != want_features:
+        rows = enumerate(zip_longest(zip(table_ids, features), zip(want_ids, want_features)), start=2)
+        line, pair = next((line, pair) for line, pair in rows if pair[0] != pair[1])
+        found, want = (f"record {p[0]!r} feature {p[1]!r}" if p else "the end of the table" for p in pair)
+        raise DataError(f"{paths['sensitivity']} line {line} holds {found}, not {want}")
+    return numbers[:, 2].reshape(len(ids), len(FEATURE_NAMES))
+
+
 def stage_render(config: PipelineConfig) -> None:
     paths = artifact_paths(config.out)
     ids, _, coords, rows = _read_embedding_aligned(paths)
     report = read_json(paths["eval_report"], _missing("eval_report"))
-    sens_ids, smap = load_sensitivity_map(paths["sensitivity"], paths["sensitivity_meta"],
-                                          _missing("sensitivity"))
-    if sens_ids != ids:
-        raise DataError("sensitivity rows do not match embedding rows")
+    combined = _read_combined(paths, ids)
     metrics = report_metrics(report, paths["eval_report"], config.scenarios, config.classifiers)
     prov = _provenance(config)
 
@@ -417,7 +478,7 @@ def stage_render(config: PipelineConfig) -> None:
             f"{scenario}: CV accuracy and hold-out precision/recall/F1", prov)))
     for j, feature in enumerate(FEATURE_NAMES):
         figures.append((f"fig_sensitivity_{feature}.svg",
-                        render_sensitivity(coords, smap.combined[:, j], feature, prov)))
+                        render_sensitivity(coords, combined[:, j], feature, prov)))
 
     make_dir(paths["figs_dir"])
     for name, svg in figures:

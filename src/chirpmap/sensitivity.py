@@ -23,9 +23,10 @@ The full-subset column is the prediction (TreeSHAP's local accuracy), so
 a map routes each forest once and scores its R^2 from the attribution.
 
 The features arrive as ingest's plain N x 3 array. A map's rows follow
-the array's and its columns ``FEATURE_NAMES``; the caller keeps the
-record ids, which ``save_sensitivity_map`` writes beside the values and
-``load_sensitivity_map`` returns, as the embedding's reader does.
+the array's and its columns ``FEATURE_NAMES``. This module only
+computes: the caller keeps the record ids, and the pipeline's explain
+stage writes them beside the values in ``sensitivity.csv``, with the
+bases, R^2 and combination rule in its sidecar.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .artifacts import json_value, read_csv, read_json, write_csv, write_json
 from .errors import DataError, NumericError
 from .ingest import FEATURE_NAMES
 from .models import DecisionTree, ForestConfig, RandomForestModel, fit_random_forest
@@ -44,7 +44,6 @@ from .models.tree import leaf_boxes, leaf_path_shares
 from .seeding import derive_seed
 
 COMBINATION_RULES = ("euclidean", "sum_abs")
-_SENSITIVITY_COLUMNS = ("id", "feature", "phi_x", "phi_y", "combined")
 
 
 @dataclass(frozen=True)
@@ -63,12 +62,6 @@ class SensitivityConfig:
             raise DataError(f"unknown combination rule {self.combination!r}")
 
 
-@dataclass
-class CoordinateRegressors:
-    model_x: RandomForestModel
-    model_y: RandomForestModel
-
-
 def _r_squared(target: np.ndarray, predicted: np.ndarray) -> float:
     """R^2, or 1.0 by convention for a target with zero spread."""
     ss_tot = float(np.sum((target - target.mean()) ** 2))
@@ -78,11 +71,9 @@ def _r_squared(target: np.ndarray, predicted: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def fit_coordinate_regressors(
-    x: np.ndarray,
-    coords,
-    config: SensitivityConfig = SensitivityConfig(),
-) -> CoordinateRegressors:
+def fit_coordinate_regressors(x: np.ndarray, coords,
+                              config: SensitivityConfig) -> tuple[RandomForestModel, RandomForestModel]:
+    """The forests (x, y) that learn each embedding coordinate from the feature rows `x`."""
     coords = np.asarray(coords, dtype=np.float64)
     if x.shape[1] != len(FEATURE_NAMES):
         raise DataError(f"expected {len(FEATURE_NAMES)} feature columns, got {x.shape[1]}")
@@ -100,7 +91,7 @@ def fit_coordinate_regressors(
             task="regression",
         )
         models.append(fit_random_forest(x, coords[:, axis], fc))
-    return CoordinateRegressors(model_x=models[0], model_y=models[1])
+    return models[0], models[1]
 
 
 def tree_subset_values(model, instances) -> np.ndarray:
@@ -232,27 +223,22 @@ class SensitivityMap:
     combined: np.ndarray  # N x d, nonnegative
     base_x: float
     base_y: float
-    combination: str
-    r2_x: float | None = None
-    r2_y: float | None = None
+    r2_x: float
+    r2_y: float
 
 
-def build_sensitivity_map(
-    regressors: CoordinateRegressors,
-    x: np.ndarray,
-    coords,
-    combination: str = "euclidean",
-) -> SensitivityMap:
+def build_sensitivity_map(regressors: tuple[RandomForestModel, RandomForestModel], x: np.ndarray,
+                          coords, combination: str) -> SensitivityMap:
     """Both regressors' attributions at the feature rows `x`, combined by
-    `combination`, and each forest's R^2 against its column of `coords`."""
-    if combination not in COMBINATION_RULES:
-        raise DataError(f"unknown combination rule {combination!r}")
+    `combination`, one of ``COMBINATION_RULES`` (``SensitivityConfig``
+    checks it), and each forest's R^2 against its column of `coords`."""
     coords = np.asarray(coords, dtype=np.float64)
     if coords.shape != (x.shape[0], 2):
         raise DataError("features misaligned with embedding rows")
 
-    att_x = shapley_values(regressors.model_x, x)
-    att_y = shapley_values(regressors.model_y, x)
+    model_x, model_y = regressors
+    att_x = shapley_values(model_x, x)
+    att_y = shapley_values(model_y, x)
     if combination == "euclidean":
         combined = np.sqrt(att_x.phi**2 + att_y.phi**2)
     else:
@@ -263,7 +249,6 @@ def build_sensitivity_map(
         combined=combined,
         base_x=att_x.base,
         base_y=att_y.base,
-        combination=combination,
         r2_x=_r_squared(coords[:, 0], att_x.predictions),
         r2_y=_r_squared(coords[:, 1], att_y.predictions),
     )
@@ -302,68 +287,3 @@ def sensitivity_summary(smap: SensitivityMap) -> dict:
             "q75": float(q75),
         }
     return summary
-
-
-def save_sensitivity_map(smap: SensitivityMap, ids: list[str], csv_path: str, meta_path: str,
-                         extra_metadata: dict | None = None) -> None:
-    """Write one row per (record, feature), row i of the map under
-    ``ids[i]``, plus a JSON sidecar."""
-    if len(ids) != smap.combined.shape[0]:
-        raise DataError(f"{len(ids)} ids for {smap.combined.shape[0]} sensitivity rows")
-    rows = (
-        [rec_id, name, repr(float(smap.phi_x[i, j])), repr(float(smap.phi_y[i, j])),
-         repr(float(smap.combined[i, j]))]
-        for i, rec_id in enumerate(ids)
-        for j, name in enumerate(FEATURE_NAMES)
-    )
-    write_csv(csv_path, _SENSITIVITY_COLUMNS, rows)
-    meta = {
-        "base_x": smap.base_x,
-        "base_y": smap.base_y,
-        "combination": smap.combination,
-        "r2_x": smap.r2_x,
-        "r2_y": smap.r2_y,
-        "feature_names": list(FEATURE_NAMES),
-        "n_records": len(ids),
-    }
-    if extra_metadata:
-        meta.update(extra_metadata)
-    write_json(meta_path, meta)
-
-
-# the meta file's scalars that a loaded map holds, by type
-_META_SCALARS = {"base_x": float, "base_y": float, "combination": str,
-                 "r2_x": float | None, "r2_y": float | None}
-
-
-def load_sensitivity_map(csv_path: str, meta_path: str,
-                         missing: str | None = None) -> tuple[list[str], SensitivityMap]:
-    """Read back a map and its record ids; the meta file's feature_names
-    must be ``FEATURE_NAMES``, the names every map is written with."""
-    meta = read_json(meta_path, missing)
-    names = json_value(meta, ("feature_names",), meta_path, list[str])
-    if tuple(names) != FEATURE_NAMES:
-        raise DataError(f"{meta_path} has feature_names = {names!r}, not {list(FEATURE_NAMES)!r}")
-    scalars = {key: json_value(meta, (key,), meta_path, hint) for key, hint in _META_SCALARS.items()}
-    ids: list[str] = []
-    rows: dict[str, dict[str, list[float]]] = {}
-    table = read_csv(csv_path, _SENSITIVITY_COLUMNS, (str, str, float, float, float), missing)
-    for rec_id, feature, *values in table:
-        if feature not in FEATURE_NAMES:
-            raise DataError(f"{csv_path}: record {rec_id} has unknown feature {feature!r}")
-        if rec_id not in rows:
-            rows[rec_id] = {}
-            ids.append(rec_id)
-        if feature in rows[rec_id]:
-            raise DataError(f"{csv_path}: record {rec_id} has feature {feature!r} twice")
-        rows[rec_id][feature] = values
-    n, d = len(ids), len(FEATURE_NAMES)
-    phi_x = np.zeros((n, d))
-    phi_y = np.zeros((n, d))
-    combined = np.zeros((n, d))
-    for i, rec_id in enumerate(ids):
-        for j, name in enumerate(FEATURE_NAMES):
-            if name not in rows[rec_id]:
-                raise DataError(f"record {rec_id} missing feature {name}")
-            phi_x[i, j], phi_y[i, j], combined[i, j] = rows[rec_id][name]
-    return ids, SensitivityMap(phi_x=phi_x, phi_y=phi_y, combined=combined, **scalars)

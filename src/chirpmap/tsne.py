@@ -10,8 +10,10 @@ symmetrized affinities are matched against Student-t similarities in
 2-D by minimizing KL divergence with momentum gradient descent and early
 exaggeration. Everything is O(N^2) and deterministic under a fixed seed.
 The input is a plain N x d float64 array of feature rows, and row k of
-the coordinates embeds row k; the caller keeps the rows' ids and hands
-them to ``save_embedding``.
+the coordinates embeds row k. This module only computes: the caller
+keeps the rows' ids, and the pipeline's embed stage writes them beside
+the coordinates in ``embedding.csv``, with the optimization record in
+its sidecar.
 
 The joint affinities p exist only as their upper-triangle tiles, each
 contiguous in one tile-major buffer, built straight from the
@@ -32,11 +34,10 @@ against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, asdict
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .artifacts import read_csv, write_csv, write_json
 from .distances import _operand_distances, squared_distances
 from .errors import DataError, NumericError
 
@@ -50,7 +51,6 @@ _TILE = 225
 # joint affinities below this are zeroed: 2^-970, the least p for which
 # p * w stays a normal float for every Student-t w >= eps
 _P_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
-_EMBEDDING_COLUMNS = ("id", "tsne_x", "tsne_y")
 
 
 @dataclass(frozen=True)
@@ -115,7 +115,6 @@ class Embedding:
     """2-D coordinates plus the optimization record that produced them."""
 
     coords: np.ndarray  # N x 2
-    config: TsneConfig
     # (updates done, KL against unexaggerated affinities) at each checkpoint
     kl_trace: list[tuple[int, float]]
     final_kl: float
@@ -602,41 +601,4 @@ def run_tsne(x: np.ndarray, config: TsneConfig) -> Embedding:
         "pca_init_fallback": pca_fallback,
         "perplexity_fallback_rows": fallback_rows,
     }
-    return Embedding(
-        coords=y,
-        config=config,
-        kl_trace=trace,
-        final_kl=final_kl,
-        metadata=metadata,
-    )
-
-
-def save_embedding(
-    embedding: Embedding,
-    ids: list[str],
-    csv_path: str,
-    meta_path: str,
-    extra_metadata: dict | None = None,
-) -> None:
-    """Write coordinates as `id,tsne_x,tsne_y`, row k under ``ids[k]``, the
-    id of the feature row it embeds, plus a JSON metadata sidecar with the
-    config, the final KL and the KL trace."""
-    if len(ids) != embedding.coords.shape[0]:
-        raise DataError(f"{len(ids)} ids for {embedding.coords.shape[0]} embedding rows")
-    rows = ([rec_id, repr(float(cx)), repr(float(cy))] for rec_id, (cx, cy) in zip(ids, embedding.coords))
-    write_csv(csv_path, _EMBEDDING_COLUMNS, rows)
-    meta = {
-        "config": asdict(embedding.config),
-        "final_kl": embedding.final_kl,
-        "kl_trace": embedding.kl_trace,
-        **embedding.metadata,
-    }
-    if extra_metadata:
-        meta.update(extra_metadata)
-    write_json(meta_path, meta)
-
-
-def load_embedding_csv(csv_path: str, missing: str | None = None) -> tuple[list[str], np.ndarray]:
-    """Read back an `id,tsne_x,tsne_y` file."""
-    rows = read_csv(csv_path, _EMBEDDING_COLUMNS, (str, float, float), missing)
-    return [r[0] for r in rows], np.array([r[1:] for r in rows], dtype=np.float64)
+    return Embedding(coords=y, kl_trace=trace, final_kl=final_kl, metadata=metadata)

@@ -17,8 +17,13 @@ from chirpmap.artifacts import read_json
 from chirpmap.errors import DataError, NumericError, UsageError
 from chirpmap.evaluation import report_metrics
 from chirpmap.models import CLASSIFIER_KINDS, load_model
-from chirpmap.pipeline import config_from_dict, run_stage
-from chirpmap.sensitivity import load_sensitivity_map
+from chirpmap.pipeline import (
+    _read_combined,
+    _read_embedding_aligned,
+    artifact_paths,
+    config_from_dict,
+    run_stage,
+)
 from chirpmap.synth import generate_records, write_records_csv
 
 VALUES = (None, "text", True, -1, 0, 1.5, 10**30, 1e308, [], {}, "NaN", float("nan"),
@@ -65,14 +70,15 @@ def mutations(doc):
 def readers(out):
     """(file, reader of that file) for every JSON artifact render reads."""
     models = os.path.join(out, "models")
-    sensitivity_csv = os.path.join(out, "sensitivity.csv")
+    paths = artifact_paths(out)
+    ids = _read_embedding_aligned(paths)[0]
     report = os.path.join(out, "eval_report.json")
     pairs = [(os.path.join(models, f"s1_{short}.json"), load_model)
              for short in ("rf", "svm", "logreg", "knn")]
     pairs.append((report, lambda path: report_metrics(read_json(path), path, SCENARIOS,
                                                       CLASSIFIER_KINDS)))
     pairs.append((os.path.join(out, "sensitivity_meta.json"),
-                  lambda path: load_sensitivity_map(sensitivity_csv, path)))
+                  lambda path: _read_combined({**paths, "sensitivity_meta": path}, ids)))
     return pairs
 
 

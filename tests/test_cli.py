@@ -192,6 +192,21 @@ def test_non_finite_result_is_data_error_not_a_json_token(tmp_path, capsys, recw
         assert "NaN" not in text and "Infinity" not in text, path
 
 
+def test_explain_refused_for_a_non_finite_result_leaves_its_outputs_untouched(
+        tmp_path, capsys, recwarn, finished_run):
+    """Explain checks its sidecar and table before writing either, so the
+    previous sensitivity.csv and sensitivity_meta.json keep their bytes
+    and mtimes."""
+    out = spread_tsne_x(finished_run, tmp_path, "1.7e308")
+    names = ("sensitivity.csv", "sensitivity_meta.json")
+    before = {name: ((out / name).read_bytes(), (out / name).stat().st_mtime_ns) for name in names}
+    capsys.readouterr()
+    assert entrypoint(["explain", "--out", str(out), "--scenario", "s1"]) == 2
+    assert "not JSON compliant" in capsys.readouterr().err
+    assert {name: ((out / name).read_bytes(), (out / name).stat().st_mtime_ns)
+            for name in names} == before
+
+
 @pytest.mark.parametrize(
     "column, cell, message",
     [("phi_x", "abc", "'phi_x'"), ("combined", "nan", "'combined'"),
@@ -237,23 +252,46 @@ def test_malformed_sensitivity_meta_is_data_error(tmp_path, capsys, finished_run
 
 @pytest.mark.parametrize(
     "edit, message",
-    [(lambda lines: lines + [lines[1]], "has feature 'temporal_duration' twice"),
+    [(lambda lines: lines + [lines[1]],
+      "line {end} holds record {first} feature 'temporal_duration', not the end of the table"),
      (lambda lines: lines + [lines[1].replace("temporal_duration", "not_a_feature")],
-      "has unknown feature 'not_a_feature'")],
-    ids=["duplicate-row", "unknown-feature"],
+      "line {end} holds record {first} feature 'not_a_feature', not the end of the table"),
+     (lambda lines: lines[:1] + lines[4:7] + lines[1:4] + lines[7:],
+      "line 2 holds record {second} feature 'temporal_duration', "
+      "not record {first} feature 'temporal_duration'")],
+    ids=["duplicate-row", "unknown-feature", "records-swapped"],
 )
 def test_inconsistent_sensitivity_rows_are_data_error(tmp_path, capsys, finished_run, edit,
                                                       message):
+    """Render names the first line whose (id, feature) is not the one
+    explain writes there: each embedding id in turn, with the features in
+    order."""
     out = tmp_path / "out"
     shutil.copytree(finished_run, out)
     path = out / "sensitivity.csv"
     lines = path.read_text().splitlines()
     assert lines[1].split(",")[1] == "temporal_duration"
+    assert lines[4].split(",")[1] == "temporal_duration"
     path.write_text("\n".join(edit(lines)) + "\n")
     capsys.readouterr()
     assert entrypoint(["render", "--out", str(out), "--scenario", "s1"]) == 2
     err = capsys.readouterr().err
-    assert "sensitivity.csv" in err and message in err and "Traceback" not in err
+    message = message.format(end=len(lines) + 1, first=repr(lines[1].split(",")[0]),
+                             second=repr(lines[4].split(",")[0]))
+    assert f"sensitivity.csv {message}" in err and "Traceback" not in err
+
+
+def test_embedding_rows_out_of_features_order_are_data_error(tmp_path, capsys, finished_run):
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    path = out / "embedding.csv"
+    lines = path.read_text().splitlines()
+    lines[1], lines[2] = lines[2], lines[1]
+    path.write_text("\n".join(lines) + "\n")
+    capsys.readouterr()
+    assert entrypoint(["eval", "--out", str(out), "--scenario", "s1"]) == 2
+    err = capsys.readouterr().err
+    assert "embedding rows do not match features.csv rows" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(

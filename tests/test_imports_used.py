@@ -1,6 +1,9 @@
 """Every name a module imports is used in it: a lint check by `ast`, for
 want of a linter. Names listed in `__all__` count as used (they are the
-module's exports), and `from __future__` imports bind no name."""
+module's exports), and `from __future__` imports bind no name.
+
+The compute modules `tsne` and `sensitivity` import nothing from
+`chirpmap.artifacts`: the pipeline's stages read and write their tables."""
 
 import ast
 from pathlib import Path
@@ -27,6 +30,21 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
     return names
 
 
+def imported_modules(tree: ast.Module, package: str) -> dict[str, int]:
+    """Each module the imports of a module in `package` name, by its
+    dotted name, with the line that names it: `from .a import b` names
+    both `package.a` and `package.a.b`, as b may be a submodule."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update((alias.name, node.lineno) for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(([package] if node.level else []) + ([node.module] if node.module else []))
+            modules[base] = node.lineno
+            modules.update((f"{base}.{alias.name}", node.lineno) for alias in node.names)
+    return modules
+
+
 def used_names(tree: ast.Module) -> set[str]:
     """Every name the module reads or binds outside its imports, and the
     entries of its `__all__`."""
@@ -51,3 +69,17 @@ def test_the_scan_sees_an_unused_import():
     tree = ast.parse("from __future__ import annotations\nimport os\nfrom a import b as c, d\n"
                      "__all__ = ['d']\n")
     assert set(imported_names(tree)) - used_names(tree) == {"os", "c"}
+
+
+@pytest.mark.parametrize("name", ["tsne.py", "sensitivity.py"])
+def test_compute_modules_do_not_import_artifacts(name):
+    tree = ast.parse((ROOTS[0] / name).read_text(encoding="utf-8"))
+    imports = [f"{name}:{line} {module}" for module, line in imported_modules(tree, "chirpmap").items()
+               if module.split(".")[:2] == ["chirpmap", "artifacts"]]
+    assert imports == []
+
+
+def test_the_scan_sees_every_spelling_of_an_artifacts_import():
+    for source in ("from .artifacts import read_csv", "from . import artifacts",
+                   "from chirpmap.artifacts import read_csv", "import chirpmap.artifacts"):
+        assert "chirpmap.artifacts" in imported_modules(ast.parse(source), "chirpmap"), source

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import json
 import math
 
 import numpy as np
@@ -8,18 +10,25 @@ from chirpmap.errors import DataError
 from chirpmap.ingest import FEATURE_NAMES
 from chirpmap.models.forest import ForestConfig, fit_random_forest
 from chirpmap.models.tree import TreeConfig, fit_tree
+from chirpmap.pipeline import (
+    _read_combined,
+    _read_embedding_aligned,
+    _read_table,
+    artifact_paths,
+    config_from_dict,
+    run_stage,
+)
 from chirpmap.sensitivity import (
     SensitivityConfig,
     _quartiles,
     build_sensitivity_map,
     fit_coordinate_regressors,
-    load_sensitivity_map,
-    save_sensitivity_map,
     sensitivity_summary,
     shapley_from_subset_values,
     shapley_values,
     tree_subset_values,
 )
+from chirpmap.synth import generate_records, write_records_csv
 from tests.test_subset_oracle import walk_subset_values
 
 
@@ -176,7 +185,7 @@ def test_coordinate_regressors_and_map():
     values = rng.normal(size=(60, 3))
     coords = np.column_stack([2.0 * values[:, 0], values[:, 1] - values[:, 2]])
     reg = fit_coordinate_regressors(values, coords, SensitivityConfig(n_trees=20, seed=1))
-    smap = build_sensitivity_map(reg, values, coords)
+    smap = build_sensitivity_map(reg, values, coords, "euclidean")
     assert smap.r2_x > 0.8 and smap.r2_y > 0.8
     assert smap.combined.shape == (60, 3)
     assert np.allclose(smap.combined, np.hypot(smap.phi_x, smap.phi_y))
@@ -191,7 +200,7 @@ def test_constant_coordinate_convention():
     values = rng.normal(size=(40, 3))
     coords = np.column_stack([values[:, 0], np.zeros(40)])  # flat y
     reg = fit_coordinate_regressors(values, coords, SensitivityConfig(n_trees=5, seed=0))
-    smap = build_sensitivity_map(reg, values, coords)
+    smap = build_sensitivity_map(reg, values, coords, "euclidean")
     assert smap.r2_y == 1.0  # fit of a constant is trivially perfect
     assert np.all(smap.phi_y == 0.0)
 
@@ -201,28 +210,52 @@ def test_sum_abs_combination():
     values = rng.normal(size=(30, 3))
     coords = np.column_stack([values[:, 0], values[:, 1]])
     reg = fit_coordinate_regressors(values, coords, SensitivityConfig(n_trees=5, seed=2))
-    smap = build_sensitivity_map(reg, values, coords, combination="sum_abs")
+    smap = build_sensitivity_map(reg, values, coords, "sum_abs")
     assert np.allclose(smap.combined, np.abs(smap.phi_x) + np.abs(smap.phi_y))
-    with pytest.raises(DataError):
-        build_sensitivity_map(reg, values, coords, combination="max")
+    with pytest.raises(DataError, match="unknown combination rule 'max'"):
+        SensitivityConfig(combination="max")
 
 
-def test_map_round_trip(tmp_path):
-    rng = np.random.default_rng(12)
-    values = rng.normal(size=(25, 3))
-    coords = np.column_stack([values[:, 0], values[:, 2]])
-    ids = [f"r{k}" for k in range(25)]
-    reg = fit_coordinate_regressors(values, coords, SensitivityConfig(n_trees=5, seed=3))
-    smap = build_sensitivity_map(reg, values, coords)
-    csv_path, meta_path = tmp_path / "s.csv", tmp_path / "s.json"
-    save_sensitivity_map(smap, ids, str(csv_path), str(meta_path), extra_metadata={"k": 1})
-    read_ids, loaded = load_sensitivity_map(str(csv_path), str(meta_path))
-    assert read_ids == ids
-    assert np.array_equal(loaded.phi_x, smap.phi_x)
-    assert np.array_equal(loaded.combined, smap.combined)
-    assert loaded.combination == "euclidean"
-    with pytest.raises(DataError, match="24 ids for 25 sensitivity rows"):
-        save_sensitivity_map(smap, ids[1:], str(csv_path), str(meta_path))
+def test_map_round_trip(tmp_path, monkeypatch):
+    """The explain stage writes row i of the map under the embedding's id
+    i, one line per feature in order, every float exactly; render's reader
+    gives back the combined column; and a map with another row count than
+    the ids, or a non-finite value, is refused before anything is written."""
+    data = str(tmp_path / "data.csv")
+    write_records_csv(generate_records(n_per_cluster=9, seed=12), data)
+    config = config_from_dict({"input": data, "out": str(tmp_path / "out"), "seed": 3,
+                               "tsne": {"perplexity": 5.0, "n_iterations": 40,
+                                        "momentum_switch_iter": 20, "exaggeration_until_iter": 20},
+                               "sensitivity": {"n_trees": 5}})
+    paths = artifact_paths(config.out)
+    for stage in ("ingest", "embed", "explain"):
+        run_stage(stage, config)
+    ids, values, coords, _ = _read_embedding_aligned(paths)
+    sens_config = config.sensitivity_config()
+    reg = fit_coordinate_regressors(values, coords, sens_config)
+    smap = build_sensitivity_map(reg, values, coords, sens_config.combination)
+    (read_ids, features), numbers = _read_table(paths, "sensitivity")
+    assert len(ids) == 27
+    assert read_ids == [rec_id for rec_id in ids for _ in FEATURE_NAMES]
+    assert features == list(FEATURE_NAMES) * len(ids)
+    for column, array in enumerate((smap.phi_x, smap.phi_y, smap.combined)):
+        assert np.array_equal(numbers[:, column], array.ravel())  # repr round-trip is exact
+    assert np.array_equal(_read_combined(paths, ids), smap.combined)
+    assert json.loads(open(paths["sensitivity_meta"]).read())["combination"] == "euclidean"
+
+    written = {key: open(paths[key], "rb").read() for key in ("sensitivity", "sensitivity_meta")}
+    monkeypatch.setattr("chirpmap.pipeline.build_sensitivity_map", lambda *args: dataclasses.replace(
+        smap, phi_x=smap.phi_x[1:], phi_y=smap.phi_y[1:], combined=smap.combined[1:]))
+    with pytest.raises(ValueError, match="shorter"):
+        run_stage("explain", config)
+    assert {key: open(paths[key], "rb").read() for key in written} == written
+    phi_x = smap.phi_x.copy()
+    phi_x[1, 2] = np.nan  # record 1's third feature: the table's sixth row, line 7
+    monkeypatch.setattr("chirpmap.pipeline.build_sensitivity_map",
+                        lambda *args: dataclasses.replace(smap, phi_x=phi_x))
+    with pytest.raises(DataError, match="sensitivity.csv: line 7, column 'phi_x' is not finite"):
+        run_stage("explain", config)
+    assert {key: open(paths[key], "rb").read() for key in written} == written
 
 
 def test_regressors_need_enough_rows():
@@ -244,7 +277,7 @@ def test_map_needs_one_coordinate_pair_per_record():
     reg = fit_coordinate_regressors(values, coords, SensitivityConfig(n_trees=3, seed=4))
     for bad in (coords[:-1], coords[:, :1]):
         with pytest.raises(DataError, match="misaligned"):
-            build_sensitivity_map(reg, values, bad)
+            build_sensitivity_map(reg, values, bad, "euclidean")
 
 
 def test_quartiles_equal_np_quantile_bitwise():

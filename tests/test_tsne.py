@@ -1,17 +1,20 @@
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
 from chirpmap.errors import DataError
+from chirpmap.pipeline import _read_features, _read_table, artifact_paths, config_from_dict, run_stage
+from chirpmap.synth import generate_records, write_records_csv
 from chirpmap.tsne import (
     TsneConfig,
     conditional_affinities,
     kl_divergence,
     kl_gradient,
-    load_embedding_csv,
     low_dim_similarities,
     pca_init,
     run_tsne,
-    save_embedding,
     symmetrize,
 )
 
@@ -156,17 +159,32 @@ def test_tsne_config_validation():
         run_tsne(gaussian_cloud(2), TsneConfig(perplexity=1.0))
 
 
-def test_embedding_round_trip(tmp_path):
-    ids = [f"r{i}" for i in range(12)]
-    config = TsneConfig(perplexity=4.0, n_iterations=40, seed=0,
-                        momentum_switch_iter=20, exaggeration_until_iter=20)
-    embedding = run_tsne(gaussian_cloud(12, seed=2), config)
-    csv_path = tmp_path / "emb.csv"
-    meta_path = tmp_path / "emb.json"
-    save_embedding(embedding, ids, str(csv_path), str(meta_path), extra_metadata={"note": 1})
-    read_ids, coords = load_embedding_csv(str(csv_path))
-    assert read_ids == ids
-    assert np.array_equal(coords, embedding.coords)  # repr round-trip is exact
-    assert "note" in meta_path.read_text()
-    with pytest.raises(DataError, match="11 ids for 12 embedding rows"):
-        save_embedding(embedding, ids[1:], str(csv_path), str(meta_path))
+def test_embedding_round_trip(tmp_path, monkeypatch):
+    """The embed stage writes row k of the coordinates under the id of
+    features.csv's row k, every float exactly, and refuses coordinates
+    with another row count than the ids before it writes anything."""
+    data = str(tmp_path / "data.csv")
+    write_records_csv(generate_records(n_per_cluster=4, seed=2), data)
+    config = config_from_dict({"input": data, "out": str(tmp_path / "out"), "seed": 5,
+                               "tsne": {"perplexity": 4.0, "n_iterations": 40,
+                                        "momentum_switch_iter": 20, "exaggeration_until_iter": 20}})
+    paths = artifact_paths(config.out)
+    for stage in ("ingest", "embed"):
+        run_stage(stage, config)
+    ids, values, _ = _read_features(paths["features"])
+    (read_ids,), coords = _read_table(paths, "embedding")
+    assert len(ids) == 12 and read_ids == ids
+    assert np.array_equal(coords, run_tsne(values, config.tsne_config()).coords)  # repr round-trip is exact
+    meta = json.loads(open(paths["embedding_meta"]).read())
+    assert meta["master_seed"] == 5 and meta["config"]["perplexity"] == 4.0
+
+    written = {key: open(paths[key], "rb").read() for key in ("embedding", "embedding_meta")}
+
+    def one_row_short(x, tsne_config):
+        embedding = run_tsne(x, tsne_config)
+        return dataclasses.replace(embedding, coords=embedding.coords[1:])
+
+    monkeypatch.setattr("chirpmap.pipeline.run_tsne", one_row_short)
+    with pytest.raises(ValueError, match="shorter"):
+        run_stage("embed", config)
+    assert {key: open(paths[key], "rb").read() for key in written} == written
