@@ -7,9 +7,11 @@ reported, never imputed. Features are standardized column-wise
 ((value - mean) / population sd) and may then be scaled by per-feature
 weights to emphasize a feature's contribution to distances.
 
-The feature table is a plain N x 3 float64 array whose rows follow the
-records and whose columns follow ``FEATURE_NAMES``; the caller keeps the
-record ids beside it. The weights are checked where the config is loaded.
+`ChirpRecord` is the one schema of the record tables (the input, the
+synthetic data and features.csv): its fields are their columns, and its
+field types their cells' types. The feature table is a plain N x 3 float64
+array whose rows follow the records and whose columns follow
+``FEATURE_NAMES``. The weights are checked where the config is loaded.
 """
 
 from __future__ import annotations
@@ -17,23 +19,18 @@ from __future__ import annotations
 import csv
 import io
 import math
+from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .artifacts import read_text
 from .errors import DataError
 
-FEATURE_NAMES = ("temporal_duration", "frequency_onset", "spectral_duration")
-OUTCOME_CODES = ("S", "NR", "F")
-DIFFICULTY_LEVELS = (1, 2, 3, 4)
 
-CANONICAL_COLUMNS = ("id",) + FEATURE_NAMES + ("outcome", "difficulty")
-
-
-@dataclass(frozen=True)
-class ChirpRecord:
-    """One annotated chirp event."""
+class ChirpRecord(NamedTuple):
+    """One annotated chirp event, and one row of a record table."""
 
     id: str
     temporal_duration: float
@@ -42,20 +39,18 @@ class ChirpRecord:
     outcome: str
     difficulty: int
 
-    @property
-    def features(self) -> np.ndarray:
-        return np.array(
-            [self.temporal_duration, self.frequency_onset, self.spectral_duration],
-            dtype=np.float64,
-        )
+
+CANONICAL_COLUMNS = ChirpRecord._fields
+FEATURE_NAMES = CANONICAL_COLUMNS[1:4]
+OUTCOME_CODES = ("S", "NR", "F")
+DIFFICULTY_LEVELS = (1, 2, 3, 4)
+LABEL_LEVELS = {"outcome": OUTCOME_CODES, "difficulty": DIFFICULTY_LEVELS}  # label field -> its levels
 
 
 @dataclass
 class RejectionReport:
-    """Outcome of row validation: counts plus one (row, reason) per reject.
-
-    Row numbers are 1-based over the data rows (the header is not counted).
-    """
+    """Outcome of row validation: counts plus one (row, reason) per reject;
+    rows are numbered from 1 over the data rows (the header is not counted)."""
 
     n_input: int = 0
     rejected: list[tuple[int, str]] = field(default_factory=list)
@@ -92,12 +87,12 @@ def _parse_row(row: dict[str, str], columns: dict[str, str]) -> tuple[ChirpRecor
     if not rec_id:
         return None, "missing value (id)"
 
-    feats: dict[str, float] = {}
+    feats: list[float] = []
     for name in FEATURE_NAMES:
         value, reason = _parse_feature(row.get(columns[name]), name)
         if reason is not None:
             return None, reason
-        feats[name] = value
+        feats.append(value)
 
     outcome = (row.get(columns["outcome"]) or "").strip()
     if not outcome:
@@ -118,17 +113,7 @@ def _parse_row(row: dict[str, str], columns: dict[str, str]) -> tuple[ChirpRecor
     if difficulty not in DIFFICULTY_LEVELS:
         return None, f"difficulty out of range ({difficulty})"
 
-    return (
-        ChirpRecord(
-            id=rec_id,
-            temporal_duration=feats["temporal_duration"],
-            frequency_onset=feats["frequency_onset"],
-            spectral_duration=feats["spectral_duration"],
-            outcome=outcome,
-            difficulty=difficulty,
-        ),
-        None,
-    )
+    return ChirpRecord(rec_id, *feats, outcome, difficulty), None
 
 
 def mapped_columns(schema: dict[str, str] | None) -> dict[str, str]:
@@ -183,10 +168,10 @@ def load_records(
 
 
 def records_to_matrix(records: list[ChirpRecord]) -> np.ndarray:
-    """Stack record features into a raw (unscaled) N x 3 array, in record order."""
+    """The records' ``FEATURE_NAMES`` fields as a raw (unscaled) N x 3 array, in record order."""
     if not records:
         raise DataError("no records to build a feature matrix from")
-    return np.array([r.features for r in records], dtype=np.float64)
+    return np.array([r[1:4] for r in records], dtype=np.float64)
 
 
 def standardize(values: np.ndarray) -> tuple[np.ndarray, list[tuple[float, float]]]:
@@ -224,17 +209,11 @@ def class_distribution(records: list[ChirpRecord]) -> dict[str, dict]:
     if not records:
         raise DataError("class_distribution needs at least one record")
     n = len(records)
-    outcome: dict[str, float] = {}
-    for code in OUTCOME_CODES:
-        count = sum(1 for r in records if r.outcome == code)
-        if count:
-            outcome[code] = count / n
-    difficulty: dict[int, float] = {}
-    for level in DIFFICULTY_LEVELS:
-        count = sum(1 for r in records if r.difficulty == level)
-        if count:
-            difficulty[level] = count / n
-    return {"outcome": outcome, "difficulty": difficulty}
+    dist: dict[str, dict] = {}
+    for name, levels in LABEL_LEVELS.items():
+        counts = Counter(getattr(r, name) for r in records)
+        dist[name] = {level: counts[level] / n for level in levels if counts[level]}
+    return dist
 
 
 def subsample_records(records: list[ChirpRecord], n: int, seed: int) -> list[ChirpRecord]:

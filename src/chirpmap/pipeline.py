@@ -3,8 +3,9 @@
 Each stage reads its inputs from the output directory and writes its
 artifacts back there, so running stages one by one produces byte-for-
 byte the same files as the single-shot pipeline. Every artifact embeds
-the config hash and master seed; a failing stage leaves a FAILED marker
-naming the stage and cause next to whatever partial outputs exist.
+the config hash and master seed. A failing stage leaves a FAILED marker
+naming the stage and cause next to whatever partial outputs exist, and a
+later stage refuses to run while it stands.
 
 `STAGES` is the one list of the stages: each entry declares, in pipeline
 order, the stage's function, its CLI help line, and the files and
@@ -13,8 +14,10 @@ directories it writes. The artifact paths, the missing-upstream messages,
 
 The stages own the table formats: only this module reads and writes the
 CSV tables and their JSON sidecars; `tsne` and `sensitivity` compute on
-arrays. Embed and explain check a table and its sidecar before writing
-either (`_write_table`), and write the sidecar last.
+arrays, and a features.csv row is an `ingest.ChirpRecord`. Embed and
+explain check a table and its sidecar before writing either
+(`_write_table`), and write the sidecar last; eval writes its report
+after its models. The embedding reader refuses a window render cannot draw.
 """
 
 from __future__ import annotations
@@ -27,12 +30,12 @@ import sys
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from itertools import zip_longest
-from types import SimpleNamespace
+from typing import get_type_hints
 
 import numpy as np
 
 from .artifacts import (build, fits, json_text, json_value, make_dir, read_csv, read_json,
-                        write_csv, write_json, write_text)
+                        read_text, write_csv, write_json, write_text)
 from .errors import DataError, UsageError
 from .evaluation import (
     SCENARIO_ORDER,
@@ -43,9 +46,9 @@ from .evaluation import (
 )
 from .ingest import (
     CANONICAL_COLUMNS,
-    DIFFICULTY_LEVELS,
     FEATURE_NAMES,
-    OUTCOME_CODES,
+    LABEL_LEVELS,
+    ChirpRecord,
     apply_weights,
     class_distribution,
     load_records,
@@ -62,6 +65,7 @@ from .models import (
     save_model,
 )
 from .render import (
+    padded_window,
     render_bars,
     render_boundary,
     render_confusion,
@@ -289,11 +293,8 @@ def stage_ingest(config: PipelineConfig) -> None:
         if not (np.isfinite(column).all() and np.isfinite(mean_sd).all()):
             raise DataError(f"{name} overflows the float range when standardized and weighted")
 
-    rows = (
-        [record.id] + [repr(float(v)) for v in row] + [record.outcome, record.difficulty]
-        for record, row in zip(records, values)
-    )
-    write_csv(paths["features"], CANONICAL_COLUMNS, rows)
+    write_csv(paths["features"], CANONICAL_COLUMNS,
+              (r._replace(**dict(zip(FEATURE_NAMES, row))) for r, row in zip(records, values.tolist())))
     write_text(paths["rejections"], f"# config={config.hash()} seed={config.seed}\n" + report.to_text())
     meta = {
         **_meta_provenance(config),
@@ -307,30 +308,26 @@ def stage_ingest(config: PipelineConfig) -> None:
         "distribution": class_distribution(records),
     }
     write_json(paths["ingest_meta"], meta)
-    _log(
-        f"ingest: {report.n_accepted}/{report.n_input} rows accepted"
-        + (f", {len(records)} kept after subsampling" if len(records) != n_loaded else "")
-    )
+    kept = f", {len(records)} kept after subsampling" if len(records) != n_loaded else ""
+    _log(f"ingest: {report.n_accepted}/{report.n_input} rows accepted{kept}")
 
 
-def _read_features(path: str) -> tuple[list[str], np.ndarray, list]:
-    """features.csv back into (ids, values, rows-with-labels); every id
-    must be unique and every label one that ingest accepts."""
-    parse = (str, float, float, float, str, int)
-    table = read_csv(path, CANONICAL_COLUMNS, parse, _missing("features"))
-    ids = [row[0] for row in table]
+def _read_features(path: str) -> tuple[list[str], np.ndarray, list[ChirpRecord]]:
+    """features.csv back into (ids, feature table, records); every id must
+    be unique and every label one that ingest accepts."""
+    table = read_csv(path, CANONICAL_COLUMNS, tuple(get_type_hints(ChirpRecord).values()),
+                     _missing("features"))
+    records = [ChirpRecord(*row) for row in table]
     first_line: dict[str, int] = {}
-    for line, (rec_id, *_, outcome, difficulty) in enumerate(table, start=2):
-        first = first_line.setdefault(rec_id, line)
+    for line, record in enumerate(records, start=2):
+        first = first_line.setdefault(record.id, line)
         if first != line:
-            raise DataError(f"{path} line {line}: duplicate id {rec_id!r} (first at line {first})")
-        for column, value, levels in (("outcome", outcome, OUTCOME_CODES),
-                                      ("difficulty", difficulty, DIFFICULTY_LEVELS)):
-            if value not in levels:
+            raise DataError(f"{path} line {line}: duplicate id {record.id!r} (first at line {first})")
+        for column, levels in LABEL_LEVELS.items():
+            if (value := getattr(record, column)) not in levels:
                 raise DataError(f"{path} line {line}, column {column!r}: {value!r} is not one of "
                                 f"{', '.join(map(str, levels))}")
-    values = np.array([row[1:4] for row in table], dtype=np.float64)
-    return ids, values, [SimpleNamespace(outcome=row[4], difficulty=row[5]) for row in table]
+    return [r.id for r in records], np.array([row[1:4] for row in table], dtype=np.float64), records
 
 
 def _write_table(paths: dict, key: str, text: list[tuple], numbers: np.ndarray, meta: dict) -> None:
@@ -368,38 +365,37 @@ def stage_embed(config: PipelineConfig) -> None:
     _log(f"embed: {len(ids)} points, final KL {embedding.final_kl:.4f}")
 
 
-def _read_embedding_aligned(paths: dict) -> tuple[list[str], np.ndarray, np.ndarray, list]:
-    ids, values, rows = _read_features(paths["features"])
+def _read_embedding_aligned(paths: dict) -> tuple[list[str], np.ndarray, np.ndarray, list[ChirpRecord]]:
+    """`_read_features` and embedding.csv's coordinates, row k of each for one
+    record; a window render cannot draw is refused before eval or explain fit."""
+    ids, values, records = _read_features(paths["features"])
     (emb_ids,), coords = _read_table(paths, "embedding")
     if emb_ids != ids:
         raise DataError(f"embedding rows do not match {os.path.basename(paths['features'])} rows")
-    return ids, values, coords, rows
+    try:
+        padded_window(coords)
+    except DataError as exc:
+        raise DataError(f"{paths['embedding']}: {exc}") from exc
+    return ids, values, coords, records
 
 
 def stage_eval(config: PipelineConfig) -> None:
     paths = artifact_paths(config.out)
-    _, _, coords, rows = _read_embedding_aligned(paths)
+    _, _, coords, records = _read_embedding_aligned(paths)
     classifier_configs = {kind: config.classifier_config(kind) for kind in config.classifiers}
     report, models = run_all_scenarios(
-        coords,
-        rows,
-        master_seed=config.seed,
-        scenario_keys=config.scenarios,
-        classifier_kinds=config.classifiers,
-        k_folds=config.k_folds,
-        holdout_fraction=config.holdout_fraction,
-        classifier_configs=classifier_configs,
-    )
+        coords, records, master_seed=config.seed, scenario_keys=config.scenarios,
+        classifier_kinds=config.classifiers, k_folds=config.k_folds,
+        holdout_fraction=config.holdout_fraction, classifier_configs=classifier_configs)
     report["config_hash"] = config.hash()
     report["classifier_configs"] = {kind: asdict(c) for kind, c in classifier_configs.items()}
-    write_json(paths["eval_report"], report)
+    report_text = json_text(paths["eval_report"], report)
     make_dir(paths["models_dir"])
     for (scenario, kind), model in models.items():
         save_model(model, _model_path(paths, scenario, kind), extra={"provenance": _provenance(config)})
-    _log(
-        f"eval: {len(config.scenarios)} scenarios x {len(config.classifiers)} classifiers, "
-        f"{config.k_folds}-fold CV + {config.holdout_fraction:.0%} hold-out"
-    )
+    write_text(paths["eval_report"], report_text)
+    _log(f"eval: {len(config.scenarios)} scenarios x {len(config.classifiers)} classifiers, "
+         f"{config.k_folds}-fold CV + {config.holdout_fraction:.0%} hold-out")
 
 
 def stage_explain(config: PipelineConfig) -> None:
@@ -415,10 +411,7 @@ def stage_explain(config: PipelineConfig) -> None:
     text = [(rec_id, name) for rec_id in ids for name in FEATURE_NAMES]
     numbers = np.stack((smap.phi_x, smap.phi_y, smap.combined), axis=-1).reshape(-1, 3)
     _write_table(paths, "sensitivity", text, numbers, meta)
-    _log(
-        f"explain: R^2 x={smap.r2_x:.3f} y={smap.r2_y:.3f}, "
-        f"{len(ids)} records attributed"
-    )
+    _log(f"explain: R^2 x={smap.r2_x:.3f} y={smap.r2_y:.3f}, {len(ids)} records attributed")
 
 
 def _read_combined(paths: dict, ids: list[str]) -> np.ndarray:
@@ -447,22 +440,22 @@ def _read_combined(paths: dict, ids: list[str]) -> np.ndarray:
 
 def stage_render(config: PipelineConfig) -> None:
     paths = artifact_paths(config.out)
-    ids, _, coords, rows = _read_embedding_aligned(paths)
+    ids, _, coords, records = _read_embedding_aligned(paths)
     report = read_json(paths["eval_report"], _missing("eval_report"))
     combined = _read_combined(paths, ids)
     metrics = report_metrics(report, paths["eval_report"], config.scenarios, config.classifiers)
     prov = _provenance(config)
 
     figures = []  # (file name, svg), written in one loop once every figure is drawn
-    dist = class_distribution(rows)
+    dist = class_distribution(records)
     for name in ("outcome", "difficulty"):
         figures.append((f"fig_bars_{name}.svg",
                         render_bars(dist[name], f"{name.title()} distribution", prov)))
     for name in ("outcome", "difficulty"):
         figures.append((f"fig_embedding_{name}.svg", render_labeled_embedding(
-            coords, [getattr(r, name) for r in rows], f"Embedding by {name}", prov)))
+            coords, [getattr(r, name) for r in records], f"Embedding by {name}", prov)))
     for scenario in config.scenarios:
-        labels, _ = encode_scenario(rows, SCENARIOS[scenario])
+        labels, _ = encode_scenario(records, SCENARIOS[scenario])
         for kind in config.classifiers:
             short = LONG_KIND_NAMES[kind]
             model_path = _model_path(paths, scenario, kind)
@@ -515,24 +508,43 @@ STAGES = (
     Stage("render", stage_render, "draw all figures as SVG", dirs={"figs_dir": ("figs", None)}),
 )
 
+_STAGE_NAMES = [stage.name for stage in STAGES]
+
 # artifact key -> (name under the output directory, missing-artifact label, stage)
 _ARTIFACTS = {key: (name, label, stage.name)
               for stage in STAGES for key, (name, label) in {**stage.files, **stage.dirs}.items()}
 
 
+def _failed_stage(path: str) -> tuple[str, str] | None:
+    """(stage, cause) as the FAILED marker at `path` records them, or None
+    without a marker; a marker that names no stage is a DataError."""
+    if not os.path.exists(path):
+        return None
+    head, _, cause = read_text(path).partition("\n")
+    stage = head.removeprefix("stage: ")
+    if stage == head or stage not in _STAGE_NAMES:
+        raise DataError(f"{path} names no stage of {', '.join(_STAGE_NAMES)}")
+    return stage, cause.removeprefix("cause: ").strip()
+
+
 def run_stage(name: str, config: PipelineConfig) -> None:
-    """Run one stage; on failure leave a FAILED marker naming it."""
+    """Run one stage; on failure leave a FAILED marker naming it. A marker
+    stops every later stage, and a success of its stage or an earlier one removes it."""
     stage_fn = {stage.name: stage.run for stage in STAGES}.get(name)
     if stage_fn is None:
         raise UsageError(f"unknown stage {name!r}")
     make_dir(config.out)
     paths = artifact_paths(config.out)
+    failed = _failed_stage(paths["failed"])
+    if failed and _STAGE_NAMES.index(name) > _STAGE_NAMES.index(failed[0]):
+        raise DataError(f"{paths['failed']}: the {failed[0]} stage failed ({failed[1]}); "
+                        f"run it or an earlier stage again before {name}")
     try:
         stage_fn(config)
     except Exception as exc:
         write_text(paths["failed"], f"stage: {name}\ncause: {exc}\n")
         raise
-    if os.path.exists(paths["failed"]):
+    if failed:
         os.remove(paths["failed"])
 
 

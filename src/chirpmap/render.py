@@ -139,19 +139,26 @@ def render_bars(distribution: dict, title: str, provenance: dict) -> str:
     return svg.to_string()
 
 
-def _data_window(coords: np.ndarray) -> tuple[float, float, float, float]:
+def padded_window(coords: np.ndarray) -> tuple[float, float, float, float]:
+    """(x0, x1, y0, y1), the bounding box of coords padded by _PAD of each
+    span (a zero span borrows half the other), of zero size for identical
+    points; a box wider or taller than a float can hold is a DataError."""
     x_min, x_max = float(coords[:, 0].min()), float(coords[:, 0].max())
     y_min, y_max = float(coords[:, 1].min()), float(coords[:, 1].max())
     span_x, span_y = x_max - x_min, y_max - y_min
-    if span_x == 0 and span_y == 0:
-        raise DataError("degenerate bounding box: all points identical")
-    # an axis with zero spread borrows half the other axis's span
     dx = span_x * _PAD if span_x > 0 else max(span_x, span_y) * 0.5
     dy = span_y * _PAD if span_y > 0 else max(span_x, span_y) * 0.5
     x0, x1, y0, y1 = x_min - dx, x_max + dx, y_min - dy, y_max + dy
     if not np.isfinite([x1 - x0, y1 - y0]).all():
         raise DataError("padded bounding box overflows: its width or height is not a finite number")
     return x0, x1, y0, y1
+
+
+def _data_window(coords: np.ndarray) -> tuple[float, float, float, float]:
+    x0, x1, y0, y1 = window = padded_window(coords)
+    if x0 == x1 and y0 == y1:
+        raise DataError("degenerate bounding box: all points identical")
+    return window
 
 
 class _Frame:

@@ -5,7 +5,8 @@ positive base point, pushed apart along seeded random unit directions.
 The "cluster" label model makes all three scenario labelings line up
 with cluster membership (so they are learnable); the "random" model
 destroys any feature-label relation (so accuracy should sit near
-chance).
+chance). The records are `ChirpRecord`s, and `write_records_csv` writes
+them as the input table that `chirpmap ingest` reads.
 """
 
 from __future__ import annotations
@@ -44,38 +45,19 @@ def generate_records(
     centers = _BASE + separation * directions / norms[:, None]
 
     records: list[ChirpRecord] = []
-    idx = 0
     for k in range(n_clusters):
         values = rng.normal(loc=centers[k], scale=1.0, size=(n_per_cluster, 3))
         values = np.maximum(np.abs(values), 1e-9)  # features must stay positive
         for row in values:
-            if label_model == "cluster":
-                outcome = OUTCOME_CODES[k % 3]
-                difficulty = (k % 4) + 1
-            else:
-                outcome = OUTCOME_CODES[rng.integers(0, 3)]
-                difficulty = int(rng.integers(1, 5))
-            records.append(
-                ChirpRecord(
-                    id=f"r{idx:04d}",
-                    temporal_duration=float(row[0]),
-                    frequency_onset=float(row[1]),
-                    spectral_duration=float(row[2]),
-                    outcome=outcome,
-                    difficulty=difficulty,
-                )
-            )
-            idx += 1
+            outcome, difficulty = ((OUTCOME_CODES[k % 3], k % 4 + 1) if label_model == "cluster" else
+                                   (OUTCOME_CODES[rng.integers(0, 3)], int(rng.integers(1, 5))))
+            records.append(ChirpRecord(f"r{len(records):04d}", *row.tolist(), outcome, difficulty))
     return records
 
 
 def write_records_csv(records: list[ChirpRecord], path: str) -> None:
-    """Emit the canonical input schema; floats survive round-trip exactly."""
+    """Emit the canonical input schema; the csv module writes a float as its
+    repr, so floats survive the round trip exactly."""
     if not records:
         raise DataError("no records to write")
-    rows = (
-        [r.id, repr(float(r.temporal_duration)), repr(float(r.frequency_onset)),
-         repr(float(r.spectral_duration)), r.outcome, r.difficulty]
-        for r in records
-    )
-    write_csv(path, CANONICAL_COLUMNS, rows)
+    write_csv(path, CANONICAL_COLUMNS, records)

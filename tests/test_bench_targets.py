@@ -8,6 +8,7 @@ record no span.
 """
 
 import importlib.util
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -16,14 +17,27 @@ import numpy as np
 import chirpmap.models
 import chirpmap.pipeline
 import chirpmap.sensitivity
+from chirpmap.evaluation import SCENARIO_ORDER
+from chirpmap.ingest import FEATURE_NAMES
 from chirpmap.synth import generate_records, write_records_csv
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
+WORKLOADS = TRACER.parent / "workloads.py"
 
 
 def _load_tracer():
     spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
     module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _load_workloads(monkeypatch):
+    """workloads.py as the tracer is loaded, registered while the test runs,
+    since its dataclasses resolve their annotations through sys.modules."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", WORKLOADS)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -115,3 +129,27 @@ def test_traced_pipeline_records_every_eval_and_explain_call(tmp_path):
         "render.sensitivity": 3,
     }
     assert {name: counts[name] for name in expected} == expected
+
+
+def test_workload_copies_of_the_schema_match_the_package(tmp_path, monkeypatch):
+    """`perfbench/workloads.py` keeps its own feature, scenario and
+    classifier names and its own list of each stage's artifacts; a change
+    to the package that they miss fails here, not as a failed bench op."""
+    workloads = _load_workloads(monkeypatch)
+    assert workloads.FEATURES == FEATURE_NAMES
+    assert workloads.SCENARIOS == SCENARIO_ORDER
+    assert workloads.CLASSIFIERS == tuple(chirpmap.pipeline.LONG_KIND_NAMES[kind]
+                                          for kind in chirpmap.models.CLASSIFIER_KINDS)
+    data = tmp_path / "data.csv"
+    write_records_csv(generate_records(n_per_cluster=10, seed=0), str(data))
+    out = tmp_path / "out"
+    chirpmap.pipeline.run_pipeline(chirpmap.pipeline.config_from_dict({
+        "input": str(data), "out": str(out),
+        "tsne": {"perplexity": 5, "n_iterations": 60, "momentum_switch_iter": 20,
+                 "exaggeration_until_iter": 20},
+        "classifier_configs": {"rf": {"n_trees": 3}}, "sensitivity": {"n_trees": 3},
+        "grid_resolution": 10,
+    }))
+    written = {path.relative_to(out).as_posix() for path in out.rglob("*") if path.is_file()}
+    expected = workloads.expected_artifacts(tuple(stage.name for stage in chirpmap.pipeline.STAGES))
+    assert set(expected) <= written

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import shutil
@@ -5,6 +6,7 @@ import shutil
 import pytest
 
 import chirpmap.cli as cli
+import chirpmap.pipeline
 from chirpmap.errors import NumericError, UsageError
 from chirpmap.cli import build_parser, config_from_args, entrypoint
 
@@ -177,11 +179,56 @@ def test_embedding_window_that_overflows_is_data_error_before_any_figure(tmp_pat
     assert {p.name: (p.read_bytes(), p.stat().st_mtime_ns) for p in (out / "figs").iterdir()} == figures
 
 
+def output_snapshot(out):
+    """Relative path -> (bytes, mtime) of every file under out."""
+    return {str(p.relative_to(out)): (p.read_bytes(), p.stat().st_mtime_ns)
+            for p in out.rglob("*") if p.is_file()}
+
+
+@pytest.mark.parametrize("value", ["1.7e308", "8.5e307"], ids=["span-overflows", "padding-overflows"])
+@pytest.mark.parametrize("stage", ["eval", "explain"])
+def test_embedding_window_that_overflows_is_refused_before_any_fit(tmp_path, capsys, recwarn,
+                                                                  finished_run, stage, value):
+    """Eval and explain read the embedding through the reader render uses,
+    so they refuse the embedding render cannot draw before fitting on it."""
+    out = spread_tsne_x(finished_run, tmp_path, value)
+    before = output_snapshot(out)
+    capsys.readouterr()
+    assert entrypoint([stage, "--out", str(out), "--scenario", "s1"]) == 2
+    err = capsys.readouterr().err
+    assert "padded bounding box overflows" in err and "embedding.csv" in err
+    assert "Traceback" not in err
+    assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
+    after = output_snapshot(out)
+    assert after.pop("FAILED")[0].startswith(f"stage: {stage}\n".encode())
+    assert after == before
+
+
+def non_finite_svm(monkeypatch):
+    """Make eval's s1 SVM carry a NaN intercept."""
+    run_all_scenarios = chirpmap.pipeline.run_all_scenarios
+
+    def patched(*args, **kwargs):
+        report, models = run_all_scenarios(*args, **kwargs)
+        models["s1", "svm"] = dataclasses.replace(models["s1", "svm"], b=float("nan"))
+        return report, models
+
+    monkeypatch.setattr(chirpmap.pipeline, "run_all_scenarios", patched)
+
+
+def non_finite_base(monkeypatch):
+    """Make explain's sensitivity map carry a NaN base value."""
+    build_sensitivity_map = chirpmap.pipeline.build_sensitivity_map
+    monkeypatch.setattr(chirpmap.pipeline, "build_sensitivity_map", lambda *args: dataclasses.replace(
+        build_sensitivity_map(*args), base_x=float("nan")))
+
+
 @pytest.mark.parametrize("stage, written", [("eval", "s1_svm.json"), ("explain", "sensitivity_meta.json")])
-def test_non_finite_result_is_data_error_not_a_json_token(tmp_path, capsys, recwarn, finished_run,
+def test_non_finite_result_is_data_error_not_a_json_token(tmp_path, capsys, monkeypatch, finished_run,
                                                           stage, written):
-    # fitting on these coordinates overflows (recwarn keeps its warnings); only the write fails
-    out = spread_tsne_x(finished_run, tmp_path, "1.7e308")
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    {"eval": non_finite_svm, "explain": non_finite_base}[stage](monkeypatch)
     capsys.readouterr()
     assert entrypoint([stage, "--out", str(out), "--scenario", "s1"]) == 2
     err = capsys.readouterr().err
@@ -193,11 +240,13 @@ def test_non_finite_result_is_data_error_not_a_json_token(tmp_path, capsys, recw
 
 
 def test_explain_refused_for_a_non_finite_result_leaves_its_outputs_untouched(
-        tmp_path, capsys, recwarn, finished_run):
+        tmp_path, capsys, monkeypatch, finished_run):
     """Explain checks its sidecar and table before writing either, so the
     previous sensitivity.csv and sensitivity_meta.json keep their bytes
     and mtimes."""
-    out = spread_tsne_x(finished_run, tmp_path, "1.7e308")
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    non_finite_base(monkeypatch)
     names = ("sensitivity.csv", "sensitivity_meta.json")
     before = {name: ((out / name).read_bytes(), (out / name).stat().st_mtime_ns) for name in names}
     capsys.readouterr()
@@ -205,6 +254,52 @@ def test_explain_refused_for_a_non_finite_result_leaves_its_outputs_untouched(
     assert "not JSON compliant" in capsys.readouterr().err
     assert {name: ((out / name).read_bytes(), (out / name).stat().st_mtime_ns)
             for name in names} == before
+
+
+def test_eval_writes_its_report_after_its_models(tmp_path, capsys, finished_run):
+    """A model file eval cannot write leaves the previous eval_report.json
+    as it was, not a new report beside old models."""
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    blocked = out / "models" / "s1_svm.json"
+    blocked.unlink()
+    blocked.mkdir()
+    report = out / "eval_report.json"
+    before = (report.read_bytes(), report.stat().st_mtime_ns)
+    capsys.readouterr()
+    assert entrypoint(["eval", "--out", str(out), "--scenario", "s1"]) == 2
+    assert f"cannot write {blocked}" in capsys.readouterr().err
+    assert (report.read_bytes(), report.stat().st_mtime_ns) == before
+
+
+def test_failed_marker_stops_later_stages_until_its_stage_succeeds(tmp_path, capsys, finished_run):
+    """After a failed embed, render refuses to run and keeps the marker and
+    the old figures; a successful embed then removes the marker."""
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"out": str(out), "tsne": {"perplexity": 100}}))
+    assert entrypoint(["embed", "--config", str(config)]) == 2
+    marker = (out / "FAILED").read_bytes()
+    assert marker.startswith(b"stage: embed\n")
+    figures = output_snapshot(out / "figs")
+    capsys.readouterr()
+    assert entrypoint(["render", "--out", str(out), "--scenario", "s1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'FAILED'}: the embed stage failed" in err and "Traceback" not in err
+    assert (out / "FAILED").read_bytes() == marker
+    assert output_snapshot(out / "figs") == figures
+    assert entrypoint(["embed", "--out", str(out)]) == 0
+    assert not (out / "FAILED").exists()
+
+
+def test_failed_marker_naming_no_stage_is_data_error(tmp_path, capsys, finished_run):
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    (out / "FAILED").write_text("stage: frobnicate\ncause: unknown\n")
+    capsys.readouterr()
+    assert entrypoint(["render", "--out", str(out), "--scenario", "s1"]) == 2
+    assert f"{out / 'FAILED'} names no stage of ingest, embed, eval, explain, render" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(

@@ -34,7 +34,7 @@ def test_load_records_accepts_valid_rows(tmp_path):
     assert report.n_input == 4
     assert report.n_rejected == 0
     assert [r.id for r in records] == ["a", "b", "c", "d"]
-    assert tuple(records[0].features) == (1.5, 12.0, 30.0)
+    assert tuple(records_to_matrix(records)[0]) == (1.5, 12.0, 30.0)
     assert records[1].outcome == "NR"
     assert records[2].difficulty == 4
 
@@ -101,7 +101,7 @@ def test_standardize_matches_population_moments(tmp_path):
     values, scaling = standardize(records_to_matrix(records))
     assert np.allclose(values.mean(axis=0), 0.0, atol=1e-12)
     assert np.allclose(values.std(axis=0), 1.0, atol=1e-12)
-    raw = np.array([r.features for r in records])
+    raw = records_to_matrix(records)
     for j, (mean, sd) in enumerate(scaling):
         assert mean == pytest.approx(raw[:, j].mean())
         assert sd == pytest.approx(raw[:, j].std())  # population, not sample

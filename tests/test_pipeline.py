@@ -9,10 +9,13 @@ from pathlib import Path
 import pytest
 
 from chirpmap.errors import DataError, UsageError
+from chirpmap.ingest import (FEATURE_NAMES, ChirpRecord, apply_weights, load_records,
+                             records_to_matrix, standardize)
 from chirpmap.pipeline import (
     LONG_KIND_NAMES,
     STAGES,
     PipelineConfig,
+    _read_features,
     artifact_paths,
     config_from_dict,
     run_pipeline,
@@ -242,6 +245,28 @@ def test_failed_marker_cleared_on_success(tmp_path, tiny_run):
     assert (tmp_path / "out" / "FAILED").exists()
     run_stage("ingest", config)
     assert not (tmp_path / "out" / "FAILED").exists()
+
+
+def test_features_csv_reads_back_the_records_ingest_wrote(tmp_path):
+    """The ChirpRecords read back from features.csv equal, field for field
+    and bit for bit, the input records with their features standardized
+    and weighted; the feature table holds the same bits."""
+    data = write_dataset(str(tmp_path))
+    config = config_from_dict({**TINY, "input": data, "out": str(tmp_path / "out"),
+                               "weights": [2.0, 0.5, 1.0]})
+    run_stage("ingest", config)
+    records, _ = load_records(data)
+    values = apply_weights(standardize(records_to_matrix(records))[0], config.weights)
+    expected = [r._replace(**dict(zip(FEATURE_NAMES, row))) for r, row in zip(records, values.tolist())]
+    ids, table, read = _read_features(artifact_paths(config.out)["features"])
+
+    def cells(rows):
+        return [[(type(v), v.hex() if isinstance(v, float) else v) for v in row] for row in rows]
+
+    assert all(type(r) is ChirpRecord for r in read)
+    assert cells(read) == cells(expected)
+    assert ids == [r.id for r in expected]
+    assert table.tobytes() == values.tobytes()
 
 
 def test_subsample_limits_rows(tmp_path):
