@@ -147,6 +147,11 @@ def load_records(
     missing = [col for col in columns.values() if col not in header]
     if missing:
         raise DataError(f"header is missing mapped columns: {missing}")
+    for col in dict.fromkeys(columns.values()):
+        at = [i for i, name in enumerate(header, start=1) if name == col]
+        if len(at) > 1:  # csv.DictReader would keep the last
+            raise DataError(f"{path} header repeats mapped column {col!r} "
+                            f"(columns {', '.join(map(str, at))})")
 
     records: list[ChirpRecord] = []
     report = RejectionReport()

@@ -15,8 +15,9 @@ A tree grows on its bootstrap's distinct rows, each weighted by its
 multiplicity, about 63% of the n rows drawn (Breiman 2001); a node's
 sample count is still the number of drawn rows that reach it.
 
-`predict` routes every point down every tree at once, level by level,
-over the trees' stacked node tables (`route_trees`).
+`predict` routes every point down every tree in one `route_trees` call,
+over the trees' stacked node tables; boundary grids are painted from the
+leaf boxes instead (`predict_grid`).
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ from .tree import DecisionTree, NodeTable, TreeConfig, grow_trees, leaf_boxes, r
 
 # distinct rows grown together, on average: bounds the grower's working memory
 _BLOCK_ROWS = 8192
-# (tree, point) pairs routed together by `predict`: bounds its working memory
-_PREDICT_PAIRS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -70,20 +69,11 @@ class RandomForestModel:
             raise DataError(f"expected {self.n_features} features, got {x.shape[1]}")
         table = stack_trees(self.trees)
         roots = np.cumsum([0] + [t.root.feature.size for t in self.trees[:-1]])
-        regression = self.config.task == "regression"
-        out = np.empty(x.shape[0], dtype=np.float64 if regression else np.int64)
-        chunk = max(1, _PREDICT_PAIRS // len(self.trees))
-        for lo in range(0, x.shape[0], chunk):
-            value = table.value[route_trees(table, roots, x[lo:lo + chunk])]  # (trees, points)
-            if regression:
-                acc = np.zeros(value.shape[1])
-                for row in value:
-                    acc += row
-                out[lo:lo + chunk] = acc / len(self.trees)
-            else:
-                votes = [np.count_nonzero(value == c, axis=0) for c in range(self.n_classes)]
-                out[lo:lo + chunk] = np.argmax(votes, axis=0)  # first max: ties go to class 0
-        return out
+        value = table.value[route_trees(table, roots, x)]  # (trees, points)
+        if self.config.task == "regression":
+            return sum(value, np.zeros(x.shape[0])) / len(self.trees)
+        votes = [np.count_nonzero(value == c, axis=0) for c in range(self.n_classes)]
+        return np.argmax(votes, axis=0)  # first max: ties go to class 0
 
     def predict_grid(self, xc, yc) -> np.ndarray:
         """`predict` at every (xc[col], yc[row]) of ascending axes, as a

@@ -3,8 +3,8 @@
 Documents carry {kind, config, parameters} and reconstruct models whose
 predictions are bit-identical to the originals (floats survive via
 shortest round-trip repr, which json uses natively). A random forest
-stores each tree as node arrays, minus those the table derives (see
-`NodeTable.build`).
+stores each tree as node arrays, minus those the table derives: the
+left child and, given class counts, value and n_samples (see `NodeTable`).
 
 Loading reads every JSON value through `artifacts.json_value` and
 `artifacts.build`: a value that is absent or of the wrong type or range
@@ -136,12 +136,12 @@ def _forest_from_dict(doc: dict, where: str) -> RandomForestModel:
             or np.any(internal & ((table.right <= local + 1)
                                   | (table.right >= np.repeat(sizes, sizes))))):
         raise DataError("tree split feature, child index or count out of range")
-    parents = np.bincount(np.concatenate([table.left[internal], (first + table.right)[internal]]),
+    split = np.flatnonzero(internal)
+    parents = np.bincount(np.concatenate([split + 1, (first + table.right)[split]]),
                           minlength=total)
     if np.any(parents != (local > 0)):  # one parent each, none for a root
         raise DataError("tree nodes do not form one tree: every node but the root "
                         "must be the child of exactly one node")
-    table.left = np.where(internal, local + 1, -1)
     trees = [
         DecisionTree(root=NodeTable(**{key: a if a is None else a[lo:lo + n]
                                        for key, a in vars(table).items()}),

@@ -5,10 +5,9 @@ points. Equal distances are resolved toward the lower training-row
 index (stable sort order); vote ties are resolved to the class of the
 single nearest neighbor.
 
-Queries are processed in chunks of about `_CHUNK_ENTRIES` distances.
-Each chunk's squared distances are written into two buffers allocated
-once per `predict` call, and the k neighbours are picked by k rounds of
-argmin: k passes over the chunk instead of a sort.
+`predict` takes every query's squared distances in one call and picks
+the k neighbours by k rounds of argmin: k passes over the distances
+instead of a sort.
 
 `predict_grid` gives `predict`'s answers on a grid of centres. Exact
 bounds on every distance within a grid tile certify which training
@@ -31,9 +30,6 @@ import numpy as np
 from ..distances import squared_distances
 from ..errors import DataError
 
-# distances per query chunk; the chunk height only bounds memory, since
-# every distance has the same bits under any split of the queries
-_CHUNK_ENTRIES = 65536
 # grid centres per tile side in `predict_grid`
 _TILE = 16
 
@@ -69,18 +65,7 @@ class KnnModel:
         p = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if p.shape[1] != self.x.shape[1]:
             raise DataError(f"expected {self.x.shape[1]} features, got {p.shape[1]}")
-        k = self.config.k
-        out = np.empty(p.shape[0], dtype=np.int64)
-        rows = max(1, _CHUNK_ENTRIES // self.x.shape[0])
-        d2_buf = np.empty((min(p.shape[0], rows), self.x.shape[0]))
-        work_buf = np.empty_like(d2_buf)
-        for start in range(0, p.shape[0], rows):
-            chunk = p[start : start + rows]
-            m = chunk.shape[0]
-            d2, work = d2_buf[:m], work_buf[:m]
-            squared_distances(chunk, self.x, out=d2, scratch=work)
-            out[start : start + m] = self._vote(_nearest(d2, k, work=work))
-        return out
+        return self._vote(_nearest(squared_distances(p, self.x), self.config.k))
 
     def predict_grid(self, xc, yc) -> np.ndarray:
         """The classes `predict` gives at every (xc[col], yc[row]), as a
@@ -161,21 +146,18 @@ def _term_bounds(tiles: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarr
     return lower, np.maximum(below, above)
 
 
-def _nearest(d2: np.ndarray, k: int, work: np.ndarray | None = None) -> np.ndarray:
+def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
     """Per row, the indices of the k smallest entries in (value, index)
     order: the first k of a stable argsort.
 
     `np.argmin` returns the first minimum, so k rounds of "argmin, then
     set that entry to +inf" give the stable order with ties going to the
-    lower index. The rounds run on a copy (in `work` if given, which must
-    have d2's shape); d2 itself is left unchanged. A row where some round's
-    minimum is not finite (a NaN or -inf, or +inf, which cannot be told
-    from an entry already taken) is sorted in full instead.
+    lower index. The rounds run on a copy, and d2 itself is left
+    unchanged. A row where some round's minimum is not finite (a NaN or
+    -inf, or +inf, which cannot be told from an entry already taken) is
+    sorted in full instead, from d2.
     """
-    if work is None:
-        work = d2.copy()
-    else:
-        np.copyto(work, d2)
+    work = d2.copy()
     rows = np.arange(d2.shape[0])
     order = np.empty((d2.shape[0], k), dtype=np.intp)
     finite = np.ones(d2.shape[0], dtype=bool)

@@ -56,14 +56,13 @@ class TreeConfig:
 class NodeTable:
     """One tree as parallel per-node arrays, in preorder with the root at 0.
 
-    Leaves have feature -1, threshold 0.0 and left = right = -1; an
-    internal node sends x[feature] <= threshold to left (always i + 1)
-    and the rest to right.
+    Leaves have feature -1, threshold 0.0 and right = -1; internal node
+    i sends x[feature] <= threshold to its left child, always node i + 1
+    and so not stored, and the rest to right.
     """
 
     feature: np.ndarray  # int64
     threshold: np.ndarray  # float64
-    left: np.ndarray  # int64
     right: np.ndarray  # int64
     n_samples: np.ndarray  # int64, training rows reaching the node
     value: np.ndarray  # float64: majority class (classification) or mean target
@@ -71,9 +70,9 @@ class NodeTable:
 
     @classmethod
     def build(cls, feature, threshold, right, n_samples=None, value=None, counts=None):
-        """The table from the arrays that cannot be derived: `left` is
-        i + 1 at internal nodes, and given `counts` (classification) a
-        node's value is its majority class and n_samples the counts' total."""
+        """The table from the arrays that cannot be derived: given
+        `counts` (classification), a node's value is its majority class
+        and n_samples the counts' total."""
         feature = np.asarray(feature, dtype=np.int64)
         if counts is not None:
             counts = np.asarray(counts, dtype=np.int64)
@@ -82,7 +81,6 @@ class NodeTable:
         return cls(
             feature=feature,
             threshold=np.asarray(threshold, dtype=np.float64),
-            left=np.where(feature >= 0, np.arange(feature.size) + 1, -1),
             right=np.asarray(right, dtype=np.int64),
             n_samples=np.asarray(n_samples, dtype=np.int64),
             value=np.asarray(value, dtype=np.float64),
@@ -272,11 +270,7 @@ def _preorder_tables(levels, n_trees: int) -> list[NodeTable]:
         merged = np.concatenate([level.pop(key) for level in levels])  # frees as it goes
         table[key] = np.empty_like(merged)
         table[key][dest] = merged
-    # one table for the block, whose `left` then counts within each tree,
-    # sliced into the trees' tables
-    whole = NodeTable.build(**table)
-    internal = whole.feature >= 0
-    whole.left[internal] -= np.repeat(offsets, n_nodes)[internal]
+    whole = NodeTable.build(**table)  # the block's table, sliced into the trees' tables
     return [
         NodeTable(**{key: a if a is None else a[lo:lo + size] for key, a in vars(whole).items()})
         for lo, size in zip(offsets.tolist(), n_nodes.tolist())
@@ -472,12 +466,12 @@ def _split_levels(table: NodeTable):
     no node points to), one array per level."""
     internal = table.feature >= 0
     is_child = np.zeros(table.feature.size, dtype=bool)
-    is_child[table.left[internal]] = is_child[table.right[internal]] = True
+    is_child[np.flatnonzero(internal) + 1] = is_child[table.right[internal]] = True
     level = np.flatnonzero(~is_child)
     while level.size:
         split = level[internal[level]]
         yield split
-        level = np.concatenate([table.left[split], table.right[split]])
+        level = np.concatenate([split + 1, table.right[split]])
 
 
 def leaf_boxes(table: NodeTable, n_features: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -494,7 +488,7 @@ def leaf_boxes(table: NodeTable, n_features: int) -> tuple[np.ndarray, np.ndarra
     hi = np.full((n, n_features), np.inf)
     for split in _split_levels(table):
         f, t = table.feature[split], table.threshold[split]
-        left, right = table.left[split], table.right[split]
+        left, right = split + 1, table.right[split]
         lo[left] = lo[right] = lo[split]
         hi[left] = hi[right] = hi[split]
         hi[left, f] = np.minimum(hi[split, f], t)
@@ -517,7 +511,7 @@ def leaf_path_shares(table: NodeTable, n_features: int) -> np.ndarray:
     share = np.ones((table.feature.size, subsets.size))
     for split in _split_levels(table):
         outside = ((subsets >> table.feature[split, None]) & 1) == 0
-        for child in (table.left[split], table.right[split]):
+        for child in (split + 1, table.right[split]):
             ratio = table.n_samples[child] / table.n_samples[split]
             share[child] = np.where(outside, share[split] * ratio[:, None], share[split])
     return share[table.feature < 0]

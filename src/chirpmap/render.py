@@ -142,15 +142,20 @@ def render_bars(distribution: dict, title: str, provenance: dict) -> str:
 def padded_window(coords: np.ndarray) -> tuple[float, float, float, float]:
     """(x0, x1, y0, y1), the bounding box of coords padded by _PAD of each
     span (a zero span borrows half the other), of zero size for identical
-    points; a box wider or taller than a float can hold is a DataError."""
+    points. Coordinates whose squares overflow are a DataError, raised
+    without a RuntimeWarning: the box's squared width plus squared height
+    and the sum of the squares of all coordinates must be finite."""
     x_min, x_max = float(coords[:, 0].min()), float(coords[:, 0].max())
     y_min, y_max = float(coords[:, 1].min()), float(coords[:, 1].max())
     span_x, span_y = x_max - x_min, y_max - y_min
     dx = span_x * _PAD if span_x > 0 else max(span_x, span_y) * 0.5
     dy = span_y * _PAD if span_y > 0 else max(span_x, span_y) * 0.5
     x0, x1, y0, y1 = x_min - dx, x_max + dx, y_min - dy, y_max + dy
-    if not np.isfinite([x1 - x0, y1 - y0]).all():
-        raise DataError("padded bounding box overflows: its width or height is not a finite number")
+    with np.errstate(over="ignore"):
+        squares = np.square([x1 - x0, y1 - y0]).sum() + np.square(coords).sum()
+    if not np.isfinite(squares):
+        raise DataError("padded bounding box overflows: the squares of its width and height or "
+                        "of the coordinates do not sum to a finite number")
     return x0, x1, y0, y1
 
 

@@ -166,7 +166,8 @@ def spread_tsne_x(run_dir, tmp_path, value):
     return out
 
 
-@pytest.mark.parametrize("value", ["1.7e308", "8.5e307"], ids=["span-overflows", "padding-overflows"])
+@pytest.mark.parametrize("value", ["1.7e308", "8.5e307", "1e200"],
+                         ids=["span-overflows", "padding-overflows", "squares-overflow"])
 @pytest.mark.parametrize("flags", [["--classifier", "rf"], []], ids=["rf", "every-classifier"])
 def test_embedding_window_that_overflows_is_data_error_before_any_figure(tmp_path, capsys,
                                                                         finished_run, value, flags):
@@ -185,7 +186,8 @@ def output_snapshot(out):
             for p in out.rglob("*") if p.is_file()}
 
 
-@pytest.mark.parametrize("value", ["1.7e308", "8.5e307"], ids=["span-overflows", "padding-overflows"])
+@pytest.mark.parametrize("value", ["1.7e308", "8.5e307", "1e200"],
+                         ids=["span-overflows", "padding-overflows", "squares-overflow"])
 @pytest.mark.parametrize("stage", ["eval", "explain"])
 def test_embedding_window_that_overflows_is_refused_before_any_fit(tmp_path, capsys, recwarn,
                                                                   finished_run, stage, value):
@@ -738,9 +740,14 @@ def test_non_finite_config_value_fails_before_ingest_writes(tmp_path, capsys, do
     ({"schema": {"id": ["a"]}}, "schema = {'id': ['a']}, not an object of strings or null"),
     ({"weights": [0, 0, 0]}, "at least one feature weight must be strictly positive"),
     ({"weights": [-1, 1, 1]}, "feature weights must be nonnegative, got (-1.0, 1.0, 1.0)"),
+    ({"subsample": 0}, "subsample must be a positive integer"),
+    ({"k_folds": 1}, "k_folds must be at least 2"),
+    ({"grid_resolution": 1}, "grid_resolution must be at least 2"),
+    ({"delimiter": ";;"}, "delimiter must be a single character"),
 ], ids=["zero-trees", "negative-depth", "no-classifiers", "no-scenarios", "scenarios-number",
         "classifiers-object", "scenario-twice", "classifier-twice", "schema-unknown-column",
-        "schema-list-value", "zero-weights", "negative-weight"])
+        "schema-list-value", "zero-weights", "negative-weight", "zero-subsample", "one-fold",
+        "one-cell-grid", "long-delimiter"])
 def test_config_the_stages_cannot_run_fails_before_ingest_writes(tmp_path, capsys, doc, message):
     entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "10"])
     path = tmp_path / "c.json"
@@ -795,6 +802,51 @@ def test_duplicate_input_id_is_rejected_at_ingest(tmp_path, capsys):
     ids = [line.split(",")[0] for line in (out / "features.csv").read_text().splitlines()[1:]]
     assert len(ids) == 29 and len(set(ids)) == 29
     assert json.loads((out / "ingest_meta.json").read_text())["n_rejected"] == 1
+
+
+def repeat_column(lines):
+    """The synthetic data with a seventh column that repeats the second's
+    name and holds the third's values."""
+    return [lines[0] + ",temporal_duration"] + [f"{line},{line.split(',')[2]}" for line in lines[1:]]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [], "{data} has no header row"),
+    (lambda lines: ["id,outcome"] + ["x,S"],
+     "header is missing mapped columns: ['temporal_duration', 'frequency_onset', "
+     "'spectral_duration', 'difficulty']"),
+    (lambda lines: lines[:1] + [line.replace(",S,", ",Q,") for line in lines[1:] if ",S," in line],
+     "{data} contains zero valid rows"),
+    (repeat_column, "{data} header repeats mapped column 'temporal_duration' (columns 2, 7)"),
+], ids=["no-header", "missing-columns", "no-valid-row", "repeated-column"])
+def test_unreadable_input_is_data_error(tmp_path, capsys, edit, message):
+    entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "8"])
+    data = tmp_path / "synth_data.csv"
+    data.write_text("".join(line + "\n" for line in edit(data.read_text().splitlines())))
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert entrypoint(["ingest", "--input", str(data), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "data error" in err and message.format(data=data) in err and "Traceback" not in err
+    assert not (out / "features.csv").exists()
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda lines: [lines[0].replace("id,", "key,", 1)] + lines[1:],
+     "does not have the header"),
+    (lambda lines: lines[:1], "contains no rows"),
+], ids=["other-header", "header-only"])
+def test_unreadable_features_table_is_data_error(tmp_path, capsys, edit, message):
+    entrypoint(["synth", "--out", str(tmp_path), "--n-per-cluster", "8"])
+    out = tmp_path / "out"
+    assert entrypoint(["ingest", "--input", str(tmp_path / "synth_data.csv"), "--out", str(out)]) == 0
+    features = out / "features.csv"
+    features.write_text("".join(line + "\n" for line in edit(features.read_text().splitlines())))
+    capsys.readouterr()
+    assert entrypoint(["embed", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"{features} {message}" in err and "Traceback" not in err
+    assert not (out / "embedding.csv").exists()
 
 
 def test_duplicate_features_id_is_data_error(tmp_path, capsys):

@@ -121,13 +121,10 @@ def _walk_predict(model, x):
 
 @pytest.mark.parametrize("task", ["classification", "regression"])
 @pytest.mark.parametrize("n_trees", [1, 2, 24])
-@pytest.mark.parametrize("pairs", [5, None])
-def test_routed_predict_matches_the_per_tree_walk(task, n_trees, pairs, monkeypatch):
+def test_routed_predict_matches_the_per_tree_walk(task, n_trees):
     """Bit for bit, on points exactly on thresholds, one point, and, with
-    an even number of trees, vote ties; `pairs` routes a few points per
-    chunk. Each tree's own predict must match its walk too."""
-    if pairs is not None:
-        monkeypatch.setattr(forest_module, "_PREDICT_PAIRS", pairs)
+    an even number of trees, vote ties. Each tree's own predict must
+    match its walk too."""
     rng = np.random.default_rng(n_trees)
     x = np.round(rng.normal(size=(80, 3)), 1)
     if task == "regression":

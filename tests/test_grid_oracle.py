@@ -39,7 +39,7 @@ def route_to_leaf(table: NodeTable, x: np.ndarray) -> int:
     node = 0
     while table.feature[node] >= 0:
         goes_left = x[table.feature[node]] <= table.threshold[node]
-        node = table.left[node] if goes_left else table.right[node]
+        node = node + 1 if goes_left else table.right[node]
     return node
 
 

@@ -2,6 +2,10 @@
 want of a linter. Names listed in `__all__` count as used (they are the
 module's exports), and `from __future__` imports bind no name.
 
+Every module-private name a package module binds at its top level (one
+leading underscore) is read in that module or imported by another
+package module: a constant or helper nothing reads is dead code.
+
 The compute modules `tsne` and `sensitivity` import nothing from
 `chirpmap.artifacts`: the pipeline's stages read and write their tables."""
 
@@ -14,6 +18,7 @@ import chirpmap
 
 ROOTS = (Path(chirpmap.__file__).parent, Path(__file__).parent)
 MODULES = sorted(path for root in ROOTS for path in root.rglob("*.py"))
+PACKAGE_MODULES = sorted(ROOTS[0].rglob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -33,13 +38,16 @@ def imported_names(tree: ast.Module) -> dict[str, int]:
 def imported_modules(tree: ast.Module, package: str) -> dict[str, int]:
     """Each module the imports of a module in `package` name, by its
     dotted name, with the line that names it: `from .a import b` names
-    both `package.a` and `package.a.b`, as b may be a submodule."""
+    both `package.a` and `package.a.b`, as b may be a submodule, and
+    `from ..a import b` takes `a` from the package above."""
     modules = {}
+    parts = package.split(".")
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             modules.update((alias.name, node.lineno) for alias in node.names)
         elif isinstance(node, ast.ImportFrom):
-            base = ".".join(([package] if node.level else []) + ([node.module] if node.module else []))
+            base = ".".join((parts[:len(parts) + 1 - node.level] if node.level else [])
+                            + ([node.module] if node.module else []))
             modules[base] = node.lineno
             modules.update((f"{base}.{alias.name}", node.lineno) for alias in node.names)
     return modules
@@ -56,6 +64,40 @@ def used_names(tree: ast.Module) -> set[str]:
     return used
 
 
+def private_names(tree: ast.Module) -> dict[str, int]:
+    """Each name with one leading underscore that the module binds at its
+    top level (a def, a class or an assignment), with the line that binds it."""
+    names = {}
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.setdefault(node.name, node.lineno)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                names.update((n.id, node.lineno) for n in ast.walk(target)
+                             if isinstance(n, ast.Name) and n.id not in names)
+    return {name: line for name, line in names.items()
+            if name.startswith("_") and not name.startswith("__")}
+
+
+def unread_private_names(tree: ast.Module, module: str, imported: set[str]) -> list[str]:
+    """The private names of `module` that it never reads (an `ast.Load`)
+    and that are not in `imported`, the dotted names other modules import."""
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [f"{name} (line {line})" for name, line in private_names(tree).items()
+            if name not in read and f"{module}.{name}" not in imported]
+
+
+def module_and_package(path: Path) -> tuple[str, str]:
+    """The dotted name of a package module and of the package its relative imports start from."""
+    parts = ["chirpmap", *path.relative_to(ROOTS[0]).with_suffix("").parts]
+    if parts[-1] == "__init__":
+        parts.pop()
+        return ".".join(parts), ".".join(parts)
+    return ".".join(parts), ".".join(parts[:-1])
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -69,6 +111,25 @@ def test_the_scan_sees_an_unused_import():
     tree = ast.parse("from __future__ import annotations\nimport os\nfrom a import b as c, d\n"
                      "__all__ = ['d']\n")
     assert set(imported_names(tree)) - used_names(tree) == {"os", "c"}
+
+
+@pytest.mark.parametrize("path", PACKAGE_MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
+def test_every_private_name_is_read(path):
+    imported = set()
+    for other in PACKAGE_MODULES:
+        if other != path:
+            tree = ast.parse(other.read_text(encoding="utf-8"))
+            imported |= set(imported_modules(tree, module_and_package(other)[1]))
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    assert unread_private_names(tree, module_and_package(path)[0], imported) == []
+
+
+def test_the_scan_sees_an_unread_private_name():
+    tree = ast.parse("_READ = 1\n_PLANTED = 2\n_IMPORTED = 3\n__dunder__ = 4\n"
+                     "def f():\n    return _READ\n")
+    user = ast.parse("from ..pkg.planted import _IMPORTED\n")
+    imported = set(imported_modules(user, "chirpmap.other"))
+    assert unread_private_names(tree, "chirpmap.pkg.planted", imported) == ["_PLANTED (line 2)"]
 
 
 @pytest.mark.parametrize("name", ["tsne.py", "sensitivity.py"])

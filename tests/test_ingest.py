@@ -50,6 +50,13 @@ def test_load_records_accepts_valid_rows(tmp_path):
         ("x,1.0,12.0,30.0,Q,1", "outcome"),
         ("x,1.0,12.0,30.0,S,5", "difficulty"),
         ("x,1.0,12.0,30.0,S,0", "difficulty"),
+        (",1.0,12.0,30.0,S,1", "missing value (id)"),
+        ("x,abc,12.0,30.0,S,1", "invalid number (temporal_duration)"),
+        ("x,1.0,12.0,30.0,,1", "missing value (outcome)"),
+        ("x,1.0,12.0,30.0,S,", "missing value (difficulty)"),
+        ("x,1.0,12.0,30.0,S,hard", "invalid number (difficulty)"),
+        ("x,1.0,12.0,30.0,S,2.5", "difficulty out of range (2.5)"),
+        ("x,1.0,12.0,30.0,S,inf", "difficulty out of range (inf)"),
     ],
 )
 def test_load_records_rejects_bad_rows(tmp_path, row, reason_bit):

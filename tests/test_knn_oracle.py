@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from chirpmap.distances import squared_distances
-from chirpmap.models import knn
 from chirpmap.models.knn import KnnConfig, _nearest, fit_knn
 from chirpmap.render import boundary_grid
 from tests.conftest import make_blobs
@@ -67,22 +66,6 @@ def test_render_grid_equals_argpartition_reference(n):
     assert np.array_equal(preds, expected)
 
 
-def test_chunk_distances_equal_one_call_over_all_queries(monkeypatch):
-    x, y = clustered_training_set(630, seed=630)
-    model = fit_knn(x, y, KnnConfig(k=5))
-    seen = []
-
-    def spy(d2, k, work=None):
-        seen.append(d2.copy())
-        return _nearest(d2, k, work)
-
-    monkeypatch.setattr(knn, "_nearest", spy)
-    points = np.random.default_rng(2).uniform(-40.0, 40.0, size=(3 * 2048 + 5, 2))
-    model.predict(points)
-    assert len(seen) > 1
-    assert np.concatenate(seen).tobytes() == squared_distances(points, x).tobytes()
-
-
 def test_lattice_ties_equal_argpartition_reference():
     grid = np.array([(i, j) for i in range(-3, 4) for j in range(-3, 4)], dtype=float)
     rng = np.random.default_rng(6)
@@ -117,5 +100,4 @@ def test_nearest_equals_stable_argsort_with_non_finite_entries():
     for k in (1, 2, 5, n):
         expected = np.argsort(d2, axis=1, kind="stable")[:, :k]
         assert np.array_equal(_nearest(d2, k), expected)
-        assert np.array_equal(_nearest(d2, k, work=np.empty_like(d2)), expected)
         assert d2.tobytes() == before.tobytes()

@@ -38,7 +38,7 @@ def naive_subset_value(table, node, instance, in_mask):
     f = table.feature[node]
     if f < 0:
         return table.value[node]
-    left, right = table.left[node], table.right[node]
+    left, right = node + 1, table.right[node]
     if in_mask[f]:
         child = left if instance[f] < table.threshold[node] else right
         return naive_subset_value(table, child, instance, in_mask)
@@ -64,7 +64,7 @@ def recursive_subset_values(table, x):
         with_f = [s for s in range(1 << d) if (s >> f) & 1]
         without_f = [s for s in range(1 << d) if not (s >> f) & 1]
         goes_left = x[:, f] <= table.threshold[node]
-        left, right = table.left[node], table.right[node]
+        left, right = node + 1, table.right[node]
         n = int(table.n_samples[node])
         w_left = weights.copy()
         w_right = weights.copy()

