@@ -146,7 +146,7 @@ def load_records(
         raise DataError(f"{path} has no header row")
     missing = [col for col in columns.values() if col not in header]
     if missing:
-        raise DataError(f"header is missing mapped columns: {missing}")
+        raise DataError(f"{path} header is missing mapped columns: {missing}")
     for col in dict.fromkeys(columns.values()):
         at = [i for i, name in enumerate(header, start=1) if name == col]
         if len(at) > 1:  # csv.DictReader would keep the last

@@ -5,11 +5,14 @@ draws ceil(sqrt(d)) of the d features uniformly as split candidates.
 Classification predicts by majority vote with ties going to the lowest
 class index; regression predicts the mean of the tree outputs.
 
-Each tree has its own generator, spawned deterministically off the
-config seed: its bootstrap draw comes first, then its candidate draws,
-one block per level in level order (see `grow_trees`). Trees grow
-together in blocks of about `_BLOCK_ROWS` rows; since no tree's draws
-depend on another's, the forest does not depend on the block size.
+A forest draws from two streams spawned off the config seed: one
+`integers` call draws every tree's bootstrap, and, when the forest
+subsamples features, one `random` call per block of trees draws the
+candidate keys (see `grow_trees`). Tree t reads row t of each draw.
+Trees grow together in blocks of about `_BLOCK_ROWS` rows; a double
+takes one 64-bit output of its stream, so drawing the keys block by
+block gives the keys of one draw, and the forest does not depend on the
+block size. The first k trees of a forest are the forest of k trees.
 
 A tree grows on its bootstrap's distinct rows, each weighted by its
 multiplicity, about 63% of the n rows drawn (Breiman 2001); a node's
@@ -164,17 +167,17 @@ def fit_random_forest(x, y, config: ForestConfig = ForestConfig()) -> RandomFore
 
     m_features = math.ceil(math.sqrt(d))
     tree_config = TreeConfig(task=config.task, max_depth=config.max_depth)
-    seeds = np.random.SeedSequence(config.seed).spawn(config.n_trees)
-    rngs = [np.random.default_rng(seed) for seed in seeds]
+    boot_rng, key_rng = np.random.default_rng(config.seed).spawn(2)
+    boots = boot_rng.integers(0, n, size=(config.n_trees, n))
     # a tree grows on its bootstrap's distinct rows, on average
     # n (1 - (1 - 1/n)^n) of them, about 63%
     rows_per_tree = n * (1.0 - (1.0 - 1.0 / n) ** n)
     block = max(1, int(_BLOCK_ROWS // rows_per_tree))
     trees: list[DecisionTree] = []
     for lo in range(0, config.n_trees, block):
-        block_rngs = rngs[lo:lo + block]
-        boots = np.stack([rng.integers(0, n, size=n) for rng in block_rngs])
-        tables = grow_trees(x, y, boots, tree_config, n_classes, block_rngs, m_features)
+        block_boots = boots[lo:lo + block]
+        keys = key_rng.random((block_boots.shape[0], n - 1, d)) if m_features < d else None
+        tables = grow_trees(x, y, block_boots, tree_config, n_classes, keys, m_features)
         trees += [DecisionTree(root=t, config=tree_config, n_features=d, n_classes=n_classes)
                   for t in tables]
     return RandomForestModel(trees=trees, config=config, n_features=d, n_classes=n_classes)

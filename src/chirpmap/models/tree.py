@@ -283,17 +283,19 @@ def grow_trees(
     samples,
     config: TreeConfig,
     n_classes: int,
-    rngs=None,
+    keys=None,
     m_features: int | None = None,
 ) -> list[NodeTable]:
     """Grow one tree on the rows `samples[t]` of (x, y) for every t, all
     trees at once, level by level.
 
-    `rngs[t]` draws tree t's candidate features when `m_features` is
-    below the feature count: for the k nodes it scores on a level, in
-    level order, one (k, d) block of uniform keys, a node's candidates
-    being the m features with the smallest keys. Without `rngs` every
-    feature is a candidate at every node.
+    `keys`, a (trees, len(x) - 1, d) array of uniform keys, draws the
+    candidate features when `m_features` is below the feature count d:
+    the j-th node that tree t scores, in level order, takes keys[t, j],
+    its candidates being the m features with the smallest keys. A scored
+    node holds at least 2 distinct rows, and two scored nodes of a tree
+    are nested or disjoint, so a tree on r distinct rows scores at most
+    r - 1 nodes. Without `keys` every feature is a candidate at every node.
 
     Every tree grows on the distinct rows of `samples[t]`, each weighted
     by its multiplicity there (see the module docstring).
@@ -304,7 +306,8 @@ def grow_trees(
     samples = np.atleast_2d(samples)
     n_trees = samples.shape[0]
     classify = config.task == "classification"
-    subsample = rngs is not None and m_features is not None and m_features < d
+    subsample = keys is not None and m_features is not None and m_features < d
+    used = np.zeros(n_trees, dtype=np.int64)  # nodes each tree has scored so far
     # each tree's distinct rows, ascending, tree after tree, and how often it drew them
     offsets = np.arange(0, n_trees * n_x, n_x)
     mult = np.bincount((samples + offsets[:, None]).ravel(), minlength=n_trees * n_x)
@@ -351,9 +354,14 @@ def grow_trees(
         threshold = np.zeros(k)
         if scored.size:
             if subsample:
-                per_tree = np.bincount(tree[scored], minlength=n_trees).tolist()
-                keys = np.concatenate([rngs[t].random((c, d)) for t, c in enumerate(per_tree) if c])
-                cand = np.sort(np.argsort(keys, axis=1, kind="stable")[:, :m_features], axis=1)
+                # the level's nodes are grouped by tree: a scored node's rank
+                # among its tree's scored nodes is its index past the first
+                owner = tree[scored]
+                per_tree = np.bincount(owner, minlength=n_trees)
+                rank = np.arange(scored.size) - (np.cumsum(per_tree) - per_tree)[owner]
+                drawn = keys[owner, used[owner] + rank]
+                used += per_tree
+                cand = np.sort(np.argsort(drawn, axis=1, kind="stable")[:, :m_features], axis=1)
             else:
                 cand = np.broadcast_to(np.arange(d), (scored.size, d))
             feature[scored], threshold[scored] = _best_splits(
@@ -432,8 +440,9 @@ def fit_tree(
     m_features: int | None = None,
     n_classes: int | None = None,
 ) -> DecisionTree:
-    """Grow one tree. `rng` plus `m_features` draws each node's candidate
-    features as `grow_trees` does; by default every feature is a candidate.
+    """Grow one tree. Given `rng` and `m_features` below the feature
+    count d, one `rng.random((1, n - 1, d))` draw gives the candidate keys
+    of `grow_trees`; by default every feature is a candidate.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n = x.shape[0]
@@ -450,11 +459,14 @@ def fit_tree(
         n_classes = 0
     if y.shape[0] != n:
         raise DataError("labels misaligned with rows")
+    d = x.shape[1]
+    keys = None
     if m_features is not None:
-        m_features = max(1, min(m_features, x.shape[1]))
-    root, = grow_trees(x, y, np.arange(n), config, n_classes,
-                       None if rng is None else [rng], m_features)
-    return DecisionTree(root=root, config=config, n_features=x.shape[1], n_classes=n_classes)
+        m_features = max(1, min(m_features, d))
+        if rng is not None and m_features < d:
+            keys = rng.random((1, n - 1, d))
+    root, = grow_trees(x, y, np.arange(n), config, n_classes, keys, m_features)
+    return DecisionTree(root=root, config=config, n_features=d, n_classes=n_classes)
 
 
 def count_leaves(table: NodeTable) -> int:

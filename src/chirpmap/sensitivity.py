@@ -73,7 +73,11 @@ def _r_squared(target: np.ndarray, predicted: np.ndarray) -> float:
 
 def fit_coordinate_regressors(x: np.ndarray, coords,
                               config: SensitivityConfig) -> tuple[RandomForestModel, RandomForestModel]:
-    """The forests (x, y) that learn each embedding coordinate from the feature rows `x`."""
+    """The forests (x, y) that learn each embedding coordinate from the
+    feature rows `x`. Both grow from one seed, so they share their
+    bootstraps and candidate draws: swapping the embedding's columns
+    swaps the forests, and negating a column negates its forest's leaf
+    values, bit for bit."""
     coords = np.asarray(coords, dtype=np.float64)
     if x.shape[1] != len(FEATURE_NAMES):
         raise DataError(f"expected {len(FEATURE_NAMES)} feature columns, got {x.shape[1]}")
@@ -82,16 +86,13 @@ def fit_coordinate_regressors(x: np.ndarray, coords,
     if x.shape[0] < 10:
         raise DataError("need at least 10 rows to fit coordinate regressors")
 
-    models = []
-    for axis, name in enumerate(("x", "y")):
-        fc = ForestConfig(
-            n_trees=config.n_trees,
-            max_depth=config.max_depth,
-            seed=derive_seed(config.seed, f"coord-{name}"),
-            task="regression",
-        )
-        models.append(fit_random_forest(x, coords[:, axis], fc))
-    return models[0], models[1]
+    fc = ForestConfig(
+        n_trees=config.n_trees,
+        max_depth=config.max_depth,
+        seed=derive_seed(config.seed, "coord"),
+        task="regression",
+    )
+    return fit_random_forest(x, coords[:, 0], fc), fit_random_forest(x, coords[:, 1], fc)
 
 
 def tree_subset_values(model, instances) -> np.ndarray:

@@ -813,7 +813,7 @@ def repeat_column(lines):
 @pytest.mark.parametrize("edit, message", [
     (lambda lines: [], "{data} has no header row"),
     (lambda lines: ["id,outcome"] + ["x,S"],
-     "header is missing mapped columns: ['temporal_duration', 'frequency_onset', "
+     "{data} header is missing mapped columns: ['temporal_duration', 'frequency_onset', "
      "'spectral_duration', 'difficulty']"),
     (lambda lines: lines[:1] + [line.replace(",S,", ",Q,") for line in lines[1:] if ",S," in line],
      "{data} contains zero valid rows"),

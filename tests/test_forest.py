@@ -183,6 +183,37 @@ def test_forest_does_not_depend_on_block_size(task, d, monkeypatch):
     assert all(f == forests[0] for f in forests[1:])
 
 
+def test_forest_draws_from_a_fixed_number_of_generators(monkeypatch):
+    """A forest's bootstraps and candidate keys come from streams of one
+    generator, however many trees it grows."""
+    rng = np.random.default_rng(8)
+    x = np.round(rng.normal(size=(50, 3)), 1)
+    y = x[:, 0] - x[:, 1] * x[:, 2]
+    made = []
+    default_rng = np.random.default_rng
+    monkeypatch.setattr(np.random, "default_rng", lambda *args: made.append(args) or default_rng(*args))
+    calls = []
+    for n_trees in (1, 200):
+        made.clear()
+        fit_random_forest(x, y, ForestConfig(n_trees=n_trees, seed=5, task="regression"))
+        calls.append(len(made))
+    assert calls[0] == calls[1]
+
+
+def test_classification_forest_fit_peak_memory():
+    """As below, for eval's forests: two features, none subsampled."""
+    rng = np.random.default_rng(7)
+    x = rng.normal(size=(900, 2))
+    y = (x[:, 0] + 0.5 * rng.normal(size=900) > 0).astype(np.int64) + (x[:, 1] > 0.8)
+    tracemalloc.start()
+    try:
+        fit_random_forest(x, y, ForestConfig(n_trees=100, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
 def test_forest_fit_peak_memory():
     """The grower's working memory stays small next to the fitted model."""
     rng = np.random.default_rng(6)

@@ -258,6 +258,37 @@ def test_map_round_trip(tmp_path, monkeypatch):
     assert {key: open(paths[key], "rb").read() for key in written} == written
 
 
+def test_map_follows_the_embedding_frame(tmp_path):
+    """t-SNE's 8 exact frames (a column swap, then either column negated)
+    of one 120-record embedding: the combined magnitudes keep their bytes,
+    and each frame's phi, base and R^2 are the original's, swapped and
+    negated with its columns."""
+    data = str(tmp_path / "data.csv")
+    write_records_csv(generate_records(n_per_cluster=40, separation=2.0, seed=12), data)
+    config = config_from_dict({"input": data, "out": str(tmp_path / "out"), "seed": 5})
+    for stage in ("ingest", "embed"):
+        run_stage(stage, config)
+    _, values, coords, _ = _read_embedding_aligned(artifact_paths(config.out))
+    sens_config = config.sensitivity_config()
+
+    def sensitivity_map(coords):
+        reg = fit_coordinate_regressors(values, coords, sens_config)
+        return build_sensitivity_map(reg, values, coords, sens_config.combination)
+
+    original = sensitivity_map(coords)
+    axes = [(original.phi_x, original.base_x, original.r2_x),
+            (original.phi_y, original.base_y, original.r2_y)]
+    for swap, sx, sy in itertools.product((False, True), (1.0, -1.0), (1.0, -1.0)):
+        source = axes[::-1] if swap else axes
+        smap = sensitivity_map((coords[:, ::-1] if swap else coords) * [sx, sy])
+        assert smap.combined.tobytes() == original.combined.tobytes()
+        for (phi, base, r2), (src_phi, src_base, src_r2), sign in zip(
+                ((smap.phi_x, smap.base_x, smap.r2_x), (smap.phi_y, smap.base_y, smap.r2_y)),
+                source, (sx, sy)):
+            assert phi.tobytes() == (sign * src_phi).tobytes()
+            assert (base, r2) == (sign * src_base, src_r2)
+
+
 def test_regressors_need_enough_rows():
     with pytest.raises(DataError):
         fit_coordinate_regressors(np.ones((5, 3)), np.ones((5, 2)), SensitivityConfig(n_trees=2))

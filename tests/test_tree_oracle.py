@@ -8,13 +8,15 @@ checked against it on each bootstrap's distinct rows, weighted by their
 multiplicity, as the grower grows them; classification forests on every
 repeated row of the bootstrap, each weighing 1, so it also checks that
 classification trees grown on distinct rows with weights are the same
-trees.
+trees. The reference scores classification cuts in exact rationals, so
+it breaks ties in exact arithmetic by the grower's rule, not by rounding.
 With feature subsampling the reference is fed the candidates of the
 grower's schedule, drawn independently here one node at a time from a
 breadth-first queue (`_queue_schedule`).
 """
 
 from collections import deque
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -48,24 +50,23 @@ def _reference_best_split(x, y, w, idx, features, task, n_classes):
         n_right = n - n_left
         ys = y[order]
         if task == "classification":
-            left_impurity = np.zeros(cut.size)
-            right_impurity = np.zeros(cut.size)
-            total = np.bincount(ys, ws, minlength=n_classes).astype(np.int64)
-            for c in range(n_classes):
-                cum_c = np.cumsum(ws * (ys == c))[cut]
-                pl = cum_c / n_left
-                pr = (total[c] - cum_c) / n_right
-                left_impurity += pl * pl
-                right_impurity += pr * pr
-            weighted = (n_left * (1.0 - left_impurity) + n_right * (1.0 - right_impurity)) / n
+            # the weighted child Gini in exact rationals, so that splits
+            # tied in exact arithmetic tie here as in the grower
+            total = np.bincount(ys, ws, minlength=n_classes).astype(np.int64).tolist()
+            below = [np.cumsum(ws * (ys == c))[cut].tolist() for c in range(n_classes)]
+            weighted = []
+            for i, (nl, nr) in enumerate(zip(n_left.tolist(), n_right.tolist())):
+                gini_l = 1 - sum(Fraction(b[i], nl) ** 2 for b in below)
+                gini_r = 1 - sum(Fraction(t - b[i], nr) ** 2 for t, b in zip(total, below))
+                weighted.append((nl * gini_l + nr * gini_r) / int(n))
         else:
             # minus the centered gain
             s = np.cumsum(ws * (ys - mean))[cut]
-            weighted = -(s * s) / (n_left * n_right)
-        j = int(np.argmin(weighted))
+            weighted = (-(s * s) / (n_left * n_right)).tolist()
+        j = weighted.index(min(weighted))  # the first minimum
         if best is None or weighted[j] < best[0]:
             threshold = (sv[cut[j]] + sv[cut[j] + 1]) / 2.0
-            best = (float(weighted[j]), int(f), threshold)
+            best = (weighted[j], int(f), threshold)
     if best is None:
         return None
     return best[1], best[2]
@@ -228,13 +229,15 @@ def test_forest_matches_recursive_reference(task, d, cohort, block_rows, monkeyp
     n_classes = forest.n_classes
     m = int(np.ceil(np.sqrt(d)))
     tree_config = TreeConfig(task=task)
-    for tree, seed in zip(forest.trees, np.random.SeedSequence(4).spawn(6)):
-        def tree_rng(seed=seed):  # after its bootstrap draw
-            rng = np.random.default_rng(seed)
-            rng.integers(0, x.shape[0], size=x.shape[0])
-            return rng
+    n = x.shape[0]
+    boot_seed, key_seed = np.random.SeedSequence(4).spawn(2)
+    boots = np.random.default_rng(boot_seed).integers(0, n, size=(6, n))
+    for t, (tree, boot) in enumerate(zip(forest.trees, boots)):
+        def tree_rng(t=t):  # at tree t's keys: n - 1 rows of d doubles per tree
+            bits = np.random.PCG64(key_seed)
+            bits.advance(t * (n - 1) * d)
+            return np.random.Generator(bits)
 
-        boot = np.random.default_rng(seed).integers(0, x.shape[0], size=x.shape[0])
         if task == "regression":
             rows, w = np.unique(boot, return_counts=True)
             reference = _reference_tree(x[rows], y[rows], tree_config, n_classes, m, tree_rng, w)
