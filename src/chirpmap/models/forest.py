@@ -3,7 +3,9 @@
 Each tree trains on a bootstrap resample, and every node it scores
 draws ceil(sqrt(d)) of the d features uniformly as split candidates.
 Classification predicts by majority vote with ties going to the lowest
-class index; regression predicts the mean of the tree outputs.
+class index; regression predicts the mean of the tree outputs. A
+regression forest fitted on an (n, q) target is one forest for all q
+outputs (see `grow_trees`) and predicts (N, q).
 
 A forest draws from two streams spawned off the config seed: one
 `integers` call draws every tree's bootstrap, and, when the forest
@@ -66,7 +68,9 @@ class RandomForestModel:
     def predict(self, points) -> np.ndarray:
         """Route every point down every tree at once (`route_trees`); the
         votes are integers, and the regression mean adds the trees' outputs
-        one tree at a time in tree order, with the bits of walking each tree."""
+        one tree at a time in tree order, with the bits of walking each tree.
+        A forest on a q-column target answers (N, q), every output from
+        the one routing."""
         x = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if x.shape[1] != self.n_features:
             raise DataError(f"expected {self.n_features} features, got {x.shape[1]}")
@@ -74,7 +78,7 @@ class RandomForestModel:
         roots = np.cumsum([0] + [t.root.feature.size for t in self.trees[:-1]])
         value = table.value[route_trees(table, roots, x)]  # (trees, points)
         if self.config.task == "regression":
-            return sum(value, np.zeros(x.shape[0])) / len(self.trees)
+            return sum(value, np.zeros(value.shape[1:])) / len(self.trees)
         votes = [np.count_nonzero(value == c, axis=0) for c in range(self.n_classes)]
         return np.argmax(votes, axis=0)  # first max: ties go to class 0
 
@@ -92,31 +96,37 @@ class RandomForestModel:
         if any(np.any(np.diff(a) < 0) for a in axes):
             raise DataError("grid axes must be ascending")
         lo, hi, value = leaf_boxes(stack_trees(self.trees), 2)
-        votes = paint_boxes(axes, lo[:, ::-1], hi[:, ::-1],
+        ranges = [box_ranges(a, lo[:, k], hi[:, k]) for a, k in zip(axes, (1, 0))]
+        votes = paint_boxes(ranges, [a.size for a in axes],
                             layer=value.astype(np.int64), n_layers=self.n_classes)
         return np.argmax(votes, axis=0)
 
 
-def paint_boxes(axes, lo, hi, weights=None, layer=None, n_layers: int = 1) -> np.ndarray:
-    """The sum of the weights of the boxes that hold each point of the
-    grid spanned by ascending `axes`: an (n_layers, len(axes[0]), ...)
-    array in which box i adds weights[i] (an integer 1 without weights)
-    to layer[i] (layer 0 without layers).
+def box_ranges(axis, lo, hi) -> tuple[np.ndarray, np.ndarray]:
+    """The points of the ascending `axis` that each box lo < p <= hi holds,
+    as index ranges [start, stop). On a sorted axis, p <= t holds exactly
+    for the indices below searchsorted(axis, t, side="right"); an empty
+    box (hi <= lo) gets zero width."""
+    start = np.searchsorted(axis, lo, side="right")
+    return start, np.maximum(np.searchsorted(axis, hi, side="right"), start)
 
-    Box i holds the points with lo[i, k] < p[k] <= hi[i, k] on every axis
-    k. On a sorted axis, p <= t holds exactly for the indices below
-    searchsorted(axis, t, side="right"), so each box is one index range
-    per axis and adds at the corners of a difference array whose running
-    sums along every axis paint it.
+
+def paint_boxes(ranges, sizes, weights=None, layer=None, n_layers: int = 1) -> np.ndarray:
+    """The sum of the weights of the boxes that hold each point of a grid
+    of sizes[k] points along axis k: an (n_layers, *sizes) array in which
+    box i adds weights[i] (an integer 1 without weights) to layer[i]
+    (layer 0 without layers).
+
+    Box i holds the points whose index on axis k lies in
+    [ranges[k][0][i], ranges[k][1][i]) (`box_ranges`), so it adds at the
+    corners of a difference array whose running sums along every axis
+    paint it.
     """
-    start = [np.searchsorted(a, lo[:, k], side="right") for k, a in enumerate(axes)]
-    # an empty box (hi <= lo) gets zero width
-    stop = [np.maximum(np.searchsorted(a, hi[:, k], side="right"), s)
-            for k, (a, s) in enumerate(zip(axes, start))]
-    shape = (n_layers, *(a.size + 1 for a in axes))
-    layer = np.zeros(lo.shape[0], dtype=np.int64) if layer is None else layer
+    start, stop = zip(*ranges)
+    shape = (n_layers, *(size + 1 for size in sizes))
+    layer = np.zeros(start[0].size, dtype=np.int64) if layer is None else layer
     painted = None
-    for corner in itertools.product((0, 1), repeat=len(axes)):
+    for corner in itertools.product((0, 1), repeat=len(sizes)):
         at = np.ravel_multi_index(
             (layer, *(stop[k] if c else start[k] for k, c in enumerate(corner))), shape)
         added = np.bincount(at, weights, minlength=math.prod(shape))
@@ -129,7 +139,7 @@ def paint_boxes(axes, lo, hi, weights=None, layer=None, n_layers: int = 1) -> np
     painted = painted.reshape(shape)
     for axis in range(1, painted.ndim):
         np.cumsum(painted, axis=axis, out=painted)
-    return painted[(slice(None),) + (slice(-1),) * len(axes)]
+    return painted[(slice(None),) + (slice(-1),) * len(sizes)]
 
 
 def stack_trees(trees: list[DecisionTree]) -> NodeTable:
@@ -162,6 +172,8 @@ def fit_random_forest(x, y, config: ForestConfig = ForestConfig()) -> RandomFore
     else:
         y = np.asarray(y, dtype=np.float64)
         n_classes = 0
+        if y.ndim not in (1, 2) or y.size == 0:
+            raise DataError("a regression target must have shape (n,) or (n, q) with q >= 1")
     if y.shape[0] != n:
         raise DataError("labels misaligned with rows")
 
@@ -183,4 +195,5 @@ def fit_random_forest(x, y, config: ForestConfig = ForestConfig()) -> RandomFore
     return RandomForestModel(trees=trees, config=config, n_features=d, n_classes=n_classes)
 
 
-__all__ = ["ForestConfig", "RandomForestModel", "fit_random_forest", "paint_boxes", "stack_trees"]
+__all__ = ["ForestConfig", "RandomForestModel", "box_ranges", "fit_random_forest", "paint_boxes",
+           "stack_trees"]

@@ -5,6 +5,8 @@ predictions are bit-identical to the originals (floats survive via
 shortest round-trip repr, which json uses natively). A random forest
 stores each tree as node arrays, minus those the table derives: the
 left child and, given class counts, value and n_samples (see `NodeTable`).
+A file holds one value per node, so saving a regression forest grown on
+a multi-column target is a DataError.
 
 Loading reads every JSON value through `artifacts.json_value` and
 `artifacts.build`: a value that is absent or of the wrong type or range
@@ -66,6 +68,9 @@ _TREE_KEYS = {
 def model_to_dict(model) -> dict:
     kind = getattr(model, "kind", None)
     if kind == "random_forest":
+        if model.trees[0].root.value.ndim > 1:
+            raise DataError("cannot serialize a multi-output random forest: model files "
+                            "hold one value per node")
         keys = _TREE_KEYS[model.config.task]
         parameters = {
             "n_features": model.n_features,

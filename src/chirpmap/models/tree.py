@@ -2,13 +2,15 @@
 
 Splits minimize weighted child impurity: Gini for classification,
 variance for regression, the latter scored as the centered gain of
-CART (Breiman et al. 1984). Candidate thresholds are midpoints between
-consecutive sorted unique values; growth stops at a pure node or the
-depth cap. Of splits whose scores are equal bit for bit, the lowest
-feature index wins, then the lowest threshold. A classification score
-is one correctly rounded ratio of exact integers, so splits tied in
-exact arithmetic tie bit for bit and follow that rule; regression
-splits tied only in exact arithmetic are decided by rounding.
+CART (Breiman et al. 1984), summed over the outputs of a multi-output
+target (multivariate CART, Segal 1992). Candidate thresholds are
+midpoints between consecutive sorted unique values; growth stops at a
+pure node or the depth cap. Of splits whose scores are equal bit for
+bit, the lowest feature index wins, then the lowest threshold. A
+classification score is one correctly rounded ratio of exact integers,
+so splits tied in exact arithmetic tie bit for bit and follow that
+rule; regression splits tied only in exact arithmetic are decided by
+rounding.
 
 A fitted tree is one `NodeTable` of per-node arrays in preorder. Trees
 grow breadth-first, a block of them at once (a forest's trees, or the
@@ -23,12 +25,13 @@ once per node, and no depth needs recursion.
 A tree grows on its sample's distinct rows, each weighted by how often
 the sample holds it. A node's n_samples is the weighted row count, the
 rows the sample drew that reach it; a regression node's value is its
-weighted mean target. A classification tree's class counts, and with
-them every Gini score and stored count, are the integers the repeated
-rows would give, and a cut falls only between unequal values, where the
-order of rows within a tie cannot matter: it is the tree grown on the
-repeated rows, bit for bit. The root orders are one stable argsort per
-feature of all of x, filtered to each tree's rows.
+weighted mean target, one mean per output. A classification tree's
+class counts, and with them every Gini score and stored count, are the
+integers the repeated rows would give, and a cut falls only between
+unequal values, where the order of rows within a tie cannot matter: it
+is the tree grown on the repeated rows, bit for bit. The root orders
+are one stable argsort per feature of all of x, filtered to each
+tree's rows.
 """
 
 from __future__ import annotations
@@ -58,14 +61,15 @@ class NodeTable:
 
     Leaves have feature -1, threshold 0.0 and right = -1; internal node
     i sends x[feature] <= threshold to its left child, always node i + 1
-    and so not stored, and the rest to right.
+    and so not stored, and the rest to right. `value` is (n_nodes,), or
+    (n_nodes, q) for a regression tree grown on a target of q columns.
     """
 
     feature: np.ndarray  # int64
     threshold: np.ndarray  # float64
     right: np.ndarray  # int64
     n_samples: np.ndarray  # int64, training rows reaching the node
-    value: np.ndarray  # float64: majority class (classification) or mean target
+    value: np.ndarray  # float64: majority class (classification) or mean target(s)
     counts: np.ndarray | None = None  # (n_nodes, n_classes) int64, classification only
 
     @classmethod
@@ -137,12 +141,16 @@ def _best_splits(xs, ys, weights, orders, at, sizes, cand, counts=None, means=No
     drawn rows) every term is an exact integer in float64, so a score is
     one correctly rounded ratio and exact ties are bitwise ties.
 
-    Regression (`means`, each node's weighted mean target) takes num =
-    s_L^2, s_L summing w (y - mean) over the rows left of the cut: the
-    centered gain, in exact arithmetic n / (n_L n_R) times the fall in
-    weighted squared error, so its maximum is the least weighted child
-    variance (CART); centering keeps it clear of the cancellation in
-    s2/n - (s/n)^2. Its ties in exact arithmetic are decided by rounding.
+    Regression (`means`, each node's weighted mean target, (k,) for a
+    target y of shape (n,) or (k, q) for one of shape (n, q)) takes num =
+    sum_o s_Lo^2, s_Lo summing w (y_o - mean_o) over the rows left of the
+    cut and the squares added in output order: the centered gain, in
+    exact arithmetic n / (n_L n_R) times the fall in weighted squared
+    error summed over the outputs, so its maximum is the least weighted
+    child variance (CART; multivariate CART, Segal 1992, for q > 1);
+    centering keeps it clear of the cancellation in s2/n - (s/n)^2. One
+    output scores s_L^2 alone, so a (n, 1) target scores with the bits of
+    a (n,) one. Its ties in exact arithmetic are decided by rounding.
 
     Nodes are padded to the widest node of their group (see
     `_size_groups`); positions past a node's end are masked, and the
@@ -156,17 +164,21 @@ def _best_splits(xs, ys, weights, orders, at, sizes, cand, counts=None, means=No
     rows = orders.ravel().take(feats * orders.shape[1] + at)
     sv = xs.ravel().take(feats * xs.shape[1] + rows)  # each node's values sorted by each candidate
     del feats
-    ys = ys.take(rows)
     ws = weights.take(rows).astype(np.float64)  # each slot's weight
-    del rows
     node_n = np.add.reduceat(ws[0], starts)  # integers: exact
     if counts is None:
-        ys -= np.repeat(means, sizes)
-        ys *= ws  # each slot's w (y - mean)
+        centred = []  # each output's w (y_o - mean_o) at each slot
+        for y_o, mean_o in zip(ys.reshape(ys.shape[0], -1).T, np.reshape(means, (k, -1)).T):
+            c = y_o.take(rows)
+            c -= np.repeat(mean_o, sizes)
+            c *= ws
+            centred.append(c)
     else:
+        ys = ys.take(rows)
         n_classes = counts.shape[1]
         # each slot's weight in every class but the last
         class_ws = [np.where(ys == c, ws, 0.0) for c in range(n_classes - 1)]
+    del rows
     feature = np.full(k, -1, dtype=np.int64)
     threshold = np.zeros(k)
     for group in _size_groups(sizes):
@@ -181,8 +193,15 @@ def _best_splits(xs, ys, weights, orders, at, sizes, cand, counts=None, means=No
         n_left = ws.take(pos, axis=1).cumsum(axis=-1)[..., :-1]
         n_right = np.maximum(n - n_left, 1)  # past the node's end: masked below
         if counts is None:
-            num = ys.take(pos, axis=1).cumsum(axis=-1)[..., :-1]
-            num *= num  # s_L^2
+            num = None
+            for c in centred:  # sum_o s_Lo^2, in output order
+                s = c.take(pos, axis=1).cumsum(axis=-1)[..., :-1]
+                s *= s
+                if num is None:
+                    num = s
+                else:
+                    num += s
+            del s
         else:
             # summed class by class; the last class's left counts are
             # n_left less the others'
@@ -299,6 +318,13 @@ def grow_trees(
 
     Every tree grows on the distinct rows of `samples[t]`, each weighted
     by its multiplicity there (see the module docstring).
+
+    A regression target y of shape (n, q) grows one tree for all q
+    outputs: a node's value is its weighted mean of each output, a node
+    is scored while any output varies over it, and a cut scores the sum
+    over the outputs of the single-output score (`_best_splits`). Its
+    tables hold (n_nodes, q) values; a (n, 1) target grows the tree of
+    the (n,) one, bit for bit.
     """
     xt = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
     y = np.asarray(y)
@@ -343,9 +369,13 @@ def grow_trees(
             scored = np.count_nonzero(counts, axis=1) > 1
         else:
             n_node = np.bincount(node, w_node, minlength=k)  # sums of integers: exact
+            value = np.stack([np.bincount(node, w_node * y_o, minlength=k) / n_node
+                              for y_o in y_node.reshape(y_node.shape[0], -1).T], axis=1)
             level = {"n_samples": n_node.astype(np.int64),
-                     "value": np.bincount(node, w_node * y_node, minlength=k) / n_node}
+                     "value": value if y.ndim > 1 else value[:, 0]}
+            # scored while any output varies over the node
             scored = np.maximum.reduceat(y_node, starts) != np.minimum.reduceat(y_node, starts)
+            scored = scored.reshape(k, -1).any(axis=1)
         del y_node, w_node, node
         if config.max_depth is not None and depth >= config.max_depth:
             scored[:] = False

@@ -1,9 +1,12 @@
 """Feature-sensitivity maps over the embedding.
 
-Two random-forest regressors learn each embedding coordinate from the
-original three features; exact Shapley values over all 2^d feature
-subsets attribute every prediction back to the features, and the x/y
-attributions are combined into one magnitude per feature per record.
+One random-forest regressor learns both embedding coordinates from the
+original three features: a multi-output forest grown on the (N, 2)
+coordinate target, each node holding its mean (x, y) and each cut scored
+by the fall in squared error summed over the two axes (multivariate
+CART, Segal 1992). Exact Shapley values over all 2^d feature subsets
+attribute every prediction of each axis back to the features, and the
+x/y attributions are combined into one magnitude per feature per record.
 
 The subset value v(S) is the tree-conditional expectation, the
 path-dependent value function of TreeSHAP (Lundberg, Erion & Lee 2018,
@@ -15,12 +18,16 @@ on S's features, times the product P(l, S) of the shares at the path's
 splits outside S. v(S) is the sum of P(l, S) * value over the leaves
 whose box holds the instance, averaged over the trees, and it is painted
 for a whole forest at once from the leaf boxes (`tree_subset_values`).
-The painted values are exact up to rounding; the subset of every feature
-the forest splits on is the routed prediction, bit-equal to `predict`.
-The averaged values are combined into Shapley values once.
+It is linear in the leaf values (Lundberg et al. 2020), so the boxes,
+path shares and sorted axes serve every output, and each output is
+painted from its own leaf weights. The painted values are exact up to rounding; the subset
+of every feature the forest splits on is the routed prediction,
+bit-equal to `predict`. The averaged values are combined into Shapley
+values once per output.
 
 The full-subset column is the prediction (TreeSHAP's local accuracy), so
-a map routes each forest once and scores its R^2 from the attribution.
+a map routes the forest once, for both axes, and scores each axis's R^2
+from the attribution.
 
 The features arrive as ingest's plain N x 3 array. A map's rows follow
 the array's and its columns ``FEATURE_NAMES``. This module only
@@ -39,7 +46,7 @@ import numpy as np
 from .errors import DataError, NumericError
 from .ingest import FEATURE_NAMES
 from .models import DecisionTree, ForestConfig, RandomForestModel, fit_random_forest
-from .models.forest import paint_boxes, stack_trees
+from .models.forest import box_ranges, paint_boxes, stack_trees
 from .models.tree import leaf_boxes, leaf_path_shares
 from .seeding import derive_seed
 
@@ -71,17 +78,17 @@ def _r_squared(target: np.ndarray, predicted: np.ndarray) -> float:
     return 1.0 - ss_res / ss_tot
 
 
-def fit_coordinate_regressors(x: np.ndarray, coords,
-                              config: SensitivityConfig) -> tuple[RandomForestModel, RandomForestModel]:
-    """The forests (x, y) that learn each embedding coordinate from the
-    feature rows `x`. Both grow from one seed, so they share their
-    bootstraps and candidate draws: swapping the embedding's columns
-    swaps the forests, and negating a column negates its forest's leaf
-    values, bit for bit."""
+def fit_coordinate_regressors(x: np.ndarray, coords, config: SensitivityConfig) -> RandomForestModel:
+    """The one regression forest that learns both embedding coordinates
+    from the feature rows `x`, fitted on the (N, 2) target `coords`; its
+    `predict` answers (N, 2). The cut score adds the two axes' squares,
+    which commutes, and negation is exact: swapping the embedding's
+    columns swaps the forest's outputs, and negating a column negates
+    that output's leaf values, bit for bit."""
     coords = np.asarray(coords, dtype=np.float64)
     if x.shape[1] != len(FEATURE_NAMES):
         raise DataError(f"expected {len(FEATURE_NAMES)} feature columns, got {x.shape[1]}")
-    if x.shape[0] != coords.shape[0]:
+    if coords.shape != (x.shape[0], 2):
         raise DataError("features misaligned with embedding rows")
     if x.shape[0] < 10:
         raise DataError("need at least 10 rows to fit coordinate regressors")
@@ -92,17 +99,19 @@ def fit_coordinate_regressors(x: np.ndarray, coords,
         seed=derive_seed(config.seed, "coord"),
         task="regression",
     )
-    return fit_random_forest(x, coords[:, 0], fc), fit_random_forest(x, coords[:, 1], fc)
+    return fit_random_forest(x, coords, fc)
 
 
 def tree_subset_values(model, instances) -> np.ndarray:
     """v(S) for every instance and every feature subset, averaged over the
     trees of `model`, a DecisionTree or a regression RandomForestModel.
 
-    Returns an (N, 2^d) array; column s holds v(S) for the subset whose
-    members are the set bits of s. Each leaf's P(l, S) * value is painted
-    over its box on S's features (`paint_boxes`) and read at the
-    instances, by the features of S that some tree splits on:
+    Returns an (N, 2^d) array, or (N, 2^d, q) for a model grown on a
+    q-column target; column s holds v(S) for the subset whose members are
+    the set bits of s. Each leaf's P(l, S) * value is painted over its
+    box on S's features (`paint_boxes`, output by output, on index ranges
+    found once) and read at the instances, by the features of S that some
+    tree splits on:
 
     - none: one sum over the leaves, the same for every instance;
     - one or two: a 1-D or 2-D painting on the instances' sorted unique
@@ -113,7 +122,10 @@ def tree_subset_values(model, instances) -> np.ndarray:
     computation, so such a feature's Shapley value is exactly 0. The
     values equal those of a root-to-leaf walk up to rounding, since the
     sums run in another order; the routed column is bit-equal to
-    `predict`. A model that splits on more than 3 features is a DataError.
+    `predict`. Each output sums its own terms in the order of a
+    single-output model, so it has the bits of the model whose leaves
+    hold that output alone. A model that splits on more than 3 features
+    is a DataError.
     """
     if isinstance(model, DecisionTree):
         trees = [model]
@@ -135,26 +147,37 @@ def tree_subset_values(model, instances) -> np.ndarray:
         raise DataError(f"cannot paint subset values of a model split on {len(split_on)} features")
     used = sum(1 << f for f in split_on)
     lo, hi, value = leaf_boxes(table, d)
-    weight = leaf_path_shares(table, d) * value[:, None]
+    multi_output = value.ndim > 1
+    value = value.reshape(value.shape[0], -1)
+    q = value.shape[1]
+    # weight[o, i, s]: leaf i's P(l, S) * its value of output o
+    weight = value.T[:, :, None] * leaf_path_shares(table, d)
+    # per split feature: the instances' sorted unique values, each
+    # instance's place among them and every leaf's index range on them
+    axes = {}
+    for f in split_on:
+        axis, cells = np.unique(x[:, f], return_inverse=True)
+        axes[f] = (axis.size, cells, box_ranges(axis, lo[:, f], hi[:, f]))
 
     def paint(key: int) -> np.ndarray:
+        """v(S) of the key's subset, (N, q)."""
         if key == used:
-            return np.asarray(model.predict(x), dtype=np.float64)
+            return np.asarray(model.predict(x), dtype=np.float64).reshape(x.shape[0], q)
         features = [f for f in split_on if key >> f & 1]
         if not features:
-            return np.full(x.shape[0], weight[:, key].sum() / len(trees))
-        axes, cells = zip(*(np.unique(x[:, f], return_inverse=True) for f in features))
-        painted = paint_boxes(axes, lo[:, features], hi[:, features], weight[:, key])[0]
-        return painted[cells] / len(trees)
+            return np.full((x.shape[0], q), [w[:, key].sum() / len(trees) for w in weight])
+        sizes, cells, ranges = zip(*(axes[f] for f in features))
+        painted = [paint_boxes(ranges, sizes, w[:, key])[0][cells] for w in weight]
+        return np.stack(painted, axis=1) / len(trees)
 
-    out = np.empty((x.shape[0], 1 << d))
+    out = np.empty((x.shape[0], 1 << d, q))
     columns: dict[int, np.ndarray] = {}
     for s in range(1 << d):
         key = s & used
         if key not in columns:
             columns[key] = paint(key)
         out[:, s] = columns[key]
-    return out
+    return out if multi_output else out[:, :, 0]
 
 
 def shapley_from_subset_values(values: np.ndarray, d: int) -> np.ndarray:
@@ -186,9 +209,12 @@ def shapley_from_subset_values(values: np.ndarray, d: int) -> np.ndarray:
 
 @dataclass
 class ShapleyAttribution:
-    phi: np.ndarray  # N x d
-    base: float  # v(empty set), averaged over trees
-    predictions: np.ndarray  # N
+    """A model's attributions, with a trailing output axis for a model
+    grown on a q-column target."""
+
+    phi: np.ndarray  # N x d (x q)
+    base: float | np.ndarray  # v(empty set), averaged over trees; (q,) for q outputs
+    predictions: np.ndarray  # N (x q)
 
 
 def shapley_values(model, instances) -> ShapleyAttribution:
@@ -196,22 +222,27 @@ def shapley_values(model, instances) -> ShapleyAttribution:
 
     v(S) is linear over trees, so a forest's subset values are the
     per-tree values averaged (`tree_subset_values`, one call per model)
-    and one Shapley combination serves the whole ensemble; efficiency
-    (sum phi + base = prediction) is asserted to 1e-9 for every instance.
-    The predictions are the full-subset values, bit-equal to `predict`.
+    and one Shapley combination per output serves the whole ensemble.
+    Efficiency (sum phi + base = prediction) is asserted for every
+    instance and output to within 1e-9 * max(1, max_S |v(S)|): 1e-9
+    where every |v(S)| <= 1, and relative to the values beyond, where
+    the combination's rounding grows with them. The predictions are the
+    full-subset values, bit-equal to `predict`.
     """
     values = tree_subset_values(model, instances)
-    phi = shapley_from_subset_values(values, model.n_features)
-    base = float(values[0, 0])  # v(empty) is instance-independent
-    predictions = values[:, -1]
-
-    gap = np.abs(phi.sum(axis=1) + base - predictions)
-    worst = int(np.argmax(gap))
-    if gap[worst] > 1e-9:
-        raise NumericError(
-            f"attribution efficiency violated at instance {worst}: gap {gap[worst]:.3e}"
-        )
-    return ShapleyAttribution(phi=phi, base=base, predictions=predictions)
+    per_output = values.reshape(*values.shape[:2], -1)  # (N, 2^d, q)
+    phi = np.stack([shapley_from_subset_values(per_output[:, :, o], model.n_features)
+                    for o in range(per_output.shape[2])], axis=-1)
+    gap = np.abs(phi.sum(axis=1) + per_output[0, 0] - per_output[:, -1])  # (N, q)
+    bound = 1e-9 * np.maximum(1.0, np.abs(per_output).max(axis=1))
+    if np.any(gap > bound):
+        worst, output = np.unravel_index(np.argmax(gap / bound), gap.shape)
+        where = f"instance {worst}" + (f", output {output}" if values.ndim > 2 else "")
+        raise NumericError(f"attribution efficiency violated at {where}: gap "
+                           f"{gap[worst, output]:.3e} exceeds {bound[worst, output]:.3e}")
+    if values.ndim > 2:
+        return ShapleyAttribution(phi=phi, base=values[0, 0], predictions=values[:, -1])
+    return ShapleyAttribution(phi=phi[:, :, 0], base=float(values[0, 0]), predictions=values[:, -1])
 
 
 @dataclass
@@ -228,30 +259,32 @@ class SensitivityMap:
     r2_y: float
 
 
-def build_sensitivity_map(regressors: tuple[RandomForestModel, RandomForestModel], x: np.ndarray,
-                          coords, combination: str) -> SensitivityMap:
-    """Both regressors' attributions at the feature rows `x`, combined by
-    `combination`, one of ``COMBINATION_RULES`` (``SensitivityConfig``
-    checks it), and each forest's R^2 against its column of `coords`."""
+def build_sensitivity_map(regressor: RandomForestModel, x: np.ndarray, coords,
+                          combination: str) -> SensitivityMap:
+    """The coordinate forest's attributions of both axes at the feature
+    rows `x`, combined by `combination`, one of ``COMBINATION_RULES``
+    (``SensitivityConfig`` checks it), and each axis's R^2 against its
+    column of `coords`."""
     coords = np.asarray(coords, dtype=np.float64)
     if coords.shape != (x.shape[0], 2):
         raise DataError("features misaligned with embedding rows")
 
-    model_x, model_y = regressors
-    att_x = shapley_values(model_x, x)
-    att_y = shapley_values(model_y, x)
+    att = shapley_values(regressor, x)
+    if att.phi.shape[2:] != (2,):
+        raise DataError("the coordinate regressor must predict both embedding coordinates")
+    phi_x, phi_y = att.phi[:, :, 0], att.phi[:, :, 1]
     if combination == "euclidean":
-        combined = np.sqrt(att_x.phi**2 + att_y.phi**2)
+        combined = np.sqrt(phi_x**2 + phi_y**2)
     else:
-        combined = np.abs(att_x.phi) + np.abs(att_y.phi)
+        combined = np.abs(phi_x) + np.abs(phi_y)
     return SensitivityMap(
-        phi_x=att_x.phi,
-        phi_y=att_y.phi,
+        phi_x=phi_x,
+        phi_y=phi_y,
         combined=combined,
-        base_x=att_x.base,
-        base_y=att_y.base,
-        r2_x=_r_squared(coords[:, 0], att_x.predictions),
-        r2_y=_r_squared(coords[:, 1], att_y.predictions),
+        base_x=float(att.base[0]),
+        base_y=float(att.base[1]),
+        r2_x=_r_squared(coords[:, 0], att.predictions[:, 0]),
+        r2_y=_r_squared(coords[:, 1], att.predictions[:, 1]),
     )
 
 

@@ -80,8 +80,9 @@ def test_traced_pipeline_records_every_eval_and_explain_call(tmp_path):
     """Span counts of one traced run: each ingest step runs once (the
     class distribution again in render), t-SNE and its calibration once,
     each classifier is fitted once per fold and once on the hold-out
-    split, each hold-out model is saved once and loaded once to draw, each
-    coordinate forest is routed once, inside its attribution, and render
+    split, each hold-out model is saved once and loaded once to draw, the
+    one coordinate forest is fitted once and routed once, inside its
+    attribution, which paints once and combines once per axis, and render
     draws each figure once. A call that moves off a traced name fails
     here instead of silently reading 0."""
     data = tmp_path / "data.csv"
@@ -111,11 +112,11 @@ def test_traced_pipeline_records_every_eval_and_explain_call(tmp_path):
         "evaluation.kfold": s,
         "evaluation.cross_validate": 4 * s,
         **{f"models.fit.{kind}": s * (k + 1) for kind in ("rf", "svm", "logreg", "knn")},
-        "models.predict.rf": s * (k + 1) + 2,
+        "models.predict.rf": s * (k + 1) + 1,
         "sensitivity.fit_regressors": 1,
-        "sensitivity.forest_fit": 2,
+        "sensitivity.forest_fit": 1,
         "sensitivity.build_map": 1,
-        "sensitivity.subset_values": 2,
+        "sensitivity.subset_values": 1,
         "sensitivity.combine": 2,
         "sensitivity.summary": 1,
         "models.io.save": 4 * s,

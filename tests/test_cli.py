@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import shutil
 
@@ -204,6 +205,31 @@ def test_embedding_window_that_overflows_is_refused_before_any_fit(tmp_path, cap
     after = output_snapshot(out)
     assert after.pop("FAILED")[0].startswith(f"stage: {stage}\n".encode())
     assert after == before
+
+
+@pytest.mark.parametrize("scale", [1e6, 1e150])
+def test_explain_attributes_a_rescaled_embedding(tmp_path, capsys, finished_run, scale):
+    """Rescaling a valid embedding rescales every attribution, so explain
+    holds the efficiency gap to a bound that scales with the values."""
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    path = out / "embedding.csv"
+    header, *rows = path.read_text().splitlines()
+    at = [header.split(",").index(name) for name in ("tsne_x", "tsne_y")]
+    scaled = []
+    for row in rows:
+        fields = row.split(",")
+        for i in at:
+            fields[i] = repr(float(fields[i]) * scale)
+        scaled.append(",".join(fields))
+    path.write_text("\n".join([header, *scaled]) + "\n")
+    capsys.readouterr()
+    assert entrypoint(["explain", "--out", str(out)]) == 0, capsys.readouterr().err
+    header, *rows = (out / "sensitivity.csv").read_text().splitlines()
+    cells = [float(cell) for row in rows for cell in row.split(",")[2:]]
+    assert len(cells) == 45 * 3 * 3  # a line per record and feature: phi_x, phi_y, combined
+    assert all(math.isfinite(cell) for cell in cells)
+    assert max(abs(cell) for cell in cells) > scale
 
 
 def non_finite_svm(monkeypatch):

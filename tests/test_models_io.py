@@ -5,6 +5,7 @@ import pytest
 
 from chirpmap.errors import DataError
 from chirpmap.models import CLASSIFIER_KINDS, fit_classifier
+from chirpmap.models.forest import ForestConfig, fit_random_forest
 from chirpmap.models.io import load_model, model_from_dict, model_to_dict, save_model
 from tests.conftest import make_blobs
 
@@ -272,3 +273,16 @@ def test_forest_file_stores_node_arrays(training_data):
     tree = doc["parameters"]["trees"][0]
     assert sorted(tree) == ["counts", "feature", "right", "threshold"]
     assert len({len(tree[k]) for k in tree}) == 1
+
+
+def test_multi_output_forest_is_not_saved(training_data, tmp_path):
+    """A model file holds one value per node, so a forest grown on a
+    two-column target is refused by name; one on a single column saves."""
+    x, _ = training_data
+    config = ForestConfig(n_trees=3, seed=1, task="regression")
+    with pytest.raises(DataError, match="multi-output random forest"):
+        save_model(fit_random_forest(x, x, config), str(tmp_path / "m.json"))
+    assert not (tmp_path / "m.json").exists()
+    single = fit_random_forest(x, x[:, 0], config)
+    save_model(single, str(tmp_path / "m.json"))
+    assert np.array_equal(load_model(str(tmp_path / "m.json")).predict(x), single.predict(x))

@@ -12,7 +12,9 @@ trees. The reference scores classification cuts in exact rationals, so
 it breaks ties in exact arithmetic by the grower's rule, not by rounding.
 With feature subsampling the reference is fed the candidates of the
 grower's schedule, drawn independently here one node at a time from a
-breadth-first queue (`_queue_schedule`).
+breadth-first queue (`_queue_schedule`). A regression target of q
+columns is scored by the sum of each output's score, the squares added
+in output order, and a node's value is its mean of every output.
 """
 
 from collections import deque
@@ -27,11 +29,11 @@ from chirpmap.models.tree import TreeConfig, _best_splits, fit_tree
 
 
 def _node_mean(x, y, w, idx):
-    """Sum of w y over the node's rows / sum of w: the products added one
-    at a time in the rows' stable order by the last feature, the order
-    in which the grower sums them."""
+    """Sum of w y over the node's rows / sum of w, per output: the
+    products added one at a time in the rows' stable order by the last
+    feature, the order in which the grower sums them."""
     order = idx[np.argsort(x[idx, -1], kind="stable")]
-    return np.cumsum(w[order] * y[order])[-1] / w[idx].sum()
+    return np.cumsum((w[order] * y[order].T).T, axis=0)[-1] / w[idx].sum()
 
 
 def _reference_best_split(x, y, w, idx, features, task, n_classes):
@@ -60,9 +62,12 @@ def _reference_best_split(x, y, w, idx, features, task, n_classes):
                 gini_r = 1 - sum(Fraction(t - b[i], nr) ** 2 for t, b in zip(total, below))
                 weighted.append((nl * gini_l + nr * gini_r) / int(n))
         else:
-            # minus the centered gain
-            s = np.cumsum(ws * (ys - mean))[cut]
-            weighted = (-(s * s) / (n_left * n_right)).tolist()
+            # minus the centered gain, summed over the outputs in order
+            num = 0.0
+            for y_o, mean_o in zip(ys.reshape(ys.shape[0], -1).T, np.reshape(mean, -1)):
+                s = np.cumsum(ws * (y_o - mean_o))[cut]
+                num = num + s * s
+            weighted = (-num / (n_left * n_right)).tolist()
         j = weighted.index(min(weighted))  # the first minimum
         if best is None or weighted[j] < best[0]:
             threshold = (sv[cut[j]] + sv[cut[j] + 1]) / 2.0
@@ -77,7 +82,7 @@ def _reference_leaf(x, y, w, idx, task, n_classes):
     if task == "classification":
         counts = np.bincount(y[idx], w[idx], minlength=n_classes).astype(np.int64)
         return {"n": n, "value": float(np.argmax(counts)), "counts": counts.tolist()}
-    return {"n": n, "value": float(_node_mean(x, y, w, idx)), "counts": None}
+    return {"n": n, "value": _node_mean(x, y, w, idx).tolist(), "counts": None}
 
 
 def _reference_grow(x, y, w, idx, depth, config, n_classes, features_of, path=""):
@@ -160,7 +165,7 @@ def _assert_same_tree(table, reference):
         else:
             assert table.right[i] == -1
         assert table.n_samples[i] == node["n"]
-        assert table.value[i] == node["value"]
+        assert table.value[i].tolist() == node["value"]
         if node["counts"] is None:
             assert table.counts is None
         else:
@@ -244,6 +249,82 @@ def test_forest_matches_recursive_reference(task, d, cohort, block_rows, monkeyp
         else:
             reference = _reference_tree(x[boot], y[boot], tree_config, n_classes, m, tree_rng)
         _assert_same_tree(tree.root, reference)
+
+
+def _two_outputs(cohort, seed, n=90, d=3):
+    """A regression cohort with a second output on another scale, as the
+    two embedding coordinates are learnt together."""
+    x, y = cohort("regression", seed, n=n, d=d)
+    second = 40.0 * np.round(np.cos(3.0 * x[:, 2]) - x[:, 0], 1)
+    return x, np.column_stack([y, second])
+
+
+@pytest.mark.parametrize("max_depth", [None, 3])
+@pytest.mark.parametrize("m_features", [None, 2])
+@pytest.mark.parametrize("bootstrap", [False, True])
+def test_two_output_grower_matches_recursive_reference(max_depth, m_features, bootstrap):
+    seed = 7 * (max_depth or 1) + (m_features or 0) + 3 * bootstrap
+    x, y = _two_outputs(_data, seed)
+    if bootstrap:
+        boot = np.random.default_rng(seed).integers(0, x.shape[0], size=x.shape[0])
+        x, y = x[boot], y[boot]
+    config = TreeConfig(task="regression", max_depth=max_depth)
+    m = x.shape[1] if m_features is None else m_features
+    tree = fit_tree(x, y, config, rng=np.random.default_rng(seed), m_features=m_features)
+    assert tree.root.value.shape == (tree.root.feature.size, 2)
+    reference = _reference_tree(x, y, config, 0, m, lambda: np.random.default_rng(seed))
+    _assert_same_tree(tree.root, reference)
+
+
+@pytest.mark.parametrize("cohort", [_data, _repeated_rows], ids=["distinct", "repeated"])
+@pytest.mark.parametrize("block_rows", [1, 10**6])
+def test_two_output_forest_matches_recursive_reference(cohort, block_rows, monkeypatch):
+    """Every tree of a forest on an (n, 2) target against the reference
+    grown on its bootstrap's distinct rows, weighted by multiplicity."""
+    monkeypatch.setattr(forest_module, "_BLOCK_ROWS", block_rows)
+    x, y = _two_outputs(cohort, 11, n=80)
+    forest = fit_random_forest(x, y, ForestConfig(n_trees=6, seed=4, task="regression"))
+    n, d = x.shape
+    boot_seed, key_seed = np.random.SeedSequence(4).spawn(2)
+    boots = np.random.default_rng(boot_seed).integers(0, n, size=(6, n))
+    for t, (tree, boot) in enumerate(zip(forest.trees, boots)):
+        def tree_rng(t=t):
+            bits = np.random.PCG64(key_seed)
+            bits.advance(t * (n - 1) * d)
+            return np.random.Generator(bits)
+
+        rows, w = np.unique(boot, return_counts=True)
+        reference = _reference_tree(x[rows], y[rows], TreeConfig(task="regression"), 0, 2,
+                                    tree_rng, w)
+        _assert_same_tree(tree.root, reference)
+    assert forest.predict(x).shape == (n, 2)
+
+
+def test_a_constant_output_leaves_the_other_to_decide():
+    """A node is scored while any output varies: with one output constant
+    the tree is the other output's tree, with the constant in every node."""
+    x, y = _data("regression", 5)
+    both = np.column_stack([np.full(y.size, 2.5), y])
+    config = TreeConfig(task="regression")
+    two, one = fit_tree(x, both, config).root, fit_tree(x, y, config).root
+    for key in ("feature", "threshold", "right", "n_samples"):
+        assert np.array_equal(getattr(two, key), getattr(one, key))
+    assert np.array_equal(two.value[:, 1], one.value) and np.all(two.value[:, 0] == 2.5)
+
+
+@pytest.mark.parametrize("cohort", [_data, _repeated_rows], ids=["distinct", "repeated"])
+def test_one_column_target_grows_the_one_output_trees(cohort):
+    """A forest on an (n, 1) target is the forest on its (n,) column, bit
+    for bit, with each node's value in a column of its own."""
+    x, y = cohort("regression", 3, n=80)
+    config = ForestConfig(n_trees=8, seed=2, task="regression")
+    flat, column = fit_random_forest(x, y, config), fit_random_forest(x, y[:, None], config)
+    for a, b in zip(flat.trees, column.trees):
+        for key in ("feature", "threshold", "right", "n_samples"):
+            assert getattr(a.root, key).tobytes() == getattr(b.root, key).tobytes()
+        assert b.root.value.shape == (a.root.value.size, 1)
+        assert a.root.value.tobytes() == b.root.value.tobytes()
+    assert flat.predict(x).tobytes() == column.predict(x).tobytes()
 
 
 def _former_best_split(xt, y, w, orders, features, task, n_classes, totals):
