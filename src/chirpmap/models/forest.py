@@ -86,9 +86,12 @@ class RandomForestModel:
         """`predict` at every (xc[col], yc[row]) of ascending axes, as a
         (len(yc), len(xc)) array, painted from the leaf boxes.
 
-        Each leaf adds one vote for its class over its box (`paint_boxes`).
-        The votes are the integers `predict` counts, so argmax gives the
-        same class, ties included.
+        Every grid point lies in exactly one leaf of each tree. Each leaf
+        of a class c >= 1 adds one vote to layer c - 1 over its box
+        (`paint_boxes`), and class 0's votes are the trees left over:
+        len(trees) minus the painted votes. The votes are the integers
+        `predict` counts, and a scan over the classes keeps the first
+        maximum, so ties go to the lower class as in `predict`.
         """
         if self.config.task != "classification" or self.n_features != 2:
             raise DataError("grid prediction needs a classification forest over 2 features")
@@ -96,10 +99,16 @@ class RandomForestModel:
         if any(np.any(np.diff(a) < 0) for a in axes):
             raise DataError("grid axes must be ascending")
         lo, hi, value = leaf_boxes(stack_trees(self.trees), 2)
-        ranges = [box_ranges(a, lo[:, k], hi[:, k]) for a, k in zip(axes, (1, 0))]
+        painted = value > 0
+        ranges = [box_ranges(a, lo[painted, k], hi[painted, k]) for a, k in zip(axes, (1, 0))]
         votes = paint_boxes(ranges, [a.size for a in axes],
-                            layer=value.astype(np.int64), n_layers=self.n_classes)
-        return np.argmax(votes, axis=0)
+                            layer=value[painted].astype(np.int64) - 1, n_layers=self.n_classes - 1)
+        best = len(self.trees) - votes.sum(axis=0)
+        classes = np.zeros_like(best)
+        for c, layer in enumerate(votes, start=1):
+            classes[layer > best] = c
+            np.maximum(best, layer, out=best)
+        return classes
 
 
 def box_ranges(axis, lo, hi) -> tuple[np.ndarray, np.ndarray]:

@@ -14,8 +14,6 @@ through the viridis lookup table. Hex values are project constants
 
 from __future__ import annotations
 
-import itertools
-
 import numpy as np
 
 from .colormap import viridis_hex
@@ -57,19 +55,21 @@ class _Svg:
 
     def rects(self, xs, ys, widths, heights, fills, opacity=None, stroke=None):
         """One rect per (x, y, width, height, fill), all with the given
-        opacity and stroke; one f-string each, numbers as `_fmt` writes them."""
+        opacity and stroke; one f-string each. The numbers come as text,
+        as `_fmt` writes them."""
         tail = "" if opacity is None else f' fill-opacity="{opacity}"'
         tail += "" if stroke is None else f' stroke="{stroke}"'
         self.parts += [
-            f'<rect x="{x:.2f}" y="{y:.2f}" width="{w:.2f}" height="{h:.2f}" fill="{fill}"{tail}/>'
+            f'<rect x="{x}" y="{y}" width="{w}" height="{h}" fill="{fill}"{tail}/>'
             for x, y, w, h, fill in zip(xs, ys, widths, heights, fills)
         ]
 
     def rect(self, x, y, w, h, fill, opacity=None, stroke=None):
-        self.rects((x,), (y,), (w,), (h,), (fill,), opacity, stroke)
+        self.rects((_fmt(x),), (_fmt(y),), (_fmt(w),), (_fmt(h),), (fill,), opacity, stroke)
 
     def circles(self, xs, ys, r, fills, opacity=None):
-        """One circle of radius r per (x, y, fill), as `rects` writes rects."""
+        """One circle of radius r per (x, y, fill), all with the given
+        opacity; one f-string each, numbers as `_fmt` writes them."""
         tail = f' r="{_fmt(r)}" fill="'
         end = '"/>' if opacity is None else f'" fill-opacity="{opacity}"/>'
         self.parts += [f'<circle cx="{x:.2f}" cy="{y:.2f}"{tail}{fill}{end}'
@@ -240,7 +240,9 @@ def boundary_grid(model, coords, g: int) -> tuple[np.ndarray, np.ndarray, np.nda
     k-NN fills each grid tile whose possible neighbours share one class
     with that class, and answers each other tile by `predict` on a model
     of its possible neighbours. Both give `predict`'s classes bit for bit.
-    The other kinds call `predict` on every center.
+    The other kinds call `predict` once on every center: one (g, g, 2)
+    buffer, filled from the two axes, read as g * g row-major rows
+    (x_centers[col], y_centers[row]).
     """
     coords = np.atleast_2d(np.asarray(coords, dtype=np.float64))
     if g < 2:
@@ -252,9 +254,10 @@ def boundary_grid(model, coords, g: int) -> tuple[np.ndarray, np.ndarray, np.nda
     yc = y0 + (np.arange(g) + 0.5) * cell_h
     if hasattr(model, "predict_grid"):
         return xc, yc, np.asarray(model.predict_grid(xc, yc), dtype=np.int64)
-    gx, gy = np.meshgrid(xc, yc)
-    points = np.column_stack([gx.ravel(), gy.ravel()])
-    preds = np.asarray(model.predict(points), dtype=np.int64).reshape(g, g)
+    points = np.empty((g, g, 2))
+    points[:, :, 0] = xc
+    points[:, :, 1] = yc[:, None]
+    preds = np.asarray(model.predict(points.reshape(-1, 2)), dtype=np.int64).reshape(g, g)
     return xc, yc, preds
 
 
@@ -280,6 +283,10 @@ def render_boundary(model, coords, labels, title: str, g: int, provenance: dict)
     padded bounding box; runs of equal predictions merge into single
     rects per row. Class 0 fills teal, class 1 magenta; the true points
     draw on top in full color.
+
+    A rect's x takes one value per start column, its y one per row and
+    its width one per run length, so each value is written once, with
+    `_fmt`, and every rect looks its text up.
     """
     _, _, preds = boundary_grid(model, coords, g)
     svg, frame = _scatter_canvas(coords, 640, 110, provenance)
@@ -287,13 +294,16 @@ def render_boundary(model, coords, labels, title: str, g: int, provenance: dict)
     cell_w_px = frame.plot_w / g
     cell_h_px = frame.plot_h / g
     left, bottom = frame.left, frame.top + frame.plot_h
+    x_text = [_fmt(left + start * cell_w_px) for start in range(g)]
+    # pixel y of the TOP edge of each row's cells (rows follow yc, ascending data y)
+    y_text = [_fmt(bottom - (row + 1) * cell_h_px) for row in range(g)]
+    width_text = [_fmt(length * cell_w_px) for length in range(g + 1)]
     rows, starts, stops, classes = zip(*_runs(preds))
     svg.rects(
-        [left + start * cell_w_px for start in starts],
-        # pixel y of the TOP edge of each row's cells (rows follow yc, ascending data y)
-        [bottom - (row + 1) * cell_h_px for row in rows],
-        [(stop - start) * cell_w_px for start, stop in zip(starts, stops)],
-        itertools.repeat(cell_h_px),
+        [x_text[start] for start in starts],
+        [y_text[row] for row in rows],
+        [width_text[stop - start] for start, stop in zip(starts, stops)],
+        [_fmt(cell_h_px)] * len(rows),
         [BINARY_CLASS_COLORS[cls % 2] for cls in classes],
         opacity=0.30,
     )

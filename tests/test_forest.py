@@ -7,6 +7,8 @@ from chirpmap.errors import DataError
 from chirpmap.models import forest as forest_module
 from chirpmap.models.forest import ForestConfig, RandomForestModel, fit_random_forest
 from chirpmap.models.tree import DecisionTree, NodeTable, TreeConfig
+from chirpmap.render import boundary_grid
+from tests.test_knn_oracle import clustered_training_set
 
 
 def leaf_tree(value, task="classification"):
@@ -226,3 +228,18 @@ def test_forest_fit_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 8 * 2**20
+
+
+def test_forest_grid_peak_memory():
+    """A boundary grid paints the votes of classes >= 1 only: class 0's
+    are the complement, so a binary forest paints one layer, not two."""
+    x, y = clustered_training_set(630, seed=630)
+    model = fit_random_forest(x, y, ForestConfig(n_trees=100, seed=1))
+    xc, yc, _ = boundary_grid(model, x, 300)
+    tracemalloc.start()
+    try:
+        model.predict_grid(xc, yc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20

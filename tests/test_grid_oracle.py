@@ -110,6 +110,49 @@ def test_unreachable_leaf_paints_nothing():
     assert not model.predict_grid(*boundary_grid(model, coords, g=40)[:2]).any()
 
 
+def test_all_class_zero_leaves_paint_nothing():
+    # one-leaf trees on a class-0 majority: no leaf of class >= 1, so
+    # every vote is class 0's complement, len(trees) minus nothing
+    x, _ = clustered_training_set(84, seed=19)
+    y = (np.arange(len(x)) % 6 == 0).astype(np.int64)
+    model = fit_random_forest(x, y, ForestConfig(n_trees=25, max_depth=0, seed=19))
+    assert all(t.root.value.tolist() == [0.0] for t in model.trees)
+    xc, yc = assert_grid_equals_predict(model, x, g=60)
+    assert not model.predict_grid(xc, yc).any()
+
+
+def stump(feature: int, left_class: int, right_class: int) -> NodeTable:
+    return NodeTable.build(feature=[feature, -1, -1], threshold=[0.0, 0.0, 0.0],
+                           right=[2, -1, -1], n_samples=[2, 1, 1],
+                           value=[0.0, float(left_class), float(right_class)])
+
+
+def test_three_class_ties_go_to_the_lower_class():
+    # x0 <= 0 votes class 0, else 1; x1 <= 0 votes class 2, else 1. In
+    # the lower left class 0 ties painted class 2, in the lower right
+    # classes 1 and 2 tie
+    trees = [DecisionTree(root=stump(f, lc, rc), config=TreeConfig(), n_features=2, n_classes=3)
+             for f, lc, rc in ((0, 0, 1), (1, 2, 1))]
+    model = RandomForestModel(trees=trees, config=ForestConfig(n_trees=2), n_features=2,
+                              n_classes=3)
+    coords = np.array([[-3.0, -2.0], [3.0, 2.0]])
+    xc, yc = assert_grid_equals_predict(model, coords, g=41)
+    votes = [sum(meshgrid_predict(t.predict, xc, yc) == c for t in trees) for c in range(3)]
+    assert np.any((votes[0] == 1) & (votes[2] == 1))
+    assert np.any((votes[1] == 1) & (votes[2] == 1))
+    expected = np.where(xc > 0, 1, 0)[None, :].repeat(yc.size, axis=0)
+    assert np.array_equal(model.predict_grid(xc, yc), expected)
+
+
+def test_three_class_forest_without_a_class_one_leaf():
+    x, y = clustered_training_set(315, seed=20)
+    model = fit_random_forest(x, 2 * y, ForestConfig(n_trees=40, seed=20))
+    assert model.n_classes == 3
+    assert not any(np.any(t.root.value == 1.0) for t in model.trees)
+    xc, yc = assert_grid_equals_predict(model, x, g=97)
+    assert set(np.unique(model.predict_grid(xc, yc))) == {0, 2}
+
+
 def test_window_with_zero_spread_on_one_axis():
     rng = np.random.default_rng(7)
     x = np.column_stack([np.full(60, 2.5), rng.normal(0.0, 5.0, size=60)])

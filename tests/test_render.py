@@ -12,9 +12,11 @@ from chirpmap.render import (
     BINARY_CLASS_COLORS,
     _escape,
     _runs,
+    _scatter_canvas,
     MAGENTA,
     TEAL,
     boundary_grid,
+    padded_window,
     render_bars,
     render_boundary,
     render_confusion,
@@ -125,6 +127,73 @@ def test_boundary_runs_match_cell_scan():
     grid[1, 1::2] = 1
     expected = [(r, *run) for r, row in enumerate(grid) for run in _scan_runs(row)]
     assert _runs(grid) == expected
+
+
+# a window whose cells are not round numbers, in data units or in pixels
+AWKWARD = np.array([[-3.17, 0.41], [2.93, 5.07], [0.13, -1.9], [1.01, 2.2]])
+
+
+class RecordingModel:
+    """Answers `answer(points)` and keeps every array `predict` is handed."""
+
+    def __init__(self, answer):
+        self.answer = answer
+        self.seen = []
+
+    def predict(self, points):
+        self.seen.append(points)
+        return self.answer(points)
+
+
+@pytest.mark.parametrize("g", [2, 7, 301])
+def test_boundary_grid_hands_predict_the_meshgrid_centres(g):
+    x0, x1, y0, y1 = padded_window(AWKWARD)
+    xc = x0 + (np.arange(g) + 0.5) * ((x1 - x0) / g)
+    yc = y0 + (np.arange(g) + 0.5) * ((y1 - y0) / g)
+    gx, gy = np.meshgrid(xc, yc)
+    expected = np.column_stack([gx.ravel(), gy.ravel()])
+    model = RecordingModel(lambda points: np.arange(len(points)) % 2)
+    got_xc, got_yc, preds = boundary_grid(model, AWKWARD, g)
+    [points] = model.seen
+    assert got_xc.tobytes() == xc.tobytes() and got_yc.tobytes() == yc.tobytes()
+    assert points.shape == expected.shape and points.dtype == expected.dtype
+    assert points.flags.c_contiguous
+    assert points.tobytes() == expected.tobytes()
+    assert np.array_equal(preds, (np.arange(g * g) % 2).reshape(g, g))
+
+
+def reference_region_rects(preds: np.ndarray) -> list[str]:
+    """The region rects of `render_boundary`, each formatted from its own
+    run as the per-rect expressions did."""
+    g = preds.shape[0]
+    _, frame = _scatter_canvas(AWKWARD, 640, 110, PROV)
+    cell_w_px = frame.plot_w / g
+    cell_h_px = frame.plot_h / g
+    left, bottom = frame.left, frame.top + frame.plot_h
+    return [f'<rect x="{left + start * cell_w_px:.2f}" y="{bottom - (row + 1) * cell_h_px:.2f}" '
+            f'width="{(stop - start) * cell_w_px:.2f}" height="{cell_h_px:.2f}" '
+            f'fill="{BINARY_CLASS_COLORS[cls % 2]}" fill-opacity="0.3"/>'
+            for row, cells in enumerate(preds) for start, stop, cls in _scan_runs(cells)]
+
+
+REGION_STUBS = {
+    "alternating": lambda points: np.arange(len(points)) % 2,
+    "disc": lambda points: (np.square(points - 1.0).sum(axis=1) < 6.0).astype(np.int64),
+    "three-bands": lambda points: np.floor(points[:, 0] + points[:, 1]).astype(np.int64) % 3,
+}
+
+
+@pytest.mark.parametrize("stub", sorted(REGION_STUBS))
+@pytest.mark.parametrize("g", [2, 7, 299, 301])
+def test_region_rects_equal_the_per_rect_formatting(g, stub):
+    model = RecordingModel(REGION_STUBS[stub])
+    svg = render_boundary(model, AWKWARD, np.array([0, 1, 0, 1]), "", g, PROV)
+    _, _, preds = boundary_grid(model, AWKWARD, g)
+    regions = [line for line in svg.splitlines()
+               if line.startswith("<rect") and "fill-opacity" in line]
+    assert regions == reference_region_rects(preds)
+    if stub == "alternating":
+        assert len(regions) == g * g
 
 
 def test_boundary_identical_points_is_an_error():
