@@ -1,5 +1,9 @@
 """Random forests over the decision trees in tree.py.
 
+A forest keeps one `NodeTable`, `root`, with every tree's nodes end to
+end, and `roots`, the node each tree starts at; a tree is a forest of
+one (`fit_tree`), and `trees` gives each tree of a forest as one.
+
 Each tree trains on a bootstrap resample, and every node it scores
 draws ceil(sqrt(d)) of the d features uniformly as split candidates.
 Classification predicts by majority vote with ties going to the lowest
@@ -20,21 +24,21 @@ A tree grows on its bootstrap's distinct rows, each weighted by its
 multiplicity, about 63% of the n rows drawn (Breiman 2001); a node's
 sample count is still the number of drawn rows that reach it.
 
-`predict` routes every point down every tree in one `route_trees` call,
-over the trees' stacked node tables; boundary grids are painted from the
-leaf boxes instead (`predict_grid`).
+`predict` routes every point down every tree in one `route_trees` call
+over the one table; boundary grids are painted from its leaf boxes
+instead (`predict_grid`).
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from ..errors import DataError
-from .tree import DecisionTree, NodeTable, TreeConfig, grow_trees, leaf_boxes, route_trees
+from .tree import NodeTable, TreeConfig, grow_trees, leaf_boxes, route_trees
 
 # distinct rows grown together, on average: bounds the grower's working memory
 _BLOCK_ROWS = 8192
@@ -58,12 +62,27 @@ class ForestConfig:
 
 @dataclass
 class RandomForestModel:
-    trees: list[DecisionTree]
+    root: NodeTable  # every tree's nodes, tree after tree
+    roots: np.ndarray  # int64: the node each tree starts at
     config: ForestConfig
     n_features: int
     n_classes: int  # 0 for regression
 
     kind = "random_forest"
+
+    @property
+    def trees(self) -> list[RandomForestModel]:
+        """Each tree as a forest of one, its child indices within the tree;
+        every array but `right` is a view of this forest's."""
+        config = replace(self.config, n_trees=1)
+        ends = [*self.roots[1:].tolist(), self.root.feature.size]
+        trees = []
+        for lo, hi in zip(self.roots.tolist(), ends):
+            table = NodeTable(**{k: a if a is None else a[lo:hi] for k, a in vars(self.root).items()})
+            table.right = np.where(table.feature >= 0, table.right - lo, -1)
+            trees.append(RandomForestModel(table, np.zeros(1, dtype=np.int64), config,
+                                           self.n_features, self.n_classes))
+        return trees
 
     def predict(self, points) -> np.ndarray:
         """Route every point down every tree at once (`route_trees`); the
@@ -74,11 +93,9 @@ class RandomForestModel:
         x = np.atleast_2d(np.asarray(points, dtype=np.float64))
         if x.shape[1] != self.n_features:
             raise DataError(f"expected {self.n_features} features, got {x.shape[1]}")
-        table = stack_trees(self.trees)
-        roots = np.cumsum([0] + [t.root.feature.size for t in self.trees[:-1]])
-        value = table.value[route_trees(table, roots, x)]  # (trees, points)
+        value = self.root.value[route_trees(self.root, self.roots, x)]  # (trees, points)
         if self.config.task == "regression":
-            return sum(value, np.zeros(value.shape[1:])) / len(self.trees)
+            return sum(value, np.zeros(value.shape[1:])) / self.roots.size
         votes = [np.count_nonzero(value == c, axis=0) for c in range(self.n_classes)]
         return np.argmax(votes, axis=0)  # first max: ties go to class 0
 
@@ -89,7 +106,7 @@ class RandomForestModel:
         Every grid point lies in exactly one leaf of each tree. Each leaf
         of a class c >= 1 adds one vote to layer c - 1 over its box
         (`paint_boxes`), and class 0's votes are the trees left over:
-        len(trees) minus the painted votes. The votes are the integers
+        the number of trees minus the painted votes. The votes are the integers
         `predict` counts, and a scan over the classes keeps the first
         maximum, so ties go to the lower class as in `predict`.
         """
@@ -98,12 +115,12 @@ class RandomForestModel:
         axes = [np.asarray(a, dtype=np.float64) for a in (yc, xc)]
         if any(np.any(np.diff(a) < 0) for a in axes):
             raise DataError("grid axes must be ascending")
-        lo, hi, value = leaf_boxes(stack_trees(self.trees), 2)
+        lo, hi, value = leaf_boxes(self.root, 2)
         painted = value > 0
         ranges = [box_ranges(a, lo[painted, k], hi[painted, k]) for a, k in zip(axes, (1, 0))]
         votes = paint_boxes(ranges, [a.size for a in axes],
                             layer=value[painted].astype(np.int64) - 1, n_layers=self.n_classes - 1)
-        best = len(self.trees) - votes.sum(axis=0)
+        best = self.roots.size - votes.sum(axis=0)
         classes = np.zeros_like(best)
         for c, layer in enumerate(votes, start=1):
             classes[layer > best] = c
@@ -151,22 +168,6 @@ def paint_boxes(ranges, sizes, weights=None, layer=None, n_layers: int = 1) -> n
     return painted[(slice(None),) + (slice(-1),) * len(sizes)]
 
 
-def stack_trees(trees: list[DecisionTree]) -> NodeTable:
-    """The trees' node tables end to end, child indices shifted to match:
-    one table whose roots are the trees' roots."""
-    sizes = [t.root.feature.size for t in trees]
-    shift = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    feature = np.concatenate([t.root.feature for t in trees])
-    right = np.concatenate([t.root.right for t in trees])
-    return NodeTable.build(
-        feature=feature,
-        threshold=np.concatenate([t.root.threshold for t in trees]),
-        right=np.where(feature >= 0, right + shift, -1),
-        n_samples=np.concatenate([t.root.n_samples for t in trees]),
-        value=np.concatenate([t.root.value for t in trees]),
-    )
-
-
 def fit_random_forest(x, y, config: ForestConfig = ForestConfig()) -> RandomForestModel:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     n, d = x.shape
@@ -194,15 +195,64 @@ def fit_random_forest(x, y, config: ForestConfig = ForestConfig()) -> RandomFore
     # n (1 - (1 - 1/n)^n) of them, about 63%
     rows_per_tree = n * (1.0 - (1.0 - 1.0 / n) ** n)
     block = max(1, int(_BLOCK_ROWS // rows_per_tree))
-    trees: list[DecisionTree] = []
+    blocks, roots, n_nodes = [], [], 0
     for lo in range(0, config.n_trees, block):
         block_boots = boots[lo:lo + block]
         keys = key_rng.random((block_boots.shape[0], n - 1, d)) if m_features < d else None
-        tables = grow_trees(x, y, block_boots, tree_config, n_classes, keys, m_features)
-        trees += [DecisionTree(root=t, config=tree_config, n_features=d, n_classes=n_classes)
-                  for t in tables]
-    return RandomForestModel(trees=trees, config=config, n_features=d, n_classes=n_classes)
+        table, block_roots = grow_trees(x, y, block_boots, tree_config, n_classes, keys, m_features)
+        table.right[table.feature >= 0] += n_nodes  # into the joined table
+        block_roots += n_nodes
+        roots.append(block_roots)
+        n_nodes += table.feature.size
+        blocks.append(vars(table))
+    # joined field by field, each block's arrays dropped once joined: a
+    # copy of the whole table at once would hold it twice
+    joined = {}
+    for key in list(blocks[0]):
+        parts = [b.pop(key) for b in blocks]
+        joined[key] = None if parts[0] is None else np.concatenate(parts)
+    return RandomForestModel(root=NodeTable(**joined), roots=np.concatenate(roots), config=config,
+                             n_features=d, n_classes=n_classes)
 
 
-__all__ = ["ForestConfig", "RandomForestModel", "box_ranges", "fit_random_forest", "paint_boxes",
-           "stack_trees"]
+def fit_tree(
+    x,
+    y,
+    config: TreeConfig = TreeConfig(),
+    rng: np.random.Generator | None = None,
+    m_features: int | None = None,
+    n_classes: int | None = None,
+) -> RandomForestModel:
+    """Grow one tree on all rows of (x, y), as a forest of one. Given
+    `rng` and `m_features` below the feature count d, one
+    `rng.random((1, n - 1, d))` draw gives the candidate keys of
+    `grow_trees`; by default every feature is a candidate.
+    """
+    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    n, d = x.shape
+    if n < 1:
+        raise DataError("fit_tree needs at least one row")
+    if config.task == "classification":
+        y = np.asarray(y, dtype=np.int64)
+        if y.min() < 0:
+            raise DataError("class labels must be nonnegative integers")
+        if n_classes is None:
+            n_classes = max(2, int(y.max()) + 1)
+    else:
+        y = np.asarray(y, dtype=np.float64)
+        n_classes = 0
+    if y.shape[0] != n:
+        raise DataError("labels misaligned with rows")
+    keys = None
+    if m_features is not None:
+        m_features = max(1, min(m_features, d))
+        if rng is not None and m_features < d:
+            keys = rng.random((1, n - 1, d))
+    root, roots = grow_trees(x, y, np.arange(n), config, n_classes, keys, m_features)
+    forest_config = ForestConfig(n_trees=1, max_depth=config.max_depth, task=config.task)
+    return RandomForestModel(root=root, roots=roots, config=forest_config, n_features=d,
+                             n_classes=n_classes)
+
+
+__all__ = ["ForestConfig", "RandomForestModel", "box_ranges", "fit_random_forest", "fit_tree",
+           "paint_boxes"]

@@ -3,9 +3,10 @@
 Documents carry {kind, config, parameters} and reconstruct models whose
 predictions are bit-identical to the originals (floats survive via
 shortest round-trip repr, which json uses natively). A random forest
-stores each tree as node arrays, minus those the table derives: the
-left child and, given class counts, value and n_samples (see `NodeTable`).
-A file holds one value per node, so saving a regression forest grown on
+keeps one node table of all its trees; its file stores each tree
+(`RandomForestModel.trees`) as node arrays, minus those the table
+derives: the left child and, given class counts, value and n_samples
+(see `NodeTable`). A file holds one value per node, so saving a regression forest grown on
 a multi-column target is a DataError.
 
 Loading reads every JSON value through `artifacts.json_value` and
@@ -16,9 +17,10 @@ must be of equal length and form one tree each, with child indices and
 split features in range and no negative count; a tree in the nested-node
 format of earlier versions is no longer read. A forest's trees are
 checked together, in one pass over all their nodes end to end, with each
-node's child indices taken within its own tree, and then sliced into the
-trees. A k-NN model itself rejects missing rows, misaligned or negative
-labels and a k that exceeds its training size. An SVM model rejects an
+node's child indices taken within its own tree; the model keeps that one
+table, its child indices shifted to index it whole. A k-NN model itself
+rejects missing rows, misaligned or negative labels and a k that
+exceeds its training size. An SVM model rejects an
 `x` without a row, labels or multipliers that are not one per row, a
 label other than -1 and +1, a negative multiplier (beyond SMO's rounding
 slack) and a negative gamma. Both raise DataError for points whose width
@@ -41,7 +43,7 @@ from .forest import ForestConfig, RandomForestModel
 from .knn import KnnConfig, KnnModel
 from .logistic import LogisticConfig, LogisticModel
 from .svm import SvmConfig, SvmModel
-from .tree import DecisionTree, NodeTable, TreeConfig
+from .tree import NodeTable
 
 # kind -> (model class, config class, {parameter: its JSON type}); a model
 # holds a list parameter as an array, of int64 for list[int], else of float64
@@ -68,7 +70,7 @@ _TREE_KEYS = {
 def model_to_dict(model) -> dict:
     kind = getattr(model, "kind", None)
     if kind == "random_forest":
-        if model.trees[0].root.value.ndim > 1:
+        if model.root.value.ndim > 1:
             raise DataError("cannot serialize a multi-output random forest: model files "
                             "hold one value per node")
         keys = _TREE_KEYS[model.config.task]
@@ -104,7 +106,6 @@ def model_from_dict(doc: dict):
 
 def _forest_from_dict(doc: dict, where: str) -> RandomForestModel:
     config = build(ForestConfig, doc, ("config",), where)
-    tree_config = TreeConfig(task=config.task, max_depth=config.max_depth)
     n_features = json_value(doc, ("parameters", "n_features"), where, int, lambda n: n >= 1,
                             "a positive integer")
     n_classes = json_value(doc, ("parameters", "n_classes"), where, int, lambda n: n >= 0,
@@ -142,18 +143,13 @@ def _forest_from_dict(doc: dict, where: str) -> RandomForestModel:
                                   | (table.right >= np.repeat(sizes, sizes))))):
         raise DataError("tree split feature, child index or count out of range")
     split = np.flatnonzero(internal)
-    parents = np.bincount(np.concatenate([split + 1, (first + table.right)[split]]),
-                          minlength=total)
+    table.right[split] += first[split]  # into the whole table
+    parents = np.bincount(np.concatenate([split + 1, table.right[split]]), minlength=total)
     if np.any(parents != (local > 0)):  # one parent each, none for a root
         raise DataError("tree nodes do not form one tree: every node but the root "
                         "must be the child of exactly one node")
-    trees = [
-        DecisionTree(root=NodeTable(**{key: a if a is None else a[lo:lo + n]
-                                       for key, a in vars(table).items()}),
-                     config=tree_config, n_features=n_features, n_classes=n_classes)
-        for lo, n in zip(offsets.tolist(), sizes)
-    ]
-    return RandomForestModel(trees=trees, config=config, n_features=n_features, n_classes=n_classes)
+    return RandomForestModel(root=table, roots=offsets, config=config, n_features=n_features,
+                             n_classes=n_classes)
 
 
 def save_model(model, path: str, extra: dict | None = None) -> None:

@@ -12,9 +12,10 @@ so splits tied in exact arithmetic tie bit for bit and follow that
 rule; regression splits tied only in exact arithmetic are decided by
 rounding.
 
-A fitted tree is one `NodeTable` of per-node arrays in preorder. Trees
-grow breadth-first, a block of them at once (a forest's trees, or the
-single tree of `fit_tree`), over presorted attribute lists as in SLIQ
+A block of fitted trees is one `NodeTable` of per-node arrays, each tree
+in preorder and the trees end to end. Trees grow breadth-first, a block
+of them at once (a forest's trees, or the single tree of
+`forest.fit_tree`), over presorted attribute lists as in SLIQ
 (Mehta, Agrawal & Rissanen 1996) and SPRINT (Shafer, Agrawal & Mehta
 1996). On every level each node's slice of the per-feature orders is
 split stably into its children, which equals a stable argsort of the
@@ -57,7 +58,9 @@ class TreeConfig:
 
 @dataclass
 class NodeTable:
-    """One tree as parallel per-node arrays, in preorder with the root at 0.
+    """One or more trees as parallel per-node arrays: each tree in
+    preorder from its root, the trees end to end, and every child index
+    into the whole table.
 
     Leaves have feature -1, threshold 0.0 and right = -1; internal node
     i sends x[feature] <= threshold to its left child, always node i + 1
@@ -259,8 +262,9 @@ def _partition(orders, at, sizes, n_left, goes_left) -> np.ndarray:
     return out
 
 
-def _preorder_tables(levels, n_trees: int) -> list[NodeTable]:
-    """Each tree's `NodeTable` from the per-level node records.
+def _preorder_table(levels) -> tuple[NodeTable, np.ndarray]:
+    """The block's `NodeTable` from the per-level node records, and the
+    node each tree starts at: the trees lie end to end, each in preorder.
 
     A split node's children are consecutive on the next level, left
     first, in the order of their parents. Subtree sizes, summed bottom-up,
@@ -272,7 +276,8 @@ def _preorder_tables(levels, n_trees: int) -> list[NodeTable]:
         size[depth] = np.ones(levels[depth]["feature"].size, dtype=np.int64)
         children = size[depth + 1].reshape(-1, 2)
         size[depth][levels[depth]["feature"] >= 0] += children[:, 0] + children[:, 1]
-    pre = [np.zeros(n_trees, dtype=np.int64)]  # index within the node's tree
+    roots = np.cumsum(size[0]) - size[0]
+    pre = [roots]  # index within the block's table
     for depth, level in enumerate(levels):
         split = level["feature"] >= 0
         level["right"] = np.full(split.size, -1, dtype=np.int64)
@@ -281,19 +286,13 @@ def _preorder_tables(levels, n_trees: int) -> list[NodeTable]:
             child_pre[1::2] += size[depth + 1][0::2]
             level["right"][split] = child_pre[1::2]
             pre.append(child_pre)
-    n_nodes = size[0]
-    offsets = np.cumsum(n_nodes) - n_nodes
-    dest = np.concatenate([offsets[level["tree"]] + p for level, p in zip(levels, pre)])
+    dest = np.concatenate(pre)
     table = {}
-    for key in [key for key in levels[0] if key != "tree"]:
+    for key in list(levels[0]):
         merged = np.concatenate([level.pop(key) for level in levels])  # frees as it goes
         table[key] = np.empty_like(merged)
         table[key][dest] = merged
-    whole = NodeTable.build(**table)  # the block's table, sliced into the trees' tables
-    return [
-        NodeTable(**{key: a if a is None else a[lo:lo + size] for key, a in vars(whole).items()})
-        for lo, size in zip(offsets.tolist(), n_nodes.tolist())
-    ]
+    return NodeTable.build(**table), roots
 
 
 def grow_trees(
@@ -304,9 +303,10 @@ def grow_trees(
     n_classes: int,
     keys=None,
     m_features: int | None = None,
-) -> list[NodeTable]:
+) -> tuple[NodeTable, np.ndarray]:
     """Grow one tree on the rows `samples[t]` of (x, y) for every t, all
-    trees at once, level by level.
+    trees at once, level by level: the trees' one `NodeTable`, tree after
+    tree, and the node each tree starts at.
 
     `keys`, a (trees, len(x) - 1, d) array of uniform keys, draws the
     candidate features when `m_features` is below the feature count d:
@@ -323,7 +323,7 @@ def grow_trees(
     outputs: a node's value is its weighted mean of each output, a node
     is scored while any output varies over it, and a cut scores the sum
     over the outputs of the single-output score (`_best_splits`). Its
-    tables hold (n_nodes, q) values; a (n, 1) target grows the tree of
+    table holds (n_nodes, q) values; a (n, 1) target grows the tree of
     the (n,) one, bit for bit.
     """
     xt = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
@@ -409,7 +409,7 @@ def grow_trees(
         keep = (n_left > 0) & (n_left < sizes[split])
         feature[split[~keep]] = -1
         threshold[split[~keep]] = 0.0
-        level.update(tree=tree, feature=feature, threshold=threshold)
+        level.update(feature=feature, threshold=threshold)
         levels.append(level)
         if not keep.any():
             break
@@ -421,24 +421,7 @@ def grow_trees(
         tree = np.repeat(tree[split], 2)
         depth += 1
 
-    return _preorder_tables(levels, n_trees)
-
-
-@dataclass
-class DecisionTree:
-    root: NodeTable  # the whole tree; node 0 is the root
-    config: TreeConfig
-    n_features: int
-    n_classes: int  # 0 for regression
-
-    def predict(self, points) -> np.ndarray:
-        x = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if x.shape[1] != self.n_features:
-            raise DataError(f"expected {self.n_features} features, got {x.shape[1]}")
-        out = self.root.value[route_trees(self.root, [0], x)[0]]
-        if self.config.task == "classification":
-            return out.astype(np.int64)
-        return out
+    return _preorder_table(levels)
 
 
 def route_trees(table: NodeTable, roots, x) -> np.ndarray:
@@ -460,43 +443,6 @@ def route_trees(table: NodeTable, roots, x) -> np.ndarray:
         node, pair, at, feature = node[inner], pair[inner], at[inner], feature[inner]
         node = np.where(xf[at + feature] <= table.threshold[node], node + 1, table.right[node])
     return leaf
-
-
-def fit_tree(
-    x,
-    y,
-    config: TreeConfig = TreeConfig(),
-    rng: np.random.Generator | None = None,
-    m_features: int | None = None,
-    n_classes: int | None = None,
-) -> DecisionTree:
-    """Grow one tree. Given `rng` and `m_features` below the feature
-    count d, one `rng.random((1, n - 1, d))` draw gives the candidate keys
-    of `grow_trees`; by default every feature is a candidate.
-    """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    n = x.shape[0]
-    if n < 1:
-        raise DataError("fit_tree needs at least one row")
-    if config.task == "classification":
-        y = np.asarray(y, dtype=np.int64)
-        if y.min() < 0:
-            raise DataError("class labels must be nonnegative integers")
-        if n_classes is None:
-            n_classes = max(2, int(y.max()) + 1)
-    else:
-        y = np.asarray(y, dtype=np.float64)
-        n_classes = 0
-    if y.shape[0] != n:
-        raise DataError("labels misaligned with rows")
-    d = x.shape[1]
-    keys = None
-    if m_features is not None:
-        m_features = max(1, min(m_features, d))
-        if rng is not None and m_features < d:
-            keys = rng.random((1, n - 1, d))
-    root, = grow_trees(x, y, np.arange(n), config, n_classes, keys, m_features)
-    return DecisionTree(root=root, config=config, n_features=d, n_classes=n_classes)
 
 
 def count_leaves(table: NodeTable) -> int:
@@ -562,8 +508,6 @@ def leaf_path_shares(table: NodeTable, n_features: int) -> np.ndarray:
 __all__ = [
     "TreeConfig",
     "NodeTable",
-    "DecisionTree",
-    "fit_tree",
     "grow_trees",
     "count_leaves",
     "leaf_boxes",

@@ -276,14 +276,17 @@ def _meta_provenance(config: PipelineConfig) -> dict:
 
 
 def stage_ingest(config: PipelineConfig) -> None:
-    """Load, validate, optionally subsample, standardize, and weight; the
-    records keep the ids, and the feature table is the array beside them."""
+    """Load, validate, sort by id, optionally subsample, standardize, and
+    weight; the records keep the ids, and the feature table is the array
+    beside them. Sorting by id (code-point order) makes the run a function
+    of the records, whatever their input order."""
     if not config.input:
         raise UsageError("ingest needs an input file (--input or config 'input')")
     paths = artifact_paths(config.out)
 
     records, report = load_records(config.input, schema=config.schema, delimiter=config.delimiter)
     n_loaded = len(records)
+    records.sort(key=lambda r: r.id)
     if config.subsample is not None:
         records = subsample_records(records, config.subsample, derive_seed(config.seed, "subsample"))
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, by column

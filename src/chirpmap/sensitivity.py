@@ -45,8 +45,8 @@ import numpy as np
 
 from .errors import DataError, NumericError
 from .ingest import FEATURE_NAMES
-from .models import DecisionTree, ForestConfig, RandomForestModel, fit_random_forest
-from .models.forest import box_ranges, paint_boxes, stack_trees
+from .models import ForestConfig, RandomForestModel, fit_random_forest
+from .models.forest import box_ranges, paint_boxes
 from .models.tree import leaf_boxes, leaf_path_shares
 from .seeding import derive_seed
 
@@ -104,14 +104,16 @@ def fit_coordinate_regressors(x: np.ndarray, coords, config: SensitivityConfig) 
 
 def tree_subset_values(model, instances) -> np.ndarray:
     """v(S) for every instance and every feature subset, averaged over the
-    trees of `model`, a DecisionTree or a regression RandomForestModel.
+    trees of `model`, a regression RandomForestModel (a tree is a forest
+    of one, `fit_tree`).
 
     Returns an (N, 2^d) array, or (N, 2^d, q) for a model grown on a
     q-column target; column s holds v(S) for the subset whose members are
-    the set bits of s. Each leaf's P(l, S) * value is painted over its
-    box on S's features (`paint_boxes`, output by output, on index ranges
-    found once) and read at the instances, by the features of S that some
-    tree splits on:
+    the set bits of s. The leaves are those of the forest's one node
+    table. Each leaf's P(l, S) * value is painted over its box on S's
+    features (`paint_boxes`, output by output, on index ranges found
+    once) and read at the instances, by the features of S that some tree
+    splits on:
 
     - none: one sum over the leaves, the same for every instance;
     - one or two: a 1-D or 2-D painting on the instances' sorted unique
@@ -127,21 +129,17 @@ def tree_subset_values(model, instances) -> np.ndarray:
     hold that output alone. A model that splits on more than 3 features
     is a DataError.
     """
-    if isinstance(model, DecisionTree):
-        trees = [model]
-    elif isinstance(model, RandomForestModel):
-        if model.config.task != "regression":
-            raise DataError("shapley attributions require regression trees (votes are not additive)")
-        trees = model.trees
-    else:
+    if not isinstance(model, RandomForestModel):
         raise DataError(f"cannot attribute model of type {type(model).__name__}")
+    if model.config.task != "regression":
+        raise DataError("shapley attributions require regression trees (votes are not additive)")
     x = np.atleast_2d(np.asarray(instances, dtype=np.float64))
     if not np.isfinite(x).all():
         raise DataError("instances must be finite")
     d = model.n_features
     if x.shape[1] != d:
         raise DataError(f"expected {d} features, got {x.shape[1]}")
-    table = stack_trees(trees)
+    table, n_trees = model.root, model.roots.size
     split_on = np.flatnonzero(np.bincount(table.feature[table.feature >= 0])).tolist()
     if len(split_on) > 3:
         raise DataError(f"cannot paint subset values of a model split on {len(split_on)} features")
@@ -165,10 +163,10 @@ def tree_subset_values(model, instances) -> np.ndarray:
             return np.asarray(model.predict(x), dtype=np.float64).reshape(x.shape[0], q)
         features = [f for f in split_on if key >> f & 1]
         if not features:
-            return np.full((x.shape[0], q), [w[:, key].sum() / len(trees) for w in weight])
+            return np.full((x.shape[0], q), [w[:, key].sum() / n_trees for w in weight])
         sizes, cells, ranges = zip(*(axes[f] for f in features))
         painted = [paint_boxes(ranges, sizes, w[:, key])[0][cells] for w in weight]
-        return np.stack(painted, axis=1) / len(trees)
+        return np.stack(painted, axis=1) / n_trees
 
     out = np.empty((x.shape[0], 1 << d, q))
     columns: dict[int, np.ndarray] = {}

@@ -24,9 +24,9 @@ from chirpmap.evaluation import (
 )
 from chirpmap.ingest import apply_weights, standardize
 from chirpmap.models import CLASSIFIER_KINDS, fit_classifier
-from chirpmap.models.forest import ForestConfig, fit_random_forest
+from chirpmap.models.forest import ForestConfig, fit_random_forest, fit_tree
 from chirpmap.models.svm import SvmConfig, _kernel_block, fit_svm, kkt_violation
-from chirpmap.models.tree import TreeConfig, fit_tree
+from chirpmap.models.tree import TreeConfig
 from chirpmap.pipeline import config_from_dict, run_pipeline
 from chirpmap.sensitivity import (
     shapley_from_subset_values,

@@ -5,19 +5,20 @@ import pytest
 
 from chirpmap.errors import DataError
 from chirpmap.models import forest as forest_module
-from chirpmap.models.forest import ForestConfig, RandomForestModel, fit_random_forest
-from chirpmap.models.tree import DecisionTree, NodeTable, TreeConfig
+from chirpmap.models.forest import ForestConfig, fit_random_forest
+from chirpmap.models.io import model_from_dict, model_to_dict
+from chirpmap.models.tree import NodeTable
 from chirpmap.render import boundary_grid
+from chirpmap.sensitivity import SensitivityConfig, fit_coordinate_regressors
+from tests.conftest import forest_of
 from tests.test_knn_oracle import clustered_training_set
 
 
 def leaf_tree(value, task="classification"):
     """Single-leaf tree that predicts `value` everywhere."""
     if task == "classification":
-        table = NodeTable.build([-1], [0.0], [-1], counts=np.eye(2, dtype=np.int64)[[value]])
-    else:
-        table = NodeTable.build([-1], [0.0], [-1], n_samples=[1], value=[value])
-    return DecisionTree(root=table, config=TreeConfig(task=task), n_features=2, n_classes=2)
+        return NodeTable.build([-1], [0.0], [-1], counts=np.eye(2, dtype=np.int64)[[value]])
+    return NodeTable.build([-1], [0.0], [-1], n_samples=[1], value=[value])
 
 
 def test_same_seed_same_forest(two_blobs):
@@ -43,22 +44,12 @@ def test_single_row_forest_is_constant():
 
 
 def test_vote_tie_goes_to_class_zero():
-    model = RandomForestModel(
-        trees=[leaf_tree(0), leaf_tree(1)],
-        config=ForestConfig(n_trees=2),
-        n_features=2,
-        n_classes=2,
-    )
+    model = forest_of([leaf_tree(0), leaf_tree(1)])
     assert model.predict(np.zeros((3, 2))).tolist() == [0, 0, 0]
 
 
 def test_regression_prediction_is_tree_mean():
-    model = RandomForestModel(
-        trees=[leaf_tree(1.0, "regression"), leaf_tree(2.0, "regression")],
-        config=ForestConfig(n_trees=2, task="regression"),
-        n_features=2,
-        n_classes=0,
-    )
+    model = forest_of([leaf_tree(1.0, "regression"), leaf_tree(2.0, "regression")], "regression")
     assert model.predict(np.zeros((1, 2)))[0] == pytest.approx(1.5)
 
 
@@ -83,7 +74,7 @@ def test_config_validation():
 
 
 def _walk_tree(tree, x):
-    """The former `DecisionTree.predict`, kept as the oracle: a stack walk
+    """The former per-tree predict, kept as the oracle: a stack walk
     that splits the points reaching each node into its children."""
     out = np.empty(x.shape[0], dtype=np.float64)
     feature = tree.root.feature.tolist()
@@ -243,3 +234,62 @@ def test_forest_grid_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+@pytest.fixture(scope="module", params=["eval", "explain"])
+def joined_forest(request):
+    """A forest grown in several blocks and joined into one table: eval's
+    (N = 900, d = 2, classification) or explain's two-output regressor
+    (N = 900, d = 3)."""
+    rng = np.random.default_rng(11)
+    blocks = []
+    grow_trees = forest_module.grow_trees
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(forest_module, "grow_trees", lambda *args: blocks.append(1) or grow_trees(*args))
+        if request.param == "eval":
+            x = rng.normal(size=(900, 2))
+            y = (x[:, 0] + 0.5 * rng.normal(size=900) > 0).astype(np.int64) + (x[:, 1] > 0.8)
+            model = fit_random_forest(x, y, ForestConfig(seed=1))
+        else:
+            x = rng.normal(size=(900, 3))
+            coords = np.column_stack([3.0 * np.sin(x[:, 0]), x[:, 1] * x[:, 2]])
+            model = fit_coordinate_regressors(x, coords, SensitivityConfig())
+    assert len(blocks) > 1
+    return model
+
+
+def _same_table(a: NodeTable, b: NodeTable) -> bool:
+    return all((u is None and v is None) or (u is not None and v is not None and u.dtype == v.dtype
+                                              and u.shape == v.shape and u.tobytes() == v.tobytes())
+               for u, v in zip(vars(a).values(), vars(b).values()))
+
+
+def test_the_trees_restack_into_the_forests_one_table(joined_forest):
+    model = joined_forest
+    trees = model.trees
+    assert len(trees) == model.roots.size == 100
+    restacked = forest_of([t.root for t in trees], model.config.task, model.n_features,
+                          model.n_classes)
+    assert _same_table(restacked.root, model.root)
+    assert restacked.roots.tobytes() == model.roots.tobytes()
+
+
+def test_each_tree_view_indexes_within_its_tree(joined_forest):
+    for tree in joined_forest.trees:
+        table = tree.root
+        internal = np.flatnonzero(table.feature >= 0)
+        assert tree.roots.tolist() == [0]
+        assert np.all(table.right[table.feature < 0] == -1)
+        assert np.all((table.right[internal] > internal + 1)
+                      & (table.right[internal] < table.feature.size))
+
+
+def test_a_saved_forest_loads_its_one_table_bit_for_bit(joined_forest):
+    if joined_forest.config.task != "classification":  # model files hold one value per node
+        with pytest.raises(DataError, match="multi-output"):
+            model_to_dict(joined_forest)
+        return
+    loaded = model_from_dict(model_to_dict(joined_forest))
+    assert _same_table(loaded.root, joined_forest.root)
+    assert loaded.roots.dtype == joined_forest.roots.dtype
+    assert loaded.roots.tobytes() == joined_forest.roots.tobytes()

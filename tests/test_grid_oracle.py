@@ -13,11 +13,11 @@ import numpy as np
 import pytest
 
 from chirpmap.models import knn
-from chirpmap.models.forest import ForestConfig, RandomForestModel, fit_random_forest
+from chirpmap.models.forest import ForestConfig, fit_random_forest, fit_tree
 from chirpmap.models.knn import KnnConfig, fit_knn
-from chirpmap.models.tree import DecisionTree, NodeTable, TreeConfig, fit_tree, leaf_boxes
+from chirpmap.models.tree import NodeTable, TreeConfig, leaf_boxes
 from chirpmap.render import boundary_grid
-from tests.conftest import make_blobs
+from tests.conftest import forest_of, make_blobs
 from tests.test_knn_oracle import argpartition_predict, clustered_training_set
 
 
@@ -101,10 +101,7 @@ def test_unreachable_leaf_paints_nothing():
     assert hi[1, 0] <= lo[1, 0]
     one_leaf = NodeTable.build(feature=[-1], threshold=[0.0], right=[-1], n_samples=[1],
                                value=[1.0])
-    trees = [DecisionTree(root=t, config=TreeConfig(), n_features=2, n_classes=2)
-             for t in (table, one_leaf)]
-    model = RandomForestModel(trees=trees, config=ForestConfig(n_trees=2), n_features=2,
-                              n_classes=2)
+    model = forest_of([table, one_leaf])
     coords = np.array([[-3.0, -1.0], [3.0, 1.0]])
     assert_grid_equals_predict(model, coords, g=40)
     assert not model.predict_grid(*boundary_grid(model, coords, g=40)[:2]).any()
@@ -131,10 +128,8 @@ def test_three_class_ties_go_to_the_lower_class():
     # x0 <= 0 votes class 0, else 1; x1 <= 0 votes class 2, else 1. In
     # the lower left class 0 ties painted class 2, in the lower right
     # classes 1 and 2 tie
-    trees = [DecisionTree(root=stump(f, lc, rc), config=TreeConfig(), n_features=2, n_classes=3)
-             for f, lc, rc in ((0, 0, 1), (1, 2, 1))]
-    model = RandomForestModel(trees=trees, config=ForestConfig(n_trees=2), n_features=2,
-                              n_classes=3)
+    model = forest_of([stump(f, lc, rc) for f, lc, rc in ((0, 0, 1), (1, 2, 1))], n_classes=3)
+    trees = model.trees
     coords = np.array([[-3.0, -2.0], [3.0, 2.0]])
     xc, yc = assert_grid_equals_predict(model, coords, g=41)
     votes = [sum(meshgrid_predict(t.predict, xc, yc) == c for t in trees) for c in range(3)]

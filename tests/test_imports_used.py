@@ -6,6 +6,12 @@ Every module-private name a package module binds at its top level (one
 leading underscore) is read in that module or imported by another
 package module: a constant or helper nothing reads is dead code.
 
+Every public def or class a package module binds at its top level is
+read (a loaded name or an attribute) somewhere in the package, the tests
+or `perfbench/`: importing it or listing it in `__all__` does not count.
+The scan matches by name alone, so it finds only names that nothing
+reads at all.
+
 The compute modules `tsne` and `sensitivity` import nothing from
 `chirpmap.artifacts`: the pipeline's stages read and write their tables."""
 
@@ -19,6 +25,7 @@ import chirpmap
 ROOTS = (Path(chirpmap.__file__).parent, Path(__file__).parent)
 MODULES = sorted(path for root in ROOTS for path in root.rglob("*.py"))
 PACKAGE_MODULES = sorted(ROOTS[0].rglob("*.py"))
+PERFBENCH_MODULES = sorted((ROOTS[1].parent / "perfbench").glob("*.py"))
 
 
 def imported_names(tree: ast.Module) -> dict[str, int]:
@@ -80,6 +87,21 @@ def private_names(tree: ast.Module) -> dict[str, int]:
             if name.startswith("_") and not name.startswith("__")}
 
 
+def public_definitions(tree: ast.Module) -> dict[str, int]:
+    """Each def or class without a leading underscore that the module
+    binds at its top level, with the line that binds it."""
+    return {node.name: node.lineno for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")}
+
+
+def read_names(tree: ast.Module) -> set[str]:
+    """Every name the module loads, and every attribute it names."""
+    return {node.id if isinstance(node, ast.Name) else node.attr for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load))}
+
+
 def unread_private_names(tree: ast.Module, module: str, imported: set[str]) -> list[str]:
     """The private names of `module` that it never reads (an `ast.Load`)
     and that are not in `imported`, the dotted names other modules import."""
@@ -130,6 +152,25 @@ def test_the_scan_sees_an_unread_private_name():
     user = ast.parse("from ..pkg.planted import _IMPORTED\n")
     imported = set(imported_modules(user, "chirpmap.other"))
     assert unread_private_names(tree, "chirpmap.pkg.planted", imported) == ["_PLANTED (line 2)"]
+
+
+def test_every_public_name_is_read():
+    reads = set()
+    for path in MODULES + PERFBENCH_MODULES:
+        reads |= read_names(ast.parse(path.read_text(encoding="utf-8")))
+    unread = [f"{path.name}:{line} {name}" for path in PACKAGE_MODULES
+              for name, line in public_definitions(ast.parse(path.read_text(encoding="utf-8"))).items()
+              if name not in reads]
+    assert PERFBENCH_MODULES and unread == []
+
+
+def test_the_scan_sees_an_unread_public_name():
+    package = ast.parse("def used():\n    pass\n\n\ndef planted():\n    pass\n\n\n"
+                        "class Kept:\n    pass\n\n\ndef _private():\n    pass\n\n\n"
+                        "__all__ = ['used', 'planted', 'Kept']\n")
+    user = ast.parse("from pkg import Kept, planted, used\nimport pkg\nused()\nx = pkg.Kept\n")
+    reads = read_names(package) | read_names(user)
+    assert [name for name in public_definitions(package) if name not in reads] == ["planted"]
 
 
 @pytest.mark.parametrize("name", ["tsne.py", "sensitivity.py"])

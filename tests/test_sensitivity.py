@@ -2,14 +2,15 @@ import dataclasses
 import itertools
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from chirpmap.errors import DataError
 from chirpmap.ingest import FEATURE_NAMES
-from chirpmap.models.forest import ForestConfig, fit_random_forest
-from chirpmap.models.tree import TreeConfig, fit_tree
+from chirpmap.models.forest import ForestConfig, fit_random_forest, fit_tree
+from chirpmap.models.tree import TreeConfig
 from chirpmap.pipeline import (
     _read_combined,
     _read_embedding_aligned,
@@ -309,6 +310,21 @@ def test_map_needs_one_coordinate_pair_per_record():
     for bad in (coords[:-1], coords[:, :1]):
         with pytest.raises(DataError, match="misaligned"):
             build_sensitivity_map(reg, values, bad, "euclidean")
+
+
+def test_sensitivity_map_peak_memory():
+    """A map reads the forest's one node table: no reader stacks the
+    trees into a second one."""
+    x = np.random.default_rng(6).normal(size=(900, 3))
+    coords = np.column_stack([3.0 * np.sin(x[:, 0]), x[:, 1] * x[:, 2]])
+    reg = fit_coordinate_regressors(x, coords, SensitivityConfig())
+    tracemalloc.start()
+    try:
+        build_sensitivity_map(reg, x, coords, "euclidean")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 36 * 2**20
 
 
 def test_quartiles_equal_np_quantile_bitwise():

@@ -14,16 +14,17 @@ import pytest
 
 from chirpmap.errors import DataError
 from chirpmap.ingest import records_to_matrix, standardize
-from chirpmap.models.forest import ForestConfig, RandomForestModel, fit_random_forest
-from chirpmap.models.tree import DecisionTree, NodeTable, TreeConfig, fit_tree, leaf_path_shares
+from chirpmap.models.forest import ForestConfig, RandomForestModel, fit_random_forest, fit_tree
+from chirpmap.models.tree import NodeTable, TreeConfig, leaf_path_shares
 from chirpmap.sensitivity import shapley_values, tree_subset_values
 from chirpmap.synth import generate_records
 from chirpmap.tsne import TsneConfig, run_tsne
+from tests.conftest import forest_of
 
 GATE = 1e-12
 
 
-def walk_subset_values(tree: DecisionTree, x) -> np.ndarray:
+def walk_subset_values(tree: RandomForestModel, x) -> np.ndarray:
     """v(S) of one tree for every instance and subset, by the node walk."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     table = tree.root
@@ -61,7 +62,7 @@ def walk_subset_values(tree: DecisionTree, x) -> np.ndarray:
 def walk_forest_values(model, x) -> np.ndarray:
     """The walk's values summed tree by tree and averaged, as the former
     `shapley_values` did."""
-    trees = [model] if isinstance(model, DecisionTree) else model.trees
+    trees = model.trees
     total = np.zeros((np.atleast_2d(x).shape[0], 1 << trees[0].n_features))
     for tree in trees:
         total += walk_subset_values(tree, x)
@@ -161,11 +162,8 @@ def test_more_than_three_split_features_is_a_data_error():
         n_samples=[5, 1, 4, 1, 3, 1, 2, 1, 1],
         value=[0.0, 1.0, 0.0, 2.0, 0.0, 3.0, 0.0, 4.0, 5.0],
     )
-    tree = DecisionTree(root=table, config=TreeConfig(task="regression"), n_features=4,
-                        n_classes=0)
+    forest = forest_of([table], "regression", n_features=4)
     with pytest.raises(DataError, match="4 features"):
-        tree_subset_values(tree, np.zeros((2, 4)))
-    forest = RandomForestModel(trees=[tree], config=ForestConfig(n_trees=1, task="regression"),
-                               n_features=4, n_classes=0)
+        tree_subset_values(forest, np.zeros((2, 4)))
     with pytest.raises(DataError, match="4 features"):
         shapley_values(forest, np.zeros((2, 4)))

@@ -4,17 +4,11 @@ import numpy as np
 import pytest
 
 from chirpmap.errors import DataError
-from chirpmap.models.forest import ForestConfig, RandomForestModel
+from chirpmap.models.forest import fit_tree
 from chirpmap.models.io import load_model, save_model
-from chirpmap.models.tree import (
-    DecisionTree,
-    NodeTable,
-    TreeConfig,
-    count_leaves,
-    fit_tree,
-)
+from chirpmap.models.tree import NodeTable, TreeConfig, count_leaves
 from chirpmap.sensitivity import tree_subset_values
-from tests.conftest import make_blobs
+from tests.conftest import forest_of, make_blobs
 
 
 def tree_depth(table: NodeTable) -> int:
@@ -157,7 +151,7 @@ def chain_tree(depth):
         n_samples=np.where(internal, depth + 1 - k, 1),
         value=k,
     )
-    return DecisionTree(root=table, config=TreeConfig(task="regression"), n_features=1, n_classes=0)
+    return forest_of([table], "regression", n_features=1)
 
 
 def test_deep_chain_predicts_attributes_and_round_trips(tmp_path):
@@ -170,10 +164,8 @@ def test_deep_chain_predicts_attributes_and_round_trips(tmp_path):
     values = tree_subset_values(tree, x[::1000])
     assert np.array_equal(values[:, 1], x[::1000, 0])
     assert values[:, 0] == pytest.approx(depth / 2.0, rel=1e-12)  # every leaf weighs 1/(depth+1)
-    forest = RandomForestModel(trees=[tree], config=ForestConfig(n_trees=1, task="regression"),
-                               n_features=1, n_classes=0)
     path = tmp_path / "chain.json"
-    save_model(forest, str(path))
+    save_model(tree, str(path))
     restored = load_model(str(path)).trees[0].root
     for name in ("feature", "threshold", "right", "n_samples", "value"):
         assert np.array_equal(getattr(restored, name), getattr(tree.root, name))

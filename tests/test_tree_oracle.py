@@ -24,8 +24,8 @@ import numpy as np
 import pytest
 
 from chirpmap.models import forest as forest_module
-from chirpmap.models.forest import ForestConfig, fit_random_forest
-from chirpmap.models.tree import TreeConfig, _best_splits, fit_tree
+from chirpmap.models.forest import ForestConfig, fit_random_forest, fit_tree
+from chirpmap.models.tree import TreeConfig, _best_splits
 
 
 def _node_mean(x, y, w, idx):
