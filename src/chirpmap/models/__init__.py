@@ -9,7 +9,7 @@ from .forest import ForestConfig, RandomForestModel, fit_random_forest, fit_tree
 from .knn import KnnConfig, KnnModel, fit_knn
 from .logistic import LogisticConfig, LogisticModel, fit_logistic
 from .svm import SvmConfig, SvmModel, fit_svm, kkt_violation
-from .tree import NodeTable, TreeConfig
+from .tree import NodeTable
 from .io import load_model, model_from_dict, model_to_dict, save_model
 
 # each classifier kind's config dataclass, in the order the pipeline runs them
@@ -55,7 +55,6 @@ __all__ = [
     "CLASSIFIER_KINDS",
     "CONFIG_TYPES",
     "SHORT_KIND_NAMES",
-    "TreeConfig",
     "NodeTable",
     "ForestConfig",
     "RandomForestModel",

@@ -3,6 +3,10 @@
 A forest keeps one `NodeTable`, `root`, with every tree's nodes end to
 end, and `roots`, the node each tree starts at; a tree is a forest of
 one (`fit_tree`), and `trees` gives each tree of a forest as one.
+`ForestConfig` is where a tree's task and depth cap are declared and
+checked, for a forest and for a tree alike. Both fits read their
+training set through `inputs.training_set`: class labels are
+nonnegative integers, and a regression target is (n,) or (n, q).
 
 Each tree trains on a bootstrap resample, and every node it scores
 draws ceil(sqrt(d)) of the d features uniformly as split candidates.
@@ -38,7 +42,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..errors import DataError
-from .tree import NodeTable, TreeConfig, grow_trees, leaf_boxes, route_trees
+from .inputs import query_points, training_set
+from .tree import NodeTable, grow_trees, leaf_boxes, route_trees
 
 # distinct rows grown together, on average: bounds the grower's working memory
 _BLOCK_ROWS = 8192
@@ -90,9 +95,7 @@ class RandomForestModel:
         one tree at a time in tree order, with the bits of walking each tree.
         A forest on a q-column target answers (N, q), every output from
         the one routing."""
-        x = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if x.shape[1] != self.n_features:
-            raise DataError(f"expected {self.n_features} features, got {x.shape[1]}")
+        x = query_points(points, self.n_features)
         value = self.root.value[route_trees(self.root, self.roots, x)]  # (trees, points)
         if self.config.task == "regression":
             return sum(value, np.zeros(value.shape[1:])) / self.roots.size
@@ -169,26 +172,11 @@ def paint_boxes(ranges, sizes, weights=None, layer=None, n_layers: int = 1) -> n
 
 
 def fit_random_forest(x, y, config: ForestConfig = ForestConfig()) -> RandomForestModel:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x, y, n_classes = training_set(x, y, config.task)
     n, d = x.shape
-    if n < 1:
-        raise DataError("fit_random_forest needs at least one row")
-    if config.task == "classification":
-        y = np.asarray(y, dtype=np.int64)
-        # return_counts: plain np.unique imports numpy.ma (numpy >= 2)
-        if n > 1 and np.unique(y, return_counts=True)[0].size < 2:
-            raise DataError("forest training needs both classes present")
-        n_classes = max(2, int(y.max()) + 1)
-    else:
-        y = np.asarray(y, dtype=np.float64)
-        n_classes = 0
-        if y.ndim not in (1, 2) or y.size == 0:
-            raise DataError("a regression target must have shape (n,) or (n, q) with q >= 1")
-    if y.shape[0] != n:
-        raise DataError("labels misaligned with rows")
-
+    if n_classes and n > 1 and y.min() == y.max():
+        raise DataError("forest training needs both classes present")
     m_features = math.ceil(math.sqrt(d))
-    tree_config = TreeConfig(task=config.task, max_depth=config.max_depth)
     boot_rng, key_rng = np.random.default_rng(config.seed).spawn(2)
     boots = boot_rng.integers(0, n, size=(config.n_trees, n))
     # a tree grows on its bootstrap's distinct rows, on average
@@ -199,7 +187,8 @@ def fit_random_forest(x, y, config: ForestConfig = ForestConfig()) -> RandomFore
     for lo in range(0, config.n_trees, block):
         block_boots = boots[lo:lo + block]
         keys = key_rng.random((block_boots.shape[0], n - 1, d)) if m_features < d else None
-        table, block_roots = grow_trees(x, y, block_boots, tree_config, n_classes, keys, m_features)
+        table, block_roots = grow_trees(x, y, block_boots, n_classes, config.max_depth, keys,
+                                        m_features)
         table.right[table.feature >= 0] += n_nodes  # into the joined table
         block_roots += n_nodes
         roots.append(block_roots)
@@ -218,40 +207,26 @@ def fit_random_forest(x, y, config: ForestConfig = ForestConfig()) -> RandomFore
 def fit_tree(
     x,
     y,
-    config: TreeConfig = TreeConfig(),
+    config: ForestConfig = ForestConfig(),
     rng: np.random.Generator | None = None,
     m_features: int | None = None,
-    n_classes: int | None = None,
 ) -> RandomForestModel:
-    """Grow one tree on all rows of (x, y), as a forest of one. Given
-    `rng` and `m_features` below the feature count d, one
+    """Grow one tree on all rows of (x, y), as a forest of one: the task
+    and depth cap are `config`'s, and the model keeps it with n_trees 1.
+    Given `rng` and `m_features` below the feature count d, one
     `rng.random((1, n - 1, d))` draw gives the candidate keys of
     `grow_trees`; by default every feature is a candidate.
     """
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
+    x, y, n_classes = training_set(x, y, config.task)
     n, d = x.shape
-    if n < 1:
-        raise DataError("fit_tree needs at least one row")
-    if config.task == "classification":
-        y = np.asarray(y, dtype=np.int64)
-        if y.min() < 0:
-            raise DataError("class labels must be nonnegative integers")
-        if n_classes is None:
-            n_classes = max(2, int(y.max()) + 1)
-    else:
-        y = np.asarray(y, dtype=np.float64)
-        n_classes = 0
-    if y.shape[0] != n:
-        raise DataError("labels misaligned with rows")
     keys = None
     if m_features is not None:
         m_features = max(1, min(m_features, d))
         if rng is not None and m_features < d:
             keys = rng.random((1, n - 1, d))
-    root, roots = grow_trees(x, y, np.arange(n), config, n_classes, keys, m_features)
-    forest_config = ForestConfig(n_trees=1, max_depth=config.max_depth, task=config.task)
-    return RandomForestModel(root=root, roots=roots, config=forest_config, n_features=d,
-                             n_classes=n_classes)
+    root, roots = grow_trees(x, y, np.arange(n), n_classes, config.max_depth, keys, m_features)
+    return RandomForestModel(root=root, roots=roots, config=replace(config, n_trees=1),
+                             n_features=d, n_classes=n_classes)
 
 
 __all__ = ["ForestConfig", "RandomForestModel", "box_ranges", "fit_random_forest", "fit_tree",

@@ -12,19 +12,22 @@ a multi-column target is a DataError.
 Loading reads every JSON value through `artifacts.json_value` and
 `artifacts.build`: a value that is absent or of the wrong type or range
 is a DataError naming the key. An array of integers must also fit in
-int64. Beside that, loading checks structure only. A forest's node arrays
+int64. A forest's n_classes is the class count its fit gives: at least
+2 for a classification forest, 0 for a regression one. Beside that,
+loading checks structure only. A forest's node arrays
 must be of equal length and form one tree each, with child indices and
 split features in range and no negative count; a tree in the nested-node
 format of earlier versions is no longer read. A forest's trees are
 checked together, in one pass over all their nodes end to end, with each
 node's child indices taken within its own tree; the model keeps that one
-table, its child indices shifted to index it whole. A k-NN model itself
-rejects missing rows, misaligned or negative labels and a k that
-exceeds its training size. An SVM model rejects an
-`x` without a row, labels or multipliers that are not one per row, a
+table, its child indices shifted to index it whole. A k-NN model and
+an SVM model check their training set as a fit does
+(`inputs.training_set`); a k-NN model also rejects a k that exceeds its
+training size, and an SVM model multipliers that are not one per row, a
 label other than -1 and +1, a negative multiplier (beyond SMO's rounding
-slack) and a negative gamma. Both raise DataError for points whose width
-differs from their training points'. `artifacts.write_json` refuses a
+slack) and a negative gamma. Every model's `predict` raises DataError
+for points whose width differs from its training points'
+(`inputs.query_points`). `artifacts.write_json` refuses a
 non-finite parameter, so saving fails rather than write one, and the
 grid paths of `render.boundary_grid` are exact only for finite ones.
 """
@@ -108,8 +111,11 @@ def _forest_from_dict(doc: dict, where: str) -> RandomForestModel:
     config = build(ForestConfig, doc, ("config",), where)
     n_features = json_value(doc, ("parameters", "n_features"), where, int, lambda n: n >= 1,
                             "a positive integer")
-    n_classes = json_value(doc, ("parameters", "n_classes"), where, int, lambda n: n >= 0,
-                           "a nonnegative integer")
+    # the class count a fit gives (`inputs.training_set`)
+    classify = config.task == "classification"
+    n_classes = json_value(doc, ("parameters", "n_classes"), where, int,
+                           lambda n: n >= 2 if classify else n == 0,
+                           "an integer >= 2" if classify else "0 for a regression forest")
     docs = json_value(doc, ("parameters", "trees"), where, list, bool, "a nonempty list")
     hints = _TREE_KEYS[config.task]
     # all trees' nodes end to end in one table, checked in one pass, each

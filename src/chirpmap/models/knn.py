@@ -16,19 +16,21 @@ candidates. A tile whose candidates all share one class is filled with
 that class, since every centre's k neighbours vote it unanimously; each
 other tile is answered by `predict` on a model of its candidates alone.
 
-A model holds at least one training row, one nonnegative label per row
-and an integer k with 1 <= k <= rows; anything else raises `DataError`
-on construction.
+A model, fitted or loaded, holds a training set that meets
+`inputs.training_set` (rows, and one nonnegative integer class label
+per row) and an integer k with 1 <= k <= rows; anything else raises
+`DataError` on construction.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from ..distances import squared_distances
 from ..errors import DataError
+from .inputs import query_points, training_set
 
 # grid centres per tile side in `predict_grid`
 _TILE = 16
@@ -48,23 +50,17 @@ class KnnModel:
     x: np.ndarray
     y: np.ndarray
     config: KnnConfig
+    n_classes: int = field(init=False, repr=False)  # max(2, largest label + 1)
 
     kind = "knn"
 
     def __post_init__(self):
-        if self.x.ndim != 2 or self.x.shape[0] < 1:
-            raise DataError("k-NN training points must be a nonempty 2-D array")
-        if self.y.shape != self.x.shape[:1]:
-            raise DataError("k-NN labels must be one per training row")
-        if np.any(self.y < 0):
-            raise DataError("k-NN labels must be nonnegative")
+        self.x, self.y, self.n_classes = training_set(self.x, self.y, "classification")
         if self.config.k > self.x.shape[0]:
             raise DataError(f"k={self.config.k} exceeds training size {self.x.shape[0]}")
 
     def predict(self, points) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if p.shape[1] != self.x.shape[1]:
-            raise DataError(f"expected {self.x.shape[1]} features, got {p.shape[1]}")
+        p = query_points(points, self.x.shape[1])
         return self._vote(_nearest(squared_distances(p, self.x), self.config.k))
 
     def predict_grid(self, xc, yc) -> np.ndarray:
@@ -97,7 +93,7 @@ class KnnModel:
         x_tiles = np.concatenate([xc, np.repeat(xc[-1:], n_tiles * _TILE - xc.size)])
         x_tiles = x_tiles.reshape(n_tiles, _TILE)
         x_lower, x_upper = _term_bounds(x_tiles, self.x[:, 0])
-        onehot = self.y[:, None] == np.arange(max(2, int(self.y.max()) + 1))
+        onehot = self.y[:, None] == np.arange(self.n_classes)
         out = np.empty((yc.size, n_tiles, _TILE), dtype=np.int64)
         for r0 in range(0, yc.size, _TILE):
             rows = yc[r0 : r0 + _TILE]
@@ -119,8 +115,7 @@ class KnnModel:
         """The majority class among each row's neighbours (training rows,
         nearest first); a vote tie goes to the nearest neighbour's class."""
         neigh = self.y[order]
-        m = neigh.shape[0]
-        n_classes = max(2, int(self.y.max()) + 1)
+        m, n_classes = neigh.shape[0], self.n_classes
         counts = np.bincount((np.arange(m)[:, None] * n_classes + neigh).ravel(),
                              minlength=m * n_classes).reshape(m, n_classes)
         pred = np.argmax(counts, axis=1)
@@ -172,8 +167,6 @@ def _nearest(d2: np.ndarray, k: int) -> np.ndarray:
 
 
 def fit_knn(x, y, config: KnnConfig = KnnConfig()) -> KnnModel:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.int64)
     return KnnModel(x=x, y=y, config=config)
 
 

@@ -1,7 +1,9 @@
 """L2-penalized logistic regression fitted by damped Newton (IRLS).
 
 Maximizes  LL(w, b) = sum_i [y_i z_i - log(1 + e^{z_i})] - (lambda/2)||w||^2
-with z = Xw + b; the intercept is not penalized. Each iteration takes the
+with z = Xw + b, a Bernoulli likelihood whose outcomes y_i are the class
+labels 0 and 1 (`inputs.training_set`'s "binary" task); the intercept is
+not penalized, and `predict` answers 0 or 1. Each iteration takes the
 Newton step d = H^{-1} g, where g is the gradient and
 H = [X 1]^T diag(s_i (1 - s_i)) [X 1] + diag(lambda, ..., lambda, 0) is
 the negated Hessian at the sigmoid outputs s. H's eigenvalues are floored
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import DataError
+from .inputs import query_points, training_set
 
 
 @dataclass(frozen=True)
@@ -90,10 +93,7 @@ class LogisticModel:
             raise DataError("logistic weights must be a 1-D array")
 
     def decision_function(self, points) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if p.shape[1] != self.w.shape[0]:
-            raise DataError(f"expected {self.w.shape[0]} features, got {p.shape[1]}")
-        return p @ self.w + self.b
+        return query_points(points, self.w.shape[0]) @ self.w + self.b
 
     def predict(self, points) -> np.ndarray:
         # sigma(z) >= 0.5 iff z >= 0
@@ -101,14 +101,11 @@ class LogisticModel:
 
 
 def fit_logistic(x, y, config: LogisticConfig = LogisticConfig()) -> LogisticModel:
-    x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    y = np.asarray(y, dtype=np.float64)
-    n, d = x.shape
-    if y.shape[0] != n:
-        raise DataError("labels misaligned with rows")
-    # return_counts: plain np.unique imports numpy.ma (numpy >= 2)
-    if np.unique(y, return_counts=True)[0].size < 2:
+    x, labels, _ = training_set(x, y, "binary")
+    if labels.min() == labels.max():
         raise DataError("logistic training needs both classes present")
+    y = labels.astype(np.float64)  # 0 or 1: the Bernoulli likelihood's outcomes
+    d = x.shape[1]
 
     w = np.zeros(d, dtype=np.float64)
     b = 0.0

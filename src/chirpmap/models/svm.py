@@ -3,8 +3,10 @@
 Solves the dual  min 1/2 a'Qa - sum(a)  s.t. 0 <= a_i <= C, sum(a_i y_i) = 0
 with Q_ij = y_i y_j K(x_i, x_j). Each step updates the maximal violating
 pair (the point most below and the point most above the running KKT
-threshold); termination when the worst violation is within tol. Labels
-{0,1} are mapped to {-1,+1} internally.
+threshold); termination when the worst violation is within tol. The
+class labels are 0 and 1 (`inputs.training_set`'s "binary" task), and
+the model keeps them as y = 2 * label - 1, -1 or +1, which the dual
+reads; `predict` answers 0 or 1.
 
 An update moves only alpha_i and alpha_j, so the loop keeps the index
 sets (as masks) across updates and recomputes them at i and j only; it
@@ -20,6 +22,7 @@ import numpy as np
 
 from ..distances import squared_distances
 from ..errors import DataError
+from .inputs import query_points, training_set
 
 _BOUND_EPS = 1e-12
 
@@ -74,10 +77,9 @@ class SvmModel:
     kind = "svm"
 
     def __post_init__(self):
-        if self.x.ndim != 2 or self.x.shape[0] < 1:
-            raise DataError("SVM training points must be a nonempty 2-D array")
-        if self.y_signed.shape != self.x.shape[:1] or self.alpha.shape != self.x.shape[:1]:
-            raise DataError("SVM labels and multipliers must be one per training row")
+        training_set(self.x, self.y_signed > 0, "binary")  # the rows and one label per row
+        if self.alpha.shape != self.x.shape[:1]:
+            raise DataError("SVM multipliers must be one per training row")
         if not np.all(np.abs(self.y_signed) == 1.0):
             raise DataError("SVM labels must be -1 or +1")
         # SMO's rounding can leave a multiplier a few ulps of C below 0
@@ -87,9 +89,7 @@ class SvmModel:
             raise DataError("SVM gamma must be nonnegative")
 
     def decision_function(self, points) -> np.ndarray:
-        p = np.atleast_2d(np.asarray(points, dtype=np.float64))
-        if p.shape[1] != self.x.shape[1]:
-            raise DataError(f"expected {self.x.shape[1]} features, got {p.shape[1]}")
+        p = query_points(points, self.x.shape[1])
         support = self.alpha > 0
         coef = self.alpha[support] * self.y_signed[support]
         sx = self.x[support]
@@ -116,15 +116,12 @@ def _resolve_gamma(x: np.ndarray, config: SvmConfig) -> float:
 
 
 def fit_svm(x, y, config: SvmConfig = SvmConfig()) -> SvmModel:
+    x, y01, _ = training_set(x, y, "binary")
     # C order makes the linear kernel's x @ x.T exactly symmetric (BLAS
     # syrk), as the RBF kernel always is; strided x gave a Q that was not
-    x = np.ascontiguousarray(np.atleast_2d(np.asarray(x, dtype=np.float64)))
-    y01 = np.asarray(y, dtype=np.int64)
+    x = np.ascontiguousarray(x)
     n = x.shape[0]
-    if y01.shape[0] != n:
-        raise DataError("labels misaligned with rows")
-    # return_counts: plain np.unique imports numpy.ma (numpy >= 2)
-    if np.unique(y01, return_counts=True)[0].size < 2:
+    if y01.min() == y01.max():
         raise DataError("svm training needs both classes present")
 
     ys = np.where(y01 > 0, 1.0, -1.0)

@@ -41,20 +41,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError
-
-
-@dataclass(frozen=True)
-class TreeConfig:
-    task: str = "classification"  # or "regression"
-    max_depth: int | None = None
-
-    def __post_init__(self):
-        if self.task not in ("classification", "regression"):
-            raise DataError(f"unknown tree task {self.task!r}")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise DataError("max_depth must be nonnegative")
-
 
 @dataclass
 class NodeTable:
@@ -299,14 +285,19 @@ def grow_trees(
     x,
     y,
     samples,
-    config: TreeConfig,
     n_classes: int,
+    max_depth: int | None = None,
     keys=None,
     m_features: int | None = None,
 ) -> tuple[NodeTable, np.ndarray]:
     """Grow one tree on the rows `samples[t]` of (x, y) for every t, all
     trees at once, level by level: the trees' one `NodeTable`, tree after
     tree, and the node each tree starts at.
+
+    (x, y) is a training set as `inputs.training_set` returns it, and
+    `n_classes` its class count: 0 grows regression trees on the target
+    y, at least 2 classification trees on the class labels y. No node
+    deeper than `max_depth` (None: no cap) is split.
 
     `keys`, a (trees, len(x) - 1, d) array of uniform keys, draws the
     candidate features when `m_features` is below the feature count d:
@@ -326,12 +317,11 @@ def grow_trees(
     table holds (n_nodes, q) values; a (n, 1) target grows the tree of
     the (n,) one, bit for bit.
     """
-    xt = np.ascontiguousarray(np.asarray(x, dtype=np.float64).T)
-    y = np.asarray(y)
+    xt = np.ascontiguousarray(x.T)
     d, n_x = xt.shape
     samples = np.atleast_2d(samples)
     n_trees = samples.shape[0]
-    classify = config.task == "classification"
+    classify = n_classes > 0
     subsample = keys is not None and m_features is not None and m_features < d
     used = np.zeros(n_trees, dtype=np.int64)  # nodes each tree has scored so far
     # each tree's distinct rows, ascending, tree after tree, and how often it drew them
@@ -377,7 +367,7 @@ def grow_trees(
             scored = np.maximum.reduceat(y_node, starts) != np.minimum.reduceat(y_node, starts)
             scored = scored.reshape(k, -1).any(axis=1)
         del y_node, w_node, node
-        if config.max_depth is not None and depth >= config.max_depth:
+        if max_depth is not None and depth >= max_depth:
             scored[:] = False
         scored = np.flatnonzero(scored)
         feature = np.full(k, -1, dtype=np.int64)
@@ -506,7 +496,6 @@ def leaf_path_shares(table: NodeTable, n_features: int) -> np.ndarray:
 
 
 __all__ = [
-    "TreeConfig",
     "NodeTable",
     "grow_trees",
     "count_leaves",

@@ -3,14 +3,16 @@
 Each stage reads its inputs from the output directory and writes its
 artifacts back there, so running stages one by one produces byte-for-
 byte the same files as the single-shot pipeline. Every artifact embeds
-the config hash and master seed. A failing stage leaves a FAILED marker
-naming the stage and cause next to whatever partial outputs exist, and a
-later stage refuses to run while it stands.
+the config hash and master seed. A failing stage records itself and its
+cause in a FAILED marker next to whatever partial outputs exist, and a
+stage that reads its outputs, directly or through other stages, refuses
+to run while the entry stands (`run_stage`).
 
 `STAGES` is the one list of the stages: each entry declares, in pipeline
-order, the stage's function, its CLI help line, and the files and
-directories it writes. The artifact paths, the missing-upstream messages,
-`run_stage`, `run_pipeline` and the CLI's stage subcommands all read it.
+order, the stage's function, its CLI help line, the artifacts it reads,
+and the files and directories it writes. The artifact paths, the
+missing-upstream messages, `run_stage`, `run_pipeline` and the CLI's
+stage subcommands all read it.
 
 The stages own the table formats: only this module reads and writes the
 CSV tables and their JSON sidecars; `tsne` and `sensitivity` compute on
@@ -484,13 +486,15 @@ def stage_render(config: PipelineConfig) -> None:
 
 @dataclass(frozen=True)
 class Stage:
-    """One stage: `files` maps each artifact key to the file's name and the
-    label of its missing-artifact message (None where no stage reads it);
-    `dirs` does the same for directories of files named from the config."""
+    """One stage: `reads` names the artifact keys it reads; `files` maps
+    each artifact key it writes to the file's name and the label of its
+    missing-artifact message (None where no stage reads it); `dirs` does
+    the same for directories of files named from the config."""
 
     name: str
     run: Callable[[PipelineConfig], None]
     help: str
+    reads: tuple[str, ...] = ()
     files: dict[str, tuple[str, str | None]] = field(default_factory=dict)
     dirs: dict[str, tuple[str, str | None]] = field(default_factory=dict)
 
@@ -499,56 +503,85 @@ STAGES = (
     Stage("ingest", stage_ingest, "validate, standardize, and weight the input features",
           files={"features": ("features.csv", "features"), "ingest_meta": ("ingest_meta.json", None),
                  "rejections": ("rejections.txt", None)}),
-    Stage("embed", stage_embed, "project weighted features to 2-D",
+    Stage("embed", stage_embed, "project weighted features to 2-D", reads=("features",),
           files={"embedding": ("embedding.csv", "embedding"),
                  "embedding_meta": ("embedding_meta.json", None)}),
     Stage("eval", stage_eval, "cross-validate and hold-out test the classifiers",
+          reads=("features", "embedding"),
           files={"eval_report": ("eval_report.json", "evaluation")},
           dirs={"models_dir": ("models", "model")}),
     Stage("explain", stage_explain, "compute per-record feature attributions",
+          reads=("features", "embedding"),
           files={"sensitivity": ("sensitivity.csv", "sensitivity"),
                  "sensitivity_meta": ("sensitivity_meta.json", None)}),
-    Stage("render", stage_render, "draw all figures as SVG", dirs={"figs_dir": ("figs", None)}),
+    Stage("render", stage_render, "draw all figures as SVG",
+          reads=("features", "embedding", "eval_report", "models_dir", "sensitivity",
+                 "sensitivity_meta"),
+          dirs={"figs_dir": ("figs", None)}),
 )
 
-_STAGE_NAMES = [stage.name for stage in STAGES]
+_STAGES_BY_NAME = {stage.name: stage for stage in STAGES}
 
 # artifact key -> (name under the output directory, missing-artifact label, stage)
 _ARTIFACTS = {key: (name, label, stage.name)
               for stage in STAGES for key, (name, label) in {**stage.files, **stage.dirs}.items()}
 
 
-def _failed_stage(path: str) -> tuple[str, str] | None:
-    """(stage, cause) as the FAILED marker at `path` records them, or None
-    without a marker; a marker that names no stage is a DataError."""
+def _reads_from(name: str) -> set[str]:
+    """The stages whose outputs stage `name` reads, directly or through other stages."""
+    direct = {_ARTIFACTS[key][2] for key in _STAGES_BY_NAME[name].reads}
+    return direct.union(*map(_reads_from, direct))
+
+
+def _failures(path: str) -> dict[str, str]:
+    """Failed stage -> cause, one entry for each "stage: <name>" line of
+    the FAILED marker at `path` and the "cause: " text after it; empty
+    without a marker. A marker with an entry that names no stage, or with
+    no entry, is a DataError."""
     if not os.path.exists(path):
-        return None
-    head, _, cause = read_text(path).partition("\n")
-    stage = head.removeprefix("stage: ")
-    if stage == head or stage not in _STAGE_NAMES:
-        raise DataError(f"{path} names no stage of {', '.join(_STAGE_NAMES)}")
-    return stage, cause.removeprefix("cause: ").strip()
+        return {}
+    head, *entries = ("\n" + read_text(path)).split("\nstage: ")
+    failures = {stage: cause.removeprefix("cause: ").strip()
+                for stage, _, cause in (entry.partition("\n") for entry in entries)}
+    if head or not failures or not failures.keys() <= _STAGES_BY_NAME.keys():
+        raise DataError(f"{path} names no stage of {', '.join(_STAGES_BY_NAME)}")
+    return failures
+
+
+def _write_failures(path: str, failures: dict[str, str]) -> None:
+    """The FAILED marker at `path`, recording `failures`; none without one."""
+    if failures:
+        write_text(path, "".join(f"stage: {s}\ncause: {cause}\n" for s, cause in failures.items()))
+    else:
+        os.remove(path)
 
 
 def run_stage(name: str, config: PipelineConfig) -> None:
-    """Run one stage; on failure leave a FAILED marker naming it. A marker
-    stops every later stage, and a success of its stage or an earlier one removes it."""
-    stage_fn = {stage.name: stage.run for stage in STAGES}.get(name)
-    if stage_fn is None:
+    """Run one stage. A failure records the stage and its cause in the
+    FAILED marker. While the marker records a stage whose outputs this
+    one reads, directly or through other stages, this one does not run.
+    Either outcome replaces the entries of this stage and of the stages
+    that read its outputs, so a success of a failed stage, or of a stage
+    it reads from, removes its entry; the marker goes with its last entry."""
+    stage = _STAGES_BY_NAME.get(name)
+    if stage is None:
         raise UsageError(f"unknown stage {name!r}")
     make_dir(config.out)
-    paths = artifact_paths(config.out)
-    failed = _failed_stage(paths["failed"])
-    if failed and _STAGE_NAMES.index(name) > _STAGE_NAMES.index(failed[0]):
-        raise DataError(f"{paths['failed']}: the {failed[0]} stage failed ({failed[1]}); "
-                        f"run it or an earlier stage again before {name}")
+    path = artifact_paths(config.out)["failed"]
+    failures = _failures(path)
+    upstream = _reads_from(name)
+    for failed, cause in failures.items():
+        if failed in upstream:
+            raise DataError(f"{path}: the {failed} stage failed ({cause}); "
+                            f"run it or a stage it reads from again before {name}")
+    kept = {s: cause for s, cause in failures.items() if s != name and name not in _reads_from(s)}
     try:
-        stage_fn(config)
+        stage.run(config)
     except Exception as exc:
-        write_text(paths["failed"], f"stage: {name}\ncause: {exc}\n")
+        _write_failures(path, {**kept, name: str(exc)})
         raise
-    if failed:
-        os.remove(paths["failed"])
+    if kept != failures:
+        _write_failures(path, kept)
 
 
 def run_pipeline(config: PipelineConfig) -> None:

@@ -47,6 +47,7 @@ from .errors import DataError, NumericError
 from .ingest import FEATURE_NAMES
 from .models import ForestConfig, RandomForestModel, fit_random_forest
 from .models.forest import box_ranges, paint_boxes
+from .models.inputs import query_points
 from .models.tree import leaf_boxes, leaf_path_shares
 from .seeding import derive_seed
 
@@ -61,10 +62,7 @@ class SensitivityConfig:
     combination: str = "euclidean"
 
     def __post_init__(self):
-        if self.n_trees < 1:
-            raise DataError("n_trees must be positive")
-        if self.max_depth is not None and self.max_depth < 0:
-            raise DataError("max_depth must be nonnegative")
+        ForestConfig(n_trees=self.n_trees, max_depth=self.max_depth)  # checks both
         if self.combination not in COMBINATION_RULES:
             raise DataError(f"unknown combination rule {self.combination!r}")
 
@@ -133,12 +131,10 @@ def tree_subset_values(model, instances) -> np.ndarray:
         raise DataError(f"cannot attribute model of type {type(model).__name__}")
     if model.config.task != "regression":
         raise DataError("shapley attributions require regression trees (votes are not additive)")
-    x = np.atleast_2d(np.asarray(instances, dtype=np.float64))
+    d = model.n_features
+    x = query_points(instances, d)
     if not np.isfinite(x).all():
         raise DataError("instances must be finite")
-    d = model.n_features
-    if x.shape[1] != d:
-        raise DataError(f"expected {d} features, got {x.shape[1]}")
     table, n_trees = model.root, model.roots.size
     split_on = np.flatnonzero(np.bincount(table.feature[table.feature >= 0])).tolist()
     if len(split_on) > 3:

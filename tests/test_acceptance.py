@@ -26,7 +26,6 @@ from chirpmap.ingest import apply_weights, standardize
 from chirpmap.models import CLASSIFIER_KINDS, fit_classifier
 from chirpmap.models.forest import ForestConfig, fit_random_forest, fit_tree
 from chirpmap.models.svm import SvmConfig, _kernel_block, fit_svm, kkt_violation
-from chirpmap.models.tree import TreeConfig
 from chirpmap.pipeline import config_from_dict, run_pipeline
 from chirpmap.sensitivity import (
     shapley_from_subset_values,
@@ -229,12 +228,12 @@ def test_criterion_08_attribution_axioms():
 
         # a never-used feature earns exactly zero
         x4 = np.hstack([x, np.full((200, 1), 3.3)])
-        tree4 = fit_tree(x4, y, TreeConfig(task="regression", max_depth=6))
+        tree4 = fit_tree(x4, y, ForestConfig(n_trees=1, task="regression", max_depth=6))
         att4 = shapley_values(tree4, x4)
         assert np.all(att4.phi[:, 3] == 0.0)
 
         # single tree equals averaging marginal gains over all orderings
-        tree = fit_tree(x, y, TreeConfig(task="regression", max_depth=5))
+        tree = fit_tree(x, y, ForestConfig(n_trees=1, task="regression", max_depth=5))
         values = tree_subset_values(tree, x[:50])
         phi = shapley_from_subset_values(values, 3)
         for i in range(50):

@@ -321,6 +321,42 @@ def test_failed_marker_stops_later_stages_until_its_stage_succeeds(tmp_path, cap
     assert not (out / "FAILED").exists()
 
 
+def test_failed_eval_stops_render_but_not_explain(tmp_path, capsys, finished_run):
+    """A FAILED marker stops only the stages that read the failed stage's
+    outputs: explain reads features.csv and embedding.csv, render reads
+    eval's. Each failed stage keeps its own entry until it, or a stage
+    it reads from, succeeds."""
+    out = tmp_path / "out"
+    shutil.copytree(finished_run, out)
+    blocked = out / "models" / "s1_svm.json"
+    blocked.unlink()
+    blocked.mkdir()
+    assert entrypoint(["eval", "--out", str(out), "--scenario", "s1"]) == 2
+    marker = (out / "FAILED").read_bytes()
+    assert marker.startswith(b"stage: eval\n")
+    capsys.readouterr()
+    assert entrypoint(["explain", "--out", str(out), "--scenario", "s1"]) == 0
+    assert (out / "FAILED").read_bytes() == marker
+    assert entrypoint(["render", "--out", str(out), "--scenario", "s1"]) == 2
+    err = capsys.readouterr().err
+    assert f"{out / 'FAILED'}: the eval stage failed" in err and "Traceback" not in err
+    assert (out / "FAILED").read_bytes() == marker
+
+    table = out / "sensitivity.csv"
+    table.unlink()
+    table.mkdir()
+    assert entrypoint(["explain", "--out", str(out), "--scenario", "s1"]) == 2
+    both = (out / "FAILED").read_bytes()
+    assert both.startswith(marker) and b"\nstage: explain\ncause: " in both
+    table.rmdir()
+    assert entrypoint(["explain", "--out", str(out), "--scenario", "s1"]) == 0
+    assert (out / "FAILED").read_bytes() == marker
+    blocked.rmdir()
+    assert entrypoint(["eval", "--out", str(out), "--scenario", "s1"]) == 0
+    assert not (out / "FAILED").exists()
+    assert entrypoint(["render", "--out", str(out), "--scenario", "s1"]) == 0
+
+
 def test_failed_marker_naming_no_stage_is_data_error(tmp_path, capsys, finished_run):
     out = tmp_path / "out"
     shutil.copytree(finished_run, out)

@@ -15,7 +15,7 @@ import pytest
 from chirpmap.models import knn
 from chirpmap.models.forest import ForestConfig, fit_random_forest, fit_tree
 from chirpmap.models.knn import KnnConfig, fit_knn
-from chirpmap.models.tree import NodeTable, TreeConfig, leaf_boxes
+from chirpmap.models.tree import NodeTable, leaf_boxes
 from chirpmap.render import boundary_grid
 from tests.conftest import forest_of, make_blobs
 from tests.test_knn_oracle import argpartition_predict, clustered_training_set
@@ -163,7 +163,7 @@ def test_leaf_boxes_hold_exactly_the_rows_routed_to_each_leaf(task, d):
     rng = np.random.default_rng(8)
     x = np.round(rng.normal(size=(200, d)), 1)  # repeated values: rows on thresholds' sides
     y = (x[:, 0] + x[:, -1] > 0).astype(np.int64) if task == "classification" else x.sum(axis=1)
-    tree = fit_tree(x, y, TreeConfig(task=task))
+    tree = fit_tree(x, y, ForestConfig(n_trees=1, task=task))
     table = tree.root
     lo, hi, value = leaf_boxes(table, d)
     leaves = np.flatnonzero(table.feature < 0)

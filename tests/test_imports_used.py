@@ -13,7 +13,10 @@ The scan matches by name alone, so it finds only names that nothing
 reads at all.
 
 The compute modules `tsne` and `sensitivity` import nothing from
-`chirpmap.artifacts`: the pipeline's stages read and write their tables."""
+`chirpmap.artifacts`: the pipeline's stages read and write their tables.
+
+No two `raise DataError(...)` sites under `chirpmap/models/` share the
+source text of their message: each model input rule is stated once."""
 
 import ast
 from pathlib import Path
@@ -120,6 +123,18 @@ def module_and_package(path: Path) -> tuple[str, str]:
     return ".".join(parts), ".".join(parts[:-1])
 
 
+def repeated_data_errors(trees: dict[str, ast.Module]) -> list[str]:
+    """Each message source text that more than one `raise DataError(...)`
+    of the modules `trees` (by file name) states, with the sites."""
+    sites: dict[str, list[str]] = {}
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) and node.exc.args
+                    and isinstance(node.exc.func, ast.Name) and node.exc.func.id == "DataError"):
+                sites.setdefault(ast.unparse(node.exc.args[0]), []).append(f"{name}:{node.lineno}")
+    return [f"{text} at {', '.join(at)}" for text, at in sites.items() if len(at) > 1]
+
+
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: f"{p.parent.name}/{p.name}")
 def test_every_imported_name_is_used(path):
     tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -185,3 +200,18 @@ def test_the_scan_sees_every_spelling_of_an_artifacts_import():
     for source in ("from .artifacts import read_csv", "from . import artifacts",
                    "from chirpmap.artifacts import read_csv", "import chirpmap.artifacts"):
         assert "chirpmap.artifacts" in imported_modules(ast.parse(source), "chirpmap"), source
+
+
+def test_each_model_input_rule_is_stated_once():
+    models = sorted((ROOTS[0] / "models").glob("*.py"))
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in models}
+    assert models and repeated_data_errors(trees) == []
+
+
+def test_the_scan_sees_a_repeated_data_error():
+    one = ast.parse('def f(n):\n    if n < 0:\n        raise DataError("n must be nonnegative")\n'
+                    '    raise ValueError(f"{n} rows")\n')
+    two = ast.parse('def g(n, d):\n    if n < 0:\n        raise DataError("n must be nonnegative")\n'
+                    '    raise DataError(f"{n} rows")\n')
+    assert repeated_data_errors({"one.py": one, "two.py": two}) == [
+        "'n must be nonnegative' at one.py:3, two.py:3"]

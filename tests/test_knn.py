@@ -89,19 +89,6 @@ def test_k_cannot_exceed_training_size():
         KnnConfig(k=0)
 
 
-@pytest.mark.parametrize(
-    "x, y",
-    [(np.zeros((0, 2)), np.zeros(0, dtype=np.int64)),
-     (np.zeros((3, 2)), np.array([0, 1])),
-     (np.zeros((3, 2)), np.array([[0], [1], [0]])),
-     (np.zeros((3, 2)), np.array([0, -1, 1]))],
-    ids=["no-rows", "labels-short", "labels-2d", "negative-label"],
-)
-def test_malformed_training_set_is_data_error(x, y):
-    with pytest.raises(DataError):
-        fit_knn(x, y, KnnConfig(k=1))
-
-
 @pytest.mark.parametrize("width", [1, 3])
 def test_points_of_another_width_are_data_error(width):
     model = fit_knn(np.zeros((3, 2)), np.array([0, 1, 0]), KnnConfig(k=1))

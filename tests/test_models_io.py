@@ -144,6 +144,13 @@ def _break_float_class_count(doc):
     doc["parameters"]["n_classes"] = 2.0
 
 
+def _break_one_class(doc):
+    """A classification forest of one class: every node's counts one column."""
+    doc["parameters"]["n_classes"] = 1
+    for tree in doc["parameters"]["trees"]:
+        tree["counts"] = [[sum(row)] for row in tree["counts"]]
+
+
 def _break_bool_feature_count(doc):
     doc["parameters"]["n_features"] = True
 
@@ -206,9 +213,10 @@ TREE_DEFECTS = {
     _break_string_threshold: r"threshold = .*, not a list of finite numbers",
 }
 
-# numbers and flags of the other kinds stored as the wrong JSON type, and the
-# rejection each gets
+# numbers and flags of the other kinds stored as the wrong JSON type, a
+# forest's class count that no fit gives, and the rejection each gets
 FLAT_DEFECTS = {
+    _break_one_class: r"parameters.n_classes = 1, not an integer >= 2",
     _break_string_weights: r"parameters.w = .*, not a list of finite numbers",
     _break_bool_intercept: r"parameters.b = True, not a finite number",
     _break_string_point: r"parameters.x = .*, not a list of lists of finite numbers",
@@ -226,6 +234,7 @@ FLAT_DEFECTS = {
         ("random_forest", _break_missing_trees),
         *(("random_forest", corrupt) for corrupt in TREE_DEFECTS),
         ("random_forest", _break_float_class_count),
+        ("random_forest", _break_one_class),
         ("random_forest", _break_bool_feature_count),
         ("svm", _break_svm_key),
         ("logistic_regression", _break_string_weights),

@@ -10,7 +10,6 @@ import pytest
 from chirpmap.errors import DataError
 from chirpmap.ingest import FEATURE_NAMES
 from chirpmap.models.forest import ForestConfig, fit_random_forest, fit_tree
-from chirpmap.models.tree import TreeConfig
 from chirpmap.pipeline import (
     _read_combined,
     _read_embedding_aligned,
@@ -103,7 +102,7 @@ def regression_tree():
     rng = np.random.default_rng(6)
     x = rng.normal(size=(80, 3))
     y = 3.0 * x[:, 0] + np.sin(x[:, 1]) + 0.2 * x[:, 2] ** 2
-    return fit_tree(x, y, TreeConfig(task="regression", max_depth=5)), x
+    return fit_tree(x, y, ForestConfig(n_trees=1, task="regression", max_depth=5)), x
 
 
 def test_subset_values_match_naive_recursion(regression_tree):
@@ -139,7 +138,7 @@ def test_two_leaf_tree_closed_form():
     # split on feature 0 at 0.0; leaves are the training means
     x = np.array([[-1.0, 5.0, 5.0]] * 3 + [[1.0, 5.0, 5.0]] * 1)
     y = np.array([2.0, 2.0, 2.0, 10.0])
-    tree = fit_tree(x, y, TreeConfig(task="regression"))
+    tree = fit_tree(x, y, ForestConfig(n_trees=1, task="regression"))
     att = shapley_values(tree, np.array([[-0.5, 0.0, 0.0], [0.5, 0.0, 0.0]]))
     base = 0.75 * 2.0 + 0.25 * 10.0
     assert att.base == pytest.approx(base)
@@ -156,7 +155,7 @@ def test_efficiency_and_null_player(regression_tree):
     # a feature the tree never splits on gets exactly zero
     x4 = np.hstack([x, np.full((x.shape[0], 1), 7.7)])
     rng_y = 3.0 * x4[:, 0]
-    tree4 = fit_tree(x4, rng_y, TreeConfig(task="regression", max_depth=4))
+    tree4 = fit_tree(x4, rng_y, ForestConfig(n_trees=1, task="regression", max_depth=4))
     att4 = shapley_values(tree4, x4[:20])
     assert np.all(att4.phi[:, 3] == 0.0)
 

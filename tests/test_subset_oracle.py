@@ -15,7 +15,7 @@ import pytest
 from chirpmap.errors import DataError
 from chirpmap.ingest import records_to_matrix, standardize
 from chirpmap.models.forest import ForestConfig, RandomForestModel, fit_random_forest, fit_tree
-from chirpmap.models.tree import NodeTable, TreeConfig, leaf_path_shares
+from chirpmap.models.tree import NodeTable, leaf_path_shares
 from chirpmap.sensitivity import shapley_values, tree_subset_values
 from chirpmap.synth import generate_records
 from chirpmap.tsne import TsneConfig, run_tsne
@@ -89,7 +89,7 @@ def cohort(seed: int, n: int):
 def test_leaf_path_shares_have_the_walks_bits():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(300, 3))
-    tree = fit_tree(x, x[:, 0] * x[:, 1] - x[:, 2], TreeConfig(task="regression"))
+    tree = fit_tree(x, x[:, 0] * x[:, 1] - x[:, 2], ForestConfig(n_trees=1, task="regression"))
     table, d = tree.root, 3
     expected = []
     stack = [(0, [1.0] * (1 << d))]
@@ -132,8 +132,8 @@ def test_painted_values_match_the_walk_on_criterion_8_forests():
     forest = fit_random_forest(x, y, ForestConfig(n_trees=25, seed=5, task="regression"))
     assert_painted_matches_walk(forest, x)
     x4 = np.hstack([x, np.full((200, 1), 3.3)])
-    assert_painted_matches_walk(fit_tree(x4, y, TreeConfig(task="regression", max_depth=6)), x4)
-    assert_painted_matches_walk(fit_tree(x, y, TreeConfig(task="regression", max_depth=5)), x[:50])
+    assert_painted_matches_walk(fit_tree(x4, y, ForestConfig(n_trees=1, task="regression", max_depth=6)), x4)
+    assert_painted_matches_walk(fit_tree(x, y, ForestConfig(n_trees=1, task="regression", max_depth=5)), x[:50])
 
 
 def test_never_split_feature_earns_exactly_zero_at_four_features():

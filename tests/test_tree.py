@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from chirpmap.errors import DataError
-from chirpmap.models.forest import fit_tree
+from chirpmap.models.forest import ForestConfig, fit_tree
 from chirpmap.models.io import load_model, save_model
-from chirpmap.models.tree import NodeTable, TreeConfig, count_leaves
+from chirpmap.models.tree import NodeTable, count_leaves
 from chirpmap.sensitivity import tree_subset_values
 from tests.conftest import forest_of, make_blobs
 
@@ -73,7 +73,7 @@ def test_exact_gini_tie_follows_lowest_feature_rule():
     # the rule picks the lower feature, whatever the rounding of a float Gini
     x = np.array([[2, 3], [3, 3], [1, 1], [3, 3], [2, 2], [1, 1], [2, 3], [1, 3]], dtype=float)
     y = np.array([0, 1, 0, 1, 1, 1, 1, 1])
-    tree = fit_tree(x, y, TreeConfig(max_depth=1))
+    tree = fit_tree(x, y, ForestConfig(n_trees=1, max_depth=1))
     assert tree.root.feature[0] == 0
     assert tree.root.threshold[0] == 2.5
 
@@ -89,7 +89,7 @@ def test_zero_gain_split_still_grows():
 
 def test_max_depth_truncates():
     x, y = make_blobs([(-1.0, 0.0), (1.0, 0.0)], n_per=50, sd=2.0, seed=2)
-    tree = fit_tree(x, y, TreeConfig(max_depth=2))
+    tree = fit_tree(x, y, ForestConfig(n_trees=1, max_depth=2))
     assert tree_depth(tree.root) <= 2
 
 
@@ -104,14 +104,14 @@ def test_leaf_counts_sum_to_training_rows():
 def test_regression_memorizes_distinct_points():
     x = np.array([[0.0], [1.0], [2.0], [3.0]])
     y = np.array([1.0, 2.0, 4.0, 8.0])
-    tree = fit_tree(x, y, TreeConfig(task="regression"))
+    tree = fit_tree(x, y, ForestConfig(n_trees=1, task="regression"))
     assert np.allclose(tree.predict(x), y)
 
 
 def test_regression_leaf_is_mean():
     x = np.ones((3, 1))
     y = np.array([1.0, 2.0, 6.0])
-    tree = fit_tree(x, y, TreeConfig(task="regression"))
+    tree = fit_tree(x, y, ForestConfig(n_trees=1, task="regression"))
     assert tree.root.feature[0] == -1
     assert tree.predict(x)[0] == pytest.approx(3.0)
 
@@ -124,16 +124,16 @@ def test_single_row_is_a_leaf():
 
 def test_config_validation():
     with pytest.raises(DataError):
-        TreeConfig(task="clustering")
+        ForestConfig(n_trees=1, task="clustering")
     with pytest.raises(DataError):
-        TreeConfig(max_depth=-1)
+        ForestConfig(n_trees=1, max_depth=-1)
     with pytest.raises(DataError):
         fit_tree(np.empty((0, 2)), np.empty(0))
 
 
 def test_max_depth_zero_is_a_stump():
     x = np.array([[0.0], [1.0], [2.0]])
-    tree = fit_tree(x, np.array([0, 1, 1]), TreeConfig(max_depth=0))
+    tree = fit_tree(x, np.array([0, 1, 1]), ForestConfig(n_trees=1, max_depth=0))
     assert tree.root.feature[0] == -1
     assert tree.predict(x).tolist() == [1, 1, 1]
 
@@ -195,5 +195,5 @@ def test_regression_root_finds_a_small_step_on_a_large_offset(seed):
     cut = int(rng.integers(5, 36))
     x = np.arange(40.0)[:, None]
     y = 30.0 + 1e-7 * (x[:, 0] >= cut) + 1e-9 * rng.normal(size=40)
-    tree = fit_tree(x, y, TreeConfig("regression", max_depth=1))
+    tree = fit_tree(x, y, ForestConfig(n_trees=1, task="regression", max_depth=1))
     assert tree.root.threshold[0] == cut - 0.5

@@ -25,7 +25,7 @@ import pytest
 
 from chirpmap.models import forest as forest_module
 from chirpmap.models.forest import ForestConfig, fit_random_forest, fit_tree
-from chirpmap.models.tree import TreeConfig, _best_splits
+from chirpmap.models.tree import _best_splits
 
 
 def _node_mean(x, y, w, idx):
@@ -193,12 +193,12 @@ def test_grower_matches_recursive_reference(task, max_depth, m_features, bootstr
     if bootstrap:
         boot = np.random.default_rng(seed).integers(0, x.shape[0], size=x.shape[0])
         x, y = x[boot], y[boot]
-    config = TreeConfig(task=task, max_depth=max_depth)
-    n_classes = 3 if task == "classification" else 0
+    config = ForestConfig(n_trees=1, task=task, max_depth=max_depth)
     m = x.shape[1] if m_features is None else m_features
-    tree = fit_tree(x, y, config, rng=np.random.default_rng(seed), m_features=m_features,
-                    n_classes=n_classes or None)
-    reference = _reference_tree(x, y, config, n_classes, m, lambda: np.random.default_rng(seed))
+    tree = fit_tree(x, y, config, rng=np.random.default_rng(seed), m_features=m_features)
+    reference = _reference_tree(x, y, config, tree.n_classes, m,
+                                lambda: np.random.default_rng(seed))
+    assert tree.n_classes == (3 if task == "classification" else 0)
     _assert_same_tree(tree.root, reference)
 
 
@@ -233,7 +233,7 @@ def test_forest_matches_recursive_reference(task, d, cohort, block_rows, monkeyp
     forest = fit_random_forest(x, y, config)
     n_classes = forest.n_classes
     m = int(np.ceil(np.sqrt(d)))
-    tree_config = TreeConfig(task=task)
+    tree_config = ForestConfig(n_trees=1, task=task)
     n = x.shape[0]
     boot_seed, key_seed = np.random.SeedSequence(4).spawn(2)
     boots = np.random.default_rng(boot_seed).integers(0, n, size=(6, n))
@@ -268,7 +268,7 @@ def test_two_output_grower_matches_recursive_reference(max_depth, m_features, bo
     if bootstrap:
         boot = np.random.default_rng(seed).integers(0, x.shape[0], size=x.shape[0])
         x, y = x[boot], y[boot]
-    config = TreeConfig(task="regression", max_depth=max_depth)
+    config = ForestConfig(n_trees=1, task="regression", max_depth=max_depth)
     m = x.shape[1] if m_features is None else m_features
     tree = fit_tree(x, y, config, rng=np.random.default_rng(seed), m_features=m_features)
     assert tree.root.value.shape == (tree.root.feature.size, 2)
@@ -294,7 +294,7 @@ def test_two_output_forest_matches_recursive_reference(cohort, block_rows, monke
             return np.random.Generator(bits)
 
         rows, w = np.unique(boot, return_counts=True)
-        reference = _reference_tree(x[rows], y[rows], TreeConfig(task="regression"), 0, 2,
+        reference = _reference_tree(x[rows], y[rows], ForestConfig(n_trees=1, task="regression"), 0, 2,
                                     tree_rng, w)
         _assert_same_tree(tree.root, reference)
     assert forest.predict(x).shape == (n, 2)
@@ -305,7 +305,7 @@ def test_a_constant_output_leaves_the_other_to_decide():
     the tree is the other output's tree, with the constant in every node."""
     x, y = _data("regression", 5)
     both = np.column_stack([np.full(y.size, 2.5), y])
-    config = TreeConfig(task="regression")
+    config = ForestConfig(n_trees=1, task="regression")
     two, one = fit_tree(x, both, config).root, fit_tree(x, y, config).root
     for key in ("feature", "threshold", "right", "n_samples"):
         assert np.array_equal(getattr(two, key), getattr(one, key))
