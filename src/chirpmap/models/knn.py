@@ -19,7 +19,9 @@ other tile is answered by `predict` on a model of its candidates alone.
 A model, fitted or loaded, holds a training set that meets
 `inputs.training_set` (rows, and one nonnegative integer class label
 per row) and an integer k with 1 <= k <= rows; anything else raises
-`DataError` on construction.
+`DataError` on construction. Votes are counted over the labels the
+training set holds, in ascending order, so no array grows with a
+label's value.
 """
 
 from __future__ import annotations
@@ -50,12 +52,14 @@ class KnnModel:
     x: np.ndarray
     y: np.ndarray
     config: KnnConfig
-    n_classes: int = field(init=False, repr=False)  # max(2, largest label + 1)
+    classes: np.ndarray = field(init=False, repr=False)  # the distinct labels, ascending
+    codes: np.ndarray = field(init=False, repr=False)  # each row's label's index in classes
 
     kind = "knn"
 
     def __post_init__(self):
-        self.x, self.y, self.n_classes = training_set(self.x, self.y, "classification")
+        self.x, self.y, _ = training_set(self.x, self.y, "classification")
+        self.classes, self.codes = np.unique(self.y, return_inverse=True)
         if self.config.k > self.x.shape[0]:
             raise DataError(f"k={self.config.k} exceeds training size {self.x.shape[0]}")
 
@@ -93,7 +97,7 @@ class KnnModel:
         x_tiles = np.concatenate([xc, np.repeat(xc[-1:], n_tiles * _TILE - xc.size)])
         x_tiles = x_tiles.reshape(n_tiles, _TILE)
         x_lower, x_upper = _term_bounds(x_tiles, self.x[:, 0])
-        onehot = self.y[:, None] == np.arange(self.n_classes)
+        onehot = self.codes[:, None] == np.arange(self.classes.size)
         out = np.empty((yc.size, n_tiles, _TILE), dtype=np.int64)
         for r0 in range(0, yc.size, _TILE):
             rows = yc[r0 : r0 + _TILE]
@@ -104,7 +108,7 @@ class KnnModel:
             present = keep @ onehot
             one_class = present.sum(axis=1) == 1
             pred = np.empty((n_tiles, _TILE * rows.size), dtype=np.int64)
-            pred[one_class] = present[one_class].argmax(axis=1)[:, None]
+            pred[one_class] = self.classes[present[one_class].argmax(axis=1)][:, None]
             for t in np.flatnonzero(~one_class):  # the tile's centres, row-major
                 points = np.column_stack([np.tile(x_tiles[t], rows.size), np.repeat(rows, _TILE)])
                 pred[t] = KnnModel(self.x[keep[t]], self.y[keep[t]], self.config).predict(points)
@@ -113,16 +117,18 @@ class KnnModel:
 
     def _vote(self, order: np.ndarray) -> np.ndarray:
         """The majority class among each row's neighbours (training rows,
-        nearest first); a vote tie goes to the nearest neighbour's class."""
-        neigh = self.y[order]
-        m, n_classes = neigh.shape[0], self.n_classes
+        nearest first); a vote tie goes to the nearest neighbour's class.
+        Votes count by index into `classes`, which ascends with the
+        labels, so the first of equal counts is still the lowest label."""
+        neigh = self.codes[order]
+        m, n_classes = neigh.shape[0], self.classes.size
         counts = np.bincount((np.arange(m)[:, None] * n_classes + neigh).ravel(),
                              minlength=m * n_classes).reshape(m, n_classes)
         pred = np.argmax(counts, axis=1)
         top = counts.max(axis=1)
         tied = (counts == top[:, None]).sum(axis=1) > 1
         pred[tied] = neigh[tied, 0]
-        return pred
+        return self.classes[pred]
 
 
 def _term_bounds(tiles: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -12,6 +12,18 @@ so splits tied in exact arithmetic tie bit for bit and follow that
 rule; regression splits tied only in exact arithmetic are decided by
 rounding.
 
+A classification node is scored only at its candidate cuts: cuts between
+two classes (the boundary points of Fayyad & Irani 1992, where the best
+Gini cut lies) and cuts next to equal values. Along cuts that move one
+class the Gini score is strictly convex, so no other cut holds a first
+minimum, and in a node of at most `_EXACT_ROWS` drawn rows rounding
+merges no two unequal scores (a larger node is scored at every cut):
+the split is the one that scoring every cut gives, bit for bit
+(`_best_class_splits` holds the proof). Counts
+come from exact integer prefix sums over the nodes' slots. A regression
+node is scored at every cut, in groups of nodes padded to a common
+width (`_size_groups`).
+
 A block of fitted trees is one `NodeTable` of per-node arrays, each tree
 in preorder and the trees end to end. Trees grow breadth-first, a block
 of them at once (a forest's trees, or the single tree of
@@ -110,9 +122,24 @@ def _size_groups(sizes) -> list[np.ndarray]:
     return groups
 
 
-def _best_splits(xs, ys, weights, orders, at, sizes, cand, counts=None, means=None):
-    """Best split of each of k nodes: (feature, threshold), with feature
-    -1 where every candidate column is constant over the node.
+def _sorted_slots(xs, orders, at, sizes, cand) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, values), each (m, R): node i's rows sorted by its j-th
+    candidate feature, and their values of it, in row j at node i's
+    segment of the positions `at` (the segments lie end to end, `sizes`
+    long)."""
+    k, m = cand.shape
+    # flat takes: much faster than numpy's 2-D fancy indexing
+    if m == xs.shape[0]:  # every feature, in order, at every node
+        rows = orders.take(at, axis=1)
+        return rows, xs.ravel().take(rows + np.arange(0, xs.size, xs.shape[1])[:, None])
+    feats = cand.T.take(np.repeat(np.arange(k), sizes), axis=1)  # (m, R): each slot's feature
+    rows = orders.ravel().take(feats * orders.shape[1] + at)
+    return rows, xs.ravel().take(feats * xs.shape[1] + rows)
+
+
+def _best_splits(xs, ys, weights, orders, at, sizes, cand, means):
+    """Best regression split of each of k nodes: (feature, threshold),
+    with feature -1 where every candidate column is constant over the node.
 
     Node i's rows sorted by feature f are orders[f, p] for its segment p
     of the positions `at` (the segments lie end to end, `sizes` long);
@@ -123,23 +150,20 @@ def _best_splits(xs, ys, weights, orders, at, sizes, cand, counts=None, means=No
     bitwise-equal scores the lowest feature wins, then the lowest
     threshold.
 
-    Classification (`counts`, the (k, n_classes) weighted class totals)
-    takes num = sum_c (a_c^2 n_R + b_c^2 n_L), a_c and b_c class c's
-    weighted counts left and right: the weighted child Gini impurity
-    times n is n - num / (n_L n_R). Below 2^53 (nodes under about 3e5
-    drawn rows) every term is an exact integer in float64, so a score is
-    one correctly rounded ratio and exact ties are bitwise ties.
+    `means` holds each node's weighted mean target, (k,) for a target y
+    of shape (n,) or (k, q) for one of shape (n, q), and num = sum_o
+    s_Lo^2, s_Lo summing w (y_o - mean_o) over the rows left of the cut
+    and the squares added in output order: the centered gain, in exact
+    arithmetic n / (n_L n_R) times the fall in weighted squared error
+    summed over the outputs, so its maximum is the least weighted child
+    variance (CART; multivariate CART, Segal 1992, for q > 1); centering
+    keeps it clear of the cancellation in s2/n - (s/n)^2. One output
+    scores s_L^2 alone, so a (n, 1) target scores with the bits of a (n,)
+    one. Its ties in exact arithmetic are decided by rounding.
 
-    Regression (`means`, each node's weighted mean target, (k,) for a
-    target y of shape (n,) or (k, q) for one of shape (n, q)) takes num =
-    sum_o s_Lo^2, s_Lo summing w (y_o - mean_o) over the rows left of the
-    cut and the squares added in output order: the centered gain, in
-    exact arithmetic n / (n_L n_R) times the fall in weighted squared
-    error summed over the outputs, so its maximum is the least weighted
-    child variance (CART; multivariate CART, Segal 1992, for q > 1);
-    centering keeps it clear of the cancellation in s2/n - (s/n)^2. One
-    output scores s_L^2 alone, so a (n, 1) target scores with the bits of
-    a (n,) one. Its ties in exact arithmetic are decided by rounding.
+    Every valid cut is scored: the candidate rule of `_best_class_splits`
+    rests on class runs and exact integer scores, which a real target
+    lacks.
 
     Nodes are padded to the widest node of their group (see
     `_size_groups`); positions past a node's end are masked, and the
@@ -148,25 +172,15 @@ def _best_splits(xs, ys, weights, orders, at, sizes, cand, counts=None, means=No
     """
     k, m = cand.shape
     starts = np.cumsum(sizes) - sizes
-    # flat takes: much faster than numpy's 2-D fancy indexing
-    feats = cand.T.take(np.repeat(np.arange(k), sizes), axis=1)  # (m, R): each slot's feature
-    rows = orders.ravel().take(feats * orders.shape[1] + at)
-    sv = xs.ravel().take(feats * xs.shape[1] + rows)  # each node's values sorted by each candidate
-    del feats
+    rows, sv = _sorted_slots(xs, orders, at, sizes, cand)
     ws = weights.take(rows).astype(np.float64)  # each slot's weight
     node_n = np.add.reduceat(ws[0], starts)  # integers: exact
-    if counts is None:
-        centred = []  # each output's w (y_o - mean_o) at each slot
-        for y_o, mean_o in zip(ys.reshape(ys.shape[0], -1).T, np.reshape(means, (k, -1)).T):
-            c = y_o.take(rows)
-            c -= np.repeat(mean_o, sizes)
-            c *= ws
-            centred.append(c)
-    else:
-        ys = ys.take(rows)
-        n_classes = counts.shape[1]
-        # each slot's weight in every class but the last
-        class_ws = [np.where(ys == c, ws, 0.0) for c in range(n_classes - 1)]
+    centred = []  # each output's w (y_o - mean_o) at each slot
+    for y_o, mean_o in zip(ys.reshape(ys.shape[0], -1).T, np.reshape(means, (k, -1)).T):
+        c = y_o.take(rows)
+        c -= np.repeat(mean_o, sizes)
+        c *= ws
+        centred.append(c)
     del rows
     feature = np.full(k, -1, dtype=np.int64)
     threshold = np.zeros(k)
@@ -181,35 +195,15 @@ def _best_splits(xs, ys, weights, orders, at, sizes, cand, counts=None, means=No
         del svg
         n_left = ws.take(pos, axis=1).cumsum(axis=-1)[..., :-1]
         n_right = np.maximum(n - n_left, 1)  # past the node's end: masked below
-        if counts is None:
-            num = None
-            for c in centred:  # sum_o s_Lo^2, in output order
-                s = c.take(pos, axis=1).cumsum(axis=-1)[..., :-1]
-                s *= s
-                if num is None:
-                    num = s
-                else:
-                    num += s
-            del s
-        else:
-            # summed class by class; the last class's left counts are
-            # n_left less the others'
-            num = np.zeros_like(n_left)
-            last = n_left.copy()
-            for c in range(n_classes):
-                if c + 1 < n_classes:
-                    a = class_ws[c].take(pos, axis=1).cumsum(axis=-1)[..., :-1]
-                    last -= a
-                else:
-                    a = last
-                b = counts[group, c, None] - a
-                a *= a
-                a *= n_right
-                num += a
-                b *= b
-                b *= n_left
-                num += b
-            del a, b, last
+        num = None
+        for c in centred:  # sum_o s_Lo^2, in output order
+            s = c.take(pos, axis=1).cumsum(axis=-1)[..., :-1]
+            s *= s
+            if num is None:
+                num = s
+            else:
+                num += s
+        del s
         weighted = -num / (n_left * n_right)
         del num, pos, n_left, n_right
         weighted[~is_cut] = np.inf
@@ -222,6 +216,155 @@ def _best_splits(xs, ys, weights, orders, at, sizes, cand, counts=None, means=No
         feature[group[ok]] = cand[group, slot][ok]
         threshold[group[ok]] = ((sv[slot, cut] + sv[slot, cut + 1]) / 2.0)[ok]
     return feature, threshold
+
+
+# A classification node of at most this many drawn rows is scored at its
+# candidate cuts alone (`_best_class_splits`). A node of n drawn rows
+# scores a cut num / (n_L n_R), num and n_L n_R <= n^2 / 4 integers, so
+# two unequal scores differ by at least 16 / n^4; each lies in [0, n], so
+# rounding moves it by at most n 2^-53. Rounding merges no two unequal
+# scores while 16 / n^4 > n 2^-52, that is n^5 < 2^56 (n <= 2,352);
+# 2,048 = 2^11 gives n^5 = 2^55.
+_EXACT_ROWS = 2048
+
+
+def _class_cut_candidates(sv, labels, starts, ends, node_n) -> np.ndarray:
+    """(m, R) bool: the cuts `_best_class_splits` scores. Cut p lies
+    between slots p and p + 1 of a row of the sorted values `sv` and
+    their class labels `labels`, both (m, R); the nodes hold the slots
+    [starts, ends) and `node_n` drawn rows. A cut is valid where both
+    slots are in one node and the value rises. The candidates are the
+    valid cuts between two classes or next to a cut that is not valid
+    (equal values), and every valid cut of a node of more than
+    `_EXACT_ROWS` drawn rows.
+    """
+    m, n_slots = sv.shape
+    step = sv[:, :-1] < sv[:, 1:]  # rising values (a NaN never rises)
+    keep = np.zeros((m, n_slots), dtype=bool)
+    np.not_equal(labels[:, :-1], labels[:, 1:], out=keep[:, :-1])
+    keep[:, 1:-1] |= ~step[:, :-1]  # equal values left of the cut
+    keep[:, :-2] |= ~step[:, 1:]  # or right of it
+    big = node_n > _EXACT_ROWS
+    if big.any():
+        keep[:, _ranges(starts[big], ends[big] - starts[big] - 1)] = True
+    keep[:, :-1] &= step
+    keep[:, ends - 1] = False  # a node's last slot: the cut would leave the node
+    return keep
+
+
+def _best_class_splits(xs, ys, weights, orders, at, sizes, cand, counts):
+    """Best classification split of each of k nodes, with the arguments
+    of `_best_splits` and the nodes' (k, n_classes) weighted class totals
+    `counts` in place of means: (feature, threshold), feature -1 where
+    every candidate column is constant over the node. Of bitwise-equal
+    scores the lowest feature wins, then the lowest threshold.
+
+    A valid cut scores -num / (n_L n_R), num = sum_c (a_c^2 n_R + b_c^2
+    n_L), a_c and b_c class c's weighted counts left and right of the cut:
+    the weighted child Gini impurity times n is n - num / (n_L n_R). The
+    counts are differences of int64 prefix sums over the nodes' slots,
+    feature after feature, so each is an exact integer of at most n; the
+    sums run over the classes present on the level (an absent class adds
+    an exact 0). num <= n_L n_R n <= n^3 / 4, so below 2^53 (nodes under
+    about 3e5 drawn rows) every product is an exact integer in float64: a
+    score is one correctly rounded ratio, and cuts tied in exact
+    arithmetic tie bit for bit.
+
+    Only the candidates of `_class_cut_candidates` are scored: the cuts
+    between two classes and the cuts next to equal values, or every valid
+    cut of a node of more than `_EXACT_ROWS` drawn rows. A superset of the
+    boundary points of Fayyad & Irani (1992), they hold the first bitwise
+    minimum over every valid cut, which scoring every cut would find:
+
+    - Convexity. -score is g = sum_c a_c^2 / n_L + sum_c b_c^2 / n_R.
+      Moving weight t of class c across the cut adds t to a_c and n_L and
+      takes it from b_c and n_R. With A the other classes' weight on the
+      left, a_c^2 / n_L = n_L - 2 A + A^2 / n_L is convex in t, and so is
+      a_c'^2 / n_L for c' != c, each strictly unless its numerator is 0;
+      so are the right-hand terms. All are affine only if the node holds
+      class c alone, and a pure node is not scored: along cuts that move
+      class c alone, g is strictly convex.
+    - Minima are candidates. Let valid cut p not be a candidate: slots
+      p and p + 1 hold one class c, and of cuts p - 1 and p + 1 each that
+      lies in the node is valid. If both do, moving from cut p - 1 to
+      p + 1 moves class c alone, so g(p) < max(g(p - 1), g(p + 1)). At a
+      node's first cut the empty left side stands in for cut p - 1: there
+      g is the node's own sum_c N_c^2 / N, and no cut's g is lower (by
+      Cauchy-Schwarz, a_c^2 / n_L + b_c^2 / n_R >= N_c^2 / N), so
+      g(p) < g(p + 1); a node's last cut mirrors it, and a node of two
+      slots has one cut, between its two classes. So in exact arithmetic
+      every valid cut that is not a candidate scores strictly worse than
+      a valid neighbour.
+    - Exact ordering. For n <= `_EXACT_ROWS` two unequal scores differ by
+      more than rounding can move them (see `_EXACT_ROWS`), and rounding
+      is monotone: the computed scores order the cuts as the exact ones
+      do and tie exactly where they tie. So the bitwise minima over every
+      valid cut are candidates, and the first of them is the first over
+      the candidates. Across features the lowest feature still wins a tie.
+    """
+    k, m = cand.shape
+    rows, sv = _sorted_slots(xs, orders, at, sizes, cand)
+    n_slots = at.size
+    ends = np.cumsum(sizes)
+    starts = ends - sizes
+    node_n = counts.sum(axis=1)
+    labels = ys.take(rows)
+    cuts = np.flatnonzero(_class_cut_candidates(sv, labels, starts, ends, node_n))
+    feature = np.full(k, -1, dtype=np.int64)
+    threshold = np.zeros(k)
+    if not cuts.size:
+        return feature, threshold
+    # cut f * n_slots + p scores feature cand[i, f] of the node i holding
+    # slot p: group f * k + i, the groups lying in order
+    offsets = np.arange(0, m * n_slots, n_slots)[:, None]
+    group = np.searchsorted((offsets + ends).ravel(), cuts, side="right")
+    i = group % k
+    # inclusive prefix sums over the flat slots, after a 0: row 0 sums the
+    # weights, row j the weights of the j-th class present but the last. A
+    # node's left sums at a cut are the prefix past the cut less the
+    # prefix before the node's first slot.
+    present = np.flatnonzero(counts.any(axis=0))
+    ws = weights.take(rows).ravel()
+    prefix = np.zeros((present.size, ws.size + 1), dtype=np.int64)
+    prefix[0, 1:] = ws
+    for row, c in zip(prefix[1:], present[:-1]):
+        np.multiply(ws, labels.ravel() == c, out=row[1:])
+    np.cumsum(prefix, axis=1, out=prefix)
+    left = prefix.take(cuts + 1, axis=1) - prefix.take((offsets + starts).ravel()[group], axis=1)
+    left = left.astype(np.float64)  # at most n: exact
+    n_left = left[0]
+    n_right = node_n.take(i) - n_left
+    sum_a2 = sum_b2 = 0.0
+    for a, total in zip([*left[1:], n_left - left[1:].sum(axis=0)], counts.T[present]):
+        b = total.take(i) - a
+        sum_a2 = sum_a2 + a * a
+        sum_b2 = sum_b2 + b * b
+    score = -(sum_a2 * n_right + sum_b2 * n_left) / (n_left * n_right)
+    # each group's first minimum
+    new = _run_starts(group)
+    of_group = np.cumsum(new) - 1
+    hit = np.flatnonzero(score == np.minimum.reduceat(score, np.flatnonzero(new))[of_group])
+    first = hit[_run_starts(of_group[hit])]
+    best = np.full(m * k, np.inf)
+    best[group[first]] = score[first]
+    at_best = np.zeros(m * k, dtype=np.int64)
+    at_best[group[first]] = cuts[first]
+    slot = best.reshape(m, k).argmin(axis=0)  # the lowest feature of a tie
+    won = slot * k + np.arange(k)
+    ok = np.isfinite(best[won])
+    cut = at_best[won[ok]]
+    feature[ok] = cand[ok, slot[ok]]
+    values = sv.ravel()
+    threshold[ok] = (values[cut] + values[cut + 1]) / 2.0
+    return feature, threshold
+
+
+def _run_starts(a) -> np.ndarray:
+    """Where each run of equal entries of `a` starts."""
+    new = np.empty(a.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(a[1:], a[:-1], out=new[1:])
+    return new
 
 
 def _partition(orders, at, sizes, n_left, goes_left) -> np.ndarray:
@@ -240,8 +383,8 @@ def _partition(orders, at, sizes, n_left, goes_left) -> np.ndarray:
     to_right = (n_left + lefts_before)[seg] + np.arange(at.size)
     out = np.empty((orders.shape[0], at.size), dtype=orders.dtype)
     for row, full in zip(out, orders):
-        order = full[at]
-        left = goes_left[order]
+        order = full.take(at)
+        left = goes_left.take(order)
         before = np.cumsum(left)
         before -= left
         row[np.where(left, to_left + before, to_right - before)] = order
@@ -331,14 +474,14 @@ def grow_trees(
     flat = np.flatnonzero(held)  # each block row's (tree, row of x), flattened
     picked = flat % n_x
     weights = mult[flat]
-    xs = xt[:, picked]
+    xs = xt.take(picked, axis=1)
     ys = y[picked]
     sizes = np.count_nonzero(held.reshape(n_trees, n_x), axis=1)
     # filtering x's stable orders to a tree's rows gives their stable
     # orders, ties still by row of x
     at = (np.argsort(xt, axis=1, kind="stable")[:, None, :] + offsets[:, None]).reshape(d, -1)
     block_row = np.cumsum(held) - 1
-    orders = block_row[at[held[at]]].reshape(d, -1)
+    orders = block_row.take(at[held.take(at)]).reshape(d, -1)
     del mult, held, flat, picked, at, block_row
     goes_left = np.zeros(ys.size, dtype=bool)
     tree = np.arange(n_trees)  # the tree of each node on the level
@@ -349,8 +492,8 @@ def grow_trees(
         starts = np.cumsum(sizes) - sizes
         # a node's rows are its segment of orders[-1]; its totals are
         # summed in that order
-        y_node = ys[orders[-1]]
-        w_node = weights[orders[-1]]
+        y_node = ys.take(orders[-1], axis=0)
+        w_node = weights.take(orders[-1])
         node = np.repeat(np.arange(k), sizes)
         if classify:
             counts = np.bincount(node * n_classes + y_node, w_node, minlength=k * n_classes)
@@ -384,14 +527,17 @@ def grow_trees(
                 cand = np.sort(np.argsort(drawn, axis=1, kind="stable")[:, :m_features], axis=1)
             else:
                 cand = np.broadcast_to(np.arange(d), (scored.size, d))
-            feature[scored], threshold[scored] = _best_splits(
-                xs, ys, weights, orders, _ranges(starts[scored], sizes[scored]), sizes[scored],
-                cand, counts=counts[scored] if classify else None,
-                means=None if classify else level["value"][scored])
+            at = _ranges(starts[scored], sizes[scored])
+            if classify:
+                feature[scored], threshold[scored] = _best_class_splits(
+                    xs, ys, weights, orders, at, sizes[scored], cand, counts[scored])
+            else:
+                feature[scored], threshold[scored] = _best_splits(
+                    xs, ys, weights, orders, at, sizes[scored], cand, level["value"][scored])
         # route the split nodes' rows; a midpoint that rounds onto a value separates nothing
         split = np.flatnonzero(feature >= 0)
         at = _ranges(starts[split], sizes[split])
-        rows = orders[-1, at]
+        rows = orders[-1].take(at)
         left = xs.ravel().take(np.repeat(feature[split], sizes[split]) * xs.shape[1] + rows) \
             <= np.repeat(threshold[split], sizes[split])
         n_left = np.bincount(np.repeat(np.arange(split.size), sizes[split])[left],

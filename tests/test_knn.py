@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,32 @@ def test_blob_holdout_accuracy(two_blobs):
     test = np.arange(1, 200, 2)
     model = fit_knn(x[train], y[train], KnnConfig(k=5))
     assert (model.predict(x[test]) == y[test]).mean() >= 0.95
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_large_label_sets_no_working_memory():
+    """Votes count over the labels present, so a label of 1e5 costs what
+    a label of 3 costs: each peak was over 200 MiB when votes counted
+    over every class up to the largest label."""
+    rng = np.random.default_rng(8)
+    x = rng.normal(size=(10, 2))
+    y = np.array([0, 1, 2, 10**5, 0, 1, 2, 0, 1, 10**5])
+    model = fit_knn(x, y, KnnConfig(k=3))
+    small = fit_knn(x, np.where(y == 10**5, 3, y), KnnConfig(k=3))
+    centres = np.linspace(-2.0, 2.0, 20)
+    grid, peak = _peak_bytes(lambda: model.predict_grid(centres, centres))
+    assert peak <= 2**20
+    assert np.array_equal(grid, np.where(small.predict_grid(centres, centres) == 3, 10**5, grid))
+    assert set(np.unique(grid)) <= {0, 1, 2, 10**5}
+    points = rng.normal(size=(256, 2))
+    pred, peak = _peak_bytes(lambda: model.predict(points))
+    assert peak <= 2**20
+    assert np.array_equal(pred, reference_predict(x, y, points, 3))

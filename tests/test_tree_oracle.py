@@ -25,7 +25,8 @@ import pytest
 
 from chirpmap.models import forest as forest_module
 from chirpmap.models.forest import ForestConfig, fit_random_forest, fit_tree
-from chirpmap.models.tree import _best_splits
+from chirpmap.models.tree import (_EXACT_ROWS, _best_class_splits, _best_splits,
+                                  _class_cut_candidates)
 
 
 def _node_mean(x, y, w, idx):
@@ -215,12 +216,25 @@ def _repeated_rows(task, seed, n=80, d=3):
     return x, y
 
 
+def _noisy_labels(task, seed, n=80, d=3):
+    """Whole-number rows, many of them tied, in 3 classes by a threshold
+    on the first feature with about 5% of labels redrawn: along a feature
+    the class changes at few of the cuts."""
+    rng = np.random.default_rng(seed)
+    x = np.round(2.0 * rng.normal(size=(n, d)))
+    y = np.digitize(x[:, 0], [-1.0, 1.0])
+    flip = rng.random(n) < 0.05
+    y[flip] = rng.integers(0, 3, size=flip.sum())
+    return x, y
+
+
 @pytest.mark.parametrize("task, d, cohort", [
     pytest.param("regression", 3, _data, id="regression-3"),
     pytest.param("classification", 2, _data, id="classification-2"),
     pytest.param("classification", 3, _data, id="classification-3"),
     pytest.param("regression", 3, _repeated_rows, id="regression-3-repeated"),
     pytest.param("classification", 3, _repeated_rows, id="classification-3-repeated"),
+    pytest.param("classification", 3, _noisy_labels, id="classification-3-noisy"),
 ])
 @pytest.mark.parametrize("block_rows", [1, 10**6])
 def test_forest_matches_recursive_reference(task, d, cohort, block_rows, monkeypatch):
@@ -396,8 +410,10 @@ def test_batched_scorer_matches_former_per_node_scorer(task):
             means[i] = (w[rows] * y[rows]).sum() / w[rows].sum()
         expected.append(_former_best_split(xt, y, w, node_orders, cand[i], task, n_classes,
                                            totals[i] if task == "classification" else means[i]))
-    node_totals = {"counts": totals} if task == "classification" else {"means": means}
-    feature, threshold = _best_splits(xt, y, w, orders, np.arange(n), sizes, cand, **node_totals)
+    if task == "classification":
+        feature, threshold = _best_class_splits(xt, y, w, orders, np.arange(n), sizes, cand, totals)
+    else:
+        feature, threshold = _best_splits(xt, y, w, orders, np.arange(n), sizes, cand, means)
     assert list(zip(feature.tolist(), threshold.tolist())) == expected
     if task == "classification":
         # the same rows weighted score as those rows repeated, bit for bit
@@ -411,6 +427,70 @@ def test_batched_scorer_matches_former_per_node_scorer(task):
             expected.append(_former_best_split(xt[:, repeated], y[repeated],
                                                np.ones(repeated.size, dtype=np.int64),
                                                node_orders, cand[i], task, n_classes, totals[i]))
-        feature, threshold = _best_splits(xt, y, weights, orders, np.arange(n), sizes, cand,
-                                          counts=totals)
+        feature, threshold = _best_class_splits(xt, y, weights, orders, np.arange(n), sizes, cand,
+                                                totals)
         assert list(zip(feature.tolist(), threshold.tolist())) == expected
+
+
+def _sorted_nodes(xt, sizes):
+    """Per-feature orders of nodes that hold consecutive rows, `sizes`
+    long: each node's rows stably sorted by every feature."""
+    orders = np.empty(xt.shape, dtype=np.intp)
+    for lo, size in zip(np.cumsum(sizes) - sizes, sizes):
+        rows = np.arange(lo, lo + size)
+        orders[:, lo:lo + size] = rows[np.argsort(xt[:, rows], axis=1, kind="stable")]
+    return orders
+
+
+@pytest.mark.parametrize("n_classes", [2, 3, 4])
+@pytest.mark.parametrize("labels", ["threshold", "random"])
+def test_class_scorer_matches_former_per_node_scorer(n_classes, labels):
+    """Scored at its candidate cuts only, each node gets the first best
+    cut over all its valid cuts: whole-number values tie often; labels by
+    a threshold with about 5% redrawn change class at few cuts, random
+    labels at many; rows weigh 1 to 5, each node scores 2 of 3 features,
+    and the last node holds more than `_EXACT_ROWS` drawn rows."""
+    rng = np.random.default_rng(10 * n_classes + (labels == "random"))
+    d = 3
+    sizes = np.concatenate([np.arange(2, 30), rng.integers(2, 400, size=40), [900]])
+    n = int(sizes.sum())
+    xt = np.round(3.0 * rng.normal(size=(d, n)))
+    if labels == "random":
+        y = rng.integers(0, n_classes, size=n)
+    else:
+        y = np.digitize(xt[0], np.linspace(-2.0, 2.0, n_classes - 1))
+        flip = rng.random(n) < 0.05
+        y[flip] = rng.integers(0, n_classes, size=flip.sum())
+    w = rng.integers(1, 6, size=n)
+    orders = _sorted_nodes(xt, sizes)
+    cand = np.sort(np.argsort(rng.random((sizes.size, d)), axis=1)[:, :2], axis=1)
+    node = np.repeat(np.arange(sizes.size), sizes)
+    totals = np.bincount(node * n_classes + y, w, minlength=sizes.size * n_classes)
+    totals = totals.astype(np.int64).reshape(sizes.size, n_classes)
+    assert totals[-1].sum() > _EXACT_ROWS
+    expected = [_former_best_split(xt, y, w, orders[:, lo:lo + size], cand[i], "classification",
+                                   n_classes, totals[i])
+                for i, (lo, size) in enumerate(zip(np.cumsum(sizes) - sizes, sizes))]
+    feature, threshold = _best_class_splits(xt, y, w, orders, np.arange(n), sizes, cand, totals)
+    assert list(zip(feature.tolist(), threshold.tolist())) == expected
+
+
+def test_exact_rows_bound_and_larger_nodes_score_every_valid_cut():
+    """The candidate rule keeps the first best cut only while rounding
+    merges no two scores, which needs _EXACT_ROWS^5 <= 2^56 (see
+    `_EXACT_ROWS`). A node of _EXACT_ROWS drawn rows is scored at its
+    candidates; one of a row more, at every valid cut."""
+    assert _EXACT_ROWS ** 5 <= 2 ** 56
+    rng = np.random.default_rng(12)
+    size = 500
+    sv = np.sort(np.round(rng.normal(size=(2, 2, size)), 2), axis=-1).reshape(2, -1)
+    labels = (sv > 0.5).astype(np.int64)  # one class change per node and feature
+    starts, ends = np.array([0, size]), np.array([size, 2 * size])
+    keep = _class_cut_candidates(sv, labels, starts, ends,
+                                 np.array([_EXACT_ROWS, _EXACT_ROWS + 1]))
+    valid = np.zeros_like(keep)
+    valid[:, :-1] = sv[:, :-1] < sv[:, 1:]
+    valid[:, ends - 1] = False
+    assert not (keep & ~valid).any()
+    assert np.array_equal(keep[:, size:], valid[:, size:])
+    assert keep[:, :size].sum() < valid[:, :size].sum()
