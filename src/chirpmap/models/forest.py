@@ -11,9 +11,10 @@ nonnegative integers, and a regression target is (n,) or (n, q).
 Each tree trains on a bootstrap resample, and every node it scores
 draws ceil(sqrt(d)) of the d features uniformly as split candidates.
 Classification predicts by majority vote with ties going to the lowest
-class index; regression predicts the mean of the tree outputs. A
-regression forest fitted on an (n, q) target is one forest for all q
-outputs (see `grow_trees`) and predicts (N, q).
+class; votes are counted over the classes the leaves hold, so no array
+grows with a label's value. Regression predicts the mean of the tree
+outputs. A regression forest fitted on an (n, q) target is one forest
+for all q outputs (see `grow_trees`) and predicts (N, q).
 
 A forest draws from two streams spawned off the config seed: one
 `integers` call draws every tree's bootstrap, and, when the forest
@@ -38,6 +39,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +77,14 @@ class RandomForestModel:
 
     kind = "random_forest"
 
+    @cached_property
+    def classes(self) -> np.ndarray:
+        """The classes a classification forest's leaves hold, ascending, as
+        int64: no other class gets a vote."""
+        leaves = self.root.value[self.root.feature < 0]
+        # the plain np.unique loads numpy.ma
+        return np.unique(leaves, return_counts=True)[0].astype(np.int64)
+
     @property
     def trees(self) -> list[RandomForestModel]:
         """Each tree as a forest of one, its child indices within the tree;
@@ -99,19 +109,20 @@ class RandomForestModel:
         value = self.root.value[route_trees(self.root, self.roots, x)]  # (trees, points)
         if self.config.task == "regression":
             return sum(value, np.zeros(value.shape[1:])) / self.roots.size
-        votes = [np.count_nonzero(value == c, axis=0) for c in range(self.n_classes)]
-        return np.argmax(votes, axis=0)  # first max: ties go to class 0
+        votes = [np.count_nonzero(value == c, axis=0) for c in self.classes]
+        return self.classes[np.argmax(votes, axis=0)]  # first max: ties go to the lowest class
 
     def predict_grid(self, xc, yc) -> np.ndarray:
         """`predict` at every (xc[col], yc[row]) of ascending axes, as a
         (len(yc), len(xc)) array, painted from the leaf boxes.
 
         Every grid point lies in exactly one leaf of each tree. Each leaf
-        of a class c >= 1 adds one vote to layer c - 1 over its box
-        (`paint_boxes`), and class 0's votes are the trees left over:
-        the number of trees minus the painted votes. The votes are the integers
-        `predict` counts, and a scan over the classes keeps the first
-        maximum, so ties go to the lower class as in `predict`.
+        of the k-th class the leaves hold, k >= 1, adds one vote to layer
+        k - 1 over its box (`paint_boxes`), and the lowest class's votes
+        are the trees left over: the number of trees minus the painted
+        votes. The votes are the integers `predict` counts, and a scan over
+        the classes keeps the first maximum, so ties go to the lower class
+        as in `predict`.
         """
         if self.config.task != "classification" or self.n_features != 2:
             raise DataError("grid prediction needs a classification forest over 2 features")
@@ -119,16 +130,17 @@ class RandomForestModel:
         if any(np.any(np.diff(a) < 0) for a in axes):
             raise DataError("grid axes must be ascending")
         lo, hi, value = leaf_boxes(self.root, 2)
-        painted = value > 0
+        code = np.searchsorted(self.classes, value)  # each leaf's index in classes
+        painted = code > 0
         ranges = [box_ranges(a, lo[painted, k], hi[painted, k]) for a, k in zip(axes, (1, 0))]
         votes = paint_boxes(ranges, [a.size for a in axes],
-                            layer=value[painted].astype(np.int64) - 1, n_layers=self.n_classes - 1)
+                            layer=code[painted] - 1, n_layers=self.classes.size - 1)
         best = self.roots.size - votes.sum(axis=0)
-        classes = np.zeros_like(best)
-        for c, layer in enumerate(votes, start=1):
-            classes[layer > best] = c
+        winner = np.zeros_like(best)
+        for k, layer in enumerate(votes, start=1):
+            winner[layer > best] = k
             np.maximum(best, layer, out=best)
-        return classes
+        return self.classes[winner]
 
 
 def box_ranges(axis, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -183,12 +195,14 @@ def fit_random_forest(x, y, config: ForestConfig = ForestConfig()) -> RandomFore
     # n (1 - (1 - 1/n)^n) of them, about 63%
     rows_per_tree = n * (1.0 - (1.0 - 1.0 / n) ** n)
     block = max(1, int(_BLOCK_ROWS // rows_per_tree))
+    # every block's root orders are filtered from these
+    x_order = np.argsort(x.T, axis=1, kind="stable")
     blocks, roots, n_nodes = [], [], 0
     for lo in range(0, config.n_trees, block):
         block_boots = boots[lo:lo + block]
         keys = key_rng.random((block_boots.shape[0], n - 1, d)) if m_features < d else None
         table, block_roots = grow_trees(x, y, block_boots, n_classes, config.max_depth, keys,
-                                        m_features)
+                                        m_features, x_order)
         table.right[table.feature >= 0] += n_nodes  # into the joined table
         block_roots += n_nodes
         roots.append(block_roots)

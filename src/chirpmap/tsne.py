@@ -23,17 +23,31 @@ two tile buffers; y's distance operands, the sums and every tile's
 views are built once per run, not once per pass, and a pass only copies
 y into them. The KL checkpoints and the final KL come from the same
 pass. The coordinates' bits depend on the tile size ``_TILE``, not on
-the BLAS thread count. Joint affinities below ``_P_FLOOR`` are zeroed,
-which keeps subnormal floats (slow on the CPU's denormal path) out of
-the loop; the coordinates kept their bits on every cohort checked.
-``symmetrize``, ``low_dim_similarities``, ``kl_divergence`` and
-``kl_gradient`` are the N x N references the tiled code is tested
-against.
+the BLAS thread count, and not on which process ran a tile: each tile
+writes its products and sums into its own slot, and the pass adds the
+slots in tile order, the former pass's additions in its order. So in
+``run_tsne``, when there are two tiles or more (N > ``_TILE``),
+``os.fork`` exists and the process may run on two CPUs, one forked
+helper process runs a fixed, cost-balanced share of every pass's tiles
+(``_TilePass.helper``). Processes, not threads: a tile is about 15
+small numpy calls, and two threads, which take turns on the GIL for
+each, made a pass slower (4.24 against 4.03 ms at N = 900).
+
+Joint affinities below ``_P_FLOOR`` are zeroed, which keeps subnormal
+floats (slow on the CPU's denormal path) out of the loop; the
+coordinates kept their bits on every cohort checked. ``symmetrize``,
+``low_dim_similarities``, ``kl_divergence`` and ``kl_gradient`` are the
+N x N references the tiled code is tested against.
 """
 
 from __future__ import annotations
 
+import gc
 import math
+import mmap
+import os
+import signal
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -409,6 +423,13 @@ def _joint_tiles(c: np.ndarray) -> list[np.ndarray]:
     return tiles
 
 
+def _helper_wanted(n_tiles: int) -> bool:
+    """Whether ``_TilePass.helper`` forks a helper process: only with two
+    tiles or more to share, ``os.fork`` and two CPUs this process may run on."""
+    return (n_tiles >= 2 and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2)
+
+
 class _TilePass:
     """The KL gradient 4 sum_j (a p_ij - q_ij) w_ij (y_i - y_j), with
     a = the exaggeration, in one pass over the upper-triangle tiles of p,
@@ -423,10 +444,18 @@ class _TilePass:
     and ``_column_operands`` lay them out).
 
     What does not depend on y is built once per run, here: the operand
-    buffers, [y, 1], the sums, a buffer of two tiles of the largest span
-    and every tile's views. A pass copies y into them, zeroes the sums and
-    runs the tiles' arithmetic. Each tile works in a contiguous prefix of
-    the tile buffer, as strided views measured slower.
+    buffers, [y, 1], the sums, a buffer of two tiles of the largest span,
+    every tile's views and its result slot. A pass copies y into them and
+    runs each tile's arithmetic, which writes the tile's two products,
+    sum w and (on a log pass) sum p ln(1 + d^2) into its slot. The slots
+    are then added into the sums, Z and the log total in ``_tile_spans``
+    order: the former pass's operations in its order, so no bit depends
+    on which process ran a tile. Each tile works in a contiguous prefix
+    of the tile buffer, as strided views measured slower.
+
+    The operands and the slots live in one anonymous shared mapping, so
+    that inside ``helper`` a forked process runs a fixed share of every
+    pass's tiles. Outside it every tile runs in this process.
 
     A call returns (gradient, Z, sum p ln(1 + d^2)); the last is None
     unless ``with_log``, and then KL = sum p ln p + sum p ln(1 + d^2)
@@ -435,48 +464,163 @@ class _TilePass:
     """
 
     def __init__(self, p_tiles: list[np.ndarray], n: int):
+        spans = _tile_spans(n)
         tiles = np.empty(2 * min(n, _TILE) ** 2)
-        self.rows = np.ones((2, n, 2))  # [y_k, 1] for each coordinate k
-        self.cols = np.ones((2, 2, n))  # [1; -y_k]
-        self.y1 = np.ones((n, 3))  # [y, 1]
+        # the operands, then each tile's sums w and p ln(1 + d^2), then
+        # its products for the rows of I and, off the diagonal, of J
+        shapes = [(2, n, 2), (2, 2, n), (n, 3), (len(spans), 2)]
+        for i0, i1, j0, j1 in spans:
+            shapes += [(2, i1 - i0, 3)] + ([] if i0 == j0 else [(2, j1 - j0, 3)])
+        sizes = [math.prod(shape) for shape in shapes]
+        shared = np.frombuffer(mmap.mmap(-1, 8 * sum(sizes)), dtype=np.float64)
+        views = iter(part.reshape(shape) for part, shape in
+                     zip(np.split(shared, np.cumsum(sizes)[:-1]), shapes))
+        self.rows, self.cols, self.y1, self.totals = (next(views) for _ in range(4))
+        self.rows[...] = 1.0  # [y_k, 1] for each coordinate k
+        self.cols[...] = 1.0  # [1; -y_k]
+        self.y1[...] = 1.0  # [y, 1]
         self.sums = np.empty((2, n, 3))  # [c @ [y, 1] summed over tiles] for c = p w, w^2
-        self.steps = []
-        for (i0, i1, j0, j1), p_ij in zip(_tile_spans(n), p_tiles, strict=True):
+        self.steps, self.slots = [], []
+        for (i0, i1, j0, j1), p_ij, totals in zip(spans, p_tiles, self.totals, strict=True):
             pair = tiles[: 2 * p_ij.size].reshape(2, i1 - i0, j1 - j0)
+            out_i = next(views)
             # w's diagonal on a diagonal tile, else the transposed tile's views
             other = (pair[1].reshape(-1)[:: j1 - j0 + 1] if i0 == j0 else
-                     (pair.transpose(0, 2, 1), self.sums[:, j0:j1], self.y1[i0:i1]))
+                     (pair.transpose(0, 2, 1), self.y1[i0:i1], next(views)))
             self.steps.append((p_ij, pair, self.rows[:, i0:i1], self.cols[..., j0:j1],
-                               self.sums[:, i0:i1], self.y1[j0:j1], i0 == j0, other))
+                               self.y1[j0:j1], i0 == j0, other, out_i, totals))
+            self.slots.append((self.sums[:, i0:i1], out_i,
+                               None if i0 == j0 else (self.sums[:, j0:j1], other[2])))
+        # the caller's and the helper's fixed shares: tiles dealt largest
+        # first to the less loaded, an off-diagonal tile counted double
+        cost = [(i1 - i0) * (j1 - j0) * (1 if i0 == j0 else 2) for i0, i1, j0, j1 in spans]
+        loads, shares = [0, 0], ([], [])
+        for k in sorted(range(len(spans)), key=lambda k: -cost[k]):
+            side = int(loads[1] < loads[0])
+            loads[side] += cost[k]
+            shares[side].append(k)
+        self.shares = tuple([self.steps[k] for k in sorted(share)] for share in shares)
+        self._helper = None  # (pid, command pipe, result pipe) inside ``helper``
+
+    @contextmanager
+    def helper(self):
+        """Within, one process forked here runs the tiles of ``shares[1]``
+        of every pass, when ``_helper_wanted``; the caller runs the rest
+        and adds every slot as always, so the bits are the same either
+        way. The helper waits on its command pipe for a pass and leaves
+        through ``os._exit`` at its end of file or on any exception. On
+        every way out of the block, an exception included, the helper is
+        killed and reaped. A pass whose helper has died raises
+        ``RuntimeError``, and later passes run every tile in this process.
+
+        The fork copies only the calling thread. OpenBLAS, whose worker
+        pool may be alive then, shuts the pool down before a fork and
+        starts it again on its next call; the ledger's two-BLAS-thread
+        run forks this way.
+        """
+        if _helper_wanted(len(self.steps)):
+            self._start_helper()
+        try:
+            yield self
+        finally:
+            self._stop_helper()
+
+    def _start_helper(self) -> None:
+        commands, results = os.pipe(), os.pipe()
+        try:
+            pid = os.fork()
+        except OSError:  # no helper, then: every tile runs here
+            for fd in (*commands, *results):
+                os.close(fd)
+            return
+        if pid == 0:
+            status = 1
+            try:
+                # nothing here makes cycles, and a collection could run the
+                # finalizers of the caller's garbage, open files among them
+                gc.disable()
+                os.close(commands[1])
+                os.close(results[0])
+                while command := os.read(commands[0], 1):
+                    self._run(self.shares[1], command == b"\1")
+                    os.write(results[1], b"\0")
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(commands[0])
+        os.close(results[1])
+        self._helper = (pid, commands[1], results[0])
+
+    def _stop_helper(self) -> None:
+        if self._helper is None:
+            return
+        pid, commands, results = self._helper
+        self._helper = None
+        os.close(commands)
+        os.close(results)
+        # killed rather than left to read its end of file, which a process
+        # forked meanwhile could hold off by holding the command pipe open
+        try:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        except (ProcessLookupError, ChildProcessError):
+            pass
+
+    def _run(self, steps, with_log: bool) -> None:
+        """Each tile's arithmetic, into its slot."""
+        for p_ij, pair, rows, cols, y1_j, diagonal, other, out_i, totals in steps:
+            c, w = pair
+            _operand_distances(rows, cols, out=w, scratch=c)
+            w += 1.0
+            if with_log:  # ln(1 + d^2) = -ln w, and 0 on the diagonal
+                np.log(w, out=c)
+                c *= p_ij
+                totals[1] = c.sum()
+            np.divide(1.0, w, out=w)
+            if diagonal:
+                other[...] = 0.0
+            totals[0] = w.sum()
+            np.multiply(p_ij, w, out=c)
+            w *= w
+            np.matmul(pair, y1_j, out=out_i)
+            if not diagonal:
+                pair_t, y1_i, out_j = other
+                np.matmul(pair_t, y1_i, out=out_j)
 
     def __call__(self, y: np.ndarray, exaggeration: float,
                  with_log: bool = False) -> tuple[np.ndarray, float, float | None]:
         self.rows[:, :, 0] = y.T
         np.negative(y.T, out=self.cols[:, 1, :])
         self.y1[:, :2] = y
+        if self._helper is None:
+            self._run(self.steps, with_log)
+        else:
+            _, commands, results = self._helper
+            try:
+                os.write(commands, b"\1" if with_log else b"\0")
+                self._run(self.shares[0], with_log)
+                done = os.read(results, 1)
+            except BrokenPipeError:  # the helper had ended before the pass
+                done = b""
+            except BaseException:
+                self._stop_helper()
+                raise
+            if not done:
+                self._stop_helper()
+                raise RuntimeError("the t-SNE tile pass's helper process ended during a pass")
         sums = self.sums
         sums[...] = 0.0
         z = 0.0
         p_log_d = 0.0 if with_log else None
-        for p_ij, pair, rows, cols, sums_i, y1_j, diagonal, other in self.steps:
-            c, w = pair
-            copies = 1.0 if diagonal else 2.0  # the tile and its transpose
-            _operand_distances(rows, cols, out=w, scratch=c)
-            w += 1.0
-            if with_log:  # ln(1 + d^2) = -ln w, and 0 on the diagonal
-                np.log(w, out=c)
-                c *= p_ij
-                p_log_d += copies * float(c.sum())
-            np.divide(1.0, w, out=w)
-            if diagonal:
-                other[...] = 0.0
-            z += copies * float(w.sum())
-            np.multiply(p_ij, w, out=c)
-            w *= w
-            sums_i += pair @ y1_j
-            if not diagonal:
-                pair_t, sums_j, y1_i = other
-                sums_j += pair_t @ y1_i
+        for (w_sum, c_sum), (sums_i, out_i, transposed) in zip(self.totals.tolist(), self.slots):
+            copies = 1.0 if transposed is None else 2.0  # the tile and its transpose
+            if with_log:
+                p_log_d += copies * c_sum
+            z += copies * w_sum
+            sums_i += out_i
+            if transposed is not None:
+                sums_j, out_j = transposed
+                sums_j += out_j
         attract, repulse = sums[:, :, 2:] * y - sums[:, :, :2]
         grad = 4.0 * (exaggeration * attract - repulse / z)
         return grad, z, p_log_d
@@ -545,6 +689,17 @@ def run_tsne(x: np.ndarray, config: TsneConfig) -> Embedding:
     sum p ln p - sum p ln w + (sum p) ln(sum w), with sum p ln p and
     sum p taken once from the tiles; it agrees with ``kl_divergence`` to
     rounding. The final KL takes one more pass, at the final y.
+
+    The loop and the final KL run inside ``_TilePass.helper``: with
+    N > _TILE, ``os.fork`` and two CPUs, a forked helper process runs
+    about half of every pass's tiles, with the same bits (see the module
+    docstring). The helper is killed and reaped however the call ends, a
+    ``NumericError`` or ``KeyboardInterrupt`` included, so no process
+    outlives it; if the helper dies mid-run, the next pass raises
+    ``RuntimeError``. The helper's resident pages are nearly all the
+    caller's, shared copy-on-write, so its ``RUSAGE_CHILDREN``
+    ``ru_maxrss`` reads about the caller's size at the fork; its own
+    (``Private_Dirty``) pages came to 2.2 MiB at N = 900.
     """
     n = x.shape[0]
     config.validate(n)
@@ -575,23 +730,24 @@ def run_tsne(x: np.ndarray, config: TsneConfig) -> Embedding:
     lr = config.learning_rate
     gradient_pass = _TilePass(p_tiles, n)
 
-    for t in range(config.n_iterations):
-        checkpoint = t > 0 and t % _KL_CHECK_EVERY == 0
-        exaggeration = (
-            config.exaggeration_factor if t < config.exaggeration_until_iter else 1.0
-        )
-        grad, z, p_log_d = gradient_pass(y, exaggeration, with_log=checkpoint)
-        if checkpoint:
-            trace.append((t, p_log_p + p_log_d + p_total * math.log(z)))
-        momentum = (
-            config.momentum_early if t < config.momentum_switch_iter else config.momentum_late
-        )
-        y_next = y - lr * grad + momentum * (y - y_prev)
-        if not np.isfinite(y_next).all():
-            raise NumericError(f"non-finite coordinates at iteration {t}")
-        y_prev, y = y, y_next
+    with gradient_pass.helper():
+        for t in range(config.n_iterations):
+            checkpoint = t > 0 and t % _KL_CHECK_EVERY == 0
+            exaggeration = (
+                config.exaggeration_factor if t < config.exaggeration_until_iter else 1.0
+            )
+            grad, z, p_log_d = gradient_pass(y, exaggeration, with_log=checkpoint)
+            if checkpoint:
+                trace.append((t, p_log_p + p_log_d + p_total * math.log(z)))
+            momentum = (
+                config.momentum_early if t < config.momentum_switch_iter else config.momentum_late
+            )
+            y_next = y - lr * grad + momentum * (y - y_prev)
+            if not np.isfinite(y_next).all():
+                raise NumericError(f"non-finite coordinates at iteration {t}")
+            y_prev, y = y, y_next
 
-    _, z, p_log_d = gradient_pass(y, 1.0, with_log=True)
+        _, z, p_log_d = gradient_pass(y, 1.0, with_log=True)
     final_kl = p_log_p + p_log_d + p_total * math.log(z)
     trace.append((config.n_iterations, final_kl))
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,18 @@ def forest_of(tables, task="classification", n_features=2, n_classes=None) -> Ra
     return RandomForestModel(root=NodeTable(**joined), roots=roots,
                              config=ForestConfig(n_trees=len(tables), task=task),
                              n_features=n_features, n_classes=n_classes)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fails a test that leaves a child process running or unreaped, such
+    as a t-SNE pass's helper (a leftover zombie is reaped here)."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail("the test left a child process " + ("running" if pid == 0 else f"{pid} unreaped"))
 
 
 @pytest.fixture

@@ -10,7 +10,7 @@ from chirpmap.models.io import model_from_dict, model_to_dict
 from chirpmap.models.tree import NodeTable
 from chirpmap.render import boundary_grid
 from chirpmap.sensitivity import SensitivityConfig, fit_coordinate_regressors
-from tests.conftest import forest_of
+from tests.conftest import forest_of, make_blobs
 from tests.test_knn_oracle import clustered_training_set
 
 
@@ -234,6 +234,34 @@ def test_forest_grid_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * 2**20
+
+
+@pytest.mark.parametrize("labels", [(0, 10**4), (0, 7, 10**4)])
+def test_large_labels_vote_over_the_classes_present(labels):
+    """Votes are counted over the classes the leaves hold, so a label's
+    value sets no array: with labels {0, 1e4} a grid paints one layer,
+    not 9,999, and within `test_forest_grid_peak_memory`'s bound. The
+    trees are those of labels 0, 1, ..., so every answer is theirs,
+    relabelled, and the grid is `predict` at its centres."""
+    centers = [(-20.0, 5.0), (15.0, 15.0), (5.0, -20.0)]
+    x, cluster = make_blobs(centers, n_per=60, sd=8.0, seed=8)
+    y = cluster % len(labels)
+    config = ForestConfig(n_trees=20, seed=2)
+    small = fit_random_forest(x, y, config)
+    large = fit_random_forest(x, np.array(labels)[y], config)
+    xc, yc, _ = boundary_grid(small, x, 60)
+    tracemalloc.start()
+    try:
+        grid = large.predict_grid(xc, yc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * 2**20
+    assert grid.dtype == np.int64
+    assert np.array_equal(grid, np.array(labels)[small.predict_grid(xc, yc)])
+    centres = np.column_stack([np.tile(xc, yc.size), np.repeat(yc, xc.size)])
+    assert np.array_equal(grid.ravel(), large.predict(centres))
+    assert set(np.unique(grid, return_counts=True)[0]) == set(labels)
 
 
 @pytest.fixture(scope="module", params=["eval", "explain"])

@@ -5,17 +5,26 @@ copy-then-subtract distance helper it called; the current pass takes p
 tile-major and forms each tile's distances from operands built once per
 run. Every tile's arithmetic is meant to be unchanged, so the gradient,
 Z and sum p ln(1 + d^2) must match exactly, over one tile and many,
-whether a pass object is fresh or has run at other y before.
+whether a pass object is fresh or has run at other y before, and
+whether a forked helper process ran part of its tiles or none.
 """
+
+import os
+import signal
+from contextlib import contextmanager
 
 import numpy as np
 import pytest
 
+from chirpmap import tsne
+from chirpmap.errors import NumericError
 from chirpmap.tsne import (
     _TILE,
+    TsneConfig,
     _TilePass,
     _tile_spans,
     conditional_affinities,
+    run_tsne,
     symmetrize,
 )
 
@@ -133,3 +142,158 @@ def test_a_reused_pass_gives_the_bits_of_fresh_passes(n):
         assert grad.tobytes() == fresh[0].tobytes()
         assert z == fresh[1] and p_log_d == fresh[2]
         assert np.array_equal(y, y_before)
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The helper forked wherever there are two tiles, whatever the CPU
+    count; the pids of the forks made are collected in the list."""
+    made, fork = [], os.fork
+
+    def recorded_fork():
+        pid = fork()
+        made.append(pid)
+        return pid
+
+    monkeypatch.setattr(tsne, "_helper_wanted", lambda n_tiles: n_tiles >= 2)
+    monkeypatch.setattr(os, "fork", recorded_fork)
+    return made
+
+
+def assert_no_child_process():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def pass_input(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(n, 3))
+    x[: n // 3] += 3.0
+    p = symmetrize(conditional_affinities(x, 30.0).p)
+    return p, rng.normal(size=(n, 2))
+
+
+def test_the_helper_needs_two_tiles_fork_and_two_cpus(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert tsne._helper_wanted(2) and not tsne._helper_wanted(1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert not tsne._helper_wanted(10)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.delattr(os, "fork")
+    assert not tsne._helper_wanted(10)
+
+
+@pytest.mark.parametrize("n", [_TILE + 1, 2 * _TILE + 7, 900])
+def test_a_split_pass_keeps_the_former_pass_bits(n, forks):
+    p, y0 = pass_input(n, 400 + n)
+    buffer = np.empty(2 * _TILE * _TILE)
+    split = _TilePass(tile_major(p), n)
+    assert split.shares[0] and split.shares[1]
+    with split.helper():
+        assert len(forks) == 1 and split._helper is not None
+        for scale in (1e-4, 1.0, 1e4):
+            y = y0 * scale
+            for exaggeration in (1.0, 12.0):
+                for with_log in (False, True):
+                    expected = former_gradient_pass(p, y, exaggeration, buffer, with_log)
+                    grad, z, p_log_d = split(y, exaggeration, with_log)
+                    assert grad.tobytes() == expected[0].tobytes()
+                    assert z == expected[1] and p_log_d == expected[2]
+    assert_no_child_process()
+
+
+def test_run_tsne_gives_the_same_bytes_with_and_without_the_helper(monkeypatch, forks):
+    n = 2 * _TILE + 7
+    x = np.random.default_rng(9).normal(size=(n, 3))
+    x[: n // 2] += 2.0
+    config = TsneConfig(perplexity=20.0, n_iterations=120, seed=5,
+                        momentum_switch_iter=60, exaggeration_until_iter=60)
+    split = run_tsne(x, config)
+    assert len(forks) == 1
+    assert_no_child_process()
+    monkeypatch.setattr(tsne, "_helper_wanted", lambda n_tiles: False)
+    alone = run_tsne(x, config)
+    assert len(forks) == 1
+    assert split.coords.tobytes() == alone.coords.tobytes()
+    assert split.kl_trace == alone.kl_trace and len(split.kl_trace) == 3
+
+
+def test_no_helper_outlives_a_numeric_error(forks):
+    x = np.random.default_rng(10).normal(size=(2 * _TILE + 7, 3))
+    config = TsneConfig(perplexity=20.0, n_iterations=300, learning_rate=1e300, seed=1)
+    with np.errstate(all="ignore"), pytest.raises(NumericError, match="non-finite"):
+        run_tsne(x, config)
+    assert len(forks) == 1
+    assert_no_child_process()
+
+
+@contextmanager
+def deadline(seconds):
+    """Raises TimeoutError in the block once ``seconds`` have passed, so
+    that a pass waiting on a helper that never answers fails the test."""
+    def expired(signum, frame):
+        raise TimeoutError(f"no answer within {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expired)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def failing_run(steps, with_log):
+    raise ValueError("a tile failed")
+
+
+@pytest.mark.parametrize("death", ["killed", "killed-and-reaped", "failed-in-a-pass"])
+def test_a_dead_helper_makes_the_next_pass_raise(death, forks):
+    # a killed helper ends the pass at its command (a closed pipe) or at
+    # its answer (end of file), whichever the kill reaches first; one
+    # that fails in a tile leaves through os._exit, mid-pass
+    n = 2 * _TILE + 7
+    p, y = pass_input(n, 11)
+    split = _TilePass(tile_major(p), n)
+    expected = split(y, 1.0)
+    if death == "failed-in-a-pass":
+        split._run = failing_run  # the helper keeps the failing copy
+    with deadline(10), split.helper():
+        if death == "failed-in-a-pass":
+            del split._run
+        else:
+            split(y, 1.0)
+            os.kill(forks[0], signal.SIGKILL)
+            if death == "killed-and-reaped":
+                os.waitpid(forks[0], 0)
+        with pytest.raises(RuntimeError, match="helper process ended"):
+            split(y, 1.0)
+        assert_no_child_process()
+        # later passes run every tile here
+        assert split(y, 1.0)[0].tobytes() == expected[0].tobytes()
+    assert_no_child_process()
+
+
+def test_an_interrupted_pass_stops_the_helper_and_keeps_the_bits(forks):
+    n = 2 * _TILE + 7
+    p, y = pass_input(n, 12)
+    split = _TilePass(tile_major(p), n)
+    expected = split(y, 12.0, with_log=True)
+
+    def interrupted(steps, with_log):
+        raise KeyboardInterrupt
+
+    with deadline(10), split.helper():
+        split._run = interrupted  # the caller's share only: the helper has its own copy
+        with pytest.raises(KeyboardInterrupt):
+            split(y, 12.0)
+        del split._run
+        assert split._helper is None
+        assert_no_child_process()
+        grad, z, p_log_d = split(y, 12.0, with_log=True)
+    assert grad.tobytes() == expected[0].tobytes() and (z, p_log_d) == expected[1:]
+    with pytest.raises(KeyboardInterrupt), split.helper():
+        split(y, 1.0)
+        raise KeyboardInterrupt
+    assert len(forks) == 2
+    assert_no_child_process()
