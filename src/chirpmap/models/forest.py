@@ -136,11 +136,14 @@ class RandomForestModel:
         votes = paint_boxes(ranges, [a.size for a in axes],
                             layer=code[painted] - 1, n_layers=self.classes.size - 1)
         best = self.roots.size - votes.sum(axis=0)
-        winner = np.zeros_like(best)
-        for k, layer in enumerate(votes, start=1):
-            winner[layer > best] = k
+        # written as class values: a gather from class indices into a new
+        # grid-sized array took about 0.4 ms of a 301 x 301 grid's 4.5 on a
+        # 2-CPU host
+        winner = np.full_like(best, self.classes[0])
+        for c, layer in zip(self.classes[1:].tolist(), votes):
+            winner[layer > best] = c
             np.maximum(best, layer, out=best)
-        return self.classes[winner]
+        return winner
 
 
 def box_ranges(axis, lo, hi) -> tuple[np.ndarray, np.ndarray]:
@@ -195,14 +198,12 @@ def fit_random_forest(x, y, config: ForestConfig = ForestConfig()) -> RandomFore
     # n (1 - (1 - 1/n)^n) of them, about 63%
     rows_per_tree = n * (1.0 - (1.0 - 1.0 / n) ** n)
     block = max(1, int(_BLOCK_ROWS // rows_per_tree))
-    # every block's root orders are filtered from these
-    x_order = np.argsort(x.T, axis=1, kind="stable")
     blocks, roots, n_nodes = [], [], 0
     for lo in range(0, config.n_trees, block):
         block_boots = boots[lo:lo + block]
         keys = key_rng.random((block_boots.shape[0], n - 1, d)) if m_features < d else None
         table, block_roots = grow_trees(x, y, block_boots, n_classes, config.max_depth, keys,
-                                        m_features, x_order)
+                                        m_features)
         table.right[table.feature >= 0] += n_nodes  # into the joined table
         block_roots += n_nodes
         roots.append(block_roots)

@@ -432,7 +432,6 @@ def grow_trees(
     max_depth: int | None = None,
     keys=None,
     m_features: int | None = None,
-    x_order=None,
 ) -> tuple[NodeTable, np.ndarray]:
     """Grow one tree on the rows `samples[t]` of (x, y) for every t, all
     trees at once, level by level: the trees' one `NodeTable`, tree after
@@ -452,10 +451,7 @@ def grow_trees(
     r - 1 nodes. Without `keys` every feature is a candidate at every node.
 
     Every tree grows on the distinct rows of `samples[t]`, each weighted
-    by its multiplicity there (see the module docstring). `x_order`, the
-    stable argsort of each column of x as a (d, len(x)) array, is taken
-    here when not given; a caller growing several blocks on one x takes
-    it once.
+    by its multiplicity there (see the module docstring).
 
     A regression target y of shape (n, q) grows one tree for all q
     outputs: a node's value is its weighted mean of each output, a node
@@ -483,9 +479,7 @@ def grow_trees(
     sizes = np.count_nonzero(held.reshape(n_trees, n_x), axis=1)
     # filtering x's stable orders to a tree's rows gives their stable
     # orders, ties still by row of x
-    if x_order is None:
-        x_order = np.argsort(xt, axis=1, kind="stable")
-    at = (x_order[:, None, :] + offsets[:, None]).reshape(d, -1)
+    at = (np.argsort(xt, axis=1, kind="stable")[:, None, :] + offsets[:, None]).reshape(d, -1)
     block_row = np.cumsum(held) - 1
     orders = block_row.take(at[held.take(at)]).reshape(d, -1)
     del mult, held, flat, picked, at, block_row

@@ -28,10 +28,14 @@ writes its products and sums into its own slot, and the pass adds the
 slots in tile order, the former pass's additions in its order. So in
 ``run_tsne``, when there are two tiles or more (N > ``_TILE``),
 ``os.fork`` exists and the process may run on two CPUs, one forked
-helper process runs a fixed, cost-balanced share of every pass's tiles
-(``_TilePass.helper``). Processes, not threads: a tile is about 15
-small numpy calls, and two threads, which take turns on the GIL for
-each, made a pass slower (4.24 against 4.03 ms at N = 900).
+helper process runs a fixed, cost-balanced share of the tiles
+(``_TilePass.helper``) in the passes where a timed trial found it
+faster. The trial is there because a pass waits on the helper, which
+pays only with a CPU to spare: with two such runs at once on two CPUs,
+a helper in every pass made an N = 900 benchmark op about 9% slower.
+Processes, not threads: a tile is about 15 small numpy calls, and two
+threads, which take turns on the GIL for each, made a pass slower
+(4.24 against 4.03 ms at N = 900).
 
 Joint affinities below ``_P_FLOOR`` are zeroed, which keeps subnormal
 floats (slow on the CPU's denormal path) out of the loop; the
@@ -47,6 +51,7 @@ import math
 import mmap
 import os
 import signal
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
@@ -65,6 +70,11 @@ _TILE = 225
 # joint affinities below this are zeroed: 2^-970, the least p for which
 # p * w stays a normal float for every Student-t w >= eps
 _P_FLOOR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+# inside ``_TilePass.helper``, every this-many passes begin with a trial of
+# this-many pairs of passes, timed with and without the helper; the passes
+# up to the next trial use the helper only if its median pass was faster
+_TRIAL_EVERY = 256
+_TRIAL_PAIRS = 8
 
 
 @dataclass(frozen=True)
@@ -501,26 +511,36 @@ class _TilePass:
             shares[side].append(k)
         self.shares = tuple([self.steps[k] for k in sorted(share)] for share in shares)
         self._helper = None  # (pid, command pipe, result pipe) inside ``helper``
+        self._begin_trials()
 
     @contextmanager
     def helper(self):
-        """Within, one process forked here runs the tiles of ``shares[1]``
-        of every pass, when ``_helper_wanted``; the caller runs the rest
-        and adds every slot as always, so the bits are the same either
-        way. The helper waits on its command pipe for a pass and leaves
-        through ``os._exit`` at its end of file or on any exception. On
-        every way out of the block, an exception included, the helper is
-        killed and reaped. A pass whose helper has died raises
-        ``RuntimeError``, and later passes run every tile in this process.
+        """Within, one process forked here, when ``_helper_wanted``, runs
+        the tiles of ``shares[1]`` in the passes it speeds up; the caller
+        runs the rest and adds every slot as always, so the bits are the
+        same either way. Every ``_TRIAL_EVERY`` passes start with a trial:
+        ``_TRIAL_PAIRS`` pairs of timed passes, one with the helper and
+        one without; up to the next trial, passes use the helper only if
+        its median pass was the faster. The affinity mask that
+        ``_helper_wanted`` reads counts neither other busy processes nor a
+        CPU quota; the trial's times count both.
+
+        The helper waits on its command pipe for a pass and leaves through
+        ``os._exit`` at its end of file or on any exception. On every way
+        out of the block, an exception included, the helper is killed and
+        reaped. If the helper has ended, the pass that finds it gone runs
+        the helper's share here, and so does every later pass, to the same
+        bits.
 
         The fork copies only the calling thread. OpenBLAS, whose worker
         pool may be alive then, shuts the pool down before a fork and
         starts it again on its next call; the ledger's two-BLAS-thread
         run forks this way.
         """
-        if _helper_wanted(len(self.steps)):
-            self._start_helper()
+        self._begin_trials()
         try:
+            if _helper_wanted(len(self.steps)):
+                self._start_helper()
             yield self
         finally:
             self._stop_helper()
@@ -547,17 +567,16 @@ class _TilePass:
                 status = 0
             finally:
                 os._exit(status)
+        # kept before anything else can fail, so that ``_stop_helper`` ends it
+        self._helper = (pid, commands[1], results[0])
         os.close(commands[0])
         os.close(results[1])
-        self._helper = (pid, commands[1], results[0])
 
     def _stop_helper(self) -> None:
         if self._helper is None:
             return
         pid, commands, results = self._helper
         self._helper = None
-        os.close(commands)
-        os.close(results)
         # killed rather than left to read its end of file, which a process
         # forked meanwhile could hold off by holding the command pipe open
         try:
@@ -565,6 +584,9 @@ class _TilePass:
             os.waitpid(pid, 0)
         except (ProcessLookupError, ChildProcessError):
             pass
+        finally:
+            os.close(commands)
+            os.close(results)
 
     def _run(self, steps, with_log: bool) -> None:
         """Each tile's arithmetic, into its slot."""
@@ -587,6 +609,50 @@ class _TilePass:
                 pair_t, y1_i, out_j = other
                 np.matmul(pair_t, y1_i, out=out_j)
 
+    def _begin_trials(self) -> None:
+        self._passes = 0  # the passes made inside ``helper``
+        self._split = True  # whether the passes since the last trial use the helper
+        self._trial = ([], [])  # the trial's pass times without and with the helper
+
+    def _helped_run(self, with_log: bool) -> None:
+        """Every tile's arithmetic, with the helper or without it as the
+        last trial found faster (see ``_TRIAL_EVERY``)."""
+        k = self._passes % _TRIAL_EVERY
+        self._passes += 1
+        trial = k < 2 * _TRIAL_PAIRS
+        split = k % 2 == 0 if trial else self._split
+        start = time.perf_counter()
+        if split:
+            self._split_run(with_log)
+        else:
+            self._run(self.steps, with_log)
+        if trial:
+            self._trial[split].append(time.perf_counter() - start)
+            if k == 2 * _TRIAL_PAIRS - 1:
+                # each side's upper median
+                without, helped = (sorted(times)[len(times) // 2] for times in self._trial)
+                self._split = helped < without
+                self._trial = ([], [])
+
+    def _split_run(self, with_log: bool) -> None:
+        """``shares[0]`` here while the helper runs ``shares[1]``; if the
+        helper has ended, it is stopped and its share runs here too."""
+        _, commands, results = self._helper
+        try:
+            try:
+                os.write(commands, b"\1" if with_log else b"\0")
+                sent = True
+            except BrokenPipeError:  # the helper had ended before the pass
+                sent = False
+            self._run(self.shares[0], with_log)
+            done = sent and os.read(results, 1)
+        except BaseException:
+            self._stop_helper()
+            raise
+        if not done:  # the helper has ended: its share runs here, to the same bits
+            self._stop_helper()
+            self._run(self.shares[1], with_log)
+
     def __call__(self, y: np.ndarray, exaggeration: float,
                  with_log: bool = False) -> tuple[np.ndarray, float, float | None]:
         self.rows[:, :, 0] = y.T
@@ -595,19 +661,7 @@ class _TilePass:
         if self._helper is None:
             self._run(self.steps, with_log)
         else:
-            _, commands, results = self._helper
-            try:
-                os.write(commands, b"\1" if with_log else b"\0")
-                self._run(self.shares[0], with_log)
-                done = os.read(results, 1)
-            except BrokenPipeError:  # the helper had ended before the pass
-                done = b""
-            except BaseException:
-                self._stop_helper()
-                raise
-            if not done:
-                self._stop_helper()
-                raise RuntimeError("the t-SNE tile pass's helper process ended during a pass")
+            self._helped_run(with_log)
         sums = self.sums
         sums[...] = 0.0
         z = 0.0
@@ -692,14 +746,15 @@ def run_tsne(x: np.ndarray, config: TsneConfig) -> Embedding:
 
     The loop and the final KL run inside ``_TilePass.helper``: with
     N > _TILE, ``os.fork`` and two CPUs, a forked helper process runs
-    about half of every pass's tiles, with the same bits (see the module
-    docstring). The helper is killed and reaped however the call ends, a
-    ``NumericError`` or ``KeyboardInterrupt`` included, so no process
-    outlives it; if the helper dies mid-run, the next pass raises
-    ``RuntimeError``. The helper's resident pages are nearly all the
-    caller's, shared copy-on-write, so its ``RUSAGE_CHILDREN``
-    ``ru_maxrss`` reads about the caller's size at the fork; its own
-    (``Private_Dirty``) pages came to 2.2 MiB at N = 900.
+    about half the tiles of the passes that a timed trial finds faster
+    with it, with the same bits (see the module docstring). The helper
+    is killed and reaped however the call ends, a ``NumericError`` or
+    ``KeyboardInterrupt`` included, so no process outlives it; if the
+    helper dies mid-run, the run goes on without it, to the same bits.
+    The helper's resident pages are nearly all the caller's, shared
+    copy-on-write, so its ``RUSAGE_CHILDREN`` ``ru_maxrss`` reads about
+    the caller's size at the fork; its own (``Private_Dirty``) pages
+    came to 2.2 MiB at N = 900.
     """
     n = x.shape[0]
     config.validate(n)

@@ -11,6 +11,7 @@ whether a forked helper process ran part of its tiles or none.
 
 import os
 import signal
+import time
 from contextlib import contextmanager
 
 import numpy as np
@@ -147,7 +148,8 @@ def test_a_reused_pass_gives_the_bits_of_fresh_passes(n):
 @pytest.fixture
 def forks(monkeypatch):
     """The helper forked wherever there are two tiles, whatever the CPU
-    count; the pids of the forks made are collected in the list."""
+    count, and used in every pass, untimed; the pids of the forks made are
+    collected in the list."""
     made, fork = [], os.fork
 
     def recorded_fork():
@@ -156,6 +158,7 @@ def forks(monkeypatch):
         return pid
 
     monkeypatch.setattr(tsne, "_helper_wanted", lambda n_tiles: n_tiles >= 2)
+    monkeypatch.setattr(tsne, "_TRIAL_PAIRS", 0)
     monkeypatch.setattr(os, "fork", recorded_fork)
     return made
 
@@ -248,14 +251,15 @@ def failing_run(steps, with_log):
 
 
 @pytest.mark.parametrize("death", ["killed", "killed-and-reaped", "failed-in-a-pass"])
-def test_a_dead_helper_makes_the_next_pass_raise(death, forks):
+def test_a_dead_helpers_share_runs_in_the_pass(death, forks):
     # a killed helper ends the pass at its command (a closed pipe) or at
     # its answer (end of file), whichever the kill reaches first; one
     # that fails in a tile leaves through os._exit, mid-pass
     n = 2 * _TILE + 7
     p, y = pass_input(n, 11)
     split = _TilePass(tile_major(p), n)
-    expected = split(y, 1.0)
+    expected = {with_log: split(2.0 * y, 1.0, with_log) for with_log in (False, True)}
+    split(y, 1.0)  # the slots now hold the tiles at y, not at 2 y
     if death == "failed-in-a-pass":
         split._run = failing_run  # the helper keeps the failing copy
     with deadline(10), split.helper():
@@ -266,11 +270,65 @@ def test_a_dead_helper_makes_the_next_pass_raise(death, forks):
             os.kill(forks[0], signal.SIGKILL)
             if death == "killed-and-reaped":
                 os.waitpid(forks[0], 0)
-        with pytest.raises(RuntimeError, match="helper process ended"):
-            split(y, 1.0)
-        assert_no_child_process()
-        # later passes run every tile here
-        assert split(y, 1.0)[0].tobytes() == expected[0].tobytes()
+        # the pass that finds the helper gone, then passes without it
+        for with_log in (True, False, True):
+            grad, z, p_log_d = split(2.0 * y, 1.0, with_log)
+            assert split._helper is None
+            assert_no_child_process()
+            assert grad.tobytes() == expected[with_log][0].tobytes()
+            assert (z, p_log_d) == expected[with_log][1:]
+    assert len(forks) == 1
+    assert_no_child_process()
+
+
+def slowed(run, seconds_per_tile):
+    def slow_run(steps, with_log):
+        time.sleep(seconds_per_tile * len(steps))
+        run(steps, with_log)
+    return slow_run
+
+
+@pytest.mark.parametrize("slow_side", ["helper", "caller"])
+def test_each_trial_keeps_the_helper_only_if_it_was_faster(slow_side, monkeypatch, forks):
+    # a helper slower than the whole pass here loses every trial; with a
+    # slow caller, the helper's share of the tiles saves time and wins
+    monkeypatch.setattr(tsne, "_TRIAL_EVERY", 10)
+    monkeypatch.setattr(tsne, "_TRIAL_PAIRS", 2)
+    n = 2 * _TILE + 7
+    p, y = pass_input(n, 14)
+    split = _TilePass(tile_major(p), n)
+    expected = split(y, 1.0)
+    if slow_side == "helper":
+        split._run = slowed(split._run, 0.01)  # the helper keeps the slow copy
+    with deadline(10), split.helper():
+        if slow_side == "helper":
+            del split._run
+        else:
+            split._run = slowed(split._run, 0.005)
+        for k in range(24):
+            assert split(y, 1.0)[0].tobytes() == expected[0].tobytes()
+            assert split._split == (k < 3 or slow_side == "caller")
+        assert split._helper is not None and len(forks) == 1
+    assert_no_child_process()
+
+
+def test_an_interrupt_just_after_the_fork_leaves_no_helper(monkeypatch, forks):
+    n = 2 * _TILE + 7
+    p, _ = pass_input(n, 13)
+    split = _TilePass(tile_major(p), n)
+    caller, close, closed = os.getpid(), os.close, []
+
+    def interrupted_close(fd):
+        close(fd)
+        if os.getpid() == caller and forks:  # the caller, after the fork
+            closed.append(fd)
+            if len(closed) == 2:  # the last of the child's pipe ends
+                raise KeyboardInterrupt
+
+    monkeypatch.setattr(os, "close", interrupted_close)
+    with deadline(10), pytest.raises(KeyboardInterrupt), split.helper():
+        pass
+    assert len(forks) == 1 and len(closed) == 4
     assert_no_child_process()
 
 
